@@ -73,12 +73,16 @@ def index_sets(sigma) -> IndexSets:
     IndexSets(dasc=frozenset({1}), dp=frozenset(), lap=frozenset({2}))
     """
     word = _coerce(sigma)
-    kinds = {"dasc": set(), "dp": set(), "lap": set()}
-    for i in range(1, len(word) + 1):
-        kind = classify_index(word, i)
-        if kind:
-            kinds[kind].add(i)
-    return IndexSets(*(frozenset(kinds[k]) for k in ("dasc", "dp", "lap")))
+    dasc, dp, lap = [], [], []
+    left = 0
+    # one pass with the classify_index rules, the virtual 0 at both ends
+    for i, (v, right) in enumerate(zip(word, (*word[1:], 0)), 1):
+        if left < v < right:
+            dasc.append(i)
+        elif v == right:
+            (lap if left < v else dp).append(i)
+        left = v
+    return IndexSets(frozenset(dasc), frozenset(dp), frozenset(lap))
 
 
 def fs_move(sigma, i: int) -> Word:
@@ -141,13 +145,12 @@ def fs_action(sigma, positions: Iterable[int]) -> Word:
 
     Positions are read against the input word: each position that is a
     double ascent or descent-plateau selects its value for one toggle, any
-    other position acts as the identity.
+    other position, in range or not, acts as the identity.
     """
     word = _coerce(sigma)
-    values = sorted(
-        {word[i - 1] for i in positions if classify_index(word, i) in ("dasc", "dp")}
-    )
-    for v in values:
+    sets = index_sets(word)
+    movable = sets.dasc | sets.dp
+    for v in sorted({word[i - 1] for i in positions if i in movable}):
         word = fs_toggle_value(word, v)
     return word
 

@@ -39,10 +39,8 @@ _FORMATS = ("plain", "json", "csv")
 @dataclass
 class Config:
     cache_dir: Path
-    trunc_order: int = 8
     enumeration_bound: int = 8
     fmt: str = "plain"
-    jobs: int = 1
 
 
 def default_cache_dir() -> Path:
@@ -61,7 +59,6 @@ def _config(args: argparse.Namespace) -> Config:
         cache_dir=cache,
         enumeration_bound=args.bound,
         fmt=args.format,
-        jobs=args.jobs,
     )
 
 
@@ -176,6 +173,8 @@ def _poly_families(cfg: Config) -> dict[str, Callable[[int], QPoly | TriPoly]]:
 
 def _cmd_poly(args: argparse.Namespace, out) -> int:
     cfg = _config(args)
+    if args.n < 0:
+        raise ValueError(f"n must be nonnegative, got {args.n}")
     poly = _poly_families(cfg)[args.name](args.n)
     if cfg.fmt == "plain":
         print(poly, file=out)
@@ -264,9 +263,6 @@ def _add_common(parser: argparse.ArgumentParser, suppress: bool) -> None:
                         "or the user cache directory)")
     parser.add_argument("--bound", type=int, default=default(8),
                         help="enumeration bound on n (default 8)")
-    parser.add_argument("--jobs", type=int, default=default(1),
-                        help="cap on worker count (the current implementation "
-                        "is single-process)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -81,14 +81,13 @@ class GrammarPolynomial:
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[Monomial, int] | Iterable = ()):
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[Monomial, int] = {}
-        for m, c in items:
-            if c:
+        if not isinstance(terms, Mapping):
+            acc: dict[Monomial, int] = {}
+            for m, c in terms:
                 acc[m] = acc.get(m, 0) + c
-                if not acc[m]:
-                    del acc[m]
-        self.terms: dict[Monomial, int] = acc
+            terms = acc
+        # a mapping's keys are distinct: adopt its sums, dropping zeros
+        self.terms: dict[Monomial, int] = {m: c for m, c in terms.items() if c}
 
     @classmethod
     def zero(cls) -> GrammarPolynomial:
@@ -400,12 +399,14 @@ def derive(p: GrammarPolynomial, g: Grammar) -> GrammarPolynomial:
     'x*y*z^2 + x*y^2*z'
     """
     _check_alphabet(p, g)
-    acc = GrammarPolynomial.zero()
+    acc: dict[Monomial, int] = {}
     for m, c in p.terms.items():
         for letter, e in m:
-            rest = GrammarPolynomial({_mono_without(m, letter): c * e})
-            acc = acc + rest * g.rule(letter)
-    return acc
+            rest, ce = _mono_without(m, letter), c * e
+            for rm, rc in g.rule(letter).terms.items():
+                key = _mono_mul(rest, rm)
+                acc[key] = acc.get(key, 0) + ce * rc
+    return GrammarPolynomial(acc)
 
 
 def derive_n(p: GrammarPolynomial, g: Grammar, n: int) -> GrammarPolynomial:

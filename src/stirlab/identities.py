@@ -70,6 +70,8 @@ class IdentityCheck:
     def run(self, bound: int | None = None) -> CheckResult:
         if bound is None:
             bound = self.default_bound
+        if bound < 0:
+            raise ValueError(f"bound must be nonnegative, got {bound}")
         if bound > self.max_bound:
             raise ResourceLimitError(
                 f"identity {self.name!r} is limited to bound {self.max_bound}"

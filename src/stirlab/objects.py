@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 from typing import Iterator, Sequence
 
 Word = tuple[int, ...]
@@ -40,27 +41,27 @@ def is_stirling(word: Sequence[int]) -> bool:
     if len(word) % 2:
         return False
     n = len(word) // 2
-    seen: dict[int, int] = {}
-    stack: list[int] = []
+    seen = [False] * (n + 1)
+    stack: list[int] = []  # the open values below the innermost one
+    top = 0  # the innermost open value, 0 when none is open
     for v in word:
         if not isinstance(v, int) or v < 1 or v > n:
             return False
-        c = seen.get(v, 0)
-        if c == 0:
-            # first occurrence must open inside a larger context only
-            if stack and v < stack[-1]:
-                return False
-            stack.append(v)
-            seen[v] = 1
-        elif c == 1:
-            # second occurrence must close the innermost open value
-            if not stack or stack[-1] != v:
-                return False
-            stack.pop()
-            seen[v] = 2
+        if v == top:
+            # second occurrence closing the innermost open value
+            top = stack.pop()
+        elif v > top and not seen[v]:
+            # first occurrence, opening inside a smaller context only
+            seen[v] = True
+            stack.append(top)
+            top = v
         else:
+            # a first occurrence below the innermost open value, a second
+            # occurrence of a value that is not innermost, or a third one
+            # (open values lie below top, closed ones were seen)
             return False
-    return len(seen) == n
+    # 2n letters, each value at most twice and every pair closed
+    return top == 0
 
 
 @dataclass(frozen=True)
@@ -186,7 +187,7 @@ def signed_words(n: int) -> Iterator[Word]:
         raise ValueError("order must be nonnegative")
     for perm in itertools.permutations(range(1, n + 1)):
         for signs in itertools.product((1, -1), repeat=n):
-            yield tuple(s * v for s, v in zip(signs, perm))
+            yield tuple(map(mul, signs, perm))
 
 
 def matching_blocks(n: int) -> Iterator[tuple[Block, ...]]:

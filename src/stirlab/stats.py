@@ -20,6 +20,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import gt
 from typing import Mapping, Sequence
 
 from .errors import ResourceLimitError
@@ -28,7 +29,6 @@ from .objects import (
     Permutation,
     SignedPermutation,
     StirlingPermutation,
-    is_stirling,
     iter_objects,
 )
 from .polynomials import QPoly, TriPoly
@@ -76,55 +76,53 @@ class MatchingStatRecord:
     ol: int
 
 
-def _coerce_word(sigma) -> tuple[int, ...]:
-    if isinstance(sigma, StirlingPermutation):
-        return sigma.word
-    return tuple(sigma)
+def _stirling_scan(word: Sequence[int]) -> tuple[int, ...]:
+    """The eight Stirling statistics of a word assumed valid, in the order of
+    STIRLING_STATS, from one pass over the 0-padded neighbours of each
+    letter."""
+    asc = des = plat = lap = dasc = dp = 0
+    prev = 0  # sentinel sigma_0
+    for cur, nxt in zip(word, (*word[1:], 0)):  # sentinel sigma_{2n+1}
+        if prev < cur:
+            asc += 1  # the pair (0, sigma_1) is always an ascent
+        if cur > nxt:
+            des += 1  # includes the final padded pair, always a descent
+        elif cur == nxt:
+            plat += 1
+            if prev < cur:
+                lap += 1
+            elif prev > cur:
+                dp += 1
+        elif prev < cur:
+            dasc += 1
+        prev = cur
+    # a left ascent-plateau at position 1 is not an ascent-plateau
+    first = 1 if len(word) >= 2 and word[0] == word[1] else 0
+    ap = lap - first
+    return (asc, des, plat, ap, lap, 2 * ap + first, dasc, dp)
 
 
 def stirling_stat_record(word: Sequence[int]) -> StirlingStatRecord:
     """All eight Stirling statistics of a word assumed valid (one pass)."""
-    m = len(word)
-    asc = des = plat = ap = lap = dasc = dp = 0
-    prev = 0  # sentinel sigma_0
-    for i in range(1, m + 1):
-        cur = word[i - 1]
-        nxt = word[i] if i < m else 0  # sentinel sigma_{2n+1}
-        if prev < cur:
-            asc += 1  # counts the pair (i-1, i); the pair (0, 1) is always one
-        if cur > nxt:
-            des += 1  # includes the final padded pair, always a descent
-        elif cur == nxt and i < m:
-            plat += 1
-        if prev < cur == nxt:
-            lap += 1
-            if i >= 2:
-                ap += 1
-        if prev < cur < nxt:
-            dasc += 1
-        if prev > cur == nxt:
-            dp += 1
-        prev = cur
-    fap = 2 * ap + (1 if m >= 2 and word[0] == word[1] else 0)
-    return StirlingStatRecord(asc, des, plat, ap, lap, fap, dasc, dp)
+    return StirlingStatRecord(*_stirling_scan(word))
 
 
 def stirling_stats(sigma) -> StirlingStatRecord:
     """Statistics of a Stirling permutation; invalid input raises ValueError."""
-    word = _coerce_word(sigma)
-    if not is_stirling(word):
-        raise ValueError(f"not a Stirling permutation: {word}")
-    return stirling_stat_record(word)
+    word = sigma.word if isinstance(sigma, StirlingPermutation) else sigma
+    return stirling_stat_record(StirlingPermutation.from_word(word).word)
+
+
+def _signed_scan(values: Sequence[int]) -> tuple[int, ...]:
+    des_a = sum(map(gt, values, values[1:]))
+    neg_first = 1 if values[0] < 0 else 0
+    fdes = 2 * des_a + neg_first
+    return (des_a, des_a + neg_first, fdes, 2 * len(values) - 1 - fdes)
 
 
 def signed_stat_record(values: Sequence[int]) -> SignedStatRecord:
     """desA/desB/fdes/fasc of a signed permutation assumed valid, n >= 1."""
-    n = len(values)
-    des_a = sum(values[i] > values[i + 1] for i in range(n - 1))
-    neg_first = 1 if values[0] < 0 else 0
-    des_b = des_a + neg_first
-    fdes = 2 * des_a + neg_first
-    return SignedStatRecord(des_a, des_b, fdes, 2 * n - 1 - fdes)
+    return SignedStatRecord(*_signed_scan(values))
 
 
 def signed_stats(pi) -> SignedStatRecord:
@@ -132,9 +130,11 @@ def signed_stats(pi) -> SignedStatRecord:
     values = pi.values if isinstance(pi, SignedPermutation) else tuple(pi)
     if len(values) == 0:
         raise ValueError("signed statistics need n >= 1")
-    if sorted(abs(v) for v in values) != list(range(1, len(values) + 1)) or 0 in values:
-        raise ValueError(f"not a signed permutation: {values}")
-    return signed_stat_record(values)
+    return signed_stat_record(SignedPermutation.from_values(values).values)
+
+
+def _permutation_scan(values: Sequence[int]) -> tuple[int]:
+    return (sum(map(gt, values, values[1:])),)
 
 
 def perm_des(pi) -> int:
@@ -144,12 +144,16 @@ def perm_des(pi) -> int:
     3
     """
     values = pi.values if isinstance(pi, Permutation) else tuple(pi)
-    return sum(values[i] > values[i + 1] for i in range(len(values) - 1))
+    return _permutation_scan(values)[0]
+
+
+def _matching_scan(blocks) -> tuple[int, int]:
+    el = sum(1 for b in blocks if max(b) % 2 == 0)
+    return (el, len(blocks) - el)
 
 
 def matching_stat_record(blocks) -> MatchingStatRecord:
-    el = sum(1 for b in blocks if max(b) % 2 == 0)
-    return MatchingStatRecord(el, len(blocks) - el)
+    return MatchingStatRecord(*_matching_scan(blocks))
 
 
 def matching_stats(m) -> MatchingStatRecord:
@@ -158,26 +162,19 @@ def matching_stats(m) -> MatchingStatRecord:
     return matching_stat_record(PerfectMatching.from_blocks(blocks).blocks)
 
 
-_RECORDERS = {
-    "stirling": lambda obj: stirling_stat_record(obj),
-    "signed": lambda obj: signed_stat_record(obj),
-    "matching": lambda obj: matching_stat_record(obj),
-    "permutation": lambda obj: (perm_des(obj),),
+# one tuple-returning scan per class, fields in STATS_BY_CLASS order
+_SCANS = {
+    "stirling": _stirling_scan,
+    "signed": _signed_scan,
+    "matching": _matching_scan,
+    "permutation": _permutation_scan,
 }
 
 
 @lru_cache(maxsize=None)
 def _full_counts(klass: str, n: int) -> Mapping[tuple[int, ...], int]:
     """Joint counts of the full statistic record over a whole class."""
-    record = _RECORDERS[klass]
-    if klass == "permutation":
-        return Counter(record(obj) for obj in iter_objects(klass, n))
-    fields = STATS_BY_CLASS[klass]
-    counts: Counter = Counter()
-    for obj in iter_objects(klass, n):
-        r = record(obj)
-        counts[tuple(getattr(r, f) for f in fields)] += 1
-    return counts
+    return Counter(map(_SCANS[klass], iter_objects(klass, n)))
 
 
 @dataclass(frozen=True)
@@ -251,9 +248,5 @@ def distribution(
         raise ResourceLimitError(
             f"n={n} exceeds the enumeration bound {bound} for class {klass!r}"
         )
-    full = _full_counts(klass, n)
-    idx = [names.index(s) for s in stats]
-    out: Counter = Counter()
-    for values, c in full.items():
-        out[tuple(values[i] for i in idx)] += c
-    return DistributionTable(klass, n, tuple(stats), dict(out))
+    full = DistributionTable(klass, n, names, _full_counts(klass, n))
+    return full.marginal(stats)

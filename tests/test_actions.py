@@ -2,6 +2,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stirlab.actions import (
     alpha,
@@ -14,11 +15,13 @@ from stirlab.actions import (
     fs_action,
     fs_move,
     fs_toggle_value,
+    IndexSets,
     index_sets,
     movable_index,
     orbit,
     orbit_members,
 )
+import stirlab.actions as actions_module
 from stirlab.objects import is_stirling, iter_objects
 from stirlab.stats import stirling_stat_record
 
@@ -103,6 +106,7 @@ class TestToggleAction:
     def test_empty_selection_is_identity(self):
         assert fs_action(word("1221"), ()) == word("1221")
         assert fs_action(word("1221"), {2}) == word("1221")  # inactive position
+        assert fs_action(word("1221"), {0, 5}) == word("1221")  # out of range
 
     def test_full_selection_swaps_dasc_and_dp(self):
         for w in iter_objects("stirling", 5):
@@ -250,3 +254,50 @@ class TestAlpha:
             assert alpha(w) == pi
             r = stirling_stat_record(w)
             assert r.dp == 0 and r.lap + r.dasc == n
+
+
+def index_sets_by_position(w) -> IndexSets:
+    kinds = [classify_index(w, i) for i in range(1, len(w) + 1)]
+    return IndexSets(*(
+        frozenset(i for i, k in enumerate(kinds, 1) if k == name)
+        for name in ("dasc", "dp", "lap")
+    ))
+
+
+class TestOnePassIndexSets:
+    def test_all_small_words(self):
+        for n in range(6):
+            for w in iter_objects("stirling", n):
+                assert index_sets(w) == index_sets_by_position(w)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(-1, 5), max_size=10))
+    def test_arbitrary_int_lists(self, w):
+        assert index_sets(w) == index_sets_by_position(tuple(w))
+
+
+class TestAssertsStay:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = []
+
+        def counting(word):
+            seen.append(word)
+            return is_stirling(word)
+
+        monkeypatch.setattr(actions_module, "is_stirling", counting)
+        return seen
+
+    def test_beta_move_checks_once_per_move(self, calls):
+        moved = beta_move(word("3443557887662211"), 6)
+        assert calls == [moved]
+        beta_set(word("331221"), {1, 2, 3})
+        assert len(calls) == 1 + 3
+
+    def test_fs_move_checks_once_per_move(self, calls):
+        moved = fs_move(word("2447887332115665"), 1)
+        assert calls == [moved]
+        w = word("2447887332115665")
+        s = index_sets(w)
+        fs_action(w, s.dasc | s.dp)
+        assert len(calls) == 1 + len(s.dasc | s.dp)

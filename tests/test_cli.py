@@ -1,6 +1,9 @@
 """CLI behavior: formats, exit codes, cache handling, byte stability."""
 import io
 import json
+from pathlib import Path
+
+import pytest
 
 from stirlab.cli import main
 from stirlab.identities import REGISTRY, IdentityCheck
@@ -115,6 +118,14 @@ class TestPoly:
         assert (tmp_path / "envcache" / "t-2.json").exists()
 
 
+    def test_negative_n_exits_2(self, tmp_path, capsys):
+        code, out = run_cli("poly", "--name", "A", "--n", "-1",
+                            "--cache-dir", str(tmp_path))
+        assert (code, out) == (2, "")
+        err = capsys.readouterr().err
+        assert err == "stirlab: error: n must be nonnegative, got -1\n"
+
+
 class TestGrammar:
     def test_derivative_from_rule_file(self, tmp_path):
         rules = tmp_path / "flag.rules"
@@ -163,6 +174,14 @@ class TestVerify:
         assert run_cli("verify", "--identity", "bona-equidistribution",
                        "--max-n", "99")[0] == 2
 
+    @pytest.mark.parametrize("target", [("--identity", "t-self-inverse"),
+                                        ("--all",)])
+    def test_negative_bound_exits_2(self, target, capsys):
+        code, out = run_cli("verify", *target, "--max-n", "-3")
+        assert (code, out) == (2, "")
+        err = capsys.readouterr().err
+        assert err == "stirlab: error: bound must be nonnegative, got -3\n"
+
     def test_all_small_bound(self):
         code, out = run_cli("verify", "--all", "--max-n", "3")
         assert code == 0
@@ -205,3 +224,15 @@ class TestByteStability:
         a = run_cli("enumerate", "--class", "stirling", "--n", "3")
         b = run_cli("enumerate", "--class", "stirling", "--n", "3")
         assert a == b
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("fmt,suffix", [("plain", "txt"), ("json", "json"),
+                                        ("csv", "csv")])
+def test_stats_golden_bytes(fmt, suffix):
+    code, out = run_cli("--format", fmt, "stats", "--class", "stirling",
+                        "--n", "6", "--stats", "lap,dasc,dp")
+    assert code == 0
+    assert out == (GOLDEN / f"stats_stirling_6_lap_dasc_dp.{suffix}").read_text()

@@ -1,7 +1,9 @@
 """Enumerator tests: counts against independent oracles, validity, order."""
+import itertools
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stirlab.objects import (
     PerfectMatching,
@@ -64,6 +66,19 @@ def test_is_stirling_matches_oracle_on_all_multiset_words():
         multiset = [v for v in range(1, n + 1) for _ in range(2)]
         for word in set(itertools.permutations(multiset)):
             assert is_stirling(word) == brute_is_stirling(word)
+
+
+# arbitrary int lists: odd lengths, 0, negatives, out-of-range values, True
+_letters = st.one_of(st.integers(-2, 6), st.just(True))
+_multiset_words = st.integers(0, 5).flatmap(
+    lambda n: st.permutations([v for v in range(1, n + 1) for _ in range(2)])
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.lists(_letters, max_size=11), _multiset_words))
+def test_is_stirling_matches_oracle_on_arbitrary_lists(word):
+    assert is_stirling(word) == brute_is_stirling(word)
 
 
 def test_stirling_counts_match_double_factorial():
@@ -148,3 +163,15 @@ def test_streams_are_restartable():
     gen = stirling_words(3)
     first = list(gen)
     assert list(stirling_words(3)) == first
+
+
+def test_signed_words_order_unchanged():
+    # the order of the definition: permutations in lexicographic order, then
+    # the sign patterns of itertools.product((1, -1), repeat=n)
+    for n in range(6):
+        expected = [
+            tuple(s * v for s, v in zip(signs, perm))
+            for perm in itertools.permutations(range(1, n + 1))
+            for signs in itertools.product((1, -1), repeat=n)
+        ]
+        assert list(signed_words(n)) == expected

@@ -1,12 +1,18 @@
 """Statistic definitions against worked examples and cross-statistic laws."""
+from dataclasses import astuple
+
 import pytest
 
 from stirlab.errors import ResourceLimitError
 from stirlab.objects import iter_objects
 from stirlab.polynomials import QPoly
 from stirlab.stats import (
+    _SCANS,
     DEFAULT_BOUNDS,
+    STATS_BY_CLASS,
+    StirlingStatRecord,
     distribution,
+    matching_stat_record,
     matching_stats,
     perm_des,
     signed_stat_record,
@@ -170,3 +176,53 @@ class TestDistribution:
         assert obj["class"] == "stirling"
         assert obj["stats"] == ["fap"]
         assert obj["entries"][0] == {"value": [1], "count": 1}
+
+
+def stirling_stats_by_definition(w) -> StirlingStatRecord:
+    # each statistic counted separately from the padding convention of the
+    # module docstring, as the oracle of the one-pass scan
+    p = (0, *w, 0)
+    m = len(w)
+    lap_at = [i for i in range(1, m + 1) if p[i - 1] < p[i] == p[i + 1]]
+    ap = sum(1 for i in lap_at if i >= 2)
+    return StirlingStatRecord(
+        asc=sum(p[i] < p[i + 1] for i in range(0, m)),
+        des=sum(p[i] > p[i + 1] for i in range(1, m + 1)),
+        plat=sum(p[i] == p[i + 1] for i in range(1, m)),
+        ap=ap,
+        lap=len(lap_at),
+        fap=2 * ap + (1 if m >= 2 and w[0] == w[1] else 0),
+        dasc=sum(p[i - 1] < p[i] < p[i + 1] for i in range(1, m + 1)),
+        dp=sum(p[i - 1] > p[i] == p[i + 1] for i in range(1, m + 1)),
+    )
+
+
+_RECORDS = {
+    "stirling": stirling_stat_record,
+    "signed": signed_stat_record,
+    "matching": matching_stat_record,
+    "permutation": lambda pi: (perm_des(pi),),
+}
+
+
+@pytest.mark.parametrize("klass,orders", [
+    ("stirling", range(7)),
+    ("signed", range(1, 6)),
+    ("matching", range(7)),
+    ("permutation", range(7)),
+])
+def test_tuple_scans_equal_record_fields(klass, orders):
+    scan, record = _SCANS[klass], _RECORDS[klass]
+    for n in orders:
+        for obj in iter_objects(klass, n):
+            fields = record(obj)
+            if klass != "permutation":
+                assert tuple(type(fields).__dataclass_fields__) == STATS_BY_CLASS[klass]
+                fields = astuple(fields)
+            assert scan(obj) == fields
+
+
+def test_stirling_scan_matches_definitions():
+    for n in range(7):
+        for w in iter_objects("stirling", n):
+            assert stirling_stat_record(w) == stirling_stats_by_definition(w)
