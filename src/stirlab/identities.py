@@ -640,8 +640,10 @@ def _fs_symmetry(bound: int) -> str | None:
         images = set()
         count = 0
         for word in iter_objects("stirling", n):
-            s = actions.index_sets(word)
-            moved = actions.fs_action(word, s.dasc | s.dp)
+            # fs_action toggles exactly the double ascents and descent-
+            # plateaus among the positions it is given, so all of them
+            # select the full toggle with one classification of the word
+            moved = actions.fs_action(word, range(1, len(word) + 1))
             a, b = stirling_stat_record(word), stirling_stat_record(moved)
             if (b.lap, b.dasc, b.dp) != (a.lap, a.dp, a.dasc):
                 return f"n={n}, word {word}: toggle sent {a} to {b}"

@@ -3,7 +3,9 @@
 Three value types: ``QPoly`` (univariate in x), ``TriPoly`` (three commuting
 variables x, y, z, stored sparsely), and ``TruncatedEGF`` (a series
 sum a_n(x) t^n / n! known through a fixed order, with QPoly coefficients).
-Every coefficient is a `fractions.Fraction`; no floating point anywhere.
+A coefficient is stored as an ``int`` when it is integral and as a
+`fractions.Fraction` otherwise, so integer families run on integer
+arithmetic and rational ones stay exact; no floating point anywhere.
 """
 from __future__ import annotations
 
@@ -17,16 +19,21 @@ Rat = Union[Fraction, int]
 DEFAULT_TRUNCATION_ORDER = 8
 
 
-def _frac_str(c: Fraction) -> str:
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+def _exact(c: Rat) -> Rat:
+    """``c`` as an int when it is integral, else as a Fraction.
 
-
-def _parse_frac(s: str) -> Fraction:
-    return Fraction(s)
+    Every stored coefficient passes through here, so ``str(c)`` prints an
+    integral coefficient as its integer and any other as ``p/q``.
+    """
+    if type(c) is int:
+        return c
+    c = c if isinstance(c, Fraction) else Fraction(c)
+    return c.numerator if c.denominator == 1 else c
 
 
 class QPoly:
-    """Univariate polynomial in x with exact rational coefficients.
+    """Univariate polynomial in x with exact coefficients (ints, with a
+    Fraction only where a coefficient is not integral).
 
     Immutable; trailing zeros are trimmed so equality is independent of the
     representation.  ``p[k]`` reads the coefficient of x^k (0 when out of
@@ -40,10 +47,10 @@ class QPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Rat] = ()):
-        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
+        cs = [c if type(c) is int else _exact(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
-        self.coeffs: tuple[Fraction, ...] = tuple(cs)
+        self.coeffs: tuple[Rat, ...] = tuple(cs)
 
     @classmethod
     def zero(cls) -> QPoly:
@@ -77,10 +84,10 @@ class QPoly:
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
-    def __getitem__(self, k: int) -> Fraction:
+    def __getitem__(self, k: int) -> Rat:
         if 0 <= k < len(self.coeffs):
             return self.coeffs[k]
-        return Fraction(0)
+        return 0
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, QPoly):
@@ -115,7 +122,7 @@ class QPoly:
             return NotImplemented
         if not self.coeffs or not other.coeffs:
             return QPoly.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
                 for j, b in enumerate(other.coeffs):
@@ -136,9 +143,9 @@ class QPoly:
             n >>= 1
         return result
 
-    def eval_at(self, v: Rat) -> Fraction:
+    def eval_at(self, v: Rat) -> Rat:
         """Evaluate at a rational point (Horner)."""
-        acc = Fraction(0)
+        acc = 0
         for c in reversed(self.coeffs):
             acc = acc * v + c
         return acc
@@ -148,24 +155,24 @@ class QPoly:
 
     def compose_x_squared(self) -> QPoly:
         """p(x) -> p(x^2)."""
-        out = [Fraction(0)] * (2 * len(self.coeffs))
+        out = [0] * (2 * len(self.coeffs))
         for k, c in enumerate(self.coeffs):
             out[2 * k] = c
         return QPoly(out)
 
     def compose_scaled(self, factor: Rat) -> QPoly:
         """p(x) -> p(factor * x); factor -1 gives p(-x)."""
-        return QPoly(c * Fraction(factor) ** k for k, c in enumerate(self.coeffs))
+        return QPoly(c * factor**k for k, c in enumerate(self.coeffs))
 
     def is_integral(self) -> bool:
         return all(c.denominator == 1 for c in self.coeffs)
 
     def to_json(self) -> dict:
-        return {"var": "x", "coeffs": [_frac_str(c) for c in self.coeffs]}
+        return {"var": "x", "coeffs": [str(c) for c in self.coeffs]}
 
     @classmethod
     def from_json(cls, obj: Mapping) -> QPoly:
-        return cls(_parse_frac(s) for s in obj["coeffs"])
+        return cls(Fraction(s) for s in obj["coeffs"])
 
     def __str__(self) -> str:
         if not self.coeffs:
@@ -176,10 +183,10 @@ class QPoly:
                 continue
             mag = abs(c)
             if k == 0:
-                body = _frac_str(mag)
+                body = str(mag)
             else:
                 xk = "x" if k == 1 else f"x^{k}"
-                body = xk if mag == 1 else f"{_frac_str(mag)}*{xk}"
+                body = xk if mag == 1 else f"{mag}*{xk}"
             if not parts:
                 parts.append(body if c > 0 else f"-{body}")
             else:
@@ -200,23 +207,25 @@ _TRI_VARS = ("x", "y", "z")
 class TriPoly:
     """Sparse polynomial in the commuting variables x, y, z.
 
-    Terms map exponent triples (i, j, k) to rational coefficients; zero
-    coefficients are never stored, so equality is structural.
+    Terms map exponent triples (i, j, k) to exact coefficients, stored as
+    in ``QPoly``; zero coefficients are never stored, so equality is
+    structural.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[tuple[int, int, int], Rat] | Iterable = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[tuple[int, int, int], Fraction] = {}
+        acc: dict[tuple[int, int, int], Rat] = {}
         for e, c in items:
-            c = c if isinstance(c, Fraction) else Fraction(c)
             if c:
                 e = (int(e[0]), int(e[1]), int(e[2]))
-                acc[e] = acc.get(e, Fraction(0)) + c
-                if not acc[e]:
+                c = _exact(acc[e] + c) if e in acc else _exact(c)
+                if c:
+                    acc[e] = c
+                else:
                     del acc[e]
-        self.terms: dict[tuple[int, int, int], Fraction] = acc
+        self.terms: dict[tuple[int, int, int], Rat] = acc
 
     @classmethod
     def zero(cls) -> TriPoly:
@@ -230,10 +239,10 @@ class TriPoly:
     def monomial(cls, i: int, j: int, k: int, c: Rat = 1) -> TriPoly:
         return cls({(i, j, k): c})
 
-    def coefficient(self, i: int, j: int, k: int) -> Fraction:
-        return self.terms.get((i, j, k), Fraction(0))
+    def coefficient(self, i: int, j: int, k: int) -> Rat:
+        return self.terms.get((i, j, k), 0)
 
-    def sorted_terms(self) -> list[tuple[tuple[int, int, int], Fraction]]:
+    def sorted_terms(self) -> list[tuple[tuple[int, int, int], Rat]]:
         """Terms in graded order, then by exponent triple."""
         return sorted(self.terms.items(), key=lambda t: (sum(t[0]), t[0]))
 
@@ -251,7 +260,7 @@ class TriPoly:
     def __add__(self, other: TriPoly) -> TriPoly:
         acc = dict(self.terms)
         for e, c in other.terms.items():
-            acc[e] = acc.get(e, Fraction(0)) + c
+            acc[e] = acc.get(e, 0) + c
         return TriPoly(acc)
 
     def __neg__(self) -> TriPoly:
@@ -265,18 +274,18 @@ class TriPoly:
             return TriPoly({e: c * other for e, c in self.terms.items()})
         if not isinstance(other, TriPoly):
             return NotImplemented
-        acc: dict[tuple[int, int, int], Fraction] = {}
+        acc: dict[tuple[int, int, int], Rat] = {}
         for (a, b, c), u in self.terms.items():
             for (d, e, f), v in other.terms.items():
                 key = (a + d, b + e, c + f)
-                acc[key] = acc.get(key, Fraction(0)) + u * v
+                acc[key] = acc.get(key, 0) + u * v
         return TriPoly(acc)
 
     __rmul__ = __mul__
 
     def partial(self, axis: int) -> TriPoly:
         """Partial derivative with respect to axis 0 (x), 1 (y) or 2 (z)."""
-        acc: dict[tuple[int, int, int], Fraction] = {}
+        acc: dict[tuple[int, int, int], Rat] = {}
         for e, c in self.terms.items():
             if e[axis]:
                 ne = list(e)
@@ -304,11 +313,11 @@ class TriPoly:
         return all(c.denominator == 1 for c in self.terms.values())
 
     def to_json(self) -> list:
-        return [{"e": list(e), "c": _frac_str(c)} for e, c in self.sorted_terms()]
+        return [{"e": list(e), "c": str(c)} for e, c in self.sorted_terms()]
 
     @classmethod
     def from_json(cls, obj: Iterable[Mapping]) -> TriPoly:
-        return cls({tuple(t["e"]): _parse_frac(t["c"]) for t in obj})
+        return cls({tuple(t["e"]): Fraction(t["c"]) for t in obj})
 
     def __str__(self) -> str:
         if not self.terms:
@@ -323,9 +332,9 @@ class TriPoly:
             mag = abs(c)
             body = "*".join(names) if names else ""
             if not body:
-                body = _frac_str(mag)
+                body = str(mag)
             elif mag != 1:
-                body = f"{_frac_str(mag)}*{body}"
+                body = f"{mag}*{body}"
             if not parts:
                 parts.append(body if c > 0 else f"-{body}")
             else:

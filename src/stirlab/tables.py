@@ -14,18 +14,26 @@ Families and their one-letter polynomial names as used by the CLI:
 
 Tables are exact integers; polynomial assembly returns QPoly / TriPoly
 values.  A small JSON disk cache (:class:`TableCache`) can memoize the
-CoefficientTable-producing builders, keyed by family and bound and
-invalidated when the package version changes.
+CoefficientTable-producing builders, keyed by family and bound.  A cached
+file is used only when it carries the package version, matches the table
+schema and every row adds up to its known total; any other file is a miss,
+and the rebuilt table replaces it.
 """
 from __future__ import annotations
 
 import json
 import math
+import os
+import tempfile
+from bisect import bisect_right
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
+from operator import itemgetter, lshift
 from pathlib import Path
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from ._version import __version__
 from .errors import IdentityViolationError
@@ -59,20 +67,81 @@ class CoefficientTable:
         return self.entries.get(idx, 0)
 
     def to_json(self) -> dict:
+        """Each entry is ``[*index, "value"]``, in index order."""
         return {
             "family": self.family,
             "bound": self.bound,
             "version": __version__,
-            "entries": [
-                {"idx": list(k), "val": str(v)}
-                for k, v in sorted(self.entries.items())
-            ],
+            "entries": [[*k, str(v)] for k, v in sorted(self.entries.items())],
         }
 
     @classmethod
     def from_json(cls, obj: Mapping, arity: int) -> CoefficientTable:
-        entries = {tuple(e["idx"]): int(e["val"]) for e in obj["entries"]}
+        """The table :meth:`to_json` wrote.  Raises ValueError unless every
+        entry is a list of ``arity`` nonnegative ints and a decimal string,
+        and KeyError when a field is missing."""
+        raw = obj["entries"]
+        if (
+            type(raw) is not list
+            or not set(map(type, raw)) <= {list}
+            or not set(map(len, raw)) <= {arity + 1}
+        ):
+            raise ValueError("table entries are not [*index, value] lists")
+        keys = list(map(tuple, map(itemgetter(slice(-1)), raw)))
+        values = list(map(itemgetter(-1), raw))
+        flat = list(chain.from_iterable(keys))
+        if (
+            not set(map(type, flat)) <= {int}
+            or min(flat, default=0) < 0
+            or not set(map(type, values)) <= {str}
+        ):
+            raise ValueError("table entry of the wrong type")
+        entries = dict(zip(keys, map(int, values)))
         return cls(obj["family"], arity, obj["bound"], entries)
+
+
+def _odd_double_factorial(n: int) -> int:
+    """(2n-1)!!, the number of Stirling permutations of order n."""
+    return math.prod(range(1, 2 * n, 2))
+
+
+# the total every row n of a cached family adds up to: n! permutations for
+# the Eulerian numbers, (2n-1)!! Stirling permutations for T and P, and for
+# gamma the sum of 2^j gamma_{n,i,j}, which is P_n(1, 1, 1)
+_ROW_TOTALS = {
+    "eulerian": math.factorial,
+    "t": _odd_double_factorial,
+    "p": _odd_double_factorial,
+    "gamma": _odd_double_factorial,
+}
+
+
+def _rows_add_up(table: CoefficientTable) -> bool:
+    """Whether rows 0..bound of a known family each reach their total.
+
+    The entries must come in row order, as ``to_json`` writes them; a table
+    out of row order fails.
+    """
+    total = _ROW_TOTALS.get(table.family)
+    if total is None:
+        return True
+    entries = table.entries
+    rows = list(map(itemgetter(0), entries))
+    if rows != sorted(rows):
+        return False
+    values = list(entries.values())
+    # a gamma entry counts 2^j times
+    shifts = list(map(itemgetter(2), entries)) if table.family == "gamma" else None
+    start = 0
+    for n in range(table.bound + 1):
+        end = bisect_right(rows, n, start)
+        row = values[start:end]
+        if shifts is not None:
+            row = map(lshift, row, shifts[start:end])
+        if sum(row) != total(n):
+            return False
+        start = end
+    return start == len(rows)
 
 
 class TableCache:
@@ -85,31 +154,52 @@ class TableCache:
         return self.directory / f"{family}-{bound}.json"
 
     def load(self, family: str, bound: int, arity: int) -> CoefficientTable | None:
-        path = self._path(family, bound)
-        if not path.exists():
+        """The cached table, or None when there is no file, or the file is
+        unreadable, from another version, off the schema, or has a row that
+        misses its total."""
+        try:
+            obj = json.loads(self._path(family, bound).read_bytes())
+        except (OSError, ValueError, RecursionError):
+            return None
+        if (
+            type(obj) is not dict
+            or obj.get("version") != __version__
+            or obj.get("family") != family
+            or obj.get("bound") != bound
+        ):
             return None
         try:
-            obj = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
+            table = CoefficientTable.from_json(obj, arity)
+        except (KeyError, ValueError):
             return None
-        if obj.get("version") != __version__ or obj.get("bound") != bound:
-            return None
-        return CoefficientTable.from_json(obj, arity)
+        return table if _rows_add_up(table) else None
 
     def store(self, table: CoefficientTable) -> None:
+        """Write the table through a temporary file in the same directory and
+        rename it into place, so that a reader never sees half a file.  No
+        fsync: a file torn by a crash fails the checks in :meth:`load`."""
         self.directory.mkdir(parents=True, exist_ok=True)
         path = self._path(table.family, table.bound)
-        path.write_text(json.dumps(table.to_json()))
+        text = json.dumps(table.to_json(), separators=(",", ":"))
+        fd, tmp = tempfile.mkstemp(dir=self.directory, prefix=path.name, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as f:
+                f.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
 
 
-def _cached_build(family, arity, bound, cache, rows_fn):
+def _cached_build(family, arity, bound, cache, rows):
+    # rows: an iterable of rows 0..bound, drawn only when the cache misses
     if cache is not None:
         found = cache.load(family, bound, arity)
         if found is not None:
             return found
     entries: dict[tuple[int, ...], int] = {}
-    for n in range(bound + 1):
-        for key, val in rows_fn(n).items():
+    for n, row in enumerate(rows):
+        for key, val in row.items():
             idx = (n,) + (key if isinstance(key, tuple) else (key,))
             entries[idx] = val
     table = CoefficientTable(family, arity, bound, entries)
@@ -122,17 +212,32 @@ def _cached_build(family, arity, bound, cache, rows_fn):
 # Eulerian numbers, type-B Eulerian numbers, Stirling numbers
 
 
-@lru_cache(maxsize=None)
-def _eulerian_row(n: int) -> dict[int, int]:
-    if n == 0:
-        return {0: 1}
-    prev = _eulerian_row(n - 1)
+def _triangle_rows(n: int, step) -> Iterator[dict[int, int]]:
+    """Rows 0..n of a triangle whose row 0 is {0: 1} and whose row m is
+    ``step(row m-1, m)``.  A loop, so the call depth does not grow with n."""
+    row = {0: 1}
+    yield row
+    for m in range(1, n + 1):
+        row = step(row, m)
+        yield row
+
+
+def _last_row(n: int, step) -> dict[int, int]:
+    return deque(_triangle_rows(n, step), maxlen=1)[0]
+
+
+def _eulerian_step(prev: dict[int, int], m: int) -> dict[int, int]:
     row: dict[int, int] = {}
-    for k in range(n):
-        v = (k + 1) * prev.get(k, 0) + (n - k) * prev.get(k - 1, 0)
+    for k in range(m):
+        v = (k + 1) * prev.get(k, 0) + (m - k) * prev.get(k - 1, 0)
         if v:
             row[k] = v
     return row
+
+
+@lru_cache(maxsize=None)
+def _eulerian_row(n: int) -> dict[int, int]:
+    return _last_row(n, _eulerian_step)
 
 
 def eulerian(n: int, k: int) -> int:
@@ -147,19 +252,20 @@ def a_poly(n: int) -> QPoly:
     return QPoly.from_counts(_eulerian_row(n))
 
 
-@lru_cache(maxsize=None)
-def _b_eulerian_row(n: int) -> dict[int, int]:
+def _b_eulerian_step(prev: dict[int, int], m: int) -> dict[int, int]:
     # standard type-B recurrence: each descent slot doubles with the sign of
     # the inserted maximal letter
-    if n == 0:
-        return {0: 1}
-    prev = _b_eulerian_row(n - 1)
     row: dict[int, int] = {}
-    for k in range(n + 1):
-        v = (2 * k + 1) * prev.get(k, 0) + (2 * (n - k) + 1) * prev.get(k - 1, 0)
+    for k in range(m + 1):
+        v = (2 * k + 1) * prev.get(k, 0) + (2 * (m - k) + 1) * prev.get(k - 1, 0)
         if v:
             row[k] = v
     return row
+
+
+@lru_cache(maxsize=None)
+def _b_eulerian_row(n: int) -> dict[int, int]:
+    return _last_row(n, _b_eulerian_step)
 
 
 def b_eulerian(n: int, k: int) -> int:
@@ -179,17 +285,18 @@ def f_poly(n: int) -> QPoly:
     return QPoly((1, 1)) ** n * a_poly(n)
 
 
-@lru_cache(maxsize=None)
-def _stirling2_row(n: int) -> dict[int, int]:
-    if n == 0:
-        return {0: 1}
-    prev = _stirling2_row(n - 1)
+def _stirling2_step(prev: dict[int, int], m: int) -> dict[int, int]:
     row: dict[int, int] = {}
-    for k in range(1, n + 1):
+    for k in range(1, m + 1):
         v = k * prev.get(k, 0) + prev.get(k - 1, 0)
         if v:
             row[k] = v
     return row
+
+
+@lru_cache(maxsize=None)
+def _stirling2_row(n: int) -> dict[int, int]:
+    return _last_row(n, _stirling2_step)
 
 
 def stirling2(n: int, k: int) -> int:
@@ -200,7 +307,9 @@ def stirling2(n: int, k: int) -> int:
 
 
 def eulerian_table(n_max: int, cache: TableCache | None = None) -> CoefficientTable:
-    return _cached_build("eulerian", 2, n_max, cache, _eulerian_row)
+    return _cached_build(
+        "eulerian", 2, n_max, cache, _triangle_rows(n_max, _eulerian_step)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +350,7 @@ def t_poly(n: int) -> QPoly:
 
 
 def t_table(n_max: int, cache: TableCache | None = None) -> CoefficientTable:
-    return _cached_build("t", 2, n_max, cache, _t_row)
+    return _cached_build("t", 2, n_max, cache, map(_t_row, range(n_max + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -254,25 +363,24 @@ def _p_row(n: int) -> dict[tuple[int, int, int], int]:
     #                + (k+1) P_n(i-1,j,k+1) + (2n+3-2i-j-k) P_n(i-1,j,k),
     # the five insertion cases for a new doubled letter (after the first of a
     # doubled pair, before it, at a double ascent, at a descent-plateau, and
-    # at a neutral position).
+    # at a neutral position).  Built push-forward: each term of row n-1
+    # sends its five weighted images into row n.
     if n == 0:
         return {(0, 0, 0): 1}
-    prev = _p_row(n - 1)
-    m = n - 1
+    slots = 2 * n - 1
     row: dict[tuple[int, int, int], int] = {}
-    for i in range(1, n + 1):
-        for j in range(n):
-            for k in range(n):
-                v = (
-                    i * prev.get((i, j - 1, k), 0)
-                    + i * prev.get((i, j, k - 1), 0)
-                    + (j + 1) * prev.get((i - 1, j + 1, k), 0)
-                    + (k + 1) * prev.get((i - 1, j, k + 1), 0)
-                    + (2 * m + 3 - 2 * i - j - k) * prev.get((i - 1, j, k), 0)
-                )
-                if v:
-                    row[(i, j, k)] = v
-    return row
+    get = row.get
+    for (i, j, k), c in _p_row(n - 1).items():
+        ic = i * c
+        for key, v in (
+            ((i, j + 1, k), ic),
+            ((i, j, k + 1), ic),
+            ((i + 1, j - 1, k), j * c),
+            ((i + 1, j, k - 1), k * c),
+            ((i + 1, j, k), (slots - 2 * i - j - k) * c),
+        ):
+            row[key] = get(key, 0) + v
+    return {key: v for key, v in row.items() if v}
 
 
 def p_number(n: int, i: int, j: int, k: int) -> int:
@@ -306,7 +414,7 @@ def p_polys_differential(n_max: int) -> list[TriPoly]:
 
 
 def p_table(n_max: int, cache: TableCache | None = None) -> CoefficientTable:
-    return _cached_build("p", 4, n_max, cache, _p_row)
+    return _cached_build("p", 4, n_max, cache, map(_p_row, range(n_max + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -316,22 +424,21 @@ def p_table(n_max: int, cache: TableCache | None = None) -> CoefficientTable:
 @lru_cache(maxsize=None)
 def _gamma_row(n: int) -> dict[tuple[int, int], int]:
     # gamma_{n+1,i,j} = i gamma_{n,i,j-1} + 2(j+1) gamma_{n,i-1,j+1}
-    #                 + (2n+3-2i-j) gamma_{n,i-1,j}
+    #                 + (2n+3-2i-j) gamma_{n,i-1,j}, built push-forward
+    #                 like _p_row
     if n == 0:
         return {(0, 0): 1}
-    prev = _gamma_row(n - 1)
-    m = n - 1
+    slots = 2 * n - 1
     row: dict[tuple[int, int], int] = {}
-    for i in range(1, n + 1):
-        for j in range(n):
-            v = (
-                i * prev.get((i, j - 1), 0)
-                + 2 * (j + 1) * prev.get((i - 1, j + 1), 0)
-                + (2 * m + 3 - 2 * i - j) * prev.get((i - 1, j), 0)
-            )
-            if v:
-                row[(i, j)] = v
-    return row
+    get = row.get
+    for (i, j), c in _gamma_row(n - 1).items():
+        for key, v in (
+            ((i, j + 1), i * c),
+            ((i + 1, j - 1), 2 * j * c),
+            ((i + 1, j), (slots - 2 * i - j) * c),
+        ):
+            row[key] = get(key, 0) + v
+    return {key: v for key, v in row.items() if v}
 
 
 def gamma_number(n: int, i: int, j: int) -> int:
@@ -363,7 +470,7 @@ def g_polys_differential(n_max: int) -> list[TriPoly]:
 
 
 def gamma_table(n_max: int, cache: TableCache | None = None) -> CoefficientTable:
-    return _cached_build("gamma", 3, n_max, cache, _gamma_row)
+    return _cached_build("gamma", 3, n_max, cache, map(_gamma_row, range(n_max + 1)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
 """CLI behavior: formats, exit codes, cache handling, byte stability."""
+import inspect
 import io
 import json
+import math
+import sys
 from pathlib import Path
 
 import pytest
@@ -236,3 +239,59 @@ def test_stats_golden_bytes(fmt, suffix):
                         "--n", "6", "--stats", "lap,dasc,dp")
     assert code == 0
     assert out == (GOLDEN / f"stats_stirling_6_lap_dasc_dp.{suffix}").read_text()
+
+
+POLY_GOLDEN_RUNS = [("A", 12), ("B", 12), ("C", 12), ("N", 12), ("F", 12),
+                    ("M", 8), ("T", 8), ("P", 6), ("G", 10)]
+
+
+@pytest.mark.parametrize("name,n", POLY_GOLDEN_RUNS)
+@pytest.mark.parametrize("fmt,suffix", [("plain", "txt"), ("json", "json"),
+                                        ("csv", "csv")])
+def test_poly_golden_bytes(tmp_path, name, n, fmt, suffix):
+    code, out = run_cli("--format", fmt, "--cache-dir", str(tmp_path), "poly",
+                        "--name", name, "--n", str(n))
+    assert code == 0
+    assert out == (GOLDEN / f"poly_{name}_{n}.{suffix}").read_text()
+    # a second run reads the table cache and prints the same bytes
+    assert run_cli("--format", fmt, "--cache-dir", str(tmp_path), "poly",
+                   "--name", name, "--n", str(n)) == (code, out)
+
+
+@pytest.mark.parametrize("name,value_at_1", [
+    ("A", math.factorial(1000)),
+    ("B", 2**1000 * math.factorial(1000)),
+], ids=["A", "B"])
+def test_poly_at_n_1000(tmp_path, name, value_at_1):
+    code, out = run_cli("--format", "json", "--cache-dir", str(tmp_path), "poly",
+                        "--name", name, "--n", "1000")
+    assert code == 0
+    coeffs = json.loads(out)["coeffs"]
+    assert len(coeffs) == (1000 if name == "A" else 1001)
+    assert sum(map(int, coeffs)) == value_at_1
+
+
+_VALUE_AT_1 = {"A": math.factorial, "B": lambda n: 2**n * math.factorial(n),
+               "F": lambda n: 2**n * math.factorial(n)}
+
+
+@pytest.mark.parametrize("name,n", [("A", 200), ("B", 200), ("C", 200),
+                                    ("N", 200), ("F", 100), ("M", 60),
+                                    ("T", 50), ("P", 30), ("G", 60)])
+def test_poly_call_depth_does_not_grow_with_n(tmp_path, name, n):
+    # with the recursion limit a few dozen frames above the caller, a
+    # builder that recursed once per n would raise RecursionError here
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 40)
+    try:
+        code, out = run_cli("--format", "json", "--cache-dir", str(tmp_path),
+                            "poly", "--name", name, "--n", str(n))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert code == 0
+    obj = json.loads(out)
+    if isinstance(obj, dict):
+        value = sum(map(int, obj["coeffs"]))
+    else:
+        value = sum(int(t["c"]) << (t["e"][1] if name == "G" else 0) for t in obj)
+    assert value == _VALUE_AT_1.get(name, lambda n: math.prod(range(1, 2 * n, 2)))(n)

@@ -158,3 +158,161 @@ class TestTruncatedEGF:
     def test_add_sub(self):
         f = egf_from_sequence([QPoly((1,)), QPoly((0, 1))])
         assert egf_add(f, f) == egf_from_sequence([QPoly((2,)), QPoly((0, 2))])
+
+
+# Mixed int and Fraction inputs against a Fraction-only reference: the
+# reference keeps every coefficient as a Fraction and renders it with the
+# printing rules the output format promises.
+
+rationals = st.one_of(
+    st.integers(-6, 6),
+    st.integers(-6, 6).map(Fraction),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+)
+coeff_lists = st.lists(rationals, max_size=5)
+tri_term_lists = st.lists(
+    st.tuples(st.tuples(*[st.integers(0, 2)] * 3), rationals), max_size=5
+)
+
+
+def _ref_trim(cs):
+    cs = [Fraction(c) for c in cs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+def _ref_add(a, b):
+    n = max(len(a), len(b))
+    pad = lambda cs: cs + [Fraction(0)] * (n - len(cs))  # noqa: E731
+    return _ref_trim([u + v for u, v in zip(pad(a), pad(b))])
+
+
+def _ref_mul(a, b):
+    if not a or not b:
+        return []
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, u in enumerate(a):
+        for j, v in enumerate(b):
+            out[i + j] += u * v
+    return _ref_trim(out)
+
+
+def _ref_frac(c):
+    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+
+
+def _ref_join(signed_bodies):
+    parts = []
+    for positive, body in signed_bodies:
+        if not parts:
+            parts.append(body if positive else f"-{body}")
+        else:
+            parts.append(f"+ {body}" if positive else f"- {body}")
+    return " ".join(parts) or "0"
+
+
+def _ref_qpoly_str(cs):
+    bodies = []
+    for k, c in enumerate(cs):
+        if c == 0:
+            continue
+        mag = abs(c)
+        if k == 0:
+            body = _ref_frac(mag)
+        else:
+            xk = "x" if k == 1 else f"x^{k}"
+            body = xk if mag == 1 else f"{_ref_frac(mag)}*{xk}"
+        bodies.append((c > 0, body))
+    return _ref_join(bodies)
+
+
+def _ref_tri(terms):
+    acc = {}
+    for e, c in terms:
+        acc[e] = acc.get(e, Fraction(0)) + Fraction(c)
+    return {e: c for e, c in acc.items() if c}
+
+
+def _ref_tri_mul(a, b):
+    acc = {}
+    for (p, q, r), u in a.items():
+        for (s, t, w), v in b.items():
+            key = (p + s, q + t, r + w)
+            acc[key] = acc.get(key, Fraction(0)) + u * v
+    return {e: c for e, c in acc.items() if c}
+
+
+def _ref_tri_str(terms):
+    bodies = []
+    for e, c in sorted(terms.items(), key=lambda t: (sum(t[0]), t[0])):
+        names = [v if p == 1 else f"{v}^{p}" for v, p in zip("xyz", e) if p]
+        mag = abs(c)
+        body = "*".join(names)
+        if not body:
+            body = _ref_frac(mag)
+        elif mag != 1:
+            body = f"{_ref_frac(mag)}*{body}"
+        bodies.append((c > 0, body))
+    return _ref_join(bodies)
+
+
+def _ints_exactly_when_integral(coeffs):
+    return all(
+        type(c) is int if c.denominator == 1 else type(c) is Fraction for c in coeffs
+    )
+
+
+class TestExactCoefficients:
+    @settings(max_examples=150, deadline=None)
+    @given(coeff_lists, coeff_lists, st.integers(0, 3))
+    def test_qpoly_matches_fraction_reference(self, a, b, k):
+        p, q = QPoly(a), QPoly(b)
+        ra, rb = _ref_trim(a), _ref_trim(b)
+        cases = [
+            (p, ra),
+            (p + q, _ref_add(ra, rb)),
+            (p - q, _ref_add(ra, [-c for c in rb])),
+            (p * q, _ref_mul(ra, rb)),
+            (p * 3, _ref_mul(ra, [Fraction(3)])),
+            (p * Fraction(1, 2), _ref_mul(ra, [Fraction(1, 2)])),
+        ]
+        power = [Fraction(1)]
+        for _ in range(k):
+            power = _ref_mul(power, ra)
+        cases.append((p**k, power))
+        for got, ref in cases:
+            assert list(got.coeffs) == ref
+            assert _ints_exactly_when_integral(got.coeffs)
+            assert str(got) == _ref_qpoly_str(ref)
+            assert got.to_json() == {"var": "x", "coeffs": [_ref_frac(c) for c in ref]}
+            assert QPoly.from_json(got.to_json()) == got
+
+    @settings(max_examples=150, deadline=None)
+    @given(tri_term_lists, tri_term_lists)
+    def test_tripoly_matches_fraction_reference(self, a, b):
+        p, q = TriPoly(a), TriPoly(b)
+        ra, rb = _ref_tri(a), _ref_tri(b)
+        cases = [
+            (p, ra),
+            (p + q, _ref_tri(list(ra.items()) + list(rb.items()))),
+            (p - q, _ref_tri(list(ra.items()) + [(e, -c) for e, c in rb.items()])),
+            (p * q, _ref_tri_mul(ra, rb)),
+            (p * Fraction(2, 3), {e: c * Fraction(2, 3) for e, c in ra.items()}),
+            (p.partial(0), _ref_tri([((i - 1, j, k), i * c)
+                                     for (i, j, k), c in ra.items() if i])),
+        ]
+        for got, ref in cases:
+            assert got.terms == ref
+            assert _ints_exactly_when_integral(got.terms.values())
+            assert str(got) == _ref_tri_str(ref)
+            assert got.to_json() == [
+                {"e": list(e), "c": _ref_frac(c)}
+                for e, c in sorted(ref.items(), key=lambda t: (sum(t[0]), t[0]))
+            ]
+            assert TriPoly.from_json(got.to_json()) == got
+
+    def test_zero_defaults_are_ints(self):
+        assert type(QPoly((1,))[5]) is int
+        assert type(TriPoly.one().coefficient(1, 0, 0)) is int
+        assert type(QPoly((Fraction(4, 2),)).coeffs[0]) is int

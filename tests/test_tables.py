@@ -1,5 +1,10 @@
 """Coefficient tables against brute-force oracles and published values."""
+import inspect
+import io
 import itertools
+import json
+import math
+import sys
 
 import pytest
 
@@ -10,11 +15,17 @@ from stirlab.stats import signed_stat_record, stirling_stat_record
 from stirlab.tables import (
     CoefficientTable,
     TableCache,
+    _b_eulerian_row,
+    _eulerian_row,
+    _gamma_row,
+    _p_row,
+    _stirling2_row,
     a_poly,
     b_eulerian,
     c_poly,
     cn_nn_tables,
     eulerian,
+    eulerian_table,
     f_poly,
     g_poly,
     g_polys_differential,
@@ -249,3 +260,196 @@ class TestCoefficientTablesAndCache:
         monkeypatch.setattr(tb, "gamma_number", lambda n, i, j: 1)
         with pytest.raises(IdentityViolationError):
             tb.gamma_weighted_sum(3, 2)
+
+
+# ---------------------------------------------------------------------------
+# the row builders against the gather form of their recurrences
+
+
+def gather_p_rows(n_max):
+    rows = [{(0, 0, 0): 1}]
+    for n in range(1, n_max + 1):
+        prev, m = rows[-1], n - 1
+        row = {}
+        for i in range(1, n + 1):
+            for j in range(n):
+                for k in range(n):
+                    v = (
+                        i * prev.get((i, j - 1, k), 0)
+                        + i * prev.get((i, j, k - 1), 0)
+                        + (j + 1) * prev.get((i - 1, j + 1, k), 0)
+                        + (k + 1) * prev.get((i - 1, j, k + 1), 0)
+                        + (2 * m + 3 - 2 * i - j - k) * prev.get((i - 1, j, k), 0)
+                    )
+                    if v:
+                        row[(i, j, k)] = v
+        rows.append(row)
+    return rows
+
+
+def gather_gamma_rows(n_max):
+    rows = [{(0, 0): 1}]
+    for n in range(1, n_max + 1):
+        prev, m = rows[-1], n - 1
+        row = {}
+        for i in range(1, n + 1):
+            for j in range(n):
+                v = (
+                    i * prev.get((i, j - 1), 0)
+                    + 2 * (j + 1) * prev.get((i - 1, j + 1), 0)
+                    + (2 * m + 3 - 2 * i - j) * prev.get((i - 1, j), 0)
+                )
+                if v:
+                    row[(i, j)] = v
+        rows.append(row)
+    return rows
+
+
+def test_p_rows_match_gather_form():
+    for n, row in enumerate(gather_p_rows(12)):
+        assert _p_row(n) == row
+
+
+def test_gamma_rows_match_gather_form():
+    for n, row in enumerate(gather_gamma_rows(20)):
+        assert _gamma_row(n) == row
+
+
+@pytest.mark.parametrize(
+    "builder,check",
+    [
+        (_eulerian_row, lambda row, n: sum(row.values()) == math.factorial(n)),
+        (_b_eulerian_row,
+         lambda row, n: sum(row.values()) == 2**n * math.factorial(n)),
+        (_stirling2_row,
+         lambda row, n: row[1] == row[n] == 1 and row[n - 1] == math.comb(n, 2)),
+    ],
+    ids=["eulerian", "b_eulerian", "stirling2"],
+)
+def test_classical_rows_do_not_recurse_per_n(builder, check):
+    # with the recursion limit a few dozen frames above the caller, a
+    # builder that recursed once per n would raise RecursionError here
+    builder.cache_clear()
+    n = 1000
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 50)
+    try:
+        row = builder(n)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert check(row, n)
+
+
+# ---------------------------------------------------------------------------
+# what the table cache does with files it did not write, or that changed
+
+
+def _rewrite(path, edit):
+    obj = json.loads(path.read_text())
+    edit(obj)
+    path.write_text(json.dumps(obj))
+
+
+def _set_entry(path, idx, value):
+    def edit(obj):
+        for e in obj["entries"]:
+            if e[:-1] == idx:
+                e[-1] = value
+
+    _rewrite(path, edit)
+
+
+def _parent_format(obj):
+    obj["entries"] = [{"idx": e[:-1], "val": e[-1]} for e in obj["entries"]]
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        _parent_format,
+        lambda obj: obj.pop("entries"),
+        lambda obj: obj.update(entries={"idx": [0, 0], "val": "1"}),
+        lambda obj: obj["entries"].append([2, 1]),
+        lambda obj: obj["entries"].append([2, 9, 9, "0"]),
+        lambda obj: obj["entries"].append("2,1,1"),
+        lambda obj: obj["entries"].append([2, 9, "zero"]),
+        lambda obj: obj["entries"].append([2, [9], "0"]),
+        lambda obj: obj["entries"].append([2, -1, "0"]),
+        lambda obj: obj.update(bound=2),
+        lambda obj: obj.update(family="p"),
+    ],
+    ids=["parent-format", "no-entries", "entries-not-a-list", "short-entry",
+         "long-entry", "non-list-entry", "non-integer-value", "list-index", "negative-index",
+         "other-bound", "other-family"],
+)
+def test_cache_schema_mismatch_is_a_miss(tmp_path, edit):
+    cache = TableCache(tmp_path)
+    t_table(3, cache)
+    path = tmp_path / "t-3.json"
+    _rewrite(path, edit)
+    assert cache.load("t", 3, 2) is None
+    # the next build regenerates the file in the current format
+    assert t_table(3, cache).value(2, 1) == 1
+    assert cache.load("t", 3, 2) is not None
+
+
+@pytest.mark.parametrize(
+    "build,name,idx",
+    [
+        (eulerian_table, "eulerian", [4, 1]),
+        (t_table, "t", [2, 1]),
+        (p_table, "p", [3, 2, 1, 0]),
+        (gamma_table, "gamma", [3, 2, 1]),
+    ],
+    ids=["eulerian", "t", "p", "gamma"],
+)
+def test_cache_row_total_mismatch_is_a_miss(tmp_path, build, name, idx):
+    cache = TableCache(tmp_path)
+    good = build(4, cache)
+    _set_entry(tmp_path / f"{name}-4.json", idx, "999")
+    assert cache.load(name, 4, good.arity) is None
+    assert build(4, cache).entries == good.entries
+    assert cache.load(name, 4, good.arity).entries == good.entries
+
+
+def test_tampered_t_file_is_regenerated_by_the_cli(tmp_path):
+    from stirlab.cli import main
+
+    def poly_t2():
+        out = io.StringIO()
+        code = main(["--cache-dir", str(tmp_path), "poly", "--name", "T", "--n", "2"],
+                    out=out)
+        return code, out.getvalue()
+
+    assert poly_t2() == (0, "x + x^2 + x^3\n")
+    path = tmp_path / "t-2.json"
+    _set_entry(path, [2, 1], "999")
+    assert "999" in path.read_text()
+    assert poly_t2() == (0, "x + x^2 + x^3\n")
+    assert "999" not in path.read_text()
+
+
+def test_cache_store_replaces_the_file_atomically(tmp_path, monkeypatch):
+    import stirlab.tables as tb
+
+    cache = TableCache(tmp_path)
+    t_table(3, cache)
+    before = (tmp_path / "t-3.json").read_text()
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(tb.os, "replace", fail)
+    with pytest.raises(OSError):
+        cache.store(t_table(3))
+    # the old file is whole and no temporary file is left behind
+    assert (tmp_path / "t-3.json").read_text() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["t-3.json"]
+
+
+def test_eulerian_table_matches_eulerian_numbers():
+    expected = {
+        (n, k): eulerian(n, k) for n in range(31) for k in range(n) if eulerian(n, k)
+    }
+    expected[(0, 0)] = 1
+    assert eulerian_table(30).entries == expected
