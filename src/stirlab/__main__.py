@@ -1,0 +1,7 @@
+"""``python -m stirlab``: the same command line as the ``stirlab`` script."""
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

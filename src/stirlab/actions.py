@@ -19,10 +19,12 @@ toggles commute, and :func:`fs_action` applies the toggles selected by a set
 of positions of the input word.  Orbits of the induced action partition Q_n;
 each orbit has a unique descent-plateau-free representative.
 
-The beta moves slide the first copy of a chosen value left in the same way
-regardless of its surroundings; together with alpha (delete every first
-copy) they realize the bijection between the normalized words (no
-descent-plateau and lap + dasc = n, one per permutation) and permutations.
+The beta move slides the first copy of a chosen value left regardless of its
+surroundings.  It is the same left slide as the descent-plateau toggle (one
+private kernel carries both); only the choice of letter differs.  Together
+with alpha (delete every first copy) the beta moves realize the bijection
+between the normalized words (no descent-plateau and lap + dasc = n, one per
+permutation) and permutations.
 """
 from __future__ import annotations
 
@@ -85,6 +87,25 @@ def index_sets(sigma) -> IndexSets:
     return IndexSets(frozenset(dasc), frozenset(dp), frozenset(lap))
 
 
+def _slide_left(word: Word, first: int, v: int) -> Word:
+    """Move the letter v at 0-based index first to just after the rightmost
+    smaller entry to its left (the front when there is none)."""
+    k = first
+    while k and word[k - 1] >= v:
+        k -= 1
+    moved = word[:k] + (v,) + word[k:first] + word[first + 1:]
+    assert is_stirling(moved)
+    return moved
+
+
+def _slide_right(word: Word, first: int, other: int) -> Word:
+    """Move the letter at 0-based index first to just after the other copy
+    of its value, at 0-based index other."""
+    moved = word[:first] + word[first + 1:other + 1] + (word[first],) + word[other + 1:]
+    assert is_stirling(moved)
+    return moved
+
+
 def fs_move(sigma, i: int) -> Word:
     """The local move at position i; i must be a double ascent or a
     descent-plateau, otherwise ValueError (the total variant is
@@ -97,23 +118,12 @@ def fs_move(sigma, i: int) -> Word:
     kind = classify_index(word, i)
     v = word[i - 1]
     if kind == "dasc":
-        other = word.index(v, i)  # 0-based position of the second copy
-        rest = word[: i - 1] + word[i:]
-        moved = rest[:other] + (v,) + rest[other:]
-    elif kind == "dp":
-        k = 0
-        for j in range(i - 1, 0, -1):
-            if word[j - 1] < v:
-                k = j
-                break
-        rest = word[: i - 1] + word[i:]
-        moved = rest[:k] + (v,) + rest[k:]
-    else:
-        raise ValueError(
-            f"position {i} of {word} is neither a double ascent nor a descent-plateau"
-        )
-    assert is_stirling(moved)
-    return moved
+        return _slide_right(word, i - 1, word.index(v, i))
+    if kind == "dp":
+        return _slide_left(word, i - 1, v)
+    raise ValueError(
+        f"position {i} of {word} is neither a double ascent nor a descent-plateau"
+    )
 
 
 def movable_index(word: Sequence[int], v: int) -> int | None:
@@ -132,12 +142,21 @@ def movable_index(word: Sequence[int], v: int) -> int | None:
     return first + 1 if left < v else None
 
 
+def _toggle(word: Word, v: int) -> Word:
+    # the two lookups of movable_index; an adjacent pair is a descent-plateau
+    # and slides left, a non-adjacent one a double ascent and slides right
+    first = word.index(v)
+    second = word.index(v, first + 1)
+    left = word[first - 1] if first else 0
+    if second == first + 1:
+        return _slide_left(word, first, v) if left > v else word
+    return _slide_right(word, first, second) if left < v else word
+
+
 def fs_toggle_value(sigma, v: int) -> Word:
     """Toggle value v between double ascent and descent-plateau (a total
     involution; immovable values are fixed)."""
-    word = _coerce(sigma)
-    i = movable_index(word, v)
-    return word if i is None else fs_move(word, i)
+    return _toggle(_coerce(sigma), v)
 
 
 def fs_action(sigma, positions: Iterable[int]) -> Word:
@@ -148,10 +167,16 @@ def fs_action(sigma, positions: Iterable[int]) -> Word:
     other position, in range or not, acts as the identity.
     """
     word = _coerce(sigma)
-    sets = index_sets(word)
-    movable = sets.dasc | sets.dp
-    for v in sorted({word[i - 1] for i in positions if i in movable}):
-        word = fs_toggle_value(word, v)
+    # the value at each double ascent and descent-plateau, by position, with
+    # the index_sets rules in one pass
+    movable = {}
+    left = 0
+    for i, (v, right) in enumerate(zip(word, (*word[1:], 0)), 1):
+        if left < v < right or left > v == right:
+            movable[i] = v
+        left = v
+    for v in sorted({movable[i] for i in positions if i in movable}):
+        word = _toggle(word, v)
     return word
 
 
@@ -204,16 +229,7 @@ def beta_move(sigma, x: int) -> Word:
     '3443567887652211'
     """
     word = _coerce(sigma)
-    first = word.index(x)
-    k = 0
-    for j in range(first, 0, -1):
-        if word[j - 1] < x:
-            k = j
-            break
-    rest = word[:first] + word[first + 1:]
-    moved = rest[:k] + (x,) + rest[k:]
-    assert is_stirling(moved)
-    return moved
+    return _slide_left(word, word.index(x), x)
 
 
 def beta_set(sigma, values: Iterable[int]) -> Word:
@@ -227,7 +243,7 @@ def beta_set(sigma, values: Iterable[int]) -> Word:
     """
     word = _coerce(sigma)
     for x in sorted(set(values)):
-        word = beta_move(word, x)
+        word = _slide_left(word, word.index(x), x)
     return word
 
 

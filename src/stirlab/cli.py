@@ -321,12 +321,19 @@ def main(argv: Sequence[str] | None = None, out=None) -> int:
     out = out if out is not None else sys.stdout
     parser = build_parser()
     args = parser.parse_args(argv)
+    # exact coefficients outgrow the interpreter's default limit on digits
+    # in int-to-str conversion (4300), in printing and in cache reads alike;
+    # lift it for the command only
+    digit_limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         return args.func(args, out)
     except (ResourceLimitError, identities.UnknownIdentityError,
             GrammarSyntaxError, ValueError, OSError) as exc:
         print(f"stirlab: error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        sys.set_int_max_str_digits(digit_limit)
 
 
 if __name__ == "__main__":

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Mapping
 
 from . import actions, tables
@@ -29,7 +30,13 @@ from .polynomials import (
     egf_mul,
     egf_sub,
 )
-from .stats import distribution, perm_des, stirling_stat_record
+from .stats import (
+    STIRLING_STATS,
+    _stirling_scan,
+    distribution,
+    perm_des,
+    stirling_stat_record,
+)
 
 Runner = Callable[[int], "str | None"]
 
@@ -131,6 +138,11 @@ def _poly(klass: str, n: int, stat: str) -> QPoly:
 
 def _tri(n: int) -> TriPoly:
     return distribution("stirling", n, ["lap", "dasc", "dp"]).tripoly()
+
+
+# (lap, dasc, dp) of a word from its statistics scan, for the per-word loops
+# that would otherwise build a record to read three fields
+_lap_dasc_dp = itemgetter(*map(STIRLING_STATS.index, ("lap", "dasc", "dp")))
 
 
 def _gmono(exps: Mapping[str, int], c: int) -> tuple:
@@ -527,9 +539,9 @@ def _t_egf_product(order: int) -> str | None:
 def _asc_plat(bound: int) -> str | None:
     for n in range(bound + 1):
         for word in iter_objects("stirling", n):
-            r = stirling_stat_record(word)
-            if r.asc != r.lap + r.dasc or r.plat != r.lap + r.dp:
-                return f"n={n}, word {word}: {r}"
+            asc, _, plat, _, lap, _, dasc, dp = _stirling_scan(word)
+            if asc != lap + dasc or plat != lap + dp:
+                return f"n={n}, word {word}: {stirling_stat_record(word)}"
     return None
 
 
@@ -644,8 +656,9 @@ def _fs_symmetry(bound: int) -> str | None:
             # plateaus among the positions it is given, so all of them
             # select the full toggle with one classification of the word
             moved = actions.fs_action(word, range(1, len(word) + 1))
-            a, b = stirling_stat_record(word), stirling_stat_record(moved)
-            if (b.lap, b.dasc, b.dp) != (a.lap, a.dp, a.dasc):
+            lap, dasc, dp = _lap_dasc_dp(_stirling_scan(word))
+            if _lap_dasc_dp(_stirling_scan(moved)) != (lap, dp, dasc):
+                a, b = stirling_stat_record(word), stirling_stat_record(moved)
                 return f"n={n}, word {word}: toggle sent {a} to {b}"
             images.add(moved)
             count += 1
@@ -835,24 +848,25 @@ def _alpha_bijection(bound: int) -> str | None:
         values = list(range(1, n + 1))
         normal: dict[tuple, tuple] = {}
         for word in iter_objects("stirling", n):
-            r = stirling_stat_record(word)
+            lap, dasc, dp = _lap_dasc_dp(_stirling_scan(word))
             moved = actions.beta_set(word, values)
-            m = stirling_stat_record(moved)
-            if m.dp != 0 or m.lap + m.dasc != n:
+            m_lap, m_dasc, m_dp = _lap_dasc_dp(_stirling_scan(moved))
+            if m_dp != 0 or m_lap + m_dasc != n:
                 return f"n={n}: beta normalization of {word} gave {moved}"
-            if actions.alpha(moved) != actions.alpha(word):
+            image = actions.alpha(word)
+            if actions.alpha(moved) != image:
                 return f"n={n}: beta normalization of {word} changed its alpha image"
-            if r.dp == 0 and r.lap + r.dasc == n:
+            if dp == 0 and lap + dasc == n:
                 if moved != word:
                     return f"n={n}: beta moved the normalized word {word}"
-                normal[word] = actions.alpha(word)
+                normal[word] = image
         if len(normal) != math.factorial(n):
             return f"n={n}: {len(normal)} normalized words, expected {n}!"
         if len(set(normal.values())) != math.factorial(n):
             return f"n={n}: alpha is not injective on the normalized words"
         for word, pi in normal.items():
-            r = stirling_stat_record(word)
-            if r.dasc != perm_des(pi) or r.lap != n - perm_des(pi):
+            lap, dasc, _ = _lap_dasc_dp(_stirling_scan(word))
+            if dasc != perm_des(pi) or lap != n - perm_des(pi):
                 return f"n={n}: statistics of {word} do not match des {pi}"
         for pi in iter_objects("permutation", n):
             word = actions.alpha_inverse(pi)

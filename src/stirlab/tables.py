@@ -212,18 +212,18 @@ def _cached_build(family, arity, bound, cache, rows):
 # Eulerian numbers, type-B Eulerian numbers, Stirling numbers
 
 
-def _triangle_rows(n: int, step) -> Iterator[dict[int, int]]:
-    """Rows 0..n of a triangle whose row 0 is {0: 1} and whose row m is
+def _triangle_rows(n: int, step, origin: int | tuple[int, ...] = 0) -> Iterator[dict]:
+    """Rows 0..n of a triangle whose row 0 is {origin: 1} and whose row m is
     ``step(row m-1, m)``.  A loop, so the call depth does not grow with n."""
-    row = {0: 1}
+    row = {origin: 1}
     yield row
     for m in range(1, n + 1):
         row = step(row, m)
         yield row
 
 
-def _last_row(n: int, step) -> dict[int, int]:
-    return deque(_triangle_rows(n, step), maxlen=1)[0]
+def _last_row(n: int, step, origin: int | tuple[int, ...] = 0) -> dict:
+    return deque(_triangle_rows(n, step, origin), maxlen=1)[0]
 
 
 def _eulerian_step(prev: dict[int, int], m: int) -> dict[int, int]:
@@ -316,15 +316,11 @@ def eulerian_table(n_max: int, cache: TableCache | None = None) -> CoefficientTa
 # flag ascent-plateau numbers T(n, k)
 
 
-@lru_cache(maxsize=None)
-def _t_row(n: int) -> dict[int, int]:
+def _t_step(prev: dict[int, int], n: int) -> dict[int, int]:
     # T(n+1, k) = k T(n, k) + T(n, k-1) + (2n - k + 2) T(n, k-2); T(0, 0) = 1.
     # The three terms are insertion of a new doubled letter at an existing
     # flag ascent-plateau, at the front of an ascent start, and at any of the
     # remaining positions.
-    if n == 0:
-        return {0: 1}
-    prev = _t_row(n - 1)
     row: dict[int, int] = {}
     for k in range(2 * n + 1):
         v = (
@@ -335,6 +331,11 @@ def _t_row(n: int) -> dict[int, int]:
         if v:
             row[k] = v
     return row
+
+
+@lru_cache(maxsize=None)
+def _t_row(n: int) -> dict[int, int]:
+    return _last_row(n, _t_step)
 
 
 def t_number(n: int, k: int) -> int:
@@ -350,27 +351,26 @@ def t_poly(n: int) -> QPoly:
 
 
 def t_table(n_max: int, cache: TableCache | None = None) -> CoefficientTable:
-    return _cached_build("t", 2, n_max, cache, map(_t_row, range(n_max + 1)))
+    return _cached_build("t", 2, n_max, cache, _triangle_rows(n_max, _t_step))
 
 
 # ---------------------------------------------------------------------------
 # the trivariate refinement P_n(i, j, k)
 
 
-@lru_cache(maxsize=None)
-def _p_row(n: int) -> dict[tuple[int, int, int], int]:
+def _p_step(
+    prev: dict[tuple[int, int, int], int], n: int
+) -> dict[tuple[int, int, int], int]:
     # P_{n+1}(i,j,k) = i P_n(i,j-1,k) + i P_n(i,j,k-1) + (j+1) P_n(i-1,j+1,k)
     #                + (k+1) P_n(i-1,j,k+1) + (2n+3-2i-j-k) P_n(i-1,j,k),
     # the five insertion cases for a new doubled letter (after the first of a
     # doubled pair, before it, at a double ascent, at a descent-plateau, and
     # at a neutral position).  Built push-forward: each term of row n-1
     # sends its five weighted images into row n.
-    if n == 0:
-        return {(0, 0, 0): 1}
     slots = 2 * n - 1
     row: dict[tuple[int, int, int], int] = {}
     get = row.get
-    for (i, j, k), c in _p_row(n - 1).items():
+    for (i, j, k), c in prev.items():
         ic = i * c
         for key, v in (
             ((i, j + 1, k), ic),
@@ -381,6 +381,11 @@ def _p_row(n: int) -> dict[tuple[int, int, int], int]:
         ):
             row[key] = get(key, 0) + v
     return {key: v for key, v in row.items() if v}
+
+
+@lru_cache(maxsize=None)
+def _p_row(n: int) -> dict[tuple[int, int, int], int]:
+    return _last_row(n, _p_step, (0, 0, 0))
 
 
 def p_number(n: int, i: int, j: int, k: int) -> int:
@@ -414,24 +419,25 @@ def p_polys_differential(n_max: int) -> list[TriPoly]:
 
 
 def p_table(n_max: int, cache: TableCache | None = None) -> CoefficientTable:
-    return _cached_build("p", 4, n_max, cache, map(_p_row, range(n_max + 1)))
+    return _cached_build(
+        "p", 4, n_max, cache, _triangle_rows(n_max, _p_step, (0, 0, 0))
+    )
 
 
 # ---------------------------------------------------------------------------
 # the gamma vector gamma_{n,i,j}
 
 
-@lru_cache(maxsize=None)
-def _gamma_row(n: int) -> dict[tuple[int, int], int]:
+def _gamma_step(
+    prev: dict[tuple[int, int], int], n: int
+) -> dict[tuple[int, int], int]:
     # gamma_{n+1,i,j} = i gamma_{n,i,j-1} + 2(j+1) gamma_{n,i-1,j+1}
     #                 + (2n+3-2i-j) gamma_{n,i-1,j}, built push-forward
-    #                 like _p_row
-    if n == 0:
-        return {(0, 0): 1}
+    #                 like _p_step
     slots = 2 * n - 1
     row: dict[tuple[int, int], int] = {}
     get = row.get
-    for (i, j), c in _gamma_row(n - 1).items():
+    for (i, j), c in prev.items():
         for key, v in (
             ((i, j + 1), i * c),
             ((i + 1, j - 1), 2 * j * c),
@@ -439,6 +445,11 @@ def _gamma_row(n: int) -> dict[tuple[int, int], int]:
         ):
             row[key] = get(key, 0) + v
     return {key: v for key, v in row.items() if v}
+
+
+@lru_cache(maxsize=None)
+def _gamma_row(n: int) -> dict[tuple[int, int], int]:
+    return _last_row(n, _gamma_step, (0, 0))
 
 
 def gamma_number(n: int, i: int, j: int) -> int:
@@ -470,7 +481,9 @@ def g_polys_differential(n_max: int) -> list[TriPoly]:
 
 
 def gamma_table(n_max: int, cache: TableCache | None = None) -> CoefficientTable:
-    return _cached_build("gamma", 3, n_max, cache, map(_gamma_row, range(n_max + 1)))
+    return _cached_build(
+        "gamma", 3, n_max, cache, _triangle_rows(n_max, _gamma_step, (0, 0))
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stirlab.actions import (
+    _coerce,
     alpha,
     alpha_inverse,
     alpha_inverse_trace,
@@ -22,7 +23,7 @@ from stirlab.actions import (
     orbit_members,
 )
 import stirlab.actions as actions_module
-from stirlab.objects import is_stirling, iter_objects
+from stirlab.objects import StirlingPermutation, is_stirling, iter_objects
 from stirlab.stats import stirling_stat_record
 
 
@@ -301,3 +302,96 @@ class TestAssertsStay:
         s = index_sets(w)
         fs_action(w, s.dasc | s.dp)
         assert len(calls) == 1 + len(s.dasc | s.dp)
+
+
+# ---------------------------------------------------------------------------
+# the slice-based move kernels the one-slide kernels replaced, kept verbatim
+# (renamed) as the reference
+
+
+def ref_fs_move(sigma, i: int):
+    word = _coerce(sigma)
+    kind = classify_index(word, i)
+    v = word[i - 1]
+    if kind == "dasc":
+        other = word.index(v, i)  # 0-based position of the second copy
+        rest = word[: i - 1] + word[i:]
+        moved = rest[:other] + (v,) + rest[other:]
+    elif kind == "dp":
+        k = 0
+        for j in range(i - 1, 0, -1):
+            if word[j - 1] < v:
+                k = j
+                break
+        rest = word[: i - 1] + word[i:]
+        moved = rest[:k] + (v,) + rest[k:]
+    else:
+        raise ValueError(
+            f"position {i} of {word} is neither a double ascent nor a descent-plateau"
+        )
+    assert is_stirling(moved)
+    return moved
+
+
+def ref_fs_toggle_value(sigma, v: int):
+    word = _coerce(sigma)
+    i = movable_index(word, v)
+    return word if i is None else ref_fs_move(word, i)
+
+
+def ref_fs_action(sigma, positions):
+    word = _coerce(sigma)
+    sets = index_sets(word)
+    movable = sets.dasc | sets.dp
+    for v in sorted({word[i - 1] for i in positions if i in movable}):
+        word = ref_fs_toggle_value(word, v)
+    return word
+
+
+def ref_beta_move(sigma, x: int):
+    word = _coerce(sigma)
+    first = word.index(x)
+    k = 0
+    for j in range(first, 0, -1):
+        if word[j - 1] < x:
+            k = j
+            break
+    rest = word[:first] + word[first + 1:]
+    moved = rest[:k] + (x,) + rest[k:]
+    assert is_stirling(moved)
+    return moved
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+class TestKernelsMatchTheSliceReference:
+    @pytest.mark.parametrize("n", range(7))
+    def test_every_word_value_and_position(self, n):
+        for w in iter_objects("stirling", n):
+            positions = range(0, 2 * n + 2)  # one out of range at each end
+            assert fs_action(w, positions) == ref_fs_action(w, positions)
+            for v in range(1, n + 1):
+                assert beta_move(w, v) == ref_beta_move(w, v)
+                assert fs_toggle_value(w, v) == ref_fs_toggle_value(w, v)
+            for i in positions:
+                assert _outcome(fs_move, w, i) == _outcome(ref_fs_move, w, i)
+                assert fs_action(w, [i]) == ref_fs_action(w, [i])
+
+    def test_inputs_that_are_not_tuples(self):
+        sigma = StirlingPermutation.from_word(word("2447887332115665"))
+        for v in range(1, 9):
+            assert beta_move(sigma, v) == ref_beta_move(list(sigma.word), v)
+            assert fs_toggle_value(sigma, v) == ref_fs_toggle_value(sigma, v)
+        assert fs_move(list(sigma.word), 1) == ref_fs_move(sigma, 1)
+        assert fs_action(sigma, {1, 4, 9}) == ref_fs_action(sigma.word, {1, 4, 9})
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(list(iter_objects("stirling", 5))),
+           st.sets(st.integers(-3, 14)))
+    def test_arbitrary_position_sets(self, w, positions):
+        assert fs_action(w, positions) == ref_fs_action(w, positions)

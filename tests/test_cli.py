@@ -1,12 +1,16 @@
 """CLI behavior: formats, exit codes, cache handling, byte stability."""
+import contextlib
 import inspect
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stirlab.cli import main
 from stirlab.identities import REGISTRY, IdentityCheck
@@ -271,6 +275,28 @@ def test_poly_at_n_1000(tmp_path, name, value_at_1):
     assert sum(map(int, coeffs)) == value_at_1
 
 
+def test_poly_prints_coefficients_past_the_int_digit_limit(tmp_path):
+    # A_400 has coefficients of more than 640 digits, the lowest limit the
+    # interpreter accepts; main lifts the limit for the command and puts the
+    # caller's back afterwards
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        runs = [run_cli("--format", fmt, "--cache-dir", str(tmp_path), "poly",
+                        "--name", "A", "--n", "400") for fmt in ("plain", "json")]
+        assert sys.get_int_max_str_digits() == 640
+    finally:
+        sys.set_int_max_str_digits(limit)
+    (code, plain), (json_code, js) = runs
+    assert code == json_code == 0
+    plain_coeffs = [term.split("*")[0] if "*" in term else
+                    "1" if term.startswith("x") else term
+                    for term in plain.strip().split(" + ")]
+    assert max(map(len, plain_coeffs)) > 640
+    assert sum(map(int, plain_coeffs)) == math.factorial(400)
+    assert sum(map(int, json.loads(js)["coeffs"])) == math.factorial(400)
+
+
 _VALUE_AT_1 = {"A": math.factorial, "B": lambda n: 2**n * math.factorial(n),
                "F": lambda n: 2**n * math.factorial(n)}
 
@@ -295,3 +321,97 @@ def test_poly_call_depth_does_not_grow_with_n(tmp_path, name, n):
     else:
         value = sum(int(t["c"]) << (t["e"][1] if name == "G" else 0) for t in obj)
     assert value == _VALUE_AT_1.get(name, lambda n: math.prod(range(1, 2 * n, 2)))(n)
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "stirlab", "verify", "--identity", "gamma-eulerian",
+         "--max-n", "5"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("pass  gamma-eulerian (max_n=5)")
+
+
+# ---------------------------------------------------------------------------
+# fuzzed argument lists: main returns 0, 1 or 2 or argparse exits 2; no other
+# exception escapes.  Every value keeps an accepted command cheap: n at most
+# 4 (30 for poly), bounds at most 4, and verify always ends with a small
+# --max-n.
+
+_SMALL = ["-3", "-1", "0", "1", "2", "3", " 4", "x", "", "1e3"]
+_CLASSES = ["stirling", "signed", "matching", "permutation", "bogus"]
+
+
+def _fuzz_argv(paths):
+    def pair(flag, values):
+        return st.tuples(st.just(flag), st.sampled_from(values))
+
+    junk = st.sampled_from(["--bogus", "-x", "bogus", "--n", "--", "--all"])
+    common = [pair("--format", ["plain", "json", "csv", "xml"]),
+              pair("--cache-dir", [paths["cache"], paths["file"]]),
+              pair("--bound", _SMALL)]
+    # each subcommand's own options, each drawn most of the time
+    subcommands = {
+        "enumerate": [pair("--class", _CLASSES), pair("--n", _SMALL)],
+        "stats": [pair("--class", _CLASSES), pair("--n", _SMALL),
+                  pair("--stats", ["lap,dasc,dp", "des", "desA,fdes", "el,ol",
+                                   "bogus", ",,", "lap,lap"])],
+        "poly": [pair("--name", [*"ABCFGMNPT", "Z", "a"]),
+                 pair("--n", [*_SMALL, "30"])],
+        "grammar": [pair("--rules", [paths["rules"], paths["bad_rules"],
+                                     paths["missing"], paths["cache"]]),
+                    pair("--start", ["x", "x*y", "z^2", "x*", "2", "(x"]),
+                    pair("--order", _SMALL)],
+        "verify": [st.one_of(pair("--identity", [*sorted(REGISTRY), "bogus", ""]),
+                             st.just(("--all",))),
+                   pair("--max-n", _SMALL)],
+        "bogus": [],
+    }
+    extra = st.lists(st.one_of(*common, junk.map(lambda t: (t,))), max_size=1)
+
+    @st.composite
+    def argv(draw):
+        name = draw(st.sampled_from(sorted(subcommands)))
+        out = [t for p in draw(extra) for t in p] + [name]
+        for option in draw(st.permutations(subcommands[name])):
+            if draw(st.integers(0, 7)):
+                out += draw(option)
+        out += [t for p in draw(extra) for t in p]
+        if name == "verify":
+            # the last --max-n wins: keep every verify run small
+            out += ["--max-n", draw(st.sampled_from(_SMALL))]
+        return out
+
+    return argv()
+
+
+@pytest.fixture(scope="module")
+def fuzz_paths(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    (root / "flag.rules").write_text("x -> x*y*z; y -> y*z^2; z -> y^2*z\n")
+    (root / "bad.rules").write_text("x -> x*(y\n")
+    (root / "a_file").write_text("")
+    return {"cache": str(root / "cache"), "file": str(root / "a_file"),
+            "rules": str(root / "flag.rules"), "bad_rules": str(root / "bad.rules"),
+            "missing": str(root / "missing" / "x.rules"), "root": root}
+
+
+def test_fuzzed_arguments_exit_cleanly(fuzz_paths, monkeypatch):
+    monkeypatch.setenv("STIRLAB_CACHE", str(fuzz_paths["root"] / "default-cache"))
+
+    @settings(max_examples=300, deadline=None)
+    @given(_fuzz_argv(fuzz_paths))
+    def check(argv):
+        with contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = main(argv, out=io.StringIO())
+            except SystemExit as exc:
+                assert exc.code == 2, argv
+            else:
+                assert code in (0, 1, 2), argv
+
+    check()

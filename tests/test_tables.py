@@ -20,6 +20,7 @@ from stirlab.tables import (
     _gamma_row,
     _p_row,
     _stirling2_row,
+    _t_row,
     a_poly,
     b_eulerian,
     c_poly,
@@ -35,6 +36,7 @@ from stirlab.tables import (
     m_poly,
     n_poly,
     n_poly_closed,
+    p_number,
     p_poly,
     p_polys_differential,
     p_table,
@@ -338,6 +340,53 @@ def test_classical_rows_do_not_recurse_per_n(builder, check):
     finally:
         sys.setrecursionlimit(limit)
     assert check(row, n)
+
+
+def _odd_df(n):
+    return math.prod(range(1, 2 * n, 2))
+
+
+# n! normalized words (dp = 0, lap + dasc = n), counted by dasc as the
+# Eulerian numbers, sit in P_n at (n - j, j, 0) and in gamma_n at (n - j, j)
+@pytest.mark.parametrize(
+    "value,n,expected",
+    [
+        (lambda n: sum(t_poly(n).coeffs), 300, _odd_df),
+        (lambda n: sum(t_number(n, k) for k in range(2 * n + 1)), 300, _odd_df),
+        (lambda n: sum(p_poly(n).terms.values()), 55, _odd_df),
+        (lambda n: sum(p_number(n, n - j, j, 0) for j in range(n)), 55,
+         math.factorial),
+        (lambda n: sum(c << i[1] for i, c in g_poly(n).terms.items()), 100, _odd_df),
+        (lambda n: sum(gamma_number(n, n - j, j) for j in range(n)), 100,
+         math.factorial),
+    ],
+    ids=["t_poly", "t_number", "p_poly", "p_number", "g_poly", "gamma_number"],
+)
+def test_flag_rows_do_not_recurse_per_n(value, n, expected):
+    # with the recursion limit a few dozen frames above the caller, a
+    # builder that recursed once per n would raise RecursionError here
+    for row in (_t_row, _p_row, _gamma_row):
+        row.cache_clear()
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 40)
+    try:
+        got = value(n)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got == expected(n)
+
+
+@pytest.mark.parametrize(
+    "build,row", [(t_table, _t_row), (p_table, _p_row), (gamma_table, _gamma_row)],
+    ids=["t", "p", "gamma"],
+)
+def test_flag_tables_match_their_rows(build, row):
+    expected = {
+        (n, *(key if isinstance(key, tuple) else (key,))): v
+        for n in range(13)
+        for key, v in row(n).items()
+    }
+    assert build(12).entries == expected
 
 
 # ---------------------------------------------------------------------------
