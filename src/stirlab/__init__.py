@@ -26,7 +26,6 @@ from .errors import IdentityViolationError, ResourceLimitError
 from .grammar import (
     AlphabetError,
     Grammar,
-    GrammarPolynomial,
     GrammarSyntaxError,
     coefficient_profile,
     derive,
@@ -55,8 +54,8 @@ from .objects import (
     is_stirling,
 )
 from .polynomials import (
+    Poly,
     QPoly,
-    TriPoly,
     TruncatedEGF,
     egf_equal,
     egf_exp_linear,

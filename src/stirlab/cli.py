@@ -19,7 +19,7 @@ import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 from . import identities, tables
 from .errors import ResourceLimitError
@@ -30,7 +30,7 @@ from .objects import (
     enumerate_signed,
     enumerate_stirling,
 )
-from .polynomials import QPoly, TriPoly
+from .polynomials import XYZ, QPoly, Rat, format_terms, monomial_str
 from .stats import DistributionTable, distribution
 
 _FORMATS = ("plain", "json", "csv")
@@ -142,7 +142,9 @@ def _cmd_stats(args: argparse.Namespace, out) -> int:
 # poly
 
 
-def _poly_families(cfg: Config) -> dict[str, Callable[[int], QPoly | TriPoly]]:
+def _poly_families(cfg: Config) -> dict[str, Callable[[int], QPoly | dict]]:
+    """Each family's polynomial at n: a QPoly, or for P and G the table's
+    row n as a dict from (i, j, k) exponents of x, y, z to coefficients."""
     cache = _table_cache(cfg)
     return {
         "A": tables.a_poly,
@@ -154,20 +156,16 @@ def _poly_families(cfg: Config) -> dict[str, Callable[[int], QPoly | TriPoly]]:
         "T": lambda n: QPoly.from_counts(
             {k: tables.t_table(n, cache).value(n, k) for k in range(2 * n + 1)}
         ),
-        "G": lambda n: TriPoly(
-            {
-                (i, j, 0): v
-                for (nn, i, j), v in tables.gamma_table(n, cache).entries.items()
-                if nn == n
-            }
-        ),
-        "P": lambda n: TriPoly(
-            {
-                (i, j, k): v
-                for (nn, i, j, k), v in tables.p_table(n, cache).entries.items()
-                if nn == n
-            }
-        ),
+        "G": lambda n: {
+            (i, j, 0): v
+            for (nn, i, j), v in tables.gamma_table(n, cache).entries.items()
+            if nn == n and v
+        },
+        "P": lambda n: {
+            (i, j, k): v
+            for (nn, i, j, k), v in tables.p_table(n, cache).entries.items()
+            if nn == n and v
+        },
     }
 
 
@@ -176,21 +174,31 @@ def _cmd_poly(args: argparse.Namespace, out) -> int:
     if args.n < 0:
         raise ValueError(f"n must be nonnegative, got {args.n}")
     poly = _poly_families(cfg)[args.name](args.n)
-    if cfg.fmt == "plain":
+    if not isinstance(poly, QPoly):
+        _print_trivariate(poly, cfg.fmt, out)
+    elif cfg.fmt == "plain":
         print(poly, file=out)
     elif cfg.fmt == "json":
         print(json.dumps(poly.to_json()), file=out)
     else:  # csv
-        if isinstance(poly, QPoly):
-            print("k,coeff", file=out)
-            for k, c in enumerate(poly.coeffs):
-                if c:
-                    print(f"{k},{c}", file=out)
-        else:
-            print("i,j,k,coeff", file=out)
-            for (i, j, k), c in poly.sorted_terms():
-                print(f"{i},{j},{k},{c}", file=out)
+        print("k,coeff", file=out)
+        for k, c in enumerate(poly.coeffs):
+            if c:
+                print(f"{k},{c}", file=out)
     return 0
+
+
+def _print_trivariate(row: Mapping[tuple[int, int, int], Rat], fmt: str, out) -> None:
+    """Print a P or G row by degree, then by exponent triple."""
+    terms = sorted(row.items(), key=lambda t: (sum(t[0]), t[0]))
+    if fmt == "plain":
+        print(format_terms((monomial_str(XYZ, e), c) for e, c in terms), file=out)
+    elif fmt == "json":
+        print(json.dumps([{"e": list(e), "c": str(c)} for e, c in terms]), file=out)
+    else:  # csv
+        print("i,j,k,coeff", file=out)
+        for (i, j, k), c in terms:
+            print(f"{i},{j},{k},{c}", file=out)
 
 
 # ---------------------------------------------------------------------------
@@ -208,9 +216,8 @@ def _cmd_grammar(args: argparse.Namespace, out) -> int:
         print(json.dumps(result.to_json()), file=out)
     else:  # csv
         print("monomial,coeff", file=out)
-        for m, c in result.sorted_terms():
-            mono = "*".join(l if e == 1 else f"{l}^{e}" for l, e in m) or "1"
-            print(f"{mono},{c}", file=out)
+        for e, c in result.sorted_terms():
+            print(f"{monomial_str(result.names, e) or '1'},{c}", file=out)
     return 0
 
 

@@ -6,6 +6,10 @@ whole polynomial ring by linearity and the Leibniz product rule; letters that
 were never given a rule derive to 0.  Iterating D on a seed monomial produces
 the statistic distributions this package verifies.
 
+Polynomials are :class:`stirlab.polynomials.Poly` values.  A grammar holds
+its rules over its sorted alphabet, so the derivative of a polynomial over
+the same ``names`` multiplies monomials by adding exponent tuples.
+
 Rule files hold one rule per line (or several separated by semicolons)::
 
     # substitution rules
@@ -20,11 +24,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence, Union
+from operator import add
+from typing import Mapping, Sequence, Union
 
-Monomial = tuple[tuple[str, int], ...]  # ((letter, exponent), ...) sorted by letter
-
-_UNIT: Monomial = ()
+from .polynomials import Poly, monomial_str
 
 
 class GrammarSyntaxError(ValueError):
@@ -40,188 +43,31 @@ class AlphabetError(ValueError):
     """A polynomial mentions letters outside the grammar's alphabet."""
 
 
-def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    if not a:
-        return b
-    if not b:
-        return a
-    acc = dict(a)
-    for letter, e in b:
-        acc[letter] = acc.get(letter, 0) + e
-    return tuple(sorted(acc.items()))
-
-
-def _mono_without(m: Monomial, letter: str) -> Monomial:
-    out = []
-    for ell, e in m:
-        if ell == letter:
-            if e > 1:
-                out.append((ell, e - 1))
-        else:
-            out.append((ell, e))
-    return tuple(out)
-
-
-def _mono_degree(m: Monomial) -> int:
-    return sum(e for _, e in m)
-
-
-def _mono_str(m: Monomial) -> str:
-    return "*".join(ell if e == 1 else f"{ell}^{e}" for ell, e in m)
-
-
-class GrammarPolynomial:
-    """Multivariate polynomial over commuting letters, integer coefficients.
-
-    Stored sparsely as monomial -> coefficient with no zero entries, so
-    equality is structural.  Terms print in graded order (degree first, then
-    by exponent pattern), and ``str`` round-trips through :func:`parse_poly`.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Mapping[Monomial, int] | Iterable = ()):
-        if not isinstance(terms, Mapping):
-            acc: dict[Monomial, int] = {}
-            for m, c in terms:
-                acc[m] = acc.get(m, 0) + c
-            terms = acc
-        # a mapping's keys are distinct: adopt its sums, dropping zeros
-        self.terms: dict[Monomial, int] = {m: c for m, c in terms.items() if c}
-
-    @classmethod
-    def zero(cls) -> GrammarPolynomial:
-        return cls()
-
-    @classmethod
-    def one(cls) -> GrammarPolynomial:
-        return cls({_UNIT: 1})
-
-    @classmethod
-    def letter(cls, name: str) -> GrammarPolynomial:
-        return cls({((name, 1),): 1})
-
-    @classmethod
-    def monomial(cls, exps: Mapping[str, int], c: int = 1) -> GrammarPolynomial:
-        m = tuple(sorted((ell, e) for ell, e in exps.items() if e))
-        return cls({m: c})
-
-    def letters(self) -> set[str]:
-        return {ell for m in self.terms for ell, _ in m}
-
-    def sorted_terms(self) -> list[tuple[Monomial, int]]:
-        return sorted(self.terms.items(), key=lambda t: (_mono_degree(t[0]), t[0]))
-
-    def coefficient(self, exps: Mapping[str, int]) -> int:
-        m = tuple(sorted((ell, e) for ell, e in exps.items() if e))
-        return self.terms.get(m, 0)
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, GrammarPolynomial):
-            return self.terms == other.terms
-        if isinstance(other, int):
-            return self == GrammarPolynomial({_UNIT: other})
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
-
-    def __add__(self, other: GrammarPolynomial | int) -> GrammarPolynomial:
-        other = _as_gpoly(other)
-        acc = dict(self.terms)
-        for m, c in other.terms.items():
-            acc[m] = acc.get(m, 0) + c
-        return GrammarPolynomial(acc)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> GrammarPolynomial:
-        return GrammarPolynomial({m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other: GrammarPolynomial | int) -> GrammarPolynomial:
-        return self + (-_as_gpoly(other))
-
-    def __rsub__(self, other: int) -> GrammarPolynomial:
-        return _as_gpoly(other) - self
-
-    def __mul__(self, other: GrammarPolynomial | int) -> GrammarPolynomial:
-        if isinstance(other, int):
-            return GrammarPolynomial({m: c * other for m, c in self.terms.items()})
-        if not isinstance(other, GrammarPolynomial):
-            return NotImplemented
-        acc: dict[Monomial, int] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = _mono_mul(m1, m2)
-                acc[m] = acc.get(m, 0) + c1 * c2
-        return GrammarPolynomial(acc)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> GrammarPolynomial:
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        result = GrammarPolynomial.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def to_json(self) -> list:
-        return [
-            {"monomial": {ell: e for ell, e in m}, "coeff": c}
-            for m, c in self.sorted_terms()
-        ]
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts: list[str] = []
-        for m, c in self.sorted_terms():
-            mag = abs(c)
-            body = _mono_str(m)
-            if not body:
-                body = str(mag)
-            elif mag != 1:
-                body = f"{mag}*{body}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
-
-    def __repr__(self) -> str:
-        return f"GrammarPolynomial({str(self)!r})"
-
-
-def _as_gpoly(v: GrammarPolynomial | int) -> GrammarPolynomial:
-    if isinstance(v, GrammarPolynomial):
-        return v
-    return GrammarPolynomial({_UNIT: v})
-
-
 @dataclass(frozen=True)
 class Grammar:
-    """Substitution rules letter -> polynomial over a fixed alphabet."""
+    """Substitution rules letter -> polynomial over a fixed alphabet.
 
-    rules: Mapping[str, GrammarPolynomial]
+    ``names`` is the sorted alphabet, and every rule is held over it.
+    """
+
+    rules: Mapping[str, Poly]
     alphabet: frozenset[str] = field(default_factory=frozenset)
+    names: tuple[str, ...] = field(init=False)
 
     def __post_init__(self):
         letters = set(self.rules)
         for body in self.rules.values():
             letters |= body.letters()
-        object.__setattr__(self, "alphabet", frozenset(self.alphabet) | letters)
+        alphabet = frozenset(self.alphabet) | letters
+        names = tuple(sorted(alphabet))
+        rules = {h: Poly(names, r.terms_over(names)) for h, r in self.rules.items()}
+        object.__setattr__(self, "alphabet", alphabet)
+        object.__setattr__(self, "names", names)
+        object.__setattr__(self, "rules", rules)
 
-    def rule(self, letter: str) -> GrammarPolynomial:
+    def rule(self, letter: str) -> Poly:
         """The derivative of a single letter (0 when no rule was given)."""
-        return self.rules.get(letter, GrammarPolynomial.zero())
+        return self.rules.get(letter, Poly.zero())
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +131,7 @@ class _Parser:
                                      tok.line, tok.col)
         return tok
 
-    def parse_expr(self) -> GrammarPolynomial:
+    def parse_expr(self) -> Poly:
         sign = 1
         tok = self.peek()
         if tok is not None and tok.text in ("+", "-"):
@@ -300,7 +146,7 @@ class _Parser:
             term = self.parse_term()
             acc = acc + term if tok.text == "+" else acc - term
 
-    def parse_term(self) -> GrammarPolynomial:
+    def parse_term(self) -> Poly:
         acc = self.parse_atom()
         while True:
             tok = self.peek()
@@ -309,10 +155,10 @@ class _Parser:
             self.take()
             acc = acc * self.parse_atom()
 
-    def parse_atom(self) -> GrammarPolynomial:
+    def parse_atom(self) -> Poly:
         tok = self.take()
         if tok.kind == "int":
-            return _as_gpoly(int(tok.text))
+            return Poly((), {(): int(tok.text)})
         if tok.kind == "ident":
             exp = 1
             nxt = self.peek()
@@ -323,12 +169,12 @@ class _Parser:
                     raise GrammarSyntaxError("exponent must be a nonnegative integer",
                                              etok.line, etok.col)
                 exp = int(etok.text)
-            return GrammarPolynomial.monomial({tok.text: exp})
+            return Poly((tok.text,), {(exp,): 1})
         raise GrammarSyntaxError(f"expected a letter or integer, found {tok.text!r}",
                                  tok.line, tok.col)
 
 
-def parse_poly(text: str) -> GrammarPolynomial:
+def parse_poly(text: str) -> Poly:
     """Parse a single polynomial expression.
 
     >>> str(parse_poly("x*y^2 + 2*z - 1"))
@@ -353,7 +199,7 @@ def parse_grammar(text: str) -> Grammar:
     tokens = _tokenize(text)
     end_line = text.count("\n") + 1
     parser = _Parser(tokens, end_line)
-    rules: dict[str, GrammarPolynomial] = {}
+    rules: dict[str, Poly] = {}
     while parser.peek() is not None:
         if parser.peek().text == ";":  # empty statement
             parser.take()
@@ -385,31 +231,37 @@ def parse_grammar(text: str) -> Grammar:
 # the formal derivative and companions
 
 
-def _check_alphabet(p: GrammarPolynomial, g: Grammar) -> None:
+def _check_alphabet(p: Poly, g: Grammar) -> None:
     missing = p.letters() - g.alphabet
     if missing:
         raise AlphabetError(f"letters outside the grammar's alphabet: {sorted(missing)}")
 
 
-def derive(p: GrammarPolynomial, g: Grammar) -> GrammarPolynomial:
+def derive(p: Poly, g: Grammar) -> Poly:
     """One application of the formal derivative: Leibniz over each monomial.
+
+    The result is over the grammar's ``names``.
 
     >>> g = parse_grammar("x -> x*y*z; y -> y*z^2; z -> y^2*z")
     >>> str(derive(parse_poly("x*y"), g))
     'x*y*z^2 + x*y^2*z'
     """
-    _check_alphabet(p, g)
-    acc: dict[Monomial, int] = {}
-    for m, c in p.terms.items():
-        for letter, e in m:
-            rest, ce = _mono_without(m, letter), c * e
-            for rm, rc in g.rule(letter).terms.items():
-                key = _mono_mul(rest, rm)
-                acc[key] = acc.get(key, 0) + ce * rc
-    return GrammarPolynomial(acc)
+    if p.names != g.names:
+        _check_alphabet(p, g)
+    rules = [g.rule(letter).terms.items() for letter in g.names]
+    acc: dict[tuple[int, ...], int] = {}
+    get = acc.get
+    for e, c in p.terms_over(g.names).items():
+        for i, k in enumerate(e):
+            if k:
+                rest, ck = e[:i] + (k - 1,) + e[i + 1:], c * k
+                for r, rc in rules[i]:
+                    key = tuple(map(add, rest, r))
+                    acc[key] = get(key, 0) + ck * rc
+    return Poly(g.names, acc)
 
 
-def derive_n(p: GrammarPolynomial, g: Grammar, n: int) -> GrammarPolynomial:
+def derive_n(p: Poly, g: Grammar, n: int) -> Poly:
     """n-fold application of the formal derivative (n = 0 is the identity)."""
     if n < 0:
         raise ValueError("derivative order must be nonnegative")
@@ -419,46 +271,52 @@ def derive_n(p: GrammarPolynomial, g: Grammar, n: int) -> GrammarPolynomial:
     return p
 
 
-def substitute(
-    p: GrammarPolynomial,
-    bindings: Mapping[str, Union[GrammarPolynomial, str, int]],
-) -> GrammarPolynomial:
+def substitute(p: Poly, bindings: Mapping[str, Union[Poly, str, int]]) -> Poly:
     """Simultaneous substitution of letters; unbound letters stay themselves."""
-    resolved = {
-        ell: (GrammarPolynomial.letter(v) if isinstance(v, str) else _as_gpoly(v))
-        for ell, v in bindings.items()
-    }
-    acc = GrammarPolynomial.zero()
-    for m, c in p.terms.items():
-        term = _as_gpoly(c)
-        for letter, e in m:
-            base = resolved.get(letter, GrammarPolynomial.letter(letter))
-            term = term * base**e
-        acc = acc + term
-    return acc
+    images = []
+    for letter in p.names:
+        v = bindings.get(letter, letter)
+        if isinstance(v, str):
+            v = Poly.var(v)
+        elif not isinstance(v, Poly):
+            v = Poly((), {(): v})
+        images.append(v)
+    names = tuple(sorted(set().union(*(im.names for im in images))))
+    images = [Poly(names, im.terms_over(names)) for im in images]
+    powers: dict[tuple[int, int], Poly] = {}
+    acc: dict[tuple[int, ...], int] = {}
+    for e, c in p.terms.items():
+        term = Poly(names, {(0,) * len(names): c})
+        for i, k in enumerate(e):
+            if k:
+                if (i, k) not in powers:
+                    powers[i, k] = images[i] ** k
+                term = term * powers[i, k]
+        for f, v in term.terms.items():
+            acc[f] = acc.get(f, 0) + v
+    return Poly(names, acc)
 
 
-def coefficient_profile(
-    p: GrammarPolynomial, axes: Sequence[str]
-) -> dict[tuple[int, ...], int]:
+def coefficient_profile(p: Poly, axes: Sequence[str]) -> dict[tuple[int, ...], int]:
     """Group terms by the exponents of ``axes``, summing coefficients.
 
     Each group must carry a single residual monomial in the remaining
     letters; a mixed residual signals an extraction mistake and raises
     ValueError.
     """
-    axis_set = set(axes)
+    axis_pos = [p.names.index(a) if a in p.names else None for a in axes]
+    rest = [v for v in p.names if v not in axes]
+    rest_pos = [p.names.index(v) for v in rest]
     groups: dict[tuple[int, ...], int] = {}
-    residuals: dict[tuple[int, ...], Monomial] = {}
-    for m, c in p.terms.items():
-        exps = dict(m)
-        key = tuple(exps.get(a, 0) for a in axes)
-        residual = tuple((ell, e) for ell, e in m if ell not in axis_set)
-        if key in residuals and residuals[key] != residual:
+    residuals: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for e, c in p.terms.items():
+        key = tuple(0 if i is None else e[i] for i in axis_pos)
+        residual = tuple(e[i] for i in rest_pos)
+        if residuals.setdefault(key, residual) != residual:
             raise ValueError(
                 f"mixed residual monomials for axis exponents {key}: "
-                f"{_mono_str(residuals[key]) or '1'} vs {_mono_str(residual) or '1'}"
+                f"{monomial_str(rest, residuals[key]) or '1'} vs "
+                f"{monomial_str(rest, residual) or '1'}"
             )
-        residuals[key] = residual
         groups[key] = groups.get(key, 0) + c
     return {k: v for k, v in groups.items() if v}

@@ -14,15 +14,16 @@ import math
 import time
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, Mapping
+from typing import Callable
 
 from . import actions, tables
 from .errors import ResourceLimitError
-from .grammar import GrammarPolynomial, derive_n, parse_poly
+from .grammar import derive_n, parse_poly, substitute
 from .objects import iter_objects
 from .polynomials import (
+    XYZ,
+    Poly,
     QPoly,
-    TriPoly,
     egf_constant,
     egf_exp_linear,
     egf_first_mismatch,
@@ -136,21 +137,13 @@ def _poly(klass: str, n: int, stat: str) -> QPoly:
     return distribution(klass, n, [stat]).poly()
 
 
-def _tri(n: int) -> TriPoly:
+def _tri(n: int) -> Poly:
     return distribution("stirling", n, ["lap", "dasc", "dp"]).tripoly()
 
 
 # (lap, dasc, dp) of a word from its statistics scan, for the per-word loops
 # that would otherwise build a record to read three fields
 _lap_dasc_dp = itemgetter(*map(STIRLING_STATS.index, ("lap", "dasc", "dp")))
-
-
-def _gmono(exps: Mapping[str, int], c: int) -> tuple:
-    return (tuple(sorted((l, e) for l, e in exps.items() if e)), c)
-
-
-def _weighted(counts: Mapping[tuple[int, ...], int], make_exps) -> GrammarPolynomial:
-    return GrammarPolynomial(_gmono(make_exps(*v), c) for v, c in counts.items())
 
 
 def _truncated_mul(a: QPoly, b: QPoly, order: int) -> QPoly:
@@ -347,50 +340,20 @@ def _flag_adin(bound: int) -> str | None:
 )
 def _grammar_prop(bound: int) -> str | None:
     for n in range(bound + 1):
+        # seed, its statistic, and the (x, y, z) exponents of a value v
         cases = [
-            (
-                "x*y",
-                _weighted(
-                    distribution("signed", n, ["fdes"]).counts
-                    if n
-                    else {(0,): 1},
-                    lambda f: {"x": 1, "y": f + 1, "z": 2 * n - f},
-                ),
-            ),
-            (
-                "y^2",
-                _weighted(
-                    distribution("signed", n, ["desA"]).counts
-                    if n
-                    else {(0,): 1},
-                    lambda d: {"y": 2 * d + 2, "z": 2 * n - 2 * d},
-                ),
-            ),
-            (
-                "y*z",
-                _weighted(
-                    distribution("signed", n, ["desB"]).counts
-                    if n
-                    else {(0,): 1},
-                    lambda d: {"y": 2 * d + 1, "z": 2 * n - 2 * d + 1},
-                ),
-            ),
-            (
-                "y",
-                _weighted(
-                    distribution("stirling", n, ["ap"]).counts,
-                    lambda a: {"y": 2 * a + 1, "z": 2 * n - 2 * a},
-                ),
-            ),
-            (
-                "z",
-                _weighted(
-                    distribution("stirling", n, ["lap"]).counts,
-                    lambda l: {"y": 2 * l, "z": 2 * n - 2 * l + 1},
-                ),
-            ),
+            ("x*y", "signed", "fdes", lambda v: (1, v + 1, 2 * n - v)),
+            ("y^2", "signed", "desA", lambda v: (0, 2 * v + 2, 2 * n - 2 * v)),
+            ("y*z", "signed", "desB", lambda v: (0, 2 * v + 1, 2 * n - 2 * v + 1)),
+            ("y", "stirling", "ap", lambda v: (0, 2 * v + 1, 2 * n - 2 * v)),
+            ("z", "stirling", "lap", lambda v: (0, 2 * v, 2 * n - 2 * v + 1)),
         ]
-        for seed, expected in cases:
+        for seed, klass, stat, exps in cases:
+            if n or klass == "stirling":
+                counts = distribution(klass, n, [stat]).counts
+            else:  # B_0 holds the empty signed permutation alone
+                counts = {(0,): 1}
+            expected = Poly(XYZ, ((exps(v), c) for (v,), c in counts.items()))
             got = derive_n(parse_poly(seed), tables.FLAG_GRAMMAR, n)
             if got != expected:
                 return f"n={n}, seed {seed}: {got} != {expected}"
@@ -407,10 +370,10 @@ def _grammar_prop(bound: int) -> str | None:
 )
 def _flag_ap_grammar(bound: int) -> str | None:
     for n in range(bound + 1):
-        expected = _weighted(
-            distribution("stirling", n, ["fap"]).counts,
-            lambda f: {"x": 1, "y": f, "z": 2 * n - f},
-        )
+        expected = Poly(XYZ, {
+            (1, f, 2 * n - f): c
+            for (f,), c in distribution("stirling", n, ["fap"]).counts.items()
+        })
         got = derive_n(parse_poly("x"), tables.FLAG_GRAMMAR, n)
         if got != expected:
             return f"n={n}: {got} != {expected}"
@@ -554,18 +517,12 @@ def _asc_plat(bound: int) -> str | None:
 )
 def _p_grammar(bound: int) -> str | None:
     for n in range(bound + 1):
-        expected = GrammarPolynomial(
-            _gmono(
-                {
-                    "x": i,
-                    "y": i,
-                    "q": j,
-                    "p": k,
-                    "z": 2 * n - 2 * i - j - k + 1,
-                },
-                int(c),
-            )
-            for (i, j, k), c in _tri(n).terms.items()
+        expected = Poly(
+            ("p", "q", "x", "y", "z"),
+            (
+                ((k, j, i, i, 2 * n - 2 * i - j - k + 1), c)
+                for (i, j, k), c in _tri(n).terms.items()
+            ),
         )
         got = derive_n(parse_poly("z"), tables.REFINED_GRAMMAR, n)
         if got != expected:
@@ -599,16 +556,17 @@ def _p_recurrences(bound: int) -> str | None:
     10,
 )
 def _p_specializations(bound: int) -> str | None:
-    x = QPoly.x()
     cs, ns = tables.cn_nn_tables(bound)
     for n in range(bound + 1):
         p = tables.p_poly(n)
-        if p.eval_at(x, x, 1) != cs[n]:
-            return f"n={n}: P(x,x,1) {p.eval_at(x, x, 1)} != {cs[n]}"
-        if p.eval_at(x, 1, x) != cs[n]:
-            return f"n={n}: P(x,1,x) {p.eval_at(x, 1, x)} != {cs[n]}"
-        if p.eval_at(x, 1, 1) != ns[n]:
-            return f"n={n}: P(x,1,1) {p.eval_at(x, 1, 1)} != {ns[n]}"
+        for label, bindings, expected in (
+            ("P(x,x,1)", {"y": "x", "z": 1}, cs[n]),
+            ("P(x,1,x)", {"y": 1, "z": "x"}, cs[n]),
+            ("P(x,1,1)", {"y": 1, "z": 1}, ns[n]),
+        ):
+            got = substitute(p, bindings).to_qpoly("x")
+            if got != expected:
+                return f"n={n}: {label} {got} != {expected}"
     return None
 
 
@@ -647,7 +605,7 @@ def _cn_nn(bound: int) -> str | None:
 def _fs_symmetry(bound: int) -> str | None:
     for n in range(bound + 1):
         brute = _tri(n)
-        if brute != brute.swap_axes(1, 2):
+        if brute != substitute(brute, {"y": "z", "z": "y"}):
             return f"n={n}: P_n is not symmetric in y, z"
         images = set()
         count = 0
@@ -691,12 +649,11 @@ def _gamma_expansion(bound: int) -> str | None:
         }
         if brute_gamma != table_gamma:
             return f"n={n}: gamma table {table_gamma} != brute {brute_gamma}"
-        expansion = TriPoly.zero()
-        for (i, j), g in table_gamma.items():
-            for m in range(j + 1):
-                expansion = expansion + TriPoly.monomial(
-                    i, m, j - m, g * math.comb(j, m)
-                )
+        expansion = Poly(XYZ, (
+            ((i, m, j - m), g * math.comb(j, m))
+            for (i, j), g in table_gamma.items()
+            for m in range(j + 1)
+        ))
         if expansion != brute_p:
             return f"n={n}: gamma expansion {expansion} != {brute_p}"
     return None
@@ -710,10 +667,10 @@ def _gamma_expansion(bound: int) -> str | None:
 )
 def _gamma_grammar(bound: int) -> str | None:
     for n in range(bound + 1):
-        expected = GrammarPolynomial(
-            _gmono({"u": i, "v": j, "w": 2 * n + 1 - 2 * i - j}, val)
+        expected = Poly(("u", "v", "w"), {
+            (i, j, 2 * n + 1 - 2 * i - j): val
             for (i, j), val in tables._gamma_row(n).items()
-        )
+        })
         got = derive_n(parse_poly("w"), tables.GAMMA_GRAMMAR, n)
         if got != expected:
             return f"n={n}: {got} != {expected}"

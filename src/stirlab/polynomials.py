@@ -1,22 +1,23 @@
 """Exact polynomial arithmetic over the rationals.
 
-Three value types: ``QPoly`` (univariate in x), ``TriPoly`` (three commuting
-variables x, y, z, stored sparsely), and ``TruncatedEGF`` (a series
-sum a_n(x) t^n / n! known through a fixed order, with QPoly coefficients).
-A coefficient is stored as an ``int`` when it is integral and as a
-`fractions.Fraction` otherwise, so integer families run on integer
-arithmetic and rational ones stay exact; no floating point anywhere.
+Three value types: ``QPoly`` (dense, univariate in x), ``Poly`` (sparse,
+keyed by exponent vectors over an ordered tuple of variable names), and
+``TruncatedEGF`` (a series sum a_n(x) t^n / n! known through a fixed order,
+with QPoly coefficients).  A coefficient is stored as an ``int`` when it is
+integral and as a `fractions.Fraction` otherwise, so integer families run on
+integer arithmetic and rational ones stay exact; no floating point anywhere.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import add
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
 Rat = Union[Fraction, int]
 
-# series order used when a caller does not pick one
-DEFAULT_TRUNCATION_ORDER = 8
+# the variables of a trivariate polynomial such as P_n(x, y, z)
+XYZ = ("x", "y", "z")
 
 
 def _exact(c: Rat) -> Rat:
@@ -29,6 +30,44 @@ def _exact(c: Rat) -> Rat:
         return c
     c = c if isinstance(c, Fraction) else Fraction(c)
     return c.numerator if c.denominator == 1 else c
+
+
+def _power(base, n: int, one):
+    """base**n by repeated squaring, for n >= 0."""
+    if n < 0:
+        raise ValueError("negative power of a polynomial")
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        base = base * base
+        n >>= 1
+    return result
+
+
+def monomial_str(names: Sequence[str], exps: Sequence[int]) -> str:
+    """The text of a monomial, such as ``x*y^2``; "" for the unit monomial."""
+    return "*".join(v if e == 1 else f"{v}^{e}" for v, e in zip(names, exps) if e)
+
+
+def format_terms(terms: Iterable[tuple[str, Rat]]) -> str:
+    """Sign-joined text of (monomial text, nonzero coefficient) terms.
+
+    A unit coefficient is left out before a monomial, the unit monomial
+    prints its coefficient alone, and no terms at all print as ``0``.
+
+    >>> format_terms([("", -1), ("z", 2), ("x*y^2", 1)])
+    '-1 + 2*z + x*y^2'
+    """
+    parts: list[str] = []
+    for mono, c in terms:
+        mag = abs(c)
+        body = f"{mag}*{mono}" if mono and mag != 1 else mono or str(mag)
+        if parts:
+            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+        else:
+            parts.append(body if c > 0 else f"-{body}")
+    return " ".join(parts) or "0"
 
 
 class QPoly:
@@ -132,16 +171,7 @@ class QPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> QPoly:
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        result = QPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, QPoly.one())
 
     def eval_at(self, v: Rat) -> Rat:
         """Evaluate at a rational point (Horner)."""
@@ -175,23 +205,9 @@ class QPoly:
         return cls(Fraction(s) for s in obj["coeffs"])
 
     def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts: list[str] = []
-        for k, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            mag = abs(c)
-            if k == 0:
-                body = str(mag)
-            else:
-                xk = "x" if k == 1 else f"x^{k}"
-                body = xk if mag == 1 else f"{mag}*{xk}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+        return format_terms(
+            (monomial_str(("x",), (k,)), c) for k, c in enumerate(self.coeffs) if c
+        )
 
     def __repr__(self) -> str:
         return f"QPoly({str(self)!r})"
@@ -201,148 +217,189 @@ def _as_qpoly(v: QPoly | Rat) -> QPoly:
     return v if isinstance(v, QPoly) else QPoly((v,))
 
 
-_TRI_VARS = ("x", "y", "z")
+# stands in for the exponent of an absent variable in the print order, so
+# that within one degree a monomial holding a variable sorts before one
+# without it
+_ABSENT = math.inf
 
 
-class TriPoly:
-    """Sparse polynomial in the commuting variables x, y, z.
+class Poly:
+    """Sparse polynomial over named commuting variables.
 
-    Terms map exponent triples (i, j, k) to exact coefficients, stored as
-    in ``QPoly``; zero coefficients are never stored, so equality is
-    structural.
+    ``names`` is an ordered tuple of variable names and ``terms`` maps
+    exponent tuples over ``names`` to exact coefficients, stored as in
+    ``QPoly``; zero coefficients are never stored.  A binary operation or
+    ``==`` on polynomials over different ``names`` works over the sorted
+    union of both, so x over ("x",) equals x over ("x", "y").  Terms print by
+    degree, then by their exponents in ``names`` order with an absent
+    variable sorting last, and ``str`` round-trips through
+    :func:`stirlab.grammar.parse_poly`.
+
+    >>> x, y = Poly.var("x"), Poly.var("y")
+    >>> str((x + y) ** 2 - 1)
+    '-1 + 2*x*y + x^2 + y^2'
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("names", "terms")
 
-    def __init__(self, terms: Mapping[tuple[int, int, int], Rat] | Iterable = ()):
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[tuple[int, int, int], Rat] = {}
-        for e, c in items:
-            if c:
-                e = (int(e[0]), int(e[1]), int(e[2]))
-                c = _exact(acc[e] + c) if e in acc else _exact(c)
-                if c:
-                    acc[e] = c
-                else:
-                    del acc[e]
-        self.terms: dict[tuple[int, int, int], Rat] = acc
+    def __init__(
+        self,
+        names: Iterable[str] = (),
+        terms: Mapping[tuple[int, ...], Rat] | Iterable = (),
+    ):
+        self.names: tuple[str, ...] = tuple(names)
+        if not isinstance(terms, Mapping):
+            acc: dict[tuple[int, ...], Rat] = {}
+            for e, c in terms:
+                acc[e] = acc.get(e, 0) + c
+            terms = acc
+        # a mapping's keys are distinct: adopt its values, dropping zeros
+        self.terms: dict[tuple[int, ...], Rat] = {
+            e: c if type(c) is int else _exact(c) for e, c in terms.items() if c
+        }
 
     @classmethod
-    def zero(cls) -> TriPoly:
+    def zero(cls) -> Poly:
         return cls()
 
     @classmethod
-    def one(cls) -> TriPoly:
-        return cls({(0, 0, 0): 1})
+    def one(cls) -> Poly:
+        return cls((), {(): 1})
 
     @classmethod
-    def monomial(cls, i: int, j: int, k: int, c: Rat = 1) -> TriPoly:
-        return cls({(i, j, k): c})
+    def var(cls, name: str) -> Poly:
+        return cls((name,), {(1,): 1})
 
-    def coefficient(self, i: int, j: int, k: int) -> Rat:
-        return self.terms.get((i, j, k), 0)
+    def letters(self) -> set[str]:
+        """The variables with a nonzero exponent in some term."""
+        return {v for e in self.terms for v, k in zip(self.names, e) if k}
 
-    def sorted_terms(self) -> list[tuple[tuple[int, int, int], Rat]]:
-        """Terms in graded order, then by exponent triple."""
-        return sorted(self.terms.items(), key=lambda t: (sum(t[0]), t[0]))
+    def coefficient(self, *exps: int) -> Rat:
+        """The coefficient of the monomial with these exponents over ``names``
+        (0 when absent)."""
+        return self.terms.get(exps, 0)
+
+    def sorted_terms(self) -> list[tuple[tuple[int, ...], Rat]]:
+        """Terms in print order."""
+        return sorted(
+            self.terms.items(),
+            key=lambda t: (sum(t[0]), tuple(e or _ABSENT for e in t[0])),
+        )
+
+    def terms_over(self, names: tuple[str, ...]) -> dict[tuple[int, ...], Rat]:
+        """``terms`` re-keyed onto ``names``, which must hold every variable
+        of :meth:`letters`; a variable new to ``names`` gets exponent 0."""
+        if names == self.names:
+            return self.terms
+        pos = [self.names.index(v) if v in self.names else None for v in names]
+        return {
+            tuple([0 if i is None else e[i] for i in pos]): c
+            for e, c in self.terms.items()
+        }
 
     def __bool__(self) -> bool:
         return bool(self.terms)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, TriPoly):
-            return self.terms == other.terms
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
-
-    def __add__(self, other: TriPoly) -> TriPoly:
-        acc = dict(self.terms)
-        for e, c in other.terms.items():
-            acc[e] = acc.get(e, 0) + c
-        return TriPoly(acc)
-
-    def __neg__(self) -> TriPoly:
-        return TriPoly({e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other: TriPoly) -> TriPoly:
-        return self + (-other)
-
-    def __mul__(self, other: TriPoly | Rat) -> TriPoly:
         if isinstance(other, (int, Fraction)):
-            return TriPoly({e: c * other for e, c in self.terms.items()})
-        if not isinstance(other, TriPoly):
+            other = _as_poly(other)
+        if not isinstance(other, Poly):
             return NotImplemented
-        acc: dict[tuple[int, int, int], Rat] = {}
-        for (a, b, c), u in self.terms.items():
-            for (d, e, f), v in other.terms.items():
-                key = (a + d, b + e, c + f)
+        _, a, b = _aligned(self, other)
+        return a == b
+
+    def __add__(self, other: Poly | Rat) -> Poly:
+        names, a, b = _aligned(self, _as_poly(other))
+        acc = dict(a)
+        for e, c in b.items():
+            acc[e] = acc.get(e, 0) + c
+        return Poly(names, acc)
+
+    __radd__ = __add__
+
+    def __neg__(self) -> Poly:
+        return Poly(self.names, {e: -c for e, c in self.terms.items()})
+
+    def __sub__(self, other: Poly | Rat) -> Poly:
+        return self + (-_as_poly(other))
+
+    def __rsub__(self, other: Rat) -> Poly:
+        return _as_poly(other) - self
+
+    def __mul__(self, other: Poly | Rat) -> Poly:
+        if isinstance(other, (int, Fraction)):
+            return Poly(self.names, {e: c * other for e, c in self.terms.items()})
+        if not isinstance(other, Poly):
+            return NotImplemented
+        names, a, b = _aligned(self, other)
+        acc: dict[tuple[int, ...], Rat] = {}
+        for e, u in a.items():
+            for f, v in b.items():
+                key = tuple(map(add, e, f))
                 acc[key] = acc.get(key, 0) + u * v
-        return TriPoly(acc)
+        return Poly(names, acc)
 
     __rmul__ = __mul__
 
-    def partial(self, axis: int) -> TriPoly:
-        """Partial derivative with respect to axis 0 (x), 1 (y) or 2 (z)."""
-        acc: dict[tuple[int, int, int], Rat] = {}
-        for e, c in self.terms.items():
-            if e[axis]:
-                ne = list(e)
-                ne[axis] -= 1
-                acc[tuple(ne)] = c * e[axis]
-        return TriPoly(acc)
+    def __pow__(self, n: int) -> Poly:
+        return _power(self, n, Poly(self.names, {(0,) * len(self.names): 1}))
 
-    def swap_axes(self, a: int, b: int) -> TriPoly:
-        acc = {}
-        for e, c in self.terms.items():
-            ne = list(e)
-            ne[a], ne[b] = ne[b], ne[a]
-            acc[tuple(ne)] = c
-        return TriPoly(acc)
+    def partial(self, name: str) -> Poly:
+        """Partial derivative with respect to the variable ``name``."""
+        if name not in self.names:
+            return Poly(self.names)
+        i = self.names.index(name)
+        return Poly(self.names, {
+            e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i]
+            for e, c in self.terms.items()
+            if e[i]
+        })
 
-    def eval_at(self, xv: QPoly | Rat, yv: QPoly | Rat, zv: QPoly | Rat) -> QPoly:
-        """Substitute QPoly (or scalar) values for x, y, z."""
-        xs, ys, zs = _as_qpoly(xv), _as_qpoly(yv), _as_qpoly(zv)
-        out = QPoly.zero()
-        for (i, j, k), c in self.terms.items():
-            out = out + (xs**i) * (ys**j) * (zs**k) * c
-        return out
+    def to_qpoly(self, name: str) -> QPoly:
+        """The polynomial as a QPoly in the variable ``name``.
 
-    def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.terms.values())
+        Raises ValueError when another variable occurs.
+        """
+        others = self.letters() - {name}
+        if others:
+            raise ValueError(f"{self} is not a polynomial in {name} alone")
+        i = self.names.index(name) if name in self.names else None
+        return QPoly.from_counts(
+            {0 if i is None else e[i]: c for e, c in self.terms.items()}
+        )
 
     def to_json(self) -> list:
-        return [{"e": list(e), "c": str(c)} for e, c in self.sorted_terms()]
-
-    @classmethod
-    def from_json(cls, obj: Iterable[Mapping]) -> TriPoly:
-        return cls({tuple(t["e"]): Fraction(t["c"]) for t in obj})
+        return [
+            {"monomial": {v: k for v, k in zip(self.names, e) if k}, "coeff": c}
+            for e, c in self.sorted_terms()
+        ]
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts: list[str] = []
-        for e, c in self.sorted_terms():
-            names = [
-                (v if p == 1 else f"{v}^{p}")
-                for v, p in zip(_TRI_VARS, e)
-                if p
-            ]
-            mag = abs(c)
-            body = "*".join(names) if names else ""
-            if not body:
-                body = str(mag)
-            elif mag != 1:
-                body = f"{mag}*{body}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+        return format_terms(
+            (monomial_str(self.names, e), c) for e, c in self.sorted_terms()
+        )
 
     def __repr__(self) -> str:
-        return f"TriPoly({str(self)!r})"
+        return f"Poly({str(self)!r})"
+
+
+# the benchmark's tracer (perfbench/layers.py) patches multiplication on
+# this name; nothing in the package uses it
+TriPoly = Poly
+
+
+def _as_poly(v: Poly | Rat) -> Poly:
+    return v if isinstance(v, Poly) else Poly((), {(): v})
+
+
+def _aligned(
+    a: Poly, b: Poly
+) -> tuple[tuple[str, ...], dict[tuple[int, ...], Rat], dict[tuple[int, ...], Rat]]:
+    """Common variable names of two polynomials and both term dicts over them."""
+    if a.names == b.names:
+        return a.names, a.terms, b.terms
+    names = tuple(sorted(set(a.names) | set(b.names)))
+    return names, a.terms_over(names), b.terms_over(names)
 
 
 class TruncatedEGF:
@@ -393,12 +450,12 @@ def egf_from_sequence(polys: Sequence[QPoly | Rat]) -> TruncatedEGF:
     return TruncatedEGF(polys)
 
 
-def egf_constant(p: QPoly | Rat, order: int = DEFAULT_TRUNCATION_ORDER) -> TruncatedEGF:
+def egf_constant(p: QPoly | Rat, order: int) -> TruncatedEGF:
     """The t-constant series p(x) + 0*t + ..."""
     return TruncatedEGF([p] + [QPoly.zero()] * order)
 
 
-def egf_exp_linear(c: QPoly | Rat, order: int = DEFAULT_TRUNCATION_ORDER) -> TruncatedEGF:
+def egf_exp_linear(c: QPoly | Rat, order: int) -> TruncatedEGF:
     """e^{t c(x)} truncated: coefficient of t^n/n! is c(x)^n."""
     cp = _as_qpoly(c)
     return TruncatedEGF(cp**n for n in range(order + 1))

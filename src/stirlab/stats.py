@@ -31,7 +31,7 @@ from .objects import (
     StirlingPermutation,
     iter_objects,
 )
-from .polynomials import QPoly, TriPoly
+from .polynomials import XYZ, Poly, QPoly
 
 STIRLING_STATS = ("asc", "des", "plat", "ap", "lap", "fap", "dasc", "dp")
 SIGNED_STATS = ("desA", "desB", "fdes", "fasc")
@@ -206,11 +206,11 @@ class DistributionTable:
             raise ValueError("poly() needs exactly one statistic")
         return QPoly.from_counts({v[0]: c for v, c in self.counts.items()})
 
-    def tripoly(self) -> TriPoly:
-        """The generating polynomial of a three-statistic table."""
+    def tripoly(self) -> Poly:
+        """The generating polynomial in x, y, z of a three-statistic table."""
         if len(self.stat_names) != 3:
             raise ValueError("tripoly() needs exactly three statistics")
-        return TriPoly({v: c for v, c in self.counts.items()})
+        return Poly(XYZ, self.counts)
 
     def to_json(self) -> dict:
         return {

@@ -12,12 +12,12 @@ Families and their one-letter polynomial names as used by the CLI:
 - ``P``: trivariate refinement P_n(x, y, z) counting (lap, dasc, dp);
 - ``G``: its gamma vector, G_n(x, y) = sum gamma_{n,i,j} x^i y^j.
 
-Tables are exact integers; polynomial assembly returns QPoly / TriPoly
-values.  A small JSON disk cache (:class:`TableCache`) can memoize the
-CoefficientTable-producing builders, keyed by family and bound.  A cached
-file is used only when it carries the package version, matches the table
-schema and every row adds up to its known total; any other file is a miss,
-and the rebuilt table replaces it.
+Tables are exact integers; polynomial assembly returns QPoly values, and
+Poly values over ("x", "y", "z") for P and G.  A small JSON disk cache
+(:class:`TableCache`) can memoize the CoefficientTable-producing builders,
+keyed by family and bound.  A cached file is used only when it carries the
+package version, matches the table schema and every row adds up to its known
+total; any other file is a miss, and the rebuilt table replaces it.
 """
 from __future__ import annotations
 
@@ -38,7 +38,7 @@ from typing import Iterator, Mapping
 from ._version import __version__
 from .errors import IdentityViolationError
 from .grammar import coefficient_profile, derive_n, parse_grammar, parse_poly
-from .polynomials import QPoly, TriPoly
+from .polynomials import XYZ, Poly, QPoly
 
 # the grammar whose derivative drives the flag statistics; D^n(y) encodes the
 # ascent-plateau distribution, which is how m_poly avoids brute force
@@ -393,26 +393,25 @@ def p_number(n: int, i: int, j: int, k: int) -> int:
     return _p_row(n).get((i, j, k), 0)
 
 
-def p_poly(n: int) -> TriPoly:
+def p_poly(n: int) -> Poly:
     """P_n(x, y, z) = sum x^lap y^dasc z^dp over Q_n."""
-    return TriPoly({e: c for e, c in _p_row(n).items()})
+    return Poly(XYZ, _p_row(n))
 
 
-def p_polys_differential(n_max: int) -> list[TriPoly]:
+def p_polys_differential(n_max: int) -> list[Poly]:
     """P_0..P_{n_max} through the differential recurrence, an independent
     path from the index recurrence behind :func:`p_poly`."""
-    x = TriPoly.monomial(1, 0, 0)
-    xy = TriPoly.monomial(1, 1, 0)
-    xz = TriPoly.monomial(1, 0, 1)
-    x2 = TriPoly.monomial(2, 0, 0)
-    out = [TriPoly.one()]
+    x, xy, xz, x2 = (
+        Poly(XYZ, {e: 1}) for e in ((1, 0, 0), (1, 1, 0), (1, 0, 1), (2, 0, 0))
+    )
+    out = [Poly(XYZ, {(0, 0, 0): 1})]
     for n in range(n_max):
         p = out[-1]
         nxt = (
             p * x * (2 * n + 1)
-            + (xy + xz - 2 * x2) * p.partial(0)
-            + (x - xy) * p.partial(1)
-            + (x - xz) * p.partial(2)
+            + (xy + xz - 2 * x2) * p.partial("x")
+            + (x - xy) * p.partial("y")
+            + (x - xz) * p.partial("z")
         )
         out.append(nxt)
     return out
@@ -457,24 +456,22 @@ def gamma_number(n: int, i: int, j: int) -> int:
     return _gamma_row(n).get((i, j), 0)
 
 
-def g_poly(n: int) -> TriPoly:
+def g_poly(n: int) -> Poly:
     """G_n(x, y) = sum gamma_{n,i,j} x^i y^j (stored with z-exponent 0)."""
-    return TriPoly({(i, j, 0): c for (i, j), c in _gamma_row(n).items()})
+    return Poly(XYZ, {(i, j, 0): c for (i, j), c in _gamma_row(n).items()})
 
 
-def g_polys_differential(n_max: int) -> list[TriPoly]:
+def g_polys_differential(n_max: int) -> list[Poly]:
     """G_0..G_{n_max} through the differential recurrence, an independent
     path from the index recurrence behind :func:`g_poly`."""
-    x = TriPoly.monomial(1, 0, 0)
-    xy = TriPoly.monomial(1, 1, 0)
-    x2 = TriPoly.monomial(2, 0, 0)
-    out = [TriPoly.one()]
+    x, xy, x2 = (Poly(XYZ, {e: 1}) for e in ((1, 0, 0), (1, 1, 0), (2, 0, 0)))
+    out = [Poly(XYZ, {(0, 0, 0): 1})]
     for n in range(n_max):
         g = out[-1]
         nxt = (
             g * x * (2 * n + 1)
-            + (xy - 2 * x2) * g.partial(0)
-            + (2 * x - xy) * g.partial(1)
+            + (xy - 2 * x2) * g.partial("x")
+            + (2 * x - xy) * g.partial("y")
         )
         out.append(nxt)
     return out

@@ -9,10 +9,10 @@ import time
 from contextlib import contextmanager
 
 from stirlab import actions, cli, tables
-from stirlab.grammar import GrammarPolynomial, derive_n, parse_poly
+from stirlab.grammar import derive_n, parse_poly
 from stirlab.identities import REGISTRY, qn_only_names, run_identity
 from stirlab.objects import iter_objects
-from stirlab.polynomials import QPoly, TriPoly
+from stirlab.polynomials import XYZ, Poly, QPoly
 from stirlab.stats import distribution, signed_stats, stirling_stats
 from stirlab.tables import FLAG_GRAMMAR, GAMMA_GRAMMAR, REFINED_GRAMMAR
 
@@ -33,7 +33,7 @@ def budget(criterion: str, seconds: float):
     assert elapsed < seconds, f"criterion {criterion} exceeded {seconds}s: {elapsed:.1f}s"
 
 
-def gp(text: str) -> GrammarPolynomial:
+def gp(text: str) -> Poly:
     return parse_poly(text)
 
 
@@ -43,14 +43,16 @@ def word(s: str) -> tuple[int, ...]:
 
 def test_criterion_1_golden_polynomials():
     with budget("1: golden polynomials", 1.0):
-        x = TriPoly.monomial
+        def x(i, j, k, c=1):
+            return Poly(XYZ, {(i, j, k): c})
+
         assert tables.p_poly(1) == x(1, 0, 0)
         assert tables.p_poly(2) == x(1, 1, 0) + x(1, 0, 1) + x(2, 0, 0)
         assert tables.p_poly(3) == (
             x(1, 2, 0) + x(1, 0, 2) + x(2, 1, 0, 4) + x(2, 0, 1, 4)
             + x(1, 1, 1, 2) + x(2, 0, 0, 2) + x(3, 0, 0)
         )
-        assert tables.g_poly(0) == TriPoly.one()
+        assert tables.g_poly(0) == Poly.one()
         assert tables.g_poly(1) == x(1, 0, 0)
         assert tables.g_poly(2) == x(1, 1, 0) + x(2, 0, 0)
         assert tables.g_poly(3) == (
@@ -75,22 +77,11 @@ def test_criterion_2_grammar_vs_enumeration():
         # the collapsed grammar against brute-force gamma counts
         for n in range(6):
             counts = distribution("stirling", n, ["lap", "dasc", "dp"]).counts
-            expected = GrammarPolynomial(
-                (
-                    tuple(
-                        sorted(
-                            (l, e)
-                            for l, e in (
-                                ("u", i), ("v", j), ("w", 2 * n + 1 - 2 * i - j)
-                            )
-                            if e
-                        )
-                    ),
-                    c,
-                )
+            expected = Poly(("u", "v", "w"), (
+                ((i, j, 2 * n + 1 - 2 * i - j), c)
                 for (i, j, k), c in counts.items()
                 if k == 0
-            )
+            ))
             assert derive_n(gp("w"), GAMMA_GRAMMAR, n) == expected
 
 

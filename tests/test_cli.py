@@ -262,6 +262,28 @@ def test_poly_golden_bytes(tmp_path, name, n, fmt, suffix):
                    "--name", name, "--n", str(n)) == (code, out)
 
 
+# rule file, start, order, golden file stem; the unsorted rules list their
+# heads out of alphabetical order, and the constant start never derives
+GRAMMAR_GOLDEN_RUNS = [
+    ("flag", "x*y", 6, "flag_6"),
+    ("refined", "z", 6, "refined_6"),
+    ("gamma", "w", 6, "gamma_6"),
+    ("unsorted", "x*z", 4, "unsorted_4"),
+    ("flag", "7", 0, "const_7_0"),
+]
+
+
+@pytest.mark.parametrize("rules,start,order,stem", GRAMMAR_GOLDEN_RUNS)
+@pytest.mark.parametrize("fmt,suffix", [("plain", "txt"), ("json", "json"),
+                                        ("csv", "csv")])
+def test_grammar_golden_bytes(rules, start, order, stem, fmt, suffix):
+    code, out = run_cli("--format", fmt, "grammar", "--rules",
+                        str(GOLDEN / f"grammar_{rules}.rules"), "--start", start,
+                        "--order", str(order))
+    assert code == 0
+    assert out == (GOLDEN / f"grammar_{stem}.{suffix}").read_text()
+
+
 @pytest.mark.parametrize("name,value_at_1", [
     ("A", math.factorial(1000)),
     ("B", 2**1000 * math.factorial(1000)),

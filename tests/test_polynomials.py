@@ -1,13 +1,18 @@
 """Exact polynomial and truncated-EGF arithmetic."""
+import io
+import json
 import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stirlab.cli import _print_trivariate
+from stirlab.grammar import parse_poly, substitute
 from stirlab.polynomials import (
+    XYZ,
+    Poly,
     QPoly,
-    TriPoly,
     TruncatedEGF,
     egf_add,
     egf_constant,
@@ -71,39 +76,54 @@ class TestQPoly:
         assert str(QPoly((0, 1, 1, 1))) == "x + x^2 + x^3"
 
 
+def xyz(i: int, j: int, k: int, c=1) -> Poly:
+    return Poly(XYZ, {(i, j, k): c})
+
+
 class TestTriPoly:
+    """Poly over the variables x, y, z, the shape of P_n and G_n."""
+
     def test_construction_drops_zeros(self):
-        assert TriPoly({(1, 0, 0): 0}) == TriPoly.zero()
-        assert TriPoly({(0, 0, 0): 2}).coefficient(0, 0, 0) == 2
+        assert Poly(XYZ, {(1, 0, 0): 0}) == Poly.zero()
+        assert Poly(XYZ, {(0, 0, 0): 2}).coefficient(0, 0, 0) == 2
+        assert Poly(XYZ, [((1, 0, 0), 2), ((1, 0, 0), -2)]).terms == {}
 
     def test_arithmetic(self):
-        x = TriPoly.monomial(1, 0, 0)
-        y = TriPoly.monomial(0, 1, 0)
-        z = TriPoly.monomial(0, 0, 1)
+        x, y, z = xyz(1, 0, 0), xyz(0, 1, 0), xyz(0, 0, 1)
         p = x * y + x * z + x * x
         assert p.coefficient(1, 1, 0) == 1
-        assert (p - p) == TriPoly.zero()
+        assert (p - p) == Poly.zero()
         assert p * 2 == p + p
 
     def test_partial(self):
-        p = TriPoly({(2, 1, 0): 3})
-        assert p.partial(0) == TriPoly({(1, 1, 0): 6})
-        assert p.partial(2) == TriPoly.zero()
+        p = xyz(2, 1, 0, 3)
+        assert p.partial("x") == xyz(1, 1, 0, 6)
+        assert p.partial("z") == Poly.zero()
+        assert p.partial("w") == Poly.zero()
 
     def test_swap_axes(self):
-        p = TriPoly({(1, 2, 0): 1, (1, 0, 2): 5})
-        assert p.swap_axes(1, 2) == TriPoly({(1, 0, 2): 1, (1, 2, 0): 5})
+        p = Poly(XYZ, {(1, 2, 0): 1, (1, 0, 2): 5})
+        swapped = substitute(p, {"y": "z", "z": "y"})
+        assert swapped == Poly(XYZ, {(1, 0, 2): 1, (1, 2, 0): 5})
+        assert swapped.names == XYZ
 
     def test_eval_collapses_to_qpoly(self):
         # the order-2 refinement xy + xz + x^2 at (x, x, 1) and (x, 1, 1)
-        p = TriPoly({(1, 1, 0): 1, (1, 0, 1): 1, (2, 0, 0): 1})
-        x = QPoly.x()
-        assert p.eval_at(x, x, 1) == QPoly((0, 1, 2))  # x + 2x^2
-        assert p.eval_at(x, 1, 1) == QPoly((0, 2, 1))  # 2x + x^2
+        p = Poly(XYZ, {(1, 1, 0): 1, (1, 0, 1): 1, (2, 0, 0): 1})
+        assert substitute(p, {"y": "x", "z": 1}).to_qpoly("x") == QPoly((0, 1, 2))
+        assert substitute(p, {"y": 1, "z": 1}).to_qpoly("x") == QPoly((0, 2, 1))
+        assert Poly.one().to_qpoly("x") == QPoly.one()
+        with pytest.raises(ValueError):
+            p.to_qpoly("x")
 
     def test_json_roundtrip(self):
-        p = TriPoly({(1, 2, 3): Fraction(5, 2), (0, 0, 0): -1})
-        assert TriPoly.from_json(p.to_json()) == p
+        p = Poly(XYZ, {(1, 2, 3): 5, (0, 0, 0): -1, (0, 4, 0): 10**30})
+        terms = json.loads(json.dumps(p.to_json()))
+        rebuilt = Poly(XYZ, {
+            tuple(t["monomial"].get(v, 0) for v in XYZ): t["coeff"] for t in terms
+        })
+        assert rebuilt == p
+        assert terms[0] == {"monomial": {}, "coeff": -1}
 
 
 def egf_mul_oracle(f: TruncatedEGF, g: TruncatedEGF) -> TruncatedEGF:
@@ -188,7 +208,7 @@ def _ref_add(a, b):
     return _ref_trim([u + v for u, v in zip(pad(a), pad(b))])
 
 
-def _ref_mul(a, b):
+def _ref_qmul(a, b):
     if not a or not b:
         return []
     out = [Fraction(0)] * (len(a) + len(b) - 1)
@@ -243,24 +263,117 @@ def _ref_tri_mul(a, b):
     return {e: c for e, c in acc.items() if c}
 
 
-def _ref_tri_str(terms):
+def _ref_str(ordered):
+    """Text of (((letter, exponent), ...), coefficient) terms in the given order."""
     bodies = []
-    for e, c in sorted(terms.items(), key=lambda t: (sum(t[0]), t[0])):
-        names = [v if p == 1 else f"{v}^{p}" for v, p in zip("xyz", e) if p]
+    for factors, c in ordered:
+        mono = "*".join(v if e == 1 else f"{v}^{e}" for v, e in factors)
         mag = abs(c)
-        body = "*".join(names)
-        if not body:
+        if not mono:
             body = _ref_frac(mag)
         elif mag != 1:
-            body = f"{_ref_frac(mag)}*{body}"
+            body = f"{_ref_frac(mag)}*{mono}"
+        else:
+            body = mono
         bodies.append((c > 0, body))
     return _ref_join(bodies)
+
+
+def _ref_tri_lines(terms, fmt):
+    """The P/G row format: by degree, then by exponent triple."""
+    ordered = sorted(terms.items(), key=lambda t: (sum(t[0]), t[0]))
+    if fmt == "plain":
+        factors = [(tuple((v, p) for v, p in zip("xyz", e) if p), c) for e, c in ordered]
+        return _ref_str(factors) + "\n"
+    if fmt == "json":
+        return json.dumps([{"e": list(e), "c": _ref_frac(c)} for e, c in ordered]) + "\n"
+    rows = [f"{i},{j},{k},{_ref_frac(c)}" for (i, j, k), c in ordered]
+    return "\n".join(["i,j,k,coeff", *rows]) + "\n"
+
+
+# A reference polynomial over any letters: a dict from sparse monomials, the
+# tuples of (letter, exponent > 0) pairs sorted by letter, to Fractions.
+
+
+def _sparse(p: Poly):
+    return {
+        tuple((v, k) for v, k in sorted(zip(p.names, e)) if k): c
+        for e, c in p.terms.items()
+    }
+
+
+def _ref_poly(names, terms):
+    acc = {}
+    for e, c in terms:
+        m = tuple((v, k) for v, k in sorted(zip(names, e)) if k)
+        acc[m] = acc.get(m, Fraction(0)) + Fraction(c)
+    return {m: c for m, c in acc.items() if c}
+
+
+def _ref_mono_mul(m1, m2):
+    acc = dict(m1)
+    for v, e in m2:
+        acc[v] = acc.get(v, 0) + e
+    return tuple(sorted(acc.items()))
+
+
+def _ref_sum(*polys):
+    acc = {}
+    for ref in polys:
+        for m, c in ref.items():
+            acc[m] = acc.get(m, Fraction(0)) + c
+    return {m: c for m, c in acc.items() if c}
+
+
+def _ref_mul(a, b):
+    return _ref_sum(*({_ref_mono_mul(m1, m2): u * v} for m1, u in a.items()
+                      for m2, v in b.items()))
+
+
+def _ref_partial(a, letter):
+    out = {}
+    for m, c in a.items():
+        e = dict(m).get(letter, 0)
+        if e:
+            rest = tuple((v, k - (v == letter)) for v, k in m if k - (v == letter))
+            out[rest] = c * e
+    return out
+
+
+def _ref_substitute(a, images):
+    acc = []
+    for m, c in a.items():
+        term = {(): c}
+        for v, e in m:
+            for _ in range(e):
+                term = _ref_mul(term, images.get(v, {((v, 1),): Fraction(1)}))
+        acc.append(term)
+    return _ref_sum(*acc)
+
+
+def _ref_sparse_str(a):
+    """Text in the Poly print order: by degree, then by sparse monomial."""
+    return _ref_str(sorted(a.items(), key=lambda t: (sum(e for _, e in t[0]), t[0])))
 
 
 def _ints_exactly_when_integral(coeffs):
     return all(
         type(c) is int if c.denominator == 1 else type(c) is Fraction for c in coeffs
     )
+
+
+letter_sets = st.lists(st.sampled_from("pqxyz"), unique=True, max_size=4).map(
+    lambda ls: tuple(sorted(ls))
+)
+
+
+@st.composite
+def polys(draw, coeffs=rationals, max_terms=4, max_letters=4):
+    """A Poly over a random sorted subset of letters and its reference."""
+    names = draw(letter_sets)[:max_letters]
+    exps = st.tuples(*[st.integers(0, 2)] * len(names))
+    terms = draw(st.lists(st.tuples(exps, coeffs), max_size=max_terms))
+    return Poly(names, terms), _ref_poly(names, terms)
 
 
 class TestExactCoefficients:
@@ -273,13 +386,13 @@ class TestExactCoefficients:
             (p, ra),
             (p + q, _ref_add(ra, rb)),
             (p - q, _ref_add(ra, [-c for c in rb])),
-            (p * q, _ref_mul(ra, rb)),
-            (p * 3, _ref_mul(ra, [Fraction(3)])),
-            (p * Fraction(1, 2), _ref_mul(ra, [Fraction(1, 2)])),
+            (p * q, _ref_qmul(ra, rb)),
+            (p * 3, _ref_qmul(ra, [Fraction(3)])),
+            (p * Fraction(1, 2), _ref_qmul(ra, [Fraction(1, 2)])),
         ]
         power = [Fraction(1)]
         for _ in range(k):
-            power = _ref_mul(power, ra)
+            power = _ref_qmul(power, ra)
         cases.append((p**k, power))
         for got, ref in cases:
             assert list(got.coeffs) == ref
@@ -291,7 +404,7 @@ class TestExactCoefficients:
     @settings(max_examples=150, deadline=None)
     @given(tri_term_lists, tri_term_lists)
     def test_tripoly_matches_fraction_reference(self, a, b):
-        p, q = TriPoly(a), TriPoly(b)
+        p, q = Poly(XYZ, a), Poly(XYZ, b)
         ra, rb = _ref_tri(a), _ref_tri(b)
         cases = [
             (p, ra),
@@ -299,20 +412,84 @@ class TestExactCoefficients:
             (p - q, _ref_tri(list(ra.items()) + [(e, -c) for e, c in rb.items()])),
             (p * q, _ref_tri_mul(ra, rb)),
             (p * Fraction(2, 3), {e: c * Fraction(2, 3) for e, c in ra.items()}),
-            (p.partial(0), _ref_tri([((i - 1, j, k), i * c)
-                                     for (i, j, k), c in ra.items() if i])),
+            (p.partial("x"), _ref_tri([((i - 1, j, k), i * c)
+                                       for (i, j, k), c in ra.items() if i])),
         ]
         for got, ref in cases:
             assert got.terms == ref
             assert _ints_exactly_when_integral(got.terms.values())
-            assert str(got) == _ref_tri_str(ref)
-            assert got.to_json() == [
-                {"e": list(e), "c": _ref_frac(c)}
-                for e, c in sorted(ref.items(), key=lambda t: (sum(t[0]), t[0]))
-            ]
-            assert TriPoly.from_json(got.to_json()) == got
+            assert str(got) == _ref_sparse_str(_ref_poly(XYZ, ref.items()))
+            for fmt in ("plain", "json", "csv"):
+                out = io.StringIO()
+                _print_trivariate(got.terms, fmt, out)
+                assert out.getvalue() == _ref_tri_lines(ref, fmt)
 
     def test_zero_defaults_are_ints(self):
         assert type(QPoly((1,))[5]) is int
-        assert type(TriPoly.one().coefficient(1, 0, 0)) is int
+        assert type(Poly(XYZ, {(0, 0, 0): 1}).coefficient(1, 0, 0)) is int
         assert type(QPoly((Fraction(4, 2),)).coeffs[0]) is int
+
+
+class TestPoly:
+    """Poly against the sparse-monomial reference, over mixed letter sets."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(polys(), polys(), st.sampled_from("pqxyzw"))
+    def test_matches_sparse_reference(self, pa, pb, letter):
+        (p, ra), (q, rb) = pa, pb
+        minus_rb = {m: -c for m, c in rb.items()}
+        cases = [
+            (p, ra),
+            (p + q, _ref_sum(ra, rb)),
+            (p - q, _ref_sum(ra, minus_rb)),
+            (p * q, _ref_mul(ra, rb)),
+            (p * Fraction(2, 3), _ref_mul(ra, {(): Fraction(2, 3)})),
+            (p + 3, _ref_sum(ra, {(): Fraction(3)})),
+            (p.partial(letter), _ref_partial(ra, letter)),
+        ]
+        for got, ref in cases:
+            assert _sparse(got) == ref
+            assert _ints_exactly_when_integral(got.terms.values())
+            assert str(got) == _ref_sparse_str(ref)
+        assert (p == q) == (ra == rb)
+        assert (p - q == Poly.zero()) == (ra == rb)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        polys(max_terms=3, max_letters=3),
+        st.dictionaries(
+            st.sampled_from("pqxyz"),
+            st.one_of(st.sampled_from("pqxyz"), st.integers(-2, 2),
+                      polys(max_terms=2, max_letters=2)),
+            max_size=3,
+        ),
+    )
+    def test_substitute_matches_sparse_reference(self, pa, bindings):
+        p, ra = pa
+        images = {}
+        for v, image in bindings.items():
+            if isinstance(image, str):
+                images[v] = {((image, 1),): Fraction(1)}
+            elif isinstance(image, int):
+                images[v] = {(): Fraction(image)} if image else {}
+            else:
+                images[v] = image[1]
+        plain = {v: image if isinstance(image, (str, int)) else image[0]
+                 for v, image in bindings.items()}
+        got = substitute(p, plain)
+        assert _sparse(got) == _ref_substitute(ra, images)
+        assert _ints_exactly_when_integral(got.terms.values())
+
+    @settings(max_examples=150, deadline=None)
+    @given(polys(coeffs=st.integers(-5, 5)))
+    def test_parse_roundtrip(self, pa):
+        p, _ = pa
+        assert parse_poly(str(p)) == p
+
+    def test_mixed_names(self):
+        x, xy = parse_poly("x"), parse_poly("x*y")
+        assert x.names == ("x",) and xy.names == ("x", "y")
+        assert x == Poly(("x", "y"), {(1, 0): 1})
+        assert (x * xy).names == ("x", "y")
+        assert str(x * xy + 1) == "1 + x^2*y"
+        assert x != xy and x == Poly(XYZ, {(1, 0, 0): 1})
