@@ -369,8 +369,13 @@ class Poly:
         )
 
     def to_json(self) -> list:
+        # an integral coefficient stays a JSON number; a Fraction is written
+        # as its string, as QPoly.to_json does
         return [
-            {"monomial": {v: k for v, k in zip(self.names, e) if k}, "coeff": c}
+            {
+                "monomial": {v: k for v, k in zip(self.names, e) if k},
+                "coeff": c if type(c) is int else str(c),
+            }
             for e, c in self.sorted_terms()
         ]
 

@@ -117,12 +117,15 @@ class TestTriPoly:
             p.to_qpoly("x")
 
     def test_json_roundtrip(self):
-        p = Poly(XYZ, {(1, 2, 3): 5, (0, 0, 0): -1, (0, 4, 0): 10**30})
+        p = Poly(XYZ, {(1, 2, 3): Fraction(5, 2), (0, 0, 0): -1, (0, 4, 0): 10**30})
         terms = json.loads(json.dumps(p.to_json()))
         rebuilt = Poly(XYZ, {
-            tuple(t["monomial"].get(v, 0) for v in XYZ): t["coeff"] for t in terms
+            tuple(t["monomial"].get(v, 0) for v in XYZ): Fraction(t["coeff"])
+            for t in terms
         })
         assert rebuilt == p
+        # integral coefficients stay JSON numbers, as in the grammar output
+        assert [t["coeff"] for t in terms] == [-1, 10**30, "5/2"]
         assert terms[0] == {"monomial": {}, "coeff": -1}
 
 
