@@ -32,6 +32,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
+from .errors import IdentityViolationError
 from .objects import StirlingPermutation, is_stirling
 
 Word = tuple[int, ...]
@@ -94,7 +95,8 @@ def _slide_left(word: Word, first: int, v: int) -> Word:
     while k and word[k - 1] >= v:
         k -= 1
     moved = word[:k] + (v,) + word[k:first] + word[first + 1:]
-    assert is_stirling(moved)
+    if not is_stirling(moved):
+        raise IdentityViolationError(f"sliding {v} left in {word} gave {moved}")
     return moved
 
 
@@ -102,7 +104,10 @@ def _slide_right(word: Word, first: int, other: int) -> Word:
     """Move the letter at 0-based index first to just after the other copy
     of its value, at 0-based index other."""
     moved = word[:first] + word[first + 1:other + 1] + (word[first],) + word[other + 1:]
-    assert is_stirling(moved)
+    if not is_stirling(moved):
+        raise IdentityViolationError(
+            f"sliding {word[first]} right in {word} gave {moved}"
+        )
     return moved
 
 
@@ -199,7 +204,8 @@ def orbit(sigma) -> OrbitDescriptor:
     word = _coerce(sigma)
     rep = fs_action(word, index_sets(word).dp)
     sets = index_sets(rep)
-    assert not sets.dp
+    if sets.dp:
+        raise IdentityViolationError(f"orbit representative {rep} has descent-plateaus")
     return OrbitDescriptor(rep, sets.dasc)
 
 

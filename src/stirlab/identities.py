@@ -5,19 +5,27 @@ witness on failure.  Wherever two independent computation paths exist
 (exhaustive enumeration, grammar derivatives, recurrences, closed forms) the
 check compares them; single-path checks say so in their description.
 
+Most checks declare their routes: each :class:`Compare` pairs two functions
+of n that must agree, and one shared loop runs them and reports the first
+mismatch.  The test suite runs every declared route under a profiler and
+fails when two compared routes reach a common package function outside a
+short allow-list (polynomial arithmetic, parsing, enumerators and scans).
+Checks with more structure keep a hand-written runner.
+
 Use :func:`run_identity` / :func:`run_all`; results serialize to JSON as
 ``{"name", "params", "pass", "witness", "millis"}``.
 """
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable
+from typing import Callable, Sequence
 
 from . import actions, tables
-from .errors import ResourceLimitError
+from .errors import IdentityViolationError, ResourceLimitError
 from .grammar import derive_n, parse_poly, substitute
 from .objects import iter_objects
 from .polynomials import (
@@ -40,6 +48,51 @@ from .stats import (
 )
 
 Runner = Callable[[int], "str | None"]
+
+
+@dataclass(frozen=True)
+class Table:
+    """A route read off lists that ``build(bound)`` makes once per run: its
+    value at n is ``build(bound)[n]``, or ``build(bound)[part][n]``.  Tables
+    with the same ``build`` share one build per run."""
+
+    build: Callable[[int], Sequence]
+    part: int | None = None
+
+
+@dataclass(frozen=True)
+class Compare:
+    """Two routes that must agree for every n >= start; ``label`` leads the
+    left value in the witness."""
+
+    left: Callable[[int], object] | Table
+    right: Callable[[int], object] | Table
+    label: str = ""
+    start: int = 0
+
+
+def _run_routes(compare: tuple[Compare, ...], bound: int) -> str | None:
+    """The shared loop: for n from the smallest start up to bound, compare
+    each pair that has started, evaluating every route once per n."""
+    built: dict = {}
+    for n in range(min(c.start for c in compare), bound + 1):
+        values: dict = {}
+        for c in compare:
+            if n < c.start:
+                continue
+            for route in (c.left, c.right):
+                if route in values:
+                    continue
+                if not isinstance(route, Table):
+                    values[route] = route(n)
+                    continue
+                if route.build not in built:
+                    built[route.build] = route.build(bound)
+                table = built[route.build]
+                values[route] = (table if route.part is None else table[route.part])[n]
+            if values[c.left] != values[c.right]:
+                return f"n={n}: {c.label}{values[c.left]} != {values[c.right]}"
+    return None
 
 
 class UnknownIdentityError(ValueError):
@@ -74,6 +127,7 @@ class IdentityCheck:
     max_bound: int
     classes: tuple[str, ...]  # object families it enumerates exhaustively
     runner: Runner
+    compare: tuple[Compare, ...] = ()  # the declared routes, if any
 
     def run(self, bound: int | None = None) -> CheckResult:
         if bound is None:
@@ -85,7 +139,10 @@ class IdentityCheck:
                 f"identity {self.name!r} is limited to bound {self.max_bound}"
             )
         start = time.perf_counter()
-        witness = self.runner(bound)
+        try:
+            witness = self.runner(bound)
+        except IdentityViolationError as exc:  # a route's own cross-check
+            witness = str(exc)
         millis = (time.perf_counter() - start) * 1000.0
         return CheckResult(self.name, bound, witness is None, witness, round(millis, 3))
 
@@ -93,14 +150,19 @@ class IdentityCheck:
 REGISTRY: dict[str, IdentityCheck] = {}
 
 
-def _register(name, description, default_bound, max_bound, classes=()):
+def _register(name, description, default_bound, max_bound, classes=(), *, compare=()):
+    """Register a check.  With ``compare`` it runs the declared routes
+    through the shared loop; without, the call decorates a hand-written
+    runner."""
+    compare = tuple(compare)
+
     def wrap(fn: Runner) -> Runner:
         REGISTRY[name] = IdentityCheck(
-            name, description, default_bound, max_bound, tuple(classes), fn
+            name, description, default_bound, max_bound, tuple(classes), fn, compare
         )
         return fn
 
-    return wrap
+    return wrap(functools.partial(_run_routes, compare)) if compare else wrap
 
 
 def run_identity(name: str, bound: int | None = None) -> CheckResult:
@@ -133,8 +195,9 @@ def qn_only_names() -> list[str]:
 # helpers
 
 
-def _poly(klass: str, n: int, stat: str) -> QPoly:
-    return distribution(klass, n, [stat]).poly()
+def _poly(klass: str, stat: str) -> Callable[[int], QPoly]:
+    """The route to the brute-force distribution of one statistic."""
+    return lambda n: distribution(klass, n, [stat]).poly()
 
 
 def _tri(n: int) -> Poly:
@@ -146,8 +209,23 @@ def _tri(n: int) -> Poly:
 _lap_dasc_dp = itemgetter(*map(STIRLING_STATS.index, ("lap", "dasc", "dp")))
 
 
-def _truncated_mul(a: QPoly, b: QPoly, order: int) -> QPoly:
-    return QPoly((a * b).coeffs[: order + 1])
+def _convolve(f: Callable[[int], QPoly], g: Callable[[int], QPoly], n: int) -> QPoly:
+    """sum_k C(n,k) f(k) g(n-k)."""
+    return sum(
+        (f(k) * g(n - k) * math.comb(n, k) for k in range(n + 1)), QPoly.zero()
+    )
+
+
+def _p_at(n: int, bindings: dict) -> QPoly:
+    return substitute(tables.p_poly(n), bindings).to_qpoly("x")
+
+
+def _cn_nn(bound: int) -> tuple[list[QPoly], list[QPoly]]:
+    return tables.cn_nn_tables(bound)
+
+
+# C_n and N_n from their differential recurrences, one build per run
+_C, _N = Table(_cn_nn, 0), Table(_cn_nn, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -158,20 +236,15 @@ def _truncated_mul(a: QPoly, b: QPoly, order: int) -> QPoly:
     "gessel-stanley",
     "(1-x)^(2k+1) sum_n S(n+k, n) x^n equals the descent polynomial of Q_k; "
     "checked at series order 10 for k up to the bound",
-    4,
-    5,
-    classes=("stirling",),
+    4, 5, ("stirling",),
 )
 def _gessel_stanley(bound: int) -> str | None:
     order = 10
+    orders = range(order + 1)
     for k in range(bound + 1):
-        lhs = QPoly.from_counts(
-            {n: tables.stirling2(n + k, n) for n in range(order + 1)}
-        )
-        negbinom = QPoly.from_counts(
-            {m: math.comb(m + 2 * k, 2 * k) for m in range(order + 1)}
-        )
-        rhs = _truncated_mul(_poly("stirling", k, "des"), negbinom, order)
+        lhs = QPoly.from_counts({n: tables.stirling2(n + k, n) for n in orders})
+        negbinom = QPoly.from_counts({m: math.comb(m + 2 * k, 2 * k) for m in orders})
+        rhs = QPoly((_poly("stirling", "des")(k) * negbinom).coeffs[: order + 1])
         if lhs != rhs:
             return f"k={k}: {lhs} != {rhs}"
     return None
@@ -180,58 +253,38 @@ def _gessel_stanley(bound: int) -> str | None:
 @_register(
     "bona-equidistribution",
     "ascents, descents and plateaus are equidistributed over Q_n",
-    6,
-    7,
-    classes=("stirling",),
+    6, 7, ("stirling",),
 )
 def _bona(bound: int) -> str | None:
     for n in range(bound + 1):
-        asc = _poly("stirling", n, "asc")
-        des = _poly("stirling", n, "des")
-        plat = _poly("stirling", n, "plat")
+        asc = _poly("stirling", "asc")(n)
+        des = _poly("stirling", "des")(n)
+        plat = _poly("stirling", "plat")(n)
         if not (asc == des == plat):
             return f"n={n}: asc {asc} / des {des} / plat {plat}"
     return None
 
 
-@_register(
+_register(
     "matching-M",
     "odd-larger-entry blocks over matchings match ascent-plateaus over Q_n",
-    6,
-    7,
-    classes=("stirling", "matching"),
+    6, 7, ("stirling", "matching"),
+    compare=[Compare(_poly("matching", "ol"), _poly("stirling", "ap"))],
 )
-def _matching_m(bound: int) -> str | None:
-    for n in range(bound + 1):
-        ol = _poly("matching", n, "ol")
-        ap = _poly("stirling", n, "ap")
-        if ol != ap:
-            return f"n={n}: {ol} != {ap}"
-    return None
 
-
-@_register(
+_register(
     "matching-N",
     "even-larger-entry blocks over matchings match left ascent-plateaus over Q_n",
-    6,
-    7,
-    classes=("stirling", "matching"),
+    6, 7, ("stirling", "matching"),
+    compare=[Compare(_poly("matching", "el"), _poly("stirling", "lap"))],
 )
-def _matching_n(bound: int) -> str | None:
-    for n in range(bound + 1):
-        el = _poly("matching", n, "el")
-        lap = _poly("stirling", n, "lap")
-        if el != lap:
-            return f"n={n}: {el} != {lap}"
-    return None
 
 
 @_register(
     "egf-M-squared",
     "M(x,t)^2 (x - e^(2t(x-1))) = x - 1 in cleared form; M_n from the grammar "
     "derivative, the closed form from the series construction",
-    8,
-    12,
+    8, 12,
 )
 def _egf_m_squared(order: int) -> str | None:
     m = egf_from_sequence([tables.m_poly(n) for n in range(order + 1)])
@@ -250,8 +303,7 @@ def _egf_m_squared(order: int) -> str | None:
     "egf-N-squared",
     "N(x,t)^2 (1 - x e^(2t(1-x))) = 1 - x in cleared form; N_n from its "
     "recurrence, the closed form from the series construction",
-    8,
-    12,
+    8, 12,
 )
 def _egf_n_squared(order: int) -> str | None:
     _, ns = tables.cn_nn_tables(order)
@@ -267,63 +319,53 @@ def _egf_n_squared(order: int) -> str | None:
     return None
 
 
-@_register(
+_register(
     "signed-des-2nA",
     "type-A descents over B_n give 2^n A_n(x)",
-    6,
-    7,
-    classes=("signed",),
+    6, 7, ("signed",),
+    compare=[Compare(
+        _poly("signed", "desA"), lambda n: tables.a_poly(n) * 2**n, start=1
+    )],
 )
-def _signed_des(bound: int) -> str | None:
-    for n in range(1, bound + 1):
-        lhs = _poly("signed", n, "desA")
-        rhs = tables.a_poly(n) * 2**n
-        if lhs != rhs:
-            return f"n={n}: {lhs} != {rhs}"
-    return None
 
 
-@_register(
+def _nn_aa_sums(bound: int) -> tuple[list[QPoly], ...]:
+    """sum C(n,k) N_k N_(n-k) and sum C(n,k) N_k M_(n-k) for n = 0..bound."""
+    _, ns = tables.cn_nn_tables(bound)
+    ms = [tables.m_poly(k) for k in range(bound + 1)]
+    return tuple(
+        [_convolve(ns.__getitem__, other.__getitem__, n) for n in range(bound + 1)]
+        for other in (ns, ms)
+    )
+
+
+_register(
     "nn-aa-convolutions",
     "2^n x A_n = sum C(n,k) N_k N_(n-k) and B_n = sum C(n,k) N_k M_(n-k); "
     "B_n brute-forced through n=6, by its recurrence table beyond",
-    7,
-    10,
-    classes=("signed",),
+    7, 10, ("signed",),
+    compare=[
+        # the x factor on the left forces n >= 1
+        Compare(
+            lambda n: tables.a_poly(n) * QPoly.x() * 2**n,
+            Table(_nn_aa_sums, 0),
+            "2^n x A_n ",
+            start=1,
+        ),
+        Compare(
+            lambda n: _poly("signed", "desB")(n) if 1 <= n <= 6 else tables.b_poly(n),
+            Table(_nn_aa_sums, 1),
+            "B_n ",
+        ),
+    ],
 )
-def _nn_aa(bound: int) -> str | None:
-    _, ns = tables.cn_nn_tables(bound)
-    ms = [tables.m_poly(k) for k in range(bound + 1)]
-    for n in range(bound + 1):
-        rhs_a = QPoly.zero()
-        rhs_b = QPoly.zero()
-        for k in range(n + 1):
-            rhs_a = rhs_a + ns[k] * ns[n - k] * math.comb(n, k)
-            rhs_b = rhs_b + ns[k] * ms[n - k] * math.comb(n, k)
-        if n >= 1:  # the x factor on the left forces n >= 1
-            lhs_a = tables.a_poly(n) * QPoly.x() * 2**n
-            if lhs_a != rhs_a:
-                return f"n={n}: 2^n x A_n {lhs_a} != {rhs_a}"
-        lhs_b = _poly("signed", n, "desB") if 1 <= n <= 6 else tables.b_poly(n)
-        if lhs_b != rhs_b:
-            return f"n={n}: B_n {lhs_b} != {rhs_b}"
-    return None
 
-
-@_register(
+_register(
     "flag-adin",
     "F_n(x) = (1+x)^n A_n(x), flag descents brute-forced over B_n",
-    6,
-    7,
-    classes=("signed",),
+    6, 7, ("signed",),
+    compare=[Compare(_poly("signed", "fdes"), lambda n: tables.f_poly(n), start=1)],
 )
-def _flag_adin(bound: int) -> str | None:
-    for n in range(1, bound + 1):
-        lhs = _poly("signed", n, "fdes")
-        rhs = tables.f_poly(n)
-        if lhs != rhs:
-            return f"n={n}: {lhs} != {rhs}"
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -334,9 +376,7 @@ def _flag_adin(bound: int) -> str | None:
     "grammar-prop-all",
     "the five weight expansions of the flag grammar derivative (seeds xy, "
     "y^2, yz, y, z) match brute-force distributions",
-    5,
-    6,
-    classes=("signed", "stirling"),
+    5, 6, ("signed", "stirling"),
 )
 def _grammar_prop(bound: int) -> str | None:
     for n in range(bound + 1):
@@ -360,121 +400,80 @@ def _grammar_prop(bound: int) -> str | None:
     return None
 
 
-@_register(
+_register(
     "flag-ap-grammar",
     "the flag grammar derivative of x encodes the flag ascent-plateau "
     "distribution",
-    6,
-    7,
-    classes=("stirling",),
-)
-def _flag_ap_grammar(bound: int) -> str | None:
-    for n in range(bound + 1):
-        expected = Poly(XYZ, {
+    6, 7, ("stirling",),
+    compare=[Compare(
+        lambda n: derive_n(parse_poly("x"), tables.FLAG_GRAMMAR, n),
+        lambda n: Poly(XYZ, {
             (1, f, 2 * n - f): c
             for (f,), c in distribution("stirling", n, ["fap"]).counts.items()
-        })
-        got = derive_n(parse_poly("x"), tables.FLAG_GRAMMAR, n)
-        if got != expected:
-            return f"n={n}: {got} != {expected}"
-    return None
+        }),
+    )],
+)
 
-
-@_register(
+_register(
     "flag-convolution",
     "F_n(x) = sum C(n,k) T_k(x) M_(n-k)(x^2); flag descents brute-forced, "
     "the right side from tables and the grammar",
-    6,
-    7,
-    classes=("signed",),
+    6, 7, ("signed",),
+    compare=[Compare(
+        _poly("signed", "fdes"),
+        lambda n: _convolve(
+            tables.t_poly, lambda k: tables.m_poly(k).compose_x_squared(), n
+        ),
+        start=1,
+    )],
 )
-def _flag_convolution(bound: int) -> str | None:
-    for n in range(1, bound + 1):
-        lhs = _poly("signed", n, "fdes")
-        rhs = QPoly.zero()
-        for k in range(n + 1):
-            rhs = rhs + (
-                tables.t_poly(k)
-                * tables.m_poly(n - k).compose_x_squared()
-                * math.comb(n, k)
-            )
-        if lhs != rhs:
-            return f"n={n}: {lhs} != {rhs}"
-    return None
 
-
-@_register(
+_register(
     "flag-dual",
     "x F_n(x) = sum C(n,k) T_k(x) N_(n-k)(x^2) for n >= 1; flag descents "
     "brute-forced, the right side from tables",
-    6,
-    7,
-    classes=("signed",),
+    6, 7, ("signed",),
+    compare=[Compare(
+        lambda n: _poly("signed", "fdes")(n) * QPoly.x(),
+        lambda n: _convolve(
+            tables.t_poly, lambda k: tables.n_poly(k).compose_x_squared(), n
+        ),
+        start=1,
+    )],
 )
-def _flag_dual(bound: int) -> str | None:
-    for n in range(1, bound + 1):
-        lhs = _poly("signed", n, "fdes") * QPoly.x()
-        rhs = QPoly.zero()
-        for k in range(n + 1):
-            rhs = rhs + (
-                tables.t_poly(k)
-                * tables.n_poly(n - k).compose_x_squared()
-                * math.comb(n, k)
-            )
-        if lhs != rhs:
-            return f"n={n}: {lhs} != {rhs}"
-    return None
 
 
 # ---------------------------------------------------------------------------
 # flag ascent-plateau numbers
 
 
-@_register(
+_register(
     "t-recurrence",
     "the three-term T(n, k) recurrence matches the brute-force flag "
     "ascent-plateau distribution",
-    6,
-    7,
-    classes=("stirling",),
+    6, 7, ("stirling",),
+    compare=[Compare(lambda n: tables.t_poly(n), _poly("stirling", "fap"))],
 )
-def _t_recurrence(bound: int) -> str | None:
-    for n in range(bound + 1):
-        lhs = tables.t_poly(n)
-        rhs = _poly("stirling", n, "fap")
-        if lhs != rhs:
-            return f"n={n}: {lhs} != {rhs}"
-    return None
 
-
-@_register(
+_register(
     "t-self-inverse",
     "sum C(n,k) T_k(x) T_(n-k)(-x) collapses to the Kronecker delta "
     "(single path: tables only)",
-    10,
-    20,
+    10, 20,
+    compare=[Compare(
+        lambda n: _convolve(
+            tables.t_poly, lambda k: tables.t_poly(k).compose_scaled(-1), n
+        ),
+        lambda n: QPoly.one() if n == 0 else QPoly.zero(),
+    )],
 )
-def _t_self_inverse(bound: int) -> str | None:
-    for n in range(bound + 1):
-        acc = QPoly.zero()
-        for k in range(n + 1):
-            acc = acc + (
-                tables.t_poly(k)
-                * tables.t_poly(n - k).compose_scaled(-1)
-                * math.comb(n, k)
-            )
-        expected = QPoly.one() if n == 0 else QPoly.zero()
-        if acc != expected:
-            return f"n={n}: {acc} != {expected}"
-    return None
 
 
 @_register(
     "t-egf-product",
     "T(x,t) M(x^2,t) = F(x,t) as truncated series; T and F from tables, M "
     "from the grammar derivative",
-    8,
-    12,
+    8, 12,
 )
 def _t_egf_product(order: int) -> str | None:
     t = egf_from_sequence([tables.t_poly(n) for n in range(order + 1)])
@@ -495,9 +494,7 @@ def _t_egf_product(order: int) -> str | None:
 @_register(
     "asc-plat-decomposition",
     "asc = lap + dasc and plat = lap + dp hold word by word",
-    6,
-    7,
-    classes=("stirling",),
+    6, 7, ("stirling",),
 )
 def _asc_plat(bound: int) -> str | None:
     for n in range(bound + 1):
@@ -508,85 +505,54 @@ def _asc_plat(bound: int) -> str | None:
     return None
 
 
-@_register(
+_register(
     "p-grammar",
     "the refining grammar derivative of z encodes P_n against brute force",
-    5,
-    6,
-    classes=("stirling",),
+    5, 6, ("stirling",),
+    compare=[Compare(
+        lambda n: derive_n(parse_poly("z"), tables.REFINED_GRAMMAR, n),
+        lambda n: Poly(("p", "q", "x", "y", "z"), (
+            ((k, j, i, i, 2 * n - 2 * i - j - k + 1), c)
+            for (i, j, k), c in _tri(n).terms.items()
+        )),
+    )],
 )
-def _p_grammar(bound: int) -> str | None:
-    for n in range(bound + 1):
-        expected = Poly(
-            ("p", "q", "x", "y", "z"),
-            (
-                ((k, j, i, i, 2 * n - 2 * i - j - k + 1), c)
-                for (i, j, k), c in _tri(n).terms.items()
-            ),
-        )
-        got = derive_n(parse_poly("z"), tables.REFINED_GRAMMAR, n)
-        if got != expected:
-            return f"n={n}: {got} != {expected}"
-    return None
 
-
-@_register(
+_register(
     "p-recurrences",
     "both the index recurrence and the differential recurrence for P_n "
     "match the brute-force joint (lap, dasc, dp) distribution",
-    6,
-    7,
-    classes=("stirling",),
+    6, 7, ("stirling",),
+    compare=[
+        Compare(lambda n: tables.p_poly(n), _tri, "index recurrence "),
+        Compare(
+            Table(lambda bound: tables.p_polys_differential(bound)),
+            _tri,
+            "differential recurrence ",
+        ),
+    ],
 )
-def _p_recurrences(bound: int) -> str | None:
-    diff = tables.p_polys_differential(bound)
-    for n in range(bound + 1):
-        brute = _tri(n)
-        if tables.p_poly(n) != brute:
-            return f"n={n}: index recurrence {tables.p_poly(n)} != {brute}"
-        if diff[n] != brute:
-            return f"n={n}: differential recurrence {diff[n]} != {brute}"
-    return None
 
-
-@_register(
+_register(
     "p-specializations",
     "P_n(x,x,1) = P_n(x,1,x) = C_n(x) and P_n(x,1,1) = N_n(x) from tables",
-    7,
-    10,
+    7, 10,
+    compare=[
+        Compare(lambda n: _p_at(n, {"y": "x", "z": 1}), _C, "P(x,x,1) "),
+        Compare(lambda n: _p_at(n, {"y": 1, "z": "x"}), _C, "P(x,1,x) "),
+        Compare(lambda n: _p_at(n, {"y": 1, "z": 1}), _N, "P(x,1,1) "),
+    ],
 )
-def _p_specializations(bound: int) -> str | None:
-    cs, ns = tables.cn_nn_tables(bound)
-    for n in range(bound + 1):
-        p = tables.p_poly(n)
-        for label, bindings, expected in (
-            ("P(x,x,1)", {"y": "x", "z": 1}, cs[n]),
-            ("P(x,1,x)", {"y": 1, "z": "x"}, cs[n]),
-            ("P(x,1,1)", {"y": 1, "z": 1}, ns[n]),
-        ):
-            got = substitute(p, bindings).to_qpoly("x")
-            if got != expected:
-                return f"n={n}: {label} {got} != {expected}"
-    return None
 
-
-@_register(
+_register(
     "cn-nn-recurrences",
     "the differential recurrences for C_n and N_n match brute force",
-    6,
-    7,
-    classes=("stirling",),
+    6, 7, ("stirling",),
+    compare=[
+        Compare(_C, _poly("stirling", "asc"), "C_n "),
+        Compare(_N, _poly("stirling", "lap"), "N_n "),
+    ],
 )
-def _cn_nn(bound: int) -> str | None:
-    cs, ns = tables.cn_nn_tables(bound)
-    for n in range(bound + 1):
-        asc = _poly("stirling", n, "asc")
-        lap = _poly("stirling", n, "lap")
-        if cs[n] != asc:
-            return f"n={n}: C_n {cs[n]} != {asc}"
-        if ns[n] != lap:
-            return f"n={n}: N_n {ns[n]} != {lap}"
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -598,9 +564,7 @@ def _cn_nn(bound: int) -> str | None:
     "P_n(x,y,z) = P_n(x,z,y), proved twice: by coefficient symmetry of the "
     "brute-force table and by the toggle action exchanging dasc with dp; "
     "includes the (lap, asc) vs (lap, plat) equidistribution",
-    6,
-    7,
-    classes=("stirling",),
+    6, 7, ("stirling",),
 )
 def _fs_symmetry(bound: int) -> str | None:
     for n in range(bound + 1):
@@ -633,9 +597,7 @@ def _fs_symmetry(bound: int) -> str | None:
     "gamma-expansion",
     "P_n = sum gamma_(n,i,j) x^i (y+z)^j with gamma counted by "
     "descent-plateau-free words; table gamma against brute-force gamma",
-    7,
-    7,
-    classes=("stirling",),
+    7, 7, ("stirling",),
 )
 def _gamma_expansion(bound: int) -> str | None:
     for n in range(bound + 1):
@@ -659,30 +621,25 @@ def _gamma_expansion(bound: int) -> str | None:
     return None
 
 
-@_register(
+_register(
     "gamma-grammar",
     "the collapsed grammar derivative of w encodes the gamma vector",
-    8,
-    12,
-)
-def _gamma_grammar(bound: int) -> str | None:
-    for n in range(bound + 1):
-        expected = Poly(("u", "v", "w"), {
+    8, 12,
+    compare=[Compare(
+        lambda n: derive_n(parse_poly("w"), tables.GAMMA_GRAMMAR, n),
+        lambda n: Poly(("u", "v", "w"), {
             (i, j, 2 * n + 1 - 2 * i - j): val
             for (i, j), val in tables._gamma_row(n).items()
-        })
-        got = derive_n(parse_poly("w"), tables.GAMMA_GRAMMAR, n)
-        if got != expected:
-            return f"n={n}: {got} != {expected}"
-    return None
+        }),
+    )],
+)
 
 
 @_register(
     "gamma-recurrence",
     "the three-term gamma recurrence holds on the values produced by the "
     "independent differential path",
-    8,
-    12,
+    8, 12,
 )
 def _gamma_recurrence(bound: int) -> str | None:
     gs = tables.g_polys_differential(bound)
@@ -704,8 +661,7 @@ def _gamma_recurrence(bound: int) -> str | None:
 @_register(
     "gamma-vanishing",
     "gamma_(n,i,j) vanishes whenever i + j > n",
-    8,
-    12,
+    8, 12,
 )
 def _gamma_vanishing(bound: int) -> str | None:
     for n in range(bound + 1):
@@ -715,41 +671,28 @@ def _gamma_vanishing(bound: int) -> str | None:
     return None
 
 
-@_register(
+_register(
     "g-recurrence",
     "the index and differential paths to G_n(x, y) agree",
-    10,
-    20,
+    10, 20,
+    compare=[Compare(
+        lambda n: tables.g_poly(n), Table(lambda b: tables.g_polys_differential(b))
+    )],
 )
-def _g_recurrence(bound: int) -> str | None:
-    gs = tables.g_polys_differential(bound)
-    for n in range(bound + 1):
-        if tables.g_poly(n) != gs[n]:
-            return f"n={n}: {tables.g_poly(n)} != {gs[n]}"
-    return None
 
-
-@_register(
+_register(
     "n-closed-form",
     "the closed form of N_n(x) matches its recurrence",
-    8,
-    12,
+    8, 12,
+    compare=[Compare(lambda n: tables.n_poly_closed(n), _N)],
 )
-def _n_closed_form(bound: int) -> str | None:
-    _, ns = tables.cn_nn_tables(bound)
-    for n in range(bound + 1):
-        closed = tables.n_poly_closed(n)
-        if closed != ns[n]:
-            return f"n={n}: {closed} != {ns[n]}"
-    return None
 
 
 @_register(
     "gamma-weighted-sums",
     "sum_j 2^j gamma_(n,i,j) equals the x^i coefficient of N_n and the "
     "alternating closed form",
-    8,
-    12,
+    8, 12,
 )
 def _gamma_weighted(bound: int) -> str | None:
     _, ns = tables.cn_nn_tables(bound)
@@ -764,8 +707,7 @@ def _gamma_weighted(bound: int) -> str | None:
 @_register(
     "gamma-eulerian",
     "gamma_(n, n-k, k) equals the Eulerian number <n, k>",
-    8,
-    12,
+    8, 12,
 )
 def _gamma_eulerian(bound: int) -> str | None:
     for n in range(1, bound + 1):
@@ -796,9 +738,7 @@ _S3_TABLE = [
     "alpha restricted to the normalized words (dp = 0 and lap + dasc = n) is "
     "a bijection onto permutations carrying dasc to des; beta normalization "
     "reaches that set; includes the six-line order-3 table",
-    6,
-    7,
-    classes=("stirling",),
+    6, 7, ("stirling",),
 )
 def _alpha_bijection(bound: int) -> str | None:
     for n in range(bound + 1):

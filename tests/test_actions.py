@@ -1,5 +1,9 @@
 """Letter moves, the toggle action, beta moves, and the alpha bijection."""
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,6 +27,7 @@ from stirlab.actions import (
     orbit_members,
 )
 import stirlab.actions as actions_module
+from stirlab.errors import IdentityViolationError
 from stirlab.objects import StirlingPermutation, is_stirling, iter_objects
 from stirlab.stats import stirling_stat_record
 
@@ -302,6 +307,39 @@ class TestAssertsStay:
         s = index_sets(w)
         fs_action(w, s.dasc | s.dp)
         assert len(calls) == 1 + len(s.dasc | s.dp)
+
+    def test_a_failed_move_check_raises(self, monkeypatch):
+        monkeypatch.setattr(actions_module, "is_stirling", lambda w: False)
+        with pytest.raises(IdentityViolationError, match="left"):
+            beta_move(word("3443557887662211"), 6)
+        with pytest.raises(IdentityViolationError, match="right"):
+            fs_move(word("2447887332115665"), 1)
+
+    def test_orbit_checks_its_representative(self, monkeypatch):
+        monkeypatch.setattr(actions_module, "fs_action", lambda w, positions: w)
+        with pytest.raises(IdentityViolationError, match="descent-plateau"):
+            orbit(word("2211"))
+
+    def test_checks_survive_python_dash_o(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        probe = subprocess.run([sys.executable, "-O", "-c", "assert False"])
+        assert probe.returncode == 0  # -O really strips assert statements
+        script = (
+            "import stirlab.actions as a\n"
+            "from stirlab.errors import IdentityViolationError\n"
+            "a.is_stirling = lambda w: False\n"
+            "try:\n"
+            "    a.beta_move((3, 4, 4, 3, 5, 5, 7, 8, 8, 7, 6, 6, 2, 2, 1, 1), 6)\n"
+            "except IdentityViolationError:\n"
+            "    raise SystemExit(3)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script], env=env, capture_output=True,
+            text=True, timeout=60,
+        )
+        assert proc.returncode == 3, proc.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -213,6 +213,18 @@ class TestVerify:
         assert code == 1
         assert "FAIL" in out and "witness: n=2: nope" in out
 
+    def test_cross_check_failure_is_a_fail_not_a_traceback(self, monkeypatch):
+        import stirlab.tables as tb
+
+        # gamma_weighted_sum cross-checks two formulas and raises on a mismatch
+        row = tb._gamma_row(3)
+        monkeypatch.setitem(row, (1, 1), row.get((1, 1), 0) + 1)
+        code, out = run_cli("verify", "--identity", "gamma-weighted-sums",
+                            "--max-n", "5")
+        assert code == 1
+        assert out.startswith("FAIL  gamma-weighted-sums (max_n=5)")
+        assert "witness: weighted gamma sum mismatch at (n=3, i=1)" in out
+
     def test_csv_report(self):
         _, out = run_cli("--format", "csv", "verify", "--identity",
                          "gamma-vanishing", "--max-n", "4")
