@@ -573,11 +573,13 @@ def _fs_symmetry(bound: int) -> str | None:
             return f"n={n}: P_n is not symmetric in y, z"
         images = set()
         count = 0
-        for word in iter_objects("stirling", n):
+        words = tuple(iter_objects("stirling", n))
+        q_n = frozenset(words)  # each toggle's output must lie in Q_n
+        for word in words:
             # fs_action toggles exactly the double ascents and descent-
             # plateaus among the positions it is given, so all of them
             # select the full toggle with one classification of the word
-            moved = actions.fs_action(word, range(1, len(word) + 1))
+            moved = actions.fs_action(word, range(1, len(word) + 1), within=q_n)
             lap, dasc, dp = _lap_dasc_dp(_stirling_scan(word))
             if _lap_dasc_dp(_stirling_scan(moved)) != (lap, dp, dasc):
                 a, b = stirling_stat_record(word), stirling_stat_record(moved)
@@ -744,9 +746,11 @@ def _alpha_bijection(bound: int) -> str | None:
     for n in range(bound + 1):
         values = list(range(1, n + 1))
         normal: dict[tuple, tuple] = {}
-        for word in iter_objects("stirling", n):
+        words = tuple(iter_objects("stirling", n))
+        q_n = frozenset(words)  # each beta move's output must lie in Q_n
+        for word in words:
             lap, dasc, dp = _lap_dasc_dp(_stirling_scan(word))
-            moved = actions.beta_set(word, values)
+            moved = actions.beta_set(word, values, within=q_n)
             m_lap, m_dasc, m_dp = _lap_dasc_dp(_stirling_scan(moved))
             if m_dp != 0 or m_lap + m_dasc != n:
                 return f"n={n}: beta normalization of {word} gave {moved}"

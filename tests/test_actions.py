@@ -326,20 +326,62 @@ class TestAssertsStay:
             filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
         probe = subprocess.run([sys.executable, "-O", "-c", "assert False"])
         assert probe.returncode == 0  # -O really strips assert statements
+        # both the membership check and the is_stirling check must raise
         script = (
             "import stirlab.actions as a\n"
             "from stirlab.errors import IdentityViolationError\n"
+            "def raises(move, *args, **kwargs):\n"
+            "    try:\n"
+            "        move(*args, **kwargs)\n"
+            "    except IdentityViolationError:\n"
+            "        return True\n"
+            "    return False\n"
+            "member = raises(a.fs_action, (1, 2, 2, 1), [1], within=frozenset())\n"
             "a.is_stirling = lambda w: False\n"
-            "try:\n"
-            "    a.beta_move((3, 4, 4, 3, 5, 5, 7, 8, 8, 7, 6, 6, 2, 2, 1, 1), 6)\n"
-            "except IdentityViolationError:\n"
-            "    raise SystemExit(3)\n"
+            "stack = raises(a.beta_move,\n"
+            "               (3, 4, 4, 3, 5, 5, 7, 8, 8, 7, 6, 6, 2, 2, 1, 1), 6)\n"
+            "raise SystemExit(3 if member and stack else 4)\n"
         )
         proc = subprocess.run(
             [sys.executable, "-O", "-c", script], env=env, capture_output=True,
             text=True, timeout=60,
         )
         assert proc.returncode == 3, proc.stderr
+
+
+class TestMembershipCheck:
+    """``within`` swaps the is_stirling check for membership in a set."""
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_same_result_as_the_stirling_check(self, n):
+        q_n = frozenset(iter_objects("stirling", n))
+        values = range(1, n + 1)
+        positions = range(1, 2 * n + 1)
+        for w in iter_objects("stirling", n):
+            assert beta_set(w, values, within=q_n) == beta_set(w, values)
+            assert fs_action(w, positions, within=q_n) == fs_action(w, positions)
+
+    def test_an_output_outside_within_raises(self):
+        q_2 = frozenset(iter_objects("stirling", 2))
+        with pytest.raises(IdentityViolationError,
+                           match=r"^sliding 1 left in \(2, 2, 1, 1\) gave \(1, 2, 2, 1\)$"):
+            fs_action(word("2211"), [3], within=q_2 - {word("1221")})
+        with pytest.raises(IdentityViolationError,
+                           match=r"^sliding 1 right in \(1, 2, 2, 1\) gave \(2, 2, 1, 1\)$"):
+            fs_action(word("1221"), [1], within=q_2 - {word("2211")})
+        w = word("331221")
+        normalized = beta_set(w, {1, 2, 3})
+        q_3 = frozenset(iter_objects("stirling", 3))
+        with pytest.raises(IdentityViolationError, match="left"):
+            beta_set(w, {1, 2, 3}, within=q_3 - {normalized})
+
+    def test_within_replaces_the_stirling_check(self, monkeypatch):
+        w = word("331221")
+        normalized, toggled = beta_set(w, {1, 2, 3}), fs_action(w, range(1, 7))
+        monkeypatch.setattr(actions_module, "is_stirling", lambda w: False)
+        q_3 = frozenset(iter_objects("stirling", 3))
+        assert beta_set(w, {1, 2, 3}, within=q_3) == normalized
+        assert fs_action(w, range(1, 7), within=q_3) == toggled
 
 
 # ---------------------------------------------------------------------------

@@ -225,6 +225,27 @@ class TestVerify:
         assert out.startswith("FAIL  gamma-weighted-sums (max_n=5)")
         assert "witness: weighted gamma sum mismatch at (n=3, i=1)" in out
 
+    @pytest.mark.parametrize("name, witness", [
+        ("alpha-bijection", "sliding 2 left in (1, 1) gave (2, 1)"),
+        ("fs-symmetry", "sliding 2 left in (2, 2, 1, 1) gave (2, 2, 2, 1)"),
+    ])
+    def test_a_bad_slide_is_a_fail_not_a_traceback(self, monkeypatch, name, witness):
+        import stirlab.actions as actions
+
+        slide = actions._slide_left
+
+        def planted(word, first, v, check):
+            # slides the next larger value: its output is never in Q_n
+            return slide(word, first, v + 1, check)
+
+        monkeypatch.setattr(actions, "_slide_left", planted)
+        # only the membership check can catch it in these loops
+        monkeypatch.setattr(actions, "is_stirling", lambda w: True)
+        code, out = run_cli("verify", "--identity", name, "--max-n", "4")
+        assert code == 1
+        assert out.startswith(f"FAIL  {name} (max_n=4)")
+        assert f"witness: {witness}" in out
+
     def test_csv_report(self):
         _, out = run_cli("--format", "csv", "verify", "--identity",
                          "gamma-vanishing", "--max-n", "4")

@@ -1,6 +1,7 @@
 """The identity registry: coverage, bounds, reporting, and a full small run."""
 import pytest
 
+import stirlab.actions as actions
 from stirlab.errors import ResourceLimitError
 from stirlab.identities import (
     REGISTRY,
@@ -120,3 +121,35 @@ def test_witness_on_forced_failure(monkeypatch):
     r = run_identity("gamma-eulerian", 8)
     assert not r.passed
     assert r.witness is not None and "n=3" in r.witness
+
+
+# every slide is checked exactly once: the totals are the counts that an
+# is_stirling check on every slide gives, whichever check each slide uses
+@pytest.mark.parametrize("name, checks, by_is_stirling", [
+    ("alpha-bijection", 5486, 289),  # the alpha_inverse loop and order-3 table
+    ("fs-symmetry", 1848, 0),
+])
+def test_every_slide_is_checked_once(monkeypatch, name, checks, by_is_stirling):
+    slides, checked, stack_checked = [], [], []
+
+    def counting(check):
+        def counted(word):
+            checked.append(word)
+            return check(word)
+        return counted
+
+    def counted_slide(slide):
+        def wrapper(*args):
+            *rest, check = args
+            slides.append(args)
+            return slide(*rest, counting(check))
+        return wrapper
+
+    for kernel in ("_slide_left", "_slide_right"):
+        monkeypatch.setattr(actions, kernel, counted_slide(getattr(actions, kernel)))
+    is_stirling = actions.is_stirling
+    monkeypatch.setattr(actions, "is_stirling",
+                        lambda w: stack_checked.append(w) or is_stirling(w))
+    assert REGISTRY[name].runner(5) is None
+    assert len(checked) == len(slides) == checks
+    assert len(stack_checked) == by_is_stirling
