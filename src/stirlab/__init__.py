@@ -53,15 +53,7 @@ from .objects import (
     enumerate_stirling,
     is_stirling,
 )
-from .polynomials import (
-    Poly,
-    QPoly,
-    TruncatedEGF,
-    egf_equal,
-    egf_exp_linear,
-    egf_from_sequence,
-    egf_mul,
-)
+from .polynomials import Poly, QPoly
 from .stats import (
     DistributionTable,
     MatchingStatRecord,

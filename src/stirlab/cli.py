@@ -17,7 +17,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
@@ -36,13 +35,6 @@ from .stats import DistributionTable, distribution
 _FORMATS = ("plain", "json", "csv")
 
 
-@dataclass
-class Config:
-    cache_dir: Path
-    enumeration_bound: int = 8
-    fmt: str = "plain"
-
-
 def default_cache_dir() -> Path:
     env = os.environ.get("STIRLAB_CACHE")
     if env:
@@ -51,19 +43,6 @@ def default_cache_dir() -> Path:
         os.path.expanduser("~"), ".cache"
     )
     return Path(base) / "stirlab"
-
-
-def _config(args: argparse.Namespace) -> Config:
-    cache = Path(args.cache_dir) if args.cache_dir else default_cache_dir()
-    return Config(
-        cache_dir=cache,
-        enumeration_bound=args.bound,
-        fmt=args.format,
-    )
-
-
-def _table_cache(cfg: Config) -> tables.TableCache:
-    return tables.TableCache(cfg.cache_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -79,17 +58,16 @@ _ENUMERATORS = {
 
 
 def _cmd_enumerate(args: argparse.Namespace, out) -> int:
-    cfg = _config(args)
-    if args.n > cfg.enumeration_bound:
+    if args.n > args.bound:
         raise ResourceLimitError(
-            f"n={args.n} exceeds the enumeration bound {cfg.enumeration_bound}"
+            f"n={args.n} exceeds the enumeration bound {args.bound}"
             " (raise it with --bound)"
         )
     stream = _ENUMERATORS[args.klass](args.n)
-    if cfg.fmt == "plain":
+    if args.format == "plain":
         for obj in stream:
             print(obj, file=out)
-    elif cfg.fmt == "json":
+    elif args.format == "json":
         for obj in stream:
             raw = _entries(obj)
             print(json.dumps([list(e) if isinstance(e, tuple) else e for e in raw]),
@@ -131,10 +109,9 @@ def _render_distribution(table: DistributionTable, fmt: str, out) -> None:
 
 
 def _cmd_stats(args: argparse.Namespace, out) -> int:
-    cfg = _config(args)
     stats = [s.strip() for s in args.stats.split(",") if s.strip()]
-    table = distribution(args.klass, args.n, stats, max_n=cfg.enumeration_bound)
-    _render_distribution(table, cfg.fmt, out)
+    table = distribution(args.klass, args.n, stats, max_n=args.bound)
+    _render_distribution(table, args.format, out)
     return 0
 
 
@@ -142,10 +119,10 @@ def _cmd_stats(args: argparse.Namespace, out) -> int:
 # poly
 
 
-def _poly_families(cfg: Config) -> dict[str, Callable[[int], QPoly | dict]]:
+def _poly_families(args: argparse.Namespace) -> dict[str, Callable[[int], QPoly | dict]]:
     """Each family's polynomial at n: a QPoly, or for P and G the table's
     row n as a dict from (i, j, k) exponents of x, y, z to coefficients."""
-    cache = _table_cache(cfg)
+    cache = tables.TableCache(args.cache_dir or default_cache_dir())
     return {
         "A": tables.a_poly,
         "B": tables.b_poly,
@@ -170,15 +147,14 @@ def _poly_families(cfg: Config) -> dict[str, Callable[[int], QPoly | dict]]:
 
 
 def _cmd_poly(args: argparse.Namespace, out) -> int:
-    cfg = _config(args)
     if args.n < 0:
         raise ValueError(f"n must be nonnegative, got {args.n}")
-    poly = _poly_families(cfg)[args.name](args.n)
+    poly = _poly_families(args)[args.name](args.n)
     if not isinstance(poly, QPoly):
-        _print_trivariate(poly, cfg.fmt, out)
-    elif cfg.fmt == "plain":
+        _print_trivariate(poly, args.format, out)
+    elif args.format == "plain":
         print(poly, file=out)
-    elif cfg.fmt == "json":
+    elif args.format == "json":
         print(json.dumps(poly.to_json()), file=out)
     else:  # csv
         print("k,coeff", file=out)
@@ -206,13 +182,12 @@ def _print_trivariate(row: Mapping[tuple[int, int, int], Rat], fmt: str, out) ->
 
 
 def _cmd_grammar(args: argparse.Namespace, out) -> int:
-    cfg = _config(args)
     grammar = parse_grammar(Path(args.rules).read_text())
     start = parse_poly(args.start)
     result = derive_n(start, grammar, args.order)
-    if cfg.fmt == "plain":
+    if args.format == "plain":
         print(result, file=out)
-    elif cfg.fmt == "json":
+    elif args.format == "json":
         print(json.dumps(result.to_json()), file=out)
     else:  # csv
         print("monomial,coeff", file=out)
@@ -245,12 +220,11 @@ def _render_results(results, fmt: str, out) -> None:
 
 
 def _cmd_verify(args: argparse.Namespace, out) -> int:
-    cfg = _config(args)
     if args.all:
         results = identities.run_all(args.max_n)
     else:
         results = [identities.run_identity(args.identity, args.max_n)]
-    _render_results(results, cfg.fmt, out)
+    _render_results(results, args.format, out)
     return 0 if all(r.passed for r in results) else 1
 
 

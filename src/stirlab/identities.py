@@ -5,12 +5,18 @@ witness on failure.  Wherever two independent computation paths exist
 (exhaustive enumeration, grammar derivatives, recurrences, closed forms) the
 check compares them; single-path checks say so in their description.
 
-Most checks declare their routes: each :class:`Compare` pairs two functions
-of n that must agree, and one shared loop runs them and reports the first
-mismatch.  The test suite runs every declared route under a profiler and
-fails when two compared routes reach a common package function outside a
-short allow-list (polynomial arithmetic, parsing, enumerators and scans).
-Checks with more structure keep a hand-written runner.
+All but five checks declare their routes: each :class:`Compare` pairs two
+functions of n that must agree, and one shared loop runs them and reports
+the first mismatch as ``n=<n>: <label><left> != <right>``.  A series
+identity compares the coefficient of t^n/n! on each side, built by the
+binomial convolution :func:`_convolve`.  The test suite runs every declared
+route under a profiler and fails when two compared routes reach a common
+package function outside a short allow-list (polynomial arithmetic, parsing,
+enumerators and scans).  Five checks with more structure than one compared
+value per n keep a hand-written runner: ``fs-symmetry``,
+``alpha-bijection`` and ``asc-plat-decomposition`` work word by word,
+``gamma-recurrence`` checks a recurrence entry by entry and
+``gamma-vanishing`` checks a support condition.
 
 Use :func:`run_identity` / :func:`run_all`; results serialize to JSON as
 ``{"name", "params", "pass", "witness", "millis"}``.
@@ -28,17 +34,7 @@ from . import actions, tables
 from .errors import IdentityViolationError, ResourceLimitError
 from .grammar import derive_n, parse_poly, substitute
 from .objects import iter_objects
-from .polynomials import (
-    XYZ,
-    Poly,
-    QPoly,
-    egf_constant,
-    egf_exp_linear,
-    egf_first_mismatch,
-    egf_from_sequence,
-    egf_mul,
-    egf_sub,
-)
+from .polynomials import XYZ, Poly, QPoly
 from .stats import (
     STIRLING_STATS,
     _stirling_scan,
@@ -216,6 +212,46 @@ def _convolve(f: Callable[[int], QPoly], g: Callable[[int], QPoly], n: int) -> Q
     )
 
 
+def _square_times(seq: Sequence[QPoly], factor: Sequence[QPoly]) -> list[QPoly]:
+    """The t^n/n! coefficients of S(t)^2 f(t) for n < len(seq), where S has
+    the coefficients ``seq`` and f the coefficients ``factor``."""
+    idx = range(len(seq))
+    square = [_convolve(seq.__getitem__, seq.__getitem__, n) for n in idx]
+    return [_convolve(square.__getitem__, factor.__getitem__, n) for n in idx]
+
+
+def _at_t0(p: QPoly) -> Callable[[int], QPoly]:
+    """The route to the coefficients of a series constant in t."""
+    return lambda n: p if n == 0 else QPoly.zero()
+
+
+def _t_m_x2(bound: int) -> list[QPoly]:
+    """sum C(n,k) T_k(x) M_(n-k)(x^2) for n = 0..bound, the t^n/n!
+    coefficients of T(x,t) M(x^2,t); M_k derived once per order."""
+    ts = [tables.t_poly(n) for n in range(bound + 1)]
+    ms = [tables.m_poly(n).compose_x_squared() for n in range(bound + 1)]
+    return [_convolve(ts.__getitem__, ms.__getitem__, n) for n in range(bound + 1)]
+
+
+def _flag_derivative(seed: str) -> Callable[[int], Poly]:
+    """The route to D^n(seed) under the flag grammar."""
+    return lambda n: derive_n(parse_poly(seed), tables.FLAG_GRAMMAR, n)
+
+
+def _flag_brute(klass: str, stat: str, exps) -> Callable[[int], Poly]:
+    """The route to the brute-force distribution of one statistic, a value v
+    at order n weighted by the x, y, z exponents ``exps(n, v)``."""
+
+    def brute(n: int) -> Poly:
+        if n or klass == "stirling":
+            counts = distribution(klass, n, [stat]).counts
+        else:  # B_0 holds the empty signed permutation alone
+            counts = {(0,): 1}
+        return Poly(XYZ, ((exps(n, v), c) for (v,), c in counts.items()))
+
+    return brute
+
+
 def _p_at(n: int, bindings: dict) -> QPoly:
     return substitute(tables.p_poly(n), bindings).to_qpoly("x")
 
@@ -232,38 +268,40 @@ _C, _N = Table(_cn_nn, 0), Table(_cn_nn, 1)
 # background identities
 
 
-@_register(
+_asc, _des, _plat = (_poly("stirling", stat) for stat in ("asc", "des", "plat"))
+
+_GS_ORDER = 10
+
+
+def _stirling_series(k: int) -> QPoly:
+    """sum_n S(n+k, n) x^n through x^10."""
+    return QPoly.from_counts(
+        {n: tables.stirling2(n + k, n) for n in range(_GS_ORDER + 1)}
+    )
+
+
+def _des_negbinom(k: int) -> QPoly:
+    """The descent polynomial of Q_k times sum_m C(m+2k, 2k) x^m, through
+    x^10."""
+    orders = range(_GS_ORDER + 1)
+    negbinom = QPoly.from_counts({m: math.comb(m + 2 * k, 2 * k) for m in orders})
+    return QPoly((_des(k) * negbinom).coeffs[: _GS_ORDER + 1])
+
+
+_register(
     "gessel-stanley",
     "(1-x)^(2k+1) sum_n S(n+k, n) x^n equals the descent polynomial of Q_k; "
     "checked at series order 10 for k up to the bound",
     4, 5, ("stirling",),
+    compare=[Compare(_stirling_series, _des_negbinom)],
 )
-def _gessel_stanley(bound: int) -> str | None:
-    order = 10
-    orders = range(order + 1)
-    for k in range(bound + 1):
-        lhs = QPoly.from_counts({n: tables.stirling2(n + k, n) for n in orders})
-        negbinom = QPoly.from_counts({m: math.comb(m + 2 * k, 2 * k) for m in orders})
-        rhs = QPoly((_poly("stirling", "des")(k) * negbinom).coeffs[: order + 1])
-        if lhs != rhs:
-            return f"k={k}: {lhs} != {rhs}"
-    return None
 
-
-@_register(
+_register(
     "bona-equidistribution",
     "ascents, descents and plateaus are equidistributed over Q_n",
     6, 7, ("stirling",),
+    compare=[Compare(_des, _asc, "des "), Compare(_plat, _asc, "plat ")],
 )
-def _bona(bound: int) -> str | None:
-    for n in range(bound + 1):
-        asc = _poly("stirling", "asc")(n)
-        des = _poly("stirling", "des")(n)
-        plat = _poly("stirling", "plat")(n)
-        if not (asc == des == plat):
-            return f"n={n}: asc {asc} / des {des} / plat {plat}"
-    return None
-
 
 _register(
     "matching-M",
@@ -280,43 +318,37 @@ _register(
 )
 
 
-@_register(
+def _m_cleared(bound: int) -> list[QPoly]:
+    """M(x,t)^2 (x - e^(2t(x-1))) coefficient-wise: the factor is x - 1 at
+    t^0 and -(2x-2)^j at t^j/j!, j >= 1."""
+    factor = [QPoly((-1, 1))] + [-QPoly((-2, 2)) ** j for j in range(1, bound + 1)]
+    return _square_times([tables.m_poly(n) for n in range(bound + 1)], factor)
+
+
+def _n_cleared(bound: int) -> list[QPoly]:
+    """N(x,t)^2 (1 - x e^(2t(1-x))) coefficient-wise: the factor is 1 - x at
+    t^0 and -x(2-2x)^j at t^j/j!, j >= 1."""
+    factor = [QPoly((1, -1))] + [
+        -QPoly.x() * QPoly((2, -2)) ** j for j in range(1, bound + 1)
+    ]
+    return _square_times(tables.cn_nn_tables(bound)[1], factor)
+
+
+_register(
     "egf-M-squared",
     "M(x,t)^2 (x - e^(2t(x-1))) = x - 1 in cleared form; M_n from the grammar "
     "derivative, the closed form from the series construction",
     8, 12,
+    compare=[Compare(Table(_m_cleared), _at_t0(QPoly((-1, 1))))],
 )
-def _egf_m_squared(order: int) -> str | None:
-    m = egf_from_sequence([tables.m_poly(n) for n in range(order + 1)])
-    factor = egf_sub(
-        egf_constant(QPoly.x(), order), egf_exp_linear(QPoly((-2, 2)), order)
-    )
-    lhs = egf_mul(egf_mul(m, m), factor)
-    rhs = egf_constant(QPoly((-1, 1)), order)
-    bad = egf_first_mismatch(lhs, rhs)
-    if bad is not None:
-        return f"t-order {bad}: {lhs.coefficient(bad)} != {rhs.coefficient(bad)}"
-    return None
 
-
-@_register(
+_register(
     "egf-N-squared",
     "N(x,t)^2 (1 - x e^(2t(1-x))) = 1 - x in cleared form; N_n from its "
     "recurrence, the closed form from the series construction",
     8, 12,
+    compare=[Compare(Table(_n_cleared), _at_t0(QPoly((1, -1))))],
 )
-def _egf_n_squared(order: int) -> str | None:
-    _, ns = tables.cn_nn_tables(order)
-    nser = egf_from_sequence(ns)
-    x = QPoly.x()
-    xexp = egf_exp_linear(QPoly((2, -2)), order).map_coeffs(lambda p: p * x)
-    factor = egf_sub(egf_constant(QPoly.one(), order), xexp)
-    lhs = egf_mul(egf_mul(nser, nser), factor)
-    rhs = egf_constant(QPoly((1, -1)), order)
-    bad = egf_first_mismatch(lhs, rhs)
-    if bad is not None:
-        return f"t-order {bad}: {lhs.coefficient(bad)} != {rhs.coefficient(bad)}"
-    return None
 
 
 _register(
@@ -372,33 +404,22 @@ _register(
 # grammar expansions
 
 
-@_register(
+_register(
     "grammar-prop-all",
     "the five weight expansions of the flag grammar derivative (seeds xy, "
     "y^2, yz, y, z) match brute-force distributions",
     5, 6, ("signed", "stirling"),
+    compare=[
+        Compare(_flag_derivative(seed), _flag_brute(klass, stat, exps), f"D^n({seed}) ")
+        for seed, klass, stat, exps in (
+            ("x*y", "signed", "fdes", lambda n, v: (1, v + 1, 2 * n - v)),
+            ("y^2", "signed", "desA", lambda n, v: (0, 2 * v + 2, 2 * n - 2 * v)),
+            ("y*z", "signed", "desB", lambda n, v: (0, 2 * v + 1, 2 * n - 2 * v + 1)),
+            ("y", "stirling", "ap", lambda n, v: (0, 2 * v + 1, 2 * n - 2 * v)),
+            ("z", "stirling", "lap", lambda n, v: (0, 2 * v, 2 * n - 2 * v + 1)),
+        )
+    ],
 )
-def _grammar_prop(bound: int) -> str | None:
-    for n in range(bound + 1):
-        # seed, its statistic, and the (x, y, z) exponents of a value v
-        cases = [
-            ("x*y", "signed", "fdes", lambda v: (1, v + 1, 2 * n - v)),
-            ("y^2", "signed", "desA", lambda v: (0, 2 * v + 2, 2 * n - 2 * v)),
-            ("y*z", "signed", "desB", lambda v: (0, 2 * v + 1, 2 * n - 2 * v + 1)),
-            ("y", "stirling", "ap", lambda v: (0, 2 * v + 1, 2 * n - 2 * v)),
-            ("z", "stirling", "lap", lambda v: (0, 2 * v, 2 * n - 2 * v + 1)),
-        ]
-        for seed, klass, stat, exps in cases:
-            if n or klass == "stirling":
-                counts = distribution(klass, n, [stat]).counts
-            else:  # B_0 holds the empty signed permutation alone
-                counts = {(0,): 1}
-            expected = Poly(XYZ, ((exps(v), c) for (v,), c in counts.items()))
-            got = derive_n(parse_poly(seed), tables.FLAG_GRAMMAR, n)
-            if got != expected:
-                return f"n={n}, seed {seed}: {got} != {expected}"
-    return None
-
 
 _register(
     "flag-ap-grammar",
@@ -406,11 +427,8 @@ _register(
     "distribution",
     6, 7, ("stirling",),
     compare=[Compare(
-        lambda n: derive_n(parse_poly("x"), tables.FLAG_GRAMMAR, n),
-        lambda n: Poly(XYZ, {
-            (1, f, 2 * n - f): c
-            for (f,), c in distribution("stirling", n, ["fap"]).counts.items()
-        }),
+        _flag_derivative("x"),
+        _flag_brute("stirling", "fap", lambda n, f: (1, f, 2 * n - f)),
     )],
 )
 
@@ -419,13 +437,7 @@ _register(
     "F_n(x) = sum C(n,k) T_k(x) M_(n-k)(x^2); flag descents brute-forced, "
     "the right side from tables and the grammar",
     6, 7, ("signed",),
-    compare=[Compare(
-        _poly("signed", "fdes"),
-        lambda n: _convolve(
-            tables.t_poly, lambda k: tables.m_poly(k).compose_x_squared(), n
-        ),
-        start=1,
-    )],
+    compare=[Compare(_poly("signed", "fdes"), Table(_t_m_x2), start=1)],
 )
 
 _register(
@@ -464,27 +476,18 @@ _register(
         lambda n: _convolve(
             tables.t_poly, lambda k: tables.t_poly(k).compose_scaled(-1), n
         ),
-        lambda n: QPoly.one() if n == 0 else QPoly.zero(),
+        _at_t0(QPoly.one()),
     )],
 )
 
 
-@_register(
+_register(
     "t-egf-product",
     "T(x,t) M(x^2,t) = F(x,t) as truncated series; T and F from tables, M "
     "from the grammar derivative",
     8, 12,
+    compare=[Compare(Table(_t_m_x2), lambda n: tables.f_poly(n))],
 )
-def _t_egf_product(order: int) -> str | None:
-    t = egf_from_sequence([tables.t_poly(n) for n in range(order + 1)])
-    mx2 = egf_from_sequence(
-        [tables.m_poly(n).compose_x_squared() for n in range(order + 1)]
-    )
-    f = egf_from_sequence([tables.f_poly(n) for n in range(order + 1)])
-    bad = egf_first_mismatch(egf_mul(t, mx2), f)
-    if bad is not None:
-        return f"t-order {bad}"
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -549,7 +552,7 @@ _register(
     "the differential recurrences for C_n and N_n match brute force",
     6, 7, ("stirling",),
     compare=[
-        Compare(_C, _poly("stirling", "asc"), "C_n "),
+        Compare(_C, _asc, "C_n "),
         Compare(_N, _poly("stirling", "lap"), "N_n "),
     ],
 )
@@ -595,33 +598,30 @@ def _fs_symmetry(bound: int) -> str | None:
     return None
 
 
-@_register(
+def _brute_gamma(n: int) -> Poly:
+    """The gamma vector read off brute-force P_n: its terms free of z."""
+    return Poly(XYZ, {e: c for e, c in _tri(n).terms.items() if e[2] == 0})
+
+
+def _gamma_expanded(n: int) -> Poly:
+    """sum gamma_(n,i,j) x^i (y+z)^j from the gamma table."""
+    return Poly(XYZ, (
+        ((i, m, j - m), g * math.comb(j, m))
+        for (i, j, _), g in tables.g_poly(n).terms.items()
+        for m in range(j + 1)
+    ))
+
+
+_register(
     "gamma-expansion",
     "P_n = sum gamma_(n,i,j) x^i (y+z)^j with gamma counted by "
     "descent-plateau-free words; table gamma against brute-force gamma",
     7, 7, ("stirling",),
+    compare=[
+        Compare(lambda n: tables.g_poly(n), _brute_gamma, "gamma "),
+        Compare(_gamma_expanded, _tri, "expansion "),
+    ],
 )
-def _gamma_expansion(bound: int) -> str | None:
-    for n in range(bound + 1):
-        brute_p = _tri(n)
-        brute_gamma: dict[tuple[int, int], int] = {}
-        for (i, j, k), c in brute_p.terms.items():
-            if k == 0:
-                brute_gamma[(i, j)] = int(c)
-        table_gamma = {
-            key: val for key, val in tables._gamma_row(n).items() if val
-        }
-        if brute_gamma != table_gamma:
-            return f"n={n}: gamma table {table_gamma} != brute {brute_gamma}"
-        expansion = Poly(XYZ, (
-            ((i, m, j - m), g * math.comb(j, m))
-            for (i, j), g in table_gamma.items()
-            for m in range(j + 1)
-        ))
-        if expansion != brute_p:
-            return f"n={n}: gamma expansion {expansion} != {brute_p}"
-    return None
-
 
 _register(
     "gamma-grammar",
@@ -690,35 +690,33 @@ _register(
 )
 
 
-@_register(
+_register(
     "gamma-weighted-sums",
     "sum_j 2^j gamma_(n,i,j) equals the x^i coefficient of N_n and the "
     "alternating closed form",
     8, 12,
+    # gamma_weighted_sum cross-checks its two formulas itself
+    compare=[Compare(
+        lambda n: QPoly.from_counts(
+            {i: tables.gamma_weighted_sum(n, i) for i in range(1, n + 1)}
+        ),
+        _N,
+        start=1,
+    )],
 )
-def _gamma_weighted(bound: int) -> str | None:
-    _, ns = tables.cn_nn_tables(bound)
-    for n in range(1, bound + 1):
-        for i in range(1, n + 1):
-            w = tables.gamma_weighted_sum(n, i)  # cross-checks the two formulas
-            if w != ns[n][i]:
-                return f"n={n}, i={i}: {w} != {ns[n][i]}"
-    return None
 
-
-@_register(
+_register(
     "gamma-eulerian",
     "gamma_(n, n-k, k) equals the Eulerian number <n, k>",
     8, 12,
+    compare=[Compare(
+        lambda n: QPoly.from_counts(
+            {k: tables.gamma_number(n, n - k, k) for k in range(n + 1)}
+        ),
+        lambda n: QPoly.from_counts({k: tables.eulerian(n, k) for k in range(n + 1)}),
+        start=1,
+    )],
 )
-def _gamma_eulerian(bound: int) -> str | None:
-    for n in range(1, bound + 1):
-        for k in range(n + 1):
-            lhs = tables.gamma_number(n, n - k, k)
-            rhs = tables.eulerian(n, k)
-            if lhs != rhs:
-                return f"n={n}, k={k}: {lhs} != {rhs}"
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -760,15 +758,14 @@ def _alpha_bijection(bound: int) -> str | None:
             if dp == 0 and lap + dasc == n:
                 if moved != word:
                     return f"n={n}: beta moved the normalized word {word}"
+                des = perm_des(image)
+                if dasc != des or lap != n - des:
+                    return f"n={n}: statistics of {word} do not match des {image}"
                 normal[word] = image
         if len(normal) != math.factorial(n):
             return f"n={n}: {len(normal)} normalized words, expected {n}!"
         if len(set(normal.values())) != math.factorial(n):
             return f"n={n}: alpha is not injective on the normalized words"
-        for word, pi in normal.items():
-            lap, dasc, _ = _lap_dasc_dp(_stirling_scan(word))
-            if dasc != perm_des(pi) or lap != n - perm_des(pi):
-                return f"n={n}: statistics of {word} do not match des {pi}"
         for pi in iter_objects("permutation", n):
             word = actions.alpha_inverse(pi)
             if word not in normal or actions.alpha(word) != pi:

@@ -1,18 +1,19 @@
 """Exact polynomial arithmetic over the rationals.
 
-Three value types: ``QPoly`` (dense, univariate in x), ``Poly`` (sparse,
-keyed by exponent vectors over an ordered tuple of variable names), and
-``TruncatedEGF`` (a series sum a_n(x) t^n / n! known through a fixed order,
-with QPoly coefficients).  A coefficient is stored as an ``int`` when it is
-integral and as a `fractions.Fraction` otherwise, so integer families run on
-integer arithmetic and rational ones stay exact; no floating point anywhere.
+Two value types: ``QPoly`` (dense, univariate in x) and ``Poly`` (sparse,
+keyed by exponent vectors over an ordered tuple of variable names).  A
+coefficient is stored as an ``int`` when it is integral and as a
+`fractions.Fraction` otherwise, so integer families run on integer
+arithmetic and rational ones stay exact; no floating point anywhere.  A
+series sum a_n(x) t^n / n! is not a type: the identities that need one
+compare it coefficient by coefficient.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
 from operator import add
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 Rat = Union[Fraction, int]
 
@@ -405,97 +406,3 @@ def _aligned(
         return a.names, a.terms, b.terms
     names = tuple(sorted(set(a.names) | set(b.names)))
     return names, a.terms_over(names), b.terms_over(names)
-
-
-class TruncatedEGF:
-    """Series sum a_n(x) t^n / n! known through t^order.
-
-    The order is fixed at construction; binary operations require equal
-    orders and raise ValueError otherwise.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable[QPoly | Rat]):
-        cs = tuple(_as_qpoly(c) for c in coeffs)
-        if not cs:
-            raise ValueError("a truncated EGF needs at least the order-0 coefficient")
-        self.coeffs: tuple[QPoly, ...] = cs
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    def coefficient(self, n: int) -> QPoly:
-        return self.coeffs[n]
-
-    def map_coeffs(self, fn: Callable[[QPoly], QPoly]) -> TruncatedEGF:
-        return TruncatedEGF(fn(c) for c in self.coeffs)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, TruncatedEGF):
-            return self.coeffs == other.coeffs
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def __repr__(self) -> str:
-        inner = ", ".join(str(c) for c in self.coeffs)
-        return f"TruncatedEGF([{inner}])"
-
-
-def _check_orders(f: TruncatedEGF, g: TruncatedEGF) -> None:
-    if f.order != g.order:
-        raise ValueError(f"order mismatch: {f.order} != {g.order}")
-
-
-def egf_from_sequence(polys: Sequence[QPoly | Rat]) -> TruncatedEGF:
-    """EGF with the given coefficient polynomials a_0 .. a_N."""
-    return TruncatedEGF(polys)
-
-
-def egf_constant(p: QPoly | Rat, order: int) -> TruncatedEGF:
-    """The t-constant series p(x) + 0*t + ..."""
-    return TruncatedEGF([p] + [QPoly.zero()] * order)
-
-
-def egf_exp_linear(c: QPoly | Rat, order: int) -> TruncatedEGF:
-    """e^{t c(x)} truncated: coefficient of t^n/n! is c(x)^n."""
-    cp = _as_qpoly(c)
-    return TruncatedEGF(cp**n for n in range(order + 1))
-
-
-def egf_add(f: TruncatedEGF, g: TruncatedEGF) -> TruncatedEGF:
-    _check_orders(f, g)
-    return TruncatedEGF(a + b for a, b in zip(f.coeffs, g.coeffs))
-
-
-def egf_sub(f: TruncatedEGF, g: TruncatedEGF) -> TruncatedEGF:
-    _check_orders(f, g)
-    return TruncatedEGF(a - b for a, b in zip(f.coeffs, g.coeffs))
-
-
-def egf_mul(f: TruncatedEGF, g: TruncatedEGF) -> TruncatedEGF:
-    """Product of EGFs: the binomial convolution of the coefficients."""
-    _check_orders(f, g)
-    out = []
-    for n in range(f.order + 1):
-        acc = QPoly.zero()
-        for k in range(n + 1):
-            acc = acc + f.coeffs[k] * g.coeffs[n - k] * math.comb(n, k)
-        out.append(acc)
-    return TruncatedEGF(out)
-
-
-def egf_first_mismatch(f: TruncatedEGF, g: TruncatedEGF) -> int | None:
-    """Smallest n with differing coefficients, or None when equal."""
-    _check_orders(f, g)
-    for n, (a, b) in enumerate(zip(f.coeffs, g.coeffs)):
-        if a != b:
-            return n
-    return None
-
-
-def egf_equal(f: TruncatedEGF, g: TruncatedEGF) -> bool:
-    return egf_first_mismatch(f, g) is None

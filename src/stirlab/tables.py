@@ -13,11 +13,15 @@ Families and their one-letter polynomial names as used by the CLI:
 - ``G``: its gamma vector, G_n(x, y) = sum gamma_{n,i,j} x^i y^j.
 
 Tables are exact integers; polynomial assembly returns QPoly values, and
-Poly values over ("x", "y", "z") for P and G.  A small JSON disk cache
-(:class:`TableCache`) can memoize the CoefficientTable-producing builders,
-keyed by family and bound.  A cached file is used only when it carries the
-package version, matches the table schema and every row adds up to its known
-total; any other file is a miss, and the rebuilt table replaces it.
+Poly values over ("x", "y", "z") for P and G.  Each triangle has a step
+function that makes row m from row m-1 and m; row n is the
+``functools.reduce`` of its step over 1..n from row 0 = {origin: 1}, and a
+whole table draws rows 0..n from ``itertools.accumulate``.  A small JSON
+disk cache (:class:`TableCache`) can memoize the CoefficientTable-producing
+builders, keyed by family and bound.  A cached file is used only when it
+carries the package version, matches the table schema and every row adds up
+to its known total; any other file is a miss, and the rebuilt table replaces
+it.
 """
 from __future__ import annotations
 
@@ -26,14 +30,13 @@ import math
 import os
 import tempfile
 from bisect import bisect_right
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import chain
+from functools import lru_cache, reduce
+from itertools import accumulate, chain
 from operator import itemgetter, lshift
 from pathlib import Path
-from typing import Iterator, Mapping
+from typing import Mapping
 
 from ._version import __version__
 from .errors import IdentityViolationError
@@ -212,20 +215,6 @@ def _cached_build(family, arity, bound, cache, rows):
 # Eulerian numbers, type-B Eulerian numbers, Stirling numbers
 
 
-def _triangle_rows(n: int, step, origin: int | tuple[int, ...] = 0) -> Iterator[dict]:
-    """Rows 0..n of a triangle whose row 0 is {origin: 1} and whose row m is
-    ``step(row m-1, m)``.  A loop, so the call depth does not grow with n."""
-    row = {origin: 1}
-    yield row
-    for m in range(1, n + 1):
-        row = step(row, m)
-        yield row
-
-
-def _last_row(n: int, step, origin: int | tuple[int, ...] = 0) -> dict:
-    return deque(_triangle_rows(n, step, origin), maxlen=1)[0]
-
-
 def _eulerian_step(prev: dict[int, int], m: int) -> dict[int, int]:
     row: dict[int, int] = {}
     for k in range(m):
@@ -237,7 +226,7 @@ def _eulerian_step(prev: dict[int, int], m: int) -> dict[int, int]:
 
 @lru_cache(maxsize=None)
 def _eulerian_row(n: int) -> dict[int, int]:
-    return _last_row(n, _eulerian_step)
+    return reduce(_eulerian_step, range(1, n + 1), {0: 1})
 
 
 def eulerian(n: int, k: int) -> int:
@@ -265,7 +254,7 @@ def _b_eulerian_step(prev: dict[int, int], m: int) -> dict[int, int]:
 
 @lru_cache(maxsize=None)
 def _b_eulerian_row(n: int) -> dict[int, int]:
-    return _last_row(n, _b_eulerian_step)
+    return reduce(_b_eulerian_step, range(1, n + 1), {0: 1})
 
 
 def b_eulerian(n: int, k: int) -> int:
@@ -296,7 +285,7 @@ def _stirling2_step(prev: dict[int, int], m: int) -> dict[int, int]:
 
 @lru_cache(maxsize=None)
 def _stirling2_row(n: int) -> dict[int, int]:
-    return _last_row(n, _stirling2_step)
+    return reduce(_stirling2_step, range(1, n + 1), {0: 1})
 
 
 def stirling2(n: int, k: int) -> int:
@@ -307,9 +296,8 @@ def stirling2(n: int, k: int) -> int:
 
 
 def eulerian_table(n_max: int, cache: TableCache | None = None) -> CoefficientTable:
-    return _cached_build(
-        "eulerian", 2, n_max, cache, _triangle_rows(n_max, _eulerian_step)
-    )
+    rows = accumulate(range(1, n_max + 1), _eulerian_step, initial={0: 1})
+    return _cached_build("eulerian", 2, n_max, cache, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +323,7 @@ def _t_step(prev: dict[int, int], n: int) -> dict[int, int]:
 
 @lru_cache(maxsize=None)
 def _t_row(n: int) -> dict[int, int]:
-    return _last_row(n, _t_step)
+    return reduce(_t_step, range(1, n + 1), {0: 1})
 
 
 def t_number(n: int, k: int) -> int:
@@ -351,7 +339,8 @@ def t_poly(n: int) -> QPoly:
 
 
 def t_table(n_max: int, cache: TableCache | None = None) -> CoefficientTable:
-    return _cached_build("t", 2, n_max, cache, _triangle_rows(n_max, _t_step))
+    rows = accumulate(range(1, n_max + 1), _t_step, initial={0: 1})
+    return _cached_build("t", 2, n_max, cache, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +374,7 @@ def _p_step(
 
 @lru_cache(maxsize=None)
 def _p_row(n: int) -> dict[tuple[int, int, int], int]:
-    return _last_row(n, _p_step, (0, 0, 0))
+    return reduce(_p_step, range(1, n + 1), {(0, 0, 0): 1})
 
 
 def p_number(n: int, i: int, j: int, k: int) -> int:
@@ -418,9 +407,8 @@ def p_polys_differential(n_max: int) -> list[Poly]:
 
 
 def p_table(n_max: int, cache: TableCache | None = None) -> CoefficientTable:
-    return _cached_build(
-        "p", 4, n_max, cache, _triangle_rows(n_max, _p_step, (0, 0, 0))
-    )
+    rows = accumulate(range(1, n_max + 1), _p_step, initial={(0, 0, 0): 1})
+    return _cached_build("p", 4, n_max, cache, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +436,7 @@ def _gamma_step(
 
 @lru_cache(maxsize=None)
 def _gamma_row(n: int) -> dict[tuple[int, int], int]:
-    return _last_row(n, _gamma_step, (0, 0))
+    return reduce(_gamma_step, range(1, n + 1), {(0, 0): 1})
 
 
 def gamma_number(n: int, i: int, j: int) -> int:
@@ -478,9 +466,8 @@ def g_polys_differential(n_max: int) -> list[Poly]:
 
 
 def gamma_table(n_max: int, cache: TableCache | None = None) -> CoefficientTable:
-    return _cached_build(
-        "gamma", 3, n_max, cache, _triangle_rows(n_max, _gamma_step, (0, 0))
-    )
+    rows = accumulate(range(1, n_max + 1), _gamma_step, initial={(0, 0): 1})
+    return _cached_build("gamma", 3, n_max, cache, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -537,12 +524,6 @@ def m_poly(n: int) -> QPoly:
             raise IdentityViolationError(f"odd ascent-plateau weight exponent {e}")
         counts[(e - 1) // 2] = c
     return QPoly.from_counts(counts)
-
-
-def n_closed(n: int, k: int) -> int:
-    """Coefficient of x^k in the closed form of N_n(x)."""
-    c = n_poly_closed(n)[k]
-    return int(c)
 
 
 def n_poly_closed(n: int) -> QPoly:

@@ -1,9 +1,11 @@
 """Golden witnesses: each route-compared identity, broken at one order.
 
 Each case breaks one table function, or one brute-force distribution, at a
-single order with monkeypatch, and pins the exact witness the check reports.
-The strings were recorded from the hand-written loops the declared routes
-replaced, so they also pin the bytes of the shared compare loop.
+single order with monkeypatch, and pins the exact witness the check reports:
+``n=<n>: <label><left> != <right>`` from the shared compare loop.  The
+witnesses of the first seventeen declared checks keep the bytes of the
+hand-written loops they replaced; the rest were recorded from the shared
+loop itself.
 """
 import dataclasses
 
@@ -208,6 +210,70 @@ CASES = [
             " + 60657*x^5 + 2179*x^6 + x^7 != 1 + 2179*x + 60657*x^2"
             " + 259723*x^3 + 259723*x^4 + 60657*x^5 + 2179*x^6 + x^7"
         ),
+    ),
+    (
+        "gessel-stanley", 4,
+        lambda mp: _bump_distribution(mp, "stirling", 0, ["des"]),
+        (
+            "n=0: 1 + x + x^2 + x^3 + x^4 + x^5 + x^6 + x^7 + x^8 + x^9 + x^10"
+            " != 2 + 2*x + 2*x^2 + 2*x^3 + 2*x^4 + 2*x^5 + 2*x^6 + 2*x^7"
+            " + 2*x^8 + 2*x^9 + 2*x^10"
+        ),
+    ),
+    (
+        "bona-equidistribution", 5,
+        lambda mp: _bump_distribution(mp, "stirling", 2, ["des"]),
+        "n=2: des 2*x + 2*x^2 != x + 2*x^2",
+    ),
+    (
+        "bona-equidistribution", 5,
+        lambda mp: _bump_distribution(mp, "stirling", 2, ["plat"]),
+        "n=2: plat 2*x + 2*x^2 != x + 2*x^2",
+    ),
+    (
+        "egf-M-squared", 5,
+        lambda mp: _break_table(mp, "m_poly", 2, _plus_one),
+        "n=2: -2 + 2*x != 0",
+    ),
+    (
+        "egf-N-squared", 5,
+        lambda mp: _break_cn_nn(mp, 1, 2),
+        "n=2: 2 - 2*x != 0",
+    ),
+    (
+        "grammar-prop-all", 5,
+        lambda mp: _bump_distribution(mp, "signed", 2, ["fdes"]),
+        (
+            "n=2: D^n(x*y) x*y*z^4 + 3*x*y^2*z^3 + 3*x*y^3*z^2 + x*y^4*z"
+            " != 2*x*y*z^4 + 3*x*y^2*z^3 + 3*x*y^3*z^2 + x*y^4*z"
+        ),
+    ),
+    (
+        "t-egf-product", 5,
+        lambda mp: _break_table(mp, "f_poly", 2, _plus_one),
+        "n=2: 1 + 3*x + 3*x^2 + x^3 != 2 + 3*x + 3*x^2 + x^3",
+    ),
+    (
+        "gamma-expansion", 5,
+        lambda mp: _bump_gamma_row(mp, 2),
+        "n=2: gamma x + x*y + x^2 != x*y + x^2",
+    ),
+    (
+        # the bumped count is x*z, which has dp = 1: the brute gamma keeps
+        # its value and only the expansion sees the change
+        "gamma-expansion", 5,
+        lambda mp: _bump_distribution(mp, "stirling", 2, ["lap", "dasc", "dp"]),
+        "n=2: expansion x*y + x*z + x^2 != x*y + 2*x*z + x^2",
+    ),
+    (
+        "gamma-weighted-sums", 5,
+        lambda mp: _break_cn_nn(mp, 1, 2),
+        "n=2: 2*x + x^2 != 1 + 2*x + x^2",
+    ),
+    (
+        "gamma-eulerian", 5,
+        lambda mp: _break_table(mp, "eulerian", 2, lambda v: v + 1),
+        "n=2: 1 + x != 2 + 2*x + x^2",
     ),
 ]
 

@@ -1,4 +1,4 @@
-"""Exact polynomial and truncated-EGF arithmetic."""
+"""Exact polynomial arithmetic and the binomial convolution of series."""
 import io
 import json
 import math
@@ -9,20 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from stirlab.cli import _print_trivariate
 from stirlab.grammar import parse_poly, substitute
-from stirlab.polynomials import (
-    XYZ,
-    Poly,
-    QPoly,
-    TruncatedEGF,
-    egf_add,
-    egf_constant,
-    egf_equal,
-    egf_exp_linear,
-    egf_first_mismatch,
-    egf_from_sequence,
-    egf_mul,
-    egf_sub,
-)
+from stirlab.identities import _convolve
+from stirlab.polynomials import XYZ, Poly, QPoly
 
 qpolys = st.lists(st.integers(-6, 6), max_size=5).map(QPoly)
 
@@ -129,58 +117,26 @@ class TestTriPoly:
         assert terms[0] == {"monomial": {}, "coeff": -1}
 
 
-def egf_mul_oracle(f: TruncatedEGF, g: TruncatedEGF) -> TruncatedEGF:
+def series_product_oracle(fs: list[QPoly], gs: list[QPoly]) -> list[QPoly]:
     # multiply as ordinary series with divided coefficients, then restore
     # the factorials: an independent route to the binomial convolution
-    order = f.order
-    fs = [f.coefficient(n) * Fraction(1, math.factorial(n)) for n in range(order + 1)]
-    gs = [g.coefficient(n) * Fraction(1, math.factorial(n)) for n in range(order + 1)]
+    fd = [f * Fraction(1, math.factorial(n)) for n, f in enumerate(fs)]
+    gd = [g * Fraction(1, math.factorial(n)) for n, g in enumerate(gs)]
     out = []
-    for n in range(order + 1):
+    for n in range(len(fs)):
         acc = QPoly.zero()
         for k in range(n + 1):
-            acc = acc + fs[k] * gs[n - k]
+            acc = acc + fd[k] * gd[n - k]
         out.append(acc * math.factorial(n))
-    return TruncatedEGF(out)
+    return out
 
 
-class TestTruncatedEGF:
-    def test_constructors(self):
-        assert egf_from_sequence([1]).order == 0
-        # e^(t*0) is the constant series 1
-        zero_exp = egf_exp_linear(QPoly.zero(), 3)
-        assert zero_exp.coeffs == (QPoly.one(),) + (QPoly.zero(),) * 3
-        assert egf_exp_linear(QPoly((-2, 2)), 2).coefficient(1) == QPoly((-2, 2))
-        assert egf_exp_linear(QPoly((-1, 0, 1)), 2).coefficient(2) == QPoly(
-            (1, 0, -2, 0, 1)
-        )
-
-    def test_mul_unit_and_order_zero(self):
-        f = egf_from_sequence([QPoly((1, 1)), QPoly((0, 2)), QPoly((3,))])
-        one = egf_constant(QPoly.one(), 2)
-        assert egf_mul(f, one) == f
-        assert egf_mul(f, f).coefficient(0) == QPoly((1, 2, 1))
-
+class TestConvolve:
     @settings(max_examples=40, deadline=None)
     @given(st.lists(qpolys, min_size=4, max_size=4), st.lists(qpolys, min_size=4, max_size=4))
     def test_mul_matches_series_oracle(self, fs, gs):
-        f, g = egf_from_sequence(fs), egf_from_sequence(gs)
-        assert egf_mul(f, g) == egf_mul_oracle(f, g)
-
-    def test_order_mismatch(self):
-        with pytest.raises(ValueError):
-            egf_mul(egf_from_sequence([1, 2]), egf_from_sequence([1]))
-
-    def test_equal_and_mismatch(self):
-        f = egf_from_sequence([1, QPoly.x()])
-        assert egf_equal(f, f)
-        g = egf_from_sequence([1, QPoly((0, 2))])
-        assert egf_first_mismatch(f, g) == 1
-        assert egf_first_mismatch(egf_sub(f, f), egf_constant(0, 1)) is None
-
-    def test_add_sub(self):
-        f = egf_from_sequence([QPoly((1,)), QPoly((0, 1))])
-        assert egf_add(f, f) == egf_from_sequence([QPoly((2,)), QPoly((0, 2))])
+        got = [_convolve(fs.__getitem__, gs.__getitem__, n) for n in range(4)]
+        assert got == series_product_oracle(fs, gs)
 
 
 # Mixed int and Fraction inputs against a Fraction-only reference: the
