@@ -53,7 +53,7 @@ from .objects import (
     enumerate_stirling,
     is_stirling,
 )
-from .polynomials import Poly, QPoly
+from .polynomials import Poly
 from .stats import (
     DistributionTable,
     MatchingStatRecord,

@@ -29,7 +29,7 @@ from .objects import (
     enumerate_signed,
     enumerate_stirling,
 )
-from .polynomials import XYZ, QPoly, Rat, format_terms, monomial_str
+from .polynomials import XYZ, Poly, format_terms, monomial_str
 from .stats import DistributionTable, distribution
 
 _FORMATS = ("plain", "json", "csv")
@@ -119,8 +119,8 @@ def _cmd_stats(args: argparse.Namespace, out) -> int:
 # poly
 
 
-def _poly_families(args: argparse.Namespace) -> dict[str, Callable[[int], QPoly | dict]]:
-    """Each family's polynomial at n: a QPoly, or for P and G the table's
+def _poly_families(args: argparse.Namespace) -> dict[str, Callable[[int], Poly | dict]]:
+    """Each family's polynomial at n: a Poly in x, or for P and G the table's
     row n as a dict from (i, j, k) exponents of x, y, z to coefficients."""
     cache = tables.TableCache(args.cache_dir or default_cache_dir())
     return {
@@ -130,7 +130,7 @@ def _poly_families(args: argparse.Namespace) -> dict[str, Callable[[int], QPoly 
         "M": tables.m_poly,
         "N": tables.n_poly,
         "C": tables.c_poly,
-        "T": lambda n: QPoly.from_counts(
+        "T": lambda n: Poly.from_counts(
             {k: tables.t_table(n, cache).value(n, k) for k in range(2 * n + 1)}
         ),
         "G": lambda n: {
@@ -150,21 +150,31 @@ def _cmd_poly(args: argparse.Namespace, out) -> int:
     if args.n < 0:
         raise ValueError(f"n must be nonnegative, got {args.n}")
     poly = _poly_families(args)[args.name](args.n)
-    if not isinstance(poly, QPoly):
+    if isinstance(poly, Poly):
+        _print_univariate(poly, args.format, out)
+    else:
         _print_trivariate(poly, args.format, out)
-    elif args.format == "plain":
-        print(poly, file=out)
-    elif args.format == "json":
-        print(json.dumps(poly.to_json()), file=out)
-    else:  # csv
-        print("k,coeff", file=out)
-        for k, c in enumerate(poly.coeffs):
-            if c:
-                print(f"{k},{c}", file=out)
     return 0
 
 
-def _print_trivariate(row: Mapping[tuple[int, int, int], Rat], fmt: str, out) -> None:
+def _print_univariate(poly: Poly, fmt: str, out) -> None:
+    """Print a polynomial in x: JSON lists every coefficient from x^0 to the
+    degree, zeros included; CSV lists the nonzero ones by exponent."""
+    if fmt == "plain":
+        print(poly, file=out)
+        return
+    terms = poly.terms_over(("x",))
+    if fmt == "json":
+        (top,) = max(terms, default=(-1,))
+        coeffs = [str(terms.get((k,), 0)) for k in range(top + 1)]
+        print(json.dumps({"var": "x", "coeffs": coeffs}), file=out)
+    else:  # csv
+        print("k,coeff", file=out)
+        for (k,), c in sorted(terms.items()):
+            print(f"{k},{c}", file=out)
+
+
+def _print_trivariate(row: Mapping[tuple[int, int, int], int], fmt: str, out) -> None:
     """Print a P or G row by degree, then by exponent triple."""
     terms = sorted(row.items(), key=lambda t: (sum(t[0]), t[0]))
     if fmt == "plain":

@@ -7,9 +7,11 @@ check compares them; single-path checks say so in their description.
 
 All but five checks declare their routes: each :class:`Compare` pairs two
 functions of n that must agree, and one shared loop runs them and reports
-the first mismatch as ``n=<n>: <label><left> != <right>``.  A series
-identity compares the coefficient of t^n/n! on each side, built by the
-binomial convolution :func:`_convolve`.  The test suite runs every declared
+the first mismatch as ``n=<n>: <label><left> != <right>``.  Every value
+compared is a ``Poly`` with integer coefficients, a family in x being one
+over ("x",); p(x^2) and p(-x) are maps of its terms.  A series identity
+compares the coefficient of t^n/n! on each side, built by the binomial
+convolution :func:`_convolve`.  The test suite runs every declared
 route under a profiler and fails when two compared routes reach a common
 package function outside a short allow-list (polynomial arithmetic, parsing,
 enumerators and scans).  Five checks with more structure than one compared
@@ -34,7 +36,7 @@ from . import actions, tables
 from .errors import IdentityViolationError, ResourceLimitError
 from .grammar import derive_n, parse_poly, substitute
 from .objects import iter_objects
-from .polynomials import XYZ, Poly, QPoly
+from .polynomials import XYZ, Poly
 from .stats import (
     STIRLING_STATS,
     _stirling_scan,
@@ -191,7 +193,7 @@ def qn_only_names() -> list[str]:
 # helpers
 
 
-def _poly(klass: str, stat: str) -> Callable[[int], QPoly]:
+def _poly(klass: str, stat: str) -> Callable[[int], Poly]:
     """The route to the brute-force distribution of one statistic."""
     return lambda n: distribution(klass, n, [stat]).poly()
 
@@ -205,14 +207,14 @@ def _tri(n: int) -> Poly:
 _lap_dasc_dp = itemgetter(*map(STIRLING_STATS.index, ("lap", "dasc", "dp")))
 
 
-def _convolve(f: Callable[[int], QPoly], g: Callable[[int], QPoly], n: int) -> QPoly:
+def _convolve(f: Callable[[int], Poly], g: Callable[[int], Poly], n: int) -> Poly:
     """sum_k C(n,k) f(k) g(n-k)."""
     return sum(
-        (f(k) * g(n - k) * math.comb(n, k) for k in range(n + 1)), QPoly.zero()
+        (f(k) * g(n - k) * math.comb(n, k) for k in range(n + 1)), Poly.zero()
     )
 
 
-def _square_times(seq: Sequence[QPoly], factor: Sequence[QPoly]) -> list[QPoly]:
+def _square_times(seq: Sequence[Poly], factor: Sequence[Poly]) -> list[Poly]:
     """The t^n/n! coefficients of S(t)^2 f(t) for n < len(seq), where S has
     the coefficients ``seq`` and f the coefficients ``factor``."""
     idx = range(len(seq))
@@ -220,16 +222,29 @@ def _square_times(seq: Sequence[QPoly], factor: Sequence[QPoly]) -> list[QPoly]:
     return [_convolve(square.__getitem__, factor.__getitem__, n) for n in idx]
 
 
-def _at_t0(p: QPoly) -> Callable[[int], QPoly]:
+def _at_t0(p: Poly) -> Callable[[int], Poly]:
     """The route to the coefficients of a series constant in t."""
-    return lambda n: p if n == 0 else QPoly.zero()
+    return lambda n: p if n == 0 else Poly.zero()
 
 
-def _t_m_x2(bound: int) -> list[QPoly]:
+_X = Poly.var("x")
+
+
+def _x_squared(p: Poly) -> Poly:
+    """p(x) -> p(x^2), for p in x alone."""
+    return Poly.from_counts({2 * k: c for (k,), c in p.terms.items()})
+
+
+def _minus_x(p: Poly) -> Poly:
+    """p(x) -> p(-x), for p in x alone."""
+    return Poly.from_counts({k: -c if k % 2 else c for (k,), c in p.terms.items()})
+
+
+def _t_m_x2(bound: int) -> list[Poly]:
     """sum C(n,k) T_k(x) M_(n-k)(x^2) for n = 0..bound, the t^n/n!
     coefficients of T(x,t) M(x^2,t); M_k derived once per order."""
     ts = [tables.t_poly(n) for n in range(bound + 1)]
-    ms = [tables.m_poly(n).compose_x_squared() for n in range(bound + 1)]
+    ms = [_x_squared(tables.m_poly(n)) for n in range(bound + 1)]
     return [_convolve(ts.__getitem__, ms.__getitem__, n) for n in range(bound + 1)]
 
 
@@ -252,11 +267,11 @@ def _flag_brute(klass: str, stat: str, exps) -> Callable[[int], Poly]:
     return brute
 
 
-def _p_at(n: int, bindings: dict) -> QPoly:
-    return substitute(tables.p_poly(n), bindings).to_qpoly("x")
+def _p_at(n: int, bindings: dict) -> Poly:
+    return substitute(tables.p_poly(n), bindings)
 
 
-def _cn_nn(bound: int) -> tuple[list[QPoly], list[QPoly]]:
+def _cn_nn(bound: int) -> tuple[list[Poly], list[Poly]]:
     return tables.cn_nn_tables(bound)
 
 
@@ -273,19 +288,20 @@ _asc, _des, _plat = (_poly("stirling", stat) for stat in ("asc", "des", "plat"))
 _GS_ORDER = 10
 
 
-def _stirling_series(k: int) -> QPoly:
+def _stirling_series(k: int) -> Poly:
     """sum_n S(n+k, n) x^n through x^10."""
-    return QPoly.from_counts(
+    return Poly.from_counts(
         {n: tables.stirling2(n + k, n) for n in range(_GS_ORDER + 1)}
     )
 
 
-def _des_negbinom(k: int) -> QPoly:
+def _des_negbinom(k: int) -> Poly:
     """The descent polynomial of Q_k times sum_m C(m+2k, 2k) x^m, through
     x^10."""
     orders = range(_GS_ORDER + 1)
-    negbinom = QPoly.from_counts({m: math.comb(m + 2 * k, 2 * k) for m in orders})
-    return QPoly((_des(k) * negbinom).coeffs[: _GS_ORDER + 1])
+    negbinom = Poly.from_counts({m: math.comb(m + 2 * k, 2 * k) for m in orders})
+    product = _des(k) * negbinom
+    return Poly.from_counts({m: c for (m,), c in product.terms.items() if m in orders})
 
 
 _register(
@@ -318,19 +334,17 @@ _register(
 )
 
 
-def _m_cleared(bound: int) -> list[QPoly]:
+def _m_cleared(bound: int) -> list[Poly]:
     """M(x,t)^2 (x - e^(2t(x-1))) coefficient-wise: the factor is x - 1 at
     t^0 and -(2x-2)^j at t^j/j!, j >= 1."""
-    factor = [QPoly((-1, 1))] + [-QPoly((-2, 2)) ** j for j in range(1, bound + 1)]
+    factor = [_X - 1] + [-(2 * _X - 2) ** j for j in range(1, bound + 1)]
     return _square_times([tables.m_poly(n) for n in range(bound + 1)], factor)
 
 
-def _n_cleared(bound: int) -> list[QPoly]:
+def _n_cleared(bound: int) -> list[Poly]:
     """N(x,t)^2 (1 - x e^(2t(1-x))) coefficient-wise: the factor is 1 - x at
     t^0 and -x(2-2x)^j at t^j/j!, j >= 1."""
-    factor = [QPoly((1, -1))] + [
-        -QPoly.x() * QPoly((2, -2)) ** j for j in range(1, bound + 1)
-    ]
+    factor = [1 - _X] + [-_X * (2 - 2 * _X) ** j for j in range(1, bound + 1)]
     return _square_times(tables.cn_nn_tables(bound)[1], factor)
 
 
@@ -339,7 +353,7 @@ _register(
     "M(x,t)^2 (x - e^(2t(x-1))) = x - 1 in cleared form; M_n from the grammar "
     "derivative, the closed form from the series construction",
     8, 12,
-    compare=[Compare(Table(_m_cleared), _at_t0(QPoly((-1, 1))))],
+    compare=[Compare(Table(_m_cleared), _at_t0(_X - 1))],
 )
 
 _register(
@@ -347,7 +361,7 @@ _register(
     "N(x,t)^2 (1 - x e^(2t(1-x))) = 1 - x in cleared form; N_n from its "
     "recurrence, the closed form from the series construction",
     8, 12,
-    compare=[Compare(Table(_n_cleared), _at_t0(QPoly((1, -1))))],
+    compare=[Compare(Table(_n_cleared), _at_t0(1 - _X))],
 )
 
 
@@ -361,7 +375,7 @@ _register(
 )
 
 
-def _nn_aa_sums(bound: int) -> tuple[list[QPoly], ...]:
+def _nn_aa_sums(bound: int) -> tuple[list[Poly], ...]:
     """sum C(n,k) N_k N_(n-k) and sum C(n,k) N_k M_(n-k) for n = 0..bound."""
     _, ns = tables.cn_nn_tables(bound)
     ms = [tables.m_poly(k) for k in range(bound + 1)]
@@ -379,7 +393,7 @@ _register(
     compare=[
         # the x factor on the left forces n >= 1
         Compare(
-            lambda n: tables.a_poly(n) * QPoly.x() * 2**n,
+            lambda n: tables.a_poly(n) * _X * 2**n,
             Table(_nn_aa_sums, 0),
             "2^n x A_n ",
             start=1,
@@ -446,10 +460,8 @@ _register(
     "brute-forced, the right side from tables",
     6, 7, ("signed",),
     compare=[Compare(
-        lambda n: _poly("signed", "fdes")(n) * QPoly.x(),
-        lambda n: _convolve(
-            tables.t_poly, lambda k: tables.n_poly(k).compose_x_squared(), n
-        ),
+        lambda n: _poly("signed", "fdes")(n) * _X,
+        lambda n: _convolve(tables.t_poly, lambda k: _x_squared(tables.n_poly(k)), n),
         start=1,
     )],
 )
@@ -473,10 +485,8 @@ _register(
     "(single path: tables only)",
     10, 20,
     compare=[Compare(
-        lambda n: _convolve(
-            tables.t_poly, lambda k: tables.t_poly(k).compose_scaled(-1), n
-        ),
-        _at_t0(QPoly.one()),
+        lambda n: _convolve(tables.t_poly, lambda k: _minus_x(tables.t_poly(k)), n),
+        _at_t0(Poly.one()),
     )],
 )
 
@@ -697,7 +707,7 @@ _register(
     8, 12,
     # gamma_weighted_sum cross-checks its two formulas itself
     compare=[Compare(
-        lambda n: QPoly.from_counts(
+        lambda n: Poly.from_counts(
             {i: tables.gamma_weighted_sum(n, i) for i in range(1, n + 1)}
         ),
         _N,
@@ -710,10 +720,10 @@ _register(
     "gamma_(n, n-k, k) equals the Eulerian number <n, k>",
     8, 12,
     compare=[Compare(
-        lambda n: QPoly.from_counts(
+        lambda n: Poly.from_counts(
             {k: tables.gamma_number(n, n - k, k) for k in range(n + 1)}
         ),
-        lambda n: QPoly.from_counts({k: tables.eulerian(n, k) for k in range(n + 1)}),
+        lambda n: Poly.from_counts({k: tables.eulerian(n, k) for k in range(n + 1)}),
         start=1,
     )],
 )

@@ -31,7 +31,7 @@ from .objects import (
     StirlingPermutation,
     iter_objects,
 )
-from .polynomials import XYZ, Poly, QPoly
+from .polynomials import XYZ, Poly
 
 STIRLING_STATS = ("asc", "des", "plat", "ap", "lap", "fap", "dasc", "dp")
 SIGNED_STATS = ("desA", "desB", "fdes", "fasc")
@@ -200,11 +200,11 @@ class DistributionTable:
             out[tuple(values[i] for i in idx)] += c
         return DistributionTable(self.klass, self.n, tuple(stats), dict(out))
 
-    def poly(self) -> QPoly:
+    def poly(self) -> Poly:
         """The generating polynomial of a single-statistic table."""
         if len(self.stat_names) != 1:
             raise ValueError("poly() needs exactly one statistic")
-        return QPoly.from_counts({v[0]: c for v, c in self.counts.items()})
+        return Poly.from_counts({v[0]: c for v, c in self.counts.items()})
 
     def tripoly(self) -> Poly:
         """The generating polynomial in x, y, z of a three-statistic table."""

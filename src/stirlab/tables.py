@@ -12,16 +12,19 @@ Families and their one-letter polynomial names as used by the CLI:
 - ``P``: trivariate refinement P_n(x, y, z) counting (lap, dasc, dp);
 - ``G``: its gamma vector, G_n(x, y) = sum gamma_{n,i,j} x^i y^j.
 
-Tables are exact integers; polynomial assembly returns QPoly values, and
-Poly values over ("x", "y", "z") for P and G.  Each triangle has a step
-function that makes row m from row m-1 and m; row n is the
-``functools.reduce`` of its step over 1..n from row 0 = {origin: 1}, and a
-whole table draws rows 0..n from ``itertools.accumulate``.  A small JSON
-disk cache (:class:`TableCache`) can memoize the CoefficientTable-producing
-builders, keyed by family and bound.  A cached file is used only when it
-carries the package version, matches the table schema and every row adds up
-to its known total; any other file is a miss, and the rebuilt table replaces
-it.
+Tables are exact integers, and so is every polynomial: a family in x is a
+``Poly`` over ("x",), and P and G are ``Poly`` values over ("x", "y", "z").
+Each triangle, C and N included, has a step function that makes row m from
+row m-1 and m; row n is the ``functools.reduce`` of its step over 1..n from
+row 0 = {origin: 1}, and a whole table draws rows 0..n from
+``itertools.accumulate``.  A number function reads 0 off its range; every
+polynomial, row-list and table function raises ValueError on a negative n.
+
+A small JSON disk cache (:class:`TableCache`) can memoize the
+CoefficientTable-producing builders, keyed by family and bound.  A cached
+file is used only when it carries the package version, matches the table
+schema and every row adds up to its known total; any other file is a miss,
+and the rebuilt table replaces it.
 """
 from __future__ import annotations
 
@@ -31,7 +34,6 @@ import os
 import tempfile
 from bisect import bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import accumulate, chain
 from operator import itemgetter, lshift
@@ -41,7 +43,7 @@ from typing import Mapping
 from ._version import __version__
 from .errors import IdentityViolationError
 from .grammar import coefficient_profile, derive_n, parse_grammar, parse_poly
-from .polynomials import XYZ, Poly, QPoly
+from .polynomials import XYZ, Poly
 
 # the grammar whose derivative drives the flag statistics; D^n(y) encodes the
 # ascent-plateau distribution, which is how m_poly avoids brute force
@@ -236,9 +238,11 @@ def eulerian(n: int, k: int) -> int:
     return _eulerian_row(n).get(k, 0)
 
 
-def a_poly(n: int) -> QPoly:
+def a_poly(n: int) -> Poly:
     """Eulerian polynomial A_n(x)."""
-    return QPoly.from_counts(_eulerian_row(n))
+    if n < 0:
+        raise ValueError(f"A_n needs n >= 0, got n={n}")
+    return Poly.from_counts(_eulerian_row(n))
 
 
 def _b_eulerian_step(prev: dict[int, int], m: int) -> dict[int, int]:
@@ -264,14 +268,19 @@ def b_eulerian(n: int, k: int) -> int:
     return _b_eulerian_row(n).get(k, 0)
 
 
-def b_poly(n: int) -> QPoly:
+def b_poly(n: int) -> Poly:
     """Type-B Eulerian polynomial B_n(x)."""
-    return QPoly.from_counts(_b_eulerian_row(n))
+    if n < 0:
+        raise ValueError(f"B_n needs n >= 0, got n={n}")
+    return Poly.from_counts(_b_eulerian_row(n))
 
 
-def f_poly(n: int) -> QPoly:
-    """Flag descent polynomial F_n(x) = (1+x)^n A_n(x)."""
-    return QPoly((1, 1)) ** n * a_poly(n)
+def f_poly(n: int) -> Poly:
+    """Flag descent polynomial F_n(x) = (1+x)^n A_n(x), with (1+x)^n written
+    as its binomial row."""
+    if n < 0:
+        raise ValueError(f"F_n needs n >= 0, got n={n}")
+    return Poly.from_counts({j: math.comb(n, j) for j in range(n + 1)}) * a_poly(n)
 
 
 def _stirling2_step(prev: dict[int, int], m: int) -> dict[int, int]:
@@ -296,6 +305,8 @@ def stirling2(n: int, k: int) -> int:
 
 
 def eulerian_table(n_max: int, cache: TableCache | None = None) -> CoefficientTable:
+    if n_max < 0:
+        raise ValueError(f"the Eulerian table needs n >= 0, got n={n_max}")
     rows = accumulate(range(1, n_max + 1), _eulerian_step, initial={0: 1})
     return _cached_build("eulerian", 2, n_max, cache, rows)
 
@@ -333,12 +344,16 @@ def t_number(n: int, k: int) -> int:
     return _t_row(n).get(k, 0)
 
 
-def t_poly(n: int) -> QPoly:
+def t_poly(n: int) -> Poly:
     """T_n(x): the flag ascent-plateau distribution over Q_n."""
-    return QPoly.from_counts(_t_row(n))
+    if n < 0:
+        raise ValueError(f"T_n needs n >= 0, got n={n}")
+    return Poly.from_counts(_t_row(n))
 
 
 def t_table(n_max: int, cache: TableCache | None = None) -> CoefficientTable:
+    if n_max < 0:
+        raise ValueError(f"the T table needs n >= 0, got n={n_max}")
     rows = accumulate(range(1, n_max + 1), _t_step, initial={0: 1})
     return _cached_build("t", 2, n_max, cache, rows)
 
@@ -379,17 +394,23 @@ def _p_row(n: int) -> dict[tuple[int, int, int], int]:
 
 def p_number(n: int, i: int, j: int, k: int) -> int:
     """Count of Q_n words with lap = i, dasc = j, dp = k (0 off-range)."""
+    if n < 0:
+        return 0
     return _p_row(n).get((i, j, k), 0)
 
 
 def p_poly(n: int) -> Poly:
     """P_n(x, y, z) = sum x^lap y^dasc z^dp over Q_n."""
+    if n < 0:
+        raise ValueError(f"P_n needs n >= 0, got n={n}")
     return Poly(XYZ, _p_row(n))
 
 
 def p_polys_differential(n_max: int) -> list[Poly]:
     """P_0..P_{n_max} through the differential recurrence, an independent
     path from the index recurrence behind :func:`p_poly`."""
+    if n_max < 0:
+        raise ValueError(f"P_0..P_n needs n >= 0, got n={n_max}")
     x, xy, xz, x2 = (
         Poly(XYZ, {e: 1}) for e in ((1, 0, 0), (1, 1, 0), (1, 0, 1), (2, 0, 0))
     )
@@ -407,6 +428,8 @@ def p_polys_differential(n_max: int) -> list[Poly]:
 
 
 def p_table(n_max: int, cache: TableCache | None = None) -> CoefficientTable:
+    if n_max < 0:
+        raise ValueError(f"the P table needs n >= 0, got n={n_max}")
     rows = accumulate(range(1, n_max + 1), _p_step, initial={(0, 0, 0): 1})
     return _cached_build("p", 4, n_max, cache, rows)
 
@@ -440,18 +463,25 @@ def _gamma_row(n: int) -> dict[tuple[int, int], int]:
 
 
 def gamma_number(n: int, i: int, j: int) -> int:
-    """gamma_{n,i,j}: descent-plateau-free words with lap = i, dasc = j."""
+    """gamma_{n,i,j}: descent-plateau-free words with lap = i, dasc = j
+    (0 off-range)."""
+    if n < 0:
+        return 0
     return _gamma_row(n).get((i, j), 0)
 
 
 def g_poly(n: int) -> Poly:
     """G_n(x, y) = sum gamma_{n,i,j} x^i y^j (stored with z-exponent 0)."""
+    if n < 0:
+        raise ValueError(f"G_n needs n >= 0, got n={n}")
     return Poly(XYZ, {(i, j, 0): c for (i, j), c in _gamma_row(n).items()})
 
 
 def g_polys_differential(n_max: int) -> list[Poly]:
     """G_0..G_{n_max} through the differential recurrence, an independent
     path from the index recurrence behind :func:`g_poly`."""
+    if n_max < 0:
+        raise ValueError(f"G_0..G_n needs n >= 0, got n={n_max}")
     x, xy, x2 = (Poly(XYZ, {e: 1}) for e in ((1, 0, 0), (1, 1, 0), (2, 0, 0)))
     out = [Poly(XYZ, {(0, 0, 0): 1})]
     for n in range(n_max):
@@ -466,6 +496,8 @@ def g_polys_differential(n_max: int) -> list[Poly]:
 
 
 def gamma_table(n_max: int, cache: TableCache | None = None) -> CoefficientTable:
+    if n_max < 0:
+        raise ValueError(f"the gamma table needs n >= 0, got n={n_max}")
     rows = accumulate(range(1, n_max + 1), _gamma_step, initial={(0, 0): 1})
     return _cached_build("gamma", 3, n_max, cache, rows)
 
@@ -474,77 +506,92 @@ def gamma_table(n_max: int, cache: TableCache | None = None) -> CoefficientTable
 # ascent and left ascent-plateau polynomial sequences
 
 
-def cn_nn_tables(n_max: int) -> tuple[list[QPoly], list[QPoly]]:
-    """(C_0..C_n, N_0..N_n) through their differential recurrences.
-
-    C_{n+1} = (2n+1) x C_n + x(1-x) C_n' turns into coefficients as
-    C_{n+1}[k] = k C_n[k] + (2n+2-k) C_n[k-1], since x C_n' contributes
-    k C_n[k] and -x^2 C_n' contributes -(k-1) C_n[k-1]; similarly
-    N_{n+1}[k] = 2k N_n[k] + (2n+3-2k) N_n[k-1] with the doubled x(1-x) N_n'.
-    """
-    cs = [QPoly.one()]
-    ns = [QPoly.one()]
-    for n in range(n_max):
-        c, nn = cs[-1], ns[-1]
-        cs.append(
-            QPoly(
-                k * c[k] + (2 * n + 2 - k) * c[k - 1]
-                for k in range(c.degree + 2)
-            )
-        )
-        ns.append(
-            QPoly(
-                2 * k * nn[k] + (2 * n + 3 - 2 * k) * nn[k - 1]
-                for k in range(nn.degree + 2)
-            )
-        )
-    return cs, ns
+def _c_step(prev: dict[int, int], m: int) -> dict[int, int]:
+    # C_{n+1} = (2n+1) x C_n + x(1-x) C_n' turns into coefficients as
+    # C_{n+1}[k] = k C_n[k] + (2n+2-k) C_n[k-1], since x C_n' contributes
+    # k C_n[k] and -x^2 C_n' contributes -(k-1) C_n[k-1]; here m = n+1
+    row: dict[int, int] = {}
+    for k in range(m + 1):
+        v = k * prev.get(k, 0) + (2 * m - k) * prev.get(k - 1, 0)
+        if v:
+            row[k] = v
+    return row
 
 
-def c_poly(n: int) -> QPoly:
+def _n_step(prev: dict[int, int], m: int) -> dict[int, int]:
+    # the same with the doubled x(1-x) N_n':
+    # N_{n+1}[k] = 2k N_n[k] + (2n+3-2k) N_n[k-1]; here m = n+1
+    row: dict[int, int] = {}
+    for k in range(m + 1):
+        v = 2 * k * prev.get(k, 0) + (2 * m + 1 - 2 * k) * prev.get(k - 1, 0)
+        if v:
+            row[k] = v
+    return row
+
+
+def cn_nn_tables(n_max: int) -> tuple[list[Poly], list[Poly]]:
+    """(C_0..C_n, N_0..N_n) through their differential recurrences."""
+    if n_max < 0:
+        raise ValueError(f"C_0..C_n and N_0..N_n need n >= 0, got n={n_max}")
+    steps = range(1, n_max + 1)
+    return (
+        [Poly.from_counts(r) for r in accumulate(steps, _c_step, initial={0: 1})],
+        [Poly.from_counts(r) for r in accumulate(steps, _n_step, initial={0: 1})],
+    )
+
+
+def c_poly(n: int) -> Poly:
     """C_n(x): the ascent distribution over Q_n."""
-    return cn_nn_tables(n)[0][n]
+    if n < 0:
+        raise ValueError(f"C_n needs n >= 0, got n={n}")
+    return Poly.from_counts(reduce(_c_step, range(1, n + 1), {0: 1}))
 
 
-def n_poly(n: int) -> QPoly:
+def n_poly(n: int) -> Poly:
     """N_n(x): the left ascent-plateau distribution over Q_n."""
-    return cn_nn_tables(n)[1][n]
+    if n < 0:
+        raise ValueError(f"N_n needs n >= 0, got n={n}")
+    return Poly.from_counts(reduce(_n_step, range(1, n + 1), {0: 1}))
 
 
-def m_poly(n: int) -> QPoly:
+def m_poly(n: int) -> Poly:
     """M_n(x): the ascent-plateau distribution over Q_n.
 
     Computed through the grammar derivative: the n-th derivative of y under
     the flag grammar is y * sum y^(2 ap) z^(2n - 2 ap).
     """
+    if n < 0:
+        raise ValueError(f"M_n needs n >= 0, got n={n}")
     profile = coefficient_profile(derive_n(parse_poly("y"), FLAG_GRAMMAR, n), ["y"])
     counts: dict[int, int] = {}
     for (e,), c in profile.items():
         if (e - 1) % 2:
             raise IdentityViolationError(f"odd ascent-plateau weight exponent {e}")
         counts[(e - 1) // 2] = c
-    return QPoly.from_counts(counts)
+    return Poly.from_counts(counts)
 
 
-def n_poly_closed(n: int) -> QPoly:
+def n_poly_closed(n: int) -> Poly:
     """N_n(x) = sum_k 2^(n-2k) C(2k,k) k! S(n,k) x^k (1-x)^(n-k).
 
-    The powers of two go negative for k > n/2, so the expansion runs over
-    rationals; the assembled polynomial is integral.
+    The powers of two go negative for k > n/2, so the sum runs over 2^n N_n,
+    whose weights 4^(n-k) C(2k,k) k! S(n,k) are integers, and divides by 2^n
+    at the end; a remainder raises IdentityViolationError.
     """
-    one_minus_x = QPoly((1, -1))
-    acc = QPoly.one() if n == 0 else QPoly.zero()
-    for k in range(1, n + 1):
-        w = (
-            Fraction(2) ** (n - 2 * k)
-            * math.comb(2 * k, k)
-            * math.factorial(k)
-            * stirling2(n, k)
+    if n < 0:
+        raise ValueError(f"N_n needs n >= 0, got n={n}")
+    scaled: dict[int, int] = {}
+    for k in range(n + 1):
+        w = 4 ** (n - k) * math.comb(2 * k, k) * math.factorial(k) * stirling2(n, k)
+        # x^k (1-x)^(n-k) by the binomial theorem
+        for m in range(n - k + 1):
+            scaled[k + m] = scaled.get(k + m, 0) + (-1) ** m * math.comb(n - k, m) * w
+    if any(c % 2**n for c in scaled.values()):
+        raise IdentityViolationError(
+            f"closed form of N_{n} is not integral: 2^{n} N_{n} = "
+            f"{Poly.from_counts(scaled)}"
         )
-        acc = acc + QPoly.monomial(k, w) * one_minus_x ** (n - k)
-    if not acc.is_integral():
-        raise IdentityViolationError(f"closed form of N_{n} is not integral: {acc}")
-    return acc
+    return Poly.from_counts({k: c >> n for k, c in scaled.items()})
 
 
 def gamma_weighted_sum(n: int, i: int) -> int:
@@ -552,23 +599,25 @@ def gamma_weighted_sum(n: int, i: int) -> int:
 
     The second way is the alternating closed form
     sum_{j=1}^{i} (-1)^(i-j) 2^(n-2j) C(2j,j) C(n-j,i-j) j! S(n,j);
-    a mismatch raises IdentityViolationError.
+    a mismatch raises IdentityViolationError.  Its powers of two go negative
+    for j > n/2, so both sides are compared times 2^n, which turns
+    2^(n-2j) into 4^(n-j).
     """
     if not 1 <= i <= n:
         raise ValueError(f"need 1 <= i <= n, got i={i}, n={n}")
     direct = sum(2**j * gamma_number(n, i, j) for j in range(n))
-    alt = Fraction(0)
-    for j in range(1, i + 1):
-        alt += (
-            Fraction(-1) ** (i - j)
-            * Fraction(2) ** (n - 2 * j)
-            * math.comb(2 * j, j)
-            * math.comb(n - j, i - j)
-            * math.factorial(j)
-            * stirling2(n, j)
-        )
-    if alt != direct:
+    alt = sum(
+        (-1) ** (i - j)
+        * 4 ** (n - j)
+        * math.comb(2 * j, j)
+        * math.comb(n - j, i - j)
+        * math.factorial(j)
+        * stirling2(n, j)
+        for j in range(1, i + 1)
+    )
+    if alt != direct << n:
         raise IdentityViolationError(
-            f"weighted gamma sum mismatch at (n={n}, i={i}): {direct} vs {alt}"
+            f"weighted gamma sum mismatch at (n={n}, i={i}): "
+            f"2^{n} * {direct} vs {alt}"
         )
     return direct

@@ -14,7 +14,7 @@ import pytest
 import stirlab.identities as ids
 import stirlab.tables as tb
 from stirlab.identities import run_identity
-from stirlab.polynomials import XYZ, Poly, QPoly
+from stirlab.polynomials import XYZ, Poly
 
 
 def _bump_distribution(monkeypatch, klass, order, stats):
@@ -69,7 +69,7 @@ def _break_cn_nn(monkeypatch, part, order):
 
 
 def _plus_one(p):
-    return p + QPoly.one()
+    return p + Poly.one()
 
 
 def _plus_xyz_one(p):

@@ -7,61 +7,64 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stirlab.cli import _print_trivariate
+from stirlab.cli import _print_trivariate, _print_univariate
 from stirlab.grammar import parse_poly, substitute
-from stirlab.identities import _convolve
-from stirlab.polynomials import XYZ, Poly, QPoly
+from stirlab.identities import _convolve, _minus_x, _x_squared
+from stirlab.polynomials import XYZ, Poly
 
-qpolys = st.lists(st.integers(-6, 6), max_size=5).map(QPoly)
+
+def dense(*coeffs: int) -> Poly:
+    """The polynomial in x with these coefficients of x^0, x^1, ..."""
+    return Poly.from_counts(dict(enumerate(coeffs)))
+
+
+xpolys = st.lists(st.integers(-6, 6), max_size=5).map(lambda cs: dense(*cs))
 
 
 class TestQPoly:
+    """Poly over ("x",), the shape of A_n, C_n, M_n, N_n and T_n."""
+
     def test_trimming_and_equality(self):
-        assert QPoly((1, 2, 0, 0)) == QPoly((1, 2))
-        assert QPoly(()) == QPoly((0,)) == QPoly.zero()
-        assert QPoly((0, 1)).degree == 1
-        assert QPoly.zero().degree == -1
+        assert dense(1, 2, 0, 0) == dense(1, 2)
+        assert dense(1, 2, 0, 0).terms == {(0,): 1, (1,): 2}
+        assert dense() == dense(0) == Poly.zero()
+        assert dense(0, 1) == Poly.var("x") and dense(3) == 3
 
     @settings(max_examples=60, deadline=None)
-    @given(qpolys, qpolys, qpolys)
+    @given(xpolys, xpolys, xpolys)
     def test_ring_axioms(self, a, b, c):
         assert a + b == b + a
         assert a * b == b * a
         assert (a + b) + c == a + (b + c)
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
-        assert a * QPoly.one() == a
-        assert a + QPoly.zero() == a
-        assert a - a == QPoly.zero()
+        assert a * Poly.one() == a
+        assert a + Poly.zero() == a
+        assert a - a == Poly.zero()
 
     def test_compose_x_squared(self):
-        assert QPoly((1, 2)).compose_x_squared() == QPoly((1, 0, 2))
-        assert QPoly((0, 1, 1, 1)) * QPoly.one() == QPoly((0, 1, 1, 1))
+        assert _x_squared(dense(1, 2)) == dense(1, 0, 2)
+        assert dense(0, 1, 1, 1) * Poly.one() == dense(0, 1, 1, 1)
 
     def test_compose_scaled(self):
-        assert QPoly((1, 1, 1)).compose_scaled(-1) == QPoly((1, -1, 1))
-
-    def test_eval_and_derivative(self):
-        p = QPoly((1, -3, 2))  # 1 - 3x + 2x^2
-        assert p.eval_at(Fraction(1, 2)) == 0
-        assert p.derivative() == QPoly((-3, 4))
+        assert _minus_x(dense(1, 1, 1)) == dense(1, -1, 1)
 
     def test_pow(self):
-        assert QPoly((1, 1)) ** 3 == QPoly((1, 3, 3, 1))
-        assert QPoly((0, 2)) ** 0 == QPoly.one()
-
-    def test_rational_coefficients_stay_exact(self):
-        p = QPoly((Fraction(1, 3), Fraction(2, 3)))
-        assert (p * 3) == QPoly((1, 2))
-        assert not p.is_integral()
+        assert dense(1, 1) ** 3 == dense(1, 3, 3, 1)
+        assert dense(0, 2) ** 0 == Poly.one()
+        with pytest.raises(ValueError):
+            dense(1, 1) ** -1
 
     def test_str_and_json_roundtrip(self):
-        p = QPoly((Fraction(-1, 2), 0, 3))
-        assert str(p) == "-1/2 + 3*x^2"
-        assert QPoly.from_json(p.to_json()) == p
-        assert p.to_json() == {"var": "x", "coeffs": ["-1/2", "0", "3"]}
-        assert str(QPoly.zero()) == "0"
-        assert str(QPoly((0, 1, 1, 1))) == "x + x^2 + x^3"
+        p = dense(-1, 0, 3)
+        assert str(p) == "-1 + 3*x^2"
+        out = io.StringIO()
+        _print_univariate(p, "json", out)
+        obj = json.loads(out.getvalue())
+        assert obj == {"var": "x", "coeffs": ["-1", "0", "3"]}
+        assert dense(*map(int, obj["coeffs"])) == p
+        assert str(Poly.zero()) == "0"
+        assert str(dense(0, 1, 1, 1)) == "x + x^2 + x^3"
 
 
 def xyz(i: int, j: int, k: int, c=1) -> Poly:
@@ -96,66 +99,68 @@ class TestTriPoly:
         assert swapped.names == XYZ
 
     def test_eval_collapses_to_qpoly(self):
-        # the order-2 refinement xy + xz + x^2 at (x, x, 1) and (x, 1, 1)
+        # the order-2 refinement xy + xz + x^2 at (x, x, 1) and (x, 1, 1) is a
+        # polynomial in x alone, equal to one built over ("x",)
         p = Poly(XYZ, {(1, 1, 0): 1, (1, 0, 1): 1, (2, 0, 0): 1})
-        assert substitute(p, {"y": "x", "z": 1}).to_qpoly("x") == QPoly((0, 1, 2))
-        assert substitute(p, {"y": 1, "z": 1}).to_qpoly("x") == QPoly((0, 2, 1))
-        assert Poly.one().to_qpoly("x") == QPoly.one()
-        with pytest.raises(ValueError):
-            p.to_qpoly("x")
+        assert substitute(p, {"y": "x", "z": 1}) == dense(0, 1, 2)
+        assert substitute(p, {"y": 1, "z": 1}) == dense(0, 2, 1)
+        assert str(substitute(p, {"y": 1, "z": 1})) == "2*x + x^2"
+        assert Poly.one() == dense(1)
 
     def test_json_roundtrip(self):
-        p = Poly(XYZ, {(1, 2, 3): Fraction(5, 2), (0, 0, 0): -1, (0, 4, 0): 10**30})
+        p = Poly(XYZ, {(1, 2, 3): 5, (0, 0, 0): -1, (0, 4, 0): 10**30})
         terms = json.loads(json.dumps(p.to_json()))
         rebuilt = Poly(XYZ, {
-            tuple(t["monomial"].get(v, 0) for v in XYZ): Fraction(t["coeff"])
-            for t in terms
+            tuple(t["monomial"].get(v, 0) for v in XYZ): t["coeff"] for t in terms
         })
         assert rebuilt == p
-        # integral coefficients stay JSON numbers, as in the grammar output
-        assert [t["coeff"] for t in terms] == [-1, 10**30, "5/2"]
+        # coefficients are JSON numbers, as in the grammar output
+        assert [t["coeff"] for t in terms] == [-1, 10**30, 5]
         assert terms[0] == {"monomial": {}, "coeff": -1}
 
 
-def series_product_oracle(fs: list[QPoly], gs: list[QPoly]) -> list[QPoly]:
-    # multiply as ordinary series with divided coefficients, then restore
-    # the factorials: an independent route to the binomial convolution
-    fd = [f * Fraction(1, math.factorial(n)) for n, f in enumerate(fs)]
-    gd = [g * Fraction(1, math.factorial(n)) for n, g in enumerate(gs)]
+def series_product_oracle(fs: list[Poly], gs: list[Poly]) -> list[Poly]:
+    # multiply as ordinary series with coefficients divided by n!, kept as
+    # local Fraction lists, then restore the factorials: an independent
+    # route to the binomial convolution
+    def divided(n: int, p: Poly) -> list[Fraction]:
+        (top,) = max(p.terms, default=(-1,))
+        return [Fraction(p.coefficient(k), math.factorial(n)) for k in range(top + 1)]
+
+    fd, gd = [divided(*t) for t in enumerate(fs)], [divided(*t) for t in enumerate(gs)]
     out = []
     for n in range(len(fs)):
-        acc = QPoly.zero()
+        acc: dict[int, Fraction] = {}
         for k in range(n + 1):
-            acc = acc + fd[k] * gd[n - k]
-        out.append(acc * math.factorial(n))
+            for i, u in enumerate(fd[k]):
+                for j, v in enumerate(gd[n - k]):
+                    acc[i + j] = acc.get(i + j, 0) + u * v
+        scaled = {e: c * math.factorial(n) for e, c in acc.items()}
+        assert all(c.denominator == 1 for c in scaled.values())
+        out.append(Poly.from_counts({e: c.numerator for e, c in scaled.items()}))
     return out
 
 
 class TestConvolve:
     @settings(max_examples=40, deadline=None)
-    @given(st.lists(qpolys, min_size=4, max_size=4), st.lists(qpolys, min_size=4, max_size=4))
+    @given(st.lists(xpolys, min_size=4, max_size=4), st.lists(xpolys, min_size=4, max_size=4))
     def test_mul_matches_series_oracle(self, fs, gs):
         got = [_convolve(fs.__getitem__, gs.__getitem__, n) for n in range(4)]
         assert got == series_product_oracle(fs, gs)
 
 
-# Mixed int and Fraction inputs against a Fraction-only reference: the
-# reference keeps every coefficient as a Fraction and renders it with the
-# printing rules the output format promises.
+# Integer inputs against an int-only reference that renders every
+# coefficient with the printing rules the output format promises.
 
-rationals = st.one_of(
-    st.integers(-6, 6),
-    st.integers(-6, 6).map(Fraction),
-    st.fractions(min_value=-3, max_value=3, max_denominator=4),
-)
-coeff_lists = st.lists(rationals, max_size=5)
+ints = st.integers(-6, 6)
+coeff_lists = st.lists(ints, max_size=5)
 tri_term_lists = st.lists(
-    st.tuples(st.tuples(*[st.integers(0, 2)] * 3), rationals), max_size=5
+    st.tuples(st.tuples(*[st.integers(0, 2)] * 3), ints), max_size=5
 )
 
 
 def _ref_trim(cs):
-    cs = [Fraction(c) for c in cs]
+    cs = list(cs)
     while cs and cs[-1] == 0:
         cs.pop()
     return cs
@@ -163,22 +168,18 @@ def _ref_trim(cs):
 
 def _ref_add(a, b):
     n = max(len(a), len(b))
-    pad = lambda cs: cs + [Fraction(0)] * (n - len(cs))  # noqa: E731
+    pad = lambda cs: cs + [0] * (n - len(cs))  # noqa: E731
     return _ref_trim([u + v for u, v in zip(pad(a), pad(b))])
 
 
 def _ref_qmul(a, b):
     if not a or not b:
         return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, u in enumerate(a):
         for j, v in enumerate(b):
             out[i + j] += u * v
     return _ref_trim(out)
-
-
-def _ref_frac(c):
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
 
 def _ref_join(signed_bodies):
@@ -198,18 +199,29 @@ def _ref_qpoly_str(cs):
             continue
         mag = abs(c)
         if k == 0:
-            body = _ref_frac(mag)
+            body = str(mag)
         else:
             xk = "x" if k == 1 else f"x^{k}"
-            body = xk if mag == 1 else f"{_ref_frac(mag)}*{xk}"
+            body = xk if mag == 1 else f"{mag}*{xk}"
         bodies.append((c > 0, body))
     return _ref_join(bodies)
+
+
+def _ref_x_lines(cs, fmt):
+    """The format of a family in x: JSON lists every coefficient up to the
+    degree, CSV the nonzero ones."""
+    if fmt == "plain":
+        return _ref_qpoly_str(cs) + "\n"
+    if fmt == "json":
+        return json.dumps({"var": "x", "coeffs": [str(c) for c in cs]}) + "\n"
+    rows = [f"{k},{c}" for k, c in enumerate(cs) if c]
+    return "\n".join(["k,coeff", *rows]) + "\n"
 
 
 def _ref_tri(terms):
     acc = {}
     for e, c in terms:
-        acc[e] = acc.get(e, Fraction(0)) + Fraction(c)
+        acc[e] = acc.get(e, 0) + c
     return {e: c for e, c in acc.items() if c}
 
 
@@ -218,7 +230,7 @@ def _ref_tri_mul(a, b):
     for (p, q, r), u in a.items():
         for (s, t, w), v in b.items():
             key = (p + s, q + t, r + w)
-            acc[key] = acc.get(key, Fraction(0)) + u * v
+            acc[key] = acc.get(key, 0) + u * v
     return {e: c for e, c in acc.items() if c}
 
 
@@ -229,9 +241,9 @@ def _ref_str(ordered):
         mono = "*".join(v if e == 1 else f"{v}^{e}" for v, e in factors)
         mag = abs(c)
         if not mono:
-            body = _ref_frac(mag)
+            body = str(mag)
         elif mag != 1:
-            body = f"{_ref_frac(mag)}*{mono}"
+            body = f"{mag}*{mono}"
         else:
             body = mono
         bodies.append((c > 0, body))
@@ -245,13 +257,13 @@ def _ref_tri_lines(terms, fmt):
         factors = [(tuple((v, p) for v, p in zip("xyz", e) if p), c) for e, c in ordered]
         return _ref_str(factors) + "\n"
     if fmt == "json":
-        return json.dumps([{"e": list(e), "c": _ref_frac(c)} for e, c in ordered]) + "\n"
-    rows = [f"{i},{j},{k},{_ref_frac(c)}" for (i, j, k), c in ordered]
+        return json.dumps([{"e": list(e), "c": str(c)} for e, c in ordered]) + "\n"
+    rows = [f"{i},{j},{k},{c}" for (i, j, k), c in ordered]
     return "\n".join(["i,j,k,coeff", *rows]) + "\n"
 
 
 # A reference polynomial over any letters: a dict from sparse monomials, the
-# tuples of (letter, exponent > 0) pairs sorted by letter, to Fractions.
+# tuples of (letter, exponent > 0) pairs sorted by letter, to ints.
 
 
 def _sparse(p: Poly):
@@ -265,7 +277,7 @@ def _ref_poly(names, terms):
     acc = {}
     for e, c in terms:
         m = tuple((v, k) for v, k in sorted(zip(names, e)) if k)
-        acc[m] = acc.get(m, Fraction(0)) + Fraction(c)
+        acc[m] = acc.get(m, 0) + c
     return {m: c for m, c in acc.items() if c}
 
 
@@ -280,7 +292,7 @@ def _ref_sum(*polys):
     acc = {}
     for ref in polys:
         for m, c in ref.items():
-            acc[m] = acc.get(m, Fraction(0)) + c
+            acc[m] = acc.get(m, 0) + c
     return {m: c for m, c in acc.items() if c}
 
 
@@ -305,7 +317,7 @@ def _ref_substitute(a, images):
         term = {(): c}
         for v, e in m:
             for _ in range(e):
-                term = _ref_mul(term, images.get(v, {((v, 1),): Fraction(1)}))
+                term = _ref_mul(term, images.get(v, {((v, 1),): 1}))
         acc.append(term)
     return _ref_sum(*acc)
 
@@ -315,19 +327,13 @@ def _ref_sparse_str(a):
     return _ref_str(sorted(a.items(), key=lambda t: (sum(e for _, e in t[0]), t[0])))
 
 
-def _ints_exactly_when_integral(coeffs):
-    return all(
-        type(c) is int if c.denominator == 1 else type(c) is Fraction for c in coeffs
-    )
-
-
 letter_sets = st.lists(st.sampled_from("pqxyz"), unique=True, max_size=4).map(
     lambda ls: tuple(sorted(ls))
 )
 
 
 @st.composite
-def polys(draw, coeffs=rationals, max_terms=4, max_letters=4):
+def polys(draw, coeffs=ints, max_terms=4, max_letters=4):
     """A Poly over a random sorted subset of letters and its reference."""
     names = draw(letter_sets)[:max_letters]
     exps = st.tuples(*[st.integers(0, 2)] * len(names))
@@ -338,31 +344,32 @@ def polys(draw, coeffs=rationals, max_terms=4, max_letters=4):
 class TestExactCoefficients:
     @settings(max_examples=150, deadline=None)
     @given(coeff_lists, coeff_lists, st.integers(0, 3))
-    def test_qpoly_matches_fraction_reference(self, a, b, k):
-        p, q = QPoly(a), QPoly(b)
+    def test_x_poly_matches_int_reference(self, a, b, k):
+        p, q = dense(*a), dense(*b)
         ra, rb = _ref_trim(a), _ref_trim(b)
         cases = [
             (p, ra),
             (p + q, _ref_add(ra, rb)),
             (p - q, _ref_add(ra, [-c for c in rb])),
             (p * q, _ref_qmul(ra, rb)),
-            (p * 3, _ref_qmul(ra, [Fraction(3)])),
-            (p * Fraction(1, 2), _ref_qmul(ra, [Fraction(1, 2)])),
+            (p * 3, _ref_qmul(ra, [3])),
+            (p * -2, _ref_qmul(ra, [-2])),
         ]
-        power = [Fraction(1)]
+        power = [1]
         for _ in range(k):
             power = _ref_qmul(power, ra)
         cases.append((p**k, power))
         for got, ref in cases:
-            assert list(got.coeffs) == ref
-            assert _ints_exactly_when_integral(got.coeffs)
+            assert got.terms_over(("x",)) == {(e,): c for e, c in enumerate(ref) if c}
             assert str(got) == _ref_qpoly_str(ref)
-            assert got.to_json() == {"var": "x", "coeffs": [_ref_frac(c) for c in ref]}
-            assert QPoly.from_json(got.to_json()) == got
+            for fmt in ("plain", "json", "csv"):
+                out = io.StringIO()
+                _print_univariate(got, fmt, out)
+                assert out.getvalue() == _ref_x_lines(ref, fmt)
 
     @settings(max_examples=150, deadline=None)
     @given(tri_term_lists, tri_term_lists)
-    def test_tripoly_matches_fraction_reference(self, a, b):
+    def test_tripoly_matches_int_reference(self, a, b):
         p, q = Poly(XYZ, a), Poly(XYZ, b)
         ra, rb = _ref_tri(a), _ref_tri(b)
         cases = [
@@ -370,13 +377,12 @@ class TestExactCoefficients:
             (p + q, _ref_tri(list(ra.items()) + list(rb.items()))),
             (p - q, _ref_tri(list(ra.items()) + [(e, -c) for e, c in rb.items()])),
             (p * q, _ref_tri_mul(ra, rb)),
-            (p * Fraction(2, 3), {e: c * Fraction(2, 3) for e, c in ra.items()}),
+            (p * -2, {e: c * -2 for e, c in ra.items()}),
             (p.partial("x"), _ref_tri([((i - 1, j, k), i * c)
                                        for (i, j, k), c in ra.items() if i])),
         ]
         for got, ref in cases:
             assert got.terms == ref
-            assert _ints_exactly_when_integral(got.terms.values())
             assert str(got) == _ref_sparse_str(_ref_poly(XYZ, ref.items()))
             for fmt in ("plain", "json", "csv"):
                 out = io.StringIO()
@@ -384,9 +390,8 @@ class TestExactCoefficients:
                 assert out.getvalue() == _ref_tri_lines(ref, fmt)
 
     def test_zero_defaults_are_ints(self):
-        assert type(QPoly((1,))[5]) is int
+        assert type(dense(1).coefficient(5)) is int
         assert type(Poly(XYZ, {(0, 0, 0): 1}).coefficient(1, 0, 0)) is int
-        assert type(QPoly((Fraction(4, 2),)).coeffs[0]) is int
 
 
 class TestPoly:
@@ -402,13 +407,12 @@ class TestPoly:
             (p + q, _ref_sum(ra, rb)),
             (p - q, _ref_sum(ra, minus_rb)),
             (p * q, _ref_mul(ra, rb)),
-            (p * Fraction(2, 3), _ref_mul(ra, {(): Fraction(2, 3)})),
-            (p + 3, _ref_sum(ra, {(): Fraction(3)})),
+            (p * -2, _ref_mul(ra, {(): -2})),
+            (p + 3, _ref_sum(ra, {(): 3})),
             (p.partial(letter), _ref_partial(ra, letter)),
         ]
         for got, ref in cases:
             assert _sparse(got) == ref
-            assert _ints_exactly_when_integral(got.terms.values())
             assert str(got) == _ref_sparse_str(ref)
         assert (p == q) == (ra == rb)
         assert (p - q == Poly.zero()) == (ra == rb)
@@ -428,19 +432,18 @@ class TestPoly:
         images = {}
         for v, image in bindings.items():
             if isinstance(image, str):
-                images[v] = {((image, 1),): Fraction(1)}
+                images[v] = {((image, 1),): 1}
             elif isinstance(image, int):
-                images[v] = {(): Fraction(image)} if image else {}
+                images[v] = {(): image} if image else {}
             else:
                 images[v] = image[1]
         plain = {v: image if isinstance(image, (str, int)) else image[0]
                  for v, image in bindings.items()}
         got = substitute(p, plain)
         assert _sparse(got) == _ref_substitute(ra, images)
-        assert _ints_exactly_when_integral(got.terms.values())
 
     @settings(max_examples=150, deadline=None)
-    @given(polys(coeffs=st.integers(-5, 5)))
+    @given(polys())
     def test_parse_roundtrip(self, pa):
         p, _ = pa
         assert parse_poly(str(p)) == p

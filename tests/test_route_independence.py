@@ -5,7 +5,7 @@ package memo cleared first, under ``sys.setprofile``; the audit collects the
 stirlab functions it reaches.  The two routes one ``Compare`` pairs may share
 only the allow-list below, and whatever runs inside an allowed function:
 
-- ``polynomials``: the arithmetic of ``QPoly`` and ``Poly``;
+- ``polynomials``: the arithmetic of ``Poly``;
 - ``grammar.parse_poly``;
 - ``objects`` and ``stats``: the enumerators and statistic scans that
   define the objects counted;

@@ -5,7 +5,7 @@ import pytest
 
 from stirlab.errors import ResourceLimitError
 from stirlab.objects import iter_objects
-from stirlab.polynomials import QPoly
+from stirlab.polynomials import Poly
 from stirlab.stats import (
     _SCANS,
     DEFAULT_BOUNDS,
@@ -108,8 +108,8 @@ class TestMatchingAndPermutation:
     def test_matching_polynomials_n2(self):
         ol = distribution("matching", 2, ["ol"]).poly()
         el = distribution("matching", 2, ["el"]).poly()
-        assert ol == QPoly((1, 2))  # 1 + 2x, brute force over the 3 matchings
-        assert el == QPoly((0, 2, 1))  # 2x + x^2
+        assert ol == Poly.from_counts({0: 1, 1: 2})  # 1 + 2x over the 3 matchings
+        assert el == Poly.from_counts({1: 2, 2: 1})  # 2x + x^2
 
     def test_el_plus_ol(self):
         for blocks in iter_objects("matching", 3):

@@ -9,8 +9,9 @@ import sys
 import pytest
 
 from stirlab.errors import IdentityViolationError
+from stirlab import tables
 from stirlab.objects import iter_objects
-from stirlab.polynomials import XYZ, Poly, QPoly
+from stirlab.polynomials import XYZ, Poly
 from stirlab.stats import signed_stat_record, stirling_stat_record
 from stirlab.tables import (
     CoefficientTable,
@@ -23,6 +24,7 @@ from stirlab.tables import (
     _t_row,
     a_poly,
     b_eulerian,
+    b_poly,
     c_poly,
     cn_nn_tables,
     eulerian,
@@ -83,8 +85,8 @@ class TestEulerianFamilies:
             assert eulerian(n, k) == count
 
     def test_a_poly(self):
-        assert a_poly(0) == QPoly.one()
-        assert a_poly(3) == QPoly((1, 4, 1))
+        assert a_poly(0) == Poly.one()
+        assert a_poly(3) == Poly.from_counts({0: 1, 1: 4, 2: 1})
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_type_b_against_brute_force(self, n):
@@ -95,8 +97,8 @@ class TestEulerianFamilies:
             assert b_eulerian(n, k) == count
 
     def test_f_poly(self):
-        assert f_poly(0) == QPoly.one()
-        assert f_poly(2) == QPoly((1, 3, 3, 1))
+        assert f_poly(0) == Poly.one()
+        assert f_poly(2) == Poly.from_counts({0: 1, 1: 3, 2: 3, 3: 1})
 
 
 class TestStirling2:
@@ -115,9 +117,9 @@ class TestStirling2:
 
 class TestFlagAscentPlateauNumbers:
     def test_published_rows(self):
-        assert t_poly(1) == QPoly((0, 1))
+        assert t_poly(1) == Poly.from_counts({1: 1})
         assert t_number(1, 0) == 0 and t_number(1, 2) == 0
-        assert t_poly(2) == QPoly((0, 1, 1, 1))
+        assert t_poly(2) == Poly.from_counts({1: 1, 2: 1, 3: 1})
 
     @pytest.mark.parametrize("n", range(6))
     def test_against_brute_force(self, n):
@@ -125,7 +127,7 @@ class TestFlagAscentPlateauNumbers:
         for w in iter_objects("stirling", n):
             f = stirling_stat_record(w).fap
             counts[f] = counts.get(f, 0) + 1
-        assert t_poly(n) == QPoly.from_counts(counts)
+        assert t_poly(n) == Poly.from_counts(counts)
 
 
 def _xyz(i, j, k, c=1):
@@ -176,12 +178,12 @@ class TestRefinementTables:
 class TestAscentFamilies:
     def test_initial_conditions(self):
         cs, ns = cn_nn_tables(0)
-        assert cs[0] == QPoly.one() and ns[0] == QPoly.one()
+        assert cs[0] == Poly.one() and ns[0] == Poly.one()
 
     def test_published_values(self):
-        assert c_poly(3) == QPoly((0, 1, 8, 6))
-        assert n_poly(2) == QPoly((0, 2, 1))
-        assert n_poly(1) == QPoly((0, 1))
+        assert c_poly(3) == Poly.from_counts({1: 1, 2: 8, 3: 6})
+        assert n_poly(2) == Poly.from_counts({1: 2, 2: 1})
+        assert n_poly(1) == Poly.from_counts({1: 1})
 
     @pytest.mark.parametrize("n", range(6))
     def test_against_brute_force(self, n):
@@ -190,8 +192,8 @@ class TestAscentFamilies:
             r = stirling_stat_record(w)
             asc_counts[r.asc] = asc_counts.get(r.asc, 0) + 1
             lap_counts[r.lap] = lap_counts.get(r.lap, 0) + 1
-        assert c_poly(n) == QPoly.from_counts(asc_counts)
-        assert n_poly(n) == QPoly.from_counts(lap_counts)
+        assert c_poly(n) == Poly.from_counts(asc_counts)
+        assert n_poly(n) == Poly.from_counts(lap_counts)
 
     @pytest.mark.parametrize("n", range(6))
     def test_m_poly_against_brute_force(self, n):
@@ -199,16 +201,16 @@ class TestAscentFamilies:
         for w in iter_objects("stirling", n):
             a = stirling_stat_record(w).ap
             counts[a] = counts.get(a, 0) + 1
-        assert m_poly(n) == QPoly.from_counts(counts)
+        assert m_poly(n) == Poly.from_counts(counts)
 
     def test_m_poly_small(self):
-        assert m_poly(0) == QPoly.one()
-        assert m_poly(1) == QPoly.one()  # the single word 11 has no interior plateau
-        assert m_poly(2) == QPoly((1, 2))
+        assert m_poly(0) == Poly.one()
+        assert m_poly(1) == Poly.one()  # the single word 11 has no interior plateau
+        assert m_poly(2) == Poly.from_counts({0: 1, 1: 2})
 
     def test_n_closed_form(self):
-        assert n_poly_closed(1) == QPoly((0, 1))
-        assert n_poly_closed(2) == QPoly((0, 2, 1))
+        assert n_poly_closed(1) == Poly.from_counts({1: 1})
+        assert n_poly_closed(2) == Poly.from_counts({1: 2, 2: 1})
         for n in range(8):
             assert n_poly_closed(n) == n_poly(n)
 
@@ -217,7 +219,7 @@ class TestAscentFamilies:
         assert gamma_weighted_sum(2, 2) == 1
         for n in range(1, 8):
             for i in range(1, n + 1):
-                assert gamma_weighted_sum(n, i) == int(n_poly(n)[i])
+                assert gamma_weighted_sum(n, i) == n_poly(n).coefficient(i)
 
 
 class TestCoefficientTablesAndCache:
@@ -355,7 +357,7 @@ def _odd_df(n):
 @pytest.mark.parametrize(
     "value,n,expected",
     [
-        (lambda n: sum(t_poly(n).coeffs), 300, _odd_df),
+        (lambda n: sum(t_poly(n).terms.values()), 300, _odd_df),
         (lambda n: sum(t_number(n, k) for k in range(2 * n + 1)), 300, _odd_df),
         (lambda n: sum(p_poly(n).terms.values()), 55, _odd_df),
         (lambda n: sum(p_number(n, n - j, j, 0) for j in range(n)), 55,
@@ -506,3 +508,63 @@ def test_eulerian_table_matches_eulerian_numbers():
     }
     expected[(0, 0)] = 1
     assert eulerian_table(30).entries == expected
+
+
+# Every public function of tables at n = -1, with its remaining arguments:
+# a number reads 0 off its range, and every polynomial, row list and table
+# raises ValueError naming n.
+NEGATIVE_N_NUMBERS = [
+    (eulerian, (0,)),
+    (b_eulerian, (0,)),
+    (stirling2, (0,)),
+    (t_number, (0,)),
+    (p_number, (0, 0, 0)),
+    (gamma_number, (0, 0)),
+]
+NEGATIVE_N_RAISES = [
+    (a_poly, ()),
+    (b_poly, ()),
+    (f_poly, ()),
+    (t_poly, ()),
+    (p_poly, ()),
+    (g_poly, ()),
+    (c_poly, ()),
+    (n_poly, ()),
+    (m_poly, ()),
+    (n_poly_closed, ()),
+    (gamma_weighted_sum, (1,)),
+    (cn_nn_tables, ()),
+    (p_polys_differential, ()),
+    (g_polys_differential, ()),
+    (eulerian_table, ()),
+    (t_table, ()),
+    (p_table, ()),
+    (gamma_table, ()),
+]
+
+
+def test_negative_n_covers_every_public_function():
+    public = {
+        name
+        for name, obj in vars(tables).items()
+        if inspect.isfunction(obj)
+        and obj.__module__ == tables.__name__
+        and not name.startswith("_")
+    }
+    listed = {fn.__name__ for fn, _ in NEGATIVE_N_NUMBERS + NEGATIVE_N_RAISES}
+    assert public == listed
+
+
+@pytest.mark.parametrize(
+    "fn, rest", NEGATIVE_N_NUMBERS, ids=[fn.__name__ for fn, _ in NEGATIVE_N_NUMBERS]
+)
+def test_negative_n_number_is_zero(fn, rest):
+    assert fn(-1, *rest) == 0
+
+
+@pytest.mark.parametrize(
+    "fn, rest", NEGATIVE_N_RAISES, ids=[fn.__name__ for fn, _ in NEGATIVE_N_RAISES]
+)
+def test_negative_n_raises(fn, rest):
+    with pytest.raises(ValueError, match="n=-1"):
+        fn(-1, *rest)
