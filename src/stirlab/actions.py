@@ -28,11 +28,11 @@ permutation) and permutations.
 
 Every slide checks that its output is a Stirling permutation and raises
 :class:`IdentityViolationError` when it is not.  The public moves check with
-:func:`is_stirling`.  The identity loops, which enumerate Q_n anyway, pass
-that set as ``within`` to :func:`beta_set` and :func:`fs_action`, and each
-slide then checks its output by membership in Q_n: the same property,
-reached by pair insertion instead of the stack definition, at a tenth of
-the cost.
+:func:`is_stirling`.  The identity loops, which read the scan table of Q_n
+anyway (its keys are Q_n), pass that table as ``within`` to :func:`beta_set`
+and :func:`fs_action`, and each slide then checks its output by membership
+in Q_n: the same property, reached by pair insertion instead of the stack
+definition, at a tenth of the cost.
 """
 from __future__ import annotations
 
@@ -190,9 +190,9 @@ def fs_action(sigma, positions: Iterable[int], *,
     double ascent or descent-plateau selects its value for one toggle, any
     other position, in range or not, acts as the identity.
 
-    Each toggle's output is checked with :func:`is_stirling`, or, when
-    ``within`` is given, by membership in it; the identity loops pass the
-    enumerated Q_n.  A rejected output raises IdentityViolationError.
+    Each toggle's output is checked with :func:`is_stirling`, or by
+    membership in ``within``: the identity loops pass the scan table of Q_n
+    (its keys are Q_n).  A rejected output raises IdentityViolationError.
     """
     word = _coerce(sigma)
     # the value at each double ascent and descent-plateau, by position, with
@@ -272,9 +272,9 @@ def beta_set(sigma, values: Iterable[int], *,
     order is the one under which moving every value lands in the normalized
     set (no descent-plateau, lap + dasc = n).
 
-    Each move's output is checked with :func:`is_stirling`, or, when
-    ``within`` is given, by membership in it; the identity loops pass the
-    enumerated Q_n.  A rejected output raises IdentityViolationError.
+    Each move's output is checked with :func:`is_stirling`, or by
+    membership in ``within``: the identity loops pass the scan table of Q_n
+    (its keys are Q_n).  A rejected output raises IdentityViolationError.
     """
     word = _coerce(sigma)
     check = _check(within)

@@ -39,9 +39,9 @@ from .objects import iter_objects
 from .polynomials import XYZ, Poly
 from .stats import (
     STIRLING_STATS,
-    _stirling_scan,
     distribution,
     perm_des,
+    stirling_scans,
     stirling_stat_record,
 )
 
@@ -511,8 +511,8 @@ _register(
 )
 def _asc_plat(bound: int) -> str | None:
     for n in range(bound + 1):
-        for word in iter_objects("stirling", n):
-            asc, _, plat, _, lap, _, dasc, dp = _stirling_scan(word)
+        for word, record in stirling_scans(n).items():
+            asc, _, plat, _, lap, _, dasc, dp = record
             if asc != lap + dasc or plat != lap + dp:
                 return f"n={n}, word {word}: {stirling_stat_record(word)}"
     return None
@@ -586,15 +586,14 @@ def _fs_symmetry(bound: int) -> str | None:
             return f"n={n}: P_n is not symmetric in y, z"
         images = set()
         count = 0
-        words = tuple(iter_objects("stirling", n))
-        q_n = frozenset(words)  # each toggle's output must lie in Q_n
-        for word in words:
+        q_n = stirling_scans(n)  # each toggle's output must lie in Q_n
+        for word, record in q_n.items():
             # fs_action toggles exactly the double ascents and descent-
             # plateaus among the positions it is given, so all of them
             # select the full toggle with one classification of the word
             moved = actions.fs_action(word, range(1, len(word) + 1), within=q_n)
-            lap, dasc, dp = _lap_dasc_dp(_stirling_scan(word))
-            if _lap_dasc_dp(_stirling_scan(moved)) != (lap, dp, dasc):
+            lap, dasc, dp = _lap_dasc_dp(record)
+            if _lap_dasc_dp(q_n[moved]) != (lap, dp, dasc):
                 a, b = stirling_stat_record(word), stirling_stat_record(moved)
                 return f"n={n}, word {word}: toggle sent {a} to {b}"
             images.add(moved)
@@ -754,12 +753,11 @@ def _alpha_bijection(bound: int) -> str | None:
     for n in range(bound + 1):
         values = list(range(1, n + 1))
         normal: dict[tuple, tuple] = {}
-        words = tuple(iter_objects("stirling", n))
-        q_n = frozenset(words)  # each beta move's output must lie in Q_n
-        for word in words:
-            lap, dasc, dp = _lap_dasc_dp(_stirling_scan(word))
+        q_n = stirling_scans(n)  # each beta move's output must lie in Q_n
+        for word, record in q_n.items():
+            lap, dasc, dp = _lap_dasc_dp(record)
             moved = actions.beta_set(word, values, within=q_n)
-            m_lap, m_dasc, m_dp = _lap_dasc_dp(_stirling_scan(moved))
+            m_lap, m_dasc, m_dp = _lap_dasc_dp(q_n[moved])
             if m_dp != 0 or m_lap + m_dasc != n:
                 return f"n={n}: beta normalization of {word} gave {moved}"
             image = actions.alpha(word)

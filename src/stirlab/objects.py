@@ -19,14 +19,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import mul
 from typing import Iterator, Sequence
 
 Word = tuple[int, ...]
 Block = tuple[int, int]
 
-# largest n whose full object list is memoized (Q_7 is ~135k words)
-_CACHE_MAX = {"stirling": 7, "signed": 6, "matching": 7, "permutation": 8}
+# largest n whose full object list is memoized (Q_7 is ~135k words); the
+# matchings of [14] are read only by the memoized stats._full_counts
+_CACHE_MAX = {"stirling": 7, "signed": 6, "matching": 6, "permutation": 8}
 
 
 def is_stirling(word: Sequence[int]) -> bool:
@@ -186,8 +186,7 @@ def signed_words(n: int) -> Iterator[Word]:
     if n < 0:
         raise ValueError("order must be nonnegative")
     for perm in itertools.permutations(range(1, n + 1)):
-        for signs in itertools.product((1, -1), repeat=n):
-            yield tuple(map(mul, signs, perm))
+        yield from itertools.product(*[(v, -v) for v in perm])
 
 
 def matching_blocks(n: int) -> Iterator[tuple[Block, ...]]:

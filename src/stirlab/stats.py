@@ -14,6 +14,9 @@ double ascent, every plateau is a left ascent-plateau or a descent-plateau.
 
 Stable statistic names: asc, des, plat, ap, lap, fap, dasc, dp (Stirling);
 desA, desB, fdes, fasc (signed); el, ol (matching); des (permutation).
+
+The naive Stirling scan runs once per word: the memoized per-order table
+:func:`stirling_scans` feeds both the distributions and the identity loops.
 """
 from __future__ import annotations
 
@@ -25,6 +28,7 @@ from typing import Mapping, Sequence
 
 from .errors import ResourceLimitError
 from .objects import (
+    _CACHE_MAX,
     PerfectMatching,
     Permutation,
     SignedPermutation,
@@ -172,8 +176,20 @@ _SCANS = {
 
 
 @lru_cache(maxsize=None)
+def stirling_scans(n: int) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """Each word of Q_n, in enumeration order, mapped to its _stirling_scan
+    record; equal records are one shared tuple."""
+    shared: dict = {}
+    return {w: shared.setdefault(r := _stirling_scan(w), r)
+            for w in iter_objects("stirling", n)}
+
+
+@lru_cache(maxsize=None)
 def _full_counts(klass: str, n: int) -> Mapping[tuple[int, ...], int]:
     """Joint counts of the full statistic record over a whole class."""
+    # a table of a Q_n whose words are not memoized would hold them all
+    if klass == "stirling" and n <= _CACHE_MAX[klass]:
+        return Counter(stirling_scans(n).values())
     return Counter(map(_SCANS[klass], iter_objects(klass, n)))
 
 

@@ -29,7 +29,7 @@ from stirlab.actions import (
 import stirlab.actions as actions_module
 from stirlab.errors import IdentityViolationError
 from stirlab.objects import StirlingPermutation, is_stirling, iter_objects
-from stirlab.stats import stirling_stat_record
+from stirlab.stats import stirling_scans, stirling_stat_record
 
 
 def word(s: str) -> tuple[int, ...]:
@@ -374,6 +374,22 @@ class TestMembershipCheck:
         q_3 = frozenset(iter_objects("stirling", 3))
         with pytest.raises(IdentityViolationError, match="left"):
             beta_set(w, {1, 2, 3}, within=q_3 - {normalized})
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_a_scan_table_checks_by_its_keys(self, n):
+        # the identity loops pass the dict from each word of Q_n to its scan
+        table = stirling_scans(n)
+        values = range(1, n + 1)
+        positions = range(1, 2 * n + 1)
+        for w in table:
+            assert beta_set(w, values, within=table) == beta_set(w, values)
+            assert fs_action(w, positions, within=table) == fs_action(w, positions)
+
+    def test_an_output_missing_from_the_table_raises(self):
+        table = {w: r for w, r in stirling_scans(2).items() if w != word("1221")}
+        with pytest.raises(IdentityViolationError,
+                           match=r"^sliding 1 left in \(2, 2, 1, 1\) gave \(1, 2, 2, 1\)$"):
+            fs_action(word("2211"), [3], within=table)
 
     def test_within_replaces_the_stirling_check(self, monkeypatch):
         w = word("331221")

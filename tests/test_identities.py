@@ -1,7 +1,10 @@
 """The identity registry: coverage, bounds, reporting, and a full small run."""
+import sys
+
 import pytest
 
 import stirlab.actions as actions
+import stirlab.stats as stats
 from stirlab.errors import ResourceLimitError
 from stirlab.identities import (
     REGISTRY,
@@ -153,3 +156,29 @@ def test_every_slide_is_checked_once(monkeypatch, name, checks, by_is_stirling):
     assert REGISTRY[name].runner(5) is None
     assert len(checked) == len(slides) == checks
     assert len(stack_checked) == by_is_stirling
+
+
+def test_the_scan_runs_once_per_word():
+    for name, module in list(sys.modules.items()):
+        if name.startswith("stirlab"):
+            for obj in list(vars(module).values()):
+                if callable(getattr(obj, "cache_clear", None)):
+                    obj.cache_clear()
+    # count calls of the scan's code object, whatever name the caller holds
+    scan = stats._stirling_scan.__code__
+    scanned = 0
+
+    def profile(frame, event, _arg):
+        nonlocal scanned
+        if event == "call" and frame.f_code is scan:
+            scanned += 1
+
+    sys.setprofile(profile)
+    try:
+        for name in ("asc-plat-decomposition", "bona-equidistribution",
+                     "fs-symmetry", "alpha-bijection"):
+            assert run_identity(name, 5).passed
+    finally:
+        sys.setprofile(None)
+    # sum of |Q_n| = (2n-1)!! over n <= 5
+    assert scanned == 1 + 1 + 3 + 15 + 105 + 945 == 1070

@@ -5,7 +5,8 @@ single order with monkeypatch, and pins the exact witness the check reports:
 ``n=<n>: <label><left> != <right>`` from the shared compare loop.  The
 witnesses of the first seventeen declared checks keep the bytes of the
 hand-written loops they replaced; the rest were recorded from the shared
-loop itself.
+loop itself.  The last two cases corrupt one record of the scan table that
+the word-by-word checks read, and pin those checks' own witnesses.
 """
 import dataclasses
 
@@ -15,6 +16,7 @@ import stirlab.identities as ids
 import stirlab.tables as tb
 from stirlab.identities import run_identity
 from stirlab.polynomials import XYZ, Poly
+from stirlab.stats import STIRLING_STATS
 
 
 def _bump_distribution(monkeypatch, klass, order, stats):
@@ -86,6 +88,22 @@ def _bump_gamma_row(monkeypatch, order):
         return row
 
     monkeypatch.setattr(tb, "_gamma_row", broken)
+
+
+def _corrupt_scan(monkeypatch, word, stat):
+    """Add one to ``stat`` in the scan-table record of ``word``, as the
+    identity loops read it; the distributions keep the true table."""
+    original = ids.stirling_scans
+
+    def broken(n):
+        table = original(n)
+        if len(word) != 2 * n:
+            return table
+        record = list(table[word])
+        record[STIRLING_STATS.index(stat)] += 1
+        return {**table, word: tuple(record)}
+
+    monkeypatch.setattr(ids, "stirling_scans", broken)
 
 
 CASES = [
@@ -274,6 +292,21 @@ CASES = [
         "gamma-eulerian", 5,
         lambda mp: _break_table(mp, "eulerian", 2, lambda v: v + 1),
         "n=2: 1 + x != 2 + 2*x + x^2",
+    ),
+    (
+        # the witness prints the word's true record, not the corrupted one
+        "asc-plat-decomposition", 5,
+        lambda mp: _corrupt_scan(mp, (1, 1, 2, 2), "dasc"),
+        "n=2, word (1, 1, 2, 2): StirlingStatRecord(asc=2, des=1, plat=2, "
+        "ap=1, lap=2, fap=3, dasc=0, dp=0)",
+    ),
+    (
+        # 1221 toggles to 2211, whose corrupted dp no longer equals dasc(1221)
+        "fs-symmetry", 5,
+        lambda mp: _corrupt_scan(mp, (2, 2, 1, 1), "dp"),
+        "n=2, word (1, 2, 2, 1): toggle sent StirlingStatRecord(asc=2, des=2, "
+        "plat=1, ap=1, lap=1, fap=2, dasc=1, dp=0) to StirlingStatRecord("
+        "asc=1, des=2, plat=2, ap=0, lap=1, fap=1, dasc=0, dp=1)",
     ),
 ]
 

@@ -1,13 +1,17 @@
 """Statistic definitions against worked examples and cross-statistic laws."""
+from collections import Counter
 from dataclasses import astuple
 
 import pytest
 
+from stirlab import objects
 from stirlab.errors import ResourceLimitError
-from stirlab.objects import iter_objects
+from stirlab.objects import iter_objects, stirling_words
 from stirlab.polynomials import Poly
 from stirlab.stats import (
     _SCANS,
+    _full_counts,
+    _stirling_scan,
     DEFAULT_BOUNDS,
     STATS_BY_CLASS,
     StirlingStatRecord,
@@ -17,6 +21,7 @@ from stirlab.stats import (
     perm_des,
     signed_stat_record,
     signed_stats,
+    stirling_scans,
     stirling_stat_record,
     stirling_stats,
 )
@@ -226,3 +231,26 @@ def test_stirling_scan_matches_definitions():
     for n in range(7):
         for w in iter_objects("stirling", n):
             assert stirling_stat_record(w) == stirling_stats_by_definition(w)
+
+
+def test_scan_table_is_the_naive_scan():
+    for n in range(7):
+        table = stirling_scans(n)
+        assert list(table) == list(stirling_words(n))
+        shared = {}
+        for w, record in table.items():
+            assert record == _stirling_scan(w)
+            # equal records are one interned tuple
+            assert shared.setdefault(record, record) is record
+        assert _full_counts("stirling", n) == Counter(
+            map(_stirling_scan, stirling_words(n))
+        )
+
+
+def test_matchings_of_order_7_are_not_memoized():
+    # only the memoized _full_counts reads them, so the 135,135 block tuples
+    # need not stay resident
+    objects._cached_objects.cache_clear()
+    _full_counts.cache_clear()
+    assert distribution("matching", 7, ["el"]).total() == 135135
+    assert objects._cached_objects.cache_info().currsize == 0
