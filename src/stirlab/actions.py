@@ -17,7 +17,8 @@ a left ascent-plateau, or nowhere movable).  The toggle is therefore carried
 by values: :func:`fs_toggle_value` is a total involution for each v, any two
 toggles commute, and :func:`fs_action` applies the toggles selected by a set
 of positions of the input word.  Orbits of the induced action partition Q_n;
-each orbit has a unique descent-plateau-free representative.
+each has a unique descent-plateau-free representative, and
+:func:`orbit_members` walks its 2^dasc members in Gray-code order.
 
 The beta move slides the first copy of a chosen value left regardless of its
 surroundings.  It is the same left slide as the descent-plateau toggle (one
@@ -30,13 +31,12 @@ Every slide checks that its output is a Stirling permutation and raises
 :class:`IdentityViolationError` when it is not.  The public moves check with
 :func:`is_stirling`.  The identity loops, which read the scan table of Q_n
 anyway (its keys are Q_n), pass that table as ``within`` to :func:`beta_set`
-and :func:`fs_action`, and each slide then checks its output by membership
-in Q_n: the same property, reached by pair insertion instead of the stack
-definition, at a tenth of the cost.
+and :func:`orbit_members`, and each slide then checks its output by
+membership in Q_n: the same property, reached by pair insertion instead of
+the stack definition, at a tenth of the cost.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Callable, Collection, Iterable, Iterator, Sequence
 
@@ -123,9 +123,7 @@ def _slide_right(word: Word, first: int, other: int, check: Check) -> Word:
     result."""
     moved = word[:first] + word[first + 1:other + 1] + (word[first],) + word[other + 1:]
     if not check(moved):
-        raise IdentityViolationError(
-            f"sliding {word[first]} right in {word} gave {moved}"
-        )
+        raise IdentityViolationError(f"sliding {word[first]} right in {word} gave {moved}")
     return moved
 
 
@@ -144,9 +142,7 @@ def fs_move(sigma, i: int) -> Word:
         return _slide_right(word, i - 1, word.index(v, i), is_stirling)
     if kind == "dp":
         return _slide_left(word, i - 1, v, is_stirling)
-    raise ValueError(
-        f"position {i} of {word} is neither a double ascent nor a descent-plateau"
-    )
+    raise ValueError(f"position {i} of {word} is neither a double ascent nor a descent-plateau")
 
 
 def movable_index(word: Sequence[int], v: int) -> int | None:
@@ -191,20 +187,14 @@ def fs_action(sigma, positions: Iterable[int], *,
     other position, in range or not, acts as the identity.
 
     Each toggle's output is checked with :func:`is_stirling`, or by
-    membership in ``within``: the identity loops pass the scan table of Q_n
-    (its keys are Q_n).  A rejected output raises IdentityViolationError.
+    membership in ``within``, a collection holding Q_n (a scan table of Q_n
+    checks by its keys).  A rejected output raises IdentityViolationError.
     """
     word = _coerce(sigma)
-    # the value at each double ascent and descent-plateau, by position, with
-    # the index_sets rules in one pass
-    movable = {}
-    left = 0
-    for i, (v, right) in enumerate(zip(word, (*word[1:], 0)), 1):
-        if left < v < right or left > v == right:
-            movable[i] = v
-        left = v
+    sets = index_sets(word)
+    movable = sets.dasc | sets.dp
     check = _check(within)
-    for v in sorted({movable[i] for i in positions if i in movable}):
+    for v in sorted({word[i - 1] for i in positions if i in movable}):
         word = _toggle(word, v, check)
     return word
 
@@ -225,26 +215,28 @@ class OrbitDescriptor:
 def orbit(sigma) -> OrbitDescriptor:
     """The orbit of a word: toggling its descent-plateau values yields the
     unique representative with dp = 0."""
-    word = _coerce(sigma)
-    rep = fs_action(word, index_sets(word).dp)
+    rep = _coerce(sigma)
     sets = index_sets(rep)
     if sets.dp:
-        raise IdentityViolationError(f"orbit representative {rep} has descent-plateaus")
+        rep = fs_action(rep, sets.dp)
+        if (sets := index_sets(rep)).dp:
+            raise IdentityViolationError(f"orbit representative {rep} has descent-plateaus")
     return OrbitDescriptor(rep, sets.dasc)
 
 
-def orbit_members(rep) -> Iterator[Word]:
-    """All members of an orbit, given a representative word or an
-    OrbitDescriptor: one member per subset of the free toggles, in subset
-    order of the sorted toggle values."""
+def orbit_members(rep, *, within: Collection[Word] | None = None) -> Iterator[Word]:
+    """All members of an orbit, given a word of it or its OrbitDescriptor, in
+    Gray-code order over the sorted free toggle values v_0 < v_1 < ...: one
+    toggle per step, the k-th member (from 0) with v_t on for each set bit t
+    of k ^ (k >> 1).  Each toggle's output is checked as in :func:`fs_action`."""
     descriptor = rep if isinstance(rep, OrbitDescriptor) else orbit(rep)
-    values = sorted(descriptor.representative[i - 1] for i in descriptor.free_indices)
-    for r in range(len(values) + 1):
-        for subset in itertools.combinations(values, r):
-            word = descriptor.representative
-            for v in subset:
-                word = fs_toggle_value(word, v)
-            yield word
+    word = descriptor.representative
+    values = sorted(word[i - 1] for i in descriptor.free_indices)
+    check = _check(within)
+    yield word
+    for k in range(1, descriptor.size):
+        word = _toggle(word, values[(k & -k).bit_length() - 1], check)
+        yield word
 
 
 # ---------------------------------------------------------------------------
@@ -272,14 +264,18 @@ def beta_set(sigma, values: Iterable[int], *,
     order is the one under which moving every value lands in the normalized
     set (no descent-plateau, lap + dasc = n).
 
-    Each move's output is checked with :func:`is_stirling`, or by
-    membership in ``within``: the identity loops pass the scan table of Q_n
-    (its keys are Q_n).  A rejected output raises IdentityViolationError.
+    The input, and each word a move changes, is checked as in
+    :func:`fs_action`; a move whose letter already follows a smaller one, or
+    leads the word, changes nothing and is skipped.
     """
     word = _coerce(sigma)
     check = _check(within)
+    if not check(word):
+        raise IdentityViolationError(f"beta moves on {word}, not a Stirling permutation")
     for x in sorted(set(values)):
-        word = _slide_left(word, word.index(x), x, check)
+        first = word.index(x)
+        if first and word[first - 1] > x:
+            word = _slide_left(word, first, x, check)
     return word
 
 
@@ -314,8 +310,7 @@ def alpha_inverse(pi) -> Word:
     moves at the descent-bottom values of pi then remove every
     descent-plateau without changing the alpha-image.
     """
-    _, _, word = alpha_inverse_trace(pi)
-    return word
+    return alpha_inverse_trace(pi)[2]
 
 
 def alpha_inverse_trace(pi) -> tuple[Word, frozenset[int], Word]:

@@ -584,22 +584,26 @@ def _fs_symmetry(bound: int) -> str | None:
         brute = _tri(n)
         if brute != substitute(brute, {"y": "z", "z": "y"}):
             return f"n={n}: P_n is not symmetric in y, z"
-        images = set()
-        count = 0
+        seen, walked = set(), 0
         q_n = stirling_scans(n)  # each toggle's output must lie in Q_n
-        for word, record in q_n.items():
-            # fs_action toggles exactly the double ascents and descent-
-            # plateaus among the positions it is given, so all of them
-            # select the full toggle with one classification of the word
-            moved = actions.fs_action(word, range(1, len(word) + 1), within=q_n)
-            lap, dasc, dp = _lap_dasc_dp(record)
-            if _lap_dasc_dp(q_n[moved]) != (lap, dp, dasc):
-                a, b = stirling_stat_record(word), stirling_stat_record(moved)
-                return f"n={n}, word {word}: toggle sent {a} to {b}"
-            images.add(moved)
-            count += 1
-        if len(images) != count:
-            return f"n={n}: the full toggle is not a bijection"
+        for rep, record in q_n.items():
+            lap, d, dp = _lap_dasc_dp(record)
+            if dp:
+                continue
+            # walk the orbit: its k-th member has the s toggles of k ^ (k >> 1) on
+            k = 0
+            for word in actions.orbit_members(rep, within=q_n):
+                s = (k ^ k >> 1).bit_count()
+                if _lap_dasc_dp(q_n[word]) != (lap, d - s, s):
+                    a, b = stirling_stat_record(rep), stirling_stat_record(word)
+                    return f"n={n}, word {rep}: {s} of {d} toggles sent {a} to {b}"
+                seen.add(word)
+                k += 1
+            if k != 2 ** d:
+                return f"n={n}: the orbit of {rep} has {k} members, not 2^{d}"
+            walked += k
+        if walked != len(seen) or walked != len(q_n):
+            return f"n={n}: the orbits walk {walked} words, {len(seen)} distinct, of {len(q_n)}"
         lap_asc = distribution("stirling", n, ["lap", "asc"]).counts
         lap_plat = distribution("stirling", n, ["lap", "plat"]).counts
         if lap_asc != lap_plat:

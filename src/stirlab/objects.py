@@ -190,23 +190,24 @@ def signed_words(n: int) -> Iterator[Word]:
 
 
 def matching_blocks(n: int) -> Iterator[tuple[Block, ...]]:
-    """All perfect matchings of [2n]: the smallest unmatched element is paired
-    with each remaining element in increasing order, then recurse."""
+    """All perfect matchings of [2n], built from order n-1 (the only one
+    held): 1 is paired with each b in increasing order, then come the
+    matchings of [2n-2] relabelled onto [2..2n] minus b, in their order."""
     if n < 0:
         raise ValueError("order must be nonnegative")
+    level = [()]
+    for m in range(1, n):
+        level = list(_next_matchings(level, m))
+    yield from _next_matchings(level, n) if n else level
 
-    def rec(elems: Word) -> Iterator[tuple[Block, ...]]:
-        if not elems:
-            yield ()
-            return
-        a = elems[0]
-        for idx in range(1, len(elems)):
-            b = elems[idx]
-            rest = elems[1:idx] + elems[idx + 1:]
-            for tail in rec(rest):
-                yield ((a, b),) + tail
 
-    yield from rec(tuple(range(1, 2 * n + 1)))
+def _next_matchings(prev: list, m: int) -> Iterator[tuple[Block, ...]]:
+    for b in range(2, 2 * m + 1):
+        label = [0, *(x for x in range(2, 2 * m + 1) if x != b)]
+        pairs = {(i, j): (label[i], label[j]) for j in range(2, 2 * m - 1) for i in range(1, j)}
+        head = ((1, b),)
+        for tail in prev:
+            yield head + tuple(map(pairs.__getitem__, tail))
 
 
 def permutation_words(n: int) -> Iterator[Word]:

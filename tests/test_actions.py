@@ -186,6 +186,84 @@ class TestOrbits:
             break  # one orbit per order keeps this quick; partition test covers the rest
 
 
+class TestOrbitWalk:
+    """``orbit_members`` walks an orbit by one toggle per step."""
+
+    @staticmethod
+    def walks(n):
+        q_n = stirling_scans(n)
+        for w in q_n:
+            if not index_sets(w).dp:
+                yield w, list(orbit_members(w, within=q_n))
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_the_walks_visit_each_word_once(self, n):
+        visited = [m for _, members in self.walks(n) for m in members]
+        assert len(visited) == len(set(visited)) == len(stirling_scans(n))
+        assert set(visited) == set(stirling_scans(n))
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_each_orbit_has_two_to_the_dasc_members_with_one_lap(self, n):
+        for rep, members in self.walks(n):
+            r = stirling_stat_record(rep)
+            assert members[0] == rep
+            assert len(members) == 2 ** r.dasc
+            for k, m in enumerate(members):
+                # the k-th member has the toggles of k ^ (k >> 1) on
+                s = (k ^ k >> 1).bit_count()
+                mr = stirling_stat_record(m)
+                assert (mr.lap, mr.dasc, mr.dp) == (r.lap, r.dasc - s, s)
+
+    def test_gray_code_order(self):
+        # free values 1 and 2 of 123321, toggled on: {}, {1}, {1, 2}, {2}
+        walk = [word("123321"), word("233211"), word("332211"), word("133221")]
+        assert list(orbit_members(word("123321"))) == walk
+        assert list(orbit_members(orbit(word("332211")))) == walk
+
+    def test_a_step_outside_within_raises(self):
+        q_2 = frozenset(iter_objects("stirling", 2))
+        walk = orbit_members(word("1221"), within=q_2 - {word("2211")})
+        assert next(walk) == word("1221")
+        with pytest.raises(IdentityViolationError,
+                           match=r"^sliding 1 right in \(1, 2, 2, 1\) gave \(2, 2, 1, 1\)$"):
+            next(walk)
+
+    @staticmethod
+    def never_off(toggle):
+        def planted(word, v, check):
+            # a toggle that never turns a value back off
+            first = word.index(v)
+            return word if word[first + 1] == v else toggle(word, v, check)
+        return planted
+
+    @staticmethod
+    def to_lap(toggle):
+        def planted(word, v, check):
+            # a double ascent whose second copy slides left to meet the first:
+            # a left ascent-plateau, so lap rises and dp stays
+            first = word.index(v)
+            second = word.index(v, first + 1)
+            if second == first + 1:
+                return toggle(word, v, check)
+            moved = word[:first + 1] + (v,) + word[first + 1:second] + word[second + 1:]
+            assert check(moved)
+            return moved
+        return planted
+
+    @pytest.mark.parametrize("plant, witness", [
+        ("never_off", "n=3, word (1, 2, 3, 3, 2, 1): 1 of 2 toggles sent"),
+        ("to_lap", "n=2, word (1, 2, 2, 1): 1 of 1 toggles sent"),
+    ])
+    def test_a_wrong_toggle_fails_fs_symmetry(self, monkeypatch, plant, witness):
+        from stirlab.identities import run_identity
+
+        monkeypatch.setattr(actions_module, "_toggle",
+                            getattr(self, plant)(actions_module._toggle))
+        r = run_identity("fs-symmetry", 4)
+        assert not r.passed
+        assert r.witness.startswith(witness), r.witness
+
+
 class TestBetaMoves:
     def test_worked_examples(self):
         sigma = word("3443578876652211")
@@ -203,6 +281,14 @@ class TestBetaMoves:
         assert beta_move(beta_move(w, 1), 2) == word("123321")
         assert beta_move(beta_move(w, 2), 1) == word("133221")
         assert beta_set(w, (2, 1)) == beta_set(w, (1, 2)) == word("123321")
+
+    @pytest.mark.parametrize("within", [None, "table"])
+    def test_beta_set_checks_its_input(self, within):
+        # every beta move on 1212 is a no-op, so only the input check sees it
+        table = stirling_scans(2) if within else None
+        with pytest.raises(IdentityViolationError,
+                           match=r"^beta moves on \(1, 2, 1, 2\), not a Stirling"):
+            beta_set(word("1212"), {1, 2}, within=table)
 
     @pytest.mark.parametrize("n", range(1, 5))
     def test_doubled_words_commute(self, n):
@@ -298,7 +384,14 @@ class TestAssertsStay:
         moved = beta_move(word("3443557887662211"), 6)
         assert calls == [moved]
         beta_set(word("331221"), {1, 2, 3})
-        assert len(calls) == 1 + 3
+        assert len(calls) == 1 + 3  # the input, then the slides of 1 and 2
+
+    def test_beta_set_checks_its_input_and_each_moved_word(self, calls):
+        w = word("331221")
+        moved = beta_set(w, {1, 2, 3})
+        # 3 already follows the smaller 2 once 2 has moved: no slide, no check
+        assert moved == word("123321")
+        assert calls == [w, word("133221"), moved]
 
     def test_fs_move_checks_once_per_move(self, calls):
         moved = fs_move(word("2447887332115665"), 1)

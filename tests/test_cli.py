@@ -226,8 +226,8 @@ class TestVerify:
         assert "witness: weighted gamma sum mismatch at (n=3, i=1)" in out
 
     @pytest.mark.parametrize("name, witness", [
-        ("alpha-bijection", "sliding 2 left in (1, 1) gave (2, 1)"),
-        ("fs-symmetry", "sliding 2 left in (2, 2, 1, 1) gave (2, 2, 2, 1)"),
+        ("alpha-bijection", "sliding 2 left in (2, 2, 1, 1) gave (2, 2, 2, 1)"),
+        ("fs-symmetry", "sliding 2 left in (3, 3, 2, 2, 1, 1) gave (2, 3, 3, 2, 2, 1)"),
     ])
     def test_a_bad_slide_is_a_fail_not_a_traceback(self, monkeypatch, name, witness):
         import stirlab.actions as actions

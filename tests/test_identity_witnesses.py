@@ -301,11 +301,12 @@ CASES = [
         "ap=1, lap=2, fap=3, dasc=0, dp=0)",
     ),
     (
-        # 1221 toggles to 2211, whose corrupted dp no longer equals dasc(1221)
+        # the walk from 1221 toggles 1 on, giving 2211, whose corrupted dp
+        # is no longer 1
         "fs-symmetry", 5,
         lambda mp: _corrupt_scan(mp, (2, 2, 1, 1), "dp"),
-        "n=2, word (1, 2, 2, 1): toggle sent StirlingStatRecord(asc=2, des=2, "
-        "plat=1, ap=1, lap=1, fap=2, dasc=1, dp=0) to StirlingStatRecord("
+        "n=2, word (1, 2, 2, 1): 1 of 1 toggles sent StirlingStatRecord(asc=2, "
+        "des=2, plat=1, ap=1, lap=1, fap=2, dasc=1, dp=0) to StirlingStatRecord("
         "asc=1, des=2, plat=2, ap=0, lap=1, fap=1, dasc=0, dp=1)",
     ),
 ]

@@ -126,6 +126,37 @@ def test_matching_counts_and_order():
         assert flat == list(range(1, 7))
 
 
+def ref_matching_blocks(n):
+    # the recursive enumerator that the level-by-level one replaced, kept
+    # verbatim (renamed) as the reference for its order
+    if n < 0:
+        raise ValueError("order must be nonnegative")
+
+    def rec(elems):
+        if not elems:
+            yield ()
+            return
+        a = elems[0]
+        for idx in range(1, len(elems)):
+            b = elems[idx]
+            rest = elems[1:idx] + elems[idx + 1:]
+            for tail in rec(rest):
+                yield ((a, b),) + tail
+
+    yield from rec(tuple(range(1, 2 * n + 1)))
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_matching_order_matches_the_recursive_reference(n):
+    assert list(matching_blocks(n)) == list(ref_matching_blocks(n))
+
+
+def test_negative_matching_order_raises_on_first_next():
+    stream = matching_blocks(-1)  # a generator: nothing runs yet
+    with pytest.raises(ValueError, match="nonnegative"):
+        next(stream)
+
+
 def test_permutation_counts():
     assert list(permutation_words(0)) == [()]
     assert sum(1 for _ in permutation_words(3)) == 6
