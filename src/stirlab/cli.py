@@ -218,11 +218,11 @@ def _render_results(results, fmt: str, out) -> None:
         print("name,max_n,pass,millis,witness", file=out)
         for r in results:
             witness = (r.witness or "").replace(",", ";")
-            print(f"{r.name},{r.bound},{str(r.passed).lower()},{r.millis},{witness}",
-                  file=out)
+            status = "skip" if r.skipped else str(r.passed).lower()
+            print(f"{r.name},{r.bound},{status},{r.millis},{witness}", file=out)
         return
     for r in results:
-        status = "pass" if r.passed else "FAIL"
+        status = "skip" if r.skipped else "pass" if r.passed else "FAIL"
         line = f"{status}  {r.name} (max_n={r.bound}) [{r.millis:.0f} ms]"
         if r.witness:
             line += f"\n      witness: {r.witness}"

@@ -5,23 +5,22 @@ witness on failure.  Wherever two independent computation paths exist
 (exhaustive enumeration, grammar derivatives, recurrences, closed forms) the
 check compares them; single-path checks say so in their description.
 
-All but five checks declare their routes: each :class:`Compare` pairs two
+All but three checks declare their routes: each :class:`Compare` pairs two
 functions of n that must agree, and one shared loop runs them and reports
 the first mismatch as ``n=<n>: <label><left> != <right>``.  Every value
 compared is a ``Poly`` with integer coefficients, a family in x being one
 over ("x",); p(x^2) and p(-x) are maps of its terms.  A series identity
 compares the coefficient of t^n/n! on each side, built by the binomial
-convolution :func:`_convolve`.  The test suite runs every declared
-route under a profiler and fails when two compared routes reach a common
-package function outside a short allow-list (polynomial arithmetic, parsing,
-enumerators and scans).  Five checks with more structure than one compared
-value per n keep a hand-written runner: ``fs-symmetry``,
-``alpha-bijection`` and ``asc-plat-decomposition`` work word by word,
-``gamma-recurrence`` checks a recurrence entry by entry and
-``gamma-vanishing`` checks a support condition.
+convolution :func:`_convolve`.  The test suite fails when two compared
+routes reach a common package function outside a short allow-list
+(polynomial arithmetic, parsing, enumerators and scans), and when a pair
+does not fail at an order where one side is off by one.  A declared check
+whose bound is below every pair's start compares nothing: it reports a
+skip, which exits 0 but is not a pass.  ``fs-symmetry``, ``alpha-bijection``
+and ``asc-plat-decomposition`` walk the words of Q_n in hand-written runners.
 
 Use :func:`run_identity` / :func:`run_all`; results serialize to JSON as
-``{"name", "params", "pass", "witness", "millis"}``.
+``{"name", "params", "pass", "witness"?, "millis", "skipped"?}``.
 """
 from __future__ import annotations
 
@@ -70,10 +69,10 @@ class Compare:
 
 
 def _run_routes(compare: tuple[Compare, ...], bound: int) -> str | None:
-    """The shared loop: for n from the smallest start up to bound, compare
-    each pair that has started, evaluating every route once per n."""
+    """The shared loop: for n up to bound, compare each pair that has
+    started, evaluating every route once per n."""
     built: dict = {}
-    for n in range(min(c.start for c in compare), bound + 1):
+    for n in range(bound + 1):
         values: dict = {}
         for c in compare:
             if n < c.start:
@@ -104,6 +103,7 @@ class CheckResult:
     passed: bool
     witness: str | None
     millis: float
+    skipped: bool = False  # the bound is below every declared start
 
     def to_json(self) -> dict:
         obj = {
@@ -114,6 +114,8 @@ class CheckResult:
         }
         if self.witness is not None:
             obj["witness"] = self.witness
+        if self.skipped:
+            obj["skipped"] = True
         return obj
 
 
@@ -136,10 +138,12 @@ class IdentityCheck:
             raise ResourceLimitError(
                 f"identity {self.name!r} is limited to bound {self.max_bound}"
             )
+        if self.compare and bound < min(c.start for c in self.compare):
+            return CheckResult(self.name, bound, True, None, 0.0, skipped=True)
         start = time.perf_counter()
         try:
             witness = self.runner(bound)
-        except IdentityViolationError as exc:  # a route's own cross-check
+        except IdentityViolationError as exc:  # a route's own guard
             witness = str(exc)
         millis = (time.perf_counter() - start) * 1000.0
         return CheckResult(self.name, bound, witness is None, witness, round(millis, 3))
@@ -271,12 +275,9 @@ def _p_at(n: int, bindings: dict) -> Poly:
     return substitute(tables.p_poly(n), bindings)
 
 
-def _cn_nn(bound: int) -> tuple[list[Poly], list[Poly]]:
-    return tables.cn_nn_tables(bound)
-
-
 # C_n and N_n from their differential recurrences, one build per run
-_C, _N = Table(_cn_nn, 0), Table(_cn_nn, 1)
+_C = Table(lambda bound: tables.cn_nn_tables(bound), 0)
+_N = Table(_C.build, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -650,41 +651,40 @@ _register(
 )
 
 
-@_register(
+def _gamma_pulled(bound: int) -> list[Poly]:
+    """G_0, then G_n by the three-term recurrence from differential G_(n-1)."""
+    gs = tables.g_polys_differential(bound)
+    return gs[:1] + [
+        Poly(XYZ, {
+            (i, j, 0): i * g.coefficient(i, j - 1, 0)
+            + 2 * (j + 1) * g.coefficient(i - 1, j + 1, 0)
+            + (2 * n + 1 - 2 * i - j) * g.coefficient(i - 1, j, 0)
+            for i in range(1, n + 1) for j in range(n + 1)
+        })
+        for n, g in enumerate(gs[:-1], 1)
+    ]
+
+
+_register(
     "gamma-recurrence",
     "the three-term gamma recurrence holds on the values produced by the "
     "independent differential path",
     8, 12,
+    compare=[Compare(Table(_gamma_pulled), lambda n: tables.g_poly(n), start=1)],
 )
-def _gamma_recurrence(bound: int) -> str | None:
-    gs = tables.g_polys_differential(bound)
-    for n in range(bound):
-        cur = {(i, j): int(c) for (i, j, _), c in gs[n].terms.items()}
-        nxt = {(i, j): int(c) for (i, j, _), c in gs[n + 1].terms.items()}
-        for i in range(1, n + 2):
-            for j in range(n + 2):
-                expected = (
-                    i * cur.get((i, j - 1), 0)
-                    + 2 * (j + 1) * cur.get((i - 1, j + 1), 0)
-                    + (2 * n + 3 - 2 * i - j) * cur.get((i - 1, j), 0)
-                )
-                if nxt.get((i, j), 0) != expected:
-                    return f"n={n + 1}, (i,j)=({i},{j}): {nxt.get((i, j), 0)} != {expected}"
-    return None
 
-
-@_register(
+_register(
     "gamma-vanishing",
     "gamma_(n,i,j) vanishes whenever i + j > n",
     8, 12,
+    compare=[Compare(
+        lambda n: tables.g_poly(n),
+        Table(lambda bound: [
+            Poly(XYZ, {e: c for e, c in g.terms.items() if e[0] + e[1] <= n})
+            for n, g in enumerate(tables.g_polys_differential(bound))
+        ]),
+    )],
 )
-def _gamma_vanishing(bound: int) -> str | None:
-    for n in range(bound + 1):
-        for (i, j), val in tables._gamma_row(n).items():
-            if i + j > n and val:
-                return f"n={n}: gamma({n},{i},{j}) = {val}"
-    return None
-
 
 _register(
     "g-recurrence",
@@ -703,19 +703,23 @@ _register(
 )
 
 
+def _gamma_sums(n: int) -> Poly:
+    """sum_i x^i sum_j 2^j gamma_(n,i,j), from the gamma table."""
+    return Poly.from_counts(
+        {i: tables.gamma_weighted_sum(n, i) for i in range(1, n + 1)}
+    )
+
+
 _register(
     "gamma-weighted-sums",
     "sum_j 2^j gamma_(n,i,j) equals the x^i coefficient of N_n and the "
     "alternating closed form",
     8, 12,
-    # gamma_weighted_sum cross-checks its two formulas itself
-    compare=[Compare(
-        lambda n: Poly.from_counts(
-            {i: tables.gamma_weighted_sum(n, i) for i in range(1, n + 1)}
-        ),
-        _N,
-        start=1,
-    )],
+    compare=[
+        Compare(_gamma_sums, _N, start=1),
+        Compare(lambda n: tables.n_poly_alternating(n), _gamma_sums, "alternating ",
+                start=1),
+    ],
 )
 
 _register(

@@ -14,6 +14,7 @@ Families and their one-letter polynomial names as used by the CLI:
 
 Tables are exact integers, and so is every polynomial: a family in x is a
 ``Poly`` over ("x",), and P and G are ``Poly`` values over ("x", "y", "z").
+Each function evaluates one formula; :mod:`stirlab.identities` compares them.
 Each triangle, C and N included, has a step function that makes row m from
 row m-1 and m; row n is the ``functools.reduce`` of its step over 1..n from
 row 0 = {origin: 1}, and a whole table draws rows 0..n from
@@ -571,53 +572,48 @@ def m_poly(n: int) -> Poly:
     return Poly.from_counts(counts)
 
 
-def n_poly_closed(n: int) -> Poly:
-    """N_n(x) = sum_k 2^(n-2k) C(2k,k) k! S(n,k) x^k (1-x)^(n-k).
+def _closed_weight(n: int, k: int) -> int:
+    """4^(n-k) C(2k,k) k! S(n,k), the closed forms' weight of N_n times 2^n."""
+    return 4 ** (n - k) * math.comb(2 * k, k) * math.factorial(k) * stirling2(n, k)
 
-    The powers of two go negative for k > n/2, so the sum runs over 2^n N_n,
-    whose weights 4^(n-k) C(2k,k) k! S(n,k) are integers, and divides by 2^n
-    at the end; a remainder raises IdentityViolationError.
-    """
+
+def _over_2n(form: str, n: int, scaled: Poly) -> Poly:
+    """N_n from 2^n N_n; a remainder raises IdentityViolationError."""
+    if any(c % 2**n for c in scaled.terms.values()):
+        raise IdentityViolationError(
+            f"{form} of N_{n} is not integral: 2^{n} N_{n} = {scaled}"
+        )
+    return Poly(scaled.names, {e: c >> n for e, c in scaled.terms.items()})
+
+
+def n_poly_closed(n: int) -> Poly:
+    """N_n(x) = sum_k 2^(n-2k) C(2k,k) k! S(n,k) x^k (1-x)^(n-k), summed as
+    2^n N_n and divided back by :func:`_over_2n`, which raises on a remainder."""
     if n < 0:
         raise ValueError(f"N_n needs n >= 0, got n={n}")
     scaled: dict[int, int] = {}
     for k in range(n + 1):
-        w = 4 ** (n - k) * math.comb(2 * k, k) * math.factorial(k) * stirling2(n, k)
+        w = _closed_weight(n, k)
         # x^k (1-x)^(n-k) by the binomial theorem
         for m in range(n - k + 1):
             scaled[k + m] = scaled.get(k + m, 0) + (-1) ** m * math.comb(n - k, m) * w
-    if any(c % 2**n for c in scaled.values()):
-        raise IdentityViolationError(
-            f"closed form of N_{n} is not integral: 2^{n} N_{n} = "
-            f"{Poly.from_counts(scaled)}"
-        )
-    return Poly.from_counts({k: c >> n for k, c in scaled.items()})
+    return _over_2n("closed form", n, Poly.from_counts(scaled))
+
+
+def n_poly_alternating(n: int) -> Poly:
+    """N_n(x) by its alternating coefficients sum_(j<=i) (-1)^(i-j) 2^(n-2j)
+    C(2j,j) C(n-j,i-j) j! S(n,j): :func:`n_poly_closed` gathered by x^i."""
+    if n < 0:
+        raise ValueError(f"N_n needs n >= 0, got n={n}")
+    return _over_2n("alternating form", n, Poly.from_counts({
+        i: sum((-1) ** (i - j) * math.comb(n - j, i - j) * _closed_weight(n, j)
+               for j in range(i + 1))
+        for i in range(n + 1)
+    }))
 
 
 def gamma_weighted_sum(n: int, i: int) -> int:
-    """sum_j 2^j gamma_{n,i,j}, evaluated two ways and cross-checked.
-
-    The second way is the alternating closed form
-    sum_{j=1}^{i} (-1)^(i-j) 2^(n-2j) C(2j,j) C(n-j,i-j) j! S(n,j);
-    a mismatch raises IdentityViolationError.  Its powers of two go negative
-    for j > n/2, so both sides are compared times 2^n, which turns
-    2^(n-2j) into 4^(n-j).
-    """
+    """sum_j 2^j gamma_{n,i,j}, the x^i coefficient of N_n for 1 <= i <= n."""
     if not 1 <= i <= n:
         raise ValueError(f"need 1 <= i <= n, got i={i}, n={n}")
-    direct = sum(2**j * gamma_number(n, i, j) for j in range(n))
-    alt = sum(
-        (-1) ** (i - j)
-        * 4 ** (n - j)
-        * math.comb(2 * j, j)
-        * math.comb(n - j, i - j)
-        * math.factorial(j)
-        * stirling2(n, j)
-        for j in range(1, i + 1)
-    )
-    if alt != direct << n:
-        raise IdentityViolationError(
-            f"weighted gamma sum mismatch at (n={n}, i={i}): "
-            f"2^{n} * {direct} vs {alt}"
-        )
-    return direct
+    return sum(2**j * gamma_number(n, i, j) for j in range(n))

@@ -194,6 +194,23 @@ class TestVerify:
         assert code == 0
         assert len(out.splitlines()) == len(REGISTRY)
 
+    def test_a_check_that_compares_nothing_skips(self):
+        skipping = ["flag-adin", "flag-convolution", "flag-dual", "gamma-eulerian",
+                    "gamma-recurrence", "gamma-weighted-sums", "signed-des-2nA"]
+        code, out = run_cli("verify", "--all", "--max-n", "0")
+        assert code == 0
+        assert [line.split()[1] for line in out.splitlines()
+                if line.startswith("skip")] == skipping
+        assert "skip  flag-adin (max_n=0) [0 ms]\n" in out
+        assert sum(line.startswith("pass") for line in out.splitlines()) == 24
+        _, out = run_cli("--format", "csv", "verify", "--all", "--max-n", "0")
+        assert "flag-adin,0,skip,0.0,\n" in out and "matching-M,0,true," in out
+        _, out = run_cli("--format", "json", "verify", "--all", "--max-n", "0")
+        rows = {row["name"]: row for row in json.loads(out)}
+        assert rows["flag-adin"] == {"name": "flag-adin", "params": {"max_n": 0},
+                                     "pass": True, "millis": 0.0, "skipped": True}
+        assert sorted(n for n, row in rows.items() if "skipped" in row) == skipping
+
     def test_json_report_schema(self):
         _, out = run_cli("--format", "json", "verify", "--identity",
                          "t-self-inverse", "--max-n", "4")
@@ -216,14 +233,13 @@ class TestVerify:
     def test_cross_check_failure_is_a_fail_not_a_traceback(self, monkeypatch):
         import stirlab.tables as tb
 
-        # gamma_weighted_sum cross-checks two formulas and raises on a mismatch
-        row = tb._gamma_row(3)
-        monkeypatch.setitem(row, (1, 1), row.get((1, 1), 0) + 1)
+        # the closed forms of N_n raise when 2^n does not divide their sum
+        monkeypatch.setattr(tb, "_closed_weight", lambda n, k: 1)
         code, out = run_cli("verify", "--identity", "gamma-weighted-sums",
                             "--max-n", "5")
         assert code == 1
         assert out.startswith("FAIL  gamma-weighted-sums (max_n=5)")
-        assert "witness: weighted gamma sum mismatch at (n=3, i=1)" in out
+        assert "witness: alternating form of N_1 is not integral: 2^1 N_1 = 1\n" in out
 
     @pytest.mark.parametrize("name, witness", [
         ("alpha-bijection", "sliding 2 left in (2, 2, 1, 1) gave (2, 2, 2, 1)"),

@@ -1,4 +1,5 @@
 """The identity registry: coverage, bounds, reporting, and a full small run."""
+import dataclasses
 import sys
 
 import pytest
@@ -102,6 +103,24 @@ def test_run_all_caps_at_each_identity_limit(monkeypatch):
     for r in results:
         assert r.bound == subset[r.name].max_bound
         assert r.passed
+
+
+def test_no_check_skips_at_its_default_or_max_bound():
+    for check in REGISTRY.values():
+        idle = dataclasses.replace(check, runner=lambda bound: None)
+        for bound in (check.default_bound, check.max_bound):
+            assert not idle.run(bound).skipped, (check.name, bound)
+
+
+def test_skip_is_decided_by_the_declared_starts():
+    # nn-aa-convolutions has one pair from n = 0, so it compares at n = 0
+    assert not run_identity("nn-aa-convolutions", 0).skipped
+    r = run_identity("gamma-recurrence", 0)
+    assert (r.passed, r.skipped, r.witness, r.millis) == (True, True, None, 0.0)
+    assert r.to_json()["skipped"] is True
+    assert "skipped" not in run_identity("gamma-recurrence", 1).to_json()
+    # hand-written checks declare no starts and always run
+    assert not run_identity("alpha-bijection", 0).skipped
 
 
 def test_qn_only_selection():

@@ -1,14 +1,20 @@
-"""Golden witnesses: each route-compared identity, broken at one order.
+"""Golden witnesses and the sensitivity sweep of the identity checks.
 
-Each case breaks one table function, or one brute-force distribution, at a
-single order with monkeypatch, and pins the exact witness the check reports:
-``n=<n>: <label><left> != <right>`` from the shared compare loop.  The
-witnesses of the first seventeen declared checks keep the bytes of the
+Each golden case breaks one table function, or one brute-force distribution,
+at a single order with monkeypatch, and pins the exact witness the check
+reports: ``n=<n>: <label><left> != <right>`` from the shared compare loop.
+The witnesses of the first seventeen declared checks keep the bytes of the
 hand-written loops they replaced; the rest were recorded from the shared
-loop itself.  The last two cases corrupt one record of the scan table that
-the word-by-word checks read, and pin those checks' own witnesses.
+loop itself.  Two cases corrupt one record of the scan table that the
+word-by-word checks read, and pin those checks' own witnesses.
+
+The sweep adds one to the left route of every declared pair at every order
+it compares by default, and corrupts one scan record per order for the
+word-by-word checks; each must fail at that order.
 """
 import dataclasses
+import functools
+import re
 
 import pytest
 
@@ -46,16 +52,16 @@ def _break_table(monkeypatch, name, order, change):
     monkeypatch.setattr(tb, name, broken)
 
 
-def _break_p_differential(monkeypatch, order):
-    """Add one to entry ``order`` of p_polys_differential."""
-    original = tb.p_polys_differential
+def _break_differential(monkeypatch, name, order):
+    """Add one to entry ``order`` of tables.<name>, a list of P_n or G_n."""
+    original = getattr(tb, name)
 
     def broken(bound):
         ps = list(original(bound))
         ps[order] = _plus_xyz_one(ps[order])
         return ps
 
-    monkeypatch.setattr(tb, "p_polys_differential", broken)
+    monkeypatch.setattr(tb, name, broken)
 
 
 def _break_cn_nn(monkeypatch, part, order):
@@ -78,13 +84,14 @@ def _plus_xyz_one(p):
     return p + Poly(XYZ, {(0, 0, 0): 1})
 
 
-def _bump_gamma_row(monkeypatch, order):
+def _bump_gamma_row(monkeypatch, order, key=(1, 0)):
+    """Add one to gamma_(order, i, j) at key = (i, j)."""
     original = tb._gamma_row
 
     def broken(n):
         row = dict(original(n))
         if n == order:
-            row[(1, 0)] = row.get((1, 0), 0) + 1
+            row[key] = row.get(key, 0) + 1
         return row
 
     monkeypatch.setattr(tb, "_gamma_row", broken)
@@ -164,7 +171,7 @@ CASES = [
     ),
     (
         "p-recurrences", 5,
-        lambda mp: _break_p_differential(mp, 2),
+        lambda mp: _break_differential(mp, "p_polys_differential", 2),
         "n=2: differential recurrence 1 + x*y + x*z + x^2 != x*y + x*z + x^2",
     ),
     (
@@ -309,6 +316,24 @@ CASES = [
         "des=2, plat=1, ap=1, lap=1, fap=2, dasc=1, dp=0) to StirlingStatRecord("
         "asc=1, des=2, plat=2, ap=0, lap=1, fap=1, dasc=0, dp=1)",
     ),
+    (
+        # G_2 is pulled from G_1 = x, here 1 + x, whose 1 the recurrence sends
+        # to 3x
+        "gamma-recurrence", 5,
+        lambda mp: _break_differential(mp, "g_polys_differential", 1),
+        "n=2: 3*x + x*y + x^2 != x*y + x^2",
+    ),
+    (
+        # gamma_(2,2,1) lies past i + j = 2, so the cut differential G_2 drops it
+        "gamma-vanishing", 5,
+        lambda mp: _bump_gamma_row(mp, 2, (2, 1)),
+        "n=2: x*y + x^2 + x^2*y != x*y + x^2",
+    ),
+    (
+        "gamma-weighted-sums", 5,
+        lambda mp: _break_table(mp, "n_poly_alternating", 2, _plus_one),
+        "n=2: alternating 1 + 2*x + x^2 != 2*x + x^2",
+    ),
 ]
 
 
@@ -322,3 +347,48 @@ def test_golden_witness(monkeypatch, name, bound, breaker, witness):
     r = run_identity(name, bound)
     assert not r.passed
     assert r.witness == witness
+
+
+# ---------------------------------------------------------------------------
+# the sensitivity sweep: every declared pair, and every word-by-word check,
+# is seen to fail at every order it checks by default
+
+
+def _plus_one_at(route, at):
+    """The route with one added to its value at n = at."""
+    if not isinstance(route, ids.Table):
+        return lambda n: route(n) + 1 if n == at else route(n)
+
+    def build(bound):
+        table = route.build(bound)
+        rows = list(table if route.part is None else table[route.part])
+        rows[at] += 1
+        return rows
+
+    return ids.Table(build)
+
+
+DECLARED = sorted(name for name, check in ids.REGISTRY.items() if check.compare)
+
+
+@pytest.mark.parametrize("name", DECLARED)
+def test_every_pair_fails_at_every_order_it_compares(name):
+    check = ids.REGISTRY[name]
+    for k, pair in enumerate(check.compare):
+        for n in range(pair.start, check.default_bound + 1):
+            compare = list(check.compare)
+            compare[k] = dataclasses.replace(pair, left=_plus_one_at(pair.left, n))
+            runner = functools.partial(ids._run_routes, tuple(compare))
+            r = dataclasses.replace(check, runner=runner, compare=tuple(compare)).run()
+            assert not r.passed and r.witness.startswith(f"n={n}: "), (k, n, r.witness)
+
+
+@pytest.mark.parametrize("name", sorted(set(ids.REGISTRY) - set(DECLARED)))
+def test_every_word_check_fails_at_every_order(monkeypatch, name):
+    for n in range(ids.REGISTRY[name].default_bound + 1):
+        # 11 22 ... nn has dp = 0 and lap = n, so each check reads its dp
+        word = tuple(sorted(2 * list(range(1, n + 1))))
+        with monkeypatch.context() as mp:
+            _corrupt_scan(mp, word, "dp")
+            r = run_identity(name)
+        assert not r.passed and re.match(f"n={n}[:,] ", r.witness), (n, r.witness)

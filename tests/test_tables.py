@@ -37,6 +37,7 @@ from stirlab.tables import (
     gamma_weighted_sum,
     m_poly,
     n_poly,
+    n_poly_alternating,
     n_poly_closed,
     p_number,
     p_poly,
@@ -212,7 +213,7 @@ class TestAscentFamilies:
         assert n_poly_closed(1) == Poly.from_counts({1: 1})
         assert n_poly_closed(2) == Poly.from_counts({1: 2, 2: 1})
         for n in range(8):
-            assert n_poly_closed(n) == n_poly(n)
+            assert n_poly_closed(n) == n_poly_alternating(n) == n_poly(n)
 
     def test_gamma_weighted_sum(self):
         assert gamma_weighted_sum(2, 1) == 2
@@ -262,12 +263,13 @@ class TestCoefficientTablesAndCache:
             gamma_weighted_sum(3, 0)
 
     def test_mismatch_raises_identity_violation(self, monkeypatch):
-        # force a disagreement between the two formulas
+        # weights that 2^n does not divide trip both closed forms' guard
         import stirlab.tables as tb
 
-        monkeypatch.setattr(tb, "gamma_number", lambda n, i, j: 1)
-        with pytest.raises(IdentityViolationError):
-            tb.gamma_weighted_sum(3, 2)
+        monkeypatch.setattr(tb, "_closed_weight", lambda n, k: 1)
+        for form in (tb.n_poly_closed, tb.n_poly_alternating):
+            with pytest.raises(IdentityViolationError, match="N_3 is not integral"):
+                form(3)
 
 
 # ---------------------------------------------------------------------------
@@ -532,6 +534,7 @@ NEGATIVE_N_RAISES = [
     (n_poly, ()),
     (m_poly, ()),
     (n_poly_closed, ()),
+    (n_poly_alternating, ()),
     (gamma_weighted_sum, (1,)),
     (cn_nn_tables, ()),
     (p_polys_differential, ()),
