@@ -229,12 +229,18 @@ def orbit_members(rep, *, within: Collection[Word] | None = None) -> Iterator[Wo
     Gray-code order over the sorted free toggle values v_0 < v_1 < ...: one
     toggle per step, the k-th member (from 0) with v_t on for each set bit t
     of k ^ (k >> 1).  Each toggle's output is checked as in :func:`fs_action`."""
-    descriptor = rep if isinstance(rep, OrbitDescriptor) else orbit(rep)
-    word = descriptor.representative
-    values = sorted(word[i - 1] for i in descriptor.free_indices)
+    word = rep.representative if isinstance(rep, OrbitDescriptor) else _coerce(rep)
+    values = []  # the free toggle values: the double ascents, in one pass
+    for left, v, right in zip((0, *word), word, (*word[1:], 0)):
+        if left < v < right:
+            values.append(v)
+        elif left > v == right:  # a descent-plateau: walk from the representative
+            yield from orbit_members(orbit(word), within=within)
+            return
+    values.sort()
     check = _check(within)
     yield word
-    for k in range(1, descriptor.size):
+    for k in range(1, 2 ** len(values)):
         word = _toggle(word, values[(k & -k).bit_length() - 1], check)
         yield word
 

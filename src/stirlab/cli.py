@@ -96,16 +96,10 @@ def _render_distribution(table: DistributionTable, fmt: str, out) -> None:
     if fmt == "json":
         print(json.dumps(table.to_json()), file=out)
         return
-    header = list(table.stat_names) + ["count"]
-    rows = [[*map(str, value), str(count)] for value, count in table.items_sorted()]
-    if fmt == "csv":
-        print(",".join(header), file=out)
-        for row in rows:
-            print(",".join(row), file=out)
-    else:
-        print("\t".join(header), file=out)
-        for row in rows:
-            print("\t".join(row), file=out)
+    sep = "," if fmt == "csv" else "\t"
+    print(sep.join([*table.stat_names, "count"]), file=out)
+    for value, count in table.items_sorted():
+        print(sep.join(map(str, (*value, count))), file=out)
 
 
 def _cmd_stats(args: argparse.Namespace, out) -> int:

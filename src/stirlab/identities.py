@@ -585,26 +585,24 @@ def _fs_symmetry(bound: int) -> str | None:
         brute = _tri(n)
         if brute != substitute(brute, {"y": "z", "z": "y"}):
             return f"n={n}: P_n is not symmetric in y, z"
-        seen, walked = set(), 0
         q_n = stirling_scans(n)  # each toggle's output must lie in Q_n
+        unwalked = dict.fromkeys(q_n)  # the table's own keys, dropped as walked
         for rep, record in q_n.items():
             lap, d, dp = _lap_dasc_dp(record)
             if dp:
                 continue
             # walk the orbit: its k-th member has the s toggles of k ^ (k >> 1) on
-            k = 0
-            for word in actions.orbit_members(rep, within=q_n):
+            for k, word in enumerate(actions.orbit_members(rep, within=q_n)):
                 s = (k ^ k >> 1).bit_count()
                 if _lap_dasc_dp(q_n[word]) != (lap, d - s, s):
                     a, b = stirling_stat_record(rep), stirling_stat_record(word)
                     return f"n={n}, word {rep}: {s} of {d} toggles sent {a} to {b}"
-                seen.add(word)
-                k += 1
-            if k != 2 ** d:
-                return f"n={n}: the orbit of {rep} has {k} members, not 2^{d}"
-            walked += k
-        if walked != len(seen) or walked != len(q_n):
-            return f"n={n}: the orbits walk {walked} words, {len(seen)} distinct, of {len(q_n)}"
+                if unwalked.pop(word, True):  # marked off already
+                    return f"n={n}: the orbit of {rep} walks {word} twice"
+            if k + 1 != 2 ** d:
+                return f"n={n}: the orbit of {rep} has {k + 1} members, not 2^{d}"
+        if u := len(unwalked):
+            return f"n={n}: the orbits walk {len(q_n) - u} words, {u} unwalked, of {len(q_n)}"
         lap_asc = distribution("stirling", n, ["lap", "asc"]).counts
         lap_plat = distribution("stirling", n, ["lap", "plat"]).counts
         if lap_asc != lap_plat:

@@ -12,7 +12,8 @@ Four families:
 Enumerators are deterministic, pure and restartable.  The Stirling stream is
 generated by pair insertion: each word of order n-1 receives the pair (n, n)
 in each of its 2n-1 gaps, scanned from the rightmost gap to the leftmost, so
-``stirling_words(2)`` yields 1122, 1221, 2211 in that order.
+``stirling_words(2)`` yields 1122, 1221, 2211 in that order.  Only Q_n,
+n <= 7, is memoized (the scan tables of ``stats`` key on its words).
 """
 from __future__ import annotations
 
@@ -24,9 +25,8 @@ from typing import Iterator, Sequence
 Word = tuple[int, ...]
 Block = tuple[int, int]
 
-# largest n whose full object list is memoized (Q_7 is ~135k words); the
-# matchings of [14] are read only by the memoized stats._full_counts
-_CACHE_MAX = {"stirling": 7, "signed": 6, "matching": 6, "permutation": 8}
+# the largest memoized Q_n (~135k words at 7); no other class is memoized
+_STIRLING_CACHE_MAX = 7
 
 
 def is_stirling(word: Sequence[int]) -> bool:
@@ -231,10 +231,10 @@ def _cached_objects(klass: str, n: int) -> tuple:
 
 
 def iter_objects(klass: str, n: int):
-    """Stream the raw objects of a class, memoizing small orders."""
+    """Stream the raw objects of a class, memoizing only Q_n for n <= 7."""
     if klass not in _STREAMS:
         raise ValueError(f"unknown object class: {klass!r}")
-    if n <= _CACHE_MAX[klass]:
+    if klass == "stirling" and n <= _STIRLING_CACHE_MAX:
         return iter(_cached_objects(klass, n))
     return _STREAMS[klass](n)
 

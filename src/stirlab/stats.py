@@ -28,7 +28,7 @@ from typing import Mapping, Sequence
 
 from .errors import ResourceLimitError
 from .objects import (
-    _CACHE_MAX,
+    _STIRLING_CACHE_MAX,
     PerfectMatching,
     Permutation,
     SignedPermutation,
@@ -187,8 +187,9 @@ def stirling_scans(n: int) -> dict[tuple[int, ...], tuple[int, ...]]:
 @lru_cache(maxsize=None)
 def _full_counts(klass: str, n: int) -> Mapping[tuple[int, ...], int]:
     """Joint counts of the full statistic record over a whole class."""
-    # a table of a Q_n whose words are not memoized would hold them all
-    if klass == "stirling" and n <= _CACHE_MAX[klass]:
+    # a scan table of an unmemoized Q_n would hold all its words; the other
+    # classes are streamed, and this memo keeps only their counts
+    if klass == "stirling" and n <= _STIRLING_CACHE_MAX:
         return Counter(stirling_scans(n).values())
     return Counter(map(_SCANS[klass], iter_objects(klass, n)))
 

@@ -250,9 +250,22 @@ class TestOrbitWalk:
             return moved
         return planted
 
+    @staticmethod
+    def revisit(toggle):
+        first = {}
+
+        def planted(word, v, check):
+            # each toggle output replaced by the first one built with the
+            # same length and (lap, dasc, dp), a word walked already
+            moved = toggle(word, v, check)
+            r = stirling_stat_record(moved)
+            return first.setdefault((len(moved), r.lap, r.dasc, r.dp), moved)
+        return planted
+
     @pytest.mark.parametrize("plant, witness", [
         ("never_off", "n=3, word (1, 2, 3, 3, 2, 1): 1 of 2 toggles sent"),
         ("to_lap", "n=2, word (1, 2, 2, 1): 1 of 1 toggles sent"),
+        ("revisit", "n=3: the orbit of (1, 3, 3, 1, 2, 2) walks (1, 1, 3, 3, 2, 2) twice"),
     ])
     def test_a_wrong_toggle_fails_fs_symmetry(self, monkeypatch, plant, witness):
         from stirlab.identities import run_identity

@@ -1,6 +1,7 @@
 """The identity registry: coverage, bounds, reporting, and a full small run."""
 import dataclasses
 import sys
+import tracemalloc
 
 import pytest
 
@@ -203,3 +204,20 @@ def test_the_scan_runs_once_per_word():
         sys.setprofile(None)
     # sum of |Q_n| = (2n-1)!! over n <= 5
     assert scanned == 1 + 1 + 3 + 15 + 105 + 945 == 1070
+
+
+def test_fs_symmetry_keeps_no_walked_word():
+    # the walk builds every member with a descent-plateau as a new tuple;
+    # marking walked words off the scan table's keys keeps none of them,
+    # where a set of walked words would hold a copy of each
+    runner = REGISTRY["fs-symmetry"].runner
+    assert runner(6) is None  # warm the scan tables and distributions
+    built = sum(sys.getsizeof(w) for w in stats.stirling_scans(6)
+                if stats.stirling_stat_record(w).dp)
+    tracemalloc.start()
+    try:
+        assert runner(6) is None
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < built

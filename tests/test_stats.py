@@ -254,3 +254,17 @@ def test_matchings_of_order_7_are_not_memoized():
     _full_counts.cache_clear()
     assert distribution("matching", 7, ["el"]).total() == 135135
     assert objects._cached_objects.cache_info().currsize == 0
+
+
+def test_signed_and_permutation_orders_are_not_memoized():
+    # B_6 is read only by the memoized _full_counts and S_6 once by the
+    # alpha walk, so neither stays resident; the Q_n reads hit warm tables
+    from stirlab.identities import REGISTRY
+
+    for n in range(7):
+        stirling_scans(n)
+    objects._cached_objects.cache_clear()
+    _full_counts.cache_clear()
+    assert distribution("signed", 6, ["desB"]).total() == 46080
+    assert REGISTRY["alpha-bijection"].runner(6) is None
+    assert objects._cached_objects.cache_info().currsize == 0
