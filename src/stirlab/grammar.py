@@ -51,14 +51,14 @@ class Grammar:
     """
 
     rules: Mapping[str, Poly]
-    alphabet: frozenset[str] = field(default_factory=frozenset)
+    alphabet: frozenset[str] = field(init=False)  # rule heads and body letters
     names: tuple[str, ...] = field(init=False)
 
     def __post_init__(self):
         letters = set(self.rules)
         for body in self.rules.values():
             letters |= body.letters()
-        alphabet = frozenset(self.alphabet) | letters
+        alphabet = frozenset(letters)
         names = tuple(sorted(alphabet))
         rules = {h: Poly(names, r.terms_over(names)) for h, r in self.rules.items()}
         object.__setattr__(self, "alphabet", alphabet)

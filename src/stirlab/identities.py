@@ -125,7 +125,6 @@ class IdentityCheck:
     description: str
     default_bound: int
     max_bound: int
-    classes: tuple[str, ...]  # object families it enumerates exhaustively
     runner: Runner
     compare: tuple[Compare, ...] = ()  # the declared routes, if any
 
@@ -152,7 +151,7 @@ class IdentityCheck:
 REGISTRY: dict[str, IdentityCheck] = {}
 
 
-def _register(name, description, default_bound, max_bound, classes=(), *, compare=()):
+def _register(name, description, default_bound, max_bound, *, compare=()):
     """Register a check.  With ``compare`` it runs the declared routes
     through the shared loop; without, the call decorates a hand-written
     runner."""
@@ -160,7 +159,7 @@ def _register(name, description, default_bound, max_bound, classes=(), *, compar
 
     def wrap(fn: Runner) -> Runner:
         REGISTRY[name] = IdentityCheck(
-            name, description, default_bound, max_bound, tuple(classes), fn, compare
+            name, description, default_bound, max_bound, fn, compare
         )
         return fn
 
@@ -184,13 +183,6 @@ def run_all(bound: int | None = None) -> list[CheckResult]:
         eff = check.default_bound if bound is None else min(bound, check.max_bound)
         results.append(check.run(eff))
     return results
-
-
-def qn_only_names() -> list[str]:
-    """Identities whose exhaustive part never enumerates signed permutations."""
-    return sorted(
-        name for name, c in REGISTRY.items() if "signed" not in c.classes
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -309,28 +301,28 @@ _register(
     "gessel-stanley",
     "(1-x)^(2k+1) sum_n S(n+k, n) x^n equals the descent polynomial of Q_k; "
     "checked at series order 10 for k up to the bound",
-    4, 5, ("stirling",),
+    4, 5,
     compare=[Compare(_stirling_series, _des_negbinom)],
 )
 
 _register(
     "bona-equidistribution",
     "ascents, descents and plateaus are equidistributed over Q_n",
-    6, 7, ("stirling",),
+    6, 7,
     compare=[Compare(_des, _asc, "des "), Compare(_plat, _asc, "plat ")],
 )
 
 _register(
     "matching-M",
     "odd-larger-entry blocks over matchings match ascent-plateaus over Q_n",
-    6, 7, ("stirling", "matching"),
+    6, 7,
     compare=[Compare(_poly("matching", "ol"), _poly("stirling", "ap"))],
 )
 
 _register(
     "matching-N",
     "even-larger-entry blocks over matchings match left ascent-plateaus over Q_n",
-    6, 7, ("stirling", "matching"),
+    6, 7,
     compare=[Compare(_poly("matching", "el"), _poly("stirling", "lap"))],
 )
 
@@ -369,7 +361,7 @@ _register(
 _register(
     "signed-des-2nA",
     "type-A descents over B_n give 2^n A_n(x)",
-    6, 7, ("signed",),
+    6, 7,
     compare=[Compare(
         _poly("signed", "desA"), lambda n: tables.a_poly(n) * 2**n, start=1
     )],
@@ -390,7 +382,7 @@ _register(
     "nn-aa-convolutions",
     "2^n x A_n = sum C(n,k) N_k N_(n-k) and B_n = sum C(n,k) N_k M_(n-k); "
     "B_n brute-forced through n=6, by its recurrence table beyond",
-    7, 10, ("signed",),
+    7, 10,
     compare=[
         # the x factor on the left forces n >= 1
         Compare(
@@ -410,7 +402,7 @@ _register(
 _register(
     "flag-adin",
     "F_n(x) = (1+x)^n A_n(x), flag descents brute-forced over B_n",
-    6, 7, ("signed",),
+    6, 7,
     compare=[Compare(_poly("signed", "fdes"), lambda n: tables.f_poly(n), start=1)],
 )
 
@@ -423,7 +415,7 @@ _register(
     "grammar-prop-all",
     "the five weight expansions of the flag grammar derivative (seeds xy, "
     "y^2, yz, y, z) match brute-force distributions",
-    5, 6, ("signed", "stirling"),
+    5, 6,
     compare=[
         Compare(_flag_derivative(seed), _flag_brute(klass, stat, exps), f"D^n({seed}) ")
         for seed, klass, stat, exps in (
@@ -440,7 +432,7 @@ _register(
     "flag-ap-grammar",
     "the flag grammar derivative of x encodes the flag ascent-plateau "
     "distribution",
-    6, 7, ("stirling",),
+    6, 7,
     compare=[Compare(
         _flag_derivative("x"),
         _flag_brute("stirling", "fap", lambda n, f: (1, f, 2 * n - f)),
@@ -451,7 +443,7 @@ _register(
     "flag-convolution",
     "F_n(x) = sum C(n,k) T_k(x) M_(n-k)(x^2); flag descents brute-forced, "
     "the right side from tables and the grammar",
-    6, 7, ("signed",),
+    6, 7,
     compare=[Compare(_poly("signed", "fdes"), Table(_t_m_x2), start=1)],
 )
 
@@ -459,7 +451,7 @@ _register(
     "flag-dual",
     "x F_n(x) = sum C(n,k) T_k(x) N_(n-k)(x^2) for n >= 1; flag descents "
     "brute-forced, the right side from tables",
-    6, 7, ("signed",),
+    6, 7,
     compare=[Compare(
         lambda n: _poly("signed", "fdes")(n) * _X,
         lambda n: _convolve(tables.t_poly, lambda k: _x_squared(tables.n_poly(k)), n),
@@ -476,7 +468,7 @@ _register(
     "t-recurrence",
     "the three-term T(n, k) recurrence matches the brute-force flag "
     "ascent-plateau distribution",
-    6, 7, ("stirling",),
+    6, 7,
     compare=[Compare(lambda n: tables.t_poly(n), _poly("stirling", "fap"))],
 )
 
@@ -508,7 +500,7 @@ _register(
 @_register(
     "asc-plat-decomposition",
     "asc = lap + dasc and plat = lap + dp hold word by word",
-    6, 7, ("stirling",),
+    6, 7,
 )
 def _asc_plat(bound: int) -> str | None:
     for n in range(bound + 1):
@@ -522,7 +514,7 @@ def _asc_plat(bound: int) -> str | None:
 _register(
     "p-grammar",
     "the refining grammar derivative of z encodes P_n against brute force",
-    5, 6, ("stirling",),
+    5, 6,
     compare=[Compare(
         lambda n: derive_n(parse_poly("z"), tables.REFINED_GRAMMAR, n),
         lambda n: Poly(("p", "q", "x", "y", "z"), (
@@ -536,7 +528,7 @@ _register(
     "p-recurrences",
     "both the index recurrence and the differential recurrence for P_n "
     "match the brute-force joint (lap, dasc, dp) distribution",
-    6, 7, ("stirling",),
+    6, 7,
     compare=[
         Compare(lambda n: tables.p_poly(n), _tri, "index recurrence "),
         Compare(
@@ -561,7 +553,7 @@ _register(
 _register(
     "cn-nn-recurrences",
     "the differential recurrences for C_n and N_n match brute force",
-    6, 7, ("stirling",),
+    6, 7,
     compare=[
         Compare(_C, _asc, "C_n "),
         Compare(_N, _poly("stirling", "lap"), "N_n "),
@@ -578,7 +570,7 @@ _register(
     "P_n(x,y,z) = P_n(x,z,y), proved twice: by coefficient symmetry of the "
     "brute-force table and by the toggle action exchanging dasc with dp; "
     "includes the (lap, asc) vs (lap, plat) equidistribution",
-    6, 7, ("stirling",),
+    6, 7,
 )
 def _fs_symmetry(bound: int) -> str | None:
     for n in range(bound + 1):
@@ -628,7 +620,7 @@ _register(
     "gamma-expansion",
     "P_n = sum gamma_(n,i,j) x^i (y+z)^j with gamma counted by "
     "descent-plateau-free words; table gamma against brute-force gamma",
-    7, 7, ("stirling",),
+    7, 7,
     compare=[
         Compare(lambda n: tables.g_poly(n), _brute_gamma, "gamma "),
         Compare(_gamma_expanded, _tri, "expansion "),
@@ -710,13 +702,15 @@ def _gamma_sums(n: int) -> Poly:
 
 _register(
     "gamma-weighted-sums",
-    "sum_j 2^j gamma_(n,i,j) equals the x^i coefficient of N_n and the "
-    "alternating closed form",
+    "sum_j 2^j gamma_(n,i,j) equals the x^i coefficient of N_n from its "
+    "recurrence and of the flag grammar derivative of z",
     8, 12,
     compare=[
         Compare(_gamma_sums, _N, start=1),
-        Compare(lambda n: tables.n_poly_alternating(n), _gamma_sums, "alternating ",
-                start=1),
+        # D^n(z) = sum_i N_n[i] y^(2i) z^(2n-2i+1), as in grammar-prop-all
+        Compare(_flag_derivative("z"), lambda n: Poly(XYZ, {
+            (0, 2 * i, 2 * n - 2 * i + 1): c for (i,), c in _gamma_sums(n).terms.items()
+        }), "D^n(z) ", start=1),
     ],
 )
 
@@ -753,7 +747,7 @@ _S3_TABLE = [
     "alpha restricted to the normalized words (dp = 0 and lap + dasc = n) is "
     "a bijection onto permutations carrying dasc to des; beta normalization "
     "reaches that set; includes the six-line order-3 table",
-    6, 7, ("stirling",),
+    6, 7,
 )
 def _alpha_bijection(bound: int) -> str | None:
     for n in range(bound + 1):

@@ -21,11 +21,12 @@ row 0 = {origin: 1}, and a whole table draws rows 0..n from
 ``itertools.accumulate``.  A number function reads 0 off its range; every
 polynomial, row-list and table function raises ValueError on a negative n.
 
-A small JSON disk cache (:class:`TableCache`) can memoize the
-CoefficientTable-producing builders, keyed by family and bound.  A cached
-file is used only when it carries the package version, matches the table
-schema and every row adds up to its known total; any other file is a miss,
-and the rebuilt table replaces it.
+A small JSON disk cache (:class:`TableCache`) can memoize the three
+CoefficientTable builders :func:`t_table`, :func:`p_table` and
+:func:`gamma_table`, keyed by family and bound.  A cached file is used only
+when it carries the package version, matches the table schema and every row
+adds up to its family's total; any other file is a miss, and the rebuilt
+table replaces it.
 """
 from __future__ import annotations
 
@@ -111,11 +112,10 @@ def _odd_double_factorial(n: int) -> int:
     return math.prod(range(1, 2 * n, 2))
 
 
-# the total every row n of a cached family adds up to: n! permutations for
-# the Eulerian numbers, (2n-1)!! Stirling permutations for T and P, and for
-# gamma the sum of 2^j gamma_{n,i,j}, which is P_n(1, 1, 1)
+# the total every row n of a cached family adds up to: (2n-1)!! Stirling
+# permutations for T and P, and for gamma the sum of 2^j gamma_{n,i,j},
+# which is P_n(1, 1, 1)
 _ROW_TOTALS = {
-    "eulerian": math.factorial,
     "t": _odd_double_factorial,
     "p": _odd_double_factorial,
     "gamma": _odd_double_factorial,
@@ -123,14 +123,12 @@ _ROW_TOTALS = {
 
 
 def _rows_add_up(table: CoefficientTable) -> bool:
-    """Whether rows 0..bound of a known family each reach their total.
+    """Whether rows 0..bound each reach their family's total.
 
     The entries must come in row order, as ``to_json`` writes them; a table
     out of row order fails.
     """
-    total = _ROW_TOTALS.get(table.family)
-    if total is None:
-        return True
+    total = _ROW_TOTALS[table.family]
     entries = table.entries
     rows = list(map(itemgetter(0), entries))
     if rows != sorted(rows):
@@ -303,13 +301,6 @@ def stirling2(n: int, k: int) -> int:
     if n < 0 or k < 0:
         return 0
     return _stirling2_row(n).get(k, 0)
-
-
-def eulerian_table(n_max: int, cache: TableCache | None = None) -> CoefficientTable:
-    if n_max < 0:
-        raise ValueError(f"the Eulerian table needs n >= 0, got n={n_max}")
-    rows = accumulate(range(1, n_max + 1), _eulerian_step, initial={0: 1})
-    return _cached_build("eulerian", 2, n_max, cache, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -577,18 +568,9 @@ def _closed_weight(n: int, k: int) -> int:
     return 4 ** (n - k) * math.comb(2 * k, k) * math.factorial(k) * stirling2(n, k)
 
 
-def _over_2n(form: str, n: int, scaled: Poly) -> Poly:
-    """N_n from 2^n N_n; a remainder raises IdentityViolationError."""
-    if any(c % 2**n for c in scaled.terms.values()):
-        raise IdentityViolationError(
-            f"{form} of N_{n} is not integral: 2^{n} N_{n} = {scaled}"
-        )
-    return Poly(scaled.names, {e: c >> n for e, c in scaled.terms.items()})
-
-
 def n_poly_closed(n: int) -> Poly:
     """N_n(x) = sum_k 2^(n-2k) C(2k,k) k! S(n,k) x^k (1-x)^(n-k), summed as
-    2^n N_n and divided back by :func:`_over_2n`, which raises on a remainder."""
+    2^n N_n and divided back; a remainder raises IdentityViolationError."""
     if n < 0:
         raise ValueError(f"N_n needs n >= 0, got n={n}")
     scaled: dict[int, int] = {}
@@ -597,19 +579,12 @@ def n_poly_closed(n: int) -> Poly:
         # x^k (1-x)^(n-k) by the binomial theorem
         for m in range(n - k + 1):
             scaled[k + m] = scaled.get(k + m, 0) + (-1) ** m * math.comb(n - k, m) * w
-    return _over_2n("closed form", n, Poly.from_counts(scaled))
-
-
-def n_poly_alternating(n: int) -> Poly:
-    """N_n(x) by its alternating coefficients sum_(j<=i) (-1)^(i-j) 2^(n-2j)
-    C(2j,j) C(n-j,i-j) j! S(n,j): :func:`n_poly_closed` gathered by x^i."""
-    if n < 0:
-        raise ValueError(f"N_n needs n >= 0, got n={n}")
-    return _over_2n("alternating form", n, Poly.from_counts({
-        i: sum((-1) ** (i - j) * math.comb(n - j, i - j) * _closed_weight(n, j)
-               for j in range(i + 1))
-        for i in range(n + 1)
-    }))
+    if any(c % 2**n for c in scaled.values()):
+        raise IdentityViolationError(
+            f"closed form of N_{n} is not integral: "
+            f"2^{n} N_{n} = {Poly.from_counts(scaled)}"
+        )
+    return Poly.from_counts({k: c >> n for k, c in scaled.items()})
 
 
 def gamma_weighted_sum(n: int, i: int) -> int:

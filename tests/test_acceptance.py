@@ -10,7 +10,7 @@ from contextlib import contextmanager
 
 from stirlab import actions, cli, tables
 from stirlab.grammar import derive_n, parse_poly
-from stirlab.identities import REGISTRY, qn_only_names, run_identity
+from stirlab.identities import REGISTRY, run_identity
 from stirlab.objects import iter_objects
 from stirlab.polynomials import XYZ, Poly
 from stirlab.stats import distribution, signed_stats, stirling_stats
@@ -201,8 +201,7 @@ def test_criterion_10_full_verify_runs():
         code = cli.main(["verify", "--all", "--max-n", "5"], out=out)
         assert code == 0, out.getvalue()
         assert len(out.getvalue().splitlines()) == len(REGISTRY)
-    with budget("10b: Q_n-only identities at max-n 6", 300.0):
-        for name in qn_only_names():
-            check = REGISTRY[name]
+    with budget("10b: every identity at max-n 6", 300.0):
+        for name, check in REGISTRY.items():
             r = check.run(min(6, check.max_bound))
             assert r.passed, (name, r.witness)

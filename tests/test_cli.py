@@ -223,7 +223,7 @@ class TestVerify:
         import stirlab.identities as ids
 
         broken = IdentityCheck(
-            "always-fails", "test stub", 2, 5, (), lambda bound: f"n={bound}: nope"
+            "always-fails", "test stub", 2, 5, lambda bound: f"n={bound}: nope"
         )
         monkeypatch.setitem(ids.REGISTRY, "always-fails", broken)
         code, out = run_cli("verify", "--identity", "always-fails")
@@ -233,13 +233,12 @@ class TestVerify:
     def test_cross_check_failure_is_a_fail_not_a_traceback(self, monkeypatch):
         import stirlab.tables as tb
 
-        # the closed forms of N_n raise when 2^n does not divide their sum
+        # the closed form of N_n raises when 2^n does not divide its sum
         monkeypatch.setattr(tb, "_closed_weight", lambda n, k: 1)
-        code, out = run_cli("verify", "--identity", "gamma-weighted-sums",
-                            "--max-n", "5")
+        code, out = run_cli("verify", "--identity", "n-closed-form", "--max-n", "5")
         assert code == 1
-        assert out.startswith("FAIL  gamma-weighted-sums (max_n=5)")
-        assert "witness: alternating form of N_1 is not integral: 2^1 N_1 = 1\n" in out
+        assert out.startswith("FAIL  n-closed-form (max_n=5)")
+        assert "witness: closed form of N_1 is not integral: 2^1 N_1 = 1\n" in out
 
     @pytest.mark.parametrize("name, witness", [
         ("alpha-bijection", "sliding 2 left in (2, 2, 1, 1) gave (2, 2, 2, 1)"),

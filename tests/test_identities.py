@@ -11,7 +11,6 @@ from stirlab.errors import ResourceLimitError
 from stirlab.identities import (
     REGISTRY,
     UnknownIdentityError,
-    qn_only_names,
     run_all,
     run_identity,
 )
@@ -122,14 +121,6 @@ def test_skip_is_decided_by_the_declared_starts():
     assert "skipped" not in run_identity("gamma-recurrence", 1).to_json()
     # hand-written checks declare no starts and always run
     assert not run_identity("alpha-bijection", 0).skipped
-
-
-def test_qn_only_selection():
-    names = qn_only_names()
-    assert "bona-equidistribution" in names
-    assert "alpha-bijection" in names
-    assert "flag-adin" not in names
-    assert "grammar-prop-all" not in names
 
 
 def test_witness_on_forced_failure(monkeypatch):

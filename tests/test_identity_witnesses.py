@@ -1,12 +1,13 @@
 """Golden witnesses and the sensitivity sweep of the identity checks.
 
-Each golden case breaks one table function, or one brute-force distribution,
-at a single order with monkeypatch, and pins the exact witness the check
-reports: ``n=<n>: <label><left> != <right>`` from the shared compare loop.
-The witnesses of the first seventeen declared checks keep the bytes of the
-hand-written loops they replaced; the rest were recorded from the shared
-loop itself.  Two cases corrupt one record of the scan table that the
-word-by-word checks read, and pin those checks' own witnesses.
+Each golden case breaks one table function, one grammar rule, or one
+brute-force distribution, at a single order with monkeypatch, and pins the
+exact witness the check reports: ``n=<n>: <label><left> != <right>`` from
+the shared compare loop.  The witnesses of the first seventeen declared
+checks keep the bytes of the hand-written loops they replaced; the rest were
+recorded from the shared loop itself.  Two cases corrupt one record of the
+scan table that the word-by-word checks read, and pin those checks' own
+witnesses.
 
 The sweep adds one to the left route of every declared pair at every order
 it compares by default, and corrupts one scan record per order for the
@@ -20,6 +21,7 @@ import pytest
 
 import stirlab.identities as ids
 import stirlab.tables as tb
+from stirlab.grammar import parse_grammar
 from stirlab.identities import run_identity
 from stirlab.polynomials import XYZ, Poly
 from stirlab.stats import STIRLING_STATS
@@ -330,9 +332,13 @@ CASES = [
         "n=2: x*y + x^2 + x^2*y != x*y + x^2",
     ),
     (
+        # a doubled y rule first shows in D^2(z) = 2 y D(y) z + y^2 D(z); the
+        # first pair reads no grammar and still passes
         "gamma-weighted-sums", 5,
-        lambda mp: _break_table(mp, "n_poly_alternating", 2, _plus_one),
-        "n=2: alternating 1 + 2*x + x^2 != 2*x + x^2",
+        lambda mp: mp.setattr(tb, "FLAG_GRAMMAR", parse_grammar(
+            "x -> x*y*z; y -> 2*y*z^2; z -> y^2*z"
+        )),
+        "n=2: D^n(z) 4*y^2*z^3 + y^4*z != 2*y^2*z^3 + y^4*z",
     ),
 ]
 

@@ -7,6 +7,11 @@ Checks raise instead.
 No module imports ``fractions``: every polynomial and table of the package
 has integer coefficients, and a closed form with negative powers of two is
 summed times a power of two and divided exactly at the end.
+
+No module keeps a private function or class that nothing calls: every
+undecorated module-level ``def _name`` or ``class _Name`` must be read as a
+name, an attribute or an import somewhere in the package.  A helper left
+behind when its last caller goes is dead code.
 """
 import ast
 from pathlib import Path
@@ -45,4 +50,31 @@ def test_no_module_imports_fractions():
         for path, node in _nodes()
         if any(name.split(".")[0] == "fractions" for name in _imported(node))
     ]
+    assert found == []
+
+
+def _referenced(node) -> list[str]:
+    if isinstance(node, ast.Name):
+        return [node.id]
+    if isinstance(node, ast.Attribute):
+        return [node.attr]
+    if isinstance(node, (ast.Import, ast.ImportFrom)):
+        return [alias.name for alias in node.names]
+    return []
+
+
+def test_every_private_helper_is_referenced():
+    used = {name for _, node in _nodes() for name in _referenced(node)}
+    found = []
+    for path in sorted(PACKAGE_DIR.rglob("*.py")):
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if (
+                isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and not node.decorator_list
+                and node.name.startswith("_")
+                and not node.name.endswith("__")
+                and node.name not in used
+            ):
+                found.append(f"{path.relative_to(PACKAGE_DIR)}:{node.lineno} "
+                             f"{node.name}")
     assert found == []

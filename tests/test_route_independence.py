@@ -140,8 +140,7 @@ def test_each_route_is_seen_to_run(name):
 
 def test_a_shared_function_is_named():
     planted = identities.IdentityCheck(
-        "planted", "two routes through one table function", 3, 3, (),
-        lambda bound: None,
+        "planted", "two routes through one table function", 3, 3, lambda bound: None,
         (Compare(lambda n: identities.tables.g_poly(n),
                  lambda n: identities.tables.g_poly(n) * 1, "G_n "),),
     )

@@ -28,7 +28,6 @@ from stirlab.tables import (
     c_poly,
     cn_nn_tables,
     eulerian,
-    eulerian_table,
     f_poly,
     g_poly,
     g_polys_differential,
@@ -37,7 +36,6 @@ from stirlab.tables import (
     gamma_weighted_sum,
     m_poly,
     n_poly,
-    n_poly_alternating,
     n_poly_closed,
     p_number,
     p_poly,
@@ -213,7 +211,7 @@ class TestAscentFamilies:
         assert n_poly_closed(1) == Poly.from_counts({1: 1})
         assert n_poly_closed(2) == Poly.from_counts({1: 2, 2: 1})
         for n in range(8):
-            assert n_poly_closed(n) == n_poly_alternating(n) == n_poly(n)
+            assert n_poly_closed(n) == n_poly(n)
 
     def test_gamma_weighted_sum(self):
         assert gamma_weighted_sum(2, 1) == 2
@@ -263,13 +261,12 @@ class TestCoefficientTablesAndCache:
             gamma_weighted_sum(3, 0)
 
     def test_mismatch_raises_identity_violation(self, monkeypatch):
-        # weights that 2^n does not divide trip both closed forms' guard
+        # weights that 2^n does not divide trip the closed form's guard
         import stirlab.tables as tb
 
         monkeypatch.setattr(tb, "_closed_weight", lambda n, k: 1)
-        for form in (tb.n_poly_closed, tb.n_poly_alternating):
-            with pytest.raises(IdentityViolationError, match="N_3 is not integral"):
-                form(3)
+        with pytest.raises(IdentityViolationError, match="N_3 is not integral"):
+            tb.n_poly_closed(3)
 
 
 # ---------------------------------------------------------------------------
@@ -453,12 +450,11 @@ def test_cache_schema_mismatch_is_a_miss(tmp_path, edit):
 @pytest.mark.parametrize(
     "build,name,idx",
     [
-        (eulerian_table, "eulerian", [4, 1]),
         (t_table, "t", [2, 1]),
         (p_table, "p", [3, 2, 1, 0]),
         (gamma_table, "gamma", [3, 2, 1]),
     ],
-    ids=["eulerian", "t", "p", "gamma"],
+    ids=["t", "p", "gamma"],
 )
 def test_cache_row_total_mismatch_is_a_miss(tmp_path, build, name, idx):
     cache = TableCache(tmp_path)
@@ -504,14 +500,6 @@ def test_cache_store_replaces_the_file_atomically(tmp_path, monkeypatch):
     assert [p.name for p in tmp_path.iterdir()] == ["t-3.json"]
 
 
-def test_eulerian_table_matches_eulerian_numbers():
-    expected = {
-        (n, k): eulerian(n, k) for n in range(31) for k in range(n) if eulerian(n, k)
-    }
-    expected[(0, 0)] = 1
-    assert eulerian_table(30).entries == expected
-
-
 # Every public function of tables at n = -1, with its remaining arguments:
 # a number reads 0 off its range, and every polynomial, row list and table
 # raises ValueError naming n.
@@ -534,12 +522,10 @@ NEGATIVE_N_RAISES = [
     (n_poly, ()),
     (m_poly, ()),
     (n_poly_closed, ()),
-    (n_poly_alternating, ()),
     (gamma_weighted_sum, (1,)),
     (cn_nn_tables, ()),
     (p_polys_differential, ()),
     (g_polys_differential, ()),
-    (eulerian_table, ()),
     (t_table, ()),
     (p_table, ()),
     (gamma_table, ()),
