@@ -1,11 +1,11 @@
 """stirlab: exact-arithmetic combinatorics of Stirling permutations.
 
 Enumeration of Stirling permutations, signed permutations, perfect matchings
-and permutations; their ascent / plateau / descent statistics; a commutative
-context-free-grammar formal-derivative engine; recurrence-driven coefficient
-tables; the letter-toggling group action and the bijection with
-permutations; and a registry of identities verified by brute force at desk
-scale.
+and permutations, each object the plain tuple its stream yields; their
+ascent / plateau / descent statistics; a commutative context-free-grammar
+formal-derivative engine; recurrence-driven coefficient tables; the
+letter-toggling group action and the bijection with permutations; and a
+registry of identities verified by brute force at desk scale.
 """
 from ._version import __version__
 from .actions import (
@@ -43,15 +43,11 @@ from .identities import (
     run_identity,
 )
 from .objects import (
-    PerfectMatching,
-    Permutation,
-    SignedPermutation,
-    StirlingPermutation,
-    enumerate_matchings,
-    enumerate_permutations,
-    enumerate_signed,
-    enumerate_stirling,
     is_stirling,
+    matching_blocks,
+    permutation_words,
+    signed_words,
+    stirling_words,
 )
 from .polynomials import Poly
 from .stats import (

@@ -41,15 +41,9 @@ from dataclasses import dataclass
 from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 from .errors import IdentityViolationError
-from .objects import StirlingPermutation, is_stirling
+from .objects import is_stirling
 
 Word = tuple[int, ...]
-
-
-def _coerce(sigma) -> Word:
-    if isinstance(sigma, StirlingPermutation):
-        return sigma.word
-    return tuple(sigma)
 
 
 @dataclass(frozen=True)
@@ -83,7 +77,7 @@ def index_sets(sigma) -> IndexSets:
     >>> index_sets((1, 2, 2, 1))
     IndexSets(dasc=frozenset({1}), dp=frozenset(), lap=frozenset({2}))
     """
-    word = _coerce(sigma)
+    word = tuple(sigma)
     dasc, dp, lap = [], [], []
     left = 0
     # one pass with the classify_index rules, the virtual 0 at both ends
@@ -135,7 +129,7 @@ def fs_move(sigma, i: int) -> Word:
     >>> "".join(map(str, fs_move((2,4,4,7,8,8,7,3,3,2,1,1,5,6,6,5), 1)))
     '4478873322115665'
     """
-    word = _coerce(sigma)
+    word = tuple(sigma)
     kind = classify_index(word, i)
     v = word[i - 1]
     if kind == "dasc":
@@ -175,7 +169,7 @@ def _toggle(word: Word, v: int, check: Check) -> Word:
 def fs_toggle_value(sigma, v: int) -> Word:
     """Toggle value v between double ascent and descent-plateau (a total
     involution; immovable values are fixed)."""
-    return _toggle(_coerce(sigma), v, is_stirling)
+    return _toggle(tuple(sigma), v, is_stirling)
 
 
 def fs_action(sigma, positions: Iterable[int], *,
@@ -190,7 +184,7 @@ def fs_action(sigma, positions: Iterable[int], *,
     membership in ``within``, a collection holding Q_n (a scan table of Q_n
     checks by its keys).  A rejected output raises IdentityViolationError.
     """
-    word = _coerce(sigma)
+    word = tuple(sigma)
     sets = index_sets(word)
     movable = sets.dasc | sets.dp
     check = _check(within)
@@ -212,15 +206,21 @@ class OrbitDescriptor:
         return 2 ** len(self.free_indices)
 
 
+def _representative(word: Word, within: Collection[Word] | None) -> tuple[Word, IndexSets]:
+    # toggle every descent-plateau value off, each output checked as in
+    # fs_action; the result and its index sets
+    sets = index_sets(word)
+    if sets.dp:
+        word = fs_action(word, sets.dp, within=within)
+        if (sets := index_sets(word)).dp:
+            raise IdentityViolationError(f"orbit representative {word} has descent-plateaus")
+    return word, sets
+
+
 def orbit(sigma) -> OrbitDescriptor:
     """The orbit of a word: toggling its descent-plateau values yields the
     unique representative with dp = 0."""
-    rep = _coerce(sigma)
-    sets = index_sets(rep)
-    if sets.dp:
-        rep = fs_action(rep, sets.dp)
-        if (sets := index_sets(rep)).dp:
-            raise IdentityViolationError(f"orbit representative {rep} has descent-plateaus")
+    rep, sets = _representative(tuple(sigma), None)
     return OrbitDescriptor(rep, sets.dasc)
 
 
@@ -228,14 +228,16 @@ def orbit_members(rep, *, within: Collection[Word] | None = None) -> Iterator[Wo
     """All members of an orbit, given a word of it or its OrbitDescriptor, in
     Gray-code order over the sorted free toggle values v_0 < v_1 < ...: one
     toggle per step, the k-th member (from 0) with v_t on for each set bit t
-    of k ^ (k >> 1).  Each toggle's output is checked as in :func:`fs_action`."""
-    word = rep.representative if isinstance(rep, OrbitDescriptor) else _coerce(rep)
+    of k ^ (k >> 1).  Each toggle's output is checked as in :func:`fs_action`,
+    the toggles that take a word with descent-plateaus to its representative
+    included."""
+    word = rep.representative if isinstance(rep, OrbitDescriptor) else tuple(rep)
     values = []  # the free toggle values: the double ascents, in one pass
     for left, v, right in zip((0, *word), word, (*word[1:], 0)):
         if left < v < right:
             values.append(v)
         elif left > v == right:  # a descent-plateau: walk from the representative
-            yield from orbit_members(orbit(word), within=within)
+            yield from orbit_members(_representative(word, within)[0], within=within)
             return
     values.sort()
     check = _check(within)
@@ -256,7 +258,7 @@ def beta_move(sigma, x: int) -> Word:
     >>> "".join(map(str, beta_move((3,4,4,3,5,7,8,8,7,6,6,5,2,2,1,1), 6)))
     '3443567887652211'
     """
-    word = _coerce(sigma)
+    word = tuple(sigma)
     return _slide_left(word, word.index(x), x, is_stirling)
 
 
@@ -274,7 +276,7 @@ def beta_set(sigma, values: Iterable[int], *,
     :func:`fs_action`; a move whose letter already follows a smaller one, or
     leads the word, changes nothing and is skipped.
     """
-    word = _coerce(sigma)
+    word = tuple(sigma)
     check = _check(within)
     if not check(word):
         raise IdentityViolationError(f"beta moves on {word}, not a Stirling permutation")
@@ -292,7 +294,7 @@ def alpha(sigma) -> Word:
     >>> alpha((3, 4, 4, 3, 5, 5, 6, 6, 1, 2, 2, 1))
     (4, 3, 5, 6, 2, 1)
     """
-    word = _coerce(sigma)
+    word = tuple(sigma)
     seen: set[int] = set()
     out = []
     for v in word:
@@ -320,8 +322,11 @@ def alpha_inverse(pi) -> Word:
 
 
 def alpha_inverse_trace(pi) -> tuple[Word, frozenset[int], Word]:
-    """(doubled word, beta value set, final word) of the inverse map."""
-    values = pi.values if hasattr(pi, "values") else tuple(pi)
+    """(doubled word, beta value set, final word) of the inverse map; pi
+    must be a permutation of [n], otherwise ValueError."""
+    values = tuple(pi)
+    if sorted(values) != list(range(1, len(values) + 1)):
+        raise ValueError(f"not a permutation of [n]: {values}")
     doubled = tuple(v for v in values for _ in range(2))
     s = descent_bottom_set(values)
     return doubled, s, beta_set(doubled, s)

@@ -23,12 +23,7 @@ from typing import Callable, Mapping, Sequence
 from . import identities, tables
 from .errors import ResourceLimitError
 from .grammar import GrammarSyntaxError, derive_n, parse_grammar, parse_poly
-from .objects import (
-    enumerate_matchings,
-    enumerate_permutations,
-    enumerate_signed,
-    enumerate_stirling,
-)
+from .objects import matching_blocks, permutation_words, signed_words, stirling_words
 from .polynomials import XYZ, Poly, format_terms, monomial_str
 from .stats import DistributionTable, distribution
 
@@ -50,10 +45,10 @@ def default_cache_dir() -> Path:
 
 
 _ENUMERATORS = {
-    "stirling": enumerate_stirling,
-    "signed": enumerate_signed,
-    "matching": enumerate_matchings,
-    "permutation": enumerate_permutations,
+    "stirling": stirling_words,
+    "signed": signed_words,
+    "matching": matching_blocks,
+    "permutation": permutation_words,
 }
 
 
@@ -64,28 +59,18 @@ def _cmd_enumerate(args: argparse.Namespace, out) -> int:
             " (raise it with --bound)"
         )
     stream = _ENUMERATORS[args.klass](args.n)
-    if args.format == "plain":
+    if args.format == "json":
         for obj in stream:
-            print(obj, file=out)
-    elif args.format == "json":
+            print(json.dumps(obj), file=out)
+    elif args.klass == "matching":
+        pair = "{%d,%d}" if args.format == "plain" else "%d:%d"
         for obj in stream:
-            raw = _entries(obj)
-            print(json.dumps([list(e) if isinstance(e, tuple) else e for e in raw]),
-                  file=out)
-    else:  # csv
+            print(",".join(pair % b for b in obj), file=out)
+    else:
+        sep = "," if args.format == "csv" else "" if args.n <= 9 else " "
         for obj in stream:
-            cells = [
-                f"{e[0]}:{e[1]}" if isinstance(e, tuple) else str(e)
-                for e in _entries(obj)
-            ]
-            print(",".join(cells), file=out)
+            print(sep.join(map(str, obj)), file=out)
     return 0
-
-
-def _entries(obj):
-    if hasattr(obj, "blocks"):
-        return obj.blocks
-    return obj.word if hasattr(obj, "word") else obj.values
 
 
 # ---------------------------------------------------------------------------

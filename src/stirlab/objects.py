@@ -1,24 +1,27 @@
-"""Combinatorial carrier types and their exhaustive enumerators.
+"""The four object classes and their exhaustive streams.
 
-Four families:
+Every object is the plain tuple its stream yields:
 
 - Stirling permutations of order n: words on the multiset {1,1,...,n,n} in
   which every entry lying strictly between the two copies of a value exceeds
-  that value.  There are (2n-1)!! of them.
-- signed permutations (the hyperoctahedral group B_n), 2^n n! of them;
-- perfect matchings of [2n], again (2n-1)!! of them;
-- plain permutations of [n].
+  that value.  There are (2n-1)!! of them, each a tuple of 2n letters.
+- signed permutations (the hyperoctahedral group B_n), 2^n n! of them, each
+  the tuple of nonzero values pi(1..n);
+- perfect matchings of [2n], again (2n-1)!! of them, each a tuple of n
+  pairs (a, b) with a < b, sorted by smaller entry;
+- plain permutations of [n] in one-line notation.
 
-Enumerators are deterministic, pure and restartable.  The Stirling stream is
+Streams are deterministic, pure and restartable.  The Stirling stream is
 generated by pair insertion: each word of order n-1 receives the pair (n, n)
 in each of its 2n-1 gaps, scanned from the rightmost gap to the leftmost, so
 ``stirling_words(2)`` yields 1122, 1221, 2211 in that order.  Only Q_n,
-n <= 7, is memoized (the scan tables of ``stats`` key on its words).
+n <= 7, is memoized (the scan tables of ``stats`` key on its words).  The
+predicates here decide membership; the validating entry points are the
+statistics functions of ``stats``.
 """
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Sequence
 
@@ -64,109 +67,20 @@ def is_stirling(word: Sequence[int]) -> bool:
     return top == 0
 
 
-@dataclass(frozen=True)
-class StirlingPermutation:
-    """A Stirling permutation; ``word`` holds the 2n letters, 1-based values.
-
-    The constructor trusts its input; use :meth:`from_word` for untrusted
-    data.
-    """
-
-    word: Word
-
-    @classmethod
-    def from_word(cls, word: Sequence[int]) -> StirlingPermutation:
-        w = tuple(word)
-        if not is_stirling(w):
-            raise ValueError(f"not a Stirling permutation: {w}")
-        return cls(w)
-
-    @property
-    def order(self) -> int:
-        return len(self.word) // 2
-
-    def __str__(self) -> str:
-        if self.order <= 9:
-            return "".join(str(v) for v in self.word)
-        return " ".join(str(v) for v in self.word)
-
-
-@dataclass(frozen=True)
-class SignedPermutation:
-    """An element of B_n: values pi(1..n), nonzero, |values| a permutation."""
-
-    values: Word
-
-    @classmethod
-    def from_values(cls, values: Sequence[int]) -> SignedPermutation:
-        v = tuple(values)
-        if not _is_signed(v):
-            raise ValueError(f"not a signed permutation: {v}")
-        return cls(v)
-
-    @property
-    def order(self) -> int:
-        return len(self.values)
-
-    def __str__(self) -> str:
-        if self.order <= 9:
-            return "".join(str(v) for v in self.values)
-        return " ".join(str(v) for v in self.values)
-
-
 def _is_signed(values: Sequence[int]) -> bool:
     if any(not isinstance(v, int) or v == 0 for v in values):
         return False
     return sorted(abs(v) for v in values) == list(range(1, len(values) + 1))
 
 
-@dataclass(frozen=True)
-class PerfectMatching:
-    """A partition of [2n] into n pairs, stored sorted by smaller entry."""
-
-    blocks: tuple[Block, ...]
-
-    @classmethod
-    def from_blocks(cls, blocks) -> PerfectMatching:
-        bs = tuple(sorted(tuple(sorted(b)) for b in blocks))
-        flat = [e for b in bs for e in b]
-        if any(len(b) != 2 for b in bs) or sorted(flat) != list(range(1, len(flat) + 1)):
-            raise ValueError(f"not a perfect matching of [2n]: {blocks}")
-        return cls(bs)
-
-    @property
-    def order(self) -> int:
-        return len(self.blocks)
-
-    def __str__(self) -> str:
-        return ",".join("{%d,%d}" % b for b in self.blocks)
-
-
-@dataclass(frozen=True)
-class Permutation:
-    """A permutation of [n] in one-line notation."""
-
-    values: Word
-
-    @classmethod
-    def from_values(cls, values: Sequence[int]) -> Permutation:
-        v = tuple(values)
-        if sorted(v) != list(range(1, len(v) + 1)):
-            raise ValueError(f"not a permutation of [n]: {v}")
-        return cls(v)
-
-    @property
-    def order(self) -> int:
-        return len(self.values)
-
-    def __str__(self) -> str:
-        if self.order <= 9:
-            return "".join(str(v) for v in self.values)
-        return " ".join(str(v) for v in self.values)
+def _is_matching(blocks: tuple[tuple[int, ...], ...]) -> bool:
+    """Whether ``blocks`` partition [2n] into pairs."""
+    flat = [e for b in blocks for e in b]
+    return all(len(b) == 2 for b in blocks) and sorted(flat) == list(range(1, len(flat) + 1))
 
 
 # ---------------------------------------------------------------------------
-# raw word streams (the fast layer; enumerate_* wraps these in carrier types)
+# the streams
 
 
 def stirling_words(n: int) -> Iterator[Word]:
@@ -238,26 +152,3 @@ def iter_objects(klass: str, n: int):
         return iter(_cached_objects(klass, n))
     return _STREAMS[klass](n)
 
-
-# ---------------------------------------------------------------------------
-# typed enumerators
-
-
-def enumerate_stirling(n: int) -> Iterator[StirlingPermutation]:
-    """Each element of Q_n exactly once ((2n-1)!! in total)."""
-    return (StirlingPermutation(w) for w in stirling_words(n))
-
-
-def enumerate_signed(n: int) -> Iterator[SignedPermutation]:
-    """Each element of B_n exactly once (2^n n! in total)."""
-    return (SignedPermutation(w) for w in signed_words(n))
-
-
-def enumerate_matchings(n: int) -> Iterator[PerfectMatching]:
-    """Each perfect matching of [2n] exactly once ((2n-1)!! in total)."""
-    return (PerfectMatching(b) for b in matching_blocks(n))
-
-
-def enumerate_permutations(n: int) -> Iterator[Permutation]:
-    """Each permutation of [n] exactly once (n! in total)."""
-    return (Permutation(w) for w in permutation_words(n))

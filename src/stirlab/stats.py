@@ -15,6 +15,11 @@ double ascent, every plateau is a left ascent-plateau or a descent-plateau.
 Stable statistic names: asc, des, plat, ap, lap, fap, dasc, dp (Stirling);
 desA, desB, fdes, fasc (signed); el, ol (matching); des (permutation).
 
+Objects are the plain tuples the streams of ``objects`` yield (any sequence
+is accepted).  :func:`stirling_stats`, :func:`signed_stats` and
+:func:`matching_stats` check their input and raise ValueError on a bad one;
+the ``*_stat_record`` functions and :func:`perm_des` trust it.
+
 The naive Stirling scan runs once per word: the memoized per-order table
 :func:`stirling_scans` feeds both the distributions and the identity loops.
 """
@@ -29,10 +34,9 @@ from typing import Mapping, Sequence
 from .errors import ResourceLimitError
 from .objects import (
     _STIRLING_CACHE_MAX,
-    PerfectMatching,
-    Permutation,
-    SignedPermutation,
-    StirlingPermutation,
+    _is_matching,
+    _is_signed,
+    is_stirling,
     iter_objects,
 )
 from .polynomials import XYZ, Poly
@@ -111,10 +115,12 @@ def stirling_stat_record(word: Sequence[int]) -> StirlingStatRecord:
     return StirlingStatRecord(*_stirling_scan(word))
 
 
-def stirling_stats(sigma) -> StirlingStatRecord:
+def stirling_stats(sigma: Sequence[int]) -> StirlingStatRecord:
     """Statistics of a Stirling permutation; invalid input raises ValueError."""
-    word = sigma.word if isinstance(sigma, StirlingPermutation) else sigma
-    return stirling_stat_record(StirlingPermutation.from_word(word).word)
+    word = tuple(sigma)
+    if not is_stirling(word):
+        raise ValueError(f"not a Stirling permutation: {word}")
+    return stirling_stat_record(word)
 
 
 def _signed_scan(values: Sequence[int]) -> tuple[int, ...]:
@@ -129,26 +135,27 @@ def signed_stat_record(values: Sequence[int]) -> SignedStatRecord:
     return SignedStatRecord(*_signed_scan(values))
 
 
-def signed_stats(pi) -> SignedStatRecord:
+def signed_stats(pi: Sequence[int]) -> SignedStatRecord:
     """Statistics of a signed permutation; invalid or empty input raises."""
-    values = pi.values if isinstance(pi, SignedPermutation) else tuple(pi)
+    values = tuple(pi)
     if len(values) == 0:
         raise ValueError("signed statistics need n >= 1")
-    return signed_stat_record(SignedPermutation.from_values(values).values)
+    if not _is_signed(values):
+        raise ValueError(f"not a signed permutation: {values}")
+    return signed_stat_record(values)
 
 
 def _permutation_scan(values: Sequence[int]) -> tuple[int]:
     return (sum(map(gt, values, values[1:])),)
 
 
-def perm_des(pi) -> int:
+def perm_des(pi: Sequence[int]) -> int:
     """Number of descents of a permutation of [n].
 
     >>> perm_des((4, 3, 5, 6, 2, 1))
     3
     """
-    values = pi.values if isinstance(pi, Permutation) else tuple(pi)
-    return _permutation_scan(values)[0]
+    return _permutation_scan(tuple(pi))[0]
 
 
 def _matching_scan(blocks) -> tuple[int, int]:
@@ -160,10 +167,15 @@ def matching_stat_record(blocks) -> MatchingStatRecord:
     return MatchingStatRecord(*_matching_scan(blocks))
 
 
-def matching_stats(m) -> MatchingStatRecord:
-    """Block counts by parity of the larger entry; invalid input raises."""
-    blocks = m.blocks if isinstance(m, PerfectMatching) else m
-    return matching_stat_record(PerfectMatching.from_blocks(blocks).blocks)
+def matching_stats(blocks) -> MatchingStatRecord:
+    """Block counts by parity of the larger entry; invalid input raises.
+
+    Blocks may come in any order, and each block's entries too.
+    """
+    bs = tuple(map(tuple, blocks))
+    if not _is_matching(bs):
+        raise ValueError(f"not a perfect matching of [2n]: {blocks}")
+    return matching_stat_record(bs)
 
 
 # one tuple-returning scan per class, fields in STATS_BY_CLASS order

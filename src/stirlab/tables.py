@@ -25,8 +25,8 @@ A small JSON disk cache (:class:`TableCache`) can memoize the three
 CoefficientTable builders :func:`t_table`, :func:`p_table` and
 :func:`gamma_table`, keyed by family and bound.  A cached file is used only
 when it carries the package version, matches the table schema and every row
-adds up to its family's total; any other file is a miss, and the rebuilt
-table replaces it.
+n adds up to (2n-1)!! (a gamma entry weighted by 2^j); any other file is a
+miss, and the rebuilt table replaces it.
 """
 from __future__ import annotations
 
@@ -112,23 +112,14 @@ def _odd_double_factorial(n: int) -> int:
     return math.prod(range(1, 2 * n, 2))
 
 
-# the total every row n of a cached family adds up to: (2n-1)!! Stirling
-# permutations for T and P, and for gamma the sum of 2^j gamma_{n,i,j},
-# which is P_n(1, 1, 1)
-_ROW_TOTALS = {
-    "t": _odd_double_factorial,
-    "p": _odd_double_factorial,
-    "gamma": _odd_double_factorial,
-}
-
-
 def _rows_add_up(table: CoefficientTable) -> bool:
-    """Whether rows 0..bound each reach their family's total.
+    """Whether each row n in 0..bound adds up to (2n-1)!!, the number of
+    Stirling permutations of order n: for T and P the plain sum, for gamma
+    the sum of 2^j gamma_{n,i,j}, which is P_n(1, 1, 1).
 
     The entries must come in row order, as ``to_json`` writes them; a table
     out of row order fails.
     """
-    total = _ROW_TOTALS[table.family]
     entries = table.entries
     rows = list(map(itemgetter(0), entries))
     if rows != sorted(rows):
@@ -142,7 +133,7 @@ def _rows_add_up(table: CoefficientTable) -> bool:
         row = values[start:end]
         if shifts is not None:
             row = map(lshift, row, shifts[start:end])
-        if sum(row) != total(n):
+        if sum(row) != _odd_double_factorial(n):
             return False
         start = end
     return start == len(rows)

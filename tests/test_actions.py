@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stirlab.actions import (
-    _coerce,
     alpha,
     alpha_inverse,
     alpha_inverse_trace,
@@ -28,7 +27,7 @@ from stirlab.actions import (
 )
 import stirlab.actions as actions_module
 from stirlab.errors import IdentityViolationError
-from stirlab.objects import StirlingPermutation, is_stirling, iter_objects
+from stirlab.objects import is_stirling, iter_objects
 from stirlab.stats import stirling_scans, stirling_stat_record
 
 
@@ -228,6 +227,15 @@ class TestOrbitWalk:
                            match=r"^sliding 1 right in \(1, 2, 2, 1\) gave \(2, 2, 1, 1\)$"):
             next(walk)
 
+    def test_the_way_to_the_representative_is_checked_against_within(self):
+        # 2211 has a descent-plateau at 1; toggling it off gives 1221, which
+        # is left out of within, so the walk raises before yielding anything
+        q_2 = frozenset(iter_objects("stirling", 2))
+        walk = orbit_members(word("2211"), within=q_2 - {word("1221")})
+        with pytest.raises(IdentityViolationError,
+                           match=r"^sliding 1 left in \(2, 2, 1, 1\) gave \(1, 2, 2, 1\)$"):
+            next(walk)
+
     @staticmethod
     def never_off(toggle):
         def planted(word, v, check):
@@ -349,6 +357,11 @@ class TestAlpha:
             word("123321"),
         )
 
+    @pytest.mark.parametrize("pi", [(1, 1), (2, 3), (0, 1), (1, 3, 2, 5)])
+    def test_inverse_rejects_what_is_not_a_permutation(self, pi):
+        with pytest.raises(ValueError, match=r"^not a permutation of \[n\]: "):
+            alpha_inverse(pi)
+
     def test_descent_bottom_set(self):
         assert descent_bottom_set((4, 3, 5, 6, 2, 1)) == {3, 2, 1}
 
@@ -422,7 +435,7 @@ class TestAssertsStay:
             fs_move(word("2447887332115665"), 1)
 
     def test_orbit_checks_its_representative(self, monkeypatch):
-        monkeypatch.setattr(actions_module, "fs_action", lambda w, positions: w)
+        monkeypatch.setattr(actions_module, "fs_action", lambda w, positions, within=None: w)
         with pytest.raises(IdentityViolationError, match="descent-plateau"):
             orbit(word("2211"))
 
@@ -512,7 +525,7 @@ class TestMembershipCheck:
 
 
 def ref_fs_move(sigma, i: int):
-    word = _coerce(sigma)
+    word = tuple(sigma)
     kind = classify_index(word, i)
     v = word[i - 1]
     if kind == "dasc":
@@ -536,13 +549,13 @@ def ref_fs_move(sigma, i: int):
 
 
 def ref_fs_toggle_value(sigma, v: int):
-    word = _coerce(sigma)
+    word = tuple(sigma)
     i = movable_index(word, v)
     return word if i is None else ref_fs_move(word, i)
 
 
 def ref_fs_action(sigma, positions):
-    word = _coerce(sigma)
+    word = tuple(sigma)
     sets = index_sets(word)
     movable = sets.dasc | sets.dp
     for v in sorted({word[i - 1] for i in positions if i in movable}):
@@ -551,7 +564,7 @@ def ref_fs_action(sigma, positions):
 
 
 def ref_beta_move(sigma, x: int):
-    word = _coerce(sigma)
+    word = tuple(sigma)
     first = word.index(x)
     k = 0
     for j in range(first, 0, -1):
@@ -585,12 +598,12 @@ class TestKernelsMatchTheSliceReference:
                 assert fs_action(w, [i]) == ref_fs_action(w, [i])
 
     def test_inputs_that_are_not_tuples(self):
-        sigma = StirlingPermutation.from_word(word("2447887332115665"))
+        sigma = list(word("2447887332115665"))
         for v in range(1, 9):
-            assert beta_move(sigma, v) == ref_beta_move(list(sigma.word), v)
+            assert beta_move(sigma, v) == ref_beta_move(sigma, v)
             assert fs_toggle_value(sigma, v) == ref_fs_toggle_value(sigma, v)
-        assert fs_move(list(sigma.word), 1) == ref_fs_move(sigma, 1)
-        assert fs_action(sigma, {1, 4, 9}) == ref_fs_action(sigma.word, {1, 4, 9})
+        assert fs_move(sigma, 1) == ref_fs_move(sigma, 1)
+        assert fs_action(sigma, {1, 4, 9}) == ref_fs_action(sigma, {1, 4, 9})
 
     @settings(max_examples=300, deadline=None)
     @given(st.sampled_from(list(iter_objects("stirling", 5))),

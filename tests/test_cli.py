@@ -60,6 +60,23 @@ class TestEnumerate:
                             "--n", "9")
         assert code == 0 and len(out.splitlines()) == 362880
 
+    def test_plain_letters_are_spaced_beyond_n_9(self):
+        class FirstLine(io.StringIO):
+            # stops the stream once its first line is written
+            class Done(Exception):
+                pass
+
+            def write(self, s):
+                super().write(s)
+                if "\n" in s:
+                    raise self.Done
+
+        out = FirstLine()
+        with pytest.raises(FirstLine.Done):
+            main(["--bound", "10", "enumerate", "--class", "permutation", "--n", "10"],
+                 out=out)
+        assert out.getvalue() == "1 2 3 4 5 6 7 8 9 10\n"
+
 
 class TestStats:
     def test_fap_table(self):
@@ -291,6 +308,16 @@ def test_stats_golden_bytes(fmt, suffix):
                         "--n", "6", "--stats", "lap,dasc,dp")
     assert code == 0
     assert out == (GOLDEN / f"stats_stirling_6_lap_dasc_dp.{suffix}").read_text()
+
+
+@pytest.mark.parametrize("klass,n", [("stirling", 3), ("signed", 2),
+                                     ("matching", 3), ("permutation", 3)])
+@pytest.mark.parametrize("fmt,suffix", [("plain", "txt"), ("json", "json"),
+                                        ("csv", "csv")])
+def test_enumerate_golden_bytes(klass, n, fmt, suffix):
+    code, out = run_cli("--format", fmt, "enumerate", "--class", klass, "--n", str(n))
+    assert code == 0
+    assert out == (GOLDEN / f"enumerate_{klass}_{n}.{suffix}").read_text()
 
 
 POLY_GOLDEN_RUNS = [("A", 12), ("B", 12), ("C", 12), ("N", 12), ("F", 12),

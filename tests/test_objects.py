@@ -6,13 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stirlab.objects import (
-    PerfectMatching,
-    Permutation,
-    SignedPermutation,
-    StirlingPermutation,
-    enumerate_matchings,
-    enumerate_signed,
-    enumerate_stirling,
     is_stirling,
     matching_blocks,
     permutation_words,
@@ -161,33 +154,6 @@ def test_permutation_counts():
     assert list(permutation_words(0)) == [()]
     assert sum(1 for _ in permutation_words(3)) == 6
     assert sum(1 for _ in permutation_words(4)) == 24
-
-
-def test_typed_enumerators_wrap_the_streams():
-    assert [str(s) for s in enumerate_stirling(2)] == ["1122", "1221", "2211"]
-    assert [str(s) for s in enumerate_signed(1)] == ["1", "-1"]
-    assert [str(m) for m in enumerate_matchings(2)] == [
-        "{1,2},{3,4}",
-        "{1,3},{2,4}",
-        "{1,4},{2,3}",
-    ]
-
-
-def test_validating_constructors():
-    assert StirlingPermutation.from_word((1, 2, 2, 3, 3, 1)).order == 3
-    with pytest.raises(ValueError):
-        StirlingPermutation.from_word((1, 2, 1, 2))
-    assert SignedPermutation.from_values((4, -3, 1, 5, 2)).order == 5
-    with pytest.raises(ValueError):
-        SignedPermutation.from_values((1, 1))
-    with pytest.raises(ValueError):
-        SignedPermutation.from_values((0, 1))
-    assert PerfectMatching.from_blocks([(3, 1), (2, 4)]).blocks == ((1, 3), (2, 4))
-    with pytest.raises(ValueError):
-        PerfectMatching.from_blocks([(1, 2), (2, 3)])
-    assert Permutation.from_values((2, 1, 3)).order == 3
-    with pytest.raises(ValueError):
-        Permutation.from_values((1, 3))
 
 
 def test_streams_are_restartable():

@@ -5,6 +5,7 @@ from dataclasses import astuple
 import pytest
 
 from stirlab import objects
+from stirlab.actions import alpha_inverse
 from stirlab.errors import ResourceLimitError
 from stirlab.objects import iter_objects, stirling_words
 from stirlab.polynomials import Poly
@@ -125,6 +126,31 @@ class TestMatchingAndPermutation:
         assert perm_des((1, 2, 3)) == 0
         assert perm_des((3, 2, 1)) == 2
         assert perm_des((4, 3, 5, 6, 2, 1)) == 3
+
+
+def test_validators_reject_bad_objects():
+    # the checks of the statistics functions, and of alpha_inverse for
+    # permutations, with their messages
+    assert stirling_stats((1, 2, 2, 3, 3, 1)) == stirling_stat_record((1, 2, 2, 3, 3, 1))
+    with pytest.raises(ValueError, match=r"^not a Stirling permutation: \(1, 2, 1, 2\)$"):
+        stirling_stats([1, 2, 1, 2])
+    assert signed_stats([4, -3, 1, 5, 2]) == signed_stat_record((4, -3, 1, 5, 2))
+    with pytest.raises(ValueError, match=r"^not a signed permutation: \(1, 1\)$"):
+        signed_stats((1, 1))
+    with pytest.raises(ValueError, match=r"^not a signed permutation: \(0, 1\)$"):
+        signed_stats((0, 1))
+    with pytest.raises(ValueError, match=r"^signed statistics need n >= 1$"):
+        signed_stats(())
+    # blocks in any order, and entries in any order within a block
+    assert matching_stats([(3, 1), (2, 4)]) == matching_stat_record(((1, 3), (2, 4)))
+    with pytest.raises(ValueError,
+                       match=r"^not a perfect matching of \[2n\]: \[\(1, 2\), \(2, 3\)\]$"):
+        matching_stats([(1, 2), (2, 3)])
+    with pytest.raises(ValueError, match=r"^not a perfect matching"):
+        matching_stats([(1, 2, 3, 4)])
+    assert alpha_inverse([2, 1, 3]) == (1, 2, 2, 1, 3, 3)
+    with pytest.raises(ValueError, match=r"^not a permutation of \[n\]: \(1, 3\)$"):
+        alpha_inverse((1, 3))
 
 
 class TestDistribution:
