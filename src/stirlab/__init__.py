@@ -84,4 +84,32 @@ from .tables import (
     t_table,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the public names, written out so that no submodule is exported by accident
+__all__ = [
+    # actions
+    "IndexSets", "OrbitDescriptor", "alpha", "alpha_inverse", "beta_move",
+    "beta_set", "fs_action", "fs_move", "fs_toggle_value", "index_sets",
+    "orbit", "orbit_members",
+    # errors
+    "IdentityViolationError", "ResourceLimitError",
+    # grammar
+    "AlphabetError", "Grammar", "GrammarSyntaxError", "coefficient_profile",
+    "derive", "derive_n", "parse_grammar", "parse_poly", "substitute",
+    # identities
+    "CheckResult", "IdentityCheck", "REGISTRY", "UnknownIdentityError",
+    "run_all", "run_identity",
+    # objects
+    "is_stirling", "matching_blocks", "permutation_words", "signed_words",
+    "stirling_words",
+    # polynomials
+    "Poly",
+    # stats
+    "DistributionTable", "MatchingStatRecord", "SignedStatRecord",
+    "StirlingStatRecord", "distribution", "matching_stats", "perm_des",
+    "signed_stats", "stirling_stats",
+    # tables
+    "CoefficientTable", "TableCache", "a_poly", "b_poly", "c_poly",
+    "cn_nn_tables", "eulerian", "f_poly", "g_poly", "gamma_number",
+    "gamma_table", "gamma_weighted_sum", "m_poly", "n_poly", "n_poly_closed",
+    "p_poly", "p_table", "stirling2", "t_poly", "t_table",
+]

@@ -23,7 +23,7 @@ from typing import Callable, Mapping, Sequence
 from . import identities, tables
 from .errors import ResourceLimitError
 from .grammar import GrammarSyntaxError, derive_n, parse_grammar, parse_poly
-from .objects import matching_blocks, permutation_words, signed_words, stirling_words
+from .objects import STREAMS
 from .polynomials import XYZ, Poly, format_terms, monomial_str
 from .stats import DistributionTable, distribution
 
@@ -44,21 +44,13 @@ def default_cache_dir() -> Path:
 # enumerate
 
 
-_ENUMERATORS = {
-    "stirling": stirling_words,
-    "signed": signed_words,
-    "matching": matching_blocks,
-    "permutation": permutation_words,
-}
-
-
 def _cmd_enumerate(args: argparse.Namespace, out) -> int:
     if args.n > args.bound:
         raise ResourceLimitError(
             f"n={args.n} exceeds the enumeration bound {args.bound}"
             " (raise it with --bound)"
         )
-    stream = _ENUMERATORS[args.klass](args.n)
+    stream = STREAMS[args.klass](args.n)
     if args.format == "json":
         for obj in stream:
             print(json.dumps(obj), file=out)
@@ -249,14 +241,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", parents=[common],
                        help="stream all objects of one class")
     p.add_argument("--class", dest="klass", required=True,
-                   choices=sorted(_ENUMERATORS))
+                   choices=sorted(STREAMS))
     p.add_argument("--n", type=int, required=True)
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("stats", parents=[common],
                        help="print an exact joint distribution table")
     p.add_argument("--class", dest="klass", required=True,
-                   choices=sorted(_ENUMERATORS))
+                   choices=sorted(STREAMS))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--stats", required=True,
                    help="comma-separated statistic names")

@@ -7,8 +7,10 @@ were never given a rule derive to 0.  Iterating D on a seed monomial produces
 the statistic distributions this package verifies.
 
 Polynomials are :class:`stirlab.polynomials.Poly` values.  A grammar holds
-its rules over its sorted alphabet, so the derivative of a polynomial over
-the same ``names`` multiplies monomials by adding exponent tuples.
+its rules over its sorted alphabet, and with each letter the shifts its rule
+terms make: a term's exponent tuple less the letter's unit exponent.  The
+derivative of a monomial through one of its letters is then the monomial's
+exponent tuple plus each shift, one tuple addition per output term.
 
 Rule files hold one rule per line (or several separated by semicolons)::
 
@@ -48,11 +50,18 @@ class Grammar:
     """Substitution rules letter -> polynomial over a fixed alphabet.
 
     ``names`` is the sorted alphabet, and every rule is held over it.
+    ``shifts[i]`` holds a (shift, coefficient) pair for each term of the
+    rule for ``names[i]``, none without a rule; the shift is the term's
+    exponent tuple less the unit exponent of ``names[i]``.  It is derived
+    from ``rules``, so repr and equality leave it out.
     """
 
     rules: Mapping[str, Poly]
     alphabet: frozenset[str] = field(init=False)  # rule heads and body letters
     names: tuple[str, ...] = field(init=False)
+    shifts: tuple[tuple[tuple[tuple[int, ...], int], ...], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         letters = set(self.rules)
@@ -61,9 +70,17 @@ class Grammar:
         alphabet = frozenset(letters)
         names = tuple(sorted(alphabet))
         rules = {h: Poly(names, r.terms_over(names)) for h, r in self.rules.items()}
+        shifts = tuple(
+            tuple(
+                (tuple(k - (j == i) for j, k in enumerate(r)), c)
+                for r, c in rules.get(letter, Poly.zero()).terms.items()
+            )
+            for i, letter in enumerate(names)
+        )
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "rules", rules)
+        object.__setattr__(self, "shifts", shifts)
 
     def rule(self, letter: str) -> Poly:
         """The derivative of a single letter (0 when no rule was given)."""
@@ -240,7 +257,9 @@ def _check_alphabet(p: Poly, g: Grammar) -> None:
 def derive(p: Poly, g: Grammar) -> Poly:
     """One application of the formal derivative: Leibniz over each monomial.
 
-    The result is over the grammar's ``names``.
+    A monomial c * m with exponent k > 0 at letter i gives, for each shift d
+    of that letter with coefficient dc, the term c * k * dc at the exponents
+    of m plus d.  The result is over the grammar's ``names``.
 
     >>> g = parse_grammar("x -> x*y*z; y -> y*z^2; z -> y^2*z")
     >>> str(derive(parse_poly("x*y"), g))
@@ -248,16 +267,16 @@ def derive(p: Poly, g: Grammar) -> Poly:
     """
     if p.names != g.names:
         _check_alphabet(p, g)
-    rules = [g.rule(letter).terms.items() for letter in g.names]
+    shifts = g.shifts
     acc: dict[tuple[int, ...], int] = {}
     get = acc.get
     for e, c in p.terms_over(g.names).items():
         for i, k in enumerate(e):
             if k:
-                rest, ck = e[:i] + (k - 1,) + e[i + 1:], c * k
-                for r, rc in rules[i]:
-                    key = tuple(map(add, rest, r))
-                    acc[key] = get(key, 0) + ck * rc
+                ck = c * k
+                for d, dc in shifts[i]:
+                    key = tuple(map(add, e, d))
+                    acc[key] = get(key, 0) + ck * dc
     return Poly(g.names, acc)
 
 

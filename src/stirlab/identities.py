@@ -28,6 +28,7 @@ import functools
 import math
 import time
 from dataclasses import dataclass
+from itertools import accumulate
 from operator import itemgetter
 from typing import Callable, Sequence
 
@@ -244,9 +245,18 @@ def _t_m_x2(bound: int) -> list[Poly]:
     return [_convolve(ts.__getitem__, ms.__getitem__, n) for n in range(bound + 1)]
 
 
-def _flag_derivative(seed: str) -> Callable[[int], Poly]:
-    """The route to D^n(seed) under the flag grammar."""
-    return lambda n: derive_n(parse_poly(seed), tables.FLAG_GRAMMAR, n)
+def _derivatives(seed: str, grammar: str) -> Table:
+    """The route to D^n(seed) under the grammar ``tables.<grammar>``: orders
+    0..bound in one pass, one derivation step per order.  The grammar is read
+    when the table is built, so a grammar patched into ``tables`` is seen."""
+
+    def build(bound: int) -> list[Poly]:
+        g = getattr(tables, grammar)
+        steps = accumulate(range(bound), lambda p, _: derive_n(p, g, 1),
+                           initial=parse_poly(seed))
+        return list(steps)
+
+    return Table(build)
 
 
 def _flag_brute(klass: str, stat: str, exps) -> Callable[[int], Poly]:
@@ -417,7 +427,11 @@ _register(
     "y^2, yz, y, z) match brute-force distributions",
     5, 6,
     compare=[
-        Compare(_flag_derivative(seed), _flag_brute(klass, stat, exps), f"D^n({seed}) ")
+        Compare(
+            _derivatives(seed, "FLAG_GRAMMAR"),
+            _flag_brute(klass, stat, exps),
+            f"D^n({seed}) ",
+        )
         for seed, klass, stat, exps in (
             ("x*y", "signed", "fdes", lambda n, v: (1, v + 1, 2 * n - v)),
             ("y^2", "signed", "desA", lambda n, v: (0, 2 * v + 2, 2 * n - 2 * v)),
@@ -434,7 +448,7 @@ _register(
     "distribution",
     6, 7,
     compare=[Compare(
-        _flag_derivative("x"),
+        _derivatives("x", "FLAG_GRAMMAR"),
         _flag_brute("stirling", "fap", lambda n, f: (1, f, 2 * n - f)),
     )],
 )
@@ -516,7 +530,7 @@ _register(
     "the refining grammar derivative of z encodes P_n against brute force",
     5, 6,
     compare=[Compare(
-        lambda n: derive_n(parse_poly("z"), tables.REFINED_GRAMMAR, n),
+        _derivatives("z", "REFINED_GRAMMAR"),
         lambda n: Poly(("p", "q", "x", "y", "z"), (
             ((k, j, i, i, 2 * n - 2 * i - j - k + 1), c)
             for (i, j, k), c in _tri(n).terms.items()
@@ -632,7 +646,7 @@ _register(
     "the collapsed grammar derivative of w encodes the gamma vector",
     8, 12,
     compare=[Compare(
-        lambda n: derive_n(parse_poly("w"), tables.GAMMA_GRAMMAR, n),
+        _derivatives("w", "GAMMA_GRAMMAR"),
         lambda n: Poly(("u", "v", "w"), {
             (i, j, 2 * n + 1 - 2 * i - j): val
             for (i, j), val in tables._gamma_row(n).items()
@@ -708,7 +722,7 @@ _register(
     compare=[
         Compare(_gamma_sums, _N, start=1),
         # D^n(z) = sum_i N_n[i] y^(2i) z^(2n-2i+1), as in grammar-prop-all
-        Compare(_flag_derivative("z"), lambda n: Poly(XYZ, {
+        Compare(_derivatives("z", "FLAG_GRAMMAR"), lambda n: Poly(XYZ, {
             (0, 2 * i, 2 * n - 2 * i + 1): c for (i,), c in _gamma_sums(n).terms.items()
         }), "D^n(z) ", start=1),
     ],

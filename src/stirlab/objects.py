@@ -131,7 +131,9 @@ def permutation_words(n: int) -> Iterator[Word]:
     yield from itertools.permutations(range(1, n + 1))
 
 
-_STREAMS = {
+# each class name and its raw stream, never memoized; the CLI's enumerate
+# draws from it, and its keys are the CLI's class choices
+STREAMS = {
     "stirling": stirling_words,
     "signed": signed_words,
     "matching": matching_blocks,
@@ -141,14 +143,14 @@ _STREAMS = {
 
 @lru_cache(maxsize=None)
 def _cached_objects(klass: str, n: int) -> tuple:
-    return tuple(_STREAMS[klass](n))
+    return tuple(STREAMS[klass](n))
 
 
 def iter_objects(klass: str, n: int):
     """Stream the raw objects of a class, memoizing only Q_n for n <= 7."""
-    if klass not in _STREAMS:
+    if klass not in STREAMS:
         raise ValueError(f"unknown object class: {klass!r}")
     if klass == "stirling" and n <= _STIRLING_CACHE_MAX:
         return iter(_cached_objects(klass, n))
-    return _STREAMS[klass](n)
+    return STREAMS[klass](n)
 

@@ -1,9 +1,13 @@
 """Grammar engine: parsing, the derivation laws, and worked derivatives."""
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stirlab import grammar
 from stirlab.grammar import (
     AlphabetError,
+    Grammar,
     GrammarSyntaxError,
     coefficient_profile,
     derive,
@@ -44,6 +48,11 @@ class TestParsing:
             """
         )
         assert g.rules == FLAG.rules
+
+    def test_shifts_stay_out_of_repr_and_equality(self):
+        assert FLAG.shifts[0] == (((0, 1, 1), 1),)  # x -> x*y*z, less x
+        assert "shifts" not in repr(FLAG)
+        assert parse_grammar("z -> y^2*z; y -> y*z^2; x -> x*y*z") == FLAG
 
     def test_signs_and_constants(self):
         assert gp("1 - 2*x + x^2") == gp("x^2") - gp("x") * 2 + 1
@@ -102,16 +111,21 @@ class TestDerive:
             derive_n(gp("x*q"), FLAG, 2)
 
 
-letters = st.sampled_from(("x", "y", "z"))
-monomials = st.dictionaries(letters, st.integers(1, 3), max_size=3)
-gpolys = st.lists(
-    st.tuples(monomials, st.integers(-4, 4)), min_size=0, max_size=4
-).map(
-    lambda ts: sum(
-        (Poly(sorted(m), {tuple(m[v] for v in sorted(m)): c}) for m, c in ts),
-        Poly.zero(),
+def polys_over(letters):
+    """Sums of up to four terms over ``letters``, constants included, with
+    coefficients from -4 to 4."""
+    monomials = st.dictionaries(st.sampled_from(letters), st.integers(1, 3), max_size=3)
+    return st.lists(
+        st.tuples(monomials, st.integers(-4, 4)), min_size=0, max_size=4
+    ).map(
+        lambda ts: sum(
+            (Poly(sorted(m), {tuple(m[v] for v in sorted(m)): c}) for m, c in ts),
+            Poly.zero(),
+        )
     )
-)
+
+
+gpolys = polys_over(("x", "y", "z"))
 
 
 class TestDerivationLaws:
@@ -127,8 +141,6 @@ class TestDerivationLaws:
 
     @pytest.mark.parametrize("n", range(5))
     def test_leibniz_iterate(self, n):
-        import math
-
         lhs = derive_n(gp("x*y"), FLAG, n)
         rhs = Poly.zero()
         for k in range(n + 1):
@@ -138,6 +150,52 @@ class TestDerivationLaws:
                 * math.comb(n, k)
             )
         assert lhs == rhs
+
+
+def reference_derive(p: Poly, g: Grammar) -> Poly:
+    """D(p) from Poly arithmetic alone: the sum over the terms c * x^e of p
+    and the letters x_i of each, of c * e_i * x^(e - unit_i) * rule(x_i)."""
+    acc = Poly.zero()
+    for e, c in p.terms.items():
+        for i, (letter, k) in enumerate(zip(p.names, e)):
+            if k:
+                powers = (Poly.var(v) ** (m - (j == i))
+                          for j, (v, m) in enumerate(zip(p.names, e)))
+                rest = math.prod(powers, start=Poly.one())
+                acc = acc + rest * g.rule(letter) * (c * k)
+    return acc
+
+
+# rules for some of four letters, so that a body may mention a letter that
+# has no rule; a body may hold several terms, a constant and negative
+# coefficients
+LETTERS = ("a", "b", "c", "d")
+grammars = st.dictionaries(
+    st.sampled_from(LETTERS), polys_over(LETTERS), max_size=len(LETTERS)
+).map(Grammar)
+
+
+class TestDeriveKernel:
+    @settings(max_examples=150, deadline=None)
+    @given(grammars, st.data())
+    def test_matches_the_poly_reference(self, g, data):
+        p = data.draw(polys_over(sorted(g.alphabet))) if g.alphabet else gp("5")
+        assert derive(p, g) == reference_derive(p, g)
+
+    def test_reference_on_a_constant_and_a_missing_rule(self):
+        g = parse_grammar("a -> 3 - 2*a*b + c^2; b -> -1")  # c has no rule
+        p = gp("a^2*c - 4*b*c + 7")
+        assert derive(p, g) == reference_derive(p, g) == gp(
+            "6*a*c - 4*a^2*b*c + 2*a*c^3 + 4*c"
+        )
+
+    @pytest.mark.parametrize("n", [0, 1, 5])
+    def test_derive_n_takes_n_steps(self, monkeypatch, n):
+        calls = []
+        step = grammar.derive
+        monkeypatch.setattr(grammar, "derive", lambda p, g: calls.append(p) or step(p, g))
+        derive_n(gp("x*y"), FLAG, n)
+        assert len(calls) == n
 
 
 class TestSubstituteAndProfile:

@@ -6,6 +6,7 @@ import tracemalloc
 import pytest
 
 import stirlab.actions as actions
+import stirlab.grammar as grammar
 import stirlab.stats as stats
 from stirlab.errors import ResourceLimitError
 from stirlab.identities import (
@@ -121,6 +122,23 @@ def test_skip_is_decided_by_the_declared_starts():
     assert "skipped" not in run_identity("gamma-recurrence", 1).to_json()
     # hand-written checks declare no starts and always run
     assert not run_identity("alpha-bijection", 0).skipped
+
+
+@pytest.mark.parametrize("name,seeds", [
+    ("p-grammar", 1),
+    ("gamma-grammar", 1),
+    ("flag-ap-grammar", 1),
+    ("grammar-prop-all", 5),
+    ("gamma-weighted-sums", 1),
+])
+def test_grammar_routes_derive_each_order_once(monkeypatch, name, seeds):
+    # orders 0..bound come from one pass per seed, not from D^n redone per n
+    calls = []
+    step = grammar.derive
+    monkeypatch.setattr(grammar, "derive", lambda p, g: calls.append(p) or step(p, g))
+    check = REGISTRY[name]
+    assert check.run(check.max_bound).passed
+    assert len(calls) == seeds * check.max_bound
 
 
 def test_witness_on_forced_failure(monkeypatch):

@@ -7,17 +7,17 @@ PUBLIC_NAMES = [
     "Grammar", "GrammarSyntaxError", "IdentityCheck", "IdentityViolationError",
     "IndexSets", "MatchingStatRecord", "OrbitDescriptor", "Poly", "REGISTRY",
     "ResourceLimitError", "SignedStatRecord", "StirlingStatRecord", "TableCache",
-    "UnknownIdentityError", "a_poly", "actions", "alpha", "alpha_inverse",
+    "UnknownIdentityError", "a_poly", "alpha", "alpha_inverse",
     "b_poly", "beta_move", "beta_set", "c_poly", "cn_nn_tables",
-    "coefficient_profile", "derive", "derive_n", "distribution", "errors",
+    "coefficient_profile", "derive", "derive_n", "distribution",
     "eulerian", "f_poly", "fs_action", "fs_move", "fs_toggle_value", "g_poly",
-    "gamma_number", "gamma_table", "gamma_weighted_sum", "grammar", "identities",
+    "gamma_number", "gamma_table", "gamma_weighted_sum",
     "index_sets", "is_stirling", "m_poly", "matching_blocks", "matching_stats",
-    "n_poly", "n_poly_closed", "objects", "orbit", "orbit_members", "p_poly",
+    "n_poly", "n_poly_closed", "orbit", "orbit_members", "p_poly",
     "p_table", "parse_grammar", "parse_poly", "perm_des", "permutation_words",
-    "polynomials", "run_all", "run_identity", "signed_stats", "signed_words",
-    "stats", "stirling2", "stirling_stats", "stirling_words", "substitute",
-    "t_poly", "t_table", "tables",
+    "run_all", "run_identity", "signed_stats", "signed_words",
+    "stirling2", "stirling_stats", "stirling_words", "substitute",
+    "t_poly", "t_table",
 ]
 
 
