@@ -6,7 +6,9 @@ derivatives from a rule file), ``verify`` (the identity registry).
 
 Output is byte-stable for fixed flags: enumeration order and polynomial term
 order are deterministic.  Exit codes: 0 success / all identities pass, 1 an
-identity failed, 2 usage or resource errors.
+identity failed, 2 usage or resource errors.  ``poly --n`` has a limit per
+family and ``grammar --order`` one limit (:data:`POLY_LIMITS`,
+:data:`ORDER_LIMIT`); past it a command exits 2.
 
 The coefficient-table cache directory resolves from ``--cache-dir``, then
 the STIRLAB_CACHE environment variable, then a per-user cache directory.
@@ -28,6 +30,12 @@ from .polynomials import XYZ, Poly, format_terms, monomial_str
 from .stats import DistributionTable, distribution
 
 _FORMATS = ("plain", "json", "csv")
+
+# the largest n each poly family accepts and the largest grammar order: above
+# every documented run, each about a second or less on a 2-core machine
+POLY_LIMITS = {"A": 1000, "B": 1000, "C": 200, "N": 200, "F": 150, "M": 60,
+               "T": 60, "P": 40, "G": 100}
+ORDER_LIMIT = 100
 
 
 def default_cache_dir() -> Path:
@@ -120,6 +128,11 @@ def _poly_families(args: argparse.Namespace) -> dict[str, Callable[[int], Poly |
 def _cmd_poly(args: argparse.Namespace, out) -> int:
     if args.n < 0:
         raise ValueError(f"n must be nonnegative, got {args.n}")
+    limit = POLY_LIMITS[args.name]
+    if args.n > limit:
+        raise ResourceLimitError(
+            f"n={args.n} exceeds the limit {limit} of poly --name {args.name}"
+        )
     poly = _poly_families(args)[args.name](args.n)
     if isinstance(poly, Poly):
         _print_univariate(poly, args.format, out)
@@ -163,6 +176,10 @@ def _print_trivariate(row: Mapping[tuple[int, int, int], int], fmt: str, out) ->
 
 
 def _cmd_grammar(args: argparse.Namespace, out) -> int:
+    if args.order > ORDER_LIMIT:
+        raise ResourceLimitError(
+            f"order {args.order} exceeds the grammar limit {ORDER_LIMIT}"
+        )
     grammar = parse_grammar(Path(args.rules).read_text())
     start = parse_poly(args.start)
     result = derive_n(start, grammar, args.order)
@@ -256,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("poly", parents=[common],
                        help="print a named polynomial family member")
-    p.add_argument("--name", required=True, choices=sorted("ABCFGMNPT"))
+    p.add_argument("--name", required=True, choices=sorted(POLY_LIMITS))
     p.add_argument("--n", type=int, required=True)
     p.set_defaults(func=_cmd_poly)
 
@@ -265,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rules", required=True, help="path to the rule file")
     p.add_argument("--start", required=True, help="seed polynomial expression")
     p.add_argument("--order", type=int, required=True,
-                   help="number of derivative applications")
+                   help=f"number of derivative applications (at most {ORDER_LIMIT})")
     p.set_defaults(func=_cmd_grammar)
 
     p = sub.add_parser("verify", parents=[common], help="run identity checks")

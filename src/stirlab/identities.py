@@ -239,9 +239,9 @@ def _minus_x(p: Poly) -> Poly:
 
 def _t_m_x2(bound: int) -> list[Poly]:
     """sum C(n,k) T_k(x) M_(n-k)(x^2) for n = 0..bound, the t^n/n!
-    coefficients of T(x,t) M(x^2,t); M_k derived once per order."""
+    coefficients of T(x,t) M(x^2,t); M_0..M_bound from one derivation."""
     ts = [tables.t_poly(n) for n in range(bound + 1)]
-    ms = [_x_squared(tables.m_poly(n)) for n in range(bound + 1)]
+    ms = [_x_squared(m) for m in tables.m_polys(bound)]
     return [_convolve(ts.__getitem__, ms.__getitem__, n) for n in range(bound + 1)]
 
 
@@ -341,7 +341,7 @@ def _m_cleared(bound: int) -> list[Poly]:
     """M(x,t)^2 (x - e^(2t(x-1))) coefficient-wise: the factor is x - 1 at
     t^0 and -(2x-2)^j at t^j/j!, j >= 1."""
     factor = [_X - 1] + [-(2 * _X - 2) ** j for j in range(1, bound + 1)]
-    return _square_times([tables.m_poly(n) for n in range(bound + 1)], factor)
+    return _square_times(tables.m_polys(bound), factor)
 
 
 def _n_cleared(bound: int) -> list[Poly]:
@@ -381,7 +381,7 @@ _register(
 def _nn_aa_sums(bound: int) -> tuple[list[Poly], ...]:
     """sum C(n,k) N_k N_(n-k) and sum C(n,k) N_k M_(n-k) for n = 0..bound."""
     _, ns = tables.cn_nn_tables(bound)
-    ms = [tables.m_poly(k) for k in range(bound + 1)]
+    ms = tables.m_polys(bound)
     return tuple(
         [_convolve(ns.__getitem__, other.__getitem__, n) for n in range(bound + 1)]
         for other in (ns, ms)

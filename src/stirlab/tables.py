@@ -26,7 +26,9 @@ CoefficientTable builders :func:`t_table`, :func:`p_table` and
 :func:`gamma_table`, keyed by family and bound.  A cached file is used only
 when it carries the package version, matches the table schema and every row
 n adds up to (2n-1)!! (a gamma entry weighted by 2^j); any other file is a
-miss, and the rebuilt table replaces it.
+miss, and the rebuilt table replaces it.  The cache writes a file row by row,
+so it never holds the whole JSON document or its text; the bytes are those of
+the compact ``json.dumps`` of :meth:`CoefficientTable.to_json`.
 """
 from __future__ import annotations
 
@@ -37,10 +39,10 @@ import tempfile
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import accumulate, chain
-from operator import itemgetter, lshift
+from itertools import accumulate, chain, groupby, pairwise, starmap
+from operator import itemgetter, le, lshift
 from pathlib import Path
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from ._version import __version__
 from .errors import IdentityViolationError
@@ -58,6 +60,9 @@ REFINED_GRAMMAR = parse_grammar(
 
 # the collapsed three-letter grammar; D^n(w) encodes the gamma vector
 GAMMA_GRAMMAR = parse_grammar("u -> u*v*w; v -> 2*u*w; w -> u*w")
+
+# compact JSON, as the cache writes it
+_SEPARATORS = (",", ":")
 
 
 @dataclass(frozen=True)
@@ -139,6 +144,26 @@ def _rows_add_up(table: CoefficientTable) -> bool:
     return start == len(rows)
 
 
+def _json_chunks(table: CoefficientTable) -> Iterator[str]:
+    """The compact JSON text of ``table.to_json()`` in pieces: the header up
+    to the opening bracket of ``entries``, then each row's entries in index
+    order, comma-separated, then the closing brackets.  Each row is sorted on
+    its own when the entries come in row order, as the builders insert them;
+    otherwise the whole table is sorted first."""
+    empty = {"family": table.family, "bound": table.bound, "version": __version__,
+             "entries": []}
+    yield json.dumps(empty, separators=_SEPARATORS)[:-2]
+    entries = table.entries
+    in_order = all(starmap(le, pairwise(map(itemgetter(0), entries))))
+    items = entries.items() if in_order else sorted(entries.items())
+    for i, (_, row) in enumerate(groupby(items, key=lambda kv: kv[0][0])):
+        if i:
+            yield ","
+        text = json.dumps([[*k, str(v)] for k, v in sorted(row)], separators=_SEPARATORS)
+        yield text[1:-1]
+    yield "]}"
+
+
 class TableCache:
     """Disk cache of coefficient tables, one JSON file per (family, bound)."""
 
@@ -172,14 +197,17 @@ class TableCache:
     def store(self, table: CoefficientTable) -> None:
         """Write the table through a temporary file in the same directory and
         rename it into place, so that a reader never sees half a file.  No
-        fsync: a file torn by a crash fails the checks in :meth:`load`."""
+        fsync: a file torn by a crash fails the checks in :meth:`load`.
+
+        The file is written row by row (:func:`_json_chunks`): its bytes are
+        those of ``json.dumps(table.to_json(), separators=(",", ":"))``, but
+        neither that document nor its text is ever held whole."""
         self.directory.mkdir(parents=True, exist_ok=True)
         path = self._path(table.family, table.bound)
-        text = json.dumps(table.to_json(), separators=(",", ":"))
         fd, tmp = tempfile.mkstemp(dir=self.directory, prefix=path.name, suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as f:
-                f.write(text)
+                f.writelines(_json_chunks(table))
             os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)
@@ -538,20 +566,31 @@ def n_poly(n: int) -> Poly:
 
 
 def m_poly(n: int) -> Poly:
-    """M_n(x): the ascent-plateau distribution over Q_n.
-
-    Computed through the grammar derivative: the n-th derivative of y under
-    the flag grammar is y * sum y^(2 ap) z^(2n - 2 ap).
-    """
+    """M_n(x): the ascent-plateau distribution over Q_n, read off
+    :func:`m_polys`."""
     if n < 0:
         raise ValueError(f"M_n needs n >= 0, got n={n}")
-    profile = coefficient_profile(derive_n(parse_poly("y"), FLAG_GRAMMAR, n), ["y"])
-    counts: dict[int, int] = {}
-    for (e,), c in profile.items():
-        if (e - 1) % 2:
-            raise IdentityViolationError(f"odd ascent-plateau weight exponent {e}")
-        counts[(e - 1) // 2] = c
-    return Poly.from_counts(counts)
+    return m_polys(n)[n]
+
+
+def m_polys(n_max: int) -> list[Poly]:
+    """M_0..M_{n_max} through the grammar derivative, one derivation step per
+    order: the n-th derivative of y under the flag grammar is
+    y * sum y^(2 ap) z^(2n - 2 ap).  A y exponent whose weight, the exponent
+    less one, is odd raises IdentityViolationError."""
+    if n_max < 0:
+        raise ValueError(f"M_0..M_n needs n >= 0, got n={n_max}")
+    steps = accumulate(range(n_max), lambda p, _: derive_n(p, FLAG_GRAMMAR, 1),
+                       initial=parse_poly("y"))
+    out = []
+    for d in steps:
+        counts: dict[int, int] = {}
+        for (e,), c in coefficient_profile(d, ["y"]).items():
+            if (e - 1) % 2:
+                raise IdentityViolationError(f"odd ascent-plateau weight exponent {e}")
+            counts[(e - 1) // 2] = c
+        out.append(Poly.from_counts(counts))
+    return out
 
 
 def _closed_weight(n: int, k: int) -> int:

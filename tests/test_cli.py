@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stirlab.cli import main
+from stirlab.cli import ORDER_LIMIT, POLY_LIMITS, main
 from stirlab.identities import REGISTRY, IdentityCheck
 
 
@@ -149,6 +149,25 @@ class TestPoly:
         err = capsys.readouterr().err
         assert err == "stirlab: error: n must be nonnegative, got -1\n"
 
+    @pytest.mark.parametrize("name", sorted(POLY_LIMITS))
+    def test_n_past_the_family_limit_exits_2(self, tmp_path, capsys, name):
+        limit = POLY_LIMITS[name]
+        code, out = run_cli("poly", "--name", name, "--n", str(limit + 1),
+                            "--cache-dir", str(tmp_path))
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == (
+            f"stirlab: error: n={limit + 1} exceeds the limit {limit}"
+            f" of poly --name {name}\n"
+        )
+        assert not list(tmp_path.iterdir())
+
+    def test_limits_admit_every_benchmarked_size(self):
+        # the largest poly command of each family in perfbench/workloads.py
+        benchmarked = {"A": 300, "B": 300, "C": 150, "N": 150, "F": 150,
+                       "M": 30, "T": 60, "P": 40, "G": 100}
+        assert all(POLY_LIMITS[name] >= n for name, n in benchmarked.items())
+        assert set(POLY_LIMITS) == set(benchmarked)
+
 
 class TestGrammar:
     def test_derivative_from_rule_file(self, tmp_path):
@@ -182,6 +201,21 @@ class TestGrammar:
     def test_missing_file_exits_2(self):
         assert run_cli("grammar", "--rules", "/nonexistent", "--start", "x",
                        "--order", "1")[0] == 2
+
+    def test_order_past_the_limit_exits_2(self, tmp_path, capsys):
+        # the benchmark derives the flag grammar to order 100, the limit
+        rules = tmp_path / "flag.rules"
+        rules.write_text("x -> x*y*z\ny -> y*z^2\nz -> y^2*z\n")
+        argv = ["grammar", "--rules", str(rules), "--start", "x*y", "--order"]
+        assert ORDER_LIMIT == 100
+        code, out = run_cli(*argv, str(ORDER_LIMIT))
+        assert code == 0 and out.startswith("x*y*z^200 + ")
+        capsys.readouterr()
+        assert run_cli(*argv, str(ORDER_LIMIT + 1)) == (2, "")
+        assert capsys.readouterr().err == (
+            f"stirlab: error: order {ORDER_LIMIT + 1} exceeds the grammar limit"
+            f" {ORDER_LIMIT}\n"
+        )
 
 
 class TestVerify:
@@ -437,9 +471,13 @@ def test_python_dash_m_runs_the_cli():
 # fuzzed argument lists: main returns 0, 1 or 2 or argparse exits 2; no other
 # exception escapes.  Every value keeps an accepted command cheap: n at most
 # 4 (30 for poly), bounds at most 4, and verify always ends with a small
-# --max-n.
+# --max-n.  poly --n and grammar --order also draw large values: each is past
+# the limit of most families, and the largest are past every limit, so only
+# a command that ignored its limit could run long and trip the deadline.
 
 _SMALL = ["-3", "-1", "0", "1", "2", "3", " 4", "x", "", "1e3"]
+_LARGE = ["41", "61", "101", "151", "201", "1001", "100000",
+          "123456789012345678901234567890"]
 _CLASSES = ["stirling", "signed", "matching", "permutation", "bogus"]
 
 
@@ -458,11 +496,11 @@ def _fuzz_argv(paths):
                   pair("--stats", ["lap,dasc,dp", "des", "desA,fdes", "el,ol",
                                    "bogus", ",,", "lap,lap"])],
         "poly": [pair("--name", [*"ABCFGMNPT", "Z", "a"]),
-                 pair("--n", [*_SMALL, "30"])],
+                 st.one_of(pair("--n", [*_SMALL, "30"]), pair("--n", _LARGE))],
         "grammar": [pair("--rules", [paths["rules"], paths["bad_rules"],
                                      paths["missing"], paths["cache"]]),
                     pair("--start", ["x", "x*y", "z^2", "x*", "2", "(x"]),
-                    pair("--order", _SMALL)],
+                    st.one_of(pair("--order", _SMALL), pair("--order", _LARGE))],
         "verify": [st.one_of(pair("--identity", [*sorted(REGISTRY), "bogus", ""]),
                              st.just(("--all",))),
                    pair("--max-n", _SMALL)],
@@ -500,7 +538,7 @@ def fuzz_paths(tmp_path_factory):
 def test_fuzzed_arguments_exit_cleanly(fuzz_paths, monkeypatch):
     monkeypatch.setenv("STIRLAB_CACHE", str(fuzz_paths["root"] / "default-cache"))
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300, deadline=10_000)
     @given(_fuzz_argv(fuzz_paths))
     def check(argv):
         with contextlib.redirect_stderr(io.StringIO()):

@@ -109,6 +109,26 @@ class TestDerive:
             derive(gp("u"), FLAG)
         with pytest.raises(AlphabetError):
             derive_n(gp("x*q"), FLAG, 2)
+        # order 0 derives nothing and still checks the letters
+        with pytest.raises(AlphabetError, match=r"\['q'\]"):
+            derive_n(gp("x*q"), FLAG, 0)
+
+    def test_alphabet_checked_only_off_the_grammar_names(self, monkeypatch):
+        # a polynomial over the grammar's own names needs no scan of its
+        # letters; one over other names is scanned before the first step only
+        checked = []
+        check = grammar._check_alphabet
+        monkeypatch.setattr(grammar, "_check_alphabet",
+                            lambda p, g: checked.append(p.names) or check(p, g))
+        over_names = derive_n(gp("x"), FLAG, 1)
+        assert over_names.names == FLAG.names
+        assert checked and set(checked) == {("x",)}
+        checked.clear()
+        assert derive_n(over_names, FLAG, 5) == derive_n(gp("x"), FLAG, 6)
+        assert set(checked) == {("x",)}
+        checked.clear()
+        derive_n(over_names, FLAG, 0)
+        assert checked == []
 
 
 def polys_over(letters):

@@ -124,21 +124,44 @@ def test_skip_is_decided_by_the_declared_starts():
     assert not run_identity("alpha-bijection", 0).skipped
 
 
-@pytest.mark.parametrize("name,seeds", [
-    ("p-grammar", 1),
-    ("gamma-grammar", 1),
-    ("flag-ap-grammar", 1),
-    ("grammar-prop-all", 5),
-    ("gamma-weighted-sums", 1),
-])
-def test_grammar_routes_derive_each_order_once(monkeypatch, name, seeds):
-    # orders 0..bound come from one pass per seed, not from D^n redone per n
+# every check that derives, with its number of derivation passes: one per
+# grammar seed, and one for M_0..M_bound (tables.m_polys)
+DERIVING = {
+    "p-grammar": 1,
+    "gamma-grammar": 1,
+    "flag-ap-grammar": 1,
+    "grammar-prop-all": 5,
+    "gamma-weighted-sums": 1,
+    "t-egf-product": 1,
+    "flag-convolution": 1,
+    "egf-M-squared": 1,
+    "nn-aa-convolutions": 1,
+}
+
+
+def _count_derives(monkeypatch) -> list:
     calls = []
     step = grammar.derive
     monkeypatch.setattr(grammar, "derive", lambda p, g: calls.append(p) or step(p, g))
+    return calls
+
+
+@pytest.mark.parametrize("name,seeds", DERIVING.items())
+def test_grammar_routes_derive_each_order_once(monkeypatch, name, seeds):
+    # orders 0..bound come from one pass per seed, not from D^n redone per n
+    calls = _count_derives(monkeypatch)
     check = REGISTRY[name]
     assert check.run(check.max_bound).passed
     assert len(calls) == seeds * check.max_bound
+
+
+def test_verify_all_derives_each_order_once(monkeypatch):
+    # 108 derivation steps at --max-n 20; deriving M_k anew for each k took 306
+    calls = _count_derives(monkeypatch)
+    assert all(r.passed for r in run_all(20))
+    expected = sum(seeds * min(20, REGISTRY[name].max_bound)
+                   for name, seeds in DERIVING.items())
+    assert len(calls) == expected == 108
 
 
 def test_witness_on_forced_failure(monkeypatch):

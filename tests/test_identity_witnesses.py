@@ -54,13 +54,15 @@ def _break_table(monkeypatch, name, order, change):
     monkeypatch.setattr(tb, name, broken)
 
 
-def _break_differential(monkeypatch, name, order):
-    """Add one to entry ``order`` of tables.<name>, a list of P_n or G_n."""
+def _break_differential(monkeypatch, name, order, change=None):
+    """Replace entry ``order`` of tables.<name>, a list of polynomials such
+    as P_0..P_bound, by change(entry); by default add one to a P_n or G_n."""
     original = getattr(tb, name)
+    change = change or _plus_xyz_one
 
     def broken(bound):
         ps = list(original(bound))
-        ps[order] = _plus_xyz_one(ps[order])
+        ps[order] = change(ps[order])
         return ps
 
     monkeypatch.setattr(tb, name, broken)
@@ -259,7 +261,7 @@ CASES = [
     ),
     (
         "egf-M-squared", 5,
-        lambda mp: _break_table(mp, "m_poly", 2, _plus_one),
+        lambda mp: _break_differential(mp, "m_polys", 2, _plus_one),
         "n=2: -2 + 2*x != 0",
     ),
     (

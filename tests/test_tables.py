@@ -5,11 +5,13 @@ import itertools
 import json
 import math
 import sys
+import tracemalloc
 
 import pytest
 
 from stirlab.errors import IdentityViolationError
 from stirlab import tables
+from stirlab.grammar import parse_grammar
 from stirlab.objects import iter_objects
 from stirlab.polynomials import XYZ, Poly
 from stirlab.stats import signed_stat_record, stirling_stat_record
@@ -35,6 +37,7 @@ from stirlab.tables import (
     gamma_table,
     gamma_weighted_sum,
     m_poly,
+    m_polys,
     n_poly,
     n_poly_closed,
     p_number,
@@ -206,6 +209,19 @@ class TestAscentFamilies:
         assert m_poly(0) == Poly.one()
         assert m_poly(1) == Poly.one()  # the single word 11 has no interior plateau
         assert m_poly(2) == Poly.from_counts({0: 1, 1: 2})
+
+    def test_m_polys_is_one_pass_of_m_poly(self):
+        assert m_polys(6) == [m_poly(n) for n in range(7)]
+        assert m_polys(0) == [Poly.one()]
+
+    def test_m_polys_guards_the_weight_parity(self, monkeypatch):
+        # y -> y^2*z makes D(y) = y^2 z, whose y-exponent 2 is no 2 ap + 1
+        monkeypatch.setattr(tables, "FLAG_GRAMMAR",
+                            parse_grammar("x -> x*y*z; y -> y^2*z; z -> y^2*z"))
+        assert m_poly(0) == Poly.one()
+        for call in (lambda: m_polys(1), lambda: m_poly(3)):
+            with pytest.raises(IdentityViolationError, match="exponent 2"):
+                call()
 
     def test_n_closed_form(self):
         assert n_poly_closed(1) == Poly.from_counts({1: 1})
@@ -500,6 +516,41 @@ def test_cache_store_replaces_the_file_atomically(tmp_path, monkeypatch):
     assert [p.name for p in tmp_path.iterdir()] == ["t-3.json"]
 
 
+@pytest.mark.parametrize("build", [t_table, p_table, gamma_table],
+                         ids=["t", "p", "gamma"])
+@pytest.mark.parametrize("n", [0, 1, 20])
+def test_cache_file_is_the_compact_json_of_the_table(tmp_path, build, n):
+    # the file is written row by row, in the bytes of the whole document
+    table = build(n)
+    TableCache(tmp_path).store(table)
+    text = (tmp_path / f"{table.family}-{n}.json").read_text()
+    assert text == json.dumps(table.to_json(), separators=(",", ":"))
+
+
+def test_cache_file_of_a_table_out_of_row_order(tmp_path):
+    table = p_table(4)
+    backwards = CoefficientTable("p", 4, 4, dict(reversed(table.entries.items())))
+    TableCache(tmp_path).store(backwards)
+    text = (tmp_path / "p-4.json").read_text()
+    assert text == json.dumps(table.to_json(), separators=(",", ":"))
+
+
+@pytest.mark.parametrize("build,n", [(gamma_table, 40), (p_table, 25), (t_table, 40)],
+                         ids=["gamma-40", "p-25", "t-40"])
+def test_cache_store_holds_about_one_row_at_a_time(tmp_path, build, n):
+    # building the whole document, its text and its bytes before writing
+    # peaked at 12-15 times the file; row by row it stays under 5
+    table = build(n)
+    cache = TableCache(tmp_path)
+    tracemalloc.start()
+    try:
+        cache.store(table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * cache._path(table.family, n).stat().st_size
+
+
 # Every public function of tables at n = -1, with its remaining arguments:
 # a number reads 0 off its range, and every polynomial, row list and table
 # raises ValueError naming n.
@@ -521,6 +572,7 @@ NEGATIVE_N_RAISES = [
     (c_poly, ()),
     (n_poly, ()),
     (m_poly, ()),
+    (m_polys, ()),
     (n_poly_closed, ()),
     (gamma_weighted_sum, (1,)),
     (cn_nn_tables, ()),
