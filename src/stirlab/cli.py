@@ -6,9 +6,9 @@ derivatives from a rule file), ``verify`` (the identity registry).
 
 Output is byte-stable for fixed flags: enumeration order and polynomial term
 order are deterministic.  Exit codes: 0 success / all identities pass, 1 an
-identity failed, 2 usage or resource errors.  ``poly --n`` has a limit per
-family and ``grammar --order`` one limit (:data:`POLY_LIMITS`,
-:data:`ORDER_LIMIT`); past it a command exits 2.
+identity failed, 2 usage or resource errors, 141 stdout closed early.
+``poly --n`` has a limit per family and ``grammar --order`` one limit
+(:data:`POLY_LIMITS`, :data:`ORDER_LIMIT`); past it a command exits 2.
 
 The coefficient-table cache directory resolves from ``--cache-dir``, then
 the STIRLAB_CACHE environment variable, then a per-user cache directory.
@@ -307,6 +307,10 @@ def main(argv: Sequence[str] | None = None, out=None) -> int:
     sys.set_int_max_str_digits(0)
     try:
         return args.func(args, out)
+    except BrokenPipeError:
+        if out is sys.stdout:  # the interpreter's last flush goes to devnull
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE, as a shell reports a writer it killed
     except (ResourceLimitError, identities.UnknownIdentityError,
             GrammarSyntaxError, ValueError, OSError) as exc:
         print(f"stirlab: error: {exc}", file=sys.stderr)

@@ -766,31 +766,34 @@ _S3_TABLE = [
 def _alpha_bijection(bound: int) -> str | None:
     for n in range(bound + 1):
         values = list(range(1, n + 1))
-        normal: dict[tuple, tuple] = {}
         q_n = stirling_scans(n)  # each beta move's output must lie in Q_n
+        # each normalized word's alpha image, computed once and read below
+        normal: dict[tuple, tuple] = {}
         for word, record in q_n.items():
             lap, dasc, dp = _lap_dasc_dp(record)
-            moved = actions.beta_set(word, values, within=q_n)
-            m_lap, m_dasc, m_dp = _lap_dasc_dp(q_n[moved])
-            if m_dp != 0 or m_lap + m_dasc != n:
-                return f"n={n}: beta normalization of {word} gave {moved}"
-            image = actions.alpha(word)
-            if actions.alpha(moved) != image:
-                return f"n={n}: beta normalization of {word} changed its alpha image"
             if dp == 0 and lap + dasc == n:
-                if moved != word:
-                    return f"n={n}: beta moved the normalized word {word}"
+                image = actions.alpha(word)
                 des = perm_des(image)
                 if dasc != des or lap != n - des:
                     return f"n={n}: statistics of {word} do not match des {image}"
                 normal[word] = image
+        for word in q_n:
+            moved = actions.beta_set(word, values, within=q_n)
+            target = normal.get(moved)
+            if target is None:
+                return f"n={n}: beta normalization of {word} gave {moved}"
+            if word in normal:
+                if moved != word:
+                    return f"n={n}: beta moved the normalized word {word}"
+            elif actions.alpha(word) != target:
+                return f"n={n}: beta normalization of {word} changed its alpha image"
         if len(normal) != math.factorial(n):
             return f"n={n}: {len(normal)} normalized words, expected {n}!"
         if len(set(normal.values())) != math.factorial(n):
             return f"n={n}: alpha is not injective on the normalized words"
         for pi in iter_objects("permutation", n):
             word = actions.alpha_inverse(pi)
-            if word not in normal or actions.alpha(word) != pi:
+            if normal.get(word) != pi:
                 return f"n={n}: alpha_inverse({pi}) = {word} is wrong"
     if bound >= 3:
         for pi, doubled, s, word in _S3_TABLE:

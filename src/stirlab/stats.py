@@ -22,6 +22,8 @@ the ``*_stat_record`` functions and :func:`perm_des` trust it.
 
 The naive Stirling scan runs once per word: the memoized per-order table
 :func:`stirling_scans` feeds both the distributions and the identity loops.
+B_n is counted by fdes = 2 desA + [pi(1) < 0] alone, which fixes the other
+signed statistics, and each count is expanded to a record per fdes value.
 """
 from __future__ import annotations
 
@@ -123,11 +125,18 @@ def stirling_stats(sigma: Sequence[int]) -> StirlingStatRecord:
     return stirling_stat_record(word)
 
 
+def _fdes(values: Sequence[int]) -> int:
+    return 2 * sum(map(gt, values, values[1:])) + (values[0] < 0)
+
+
+def _signed_record(n: int, fdes: int) -> tuple[int, ...]:
+    # desA and [pi(1) < 0] are the quotient and remainder of fdes by 2
+    des_a, neg_first = divmod(fdes, 2)
+    return (des_a, des_a + neg_first, fdes, 2 * n - 1 - fdes)
+
+
 def _signed_scan(values: Sequence[int]) -> tuple[int, ...]:
-    des_a = sum(map(gt, values, values[1:]))
-    neg_first = 1 if values[0] < 0 else 0
-    fdes = 2 * des_a + neg_first
-    return (des_a, des_a + neg_first, fdes, 2 * len(values) - 1 - fdes)
+    return _signed_record(len(values), _fdes(values))
 
 
 def signed_stat_record(values: Sequence[int]) -> SignedStatRecord:
@@ -203,6 +212,9 @@ def _full_counts(klass: str, n: int) -> Mapping[tuple[int, ...], int]:
     # classes are streamed, and this memo keeps only their counts
     if klass == "stirling" and n <= _STIRLING_CACHE_MAX:
         return Counter(stirling_scans(n).values())
+    if klass == "signed" and n >= 1:
+        by_fdes = Counter(map(_fdes, iter_objects(klass, n)))
+        return Counter({_signed_record(n, f): c for f, c in by_fdes.items()})
     return Counter(map(_SCANS[klass], iter_objects(klass, n)))
 
 

@@ -294,11 +294,16 @@ def b_poly(n: int) -> Poly:
 
 
 def f_poly(n: int) -> Poly:
-    """Flag descent polynomial F_n(x) = (1+x)^n A_n(x), with (1+x)^n written
-    as its binomial row."""
+    """Flag descent polynomial F_n(x) = (1+x)^n A_n(x), its coefficients the
+    convolution F_n[k] = sum_j C(n, j) A_n[k - j] of two integer rows."""
     if n < 0:
         raise ValueError(f"F_n needs n >= 0, got n={n}")
-    return Poly.from_counts({j: math.comb(n, j) for j in range(n + 1)}) * a_poly(n)
+    eulerian_row, row = _eulerian_row(n), {}
+    for j in range(n + 1):
+        c = math.comb(n, j)
+        for k, a in eulerian_row.items():
+            row[j + k] = row.get(j + k, 0) + c * a
+    return Poly.from_counts(row)
 
 
 def _stirling2_step(prev: dict[int, int], m: int) -> dict[int, int]:

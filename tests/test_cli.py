@@ -467,6 +467,28 @@ def test_python_dash_m_runs_the_cli():
     assert proc.stdout.startswith("pass  gamma-eulerian (max_n=5)")
 
 
+def test_a_closed_stdout_exits_141_quietly(tmp_path):
+    # A_1000 in JSON is megabytes, far more than a pipe holds, so the
+    # command is still writing when the reader closes the pipe
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "stirlab", "--cache-dir", str(tmp_path),
+         "poly", "--name", "A", "--n", "1000", "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    try:
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 141
+    finally:
+        proc.kill()
+        proc.wait()
+    assert err == b""
+
+
 # ---------------------------------------------------------------------------
 # fuzzed argument lists: main returns 0, 1 or 2 or argparse exits 2; no other
 # exception escapes.  Every value keeps an accepted command cheap: n at most

@@ -2,11 +2,13 @@
 import dataclasses
 import sys
 import tracemalloc
+import types
 
 import pytest
 
 import stirlab.actions as actions
 import stirlab.grammar as grammar
+import stirlab.identities as ids
 import stirlab.stats as stats
 from stirlab.errors import ResourceLimitError
 from stirlab.identities import (
@@ -210,6 +212,42 @@ def test_every_slide_is_checked_once(monkeypatch, name, checks, by_is_stirling):
     assert REGISTRY[name].runner(5) is None
     assert len(checked) == len(slides) == checks
     assert len(stack_checked) == by_is_stirling
+
+
+def test_alpha_runs_once_per_word(monkeypatch):
+    # each word of Q_n is mapped by alpha once: the normalized words to
+    # table their images, the others to compare with their normalization's
+    calls = []
+    alpha = actions.alpha
+    monkeypatch.setattr(actions, "alpha", lambda w: calls.append(w) or alpha(w))
+    assert REGISTRY["alpha-bijection"].runner(5) is None
+    # sum of |Q_n| = (2n-1)!! over n <= 5
+    assert len(calls) == 1 + 1 + 3 + 15 + 105 + 945 == 1070
+
+
+def _actions_with(**replaced):
+    """The actions module as identities sees it, some functions replaced."""
+    return types.SimpleNamespace(**{**vars(actions), **replaced})
+
+
+def test_alpha_bijection_fails_on_an_unnormalized_beta_image(monkeypatch):
+    # a beta_set that moves nothing leaves 2211 (dp = 1) where it was
+    monkeypatch.setattr(ids, "actions", _actions_with(beta_set=lambda w, *a, **k: w))
+    r = run_identity("alpha-bijection", 3)
+    assert not r.passed
+    assert r.witness == "n=2: beta normalization of (2, 2, 1, 1) gave (2, 2, 1, 1)"
+
+
+def test_alpha_bijection_fails_on_a_changed_alpha_image(monkeypatch):
+    # 2211 is not normalized, so its image is compared, not tabled
+    def alpha(w):
+        image = actions.alpha(w)
+        return image[::-1] if w == (2, 2, 1, 1) else image
+
+    monkeypatch.setattr(ids, "actions", _actions_with(alpha=alpha))
+    r = run_identity("alpha-bijection", 3)
+    assert not r.passed
+    assert r.witness == "n=2: beta normalization of (2, 2, 1, 1) changed its alpha image"
 
 
 def test_the_scan_runs_once_per_word():

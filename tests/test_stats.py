@@ -7,11 +7,12 @@ import pytest
 from stirlab import objects
 from stirlab.actions import alpha_inverse
 from stirlab.errors import ResourceLimitError
-from stirlab.objects import iter_objects, stirling_words
+from stirlab.objects import iter_objects, signed_words, stirling_words
 from stirlab.polynomials import Poly
 from stirlab.stats import (
     _SCANS,
     _full_counts,
+    _signed_scan,
     _stirling_scan,
     DEFAULT_BOUNDS,
     STATS_BY_CLASS,
@@ -271,6 +272,16 @@ def test_scan_table_is_the_naive_scan():
         assert _full_counts("stirling", n) == Counter(
             map(_stirling_scan, stirling_words(n))
         )
+
+
+def test_signed_counts_by_fdes_equal_the_record_scan():
+    # B_n is counted by fdes alone and expanded per value; the expansion must
+    # give the counts of the four-field scan of every word
+    for n in range(1, 7):
+        _full_counts.cache_clear()
+        counts = _full_counts("signed", n)
+        assert counts == Counter(map(_signed_scan, signed_words(n)))
+        assert all(type(v) is int for record in counts for v in record)
 
 
 def test_matchings_of_order_7_are_not_memoized():
