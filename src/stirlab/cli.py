@@ -7,11 +7,13 @@ derivatives from a rule file), ``verify`` (the identity registry).
 Output is byte-stable for fixed flags: enumeration order and polynomial term
 order are deterministic.  Exit codes: 0 success / all identities pass, 1 an
 identity failed, 2 usage or resource errors, 141 stdout closed early.
-``poly --n`` has a limit per family and ``grammar --order`` one limit
-(:data:`POLY_LIMITS`, :data:`ORDER_LIMIT`); past it a command exits 2.
+``poly --n`` has a limit per family, ``grammar --order`` one limit and each
+derivative one on its terms (:data:`POLY_LIMITS`, :data:`ORDER_LIMIT`,
+:data:`stirlab.grammar.TERM_LIMIT`); past any of them a command exits 2.
 
 The coefficient-table cache directory resolves from ``--cache-dir``, then
-the STIRLAB_CACHE environment variable, then a per-user cache directory.
+the STIRLAB_CACHE environment variable, then $XDG_CACHE_HOME/stirlab, then
+~/.cache/stirlab.
 """
 from __future__ import annotations
 
@@ -31,8 +33,8 @@ from .stats import DistributionTable, distribution
 
 _FORMATS = ("plain", "json", "csv")
 
-# the largest n each poly family accepts and the largest grammar order: above
-# every documented run, each about a second or less on a 2-core machine
+# the largest n each poly family accepts, each about a second or less on a
+# 2-core machine, and the largest grammar order
 POLY_LIMITS = {"A": 1000, "B": 1000, "C": 200, "N": 200, "F": 150, "M": 60,
                "T": 60, "P": 40, "G": 100}
 ORDER_LIMIT = 100
@@ -113,15 +115,9 @@ def _poly_families(args: argparse.Namespace) -> dict[str, Callable[[int], Poly |
             {k: tables.t_table(n, cache).value(n, k) for k in range(2 * n + 1)}
         ),
         "G": lambda n: {
-            (i, j, 0): v
-            for (nn, i, j), v in tables.gamma_table(n, cache).entries.items()
-            if nn == n and v
+            (i, j, 0): v for (i, j), v in tables.gamma_table(n, cache).rows[n].items()
         },
-        "P": lambda n: {
-            (i, j, k): v
-            for (nn, i, j, k), v in tables.p_table(n, cache).entries.items()
-            if nn == n and v
-        },
+        "P": lambda n: tables.p_table(n, cache).rows[n],
     }
 
 
@@ -238,8 +234,8 @@ def _add_common(parser: argparse.ArgumentParser, suppress: bool) -> None:
 
     parser.add_argument("--format", choices=_FORMATS, default=default("plain"))
     parser.add_argument("--cache-dir", default=default(None),
-                        help="coefficient-table cache (default: $STIRLAB_CACHE "
-                        "or the user cache directory)")
+                        help="coefficient-table cache (default: $STIRLAB_CACHE, "
+                        "$XDG_CACHE_HOME/stirlab or ~/.cache/stirlab)")
     parser.add_argument("--bound", type=int, default=default(8),
                         help="enumeration bound on n (default 8)")
 

@@ -29,7 +29,12 @@ from dataclasses import dataclass, field
 from operator import add
 from typing import Mapping, Sequence, Union
 
+from .errors import ResourceLimitError
 from .polynomials import Poly, monomial_str
+
+# the most terms derive_n lets a derivative reach: above D^100(z) under the
+# refined grammar (87,125 terms), the largest the package derives
+TERM_LIMIT = 100_000
 
 
 class GrammarSyntaxError(ValueError):
@@ -281,13 +286,19 @@ def derive(p: Poly, g: Grammar) -> Poly:
 
 
 def derive_n(p: Poly, g: Grammar, n: int) -> Poly:
-    """n-fold application of the formal derivative (n = 0 is the identity)."""
+    """n-fold application of the formal derivative (n = 0 is the identity).
+    A derivative past :data:`TERM_LIMIT` terms raises ResourceLimitError."""
     if n < 0:
         raise ValueError("derivative order must be nonnegative")
     if p.names != g.names:
         _check_alphabet(p, g)
-    for _ in range(n):
+    for order in range(1, n + 1):
         p = derive(p, g)
+        if len(p.terms) > TERM_LIMIT:
+            raise ResourceLimitError(
+                f"the derivative of order {order} has {len(p.terms)} terms,"
+                f" past the grammar term limit {TERM_LIMIT}"
+            )
     return p
 
 

@@ -23,12 +23,11 @@ polynomial, row-list and table function raises ValueError on a negative n.
 
 A small JSON disk cache (:class:`TableCache`) can memoize the three
 CoefficientTable builders :func:`t_table`, :func:`p_table` and
-:func:`gamma_table`, keyed by family and bound.  A cached file is used only
-when it carries the package version, matches the table schema and every row
-n adds up to (2n-1)!! (a gamma entry weighted by 2^j); any other file is a
-miss, and the rebuilt table replaces it.  The cache writes a file row by row,
-so it never holds the whole JSON document or its text; the bytes are those of
-the compact ``json.dumps`` of :meth:`CoefficientTable.to_json`.
+:func:`gamma_table`, keyed by family and bound.  A table is its tuple of
+rows as the step function makes them.  A cache file is a header line, then
+one line per row, written and read one row at a time; a file whose header,
+row count, row schema or row total (:func:`_read_row`) is off is a miss, and
+the rebuilt table replaces it.
 """
 from __future__ import annotations
 
@@ -36,13 +35,11 @@ import json
 import math
 import os
 import tempfile
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import accumulate, chain, groupby, pairwise, starmap
-from operator import itemgetter, le, lshift
+from itertools import accumulate, chain
+from operator import itemgetter, lshift
 from pathlib import Path
-from typing import Iterator, Mapping
 
 from ._version import __version__
 from .errors import IdentityViolationError
@@ -67,49 +64,19 @@ _SEPARATORS = (",", ":")
 
 @dataclass(frozen=True)
 class CoefficientTable:
-    """An integer coefficient family, indexed by tuples, generated to a bound."""
+    """An integer coefficient family generated to a bound: row n maps an
+    index (k for T, (i, j, k) for P, (i, j) for gamma) to its value."""
 
     family: str
     arity: int
     bound: int
-    entries: Mapping[tuple[int, ...], int]
+    rows: tuple[dict, ...]
 
-    def value(self, *idx: int) -> int:
-        """Entry at an index tuple; anything outside the support is 0."""
-        return self.entries.get(idx, 0)
-
-    def to_json(self) -> dict:
-        """Each entry is ``[*index, "value"]``, in index order."""
-        return {
-            "family": self.family,
-            "bound": self.bound,
-            "version": __version__,
-            "entries": [[*k, str(v)] for k, v in sorted(self.entries.items())],
-        }
-
-    @classmethod
-    def from_json(cls, obj: Mapping, arity: int) -> CoefficientTable:
-        """The table :meth:`to_json` wrote.  Raises ValueError unless every
-        entry is a list of ``arity`` nonnegative ints and a decimal string,
-        and KeyError when a field is missing."""
-        raw = obj["entries"]
-        if (
-            type(raw) is not list
-            or not set(map(type, raw)) <= {list}
-            or not set(map(len, raw)) <= {arity + 1}
-        ):
-            raise ValueError("table entries are not [*index, value] lists")
-        keys = list(map(tuple, map(itemgetter(slice(-1)), raw)))
-        values = list(map(itemgetter(-1), raw))
-        flat = list(chain.from_iterable(keys))
-        if (
-            not set(map(type, flat)) <= {int}
-            or min(flat, default=0) < 0
-            or not set(map(type, values)) <= {str}
-        ):
-            raise ValueError("table entry of the wrong type")
-        entries = dict(zip(keys, map(int, values)))
-        return cls(obj["family"], arity, obj["bound"], entries)
+    def value(self, n: int, *idx: int) -> int:
+        """Entry at row n and an index; anything outside the support is 0."""
+        if not 0 <= n <= self.bound:
+            return 0
+        return self.rows[n].get(idx if len(idx) > 1 else idx[0], 0)
 
 
 def _odd_double_factorial(n: int) -> int:
@@ -117,55 +84,45 @@ def _odd_double_factorial(n: int) -> int:
     return math.prod(range(1, 2 * n, 2))
 
 
-def _rows_add_up(table: CoefficientTable) -> bool:
-    """Whether each row n in 0..bound adds up to (2n-1)!!, the number of
-    Stirling permutations of order n: for T and P the plain sum, for gamma
-    the sum of 2^j gamma_{n,i,j}, which is P_n(1, 1, 1).
-
-    The entries must come in row order, as ``to_json`` writes them; a table
-    out of row order fails.
-    """
-    entries = table.entries
-    rows = list(map(itemgetter(0), entries))
-    if rows != sorted(rows):
-        return False
-    values = list(entries.values())
-    # a gamma entry counts 2^j times
-    shifts = list(map(itemgetter(2), entries)) if table.family == "gamma" else None
-    start = 0
-    for n in range(table.bound + 1):
-        end = bisect_right(rows, n, start)
-        row = values[start:end]
-        if shifts is not None:
-            row = map(lshift, row, shifts[start:end])
-        if sum(row) != _odd_double_factorial(n):
-            return False
-        start = end
-    return start == len(rows)
+def _header(family: str, bound: int) -> bytes:
+    """The first line of a cache file."""
+    obj = {"family": family, "bound": bound, "version": __version__}
+    return json.dumps(obj, separators=_SEPARATORS).encode() + b"\n"
 
 
-def _json_chunks(table: CoefficientTable) -> Iterator[str]:
-    """The compact JSON text of ``table.to_json()`` in pieces: the header up
-    to the opening bracket of ``entries``, then each row's entries in index
-    order, comma-separated, then the closing brackets.  Each row is sorted on
-    its own when the entries come in row order, as the builders insert them;
-    otherwise the whole table is sorted first."""
-    empty = {"family": table.family, "bound": table.bound, "version": __version__,
-             "entries": []}
-    yield json.dumps(empty, separators=_SEPARATORS)[:-2]
-    entries = table.entries
-    in_order = all(starmap(le, pairwise(map(itemgetter(0), entries))))
-    items = entries.items() if in_order else sorted(entries.items())
-    for i, (_, row) in enumerate(groupby(items, key=lambda kv: kv[0][0])):
-        if i:
-            yield ","
-        text = json.dumps([[*k, str(v)] for k, v in sorted(row)], separators=_SEPARATORS)
-        yield text[1:-1]
-    yield "]}"
+def _read_row(line: bytes, n: int, family: str, arity: int) -> dict | None:
+    """Row n from its cache line, or None unless the line is a list of
+    ``[*index, value]`` lists, each of arity - 1 int indices in 0..2n and a
+    positive int, and the row adds up to (2n-1)!!: for T and P the plain
+    sum, for gamma the sum of 2^j gamma_{n,i,j}, which is P_n(1, 1, 1).
+    The row is summed as read, so a repeated index fails."""
+    entries = json.loads(line)
+    if (
+        type(entries) is not list
+        or set(map(type, entries)) != {list}
+        or set(map(len, entries)) != {arity}
+    ):
+        return None
+    flat = list(chain.from_iterable(entries))
+    *index, values = (flat[i::arity] for i in range(arity))
+    if (
+        set(map(type, flat)) != {int}
+        or min(values) <= 0
+        or min(map(min, index)) < 0
+        or max(map(max, index)) > 2 * n
+    ):
+        return None
+    row = dict(zip(index[0] if arity == 2 else zip(*index), values))
+    if family == "gamma":
+        total = sum(map(lshift, row.values(), map(itemgetter(1), row)))
+    else:
+        total = sum(row.values())
+    return row if total == _odd_double_factorial(n) else None
 
 
 class TableCache:
-    """Disk cache of coefficient tables, one JSON file per (family, bound)."""
+    """Disk cache of coefficient tables, one JSON-lines file per (family,
+    bound): a header line, then one line per row."""
 
     def __init__(self, directory: str | Path):
         self.directory = Path(directory)
@@ -174,40 +131,39 @@ class TableCache:
         return self.directory / f"{family}-{bound}.json"
 
     def load(self, family: str, bound: int, arity: int) -> CoefficientTable | None:
-        """The cached table, or None when there is no file, or the file is
-        unreadable, from another version, off the schema, or has a row that
-        misses its total."""
+        """The cached table, read and checked one row at a time, or None when
+        there is no file, or the file is unreadable, has another header or
+        another number of rows, or has a row off the schema or its total."""
+        rows = []
         try:
-            obj = json.loads(self._path(family, bound).read_bytes())
+            with self._path(family, bound).open("rb") as f:
+                if f.readline() != _header(family, bound):
+                    return None
+                for n, line in enumerate(f):
+                    if n > bound or (row := _read_row(line, n, family, arity)) is None:
+                        return None
+                    rows.append(row)
         except (OSError, ValueError, RecursionError):
             return None
-        if (
-            type(obj) is not dict
-            or obj.get("version") != __version__
-            or obj.get("family") != family
-            or obj.get("bound") != bound
-        ):
+        if len(rows) != bound + 1:
             return None
-        try:
-            table = CoefficientTable.from_json(obj, arity)
-        except (KeyError, ValueError):
-            return None
-        return table if _rows_add_up(table) else None
+        return CoefficientTable(family, arity, bound, tuple(rows))
 
     def store(self, table: CoefficientTable) -> None:
-        """Write the table through a temporary file in the same directory and
-        rename it into place, so that a reader never sees half a file.  No
-        fsync: a file torn by a crash fails the checks in :meth:`load`.
-
-        The file is written row by row (:func:`_json_chunks`): its bytes are
-        those of ``json.dumps(table.to_json(), separators=(",", ":"))``, but
-        neither that document nor its text is ever held whole."""
+        """Write the table a row at a time through a temporary file in the
+        same directory and rename it into place, so that a reader never sees
+        half a file.  No fsync: a file torn by a crash fails the checks in
+        :meth:`load`."""
         self.directory.mkdir(parents=True, exist_ok=True)
         path = self._path(table.family, table.bound)
         fd, tmp = tempfile.mkstemp(dir=self.directory, prefix=path.name, suffix=".tmp")
         try:
-            with os.fdopen(fd, "w") as f:
-                f.writelines(_json_chunks(table))
+            with os.fdopen(fd, "wb") as f:
+                f.write(_header(table.family, table.bound))
+                for row in table.rows:
+                    entries = [[*k, v] if type(k) is tuple else [k, v]
+                               for k, v in sorted(row.items())]
+                    f.write(json.dumps(entries, separators=_SEPARATORS).encode() + b"\n")
             os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)
@@ -216,18 +172,11 @@ class TableCache:
 
 def _cached_build(family, arity, bound, cache, rows):
     # rows: an iterable of rows 0..bound, drawn only when the cache misses
-    if cache is not None:
-        found = cache.load(family, bound, arity)
-        if found is not None:
-            return found
-    entries: dict[tuple[int, ...], int] = {}
-    for n, row in enumerate(rows):
-        for key, val in row.items():
-            idx = (n,) + (key if isinstance(key, tuple) else (key,))
-            entries[idx] = val
-    table = CoefficientTable(family, arity, bound, entries)
-    if cache is not None:
-        cache.store(table)
+    table = cache.load(family, bound, arity) if cache is not None else None
+    if table is None:
+        table = CoefficientTable(family, arity, bound, tuple(rows))
+        if cache is not None:
+            cache.store(table)
     return table
 
 

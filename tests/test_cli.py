@@ -7,12 +7,14 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from stirlab.cli import ORDER_LIMIT, POLY_LIMITS, main
+from stirlab.grammar import TERM_LIMIT
 from stirlab.identities import REGISTRY, IdentityCheck
 
 
@@ -215,6 +217,23 @@ class TestGrammar:
         assert capsys.readouterr().err == (
             f"stirlab: error: order {ORDER_LIMIT + 1} exceeds the grammar limit"
             f" {ORDER_LIMIT}\n"
+        )
+
+    def test_wide_grammar_stops_at_the_term_limit(self, tmp_path, capsys):
+        # eight letters whose rules each add a product: D^n(a) has 108,289
+        # terms at n = 13, past TERM_LIMIT, so order 100 stops there
+        rules = tmp_path / "wide.rules"
+        rules.write_text("a -> a*b + c; b -> b*c + d; c -> c*d + e; d -> d*e + f; "
+                         "e -> e*f + g; f -> f*g + h; g -> g*h + a; h -> h*a + b\n")
+        assert TERM_LIMIT == 100_000
+        start = time.perf_counter()
+        code, out = run_cli("grammar", "--rules", str(rules), "--start", "a",
+                            "--order", "100")
+        assert time.perf_counter() - start < 10
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == (
+            "stirlab: error: the derivative of order 13 has 108289 terms,"
+            f" past the grammar term limit {TERM_LIMIT}\n"
         )
 
 

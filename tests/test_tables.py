@@ -1,4 +1,5 @@
 """Coefficient tables against brute-force oracles and published values."""
+import hashlib
 import inspect
 import io
 import itertools
@@ -9,14 +10,13 @@ import tracemalloc
 
 import pytest
 
+from stirlab import __version__, tables
 from stirlab.errors import IdentityViolationError
-from stirlab import tables
 from stirlab.grammar import parse_grammar
 from stirlab.objects import iter_objects
 from stirlab.polynomials import XYZ, Poly
 from stirlab.stats import signed_stat_record, stirling_stat_record
 from stirlab.tables import (
-    CoefficientTable,
     TableCache,
     _b_eulerian_row,
     _eulerian_row,
@@ -247,17 +247,12 @@ class TestCoefficientTablesAndCache:
         p = p_table(3)
         assert p.value(3, 2, 1, 0) == 4
 
-    def test_json_roundtrip(self):
-        t = t_table(4)
-        again = CoefficientTable.from_json(t.to_json(), t.arity)
-        assert again.entries == dict(t.entries)
-
     def test_disk_cache(self, tmp_path):
         cache = TableCache(tmp_path)
         t1 = t_table(4, cache)
         assert (tmp_path / "t-4.json").exists()
         t2 = t_table(4, cache)
-        assert dict(t1.entries) == dict(t2.entries)
+        assert t1.rows == t2.rows
 
     def test_cache_version_invalidation(self, tmp_path):
         cache = TableCache(tmp_path)
@@ -402,65 +397,109 @@ def test_flag_rows_do_not_recurse_per_n(value, n, expected):
     ids=["t", "p", "gamma"],
 )
 def test_flag_tables_match_their_rows(build, row):
-    expected = {
-        (n, *(key if isinstance(key, tuple) else (key,))): v
-        for n in range(13)
-        for key, v in row(n).items()
-    }
-    assert build(12).entries == expected
+    assert build(12).rows == tuple(row(n) for n in range(13))
 
 
 # ---------------------------------------------------------------------------
 # what the table cache does with files it did not write, or that changed
 
 
-def _rewrite(path, edit):
-    obj = json.loads(path.read_text())
-    edit(obj)
-    path.write_text(json.dumps(obj))
+def _edit_lines(path, edit):
+    lines = path.read_text().splitlines()
+    edit(lines)
+    path.write_text("".join(line + "\n" for line in lines))
+
+
+def _edit_row(n, edit):
+    # row n is line n + 1, after the header
+    def on_lines(lines):
+        row = json.loads(lines[n + 1])
+        edit(row)
+        lines[n + 1] = json.dumps(row)
+
+    return on_lines
 
 
 def _set_entry(path, idx, value):
-    def edit(obj):
-        for e in obj["entries"]:
-            if e[:-1] == idx:
+    def edit(row):
+        for e in row:
+            if e[:-1] == idx[1:]:
                 e[-1] = value
 
-    _rewrite(path, edit)
+    _edit_lines(path, _edit_row(idx[0], edit))
 
 
-def _parent_format(obj):
-    obj["entries"] = [{"idx": e[:-1], "val": e[-1]} for e in obj["entries"]]
+def _whole_document(lines):
+    # the whole-document layout of earlier versions, on one line
+    header = json.loads(lines[0])
+    entries = [[n, *e[:-1], str(e[-1])] for n, line in enumerate(lines[1:])
+               for e in json.loads(line)]
+    lines[:] = [json.dumps({**header, "entries": entries}, separators=(",", ":"))]
 
 
+def _replace_entry(old, new):
+    # in row 2 of t-3.json, [[1, 1], [2, 1], [3, 1]]
+    return _edit_row(2, lambda row: row.__setitem__(row.index(old), new))
+
+
+def _set_header(**fields):
+    def edit(lines):
+        lines[0] = json.dumps({**json.loads(lines[0]), **fields}, separators=(",", ":"))
+
+    return edit
+
+
+# Each edit changes the header, one row line or the line count of t-3.json.
+# The float, bool, index-past-2n and zero-value edits keep every row total,
+# so only the schema check catches them.  The last two repeat an index in
+# row 2: a loader that summed the entry list instead of the row as read
+# would accept them, and return T(2, 3) = 0 or lose T(2, 3).
 @pytest.mark.parametrize(
     "edit",
     [
-        _parent_format,
-        lambda obj: obj.pop("entries"),
-        lambda obj: obj.update(entries={"idx": [0, 0], "val": "1"}),
-        lambda obj: obj["entries"].append([2, 1]),
-        lambda obj: obj["entries"].append([2, 9, 9, "0"]),
-        lambda obj: obj["entries"].append("2,1,1"),
-        lambda obj: obj["entries"].append([2, 9, "zero"]),
-        lambda obj: obj["entries"].append([2, [9], "0"]),
-        lambda obj: obj["entries"].append([2, -1, "0"]),
-        lambda obj: obj.update(bound=2),
-        lambda obj: obj.update(family="p"),
+        _whole_document,
+        lambda lines: lines.__delitem__(slice(1, None)),
+        lambda lines: lines.__setitem__(3, '{"idx": [1], "val": 1}'),
+        _edit_row(2, lambda row: row.append([1])),
+        _edit_row(2, lambda row: row.append([3, 0, 1])),
+        _edit_row(2, lambda row: row.append("3,1")),
+        _replace_entry([1, 1], [1, "1"]),
+        _replace_entry([1, 1], [[1], 1]),
+        _replace_entry([1, 1], [-1, 1]),
+        _set_header(bound=2),
+        _set_header(family="p"),
+        _set_header(version="0.0.0"),
+        lambda lines: lines.__setitem__(0, lines[0].replace(",", ", ")),
+        lambda lines: lines.__setitem__(3, "[[1, 1], [2, 1]"),
+        _replace_entry([1, 1], [1, 1.0]),
+        _replace_entry([1, 1], [1, True]),
+        _replace_entry([3, 1], [5, 1]),
+        _edit_row(2, lambda row: row.append([4, 0])),
+        lambda lines: lines.pop(),
+        lambda lines: lines.append(lines[-1]),
+        lambda lines: lines.append(""),
+        _edit_row(2, lambda row: row.append([3, 0])),
+        _replace_entry([3, 1], [1, 1]),
     ],
     ids=["parent-format", "no-entries", "entries-not-a-list", "short-entry",
-         "long-entry", "non-list-entry", "non-integer-value", "list-index", "negative-index",
-         "other-bound", "other-family"],
+         "long-entry", "non-list-entry", "non-integer-value", "list-index",
+         "negative-index", "other-bound", "other-family", "other-version",
+         "header-spacing", "unreadable-row", "float-value", "bool-value",
+         "index-past-2n", "zero-value", "row-missing", "row-too-many",
+         "blank-line-too-many", "repeated-index", "repeated-index-same-sum"],
 )
 def test_cache_schema_mismatch_is_a_miss(tmp_path, edit):
     cache = TableCache(tmp_path)
     t_table(3, cache)
     path = tmp_path / "t-3.json"
-    _rewrite(path, edit)
+    written = path.read_text()
+    _edit_lines(path, edit)
+    assert path.read_text() != written
     assert cache.load("t", 3, 2) is None
     # the next build regenerates the file in the current format
-    assert t_table(3, cache).value(2, 1) == 1
-    assert cache.load("t", 3, 2) is not None
+    assert t_table(3, cache).value(2, 3) == 1
+    assert path.read_text() == written
+    assert cache.load("t", 3, 2).rows == t_table(3).rows
 
 
 @pytest.mark.parametrize(
@@ -475,10 +514,10 @@ def test_cache_schema_mismatch_is_a_miss(tmp_path, edit):
 def test_cache_row_total_mismatch_is_a_miss(tmp_path, build, name, idx):
     cache = TableCache(tmp_path)
     good = build(4, cache)
-    _set_entry(tmp_path / f"{name}-4.json", idx, "999")
+    _set_entry(tmp_path / f"{name}-4.json", idx, 999)
     assert cache.load(name, 4, good.arity) is None
-    assert build(4, cache).entries == good.entries
-    assert cache.load(name, 4, good.arity).entries == good.entries
+    assert build(4, cache).rows == good.rows
+    assert cache.load(name, 4, good.arity).rows == good.rows
 
 
 def test_tampered_t_file_is_regenerated_by_the_cli(tmp_path):
@@ -492,7 +531,7 @@ def test_tampered_t_file_is_regenerated_by_the_cli(tmp_path):
 
     assert poly_t2() == (0, "x + x^2 + x^3\n")
     path = tmp_path / "t-2.json"
-    _set_entry(path, [2, 1], "999")
+    _set_entry(path, [2, 1], 999)
     assert "999" in path.read_text()
     assert poly_t2() == (0, "x + x^2 + x^3\n")
     assert "999" not in path.read_text()
@@ -516,23 +555,45 @@ def test_cache_store_replaces_the_file_atomically(tmp_path, monkeypatch):
     assert [p.name for p in tmp_path.iterdir()] == ["t-3.json"]
 
 
-@pytest.mark.parametrize("build", [t_table, p_table, gamma_table],
+# the cache file of each table at n = 0, 1 (its text) and 20 (its size and
+# SHA-256): a header line, then one compact line per row
+CACHE_FILES = {
+    ("t", 0): '{"family":"t","bound":0,"version":"0.1.0"}\n[[0,1]]\n',
+    ("t", 1): '{"family":"t","bound":1,"version":"0.1.0"}\n[[0,1]]\n[[1,1]]\n',
+    ("t", 20): (6578, "3ee642420fafe6249e2f542bfd89d3b7c78581bd0c7fd8b51bb2e411eb71eae4"),
+    ("p", 0): '{"family":"p","bound":0,"version":"0.1.0"}\n[[0,0,0,1]]\n',
+    ("p", 1): '{"family":"p","bound":1,"version":"0.1.0"}\n[[0,0,0,1]]\n[[1,0,0,1]]\n',
+    ("p", 20): (108458, "4df79aa9a1cb9a3022c185d18ef699fe183048f24122f721e776ed47be54dbd6"),
+    ("gamma", 0): '{"family":"gamma","bound":0,"version":"0.1.0"}\n[[0,0,1]]\n',
+    ("gamma", 1): '{"family":"gamma","bound":1,"version":"0.1.0"}\n[[0,0,1]]\n'
+                  '[[1,0,1]]\n',
+    ("gamma", 20): (15850, "c0806390794c5d52a68d48ce96076f9e0d35960a502b97b6b0ee8b01acb02971"),
+}
+
+
+@pytest.mark.parametrize("build,row", [(t_table, _t_row), (p_table, _p_row),
+                                       (gamma_table, _gamma_row)],
                          ids=["t", "p", "gamma"])
 @pytest.mark.parametrize("n", [0, 1, 20])
-def test_cache_file_is_the_compact_json_of_the_table(tmp_path, build, n):
-    # the file is written row by row, in the bytes of the whole document
+def test_cache_file_is_the_compact_json_of_the_table(tmp_path, build, row, n):
     table = build(n)
     TableCache(tmp_path).store(table)
-    text = (tmp_path / f"{table.family}-{n}.json").read_text()
-    assert text == json.dumps(table.to_json(), separators=(",", ":"))
-
-
-def test_cache_file_of_a_table_out_of_row_order(tmp_path):
-    table = p_table(4)
-    backwards = CoefficientTable("p", 4, 4, dict(reversed(table.entries.items())))
-    TableCache(tmp_path).store(backwards)
-    text = (tmp_path / "p-4.json").read_text()
-    assert text == json.dumps(table.to_json(), separators=(",", ":"))
+    path = tmp_path / f"{table.family}-{n}.json"
+    data = path.read_bytes()
+    pinned = CACHE_FILES[table.family, n]
+    if isinstance(pinned, str):
+        assert data.decode() == pinned
+    else:
+        assert (len(data), hashlib.sha256(data).hexdigest()) == pinned
+    header, *lines = data.decode().splitlines()
+    assert json.loads(header) == {"family": table.family, "bound": n,
+                                  "version": __version__}
+    assert len(lines) == n + 1
+    for m, line in enumerate(lines):
+        assert line == json.dumps(
+            [[*(k if isinstance(k, tuple) else (k,)), v] for k, v in sorted(row(m).items())],
+            separators=(",", ":"),
+        )
 
 
 @pytest.mark.parametrize("build,n", [(gamma_table, 40), (p_table, 25), (t_table, 40)],
@@ -549,6 +610,26 @@ def test_cache_store_holds_about_one_row_at_a_time(tmp_path, build, n):
     finally:
         tracemalloc.stop()
     assert peak < 5 * cache._path(table.family, n).stat().st_size
+
+
+@pytest.mark.parametrize("build,n", [(gamma_table, 100), (p_table, 40), (t_table, 60)],
+                         ids=["gamma-100", "p-40", "t-60"])
+def test_cache_load_holds_about_one_row_at_a_time(tmp_path, build, n):
+    # beyond the table it returns, load holds one row's line and entry
+    # lists at a time; parsing the whole document first took 2.4 to 5.3
+    # times the file
+    table = build(n)
+    cache = TableCache(tmp_path)
+    cache.store(table)
+    size = cache._path(table.family, n).stat().st_size
+    tracemalloc.start()
+    try:
+        loaded = cache.load(table.family, n, table.arity)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert loaded.rows == table.rows
+    assert peak - held < size
 
 
 # Every public function of tables at n = -1, with its remaining arguments:
