@@ -9,8 +9,6 @@ registry of identities verified by brute force at desk scale.
 """
 from ._version import __version__
 from .actions import (
-    IndexSets,
-    OrbitDescriptor,
     alpha,
     alpha_inverse,
     beta_move,
@@ -52,9 +50,6 @@ from .objects import (
 from .polynomials import Poly
 from .stats import (
     DistributionTable,
-    MatchingStatRecord,
-    SignedStatRecord,
-    StirlingStatRecord,
     distribution,
     matching_stats,
     perm_des,
@@ -87,9 +82,8 @@ from .tables import (
 # the public names, written out so that no submodule is exported by accident
 __all__ = [
     # actions
-    "IndexSets", "OrbitDescriptor", "alpha", "alpha_inverse", "beta_move",
-    "beta_set", "fs_action", "fs_move", "fs_toggle_value", "index_sets",
-    "orbit", "orbit_members",
+    "alpha", "alpha_inverse", "beta_move", "beta_set", "fs_action", "fs_move",
+    "fs_toggle_value", "index_sets", "orbit", "orbit_members",
     # errors
     "IdentityViolationError", "ResourceLimitError",
     # grammar
@@ -104,8 +98,7 @@ __all__ = [
     # polynomials
     "Poly",
     # stats
-    "DistributionTable", "MatchingStatRecord", "SignedStatRecord",
-    "StirlingStatRecord", "distribution", "matching_stats", "perm_des",
+    "DistributionTable", "distribution", "matching_stats", "perm_des",
     "signed_stats", "stirling_stats",
     # tables
     "CoefficientTable", "TableCache", "a_poly", "b_poly", "c_poly",

@@ -16,9 +16,12 @@ is movable (a value sits either on a double ascent, on a descent-plateau, on
 a left ascent-plateau, or nowhere movable).  The toggle is therefore carried
 by values: :func:`fs_toggle_value` is a total involution for each v, any two
 toggles commute, and :func:`fs_action` applies the toggles selected by a set
-of positions of the input word.  Orbits of the induced action partition Q_n;
-each has a unique descent-plateau-free representative, and
-:func:`orbit_members` walks its 2^dasc members in Gray-code order.
+of positions of the input word.  :func:`index_sets` maps "dasc", "dp" and
+"lap" to the frozenset of positions of each kind, so
+``len(index_sets(w)[s]) == stirling_stats(w)[s]``.  Orbits of the induced
+action partition Q_n; :func:`orbit` returns the unique descent-plateau-free
+representative, and :func:`orbit_members` walks its 2^dasc members in
+Gray-code order.
 
 The beta move slides the first copy of a chosen value left regardless of its
 surroundings.  It is the same left slide as the descent-plateau toggle (one
@@ -29,7 +32,8 @@ permutation) and permutations.
 
 Every slide checks that its output is a Stirling permutation and raises
 :class:`IdentityViolationError` when it is not.  The public moves check with
-:func:`is_stirling`.  The identity loops, which read the scan table of Q_n
+:func:`is_stirling`, and :func:`orbit` and :func:`beta_set` check their
+input too.  The identity loops, which read the scan table of Q_n
 anyway (its keys are Q_n), pass that table as ``within`` to :func:`beta_set`
 and :func:`orbit_members`, and each slide then checks its output by
 membership in Q_n: the same property, reached by pair insertion instead of
@@ -37,23 +41,12 @@ the stack definition, at a tenth of the cost.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 from .errors import IdentityViolationError
 from .objects import is_stirling
 
 Word = tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class IndexSets:
-    """The double-ascent, descent-plateau and left ascent-plateau positions
-    of one word (1-based indices in [2n])."""
-
-    dasc: frozenset[int]
-    dp: frozenset[int]
-    lap: frozenset[int]
 
 
 def classify_index(word: Sequence[int], i: int) -> str | None:
@@ -71,11 +64,12 @@ def classify_index(word: Sequence[int], i: int) -> str | None:
     return None
 
 
-def index_sets(sigma) -> IndexSets:
-    """All three index sets of a word.
+def index_sets(sigma) -> dict[str, frozenset[int]]:
+    """The double-ascent, descent-plateau and left ascent-plateau positions
+    of a word (1-based), keyed by the statistic each one counts.
 
     >>> index_sets((1, 2, 2, 1))
-    IndexSets(dasc=frozenset({1}), dp=frozenset(), lap=frozenset({2}))
+    {'dasc': frozenset({1}), 'dp': frozenset(), 'lap': frozenset({2})}
     """
     word = tuple(sigma)
     dasc, dp, lap = [], [], []
@@ -87,7 +81,7 @@ def index_sets(sigma) -> IndexSets:
         elif v == right:
             (lap if left < v else dp).append(i)
         left = v
-    return IndexSets(frozenset(dasc), frozenset(dp), frozenset(lap))
+    return {"dasc": frozenset(dasc), "dp": frozenset(dp), "lap": frozenset(lap)}
 
 
 Check = Callable[[Word], bool]
@@ -186,58 +180,48 @@ def fs_action(sigma, positions: Iterable[int], *,
     """
     word = tuple(sigma)
     sets = index_sets(word)
-    movable = sets.dasc | sets.dp
+    movable = sets["dasc"] | sets["dp"]
     check = _check(within)
     for v in sorted({word[i - 1] for i in positions if i in movable}):
         word = _toggle(word, v, check)
     return word
 
 
-@dataclass(frozen=True)
-class OrbitDescriptor:
-    """An orbit of the toggle action: its descent-plateau-free representative
-    and the representative's double-ascent positions (the free toggles)."""
-
-    representative: Word
-    free_indices: frozenset[int]
-
-    @property
-    def size(self) -> int:
-        return 2 ** len(self.free_indices)
-
-
-def _representative(word: Word, within: Collection[Word] | None) -> tuple[Word, IndexSets]:
+def _representative(word: Word, within: Collection[Word] | None) -> Word:
     # toggle every descent-plateau value off, each output checked as in
-    # fs_action; the result and its index sets
-    sets = index_sets(word)
-    if sets.dp:
-        word = fs_action(word, sets.dp, within=within)
-        if (sets := index_sets(word)).dp:
+    # fs_action
+    if dp := index_sets(word)["dp"]:
+        word = fs_action(word, dp, within=within)
+        if index_sets(word)["dp"]:
             raise IdentityViolationError(f"orbit representative {word} has descent-plateaus")
-    return word, sets
+    return word
 
 
-def orbit(sigma) -> OrbitDescriptor:
-    """The orbit of a word: toggling its descent-plateau values yields the
-    unique representative with dp = 0."""
-    rep, sets = _representative(tuple(sigma), None)
-    return OrbitDescriptor(rep, sets.dasc)
+def orbit(sigma) -> Word:
+    """The orbit of a Stirling permutation, as its representative: toggling
+    the descent-plateau values off yields the unique member with dp = 0,
+    whose free toggles are ``index_sets(rep)["dasc"]``.  The input is checked
+    with :func:`is_stirling` (IdentityViolationError), each toggle's output
+    as in :func:`fs_action`."""
+    word = tuple(sigma)
+    if not is_stirling(word):
+        raise IdentityViolationError(f"orbit of {word}, not a Stirling permutation")
+    return _representative(word, None)
 
 
 def orbit_members(rep, *, within: Collection[Word] | None = None) -> Iterator[Word]:
-    """All members of an orbit, given a word of it or its OrbitDescriptor, in
-    Gray-code order over the sorted free toggle values v_0 < v_1 < ...: one
-    toggle per step, the k-th member (from 0) with v_t on for each set bit t
-    of k ^ (k >> 1).  Each toggle's output is checked as in :func:`fs_action`,
-    the toggles that take a word with descent-plateaus to its representative
-    included."""
-    word = rep.representative if isinstance(rep, OrbitDescriptor) else tuple(rep)
+    """All members of the orbit of a word, in Gray-code order over the
+    sorted free toggle values v_0 < v_1 < ...: one toggle per step, the k-th
+    member (from 0) with v_t on for each set bit t of k ^ (k >> 1).  Each
+    toggle's output is checked as in :func:`fs_action`, the toggles that
+    take a word with descent-plateaus to its representative included."""
+    word = tuple(rep)
     values = []  # the free toggle values: the double ascents, in one pass
     for left, v, right in zip((0, *word), word, (*word[1:], 0)):
         if left < v < right:
             values.append(v)
         elif left > v == right:  # a descent-plateau: walk from the representative
-            yield from orbit_members(_representative(word, within)[0], within=within)
+            yield from orbit_members(_representative(word, within), within=within)
             return
     values.sort()
     check = _check(within)
@@ -325,7 +309,8 @@ def alpha_inverse_trace(pi) -> tuple[Word, frozenset[int], Word]:
     """(doubled word, beta value set, final word) of the inverse map; pi
     must be a permutation of [n], otherwise ValueError."""
     values = tuple(pi)
-    if sorted(values) != list(range(1, len(values) + 1)):
+    if (any(not isinstance(v, int) for v in values)
+            or sorted(values) != list(range(1, len(values) + 1))):
         raise ValueError(f"not a permutation of [n]: {values}")
     doubled = tuple(v for v in values for _ in range(2))
     s = descent_bottom_set(values)

@@ -511,6 +511,13 @@ _register(
 # the trivariate refinement
 
 
+def _stats_text(word) -> str:
+    """The Stirling statistics of a word, as the word-by-word witnesses
+    print them."""
+    fields = ", ".join(f"{s}={v}" for s, v in stirling_stat_record(word).items())
+    return f"StirlingStatRecord({fields})"
+
+
 @_register(
     "asc-plat-decomposition",
     "asc = lap + dasc and plat = lap + dp hold word by word",
@@ -521,7 +528,7 @@ def _asc_plat(bound: int) -> str | None:
         for word, record in stirling_scans(n).items():
             asc, _, plat, _, lap, _, dasc, dp = record
             if asc != lap + dasc or plat != lap + dp:
-                return f"n={n}, word {word}: {stirling_stat_record(word)}"
+                return f"n={n}, word {word}: {_stats_text(word)}"
     return None
 
 
@@ -601,7 +608,7 @@ def _fs_symmetry(bound: int) -> str | None:
             for k, word in enumerate(actions.orbit_members(rep, within=q_n)):
                 s = (k ^ k >> 1).bit_count()
                 if _lap_dasc_dp(q_n[word]) != (lap, d - s, s):
-                    a, b = stirling_stat_record(rep), stirling_stat_record(word)
+                    a, b = _stats_text(rep), _stats_text(word)
                     return f"n={n}, word {rep}: {s} of {d} toggles sent {a} to {b}"
                 if unwalked.pop(word, True):  # marked off already
                     return f"n={n}: the orbit of {rep} walks {word} twice"

@@ -74,9 +74,11 @@ def _is_signed(values: Sequence[int]) -> bool:
 
 
 def _is_matching(blocks: tuple[tuple[int, ...], ...]) -> bool:
-    """Whether ``blocks`` partition [2n] into pairs."""
+    """Whether ``blocks`` partition [2n] into pairs of ints."""
     flat = [e for b in blocks for e in b]
-    return all(len(b) == 2 for b in blocks) and sorted(flat) == list(range(1, len(flat) + 1))
+    if any(len(b) != 2 for b in blocks) or any(not isinstance(e, int) for e in flat):
+        return False
+    return sorted(flat) == list(range(1, len(flat) + 1))
 
 
 # ---------------------------------------------------------------------------

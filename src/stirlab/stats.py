@@ -16,9 +16,11 @@ Stable statistic names: asc, des, plat, ap, lap, fap, dasc, dp (Stirling);
 desA, desB, fdes, fasc (signed); el, ol (matching); des (permutation).
 
 Objects are the plain tuples the streams of ``objects`` yield (any sequence
-is accepted).  :func:`stirling_stats`, :func:`signed_stats` and
-:func:`matching_stats` check their input and raise ValueError on a bad one;
-the ``*_stat_record`` functions and :func:`perm_des` trust it.
+is accepted), and their statistics plain values: :func:`stirling_stats`,
+:func:`signed_stats` and :func:`matching_stats` return a dict keyed by the
+names of ``STATS_BY_CLASS``, in that order, after checking their input
+(ValueError on a bad one); the ``*_stat_record`` functions return the same
+dict and, like :func:`perm_des`, trust it.
 
 The naive Stirling scan runs once per word: the memoized per-order table
 :func:`stirling_scans` feeds both the distributions and the identity loops.
@@ -60,32 +62,6 @@ STATS_BY_CLASS = {
 DEFAULT_BOUNDS = {"stirling": 8, "signed": 7, "matching": 8, "permutation": 9}
 
 
-@dataclass(frozen=True)
-class StirlingStatRecord:
-    asc: int
-    des: int
-    plat: int
-    ap: int
-    lap: int
-    fap: int
-    dasc: int
-    dp: int
-
-
-@dataclass(frozen=True)
-class SignedStatRecord:
-    desA: int
-    desB: int
-    fdes: int
-    fasc: int
-
-
-@dataclass(frozen=True)
-class MatchingStatRecord:
-    el: int
-    ol: int
-
-
 def _stirling_scan(word: Sequence[int]) -> tuple[int, ...]:
     """The eight Stirling statistics of a word assumed valid, in the order of
     STIRLING_STATS, from one pass over the 0-padded neighbours of each
@@ -112,12 +88,12 @@ def _stirling_scan(word: Sequence[int]) -> tuple[int, ...]:
     return (asc, des, plat, ap, lap, 2 * ap + first, dasc, dp)
 
 
-def stirling_stat_record(word: Sequence[int]) -> StirlingStatRecord:
+def stirling_stat_record(word: Sequence[int]) -> dict[str, int]:
     """All eight Stirling statistics of a word assumed valid (one pass)."""
-    return StirlingStatRecord(*_stirling_scan(word))
+    return dict(zip(STIRLING_STATS, _stirling_scan(word)))
 
 
-def stirling_stats(sigma: Sequence[int]) -> StirlingStatRecord:
+def stirling_stats(sigma: Sequence[int]) -> dict[str, int]:
     """Statistics of a Stirling permutation; invalid input raises ValueError."""
     word = tuple(sigma)
     if not is_stirling(word):
@@ -139,12 +115,12 @@ def _signed_scan(values: Sequence[int]) -> tuple[int, ...]:
     return _signed_record(len(values), _fdes(values))
 
 
-def signed_stat_record(values: Sequence[int]) -> SignedStatRecord:
+def signed_stat_record(values: Sequence[int]) -> dict[str, int]:
     """desA/desB/fdes/fasc of a signed permutation assumed valid, n >= 1."""
-    return SignedStatRecord(*_signed_scan(values))
+    return dict(zip(SIGNED_STATS, _signed_scan(values)))
 
 
-def signed_stats(pi: Sequence[int]) -> SignedStatRecord:
+def signed_stats(pi: Sequence[int]) -> dict[str, int]:
     """Statistics of a signed permutation; invalid or empty input raises."""
     values = tuple(pi)
     if len(values) == 0:
@@ -172,11 +148,11 @@ def _matching_scan(blocks) -> tuple[int, int]:
     return (el, len(blocks) - el)
 
 
-def matching_stat_record(blocks) -> MatchingStatRecord:
-    return MatchingStatRecord(*_matching_scan(blocks))
+def matching_stat_record(blocks) -> dict[str, int]:
+    return dict(zip(MATCHING_STATS, _matching_scan(blocks)))
 
 
-def matching_stats(blocks) -> MatchingStatRecord:
+def matching_stats(blocks) -> dict[str, int]:
     """Block counts by parity of the larger entry; invalid input raises.
 
     Blocks may come in any order, and each block's entries too.

@@ -302,13 +302,6 @@ def _t_row(n: int) -> dict[int, int]:
     return reduce(_t_step, range(1, n + 1), {0: 1})
 
 
-def t_number(n: int, k: int) -> int:
-    """Flag ascent-plateau number T(n, k) (0 off-range)."""
-    if n < 0 or k < 0:
-        return 0
-    return _t_row(n).get(k, 0)
-
-
 def t_poly(n: int) -> Poly:
     """T_n(x): the flag ascent-plateau distribution over Q_n."""
     if n < 0:
@@ -355,13 +348,6 @@ def _p_step(
 @lru_cache(maxsize=None)
 def _p_row(n: int) -> dict[tuple[int, int, int], int]:
     return reduce(_p_step, range(1, n + 1), {(0, 0, 0): 1})
-
-
-def p_number(n: int, i: int, j: int, k: int) -> int:
-    """Count of Q_n words with lap = i, dasc = j, dp = k (0 off-range)."""
-    if n < 0:
-        return 0
-    return _p_row(n).get((i, j, k), 0)
 
 
 def p_poly(n: int) -> Poly:

@@ -19,7 +19,6 @@ from stirlab.actions import (
     fs_action,
     fs_move,
     fs_toggle_value,
-    IndexSets,
     index_sets,
     movable_index,
     orbit,
@@ -28,7 +27,7 @@ from stirlab.actions import (
 import stirlab.actions as actions_module
 from stirlab.errors import IdentityViolationError
 from stirlab.objects import is_stirling, iter_objects
-from stirlab.stats import stirling_scans, stirling_stat_record
+from stirlab.stats import stirling_scans, stirling_stat_record, stirling_stats
 
 
 def word(s: str) -> tuple[int, ...]:
@@ -55,7 +54,7 @@ class TestFsMove:
     def test_moves_preserve_validity(self, n):
         for w in iter_objects("stirling", n):
             sets = index_sets(w)
-            for i in sets.dasc | sets.dp:
+            for i in sets["dasc"] | sets["dp"]:
                 assert is_stirling(fs_move(w, i))
 
 
@@ -63,19 +62,21 @@ class TestIndexSets:
     def test_hand_evaluations(self):
         assert index_sets(word("2211")) == index_sets((2, 2, 1, 1))
         s = index_sets(word("2211"))
-        assert (s.dasc, s.dp, s.lap) == (frozenset(), {3}, {1})
+        assert (s["dasc"], s["dp"], s["lap"]) == (frozenset(), {3}, {1})
         s = index_sets(word("1122"))
-        assert (s.dasc, s.dp, s.lap) == (frozenset(), frozenset(), {1, 3})
+        assert (s["dasc"], s["dp"], s["lap"]) == (frozenset(), frozenset(), {1, 3})
         s = index_sets(word("1221"))
-        assert (s.dasc, s.dp, s.lap) == ({1}, frozenset(), {2})
+        assert (s["dasc"], s["dp"], s["lap"]) == ({1}, frozenset(), {2})
 
-    @pytest.mark.parametrize("n", range(1, 6))
+    @pytest.mark.parametrize("n", range(7))
     def test_sets_match_counts(self, n):
+        # each set is keyed by the statistic that counts it
         for w in iter_objects("stirling", n):
             s = index_sets(w)
-            r = stirling_stat_record(w)
-            assert (len(s.dasc), len(s.dp), len(s.lap)) == (r.dasc, r.dp, r.lap)
-            assert not (s.dasc & s.dp) and not (s.dasc & s.lap) and not (s.dp & s.lap)
+            r = stirling_stats(w)
+            assert {k: len(v) for k, v in s.items()} == {k: r[k] for k in ("dasc", "dp", "lap")}
+            dasc, dp, lap = s.values()
+            assert not (dasc & dp) and not (dasc & lap) and not (dp & lap)
 
     def test_classify_out_of_range(self):
         with pytest.raises(ValueError):
@@ -100,11 +101,11 @@ class TestToggleAction:
     def test_at_most_one_movable_index_per_value(self):
         for w in iter_objects("stirling", 4):
             sets = index_sets(w)
-            active_values = [w[i - 1] for i in sets.dasc | sets.dp]
+            active_values = [w[i - 1] for i in sets["dasc"] | sets["dp"]]
             assert len(active_values) == len(set(active_values))
             for v in range(1, 5):
                 i = movable_index(w, v)
-                assert (i in sets.dasc | sets.dp) if i else (
+                assert (i in sets["dasc"] | sets["dp"]) if i else (
                     v not in active_values
                 )
 
@@ -116,32 +117,39 @@ class TestToggleAction:
     def test_full_selection_swaps_dasc_and_dp(self):
         for w in iter_objects("stirling", 5):
             s = index_sets(w)
-            moved = fs_action(w, s.dasc | s.dp)
+            moved = fs_action(w, s["dasc"] | s["dp"])
             a, b = stirling_stat_record(w), stirling_stat_record(moved)
-            assert (b.lap, b.dasc, b.dp) == (a.lap, a.dp, a.dasc)
+            assert (b["lap"], b["dasc"], b["dp"]) == (a["lap"], a["dp"], a["dasc"])
 
 
 class TestOrbits:
     def test_singleton_orbit(self):
-        o = orbit(word("1122"))
-        assert o.representative == word("1122")
-        assert o.free_indices == frozenset()
-        assert list(orbit_members(o)) == [word("1122")]
+        rep = orbit(word("1122"))
+        assert rep == word("1122")
+        assert index_sets(rep)["dasc"] == frozenset()
+        assert list(orbit_members(rep)) == [word("1122")]
 
     def test_two_element_orbit(self):
-        o = orbit(word("1221"))
-        assert o.representative == word("1221")
-        assert o.size == 2
-        assert set(orbit_members(o)) == {word("1221"), word("2211")}
-        assert orbit(word("2211")) == o
+        rep = orbit(word("1221"))
+        assert rep == word("1221")
+        assert 2 ** len(index_sets(rep)["dasc"]) == 2
+        assert set(orbit_members(rep)) == {word("1221"), word("2211")}
+        assert orbit(word("2211")) == rep
 
     @pytest.mark.parametrize("n", range(7))
     def test_orbit_sizes_sum_to_the_class_size(self, n):
         import math
 
-        reps = {orbit(w).representative for w in iter_objects("stirling", n)}
-        total = sum(2 ** len(orbit(rep).free_indices) for rep in reps)
+        reps = {orbit(w) for w in iter_objects("stirling", n)}
+        total = sum(2 ** len(index_sets(rep)["dasc"]) for rep in reps)
         assert total == math.prod(range(1, 2 * n, 2))
+
+    @pytest.mark.parametrize("w", [word("2121"), word("1212"), word("12"), (1.0, 1.0)])
+    def test_orbit_checks_its_input(self, w):
+        # none of these has a descent-plateau, so no toggle would see it
+        with pytest.raises(IdentityViolationError,
+                           match=r"^orbit of \(.*\), not a Stirling permutation$"):
+            orbit(w)
 
     def test_orbit_members_accepts_a_word(self):
         assert set(orbit_members(word("2211"))) == {word("1221"), word("2211")}
@@ -151,10 +159,10 @@ class TestOrbits:
         seen: dict[tuple, tuple] = {}
         reps = set()
         for w in iter_objects("stirling", n):
-            o = orbit(w)
-            assert stirling_stat_record(o.representative).dp == 0
-            seen[w] = o.representative
-            reps.add((o.representative, o.free_indices))
+            rep = orbit(w)
+            assert stirling_stat_record(rep)["dp"] == 0
+            seen[w] = rep
+            reps.add((rep, index_sets(rep)["dasc"]))
         # every word reached from exactly one representative
         total = 0
         covered = set()
@@ -170,18 +178,18 @@ class TestOrbits:
     def test_orbit_statistics(self, n):
         # lap constant; dasc drops by the subset size while dp picks it up
         for w in iter_objects("stirling", n):
-            o = orbit(w)
-            rep_r = stirling_stat_record(o.representative)
-            values = sorted(o.representative[i - 1] for i in o.free_indices)
+            rep = orbit(w)
+            rep_r = stirling_stat_record(rep)
+            values = sorted(rep[i - 1] for i in index_sets(rep)["dasc"])
             for r in range(len(values) + 1):
                 for subset in itertools.combinations(values, r):
-                    m = o.representative
+                    m = rep
                     for v in subset:
                         m = fs_toggle_value(m, v)
                     mr = stirling_stat_record(m)
-                    assert mr.lap == rep_r.lap
-                    assert mr.dasc == rep_r.dasc - len(subset)
-                    assert mr.dp == len(subset)
+                    assert mr["lap"] == rep_r["lap"]
+                    assert mr["dasc"] == rep_r["dasc"] - len(subset)
+                    assert mr["dp"] == len(subset)
             break  # one orbit per order keeps this quick; partition test covers the rest
 
 
@@ -192,7 +200,7 @@ class TestOrbitWalk:
     def walks(n):
         q_n = stirling_scans(n)
         for w in q_n:
-            if not index_sets(w).dp:
+            if not index_sets(w)["dp"]:
                 yield w, list(orbit_members(w, within=q_n))
 
     @pytest.mark.parametrize("n", range(7))
@@ -206,12 +214,12 @@ class TestOrbitWalk:
         for rep, members in self.walks(n):
             r = stirling_stat_record(rep)
             assert members[0] == rep
-            assert len(members) == 2 ** r.dasc
+            assert len(members) == 2 ** r["dasc"]
             for k, m in enumerate(members):
                 # the k-th member has the toggles of k ^ (k >> 1) on
                 s = (k ^ k >> 1).bit_count()
                 mr = stirling_stat_record(m)
-                assert (mr.lap, mr.dasc, mr.dp) == (r.lap, r.dasc - s, s)
+                assert (mr["lap"], mr["dasc"], mr["dp"]) == (r["lap"], r["dasc"] - s, s)
 
     def test_gray_code_order(self):
         # free values 1 and 2 of 123321, toggled on: {}, {1}, {1, 2}, {2}
@@ -267,7 +275,7 @@ class TestOrbitWalk:
             # same length and (lap, dasc, dp), a word walked already
             moved = toggle(word, v, check)
             r = stirling_stat_record(moved)
-            return first.setdefault((len(moved), r.lap, r.dasc, r.dp), moved)
+            return first.setdefault((len(moved), r["lap"], r["dasc"], r["dp"]), moved)
         return planted
 
     @pytest.mark.parametrize("plant, witness", [
@@ -326,10 +334,10 @@ class TestBetaMoves:
         for w in iter_objects("stirling", n):
             moved = beta_set(w, values)
             r = stirling_stat_record(moved)
-            assert r.dp == 0 and r.lap + r.dasc == n
+            assert r["dp"] == 0 and r["lap"] + r["dasc"] == n
             assert alpha(moved) == alpha(w)
             mr = stirling_stat_record(w)
-            if mr.dp == 0 and mr.lap + mr.dasc == n:
+            if mr["dp"] == 0 and mr["lap"] + mr["dasc"] == n:
                 assert moved == w
 
 
@@ -357,7 +365,7 @@ class TestAlpha:
             word("123321"),
         )
 
-    @pytest.mark.parametrize("pi", [(1, 1), (2, 3), (0, 1), (1, 3, 2, 5)])
+    @pytest.mark.parametrize("pi", [(1, 1), (2, 3), (0, 1), (1, 3, 2, 5), (1.0,)])
     def test_inverse_rejects_what_is_not_a_permutation(self, pi):
         with pytest.raises(ValueError, match=r"^not a permutation of \[n\]: "):
             alpha_inverse(pi)
@@ -371,15 +379,15 @@ class TestAlpha:
             w = alpha_inverse(pi)
             assert alpha(w) == pi
             r = stirling_stat_record(w)
-            assert r.dp == 0 and r.lap + r.dasc == n
+            assert r["dp"] == 0 and r["lap"] + r["dasc"] == n
 
 
-def index_sets_by_position(w) -> IndexSets:
+def index_sets_by_position(w) -> dict[str, frozenset[int]]:
     kinds = [classify_index(w, i) for i in range(1, len(w) + 1)]
-    return IndexSets(*(
-        frozenset(i for i, k in enumerate(kinds, 1) if k == name)
+    return {
+        name: frozenset(i for i, k in enumerate(kinds, 1) if k == name)
         for name in ("dasc", "dp", "lap")
-    ))
+    }
 
 
 class TestOnePassIndexSets:
@@ -424,8 +432,8 @@ class TestAssertsStay:
         assert calls == [moved]
         w = word("2447887332115665")
         s = index_sets(w)
-        fs_action(w, s.dasc | s.dp)
-        assert len(calls) == 1 + len(s.dasc | s.dp)
+        fs_action(w, s["dasc"] | s["dp"])
+        assert len(calls) == 1 + len(s["dasc"] | s["dp"])
 
     def test_a_failed_move_check_raises(self, monkeypatch):
         monkeypatch.setattr(actions_module, "is_stirling", lambda w: False)
@@ -557,7 +565,7 @@ def ref_fs_toggle_value(sigma, v: int):
 def ref_fs_action(sigma, positions):
     word = tuple(sigma)
     sets = index_sets(word)
-    movable = sets.dasc | sets.dp
+    movable = sets["dasc"] | sets["dp"]
     for v in sorted({word[i - 1] for i in positions if i in movable}):
         word = ref_fs_toggle_value(word, v)
     return word

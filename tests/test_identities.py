@@ -283,7 +283,7 @@ def test_fs_symmetry_keeps_no_walked_word():
     runner = REGISTRY["fs-symmetry"].runner
     assert runner(6) is None  # warm the scan tables and distributions
     built = sum(sys.getsizeof(w) for w in stats.stirling_scans(6)
-                if stats.stirling_stat_record(w).dp)
+                if stats.stirling_stat_record(w)["dp"])
     tracemalloc.start()
     try:
         assert runner(6) is None

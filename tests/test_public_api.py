@@ -5,8 +5,7 @@ import stirlab
 PUBLIC_NAMES = [
     "AlphabetError", "CheckResult", "CoefficientTable", "DistributionTable",
     "Grammar", "GrammarSyntaxError", "IdentityCheck", "IdentityViolationError",
-    "IndexSets", "MatchingStatRecord", "OrbitDescriptor", "Poly", "REGISTRY",
-    "ResourceLimitError", "SignedStatRecord", "StirlingStatRecord", "TableCache",
+    "Poly", "REGISTRY", "ResourceLimitError", "TableCache",
     "UnknownIdentityError", "a_poly", "alpha", "alpha_inverse",
     "b_poly", "beta_move", "beta_set", "c_poly", "cn_nn_tables",
     "coefficient_profile", "derive", "derive_n", "distribution",

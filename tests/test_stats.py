@@ -1,6 +1,5 @@
 """Statistic definitions against worked examples and cross-statistic laws."""
 from collections import Counter
-from dataclasses import astuple
 
 import pytest
 
@@ -16,7 +15,6 @@ from stirlab.stats import (
     _stirling_scan,
     DEFAULT_BOUNDS,
     STATS_BY_CLASS,
-    StirlingStatRecord,
     distribution,
     matching_stat_record,
     matching_stats,
@@ -36,28 +34,28 @@ def word(s: str) -> tuple[int, ...]:
 class TestStirlingStats:
     def test_worked_example_ascent_plateaus(self):
         r = stirling_stats(word("442332115665"))
-        assert (r.ap, r.lap) == (2, 3)
+        assert (r["ap"], r["lap"]) == (2, 3)
 
     def test_worked_example_double_ascents(self):
         r = stirling_stats(word("244332115665"))
-        assert (r.dasc, r.dp) == (2, 2)
+        assert (r["dasc"], r["dp"]) == (2, 2)
 
     def test_hand_evaluated_2211(self):
         r = stirling_stats(word("2211"))
         assert r == stirling_stat_record(word("2211"))
-        assert (r.asc, r.des, r.plat) == (1, 2, 2)
-        assert (r.ap, r.lap, r.fap) == (0, 1, 1)
-        assert (r.dasc, r.dp) == (0, 1)
+        assert (r["asc"], r["des"], r["plat"]) == (1, 2, 2)
+        assert (r["ap"], r["lap"], r["fap"]) == (0, 1, 1)
+        assert (r["dasc"], r["dp"]) == (0, 1)
 
     def test_single_pair_word(self):
         r = stirling_stats(word("11"))
-        assert r.fap == 1
-        assert (r.asc, r.des, r.plat) == (1, 1, 1)
+        assert r["fap"] == 1
+        assert (r["asc"], r["des"], r["plat"]) == (1, 1, 1)
 
     def test_empty_word(self):
         r = stirling_stats(())
         assert r == stirling_stat_record(())
-        assert r.asc == r.des == r.fap == 0
+        assert r["asc"] == r["des"] == r["fap"] == 0
 
     def test_invalid_word_rejected(self):
         with pytest.raises(ValueError):
@@ -69,24 +67,24 @@ class TestStirlingStats:
         # lap = ap + [plateau start], asc + des + plat = 2n + 1 (n >= 1)
         for w in iter_objects("stirling", min(n, 6)):
             r = stirling_stat_record(w)
-            assert r.asc == r.lap + r.dasc
-            assert r.plat == r.lap + r.dp
-            assert r.fap == r.ap + r.lap
-            assert r.lap == r.ap + (1 if len(w) >= 2 and w[0] == w[1] else 0)
+            assert r["asc"] == r["lap"] + r["dasc"]
+            assert r["plat"] == r["lap"] + r["dp"]
+            assert r["fap"] == r["ap"] + r["lap"]
+            assert r["lap"] == r["ap"] + (1 if len(w) >= 2 and w[0] == w[1] else 0)
             if w:
-                assert r.asc + r.des + r.plat == len(w) + 1
+                assert r["asc"] + r["des"] + r["plat"] == len(w) + 1
 
 
 class TestSignedStats:
     def test_worked_example(self):
         r = signed_stats((4, -3, 1, 5, 2))
-        assert (r.desA, r.fdes, r.fasc) == (2, 4, 5)
+        assert (r["desA"], r["fdes"], r["fasc"]) == (2, 4, 5)
 
     def test_one_letter(self):
-        assert signed_stats((1,)).fdes == 0
-        assert signed_stats((1,)).fasc == 1
-        assert signed_stats((-1,)).fdes == 1
-        assert signed_stats((-1,)).fasc == 0
+        assert signed_stats((1,))["fdes"] == 0
+        assert signed_stats((1,))["fasc"] == 1
+        assert signed_stats((-1,))["fdes"] == 1
+        assert signed_stats((-1,))["fasc"] == 0
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
@@ -98,19 +96,19 @@ class TestSignedStats:
     def test_structural_laws(self, n):
         for values in iter_objects("signed", n):
             r = signed_stat_record(values)
-            assert r.fdes + r.fasc == 2 * n - 1
-            assert r.fdes == 2 * r.desA + (1 if values[0] < 0 else 0)
-            assert r.desB == r.desA + (1 if values[0] < 0 else 0)
+            assert r["fdes"] + r["fasc"] == 2 * n - 1
+            assert r["fdes"] == 2 * r["desA"] + (1 if values[0] < 0 else 0)
+            assert r["desB"] == r["desA"] + (1 if values[0] < 0 else 0)
 
 
 class TestMatchingAndPermutation:
     def test_single_block(self):
         r = matching_stats([(1, 2)])
-        assert (r.el, r.ol) == (1, 0)
+        assert (r["el"], r["ol"]) == (1, 0)
 
     def test_crossing(self):
         r = matching_stats([(1, 3), (2, 4)])
-        assert (r.el, r.ol) == (1, 1)
+        assert (r["el"], r["ol"]) == (1, 1)
 
     def test_matching_polynomials_n2(self):
         ol = distribution("matching", 2, ["ol"]).poly()
@@ -121,7 +119,7 @@ class TestMatchingAndPermutation:
     def test_el_plus_ol(self):
         for blocks in iter_objects("matching", 3):
             r = matching_stats(blocks)
-            assert r.el + r.ol == 3
+            assert r["el"] + r["ol"] == 3
 
     def test_perm_des(self):
         assert perm_des((1, 2, 3)) == 0
@@ -149,6 +147,14 @@ def test_validators_reject_bad_objects():
         matching_stats([(1, 2), (2, 3)])
     with pytest.raises(ValueError, match=r"^not a perfect matching"):
         matching_stats([(1, 2, 3, 4)])
+    # entries equal to ints but of another type are not letters
+    with pytest.raises(ValueError, match=r"^not a Stirling permutation: \(1\.0, 1\.0\)$"):
+        stirling_stats((1.0, 1.0))
+    with pytest.raises(ValueError, match=r"^not a signed permutation: \(1\.0,\)$"):
+        signed_stats((1.0,))
+    with pytest.raises(ValueError,
+                       match=r"^not a perfect matching of \[2n\]: \[\(1\.0, 2\.0\)\]$"):
+        matching_stats([(1.0, 2.0)])
     assert alpha_inverse([2, 1, 3]) == (1, 2, 2, 1, 3, 3)
     with pytest.raises(ValueError, match=r"^not a permutation of \[n\]: \(1, 3\)$"):
         alpha_inverse((1, 3))
@@ -210,14 +216,14 @@ class TestDistribution:
         assert obj["entries"][0] == {"value": [1], "count": 1}
 
 
-def stirling_stats_by_definition(w) -> StirlingStatRecord:
+def stirling_stats_by_definition(w) -> dict[str, int]:
     # each statistic counted separately from the padding convention of the
     # module docstring, as the oracle of the one-pass scan
     p = (0, *w, 0)
     m = len(w)
     lap_at = [i for i in range(1, m + 1) if p[i - 1] < p[i] == p[i + 1]]
     ap = sum(1 for i in lap_at if i >= 2)
-    return StirlingStatRecord(
+    return dict(
         asc=sum(p[i] < p[i + 1] for i in range(0, m)),
         des=sum(p[i] > p[i + 1] for i in range(1, m + 1)),
         plat=sum(p[i] == p[i + 1] for i in range(1, m)),
@@ -249,9 +255,27 @@ def test_tuple_scans_equal_record_fields(klass, orders):
         for obj in iter_objects(klass, n):
             fields = record(obj)
             if klass != "permutation":
-                assert tuple(type(fields).__dataclass_fields__) == STATS_BY_CLASS[klass]
-                fields = astuple(fields)
+                assert tuple(fields) == STATS_BY_CLASS[klass]
+                fields = tuple(fields.values())
             assert scan(obj) == fields
+
+
+_CHECKED = {
+    "stirling": stirling_stats,
+    "signed": signed_stats,
+    "matching": matching_stats,
+}
+
+
+@pytest.mark.parametrize("klass", list(_CHECKED))
+def test_stats_are_keyed_by_the_class_names_in_order(klass):
+    # the names are written once, in STATS_BY_CLASS; both entry points key
+    # their dict by them, in that order
+    names = STATS_BY_CLASS[klass]
+    for n in range(1 if klass == "signed" else 0, 5):
+        for obj in iter_objects(klass, n):
+            for fn in (_CHECKED[klass], _RECORDS[klass]):
+                assert tuple(fn(obj)) == names
 
 
 def test_stirling_scan_matches_definitions():
