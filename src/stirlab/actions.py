@@ -25,19 +25,23 @@ Gray-code order.
 
 The beta move slides the first copy of a chosen value left regardless of its
 surroundings.  It is the same left slide as the descent-plateau toggle (one
-private kernel carries both); only the choice of letter differs.  Together
-with alpha (delete every first copy) the beta moves realize the bijection
-between the normalized words (no descent-plateau and lap + dasc = n, one per
-permutation) and permutations.
+private kernel carries both); only the choice of letter differs.  The slide
+changes the word only when a larger letter comes just before that first
+copy; one private kernel holds that rule, and :func:`beta_set` and the
+``alpha-bijection`` check both call it.  Together with alpha (delete every
+first copy) the beta moves realize the bijection between the normalized
+words (no descent-plateau and lap + dasc = n, one per permutation) and
+permutations.
 
 Every slide checks that its output is a Stirling permutation and raises
 :class:`IdentityViolationError` when it is not.  The public moves check with
-:func:`is_stirling`, and :func:`orbit` and :func:`beta_set` check their
-input too.  The identity loops, which read the scan table of Q_n
-anyway (its keys are Q_n), pass that table as ``within`` to :func:`beta_set`
-and :func:`orbit_members`, and each slide then checks its output by
-membership in Q_n: the same property, reached by pair insertion instead of
-the stack definition, at a tenth of the cost.
+:func:`is_stirling`, and :func:`orbit`, :func:`orbit_members` and
+:func:`beta_set` check their input too.  The ``fs-symmetry`` loop, which
+reads the scan table of Q_n anyway (its keys are Q_n), passes that table as
+``within`` to :func:`orbit_members`, and each toggle then checks its output
+by membership in Q_n: the same property, reached by pair insertion instead
+of the stack definition, at a tenth of the cost.  A value that is not a
+letter of the word raises ValueError naming both.
 """
 from __future__ import annotations
 
@@ -139,8 +143,7 @@ def movable_index(word: Sequence[int], v: int) -> int | None:
     A value is movable when its first copy sits on a double ascent or its
     adjacent pair sits on a descent-plateau; at most one of these can occur.
     """
-    first = word.index(v)
-    second = word.index(v, first + 1)
+    first, second = _pair(word, v)
     left = word[first - 1] if first else 0
     if second == first + 1:
         return first + 1 if left > v else None
@@ -149,11 +152,29 @@ def movable_index(word: Sequence[int], v: int) -> int | None:
     return first + 1 if left < v else None
 
 
+def _pair(word: Sequence[int], v: int) -> tuple[int, int]:
+    """The 0-based indices of the two copies of v; ValueError, naming v and
+    the word, when there are not two."""
+    try:
+        first = word.index(v)
+        return first, word.index(v, first + 1)
+    except ValueError:
+        raise _not_twice(v, word) from None
+
+
+def _not_twice(v, word: Sequence[int]) -> ValueError:
+    return ValueError(f"{v!r} does not occur twice in {tuple(word)}")
+
+
 def _toggle(word: Word, v: int, check: Check) -> Word:
-    # the two lookups of movable_index; an adjacent pair is a descent-plateau
-    # and slides left, a non-adjacent one a double ascent and slides right
-    first = word.index(v)
-    second = word.index(v, first + 1)
+    # the lookups of movable_index, inline for the orbit walks; an adjacent
+    # pair is a descent-plateau and slides left, a non-adjacent one a double
+    # ascent and slides right
+    try:
+        first = word.index(v)
+        second = word.index(v, first + 1)
+    except ValueError:
+        raise _not_twice(v, word) from None
     left = word[first - 1] if first else 0
     if second == first + 1:
         return _slide_left(word, first, v, check) if left > v else word
@@ -209,22 +230,34 @@ def orbit(sigma) -> Word:
     return _representative(word, None)
 
 
-def orbit_members(rep, *, within: Collection[Word] | None = None) -> Iterator[Word]:
-    """All members of the orbit of a word, in Gray-code order over the
-    sorted free toggle values v_0 < v_1 < ...: one toggle per step, the k-th
-    member (from 0) with v_t on for each set bit t of k ^ (k >> 1).  Each
-    toggle's output is checked as in :func:`fs_action`, the toggles that
-    take a word with descent-plateaus to its representative included."""
-    word = tuple(rep)
-    values = []  # the free toggle values: the double ascents, in one pass
+def _free_values(word: Word) -> list[int] | None:
+    """The double-ascent values in increasing order, in one pass; None when
+    the word has a descent-plateau."""
+    values = []
     for left, v, right in zip((0, *word), word, (*word[1:], 0)):
         if left < v < right:
             values.append(v)
-        elif left > v == right:  # a descent-plateau: walk from the representative
-            yield from orbit_members(_representative(word, within), within=within)
-            return
+        elif left > v == right:
+            return None
     values.sort()
+    return values
+
+
+def orbit_members(rep, *, within: Collection[Word] | None = None) -> Iterator[Word]:
+    """All members of the orbit of a word, in Gray-code order over the
+    sorted free toggle values v_0 < v_1 < ...: one toggle per step, the k-th
+    member (from 0) with v_t on for each set bit t of k ^ (k >> 1).  The
+    input is checked once, and each toggle's output, the toggles that take
+    a word with descent-plateaus to its representative included, as in
+    :func:`fs_action`."""
+    word = tuple(rep)
     check = _check(within)
+    if not check(word):
+        raise IdentityViolationError(f"orbit of {word}, not a Stirling permutation")
+    values = _free_values(word)
+    if values is None:  # a descent-plateau: walk from the representative
+        word = _representative(word, within)
+        values = _free_values(word)
     yield word
     for k in range(1, 2 ** len(values)):
         word = _toggle(word, values[(k & -k).bit_length() - 1], check)
@@ -243,11 +276,30 @@ def beta_move(sigma, x: int) -> Word:
     '3443567887652211'
     """
     word = tuple(sigma)
-    return _slide_left(word, word.index(x), x, is_stirling)
+    return _slide_left(word, _pair(word, x)[0], x, is_stirling)
 
 
-def beta_set(sigma, values: Iterable[int], *,
-             within: Collection[Word] | None = None) -> Word:
+def _beta_first(word: Word, x: int) -> int:
+    """The beta kernel: the 0-based index of the first x when a larger
+    letter comes just before it, so that the beta move of x slides it left;
+    0 when the move fixes the word (the first x leads it or follows a
+    smaller letter).  A missing x raises ValueError naming x and the word."""
+    try:
+        first = word.index(x)
+    except ValueError:
+        raise _not_twice(x, word) from None
+    return first if first and word[first - 1] > x else 0
+
+
+def _beta_fixes(word: Word, x: int) -> bool:
+    """Whether the beta moves of 1..x all fix the word."""
+    for y in range(1, x + 1):
+        if _beta_first(word, y):
+            return False
+    return True
+
+
+def beta_set(sigma, values: Iterable[int]) -> Word:
     """Apply beta moves for a set of values, in increasing value order.
 
     The order is part of the definition: moving a small value left can
@@ -256,18 +308,16 @@ def beta_set(sigma, values: Iterable[int], *,
     order is the one under which moving every value lands in the normalized
     set (no descent-plateau, lap + dasc = n).
 
-    The input, and each word a move changes, is checked as in
-    :func:`fs_action`; a move whose letter already follows a smaller one, or
-    leads the word, changes nothing and is skipped.
+    The input, and each word a move changes, is checked with
+    :func:`is_stirling`; a move whose letter already follows a smaller one,
+    or leads the word, changes nothing and is skipped.
     """
     word = tuple(sigma)
-    check = _check(within)
-    if not check(word):
+    if not is_stirling(word):
         raise IdentityViolationError(f"beta moves on {word}, not a Stirling permutation")
     for x in sorted(set(values)):
-        first = word.index(x)
-        if first and word[first - 1] > x:
-            word = _slide_left(word, first, x, check)
+        if first := _beta_first(word, x):
+            word = _slide_left(word, first, x, is_stirling)
     return word
 
 
@@ -309,7 +359,7 @@ def alpha_inverse_trace(pi) -> tuple[Word, frozenset[int], Word]:
     """(doubled word, beta value set, final word) of the inverse map; pi
     must be a permutation of [n], otherwise ValueError."""
     values = tuple(pi)
-    if (any(not isinstance(v, int) for v in values)
+    if (any(type(v) is not int for v in values)
             or sorted(values) != list(range(1, len(values) + 1))):
         raise ValueError(f"not a permutation of [n]: {values}")
     doubled = tuple(v for v in values for _ in range(2))

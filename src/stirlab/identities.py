@@ -18,6 +18,10 @@ does not fail at an order where one side is off by one.  A declared check
 whose bound is below every pair's start compares nothing: it reports a
 skip, which exits 0 but is not a pass.  ``fs-symmetry``, ``alpha-bijection``
 and ``asc-plat-decomposition`` walk the words of Q_n in hand-written runners.
+A route or runner that raises fails its check: an IdentityViolationError,
+a route's own guard, gives its message as the witness, any other Exception
+``n=<n>: <label>raised <Type>: <message>`` (without the order when a
+hand-written runner raised).
 
 Use :func:`run_identity` / :func:`run_all`; results serialize to JSON as
 ``{"name", "params", "pass", "witness"?, "millis", "skipped"?}``.
@@ -69,9 +73,15 @@ class Compare:
     start: int = 0
 
 
+def _raised(exc: Exception) -> str:
+    return f"raised {type(exc).__name__}: {exc}"
+
+
 def _run_routes(compare: tuple[Compare, ...], bound: int) -> str | None:
     """The shared loop: for n up to bound, compare each pair that has
-    started, evaluating every route once per n."""
+    started, evaluating every route once per n.  A route, or a table
+    build, that raises is the witness ``n=<n>: <label>raised <Type>: ...``
+    (a route's own IdentityViolationError keeps its message)."""
     built: dict = {}
     for n in range(bound + 1):
         values: dict = {}
@@ -81,13 +91,18 @@ def _run_routes(compare: tuple[Compare, ...], bound: int) -> str | None:
             for route in (c.left, c.right):
                 if route in values:
                     continue
-                if not isinstance(route, Table):
-                    values[route] = route(n)
-                    continue
-                if route.build not in built:
-                    built[route.build] = route.build(bound)
-                table = built[route.build]
-                values[route] = (table if route.part is None else table[route.part])[n]
+                try:
+                    if isinstance(route, Table):
+                        if route.build not in built:
+                            built[route.build] = route.build(bound)
+                        table = built[route.build]
+                        values[route] = (table if route.part is None else table[route.part])[n]
+                    else:
+                        values[route] = route(n)
+                except IdentityViolationError:
+                    raise
+                except Exception as exc:
+                    return f"n={n}: {c.label}{_raised(exc)}"
             if values[c.left] != values[c.right]:
                 return f"n={n}: {c.label}{values[c.left]} != {values[c.right]}"
     return None
@@ -145,6 +160,8 @@ class IdentityCheck:
             witness = self.runner(bound)
         except IdentityViolationError as exc:  # a route's own guard
             witness = str(exc)
+        except Exception as exc:  # a hand-written runner that broke
+            witness = _raised(exc)
         millis = (time.perf_counter() - start) * 1000.0
         return CheckResult(self.name, bound, witness is None, witness, round(millis, 3))
 
@@ -763,6 +780,40 @@ _S3_TABLE = [
 ]
 
 
+def _beta_stages(n: int, q_n: dict, normal: dict) -> str | None:
+    """Beta-normalize Q_n one value at a time.  Stage x holds the words of
+    Q_n that the beta moves of 1..x fix: stage 0 is Q_n, and stage x keeps
+    the words of stage x-1 that the move of x fixes.  Every other word of
+    stage x-1 is slid once; its image must be a word of stage x (the
+    slide's check) with the same alpha image.  Stage n must be the
+    normalized words.  By induction on x, beta_set(w, 1..n) is then a
+    normalized word with the alpha image of w for every w in Q_n, and no
+    normalized word moves: |Q_n| - n! slides in all, one per word that is
+    not normalized."""
+    alpha, slide = actions.alpha, actions._slide_left
+    beta_first, beta_fixes = actions._beta_first, actions._beta_fixes
+    stage = q_n  # the scan table's own words; later stages list them
+    for x in range(1, n + 1):
+        def in_stage(word: tuple, x=x) -> bool:
+            return word in q_n and beta_fixes(word, x)
+
+        kept = []
+        for word in stage:
+            if not (first := beta_first(word, x)):
+                kept.append(word)
+            elif alpha(slide(word, first, x, in_stage)) != alpha(word):
+                return f"n={n}: beta normalization of {word} changed its alpha image"
+        stage = kept
+    for word in stage:
+        if word not in normal:
+            return f"n={n}: beta normalization of {word} gave {word}"
+    if len(stage) != len(normal):
+        last = set(stage)
+        moved = next(w for w in normal if w not in last)
+        return f"n={n}: beta moved the normalized word {moved}"
+    return None
+
+
 @_register(
     "alpha-bijection",
     "alpha restricted to the normalized words (dp = 0 and lap + dasc = n) is "
@@ -772,8 +823,7 @@ _S3_TABLE = [
 )
 def _alpha_bijection(bound: int) -> str | None:
     for n in range(bound + 1):
-        values = list(range(1, n + 1))
-        q_n = stirling_scans(n)  # each beta move's output must lie in Q_n
+        q_n = stirling_scans(n)
         # each normalized word's alpha image, computed once and read below
         normal: dict[tuple, tuple] = {}
         for word, record in q_n.items():
@@ -784,16 +834,8 @@ def _alpha_bijection(bound: int) -> str | None:
                 if dasc != des or lap != n - des:
                     return f"n={n}: statistics of {word} do not match des {image}"
                 normal[word] = image
-        for word in q_n:
-            moved = actions.beta_set(word, values, within=q_n)
-            target = normal.get(moved)
-            if target is None:
-                return f"n={n}: beta normalization of {word} gave {moved}"
-            if word in normal:
-                if moved != word:
-                    return f"n={n}: beta moved the normalized word {word}"
-            elif actions.alpha(word) != target:
-                return f"n={n}: beta normalization of {word} changed its alpha image"
+        if witness := _beta_stages(n, q_n, normal):
+            return witness
         if len(normal) != math.factorial(n):
             return f"n={n}: {len(normal)} normalized words, expected {n}!"
         if len(set(normal.values())) != math.factorial(n):

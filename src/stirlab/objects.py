@@ -48,7 +48,7 @@ def is_stirling(word: Sequence[int]) -> bool:
     stack: list[int] = []  # the open values below the innermost one
     top = 0  # the innermost open value, 0 when none is open
     for v in word:
-        if not isinstance(v, int) or v < 1 or v > n:
+        if type(v) is not int or v < 1 or v > n:
             return False
         if v == top:
             # second occurrence closing the innermost open value
@@ -68,7 +68,7 @@ def is_stirling(word: Sequence[int]) -> bool:
 
 
 def _is_signed(values: Sequence[int]) -> bool:
-    if any(not isinstance(v, int) or v == 0 for v in values):
+    if any(type(v) is not int or v == 0 for v in values):
         return False
     return sorted(abs(v) for v in values) == list(range(1, len(values) + 1))
 
@@ -76,7 +76,7 @@ def _is_signed(values: Sequence[int]) -> bool:
 def _is_matching(blocks: tuple[tuple[int, ...], ...]) -> bool:
     """Whether ``blocks`` partition [2n] into pairs of ints."""
     flat = [e for b in blocks for e in b]
-    if any(len(b) != 2 for b in blocks) or any(not isinstance(e, int) for e in flat):
+    if any(len(b) != 2 for b in blocks) or any(type(e) is not int for e in flat):
         return False
     return sorted(flat) == list(range(1, len(flat) + 1))
 

@@ -147,9 +147,26 @@ class TestOrbits:
     @pytest.mark.parametrize("w", [word("2121"), word("1212"), word("12"), (1.0, 1.0)])
     def test_orbit_checks_its_input(self, w):
         # none of these has a descent-plateau, so no toggle would see it
-        with pytest.raises(IdentityViolationError,
-                           match=r"^orbit of \(.*\), not a Stirling permutation$"):
-            orbit(w)
+        # (orbit_members on 1212 used to reach a toggle, whose check named
+        # a slide instead)
+        for walk in (orbit, lambda w: list(orbit_members(w)),
+                     lambda w: list(orbit_members(w, within=stirling_scans(2)))):
+            with pytest.raises(IdentityViolationError,
+                               match=r"^orbit of \(.*\), not a Stirling permutation$"):
+                walk(w)
+
+    def test_orbit_members_checks_its_input_by_one_lookup(self):
+        looked_up = []
+
+        class Counting(frozenset):
+            def __contains__(self, w):
+                looked_up.append(w)
+                return super().__contains__(w)
+
+        walk = list(orbit_members(word("123321"), within=Counting(stirling_scans(3))))
+        assert len(walk) == 4
+        # the input once, then each of the three toggles' outputs
+        assert looked_up == walk
 
     def test_orbit_members_accepts_a_word(self):
         assert set(orbit_members(word("2211"))) == {word("1221"), word("2211")}
@@ -311,13 +328,21 @@ class TestBetaMoves:
         assert beta_move(beta_move(w, 2), 1) == word("133221")
         assert beta_set(w, (2, 1)) == beta_set(w, (1, 2)) == word("123321")
 
-    @pytest.mark.parametrize("within", [None, "table"])
-    def test_beta_set_checks_its_input(self, within):
+    def test_beta_set_checks_its_input(self):
         # every beta move on 1212 is a no-op, so only the input check sees it
-        table = stirling_scans(2) if within else None
         with pytest.raises(IdentityViolationError,
                            match=r"^beta moves on \(1, 2, 1, 2\), not a Stirling"):
-            beta_set(word("1212"), {1, 2}, within=table)
+            beta_set(word("1212"), {1, 2})
+
+    @pytest.mark.parametrize("move, args, message", [
+        (beta_move, ((1, 1), "a"), r"^'a' does not occur twice in \(1, 1\)$"),
+        (beta_set, ((1, 1), ["a"]), r"^'a' does not occur twice in \(1, 1\)$"),
+        (fs_toggle_value, ((1, 1), 5), r"^5 does not occur twice in \(1, 1\)$"),
+        (movable_index, ((1, 1), 5), r"^5 does not occur twice in \(1, 1\)$"),
+    ], ids=["beta_move", "beta_set", "fs_toggle_value", "movable_index"])
+    def test_a_value_missing_from_the_word_is_named(self, move, args, message):
+        with pytest.raises(ValueError, match=message):
+            move(*args)
 
     @pytest.mark.parametrize("n", range(1, 5))
     def test_doubled_words_commute(self, n):
@@ -485,7 +510,6 @@ class TestMembershipCheck:
         values = range(1, n + 1)
         positions = range(1, 2 * n + 1)
         for w in iter_objects("stirling", n):
-            assert beta_set(w, values, within=q_n) == beta_set(w, values)
             assert fs_action(w, positions, within=q_n) == fs_action(w, positions)
 
     def test_an_output_outside_within_raises(self):
@@ -496,20 +520,13 @@ class TestMembershipCheck:
         with pytest.raises(IdentityViolationError,
                            match=r"^sliding 1 right in \(1, 2, 2, 1\) gave \(2, 2, 1, 1\)$"):
             fs_action(word("1221"), [1], within=q_2 - {word("2211")})
-        w = word("331221")
-        normalized = beta_set(w, {1, 2, 3})
-        q_3 = frozenset(iter_objects("stirling", 3))
-        with pytest.raises(IdentityViolationError, match="left"):
-            beta_set(w, {1, 2, 3}, within=q_3 - {normalized})
 
     @pytest.mark.parametrize("n", range(6))
     def test_a_scan_table_checks_by_its_keys(self, n):
-        # the identity loops pass the dict from each word of Q_n to its scan
+        # the fs-symmetry loop passes the dict from each word of Q_n to its scan
         table = stirling_scans(n)
-        values = range(1, n + 1)
         positions = range(1, 2 * n + 1)
         for w in table:
-            assert beta_set(w, values, within=table) == beta_set(w, values)
             assert fs_action(w, positions, within=table) == fs_action(w, positions)
 
     def test_an_output_missing_from_the_table_raises(self):
@@ -520,10 +537,9 @@ class TestMembershipCheck:
 
     def test_within_replaces_the_stirling_check(self, monkeypatch):
         w = word("331221")
-        normalized, toggled = beta_set(w, {1, 2, 3}), fs_action(w, range(1, 7))
+        toggled = fs_action(w, range(1, 7))
         monkeypatch.setattr(actions_module, "is_stirling", lambda w: False)
         q_3 = frozenset(iter_objects("stirling", 3))
-        assert beta_set(w, {1, 2, 3}, within=q_3) == normalized
         assert fs_action(w, range(1, 7), within=q_3) == toggled
 
 

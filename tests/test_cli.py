@@ -310,6 +310,31 @@ class TestVerify:
         assert out.startswith("FAIL  n-closed-form (max_n=5)")
         assert "witness: closed form of N_1 is not integral: 2^1 N_1 = 1\n" in out
 
+    def test_a_route_that_raises_is_a_fail_not_an_error(self, monkeypatch):
+        import stirlab.tables as tb
+
+        def broken(n):
+            raise ValueError(f"need 1 <= i <= n, got n={n}")
+
+        monkeypatch.setattr(tb, "f_poly", broken)
+        code, out = run_cli("verify", "--all", "--max-n", "3")
+        assert code == 1
+        rows = [line for line in out.splitlines() if not line.startswith("  ")]
+        assert len(rows) == 31
+        failed = [row.split()[1] for row in rows if row.startswith("FAIL")]
+        # the two identities whose routes read F_n
+        assert failed == ["flag-adin", "t-egf-product"]
+        assert "  witness: n=0: raised ValueError: need 1 <= i <= n, got n=0\n" in out
+        assert "  witness: n=1: raised ValueError: need 1 <= i <= n, got n=1\n" in out
+
+    def test_a_hand_written_runner_that_raises_is_a_fail(self, monkeypatch):
+        import stirlab.identities as ids
+
+        monkeypatch.setattr(ids, "stirling_scans", lambda n: {}[n])
+        code, out = run_cli("verify", "--identity", "alpha-bijection", "--max-n", "2")
+        assert code == 1
+        assert "witness: raised KeyError: 0\n" in out
+
     @pytest.mark.parametrize("name, witness", [
         ("alpha-bijection", "sliding 2 left in (2, 2, 1, 1) gave (2, 2, 2, 1)"),
         ("fs-symmetry", "sliding 2 left in (3, 3, 2, 2, 1, 1) gave (2, 3, 3, 2, 2, 1)"),

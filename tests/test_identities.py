@@ -10,7 +10,7 @@ import stirlab.actions as actions
 import stirlab.grammar as grammar
 import stirlab.identities as ids
 import stirlab.stats as stats
-from stirlab.errors import ResourceLimitError
+from stirlab.errors import IdentityViolationError, ResourceLimitError
 from stirlab.identities import (
     REGISTRY,
     UnknownIdentityError,
@@ -184,8 +184,11 @@ def test_witness_on_forced_failure(monkeypatch):
 # is_stirling check on every slide gives, whichever check each slide uses;
 # beta_set slides only letters that move, and checks its input once besides
 @pytest.mark.parametrize("name, checks, by_is_stirling", [
-    # the alpha_inverse loop and order-3 table: 289 slides and 160 inputs
-    ("alpha-bijection", 1914, 449),
+    # the stage pass slides each word of Q_n that is not normalized once
+    # (916 = sum of (2n-1)!! - n! over n <= 5), checked by membership in its
+    # stage; the alpha_inverse loop and order-3 table make 289 slides and
+    # check 160 inputs with is_stirling
+    ("alpha-bijection", 916 + 289, 449),
     ("fs-symmetry", 672, 0),
 ])
 def test_every_slide_is_checked_once(monkeypatch, name, checks, by_is_stirling):
@@ -214,15 +217,98 @@ def test_every_slide_is_checked_once(monkeypatch, name, checks, by_is_stirling):
     assert len(stack_checked) == by_is_stirling
 
 
-def test_alpha_runs_once_per_word(monkeypatch):
-    # each word of Q_n is mapped by alpha once: the normalized words to
-    # table their images, the others to compare with their normalization's
+# sum of |Q_n| = (2n-1)!! over n <= 6, and of n!
+Q_SIZES = (1, 1, 3, 15, 105, 945, 10395)
+FACTORIALS = (1, 1, 2, 6, 24, 120, 720)
+
+
+def test_alpha_runs_once_per_normalized_word_and_twice_per_slide(monkeypatch):
+    # the normalized words' images are tabled; each slide maps the word and
+    # its image, to compare them
     calls = []
     alpha = actions.alpha
     monkeypatch.setattr(actions, "alpha", lambda w: calls.append(w) or alpha(w))
     assert REGISTRY["alpha-bijection"].runner(5) is None
-    # sum of |Q_n| = (2n-1)!! over n <= 5
-    assert len(calls) == 1 + 1 + 3 + 15 + 105 + 945 == 1070
+    slides = sum(Q_SIZES[:6]) - sum(FACTORIALS[:6])
+    assert len(calls) == sum(FACTORIALS[:6]) + 2 * slides == 154 + 2 * 916 == 1986
+
+
+def _recorded_stage_slides(monkeypatch, bound: int) -> list[list]:
+    """The slides the alpha-bijection runner makes up to bound, listed by
+    order n as (x, word, moved)."""
+    slides: list[list] = [[] for _ in range(bound + 1)]
+
+    def recording(word, first, x, check):
+        moved = actions._slide_left(word, first, x, check)
+        slides[len(word) // 2].append((x, word, moved))
+        return moved
+
+    monkeypatch.setattr(ids, "actions", _actions_with(_slide_left=recording))
+    assert REGISTRY["alpha-bijection"].runner(bound) is None
+    return slides
+
+
+def test_the_stage_pass_normalizes_each_word_as_beta_set(monkeypatch):
+    # beta_set, the public moves in increasing value order, is the oracle
+    slides = _recorded_stage_slides(monkeypatch, 6)
+    for n, made in enumerate(slides):
+        step = [{} for _ in range(n + 1)]
+        for x, word, moved in made:
+            step[x][word] = moved
+        for word in stats.stirling_scans(n):
+            reached = word
+            for x in range(1, n + 1):
+                reached = step[x].get(reached, reached)
+            assert reached == actions.beta_set(word, range(1, n + 1))
+
+
+def test_the_stage_pass_slides_each_unnormalized_word_once(monkeypatch):
+    slides = _recorded_stage_slides(monkeypatch, 6)
+    assert [len(made) for made in slides] == [q - f for q, f in zip(Q_SIZES, FACTORIALS)]
+    # no word is slid twice, at one value or at two
+    assert all(len({word for _, word, _ in made}) == len(made) for made in slides)
+
+
+def test_alpha_bijection_keeps_no_slid_word():
+    # the stages hold references to the scan table's keys, and each slide's
+    # image is dropped once compared, where a map from each word to its
+    # normalization would hold a copy of each
+    runner = REGISTRY["alpha-bijection"].runner
+    assert runner(6) is None  # warm the scan tables
+    slid = 0
+    for w in stats.stirling_scans(6):
+        r = stats.stirling_stat_record(w)
+        if r["dp"] or r["lap"] + r["dasc"] != 6:
+            slid += sys.getsizeof(w)
+    tracemalloc.start()
+    try:
+        assert runner(6) is None
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < slid
+
+
+def test_a_slide_must_land_in_its_stage(monkeypatch):
+    # a slide that leaves its word where it was stays in Q_n, but the move
+    # it was made for does not fix its output: only the stage check sees it
+    def stuck(word, first, x, check):
+        if not check(word):
+            raise IdentityViolationError(f"sliding {x} left in {word} gave {word}")
+        return word
+
+    monkeypatch.setattr(ids, "actions", _actions_with(_slide_left=stuck))
+    r = run_identity("alpha-bijection", 3)
+    assert r.witness == "sliding 1 left in (2, 2, 1, 1) gave (2, 2, 1, 1)"
+
+
+def test_a_normalized_word_missing_from_the_last_stage_is_named():
+    # a normalized table with one word too many: the stages cannot reach it
+    q_2 = stats.stirling_scans(2)
+    normal = {w: actions.alpha(w) for w in q_2}
+    assert ids._beta_stages(2, q_2, normal) == (
+        "n=2: beta moved the normalized word (2, 2, 1, 1)"
+    )
 
 
 def _actions_with(**replaced):
@@ -231,8 +317,8 @@ def _actions_with(**replaced):
 
 
 def test_alpha_bijection_fails_on_an_unnormalized_beta_image(monkeypatch):
-    # a beta_set that moves nothing leaves 2211 (dp = 1) where it was
-    monkeypatch.setattr(ids, "actions", _actions_with(beta_set=lambda w, *a, **k: w))
+    # a beta kernel that moves nothing leaves 2211 (dp = 1) where it was
+    monkeypatch.setattr(ids, "actions", _actions_with(_beta_first=lambda w, x: 0))
     r = run_identity("alpha-bijection", 3)
     assert not r.passed
     assert r.witness == "n=2: beta normalization of (2, 2, 1, 1) gave (2, 2, 1, 1)"

@@ -23,6 +23,8 @@ def brute_is_stirling(word) -> bool:
     # direct transcription of the defining property, as the oracle
     word = tuple(word)
     n = len(word) // 2
+    if any(type(v) is not int for v in word):  # a bool is not a letter
+        return False
     if sorted(word) != [v for v in range(1, n + 1) for _ in range(2)]:
         return False
     for v in range(1, n + 1):

@@ -160,6 +160,18 @@ def test_validators_reject_bad_objects():
         alpha_inverse((1, 3))
 
 
+# bool is a subclass of int, but True is not the letter 1
+@pytest.mark.parametrize("check, obj, message", [
+    (stirling_stats, (True, True), r"^not a Stirling permutation: \(True, True\)$"),
+    (signed_stats, (True,), r"^not a signed permutation: \(True,\)$"),
+    (matching_stats, [(True, 2)], r"^not a perfect matching of \[2n\]: \[\(True, 2\)\]$"),
+    (alpha_inverse, (True,), r"^not a permutation of \[n\]: \(True,\)$"),
+], ids=["stirling", "signed", "matching", "alpha_inverse"])
+def test_a_bool_is_not_a_letter(check, obj, message):
+    with pytest.raises(ValueError, match=message):
+        check(obj)
+
+
 class TestDistribution:
     def test_fap_order_2(self):
         table = distribution("stirling", 2, ["fap"])
