@@ -379,13 +379,20 @@ class TestByteStability:
 GOLDEN = Path(__file__).parent / "golden"
 
 
+# class, n and stats of each stats golden file
+STATS_GOLDEN_RUNS = [("stirling", 6, "lap,dasc,dp"), ("signed", 3, "desA,fdes"),
+                     ("matching", 4, "el,ol"), ("permutation", 5, "des")]
+
+
 @pytest.mark.parametrize("fmt,suffix", [("plain", "txt"), ("json", "json"),
                                         ("csv", "csv")])
 def test_stats_golden_bytes(fmt, suffix):
-    code, out = run_cli("--format", fmt, "stats", "--class", "stirling",
-                        "--n", "6", "--stats", "lap,dasc,dp")
-    assert code == 0
-    assert out == (GOLDEN / f"stats_stirling_6_lap_dasc_dp.{suffix}").read_text()
+    for klass, n, stats in STATS_GOLDEN_RUNS:
+        code, out = run_cli("--format", fmt, "stats", "--class", klass,
+                            "--n", str(n), "--stats", stats)
+        stem = f"stats_{klass}_{n}_{stats.replace(',', '_')}"
+        assert code == 0, stem
+        assert out == (GOLDEN / f"{stem}.{suffix}").read_text(), stem
 
 
 @pytest.mark.parametrize("klass,n", [("stirling", 3), ("signed", 2),
