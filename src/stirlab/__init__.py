@@ -49,7 +49,6 @@ from .objects import (
 )
 from .polynomials import Poly
 from .stats import (
-    DistributionTable,
     distribution,
     matching_stats,
     perm_des,
@@ -98,8 +97,8 @@ __all__ = [
     # polynomials
     "Poly",
     # stats
-    "DistributionTable", "distribution", "matching_stats", "perm_des",
-    "signed_stats", "stirling_stats",
+    "distribution", "matching_stats", "perm_des", "signed_stats",
+    "stirling_stats",
     # tables
     "CoefficientTable", "TableCache", "a_poly", "b_poly", "c_poly",
     "cn_nn_tables", "eulerian", "f_poly", "g_poly", "gamma_number",

@@ -37,15 +37,15 @@ Every slide checks that its output is a Stirling permutation and raises
 :class:`IdentityViolationError` when it is not.  The public moves check with
 :func:`is_stirling`, and :func:`orbit`, :func:`orbit_members` and
 :func:`beta_set` check their input too.  The ``fs-symmetry`` loop, which
-reads the scan table of Q_n anyway (its keys are Q_n), passes that table as
-``within`` to :func:`orbit_members`, and each toggle then checks its output
-by membership in Q_n: the same property, reached by pair insertion instead
-of the stack definition, at a tenth of the cost.  A value that is not a
-letter of the word raises ValueError naming both.
+reads the scan table of Q_n anyway (its keys are Q_n), walks each orbit with
+a private walk that checks each toggle's output by membership in that table:
+the same property, reached by pair insertion instead of the stack
+definition, at a tenth of the cost.  A value that is not an int letter of
+the word raises ValueError naming both.
 """
 from __future__ import annotations
 
-from typing import Callable, Collection, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import IdentityViolationError
 from .objects import is_stirling
@@ -89,11 +89,6 @@ def index_sets(sigma) -> dict[str, frozenset[int]]:
 
 
 Check = Callable[[Word], bool]
-
-
-def _check(within: Collection[Word] | None) -> Check:
-    # is_stirling is looked up per call, so patching the module name reaches it
-    return is_stirling if within is None else within.__contains__
 
 
 def _slide_left(word: Word, first: int, v: int, check: Check) -> Word:
@@ -154,7 +149,8 @@ def movable_index(word: Sequence[int], v: int) -> int | None:
 
 def _pair(word: Sequence[int], v: int) -> tuple[int, int]:
     """The 0-based indices of the two copies of v; ValueError, naming v and
-    the word, when there are not two."""
+    the word, when v is not an int or there are not two."""
+    _check_letter(v, word)
     try:
         first = word.index(v)
         return first, word.index(v, first + 1)
@@ -164,6 +160,12 @@ def _pair(word: Sequence[int], v: int) -> tuple[int, int]:
 
 def _not_twice(v, word: Sequence[int]) -> ValueError:
     return ValueError(f"{v!r} does not occur twice in {tuple(word)}")
+
+
+def _check_letter(v, word: Sequence[int]) -> None:
+    # a float or a bool equal to a letter would pass the index lookups
+    if type(v) is not int:
+        raise _not_twice(v, word)
 
 
 def _toggle(word: Word, v: int, check: Check) -> Word:
@@ -184,35 +186,34 @@ def _toggle(word: Word, v: int, check: Check) -> Word:
 def fs_toggle_value(sigma, v: int) -> Word:
     """Toggle value v between double ascent and descent-plateau (a total
     involution; immovable values are fixed)."""
-    return _toggle(tuple(sigma), v, is_stirling)
+    word = tuple(sigma)
+    _check_letter(v, word)
+    return _toggle(word, v, is_stirling)
 
 
-def fs_action(sigma, positions: Iterable[int], *,
-              within: Collection[Word] | None = None) -> Word:
+def fs_action(sigma, positions: Iterable[int]) -> Word:
     """Apply the commuting toggles selected by a set of positions.
 
     Positions are read against the input word: each position that is a
     double ascent or descent-plateau selects its value for one toggle, any
     other position, in range or not, acts as the identity.
 
-    Each toggle's output is checked with :func:`is_stirling`, or by
-    membership in ``within``, a collection holding Q_n (a scan table of Q_n
-    checks by its keys).  A rejected output raises IdentityViolationError.
+    Each toggle's output is checked with :func:`is_stirling`; a rejected
+    output raises IdentityViolationError.
     """
     word = tuple(sigma)
     sets = index_sets(word)
     movable = sets["dasc"] | sets["dp"]
-    check = _check(within)
     for v in sorted({word[i - 1] for i in positions if i in movable}):
-        word = _toggle(word, v, check)
+        word = _toggle(word, v, is_stirling)
     return word
 
 
-def _representative(word: Word, within: Collection[Word] | None) -> Word:
-    # toggle every descent-plateau value off, each output checked as in
-    # fs_action
+def _representative(word: Word, check: Check) -> Word:
+    # toggle every descent-plateau value off, ``check`` testing each output
     if dp := index_sets(word)["dp"]:
-        word = fs_action(word, dp, within=within)
+        for v in sorted({word[i - 1] for i in dp}):
+            word = _toggle(word, v, check)
         if index_sets(word)["dp"]:
             raise IdentityViolationError(f"orbit representative {word} has descent-plateaus")
     return word
@@ -227,7 +228,7 @@ def orbit(sigma) -> Word:
     word = tuple(sigma)
     if not is_stirling(word):
         raise IdentityViolationError(f"orbit of {word}, not a Stirling permutation")
-    return _representative(word, None)
+    return _representative(word, is_stirling)
 
 
 def _free_values(word: Word) -> list[int] | None:
@@ -243,7 +244,7 @@ def _free_values(word: Word) -> list[int] | None:
     return values
 
 
-def orbit_members(rep, *, within: Collection[Word] | None = None) -> Iterator[Word]:
+def orbit_members(rep) -> Iterator[Word]:
     """All members of the orbit of a word, in Gray-code order over the
     sorted free toggle values v_0 < v_1 < ...: one toggle per step, the k-th
     member (from 0) with v_t on for each set bit t of k ^ (k >> 1).  The
@@ -251,12 +252,17 @@ def orbit_members(rep, *, within: Collection[Word] | None = None) -> Iterator[Wo
     a word with descent-plateaus to its representative included, as in
     :func:`fs_action`."""
     word = tuple(rep)
-    check = _check(within)
-    if not check(word):
+    if not is_stirling(word):
         raise IdentityViolationError(f"orbit of {word}, not a Stirling permutation")
+    return _walk(word, is_stirling)
+
+
+def _walk(word: Word, check: Check) -> Iterator[Word]:
+    """The walk of :func:`orbit_members` on a word known to lie in Q_n, with
+    ``check`` testing each toggle's output."""
     values = _free_values(word)
     if values is None:  # a descent-plateau: walk from the representative
-        word = _representative(word, within)
+        word = _representative(word, check)
         values = _free_values(word)
     yield word
     for k in range(1, 2 ** len(values)):
@@ -315,6 +321,9 @@ def beta_set(sigma, values: Iterable[int]) -> Word:
     word = tuple(sigma)
     if not is_stirling(word):
         raise IdentityViolationError(f"beta moves on {word}, not a Stirling permutation")
+    values = tuple(values)
+    for x in values:  # before the set, where True and 1 are one value
+        _check_letter(x, word)
     for x in sorted(set(values)):
         if first := _beta_first(word, x):
             word = _slide_left(word, first, x, is_stirling)

@@ -1,7 +1,7 @@
 """Command-line front end.
 
-Subcommands: ``enumerate`` (stream objects), ``stats`` (joint distribution
-tables), ``poly`` (named polynomial families), ``grammar`` (formal
+Subcommands: ``enumerate`` (stream objects), ``stats`` (joint
+distributions), ``poly`` (named polynomial families), ``grammar`` (formal
 derivatives from a rule file), ``verify`` (the identity registry).
 
 Output is byte-stable for fixed flags: enumeration order and polynomial term
@@ -29,7 +29,7 @@ from .errors import ResourceLimitError
 from .grammar import GrammarSyntaxError, derive_n, parse_grammar, parse_poly
 from .objects import STREAMS
 from .polynomials import XYZ, Poly, format_terms, monomial_str
-from .stats import DistributionTable, distribution
+from .stats import distribution
 
 _FORMATS = ("plain", "json", "csv")
 
@@ -79,20 +79,18 @@ def _cmd_enumerate(args: argparse.Namespace, out) -> int:
 # stats
 
 
-def _render_distribution(table: DistributionTable, fmt: str, out) -> None:
-    if fmt == "json":
-        print(json.dumps(table.to_json()), file=out)
-        return
-    sep = "," if fmt == "csv" else "\t"
-    print(sep.join([*table.stat_names, "count"]), file=out)
-    for value, count in table.items_sorted():
-        print(sep.join(map(str, (*value, count))), file=out)
-
-
 def _cmd_stats(args: argparse.Namespace, out) -> int:
     stats = [s.strip() for s in args.stats.split(",") if s.strip()]
-    table = distribution(args.klass, args.n, stats, max_n=args.bound)
-    _render_distribution(table, args.format, out)
+    counts = distribution(args.klass, args.n, stats, max_n=args.bound)
+    if args.format == "json":
+        entries = [{"value": list(v), "count": c} for v, c in counts.items()]
+        print(json.dumps({"class": args.klass, "n": args.n, "stats": stats,
+                          "entries": entries}), file=out)
+        return 0
+    sep = "," if args.format == "csv" else "\t"
+    print(sep.join([*stats, "count"]), file=out)
+    for value, count in counts.items():
+        print(sep.join(map(str, (*value, count))), file=out)
     return 0
 
 

@@ -209,11 +209,12 @@ def run_all(bound: int | None = None) -> list[CheckResult]:
 
 def _poly(klass: str, stat: str) -> Callable[[int], Poly]:
     """The route to the brute-force distribution of one statistic."""
-    return lambda n: distribution(klass, n, [stat]).poly()
+    return lambda n: Poly.from_counts(
+        {v: c for (v,), c in distribution(klass, n, [stat]).items()})
 
 
 def _tri(n: int) -> Poly:
-    return distribution("stirling", n, ["lap", "dasc", "dp"]).tripoly()
+    return Poly(XYZ, distribution("stirling", n, ["lap", "dasc", "dp"]))
 
 
 # (lap, dasc, dp) of a word from its statistics scan, for the per-word loops
@@ -282,7 +283,7 @@ def _flag_brute(klass: str, stat: str, exps) -> Callable[[int], Poly]:
 
     def brute(n: int) -> Poly:
         if n or klass == "stirling":
-            counts = distribution(klass, n, [stat]).counts
+            counts = distribution(klass, n, [stat])
         else:  # B_0 holds the empty signed permutation alone
             counts = {(0,): 1}
         return Poly(XYZ, ((exps(n, v), c) for (v,), c in counts.items()))
@@ -622,7 +623,7 @@ def _fs_symmetry(bound: int) -> str | None:
             if dp:
                 continue
             # walk the orbit: its k-th member has the s toggles of k ^ (k >> 1) on
-            for k, word in enumerate(actions.orbit_members(rep, within=q_n)):
+            for k, word in enumerate(actions._walk(rep, q_n.__contains__)):
                 s = (k ^ k >> 1).bit_count()
                 if _lap_dasc_dp(q_n[word]) != (lap, d - s, s):
                     a, b = _stats_text(rep), _stats_text(word)
@@ -633,8 +634,8 @@ def _fs_symmetry(bound: int) -> str | None:
                 return f"n={n}: the orbit of {rep} has {k + 1} members, not 2^{d}"
         if u := len(unwalked):
             return f"n={n}: the orbits walk {len(q_n) - u} words, {u} unwalked, of {len(q_n)}"
-        lap_asc = distribution("stirling", n, ["lap", "asc"]).counts
-        lap_plat = distribution("stirling", n, ["lap", "plat"]).counts
+        lap_asc = distribution("stirling", n, ["lap", "asc"])
+        lap_plat = distribution("stirling", n, ["lap", "plat"])
         if lap_asc != lap_plat:
             return f"n={n}: (lap, asc) and (lap, plat) differ"
     return None

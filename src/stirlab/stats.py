@@ -1,5 +1,5 @@
 """Statistics on Stirling permutations, signed permutations, matchings and
-permutations, plus exact joint distribution tables.
+permutations, plus their exact joint distributions.
 
 Boundary convention for a Stirling word sigma_1..sigma_2n: a virtual 0 sits
 at both ends.  Ascents read the pairs (sigma_i, sigma_{i+1}) for
@@ -30,7 +30,6 @@ signed statistics, and each count is expanded to a record per fdes value.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import gt
 from typing import Mapping, Sequence
@@ -43,7 +42,6 @@ from .objects import (
     is_stirling,
     iter_objects,
 )
-from .polynomials import XYZ, Poly
 
 STIRLING_STATS = ("asc", "des", "plat", "ap", "lap", "fap", "dasc", "dp")
 SIGNED_STATS = ("desA", "desB", "fdes", "fasc")
@@ -194,63 +192,16 @@ def _full_counts(klass: str, n: int) -> Mapping[tuple[int, ...], int]:
     return Counter(map(_SCANS[klass], iter_objects(klass, n)))
 
 
-@dataclass(frozen=True)
-class DistributionTable:
-    """Exact joint distribution of named statistics over one object class."""
-
-    klass: str
-    n: int
-    stat_names: tuple[str, ...]
-    counts: Mapping[tuple[int, ...], int]
-
-    def total(self) -> int:
-        return sum(self.counts.values())
-
-    def items_sorted(self) -> list[tuple[tuple[int, ...], int]]:
-        return sorted(self.counts.items())
-
-    def marginal(self, stats: Sequence[str]) -> DistributionTable:
-        """Project onto a subset (or reordering) of the tabulated statistics."""
-        idx = [self.stat_names.index(s) for s in stats]
-        out: Counter = Counter()
-        for values, c in self.counts.items():
-            out[tuple(values[i] for i in idx)] += c
-        return DistributionTable(self.klass, self.n, tuple(stats), dict(out))
-
-    def poly(self) -> Poly:
-        """The generating polynomial of a single-statistic table."""
-        if len(self.stat_names) != 1:
-            raise ValueError("poly() needs exactly one statistic")
-        return Poly.from_counts({v[0]: c for v, c in self.counts.items()})
-
-    def tripoly(self) -> Poly:
-        """The generating polynomial in x, y, z of a three-statistic table."""
-        if len(self.stat_names) != 3:
-            raise ValueError("tripoly() needs exactly three statistics")
-        return Poly(XYZ, self.counts)
-
-    def to_json(self) -> dict:
-        return {
-            "class": self.klass,
-            "n": self.n,
-            "stats": list(self.stat_names),
-            "entries": [
-                {"value": list(v), "count": c} for v, c in self.items_sorted()
-            ],
-        }
-
-
-def distribution(
-    klass: str,
-    n: int,
-    stats: Sequence[str],
-    *,
-    max_n: int | None = None,
-) -> DistributionTable:
-    """Exact joint distribution of ``stats`` over all objects of order n.
+def distribution(klass: str, n: int, stats: Sequence[str], *,
+                 max_n: int | None = None) -> dict[tuple[int, ...], int]:
+    """Exact joint distribution of ``stats`` over all objects of order n: the
+    count of each tuple of values, in sorted order.
 
     Enumeration is bounded (see DEFAULT_BOUNDS); pass ``max_n`` to move the
     limit.  Exceeding it raises ResourceLimitError.
+
+    >>> distribution("stirling", 2, ["fap"])
+    {(1,): 1, (2,): 1, (3,): 1}
     """
     if klass not in STATS_BY_CLASS:
         raise ValueError(f"unknown object class: {klass!r}")
@@ -258,6 +209,8 @@ def distribution(
     bad = [s for s in stats if s not in names]
     if bad:
         raise ValueError(f"unknown statistics for class {klass!r}: {bad}")
+    if type(n) is not int or n < 0:
+        raise ValueError(f"n must be a nonnegative int, got {n!r}")
     if klass == "signed" and n < 1:
         raise ValueError("signed distributions need n >= 1")
     bound = DEFAULT_BOUNDS[klass] if max_n is None else max_n
@@ -265,5 +218,8 @@ def distribution(
         raise ResourceLimitError(
             f"n={n} exceeds the enumeration bound {bound} for class {klass!r}"
         )
-    full = DistributionTable(klass, n, names, _full_counts(klass, n))
-    return full.marginal(stats)
+    idx = [names.index(s) for s in stats]
+    out: Counter = Counter()
+    for values, c in _full_counts(klass, n).items():
+        out[tuple(values[i] for i in idx)] += c
+    return dict(sorted(out.items()))

@@ -25,6 +25,7 @@ from stirlab.actions import (
     orbit_members,
 )
 import stirlab.actions as actions_module
+from stirlab.actions import _walk
 from stirlab.errors import IdentityViolationError
 from stirlab.objects import is_stirling, iter_objects
 from stirlab.stats import stirling_scans, stirling_stat_record, stirling_stats
@@ -149,24 +150,35 @@ class TestOrbits:
         # none of these has a descent-plateau, so no toggle would see it
         # (orbit_members on 1212 used to reach a toggle, whose check named
         # a slide instead)
-        for walk in (orbit, lambda w: list(orbit_members(w)),
-                     lambda w: list(orbit_members(w, within=stirling_scans(2)))):
+        for walk in (orbit, lambda w: list(orbit_members(w))):
             with pytest.raises(IdentityViolationError,
                                match=r"^orbit of \(.*\), not a Stirling permutation$"):
                 walk(w)
 
-    def test_orbit_members_checks_its_input_by_one_lookup(self):
+    def test_orbit_members_checks_its_input_by_one_lookup(self, monkeypatch):
         looked_up = []
 
-        class Counting(frozenset):
-            def __contains__(self, w):
-                looked_up.append(w)
-                return super().__contains__(w)
+        def counting(w):
+            looked_up.append(w)
+            return is_stirling(w)
 
-        walk = list(orbit_members(word("123321"), within=Counting(stirling_scans(3))))
+        monkeypatch.setattr(actions_module, "is_stirling", counting)
+        walk = list(orbit_members(word("123321")))
         assert len(walk) == 4
         # the input once, then each of the three toggles' outputs
         assert looked_up == walk
+        # the private walk, fed a word of Q_n, checks the outputs alone
+        looked_up.clear()
+        assert list(_walk(word("123321"), counting)) == walk
+        assert looked_up == walk[1:]
+
+    def test_within_is_gone(self):
+        # a membership check cannot tell 1.0 from 1, so the public moves
+        # take no set to check by
+        with pytest.raises(TypeError, match="within"):
+            fs_action(word("1221"), [1], within=stirling_scans(2))
+        with pytest.raises(TypeError, match="within"):
+            orbit_members(word("1221"), within=stirling_scans(2))
 
     def test_orbit_members_accepts_a_word(self):
         assert set(orbit_members(word("2211"))) == {word("1221"), word("2211")}
@@ -211,14 +223,15 @@ class TestOrbits:
 
 
 class TestOrbitWalk:
-    """``orbit_members`` walks an orbit by one toggle per step."""
+    """``orbit_members`` walks an orbit by one toggle per step; the private
+    walk of the fs-symmetry loop checks each step by membership in Q_n."""
 
     @staticmethod
     def walks(n):
         q_n = stirling_scans(n)
         for w in q_n:
             if not index_sets(w)["dp"]:
-                yield w, list(orbit_members(w, within=q_n))
+                yield w, list(_walk(w, q_n.__contains__))
 
     @pytest.mark.parametrize("n", range(7))
     def test_the_walks_visit_each_word_once(self, n):
@@ -246,7 +259,7 @@ class TestOrbitWalk:
 
     def test_a_step_outside_within_raises(self):
         q_2 = frozenset(iter_objects("stirling", 2))
-        walk = orbit_members(word("1221"), within=q_2 - {word("2211")})
+        walk = _walk(word("1221"), (q_2 - {word("2211")}).__contains__)
         assert next(walk) == word("1221")
         with pytest.raises(IdentityViolationError,
                            match=r"^sliding 1 right in \(1, 2, 2, 1\) gave \(2, 2, 1, 1\)$"):
@@ -254,9 +267,10 @@ class TestOrbitWalk:
 
     def test_the_way_to_the_representative_is_checked_against_within(self):
         # 2211 has a descent-plateau at 1; toggling it off gives 1221, which
-        # is left out of within, so the walk raises before yielding anything
+        # is left out of the set the walk checks by, so it raises before
+        # yielding anything
         q_2 = frozenset(iter_objects("stirling", 2))
-        walk = orbit_members(word("2211"), within=q_2 - {word("1221")})
+        walk = _walk(word("2211"), (q_2 - {word("1221")}).__contains__)
         with pytest.raises(IdentityViolationError,
                            match=r"^sliding 1 left in \(2, 2, 1, 1\) gave \(1, 2, 2, 1\)$"):
             next(walk)
@@ -339,7 +353,17 @@ class TestBetaMoves:
         (beta_set, ((1, 1), ["a"]), r"^'a' does not occur twice in \(1, 1\)$"),
         (fs_toggle_value, ((1, 1), 5), r"^5 does not occur twice in \(1, 1\)$"),
         (movable_index, ((1, 1), 5), r"^5 does not occur twice in \(1, 1\)$"),
-    ], ids=["beta_move", "beta_set", "fs_toggle_value", "movable_index"])
+        # not ints: a float or a bool equal to a letter, or a value that
+        # cannot sort against the letters
+        (beta_set, ((1, 1), [1, "a"]), r"^'a' does not occur twice in \(1, 1\)$"),
+        (beta_set, ((2, 2, 1, 1), [1.0]), r"^1\.0 does not occur twice in \(2, 2, 1, 1\)$"),
+        (beta_set, ((1, 1), [1, True]), r"^True does not occur twice in \(1, 1\)$"),
+        (beta_move, ((2, 2, 1, 1), 1.0), r"^1\.0 does not occur twice in \(2, 2, 1, 1\)$"),
+        (fs_toggle_value, ((1, 2, 2, 1), 2.0), r"^2\.0 does not occur twice in \(1, 2, 2, 1\)$"),
+        (movable_index, ((1, 2, 2, 1), True), r"^True does not occur twice in \(1, 2, 2, 1\)$"),
+    ], ids=["beta_move", "beta_set", "fs_toggle_value", "movable_index",
+            "beta_set-str", "beta_set-float", "beta_set-bool", "beta_move-float",
+            "fs_toggle_value-float", "movable_index-bool"])
     def test_a_value_missing_from_the_word_is_named(self, move, args, message):
         with pytest.raises(ValueError, match=message):
             move(*args)
@@ -468,7 +492,7 @@ class TestAssertsStay:
             fs_move(word("2447887332115665"), 1)
 
     def test_orbit_checks_its_representative(self, monkeypatch):
-        monkeypatch.setattr(actions_module, "fs_action", lambda w, positions, within=None: w)
+        monkeypatch.setattr(actions_module, "_toggle", lambda w, v, check: w)
         with pytest.raises(IdentityViolationError, match="descent-plateau"):
             orbit(word("2211"))
 
@@ -488,7 +512,7 @@ class TestAssertsStay:
             "    except IdentityViolationError:\n"
             "        return True\n"
             "    return False\n"
-            "member = raises(a.fs_action, (1, 2, 2, 1), [1], within=frozenset())\n"
+            "member = raises(list, a._walk((1, 2, 2, 1), frozenset().__contains__))\n"
             "a.is_stirling = lambda w: False\n"
             "stack = raises(a.beta_move,\n"
             "               (3, 4, 4, 3, 5, 5, 7, 8, 8, 7, 6, 6, 2, 2, 1, 1), 6)\n"
@@ -502,45 +526,44 @@ class TestAssertsStay:
 
 
 class TestMembershipCheck:
-    """``within`` swaps the is_stirling check for membership in a set."""
+    """The private walk checks each step by membership in a set holding Q_n
+    instead of with is_stirling."""
 
     @pytest.mark.parametrize("n", range(6))
     def test_same_result_as_the_stirling_check(self, n):
         q_n = frozenset(iter_objects("stirling", n))
-        values = range(1, n + 1)
-        positions = range(1, 2 * n + 1)
         for w in iter_objects("stirling", n):
-            assert fs_action(w, positions, within=q_n) == fs_action(w, positions)
+            assert list(_walk(w, q_n.__contains__)) == list(orbit_members(w))
 
     def test_an_output_outside_within_raises(self):
         q_2 = frozenset(iter_objects("stirling", 2))
         with pytest.raises(IdentityViolationError,
                            match=r"^sliding 1 left in \(2, 2, 1, 1\) gave \(1, 2, 2, 1\)$"):
-            fs_action(word("2211"), [3], within=q_2 - {word("1221")})
+            list(_walk(word("2211"), (q_2 - {word("1221")}).__contains__))
         with pytest.raises(IdentityViolationError,
                            match=r"^sliding 1 right in \(1, 2, 2, 1\) gave \(2, 2, 1, 1\)$"):
-            fs_action(word("1221"), [1], within=q_2 - {word("2211")})
+            list(_walk(word("1221"), (q_2 - {word("2211")}).__contains__))
 
     @pytest.mark.parametrize("n", range(6))
     def test_a_scan_table_checks_by_its_keys(self, n):
-        # the fs-symmetry loop passes the dict from each word of Q_n to its scan
+        # the fs-symmetry loop checks by the keys of the dict from each word
+        # of Q_n to its scan
         table = stirling_scans(n)
-        positions = range(1, 2 * n + 1)
         for w in table:
-            assert fs_action(w, positions, within=table) == fs_action(w, positions)
+            assert list(_walk(w, table.__contains__)) == list(orbit_members(w))
 
     def test_an_output_missing_from_the_table_raises(self):
         table = {w: r for w, r in stirling_scans(2).items() if w != word("1221")}
         with pytest.raises(IdentityViolationError,
                            match=r"^sliding 1 left in \(2, 2, 1, 1\) gave \(1, 2, 2, 1\)$"):
-            fs_action(word("2211"), [3], within=table)
+            list(_walk(word("2211"), table.__contains__))
 
     def test_within_replaces_the_stirling_check(self, monkeypatch):
         w = word("331221")
-        toggled = fs_action(w, range(1, 7))
+        walk = list(orbit_members(w))
         monkeypatch.setattr(actions_module, "is_stirling", lambda w: False)
         q_3 = frozenset(iter_objects("stirling", 3))
-        assert fs_action(w, range(1, 7), within=q_3) == toggled
+        assert list(_walk(w, q_3.__contains__)) == walk
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ is a visible edit of this list."""
 import stirlab
 
 PUBLIC_NAMES = [
-    "AlphabetError", "CheckResult", "CoefficientTable", "DistributionTable",
+    "AlphabetError", "CheckResult", "CoefficientTable",
     "Grammar", "GrammarSyntaxError", "IdentityCheck", "IdentityViolationError",
     "Poly", "REGISTRY", "ResourceLimitError", "TableCache",
     "UnknownIdentityError", "a_poly", "alpha", "alpha_inverse",
