@@ -40,23 +40,39 @@ Every slide checks that its output is a Stirling permutation and raises
 reads the scan table of Q_n anyway (its keys are Q_n), walks each orbit with
 a private walk that checks each toggle's output by membership in that table:
 the same property, reached by pair insertion instead of the stack
-definition, at a tenth of the cost.  A value that is not an int letter of
-the word raises ValueError naming both.
+definition, at a tenth of the cost.  A letter, value or position that is
+not an int, or a value that is not a letter of the word, raises ValueError
+naming it and the word.
 """
 from __future__ import annotations
 
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import IdentityViolationError
-from .objects import is_stirling
+from .objects import _is_permutation, is_stirling
 
 Word = tuple[int, ...]
+
+
+def _word(sigma) -> Word:
+    """sigma as a tuple; ValueError naming it when a letter is not an int."""
+    word = tuple(sigma)
+    if any(type(v) is not int for v in word):
+        raise ValueError(f"not a word of int letters: {word}")
+    return word
+
+
+def _position(i: int, word: Sequence[int]) -> int:
+    """i; ValueError naming it and the word when it is not an int."""
+    if type(i) is not int:
+        raise ValueError(f"position {i!r} of {tuple(word)} is not an int")
+    return i
 
 
 def classify_index(word: Sequence[int], i: int) -> str | None:
     """"dasc", "dp", "lap" or None for 1-based position i under 0-padding."""
     m = len(word)
-    if not 1 <= i <= m:
+    if not 1 <= _position(i, word) <= m:
         raise ValueError(f"index {i} out of range for a word of length {m}")
     v = word[i - 1]
     left = word[i - 2] if i >= 2 else 0
@@ -75,7 +91,7 @@ def index_sets(sigma) -> dict[str, frozenset[int]]:
     >>> index_sets((1, 2, 2, 1))
     {'dasc': frozenset({1}), 'dp': frozenset(), 'lap': frozenset({2})}
     """
-    word = tuple(sigma)
+    word = _word(sigma)
     dasc, dp, lap = [], [], []
     left = 0
     # one pass with the classify_index rules, the virtual 0 at both ends
@@ -122,7 +138,7 @@ def fs_move(sigma, i: int) -> Word:
     >>> "".join(map(str, fs_move((2,4,4,7,8,8,7,3,3,2,1,1,5,6,6,5), 1)))
     '4478873322115665'
     """
-    word = tuple(sigma)
+    word = _word(sigma)
     kind = classify_index(word, i)
     v = word[i - 1]
     if kind == "dasc":
@@ -186,7 +202,7 @@ def _toggle(word: Word, v: int, check: Check) -> Word:
 def fs_toggle_value(sigma, v: int) -> Word:
     """Toggle value v between double ascent and descent-plateau (a total
     involution; immovable values are fixed)."""
-    word = tuple(sigma)
+    word = _word(sigma)
     _check_letter(v, word)
     return _toggle(word, v, is_stirling)
 
@@ -204,7 +220,7 @@ def fs_action(sigma, positions: Iterable[int]) -> Word:
     word = tuple(sigma)
     sets = index_sets(word)
     movable = sets["dasc"] | sets["dp"]
-    for v in sorted({word[i - 1] for i in positions if i in movable}):
+    for v in sorted({word[i - 1] for i in positions if _position(i, word) in movable}):
         word = _toggle(word, v, is_stirling)
     return word
 
@@ -248,13 +264,9 @@ def orbit_members(rep) -> Iterator[Word]:
     """All members of the orbit of a word, in Gray-code order over the
     sorted free toggle values v_0 < v_1 < ...: one toggle per step, the k-th
     member (from 0) with v_t on for each set bit t of k ^ (k >> 1).  The
-    input is checked once, and each toggle's output, the toggles that take
-    a word with descent-plateaus to its representative included, as in
-    :func:`fs_action`."""
-    word = tuple(rep)
-    if not is_stirling(word):
-        raise IdentityViolationError(f"orbit of {word}, not a Stirling permutation")
-    return _walk(word, is_stirling)
+    walk starts from :func:`orbit` of the word, which checks it, and each
+    toggle's output is checked as in :func:`fs_action`."""
+    return _walk(orbit(rep), is_stirling)
 
 
 def _walk(word: Word, check: Check) -> Iterator[Word]:
@@ -281,7 +293,7 @@ def beta_move(sigma, x: int) -> Word:
     >>> "".join(map(str, beta_move((3,4,4,3,5,7,8,8,7,6,6,5,2,2,1,1), 6)))
     '3443567887652211'
     """
-    word = tuple(sigma)
+    word = _word(sigma)
     return _slide_left(word, _pair(word, x)[0], x, is_stirling)
 
 
@@ -337,7 +349,11 @@ def alpha(sigma) -> Word:
     >>> alpha((3, 4, 4, 3, 5, 5, 6, 6, 1, 2, 2, 1))
     (4, 3, 5, 6, 2, 1)
     """
-    word = tuple(sigma)
+    return _alpha(_word(sigma))
+
+
+def _alpha(word: Word) -> Word:
+    # alpha of a word of int letters, unchecked for the identity loops
     seen: set[int] = set()
     out = []
     for v in word:
@@ -368,8 +384,7 @@ def alpha_inverse_trace(pi) -> tuple[Word, frozenset[int], Word]:
     """(doubled word, beta value set, final word) of the inverse map; pi
     must be a permutation of [n], otherwise ValueError."""
     values = tuple(pi)
-    if (any(type(v) is not int for v in values)
-            or sorted(values) != list(range(1, len(values) + 1))):
+    if not _is_permutation(values):
         raise ValueError(f"not a permutation of [n]: {values}")
     doubled = tuple(v for v in values for _ in range(2))
     s = descent_bottom_set(values)

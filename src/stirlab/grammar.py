@@ -30,6 +30,7 @@ from operator import add
 from typing import Mapping, Sequence, Union
 
 from .errors import ResourceLimitError
+from .objects import _order
 from .polynomials import Poly, monomial_str
 
 # the most terms derive_n lets a derivative reach: above D^100(z) under the
@@ -288,8 +289,7 @@ def derive(p: Poly, g: Grammar) -> Poly:
 def derive_n(p: Poly, g: Grammar, n: int) -> Poly:
     """n-fold application of the formal derivative (n = 0 is the identity).
     A derivative past :data:`TERM_LIMIT` terms raises ResourceLimitError."""
-    if n < 0:
-        raise ValueError("derivative order must be nonnegative")
+    n = _order(n)
     if p.names != g.names:
         _check_alphabet(p, g)
     for order in range(1, n + 1):

@@ -791,7 +791,7 @@ def _beta_stages(n: int, q_n: dict, normal: dict) -> str | None:
     normalized word with the alpha image of w for every w in Q_n, and no
     normalized word moves: |Q_n| - n! slides in all, one per word that is
     not normalized."""
-    alpha, slide = actions.alpha, actions._slide_left
+    alpha, slide = actions._alpha, actions._slide_left
     beta_first, beta_fixes = actions._beta_first, actions._beta_fixes
     stage = q_n  # the scan table's own words; later stages list them
     for x in range(1, n + 1):
@@ -830,7 +830,7 @@ def _alpha_bijection(bound: int) -> str | None:
         for word, record in q_n.items():
             lap, dasc, dp = _lap_dasc_dp(record)
             if dp == 0 and lap + dasc == n:
-                image = actions.alpha(word)
+                image = actions._alpha(word)
                 des = perm_des(image)
                 if dasc != des or lap != n - des:
                     return f"n={n}: statistics of {word} do not match des {image}"

@@ -16,8 +16,8 @@ generated by pair insertion: each word of order n-1 receives the pair (n, n)
 in each of its 2n-1 gaps, scanned from the rightmost gap to the leftmost, so
 ``stirling_words(2)`` yields 1122, 1221, 2211 in that order.  Only Q_n,
 n <= 7, is memoized (the scan tables of ``stats`` key on its words).  The
-predicates here decide membership; the validating entry points are the
-statistics functions of ``stats``.
+predicates here decide membership; :func:`_order`, the one order gate, raises
+ValueError unless n is a nonnegative int (a stream, at its first ``next``).
 """
 from __future__ import annotations
 
@@ -30,6 +30,13 @@ Block = tuple[int, int]
 
 # the largest memoized Q_n (~135k words at 7); no other class is memoized
 _STIRLING_CACHE_MAX = 7
+
+
+def _order(n: int) -> int:
+    """n, when it is a nonnegative int and not a bool; ValueError otherwise."""
+    if type(n) is not int or n < 0:
+        raise ValueError(f"n must be a nonnegative int, got {n!r}")
+    return n
 
 
 def is_stirling(word: Sequence[int]) -> bool:
@@ -67,18 +74,21 @@ def is_stirling(word: Sequence[int]) -> bool:
     return top == 0
 
 
+def _is_permutation(values: Sequence[int]) -> bool:
+    """Whether ``values`` are the ints 1..m in some order, m = len(values)."""
+    return (all(type(v) is int for v in values)
+            and sorted(values) == list(range(1, len(values) + 1)))
+
+
 def _is_signed(values: Sequence[int]) -> bool:
-    if any(type(v) is not int or v == 0 for v in values):
-        return False
-    return sorted(abs(v) for v in values) == list(range(1, len(values) + 1))
+    # the type test comes before abs, since abs(True) is the int 1
+    return _is_permutation([abs(v) if type(v) is int else v for v in values])
 
 
 def _is_matching(blocks: tuple[tuple[int, ...], ...]) -> bool:
     """Whether ``blocks`` partition [2n] into pairs of ints."""
-    flat = [e for b in blocks for e in b]
-    if any(len(b) != 2 for b in blocks) or any(type(e) is not int for e in flat):
-        return False
-    return sorted(flat) == list(range(1, len(flat) + 1))
+    return (all(len(b) == 2 for b in blocks)
+            and _is_permutation([e for b in blocks for e in b]))
 
 
 # ---------------------------------------------------------------------------
@@ -87,8 +97,7 @@ def _is_matching(blocks: tuple[tuple[int, ...], ...]) -> bool:
 
 def stirling_words(n: int) -> Iterator[Word]:
     """All Stirling permutations of order n, in pair-insertion order."""
-    if n < 0:
-        raise ValueError("order must be nonnegative")
+    n = _order(n)
     if n == 0:
         yield ()
         return
@@ -99,8 +108,7 @@ def stirling_words(n: int) -> Iterator[Word]:
 
 def signed_words(n: int) -> Iterator[Word]:
     """All of B_n: permutations in lexicographic order, signs +1 before -1."""
-    if n < 0:
-        raise ValueError("order must be nonnegative")
+    n = _order(n)
     for perm in itertools.permutations(range(1, n + 1)):
         yield from itertools.product(*[(v, -v) for v in perm])
 
@@ -109,8 +117,7 @@ def matching_blocks(n: int) -> Iterator[tuple[Block, ...]]:
     """All perfect matchings of [2n], built from order n-1 (the only one
     held): 1 is paired with each b in increasing order, then come the
     matchings of [2n-2] relabelled onto [2..2n] minus b, in their order."""
-    if n < 0:
-        raise ValueError("order must be nonnegative")
+    n = _order(n)
     level = [()]
     for m in range(1, n):
         level = list(_next_matchings(level, m))
@@ -128,8 +135,7 @@ def _next_matchings(prev: list, m: int) -> Iterator[tuple[Block, ...]]:
 
 def permutation_words(n: int) -> Iterator[Word]:
     """All permutations of [n] in lexicographic order."""
-    if n < 0:
-        raise ValueError("order must be nonnegative")
+    n = _order(n)
     yield from itertools.permutations(range(1, n + 1))
 
 
@@ -152,6 +158,7 @@ def iter_objects(klass: str, n: int):
     """Stream the raw objects of a class, memoizing only Q_n for n <= 7."""
     if klass not in STREAMS:
         raise ValueError(f"unknown object class: {klass!r}")
+    n = _order(n)  # before the memo, which takes True for the key 1
     if klass == "stirling" and n <= _STIRLING_CACHE_MAX:
         return iter(_cached_objects(klass, n))
     return STREAMS[klass](n)

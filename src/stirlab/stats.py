@@ -19,8 +19,8 @@ Objects are the plain tuples the streams of ``objects`` yield (any sequence
 is accepted), and their statistics plain values: :func:`stirling_stats`,
 :func:`signed_stats` and :func:`matching_stats` return a dict keyed by the
 names of ``STATS_BY_CLASS``, in that order, after checking their input
-(ValueError on a bad one); the ``*_stat_record`` functions return the same
-dict and, like :func:`perm_des`, trust it.
+(ValueError on a bad one), as :func:`perm_des` does; the ``*_stat_record``
+functions return the same dict and trust it.
 
 The naive Stirling scan runs once per word: the memoized per-order table
 :func:`stirling_scans` feeds both the distributions and the identity loops.
@@ -38,7 +38,9 @@ from .errors import ResourceLimitError
 from .objects import (
     _STIRLING_CACHE_MAX,
     _is_matching,
+    _is_permutation,
     _is_signed,
+    _order,
     is_stirling,
     iter_objects,
 )
@@ -133,12 +135,15 @@ def _permutation_scan(values: Sequence[int]) -> tuple[int]:
 
 
 def perm_des(pi: Sequence[int]) -> int:
-    """Number of descents of a permutation of [n].
+    """Number of descents of a permutation of [n]; invalid input raises.
 
     >>> perm_des((4, 3, 5, 6, 2, 1))
     3
     """
-    return _permutation_scan(tuple(pi))[0]
+    values = tuple(pi)
+    if not _is_permutation(values):
+        raise ValueError(f"not a permutation of [n]: {values}")
+    return _permutation_scan(values)[0]
 
 
 def _matching_scan(blocks) -> tuple[int, int]:
@@ -170,7 +175,7 @@ _SCANS = {
 }
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # True is not the key 1: it meets the gate
 def stirling_scans(n: int) -> dict[tuple[int, ...], tuple[int, ...]]:
     """Each word of Q_n, in enumeration order, mapped to its _stirling_scan
     record; equal records are one shared tuple."""
@@ -209,8 +214,7 @@ def distribution(klass: str, n: int, stats: Sequence[str], *,
     bad = [s for s in stats if s not in names]
     if bad:
         raise ValueError(f"unknown statistics for class {klass!r}: {bad}")
-    if type(n) is not int or n < 0:
-        raise ValueError(f"n must be a nonnegative int, got {n!r}")
+    n = _order(n)
     if klass == "signed" and n < 1:
         raise ValueError("signed distributions need n >= 1")
     bound = DEFAULT_BOUNDS[klass] if max_n is None else max_n

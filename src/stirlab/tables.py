@@ -18,8 +18,8 @@ Each function evaluates one formula; :mod:`stirlab.identities` compares them.
 Each triangle, C and N included, has a step function that makes row m from
 row m-1 and m; row n is the ``functools.reduce`` of its step over 1..n from
 row 0 = {origin: 1}, and a whole table draws rows 0..n from
-``itertools.accumulate``.  A number function reads 0 off its range; every
-polynomial, row-list and table function raises ValueError on a negative n.
+``itertools.accumulate``.  Each order passes ``objects._order`` (ValueError
+unless a nonnegative int), but a number function reads 0 at a negative int.
 
 A small JSON disk cache (:class:`TableCache`) can memoize the three
 CoefficientTable builders :func:`t_table`, :func:`p_table` and
@@ -44,6 +44,7 @@ from pathlib import Path
 from ._version import __version__
 from .errors import IdentityViolationError
 from .grammar import coefficient_profile, derive_n, parse_grammar, parse_poly
+from .objects import _order
 from .polynomials import XYZ, Poly
 
 # the grammar whose derivative drives the flag statistics; D^n(y) encodes the
@@ -170,10 +171,12 @@ class TableCache:
             raise
 
 
-def _cached_build(family, arity, bound, cache, rows):
-    # rows: an iterable of rows 0..bound, drawn only when the cache misses
+def _cached_build(family, arity, bound, cache, step, origin):
+    # row 0 is origin and row m is step(row m-1, m); built on a cache miss only
+    bound = _order(bound)
     table = cache.load(family, bound, arity) if cache is not None else None
     if table is None:
+        rows = accumulate(range(1, bound + 1), step, initial=origin)
         table = CoefficientTable(family, arity, bound, tuple(rows))
         if cache is not None:
             cache.store(table)
@@ -200,15 +203,14 @@ def _eulerian_row(n: int) -> dict[int, int]:
 
 def eulerian(n: int, k: int) -> int:
     """Eulerian number: permutations of [n] with k descents (0 off-range)."""
-    if n < 0 or k < 0:
+    if type(n) is int and n < 0:
         return 0
-    return _eulerian_row(n).get(k, 0)
+    return _eulerian_row(_order(n)).get(k, 0)
 
 
 def a_poly(n: int) -> Poly:
     """Eulerian polynomial A_n(x)."""
-    if n < 0:
-        raise ValueError(f"A_n needs n >= 0, got n={n}")
+    n = _order(n)
     return Poly.from_counts(_eulerian_row(n))
 
 
@@ -230,23 +232,21 @@ def _b_eulerian_row(n: int) -> dict[int, int]:
 
 def b_eulerian(n: int, k: int) -> int:
     """Type-B Eulerian number: signed permutations with k descents (pi(0)=0)."""
-    if n < 0 or k < 0:
+    if type(n) is int and n < 0:
         return 0
-    return _b_eulerian_row(n).get(k, 0)
+    return _b_eulerian_row(_order(n)).get(k, 0)
 
 
 def b_poly(n: int) -> Poly:
     """Type-B Eulerian polynomial B_n(x)."""
-    if n < 0:
-        raise ValueError(f"B_n needs n >= 0, got n={n}")
+    n = _order(n)
     return Poly.from_counts(_b_eulerian_row(n))
 
 
 def f_poly(n: int) -> Poly:
     """Flag descent polynomial F_n(x) = (1+x)^n A_n(x), its coefficients the
     convolution F_n[k] = sum_j C(n, j) A_n[k - j] of two integer rows."""
-    if n < 0:
-        raise ValueError(f"F_n needs n >= 0, got n={n}")
+    n = _order(n)
     eulerian_row, row = _eulerian_row(n), {}
     for j in range(n + 1):
         c = math.comb(n, j)
@@ -271,9 +271,9 @@ def _stirling2_row(n: int) -> dict[int, int]:
 
 def stirling2(n: int, k: int) -> int:
     """Stirling number of the second kind S(n, k) (0 off-range)."""
-    if n < 0 or k < 0:
+    if type(n) is int and n < 0:
         return 0
-    return _stirling2_row(n).get(k, 0)
+    return _stirling2_row(_order(n)).get(k, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -304,16 +304,12 @@ def _t_row(n: int) -> dict[int, int]:
 
 def t_poly(n: int) -> Poly:
     """T_n(x): the flag ascent-plateau distribution over Q_n."""
-    if n < 0:
-        raise ValueError(f"T_n needs n >= 0, got n={n}")
+    n = _order(n)
     return Poly.from_counts(_t_row(n))
 
 
 def t_table(n_max: int, cache: TableCache | None = None) -> CoefficientTable:
-    if n_max < 0:
-        raise ValueError(f"the T table needs n >= 0, got n={n_max}")
-    rows = accumulate(range(1, n_max + 1), _t_step, initial={0: 1})
-    return _cached_build("t", 2, n_max, cache, rows)
+    return _cached_build("t", 2, n_max, cache, _t_step, {0: 1})
 
 
 # ---------------------------------------------------------------------------
@@ -352,16 +348,14 @@ def _p_row(n: int) -> dict[tuple[int, int, int], int]:
 
 def p_poly(n: int) -> Poly:
     """P_n(x, y, z) = sum x^lap y^dasc z^dp over Q_n."""
-    if n < 0:
-        raise ValueError(f"P_n needs n >= 0, got n={n}")
+    n = _order(n)
     return Poly(XYZ, _p_row(n))
 
 
 def p_polys_differential(n_max: int) -> list[Poly]:
     """P_0..P_{n_max} through the differential recurrence, an independent
     path from the index recurrence behind :func:`p_poly`."""
-    if n_max < 0:
-        raise ValueError(f"P_0..P_n needs n >= 0, got n={n_max}")
+    n_max = _order(n_max)
     x, xy, xz, x2 = (
         Poly(XYZ, {e: 1}) for e in ((1, 0, 0), (1, 1, 0), (1, 0, 1), (2, 0, 0))
     )
@@ -379,10 +373,7 @@ def p_polys_differential(n_max: int) -> list[Poly]:
 
 
 def p_table(n_max: int, cache: TableCache | None = None) -> CoefficientTable:
-    if n_max < 0:
-        raise ValueError(f"the P table needs n >= 0, got n={n_max}")
-    rows = accumulate(range(1, n_max + 1), _p_step, initial={(0, 0, 0): 1})
-    return _cached_build("p", 4, n_max, cache, rows)
+    return _cached_build("p", 4, n_max, cache, _p_step, {(0, 0, 0): 1})
 
 
 # ---------------------------------------------------------------------------
@@ -416,23 +407,21 @@ def _gamma_row(n: int) -> dict[tuple[int, int], int]:
 def gamma_number(n: int, i: int, j: int) -> int:
     """gamma_{n,i,j}: descent-plateau-free words with lap = i, dasc = j
     (0 off-range)."""
-    if n < 0:
+    if type(n) is int and n < 0:
         return 0
-    return _gamma_row(n).get((i, j), 0)
+    return _gamma_row(_order(n)).get((i, j), 0)
 
 
 def g_poly(n: int) -> Poly:
     """G_n(x, y) = sum gamma_{n,i,j} x^i y^j (stored with z-exponent 0)."""
-    if n < 0:
-        raise ValueError(f"G_n needs n >= 0, got n={n}")
+    n = _order(n)
     return Poly(XYZ, {(i, j, 0): c for (i, j), c in _gamma_row(n).items()})
 
 
 def g_polys_differential(n_max: int) -> list[Poly]:
     """G_0..G_{n_max} through the differential recurrence, an independent
     path from the index recurrence behind :func:`g_poly`."""
-    if n_max < 0:
-        raise ValueError(f"G_0..G_n needs n >= 0, got n={n_max}")
+    n_max = _order(n_max)
     x, xy, x2 = (Poly(XYZ, {e: 1}) for e in ((1, 0, 0), (1, 1, 0), (2, 0, 0)))
     out = [Poly(XYZ, {(0, 0, 0): 1})]
     for n in range(n_max):
@@ -447,10 +436,7 @@ def g_polys_differential(n_max: int) -> list[Poly]:
 
 
 def gamma_table(n_max: int, cache: TableCache | None = None) -> CoefficientTable:
-    if n_max < 0:
-        raise ValueError(f"the gamma table needs n >= 0, got n={n_max}")
-    rows = accumulate(range(1, n_max + 1), _gamma_step, initial={(0, 0): 1})
-    return _cached_build("gamma", 3, n_max, cache, rows)
+    return _cached_build("gamma", 3, n_max, cache, _gamma_step, {(0, 0): 1})
 
 
 # ---------------------------------------------------------------------------
@@ -482,8 +468,7 @@ def _n_step(prev: dict[int, int], m: int) -> dict[int, int]:
 
 def cn_nn_tables(n_max: int) -> tuple[list[Poly], list[Poly]]:
     """(C_0..C_n, N_0..N_n) through their differential recurrences."""
-    if n_max < 0:
-        raise ValueError(f"C_0..C_n and N_0..N_n need n >= 0, got n={n_max}")
+    n_max = _order(n_max)
     steps = range(1, n_max + 1)
     return (
         [Poly.from_counts(r) for r in accumulate(steps, _c_step, initial={0: 1})],
@@ -493,23 +478,19 @@ def cn_nn_tables(n_max: int) -> tuple[list[Poly], list[Poly]]:
 
 def c_poly(n: int) -> Poly:
     """C_n(x): the ascent distribution over Q_n."""
-    if n < 0:
-        raise ValueError(f"C_n needs n >= 0, got n={n}")
+    n = _order(n)
     return Poly.from_counts(reduce(_c_step, range(1, n + 1), {0: 1}))
 
 
 def n_poly(n: int) -> Poly:
     """N_n(x): the left ascent-plateau distribution over Q_n."""
-    if n < 0:
-        raise ValueError(f"N_n needs n >= 0, got n={n}")
+    n = _order(n)
     return Poly.from_counts(reduce(_n_step, range(1, n + 1), {0: 1}))
 
 
 def m_poly(n: int) -> Poly:
     """M_n(x): the ascent-plateau distribution over Q_n, read off
     :func:`m_polys`."""
-    if n < 0:
-        raise ValueError(f"M_n needs n >= 0, got n={n}")
     return m_polys(n)[n]
 
 
@@ -518,8 +499,7 @@ def m_polys(n_max: int) -> list[Poly]:
     order: the n-th derivative of y under the flag grammar is
     y * sum y^(2 ap) z^(2n - 2 ap).  A y exponent whose weight, the exponent
     less one, is odd raises IdentityViolationError."""
-    if n_max < 0:
-        raise ValueError(f"M_0..M_n needs n >= 0, got n={n_max}")
+    n_max = _order(n_max)
     steps = accumulate(range(n_max), lambda p, _: derive_n(p, FLAG_GRAMMAR, 1),
                        initial=parse_poly("y"))
     out = []
@@ -541,8 +521,7 @@ def _closed_weight(n: int, k: int) -> int:
 def n_poly_closed(n: int) -> Poly:
     """N_n(x) = sum_k 2^(n-2k) C(2k,k) k! S(n,k) x^k (1-x)^(n-k), summed as
     2^n N_n and divided back; a remainder raises IdentityViolationError."""
-    if n < 0:
-        raise ValueError(f"N_n needs n >= 0, got n={n}")
+    n = _order(n)
     scaled: dict[int, int] = {}
     for k in range(n + 1):
         w = _closed_weight(n, k)
@@ -559,6 +538,7 @@ def n_poly_closed(n: int) -> Poly:
 
 def gamma_weighted_sum(n: int, i: int) -> int:
     """sum_j 2^j gamma_{n,i,j}, the x^i coefficient of N_n for 1 <= i <= n."""
-    if not 1 <= i <= n:
-        raise ValueError(f"need 1 <= i <= n, got i={i}, n={n}")
+    n = _order(n)
+    if type(i) is not int or not 1 <= i <= n:
+        raise ValueError(f"need 1 <= i <= n, got i={i!r}, n={n}")
     return sum(2**j * gamma_number(n, i, j) for j in range(n))

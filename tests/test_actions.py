@@ -361,9 +361,22 @@ class TestBetaMoves:
         (beta_move, ((2, 2, 1, 1), 1.0), r"^1\.0 does not occur twice in \(2, 2, 1, 1\)$"),
         (fs_toggle_value, ((1, 2, 2, 1), 2.0), r"^2\.0 does not occur twice in \(1, 2, 2, 1\)$"),
         (movable_index, ((1, 2, 2, 1), True), r"^True does not occur twice in \(1, 2, 2, 1\)$"),
+        # a position that is not an int: a bool would toggle as 1, and a
+        # float would index the word
+        (fs_action, ((1, 2, 2, 1), [True]), r"^position True of \(1, 2, 2, 1\) is not an int$"),
+        (fs_action, ((1, 2, 2, 1), [1.0]), r"^position 1\.0 of \(1, 2, 2, 1\) is not an int$"),
+        (fs_move, ((1, 2, 2, 1), 1.0), r"^position 1\.0 of \(1, 2, 2, 1\) is not an int$"),
+        (classify_index, ((1, 2, 2, 1), 2.0),
+         r"^position 2\.0 of \(1, 2, 2, 1\) is not an int$"),
+        # letters that are not ints: a string compares with no int, and
+        # alpha would return its characters
+        (index_sets, ("1221",), r"^not a word of int letters: \('1', '2', '2', '1'\)$"),
+        (alpha, ("1221",), r"^not a word of int letters: \('1', '2', '2', '1'\)$"),
     ], ids=["beta_move", "beta_set", "fs_toggle_value", "movable_index",
             "beta_set-str", "beta_set-float", "beta_set-bool", "beta_move-float",
-            "fs_toggle_value-float", "movable_index-bool"])
+            "fs_toggle_value-float", "movable_index-bool", "fs_action-bool",
+            "fs_action-float", "fs_move-float", "classify_index-float",
+            "index_sets-str", "alpha-str"])
     def test_a_value_missing_from_the_word_is_named(self, move, args, message):
         with pytest.raises(ValueError, match=message):
             move(*args)

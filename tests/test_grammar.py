@@ -1,5 +1,6 @@
 """Grammar engine: parsing, the derivation laws, and worked derivatives."""
 import math
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -129,6 +130,13 @@ class TestDerive:
         checked.clear()
         derive_n(over_names, FLAG, 0)
         assert checked == []
+
+    @pytest.mark.parametrize("n", [-1, True, 1.5, "3"], ids=repr)
+    def test_the_order_is_a_nonnegative_int(self, n):
+        # True would derive once, as 1 does; the others named no input
+        message = rf"^n must be a nonnegative int, got {re.escape(repr(n))}$"
+        with pytest.raises(ValueError, match=message):
+            derive_n(gp("x"), FLAG, n)
 
 
 def polys_over(letters):

@@ -226,8 +226,8 @@ def test_alpha_runs_once_per_normalized_word_and_twice_per_slide(monkeypatch):
     # the normalized words' images are tabled; each slide maps the word and
     # its image, to compare them
     calls = []
-    alpha = actions.alpha
-    monkeypatch.setattr(actions, "alpha", lambda w: calls.append(w) or alpha(w))
+    alpha = actions._alpha
+    monkeypatch.setattr(actions, "_alpha", lambda w: calls.append(w) or alpha(w))
     assert REGISTRY["alpha-bijection"].runner(5) is None
     slides = sum(Q_SIZES[:6]) - sum(FACTORIALS[:6])
     assert len(calls) == sum(FACTORIALS[:6]) + 2 * slides == 154 + 2 * 916 == 1986
@@ -330,7 +330,7 @@ def test_alpha_bijection_fails_on_a_changed_alpha_image(monkeypatch):
         image = actions.alpha(w)
         return image[::-1] if w == (2, 2, 1, 1) else image
 
-    monkeypatch.setattr(ids, "actions", _actions_with(alpha=alpha))
+    monkeypatch.setattr(ids, "actions", _actions_with(_alpha=alpha))
     r = run_identity("alpha-bijection", 3)
     assert not r.passed
     assert r.witness == "n=2: beta normalization of (2, 2, 1, 1) changed its alpha image"

@@ -1,17 +1,21 @@
 """Enumerator tests: counts against independent oracles, validity, order."""
 import itertools
 import math
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stirlab import objects
 from stirlab.objects import (
     is_stirling,
+    iter_objects,
     matching_blocks,
     permutation_words,
     signed_words,
     stirling_words,
 )
+from stirlab.stats import stirling_scans
 
 
 def odd_double_factorial(n: int) -> int:
@@ -146,10 +150,29 @@ def test_matching_order_matches_the_recursive_reference(n):
     assert list(matching_blocks(n)) == list(ref_matching_blocks(n))
 
 
-def test_negative_matching_order_raises_on_first_next():
-    stream = matching_blocks(-1)  # a generator: nothing runs yet
-    with pytest.raises(ValueError, match="nonnegative"):
+@pytest.mark.parametrize("n", [-1, True, 1.5, "3"], ids=repr)
+@pytest.mark.parametrize("make", [stirling_words, signed_words, matching_blocks,
+                                  permutation_words], ids=lambda f: f.__name__)
+def test_a_bad_order_raises_on_first_next(make, n):
+    stream = make(n)  # a generator: nothing runs yet
+    message = rf"^n must be a nonnegative int, got {re.escape(repr(n))}$"
+    with pytest.raises(ValueError, match=message):
         next(stream)
+
+
+def test_a_bool_order_never_reaches_the_memo():
+    # lru_cache takes True for the key 1, so a True let through memoized the
+    # word (True, True) as Q_1, and the scan table of Q_1 keyed on it
+    objects._cached_objects.cache_clear()
+    stirling_scans.cache_clear()
+    with pytest.raises(ValueError, match=r"^n must be a nonnegative int, got True$"):
+        iter_objects("stirling", True)
+    scans = stirling_scans(1)
+    assert list(scans) == [(1, 1)]
+    assert all(map(is_stirling, scans))
+    # the scan memo holds 1 now, and True still meets the gate
+    with pytest.raises(ValueError, match=r"^n must be a nonnegative int, got True$"):
+        stirling_scans(True)
 
 
 def test_permutation_counts():

@@ -128,8 +128,8 @@ class TestMatchingAndPermutation:
 
 
 def test_validators_reject_bad_objects():
-    # the checks of the statistics functions, and of alpha_inverse for
-    # permutations, with their messages
+    # the checks of the statistics functions, and of perm_des and
+    # alpha_inverse for permutations, with their messages
     assert stirling_stats((1, 2, 2, 3, 3, 1)) == stirling_stat_record((1, 2, 2, 3, 3, 1))
     with pytest.raises(ValueError, match=r"^not a Stirling permutation: \(1, 2, 1, 2\)$"):
         stirling_stats([1, 2, 1, 2])
@@ -158,6 +158,9 @@ def test_validators_reject_bad_objects():
     assert alpha_inverse([2, 1, 3]) == (1, 2, 2, 1, 3, 3)
     with pytest.raises(ValueError, match=r"^not a permutation of \[n\]: \(1, 3\)$"):
         alpha_inverse((1, 3))
+    assert perm_des([2, 1, 3]) == 1
+    with pytest.raises(ValueError, match=r"^not a permutation of \[n\]: \(1, 'a'\)$"):
+        perm_des((1, "a"))
 
 
 # bool is a subclass of int, but True is not the letter 1
@@ -166,7 +169,8 @@ def test_validators_reject_bad_objects():
     (signed_stats, (True,), r"^not a signed permutation: \(True,\)$"),
     (matching_stats, [(True, 2)], r"^not a perfect matching of \[2n\]: \[\(True, 2\)\]$"),
     (alpha_inverse, (True,), r"^not a permutation of \[n\]: \(True,\)$"),
-], ids=["stirling", "signed", "matching", "alpha_inverse"])
+    (perm_des, (True,), r"^not a permutation of \[n\]: \(True,\)$"),
+], ids=["stirling", "signed", "matching", "alpha_inverse", "perm_des"])
 def test_a_bool_is_not_a_letter(check, obj, message):
     with pytest.raises(ValueError, match=message):
         check(obj)

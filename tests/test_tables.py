@@ -5,6 +5,7 @@ import io
 import itertools
 import json
 import math
+import re
 import sys
 import tracemalloc
 
@@ -630,9 +631,16 @@ def test_cache_load_holds_about_one_row_at_a_time(tmp_path, build, n):
     assert peak - held < size
 
 
-# Every public function of tables at n = -1, with its remaining arguments:
-# a number reads 0 off its range, and every polynomial, row list and table
-# raises ValueError naming n.
+# Every public function of tables at the orders below, with its remaining
+# arguments: a number reads 0 at n = -1, and otherwise every function raises
+# the order gate's ValueError naming n.
+BAD_ORDERS = (-1, True, 1.5, "3")
+
+
+def gate_message(n) -> str:
+    return rf"^n must be a nonnegative int, got {re.escape(repr(n))}$"
+
+
 NEGATIVE_N_NUMBERS = [
     (eulerian, (0,)),
     (b_eulerian, (0,)),
@@ -678,11 +686,15 @@ def test_negative_n_covers_every_public_function():
 )
 def test_negative_n_number_is_zero(fn, rest):
     assert fn(-1, *rest) == 0
+    for n in BAD_ORDERS[1:]:  # an n that is not an int is an error
+        with pytest.raises(ValueError, match=gate_message(n)):
+            fn(n, *rest)
 
 
 @pytest.mark.parametrize(
     "fn, rest", NEGATIVE_N_RAISES, ids=[fn.__name__ for fn, _ in NEGATIVE_N_RAISES]
 )
 def test_negative_n_raises(fn, rest):
-    with pytest.raises(ValueError, match="n=-1"):
-        fn(-1, *rest)
+    for n in BAD_ORDERS:
+        with pytest.raises(ValueError, match=gate_message(n)):
+            fn(n, *rest)
