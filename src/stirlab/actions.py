@@ -33,23 +33,21 @@ first copy) the beta moves realize the bijection between the normalized
 words (no descent-plateau and lap + dasc = n, one per permutation) and
 permutations.
 
-Every slide checks that its output is a Stirling permutation and raises
-:class:`IdentityViolationError` when it is not.  The public moves check with
-:func:`is_stirling`, and :func:`orbit`, :func:`orbit_members` and
-:func:`beta_set` check their input too.  The ``fs-symmetry`` loop, which
-reads the scan table of Q_n anyway (its keys are Q_n), walks each orbit with
-a private walk that checks each toggle's output by membership in that table:
-the same property, reached by pair insertion instead of the stack
-definition, at a tenth of the cost.  A letter, value or position that is
-not an int, or a value that is not a letter of the word, raises ValueError
-naming it and the word.
+Bad input raises ValueError naming it: a word that is not a Stirling
+permutation, given to any function here that takes one, a letter, value or
+position that is not an int, or a value that is not a letter of the word.
+Every slide checks that its output is a Stirling permutation, so
+:class:`IdentityViolationError` means that the paper's closure proof failed
+there.  The public moves check with :func:`is_stirling`; the ``fs-symmetry``
+loop walks each orbit with a private walk that checks by membership in the
+scan table of Q_n it reads anyway, at a tenth of the cost.
 """
 from __future__ import annotations
 
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import IdentityViolationError
-from .objects import _is_permutation, is_stirling
+from .objects import _is_permutation, _stirling_word, is_stirling
 
 Word = tuple[int, ...]
 
@@ -138,13 +136,10 @@ def fs_move(sigma, i: int) -> Word:
     >>> "".join(map(str, fs_move((2,4,4,7,8,8,7,3,3,2,1,1,5,6,6,5), 1)))
     '4478873322115665'
     """
-    word = _word(sigma)
-    kind = classify_index(word, i)
-    v = word[i - 1]
-    if kind == "dasc":
-        return _slide_right(word, i - 1, word.index(v, i), is_stirling)
-    if kind == "dp":
-        return _slide_left(word, i - 1, v, is_stirling)
+    word = _stirling_word(sigma)
+    if classify_index(word, i) in ("dasc", "dp"):
+        # in Q_n both kinds of position hold the first copy of their value
+        return _toggle(word, word[i - 1], is_stirling)
     raise ValueError(f"position {i} of {word} is neither a double ascent nor a descent-plateau")
 
 
@@ -202,7 +197,7 @@ def _toggle(word: Word, v: int, check: Check) -> Word:
 def fs_toggle_value(sigma, v: int) -> Word:
     """Toggle value v between double ascent and descent-plateau (a total
     involution; immovable values are fixed)."""
-    word = _word(sigma)
+    word = _stirling_word(sigma)
     _check_letter(v, word)
     return _toggle(word, v, is_stirling)
 
@@ -217,7 +212,7 @@ def fs_action(sigma, positions: Iterable[int]) -> Word:
     Each toggle's output is checked with :func:`is_stirling`; a rejected
     output raises IdentityViolationError.
     """
-    word = tuple(sigma)
+    word = _stirling_word(sigma)
     sets = index_sets(word)
     movable = sets["dasc"] | sets["dp"]
     for v in sorted({word[i - 1] for i in positions if _position(i, word) in movable}):
@@ -238,13 +233,9 @@ def _representative(word: Word, check: Check) -> Word:
 def orbit(sigma) -> Word:
     """The orbit of a Stirling permutation, as its representative: toggling
     the descent-plateau values off yields the unique member with dp = 0,
-    whose free toggles are ``index_sets(rep)["dasc"]``.  The input is checked
-    with :func:`is_stirling` (IdentityViolationError), each toggle's output
-    as in :func:`fs_action`."""
-    word = tuple(sigma)
-    if not is_stirling(word):
-        raise IdentityViolationError(f"orbit of {word}, not a Stirling permutation")
-    return _representative(word, is_stirling)
+    whose free toggles are ``index_sets(rep)["dasc"]``.  Each toggle's
+    output is checked as in :func:`fs_action`."""
+    return _representative(_stirling_word(sigma), is_stirling)
 
 
 def _free_values(word: Word) -> list[int] | None:
@@ -264,8 +255,8 @@ def orbit_members(rep) -> Iterator[Word]:
     """All members of the orbit of a word, in Gray-code order over the
     sorted free toggle values v_0 < v_1 < ...: one toggle per step, the k-th
     member (from 0) with v_t on for each set bit t of k ^ (k >> 1).  The
-    walk starts from :func:`orbit` of the word, which checks it, and each
-    toggle's output is checked as in :func:`fs_action`."""
+    walk starts from :func:`orbit` of the word, and each toggle's output is
+    checked as in :func:`fs_action`."""
     return _walk(orbit(rep), is_stirling)
 
 
@@ -293,7 +284,7 @@ def beta_move(sigma, x: int) -> Word:
     >>> "".join(map(str, beta_move((3,4,4,3,5,7,8,8,7,6,6,5,2,2,1,1), 6)))
     '3443567887652211'
     """
-    word = _word(sigma)
+    word = _stirling_word(sigma)
     return _slide_left(word, _pair(word, x)[0], x, is_stirling)
 
 
@@ -326,13 +317,11 @@ def beta_set(sigma, values: Iterable[int]) -> Word:
     order is the one under which moving every value lands in the normalized
     set (no descent-plateau, lap + dasc = n).
 
-    The input, and each word a move changes, is checked with
-    :func:`is_stirling`; a move whose letter already follows a smaller one,
-    or leads the word, changes nothing and is skipped.
+    Each word a move changes is checked with :func:`is_stirling`; a move
+    whose letter already follows a smaller one, or leads the word, changes
+    nothing and is skipped.
     """
-    word = tuple(sigma)
-    if not is_stirling(word):
-        raise IdentityViolationError(f"beta moves on {word}, not a Stirling permutation")
+    word = _stirling_word(sigma)
     values = tuple(values)
     for x in values:  # before the set, where True and 1 are one value
         _check_letter(x, word)

@@ -17,7 +17,8 @@ in each of its 2n-1 gaps, scanned from the rightmost gap to the leftmost, so
 ``stirling_words(2)`` yields 1122, 1221, 2211 in that order.  Only Q_n,
 n <= 7, is memoized (the scan tables of ``stats`` key on its words).  The
 predicates here decide membership; :func:`_order`, the one order gate, raises
-ValueError unless n is a nonnegative int (a stream, at its first ``next``).
+ValueError unless n is a nonnegative int (a stream, at its first ``next``),
+and :func:`_stirling_word`, the one word gate, unless a word is in some Q_n.
 """
 from __future__ import annotations
 
@@ -72,6 +73,15 @@ def is_stirling(word: Sequence[int]) -> bool:
             return False
     # 2n letters, each value at most twice and every pair closed
     return top == 0
+
+
+def _stirling_word(sigma: Sequence[int]) -> Word:
+    """sigma as a tuple, when it is a Stirling permutation; ValueError
+    naming it otherwise."""
+    word = tuple(sigma)
+    if not is_stirling(word):
+        raise ValueError(f"not a Stirling permutation: {word}")
+    return word
 
 
 def _is_permutation(values: Sequence[int]) -> bool:

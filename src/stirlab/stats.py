@@ -41,7 +41,7 @@ from .objects import (
     _is_permutation,
     _is_signed,
     _order,
-    is_stirling,
+    _stirling_word,
     iter_objects,
 )
 
@@ -95,10 +95,7 @@ def stirling_stat_record(word: Sequence[int]) -> dict[str, int]:
 
 def stirling_stats(sigma: Sequence[int]) -> dict[str, int]:
     """Statistics of a Stirling permutation; invalid input raises ValueError."""
-    word = tuple(sigma)
-    if not is_stirling(word):
-        raise ValueError(f"not a Stirling permutation: {word}")
-    return stirling_stat_record(word)
+    return stirling_stat_record(_stirling_word(sigma))
 
 
 def _fdes(values: Sequence[int]) -> int:
@@ -160,8 +157,11 @@ def matching_stats(blocks) -> dict[str, int]:
 
     Blocks may come in any order, and each block's entries too.
     """
-    bs = tuple(map(tuple, blocks))
-    if not _is_matching(bs):
+    try:
+        bs = tuple(map(tuple, blocks))
+    except TypeError:  # a block that is not a sequence, as in (1, 2)
+        bs = None
+    if bs is None or not _is_matching(bs):
         raise ValueError(f"not a perfect matching of [2n]: {blocks}")
     return matching_stat_record(bs)
 
@@ -202,8 +202,8 @@ def distribution(klass: str, n: int, stats: Sequence[str], *,
     """Exact joint distribution of ``stats`` over all objects of order n: the
     count of each tuple of values, in sorted order.
 
-    Enumeration is bounded (see DEFAULT_BOUNDS); pass ``max_n`` to move the
-    limit.  Exceeding it raises ResourceLimitError.
+    Enumeration is bounded (see DEFAULT_BOUNDS); pass an int ``max_n`` to
+    move the limit.  Exceeding it raises ResourceLimitError.
 
     >>> distribution("stirling", 2, ["fap"])
     {(1,): 1, (2,): 1, (3,): 1}
@@ -218,6 +218,8 @@ def distribution(klass: str, n: int, stats: Sequence[str], *,
     if klass == "signed" and n < 1:
         raise ValueError("signed distributions need n >= 1")
     bound = DEFAULT_BOUNDS[klass] if max_n is None else max_n
+    if type(bound) is not int:
+        raise ValueError(f"max_n must be an int or None, got {max_n!r}")
     if n > bound:
         raise ResourceLimitError(
             f"n={n} exceeds the enumeration bound {bound} for class {klass!r}"

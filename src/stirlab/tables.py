@@ -230,13 +230,6 @@ def _b_eulerian_row(n: int) -> dict[int, int]:
     return reduce(_b_eulerian_step, range(1, n + 1), {0: 1})
 
 
-def b_eulerian(n: int, k: int) -> int:
-    """Type-B Eulerian number: signed permutations with k descents (pi(0)=0)."""
-    if type(n) is int and n < 0:
-        return 0
-    return _b_eulerian_row(_order(n)).get(k, 0)
-
-
 def b_poly(n: int) -> Poly:
     """Type-B Eulerian polynomial B_n(x)."""
     n = _order(n)
@@ -352,24 +345,27 @@ def p_poly(n: int) -> Poly:
     return Poly(XYZ, _p_row(n))
 
 
+def _differential(n_max: int, x: Poly, partials: dict[str, Poly]) -> list[Poly]:
+    """Q_0..Q_{n_max} from Q_0 = 1 and the differential recurrence
+    Q_{n+1} = (2n+1) x Q_n + sum of c_v dQ_n/dv over ``partials``, v -> c_v."""
+    n_max = _order(n_max)
+    out = [Poly(XYZ, {(0, 0, 0): 1})]
+    for n in range(n_max):
+        q = out[-1]
+        nxt = q * x * (2 * n + 1)
+        for v, c in partials.items():
+            nxt = nxt + c * q.partial(v)
+        out.append(nxt)
+    return out
+
+
 def p_polys_differential(n_max: int) -> list[Poly]:
     """P_0..P_{n_max} through the differential recurrence, an independent
     path from the index recurrence behind :func:`p_poly`."""
-    n_max = _order(n_max)
     x, xy, xz, x2 = (
         Poly(XYZ, {e: 1}) for e in ((1, 0, 0), (1, 1, 0), (1, 0, 1), (2, 0, 0))
     )
-    out = [Poly(XYZ, {(0, 0, 0): 1})]
-    for n in range(n_max):
-        p = out[-1]
-        nxt = (
-            p * x * (2 * n + 1)
-            + (xy + xz - 2 * x2) * p.partial("x")
-            + (x - xy) * p.partial("y")
-            + (x - xz) * p.partial("z")
-        )
-        out.append(nxt)
-    return out
+    return _differential(n_max, x, {"x": xy + xz - 2 * x2, "y": x - xy, "z": x - xz})
 
 
 def p_table(n_max: int, cache: TableCache | None = None) -> CoefficientTable:
@@ -421,18 +417,8 @@ def g_poly(n: int) -> Poly:
 def g_polys_differential(n_max: int) -> list[Poly]:
     """G_0..G_{n_max} through the differential recurrence, an independent
     path from the index recurrence behind :func:`g_poly`."""
-    n_max = _order(n_max)
     x, xy, x2 = (Poly(XYZ, {e: 1}) for e in ((1, 0, 0), (1, 1, 0), (2, 0, 0)))
-    out = [Poly(XYZ, {(0, 0, 0): 1})]
-    for n in range(n_max):
-        g = out[-1]
-        nxt = (
-            g * x * (2 * n + 1)
-            + (xy - 2 * x2) * g.partial("x")
-            + (2 * x - xy) * g.partial("y")
-        )
-        out.append(nxt)
-    return out
+    return _differential(n_max, x, {"x": xy - 2 * x2, "y": 2 * x - xy})
 
 
 def gamma_table(n_max: int, cache: TableCache | None = None) -> CoefficientTable:

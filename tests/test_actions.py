@@ -1,6 +1,7 @@
 """Letter moves, the toggle action, beta moves, and the alpha bijection."""
 import itertools
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -25,6 +26,7 @@ from stirlab.actions import (
     orbit_members,
 )
 import stirlab.actions as actions_module
+import stirlab.objects as objects_module
 from stirlab.actions import _walk
 from stirlab.errors import IdentityViolationError
 from stirlab.objects import is_stirling, iter_objects
@@ -33,6 +35,34 @@ from stirlab.stats import stirling_scans, stirling_stat_record, stirling_stats
 
 def word(s: str) -> tuple[int, ...]:
     return tuple(int(c) for c in s)
+
+
+def gate_message(w) -> str:
+    return rf"^not a Stirling permutation: {re.escape(str(tuple(w)))}$"
+
+
+GATED = [
+    (stirling_stats, ()),
+    (fs_move, (1,)),
+    (fs_toggle_value, (2,)),
+    (fs_action, ([5],)),
+    (orbit, ()),
+    (orbit_members, ()),
+    (beta_move, (1,)),
+    (beta_set, ({1, 2},)),
+]
+
+
+# every function that takes a Stirling permutation passes it through the word
+# gate of objects first: a word outside Q_n is a ValueError, never returned
+# as it was and never blamed on a slide's IdentityViolationError
+@pytest.mark.parametrize("w", [word("1212"), word("2112"), word("112222"),
+                               (1.0, 1.0), (True, True)],
+                         ids=["crossing", "slides-out", "three-copies", "float", "bool"])
+@pytest.mark.parametrize("fn, rest", GATED, ids=[fn.__name__ for fn, _ in GATED])
+def test_a_word_outside_q_n_meets_the_gate(fn, rest, w):
+    with pytest.raises(ValueError, match=gate_message(w)):
+        fn(w, *rest)
 
 
 class TestFsMove:
@@ -151,8 +181,7 @@ class TestOrbits:
         # (orbit_members on 1212 used to reach a toggle, whose check named
         # a slide instead)
         for walk in (orbit, lambda w: list(orbit_members(w))):
-            with pytest.raises(IdentityViolationError,
-                               match=r"^orbit of \(.*\), not a Stirling permutation$"):
+            with pytest.raises(ValueError, match=gate_message(w)):
                 walk(w)
 
     def test_orbit_members_checks_its_input_by_one_lookup(self, monkeypatch):
@@ -162,6 +191,8 @@ class TestOrbits:
             looked_up.append(w)
             return is_stirling(w)
 
+        # the word gate of objects checks the input, the moves their outputs
+        monkeypatch.setattr(objects_module, "is_stirling", counting)
         monkeypatch.setattr(actions_module, "is_stirling", counting)
         walk = list(orbit_members(word("123321")))
         assert len(walk) == 4
@@ -344,8 +375,7 @@ class TestBetaMoves:
 
     def test_beta_set_checks_its_input(self):
         # every beta move on 1212 is a no-op, so only the input check sees it
-        with pytest.raises(IdentityViolationError,
-                           match=r"^beta moves on \(1, 2, 1, 2\), not a Stirling"):
+        with pytest.raises(ValueError, match=gate_message(word("1212"))):
             beta_set(word("1212"), {1, 2})
 
     @pytest.mark.parametrize("move, args, message", [
@@ -473,14 +503,17 @@ class TestAssertsStay:
             seen.append(word)
             return is_stirling(word)
 
+        # the word gate of objects checks the input, the moves their outputs
+        monkeypatch.setattr(objects_module, "is_stirling", counting)
         monkeypatch.setattr(actions_module, "is_stirling", counting)
         return seen
 
     def test_beta_move_checks_once_per_move(self, calls):
-        moved = beta_move(word("3443557887662211"), 6)
-        assert calls == [moved]
+        w = word("3443557887662211")
+        moved = beta_move(w, 6)
+        assert calls == [w, moved]
         beta_set(word("331221"), {1, 2, 3})
-        assert len(calls) == 1 + 3  # the input, then the slides of 1 and 2
+        assert len(calls) == 2 + 3  # the input, then the slides of 1 and 2
 
     def test_beta_set_checks_its_input_and_each_moved_word(self, calls):
         w = word("331221")
@@ -490,12 +523,12 @@ class TestAssertsStay:
         assert calls == [w, word("133221"), moved]
 
     def test_fs_move_checks_once_per_move(self, calls):
-        moved = fs_move(word("2447887332115665"), 1)
-        assert calls == [moved]
         w = word("2447887332115665")
+        moved = fs_move(w, 1)
+        assert calls == [w, moved]
         s = index_sets(w)
         fs_action(w, s["dasc"] | s["dp"])
-        assert len(calls) == 1 + len(s["dasc"] | s["dp"])
+        assert len(calls) == 2 + 1 + len(s["dasc"] | s["dp"])
 
     def test_a_failed_move_check_raises(self, monkeypatch):
         monkeypatch.setattr(actions_module, "is_stirling", lambda w: False)

@@ -9,6 +9,7 @@ import pytest
 import stirlab.actions as actions
 import stirlab.grammar as grammar
 import stirlab.identities as ids
+import stirlab.objects as objects
 import stirlab.stats as stats
 from stirlab.errors import IdentityViolationError, ResourceLimitError
 from stirlab.identities import (
@@ -209,9 +210,11 @@ def test_every_slide_is_checked_once(monkeypatch, name, checks, by_is_stirling):
 
     for kernel in ("_slide_left", "_slide_right"):
         monkeypatch.setattr(actions, kernel, counted_slide(getattr(actions, kernel)))
+    # the word gate of objects checks each input, the slides their outputs
     is_stirling = actions.is_stirling
-    monkeypatch.setattr(actions, "is_stirling",
-                        lambda w: stack_checked.append(w) or is_stirling(w))
+    for module in (objects, actions):
+        monkeypatch.setattr(module, "is_stirling",
+                            lambda w: stack_checked.append(w) or is_stirling(w))
     assert REGISTRY[name].runner(5) is None
     assert len(checked) == len(slides) == checks
     assert len(stack_checked) == by_is_stirling

@@ -1,4 +1,5 @@
 """Statistic definitions against worked examples and cross-statistic laws."""
+import re
 from collections import Counter
 
 import pytest
@@ -147,6 +148,9 @@ def test_validators_reject_bad_objects():
         matching_stats([(1, 2), (2, 3)])
     with pytest.raises(ValueError, match=r"^not a perfect matching"):
         matching_stats([(1, 2, 3, 4)])
+    # blocks that are not sequences
+    with pytest.raises(ValueError, match=r"^not a perfect matching of \[2n\]: \(1, 2\)$"):
+        matching_stats((1, 2))
     # entries equal to ints but of another type are not letters
     with pytest.raises(ValueError, match=r"^not a Stirling permutation: \(1\.0, 1\.0\)$"):
         stirling_stats((1.0, 1.0))
@@ -229,6 +233,12 @@ class TestDistribution:
         distribution("permutation", 5, ["des"], max_n=5)
         with pytest.raises(ResourceLimitError):
             distribution("permutation", 6, ["des"], max_n=5)
+
+    @pytest.mark.parametrize("max_n", ["a", 2.5, True, (5,)])
+    def test_the_bound_is_an_int(self, max_n):
+        with pytest.raises(ValueError,
+                           match=rf"^max_n must be an int or None, got {re.escape(repr(max_n))}$"):
+            distribution("stirling", 2, ["asc"], max_n=max_n)
 
     def test_unknown_names_rejected(self):
         with pytest.raises(ValueError):

@@ -26,7 +26,6 @@ from stirlab.tables import (
     _stirling2_row,
     _t_row,
     a_poly,
-    b_eulerian,
     b_poly,
     c_poly,
     cn_nn_tables,
@@ -95,7 +94,7 @@ class TestEulerianFamilies:
             count = sum(
                 1 for w in iter_objects("signed", n) if signed_stat_record(w)["desB"] == k
             )
-            assert b_eulerian(n, k) == count
+            assert b_poly(n).coefficient(k) == count
 
     def test_f_poly(self):
         assert f_poly(0) == Poly.one()
@@ -643,7 +642,6 @@ def gate_message(n) -> str:
 
 NEGATIVE_N_NUMBERS = [
     (eulerian, (0,)),
-    (b_eulerian, (0,)),
     (stirling2, (0,)),
     (gamma_number, (0, 0)),
 ]
