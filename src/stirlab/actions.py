@@ -89,7 +89,11 @@ def index_sets(sigma) -> dict[str, frozenset[int]]:
     >>> index_sets((1, 2, 2, 1))
     {'dasc': frozenset({1}), 'dp': frozenset(), 'lap': frozenset({2})}
     """
-    word = _word(sigma)
+    return _index_sets(_word(sigma))
+
+
+def _index_sets(word: Word) -> dict[str, frozenset[int]]:
+    # index_sets of a word of int letters, unchecked for the gated moves
     dasc, dp, lap = [], [], []
     left = 0
     # one pass with the classify_index rules, the virtual 0 at both ends
@@ -213,7 +217,7 @@ def fs_action(sigma, positions: Iterable[int]) -> Word:
     output raises IdentityViolationError.
     """
     word = _stirling_word(sigma)
-    sets = index_sets(word)
+    sets = _index_sets(word)
     movable = sets["dasc"] | sets["dp"]
     for v in sorted({word[i - 1] for i in positions if _position(i, word) in movable}):
         word = _toggle(word, v, is_stirling)
@@ -222,10 +226,10 @@ def fs_action(sigma, positions: Iterable[int]) -> Word:
 
 def _representative(word: Word, check: Check) -> Word:
     # toggle every descent-plateau value off, ``check`` testing each output
-    if dp := index_sets(word)["dp"]:
+    if dp := _index_sets(word)["dp"]:
         for v in sorted({word[i - 1] for i in dp}):
             word = _toggle(word, v, check)
-        if index_sets(word)["dp"]:
+        if _index_sets(word)["dp"]:
             raise IdentityViolationError(f"orbit representative {word} has descent-plateaus")
     return word
 

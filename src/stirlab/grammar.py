@@ -8,9 +8,9 @@ the statistic distributions this package verifies.
 
 Polynomials are :class:`stirlab.polynomials.Poly` values.  A grammar holds
 its rules over its sorted alphabet, and with each letter the shifts its rule
-terms make: a term's exponent tuple less the letter's unit exponent.  The
-derivative of a monomial through one of its letters is then the monomial's
-exponent tuple plus each shift, one tuple addition per output term.
+terms make: a term's exponent tuple less the letter's unit exponent.  One
+kernel derives every order: it packs each exponent tuple into one int, a
+bit field per letter, so that a shift is one int addition per output term.
 
 Rule files hold one rule per line (or several separated by semicolons)::
 
@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from operator import add
 from typing import Mapping, Sequence, Union
 
 from .errors import ResourceLimitError
@@ -261,45 +260,73 @@ def _check_alphabet(p: Poly, g: Grammar) -> None:
 
 
 def derive(p: Poly, g: Grammar) -> Poly:
-    """One application of the formal derivative: Leibniz over each monomial.
-
-    A monomial c * m with exponent k > 0 at letter i gives, for each shift d
-    of that letter with coefficient dc, the term c * k * dc at the exponents
-    of m plus d.  The result is over the grammar's ``names``.
+    """One application of the formal derivative, Leibniz over each monomial:
+    the first order of :func:`derive_n`, over the grammar's ``names``.
 
     >>> g = parse_grammar("x -> x*y*z; y -> y*z^2; z -> y^2*z")
     >>> str(derive(parse_poly("x*y"), g))
     'x*y*z^2 + x*y^2*z'
     """
-    if p.names != g.names:
-        _check_alphabet(p, g)
-    shifts = g.shifts
-    acc: dict[tuple[int, ...], int] = {}
-    get = acc.get
-    for e, c in p.terms_over(g.names).items():
-        for i, k in enumerate(e):
-            if k:
-                ck = c * k
-                for d, dc in shifts[i]:
-                    key = tuple(map(add, e, d))
-                    acc[key] = get(key, 0) + ck * dc
-    return Poly(g.names, acc)
+    return derive_n(p, g, 1)
 
 
 def derive_n(p: Poly, g: Grammar, n: int) -> Poly:
     """n-fold application of the formal derivative (n = 0 is the identity).
     A derivative past :data:`TERM_LIMIT` terms raises ResourceLimitError."""
+    return _powers(p, g, n)[-1]
+
+
+def _powers(p: Poly, g: Grammar, n: int, every: bool = False) -> list[Poly]:
+    """[D^n(p)], or D^0(p)..D^n(p) when ``every``, packing p once: each letter
+    gets a bit field that holds p's degree plus n times the most a rule term
+    adds, so packed terms add as exponent tuples do.  A negative exponent, in
+    p or a rule, would borrow from the next field and raises ValueError."""
     n = _order(n)
     if p.names != g.names:
         _check_alphabet(p, g)
+    terms = p.terms_over(g.names)
+    for e in [*terms, *(e for rule in g.rules.values() for e in rule.terms)]:
+        if min(e, default=0) < 0:
+            raise ValueError(f"a negative exponent cannot be derived: {monomial_str(g.names, e)}")
+    growth = max((sum(d) for shifts in g.shifts for d, _ in shifts), default=0)
+    width = (max(map(sum, terms), default=0) + n * max(growth, 0)).bit_length() or 1
+    mask = (1 << width) - 1
+    offsets = range(0, width * len(g.names), width)
+
+    def pack(e: tuple[int, ...]) -> int:
+        return sum(k << off for k, off in zip(e, offsets))
+
+    def unpack(packed: dict[int, int]) -> Poly:
+        return Poly(g.names, {tuple([e >> off & mask for off in offsets]): c
+                              for e, c in packed.items()})
+
+    rule_terms = tuple((off, pack(d), dc)
+                       for off, shifts in zip(offsets, g.shifts) for d, dc in shifts)
+    packed = {pack(e): c for e, c in terms.items()}
+    out = [unpack(packed)] if every else []
     for order in range(1, n + 1):
-        p = derive(p, g)
-        if len(p.terms) > TERM_LIMIT:
-            raise ResourceLimitError(
-                f"the derivative of order {order} has {len(p.terms)} terms,"
-                f" past the grammar term limit {TERM_LIMIT}"
-            )
-    return p
+        packed = _step(packed, rule_terms, mask)
+        if len(packed) > TERM_LIMIT:
+            raise ResourceLimitError(f"the derivative of order {order} has {len(packed)} terms,"
+                                     f" past the grammar term limit {TERM_LIMIT}")
+        if every:
+            out.append(unpack(packed))
+    return out if every else [unpack(packed)]
+
+
+def _step(packed: dict[int, int], rule_terms, mask: int) -> dict[int, int]:
+    """One order on packed terms: a term e, c * x_i^k * m with k > 0, and a
+    rule term (off_i, d, dc) of x_i give c * k * dc at e + d."""
+    acc: dict[int, int] = {}
+    get = acc.get
+    for e, c in packed.items():
+        for off, d, dc in rule_terms:
+            if k := e >> off & mask:
+                key = e + d
+                acc[key] = get(key, 0) + c * k * dc
+    if 0 in acc.values():  # cancelled terms, from negative coefficients
+        acc = {e: c for e, c in acc.items() if c}
+    return acc
 
 
 def substitute(p: Poly, bindings: Mapping[str, Union[Poly, str, int]]) -> Poly:

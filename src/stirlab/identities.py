@@ -32,13 +32,12 @@ import functools
 import math
 import time
 from dataclasses import dataclass
-from itertools import accumulate
 from operator import itemgetter
 from typing import Callable, Sequence
 
 from . import actions, tables
 from .errors import IdentityViolationError, ResourceLimitError
-from .grammar import derive_n, parse_poly, substitute
+from .grammar import _powers, parse_poly, substitute
 from .objects import iter_objects
 from .polynomials import XYZ, Poly
 from .stats import (
@@ -269,10 +268,7 @@ def _derivatives(seed: str, grammar: str) -> Table:
     when the table is built, so a grammar patched into ``tables`` is seen."""
 
     def build(bound: int) -> list[Poly]:
-        g = getattr(tables, grammar)
-        steps = accumulate(range(bound), lambda p, _: derive_n(p, g, 1),
-                           initial=parse_poly(seed))
-        return list(steps)
+        return _powers(parse_poly(seed), getattr(tables, grammar), bound, every=True)
 
     return Table(build)
 

@@ -106,14 +106,23 @@ def _is_matching(blocks: tuple[tuple[int, ...], ...]) -> bool:
 
 
 def stirling_words(n: int) -> Iterator[Word]:
-    """All Stirling permutations of order n, in pair-insertion order."""
+    """All Stirling permutations of order n, in pair-insertion order; the
+    stack holds words below order n, each with its next gap to fill."""
     n = _order(n)
     if n == 0:
         yield ()
         return
-    for parent in stirling_words(n - 1):
-        for p in range(len(parent), -1, -1):
-            yield parent[:p] + (n, n) + parent[p:]
+    stack = [((), 0)]
+    while stack:
+        parent, p = stack.pop()
+        m = len(parent) // 2 + 1  # the pair the gaps of parent receive
+        if m == n:
+            for q in range(p, -1, -1):
+                yield parent[:q] + (n, n) + parent[q:]
+            continue
+        if p:
+            stack.append((parent, p - 1))
+        stack.append((parent[:p] + (m, m) + parent[p:], 2 * m))
 
 
 def signed_words(n: int) -> Iterator[Word]:

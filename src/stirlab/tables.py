@@ -43,7 +43,7 @@ from pathlib import Path
 
 from ._version import __version__
 from .errors import IdentityViolationError
-from .grammar import coefficient_profile, derive_n, parse_grammar, parse_poly
+from .grammar import _powers, coefficient_profile, parse_grammar, parse_poly
 from .objects import _order
 from .polynomials import XYZ, Poly
 
@@ -210,8 +210,7 @@ def eulerian(n: int, k: int) -> int:
 
 def a_poly(n: int) -> Poly:
     """Eulerian polynomial A_n(x)."""
-    n = _order(n)
-    return Poly.from_counts(_eulerian_row(n))
+    return Poly.from_counts(_eulerian_row(_order(n)))
 
 
 def _b_eulerian_step(prev: dict[int, int], m: int) -> dict[int, int]:
@@ -232,8 +231,7 @@ def _b_eulerian_row(n: int) -> dict[int, int]:
 
 def b_poly(n: int) -> Poly:
     """Type-B Eulerian polynomial B_n(x)."""
-    n = _order(n)
-    return Poly.from_counts(_b_eulerian_row(n))
+    return Poly.from_counts(_b_eulerian_row(_order(n)))
 
 
 def f_poly(n: int) -> Poly:
@@ -341,8 +339,7 @@ def _p_row(n: int) -> dict[tuple[int, int, int], int]:
 
 def p_poly(n: int) -> Poly:
     """P_n(x, y, z) = sum x^lap y^dasc z^dp over Q_n."""
-    n = _order(n)
-    return Poly(XYZ, _p_row(n))
+    return Poly(XYZ, _p_row(_order(n)))
 
 
 def _differential(n_max: int, x: Poly, partials: dict[str, Poly]) -> list[Poly]:
@@ -485,11 +482,8 @@ def m_polys(n_max: int) -> list[Poly]:
     order: the n-th derivative of y under the flag grammar is
     y * sum y^(2 ap) z^(2n - 2 ap).  A y exponent whose weight, the exponent
     less one, is odd raises IdentityViolationError."""
-    n_max = _order(n_max)
-    steps = accumulate(range(n_max), lambda p, _: derive_n(p, FLAG_GRAMMAR, 1),
-                       initial=parse_poly("y"))
     out = []
-    for d in steps:
+    for d in _powers(parse_poly("y"), FLAG_GRAMMAR, n_max, every=True):
         counts: dict[int, int] = {}
         for (e,), c in coefficient_profile(d, ["y"]).items():
             if (e - 1) % 2:

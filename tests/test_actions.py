@@ -530,6 +530,21 @@ class TestAssertsStay:
         fs_action(w, s["dasc"] | s["dp"])
         assert len(calls) == 2 + 1 + len(s["dasc"] | s["dp"])
 
+    def test_gated_words_skip_the_letter_scan(self, monkeypatch):
+        # the word gate already rejects every non-int letter, so fs_action
+        # and orbit read positions without index_sets' own letter scan
+        scanned = []
+        scan = actions_module._word
+        monkeypatch.setattr(actions_module, "_word",
+                            lambda w: scanned.append(w) or scan(w))
+        w = word("2447887332115665")
+        fs_action(w, {1, 2, 3})
+        orbit(w)
+        orbit(fs_move(w, 1))  # a descent-plateau to toggle off
+        assert scanned == []
+        index_sets(w)
+        assert scanned == [w]
+
     def test_a_failed_move_check_raises(self, monkeypatch):
         monkeypatch.setattr(actions_module, "is_stirling", lambda w: False)
         with pytest.raises(IdentityViolationError, match="left"):

@@ -139,10 +139,10 @@ class TestDerive:
             derive_n(gp("x"), FLAG, n)
 
 
-def polys_over(letters):
+def polys_over(letters, exponents=st.integers(1, 3)):
     """Sums of up to four terms over ``letters``, constants included, with
     coefficients from -4 to 4."""
-    monomials = st.dictionaries(st.sampled_from(letters), st.integers(1, 3), max_size=3)
+    monomials = st.dictionaries(st.sampled_from(letters), exponents, max_size=3)
     return st.lists(
         st.tuples(monomials, st.integers(-4, 4)), min_size=0, max_size=4
     ).map(
@@ -217,11 +217,57 @@ class TestDeriveKernel:
             "6*a*c - 4*a^2*b*c + 2*a*c^3 + 4*c"
         )
 
+    # exponents at and next to powers of two, where the packed kernel's
+    # bit width per letter is full or one short
+    @settings(max_examples=80, deadline=None)
+    @given(grammars, st.integers(0, 4), st.data())
+    def test_derive_n_matches_the_iterated_reference(self, g, n, data):
+        exponents = st.sampled_from([1, 2, 3, 4, 7, 8, 15, 16, 31])
+        p = data.draw(polys_over(sorted(g.alphabet), exponents)) if g.alphabet else gp("5")
+        expected = p
+        for _ in range(n):
+            expected = reference_derive(expected, g)
+        assert derive_n(p, g, n) == expected
+
+    def test_an_exponent_may_fill_its_field(self):
+        # a^7 reaches a^15 at order 8, the largest value the 4 bits of a
+        # hold, with b packed just above it
+        g = parse_grammar("a -> a^2; b -> a*b - 2")
+        p = gp("a^7 + b^3")
+        expected = p
+        for _ in range(8):
+            expected = reference_derive(expected, g)
+        assert derive_n(p, g, 8) == expected
+        assert expected.coefficient(15, 0) == math.prod(range(7, 15))
+
+    @pytest.mark.parametrize("n", [0, 1, 3])
+    def test_a_negative_exponent_is_named(self, n):
+        # packed, x^-1 would borrow from the bits of y
+        p = Poly(("x", "y"), {(-1, 2): 1, (1, 1): 1})
+        with pytest.raises(ValueError, match=r"^a negative exponent cannot be derived: x\^-1\*y\^2$"):
+            derive_n(p, FLAG, n)
+
+    def test_a_negative_exponent_in_a_rule_is_named(self):
+        g = Grammar({"x": Poly(("x", "y"), {(2, -1): 3})})
+        with pytest.raises(ValueError, match=r"^a negative exponent cannot be derived: x\^2\*y\^-1$"):
+            derive_n(gp("x"), g, 1)
+
+    def test_cancelled_terms_leave_each_step(self, monkeypatch):
+        # D(x) = y - z and D^2(x) = 1 - 1: a zero term counts toward no
+        # TERM_LIMIT and is not derived again
+        sizes = []
+        step = grammar._step
+        monkeypatch.setattr(grammar, "_step",
+                            lambda *args: sizes.append(len(out := step(*args))) or out)
+        assert not derive_n(gp("x"), parse_grammar("x -> y - z; y -> 1; z -> 1"), 3).terms
+        assert sizes == [2, 0, 0]
+
     @pytest.mark.parametrize("n", [0, 1, 5])
     def test_derive_n_takes_n_steps(self, monkeypatch, n):
+        # one call of the per-order kernel step per order
         calls = []
-        step = grammar.derive
-        monkeypatch.setattr(grammar, "derive", lambda p, g: calls.append(p) or step(p, g))
+        step = grammar._step
+        monkeypatch.setattr(grammar, "_step", lambda *args: calls.append(args) or step(*args))
         derive_n(gp("x*y"), FLAG, n)
         assert len(calls) == n
 

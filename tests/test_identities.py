@@ -143,9 +143,10 @@ DERIVING = {
 
 
 def _count_derives(monkeypatch) -> list:
+    # counts the per-order kernel step, one call per derived order
     calls = []
-    step = grammar.derive
-    monkeypatch.setattr(grammar, "derive", lambda p, g: calls.append(p) or step(p, g))
+    step = grammar._step
+    monkeypatch.setattr(grammar, "_step", lambda *args: calls.append(args) or step(*args))
     return calls
 
 

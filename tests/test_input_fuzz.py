@@ -7,14 +7,17 @@ tuples, negative ints, and words one swap away from a Stirling word, mixed
 with well-formed values so that the checks past the first one are reached
 too.  Each argument keeps its documented shape (a word is a sequence, a
 matching a sequence of blocks, a position or value set an iterable); what
-fills it is malformed.
+fills it is malformed.  Each move of ``actions`` that takes a word and a
+letter, position or set also gets a valid Stirling word with a malformed
+second argument, and a word one swap outside Q_n with a second argument it
+would take on a Stirling word of that length.
 
 The pass rule: each call returns, or raises ValueError (subclasses count) or
 ResourceLimitError.  A stream that returns is drawn from for a few items.
 
 An order is drawn no larger than 5 wherever nothing bounds the work:
 ``t_poly(10**6)`` would run for hours, and ``next(stirling_words(10**6))``
-nests a million generators.  Only ``distribution``, which checks its
+builds a million ever longer words.  Only ``distribution``, which checks its
 enumeration bound first, is fed huge orders.
 
 Left out: ``TableCache`` writes files, and ``CoefficientTable`` is a record
@@ -75,6 +78,46 @@ word = st.one_of(
     st.text(alphabet="0123456", max_size=6),
 )
 letters = st.lists(letter, max_size=5).map(tuple)
+
+
+@st.composite
+def one_swap(draw):
+    """A word one swap away from a Stirling word of order 2 to 4, and not
+    itself a Stirling word."""
+    n = draw(st.integers(2, 4))
+    w = list(draw(st.sampled_from(list(stirling_words(n)))))
+    i, j = draw(st.lists(st.integers(0, 2 * n - 1), min_size=2, max_size=2, unique=True))
+    w[i], w[j] = w[j], w[i]
+    return tuple(w)
+
+
+def gated_word(old, second, bad):
+    """The argument pairs of a move: ``old``, a valid Stirling word and
+    ``bad``, or a one-swap word and ``second(w)``, an argument the move
+    would take on a Stirling word of its length; the last two reach the
+    move's checks past the one its first argument fails."""
+    valid = st.integers(1, 4).flatmap(lambda n: st.sampled_from(list(stirling_words(n))))
+    swapped = one_swap().filter(lambda w: not objects.is_stirling(w))
+    return st.one_of(
+        old,
+        st.tuples(valid, bad),
+        swapped.flatmap(lambda w: st.tuples(st.just(w), second(w))),
+    )
+
+
+def position(w):
+    return st.integers(1, len(w))
+
+
+def value(w):
+    return st.integers(1, len(w) // 2)
+
+
+def some(each):
+    return lambda w: st.lists(each(w), min_size=1, max_size=3).map(tuple)
+
+
+junk_letters = st.lists(junk, min_size=1, max_size=3).map(tuple)
 # a matching: blocks of letters, or a flat tuple whose blocks are not sequences
 blocks = st.one_of(st.lists(st.lists(letter, max_size=3).map(tuple), max_size=4).map(tuple),
                    letters)
@@ -104,11 +147,11 @@ ARGS = {
     # actions
     "alpha": st.tuples(word),
     "alpha_inverse": st.tuples(st.one_of(letters, word)),
-    "beta_move": st.tuples(word, letter),
-    "beta_set": st.tuples(word, letters),
-    "fs_action": st.tuples(word, letters),
-    "fs_move": st.tuples(word, letter),
-    "fs_toggle_value": st.tuples(word, letter),
+    "beta_move": gated_word(st.tuples(word, letter), value, junk),
+    "beta_set": gated_word(st.tuples(word, letters), some(value), junk_letters),
+    "fs_action": gated_word(st.tuples(word, letters), some(position), junk_letters),
+    "fs_move": gated_word(st.tuples(word, letter), position, junk),
+    "fs_toggle_value": gated_word(st.tuples(word, letter), value, junk),
     "index_sets": st.tuples(word),
     "orbit": st.tuples(word),
     "orbit_members": st.tuples(word),

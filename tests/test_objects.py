@@ -103,6 +103,26 @@ def test_stirling_enumeration_order():
     assert q3[5] == (1, 2, 2, 1, 3, 3)
 
 
+def pair_insertion(n):
+    # the recursive definition: each word of order n-1, every gap right to left
+    if n == 0:
+        yield ()
+        return
+    for parent in pair_insertion(n - 1):
+        for p in range(len(parent), -1, -1):
+            yield parent[:p] + (n, n) + parent[p:]
+
+
+def test_stirling_words_follow_pair_insertion():
+    for n in range(7):
+        assert list(stirling_words(n)) == list(pair_insertion(n))
+
+
+def test_a_deep_order_starts_at_once():
+    # the stream nests no generator per order, so order 1200 is no RecursionError
+    assert next(stirling_words(1200)) == tuple(v for v in range(1, 1201) for _ in "ab")
+
+
 def test_signed_counts_and_order():
     assert list(signed_words(1)) == [(1,), (-1,)]
     assert sum(1 for _ in signed_words(2)) == 8
