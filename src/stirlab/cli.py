@@ -14,6 +14,10 @@ derivative one on its terms (:data:`POLY_LIMITS`, :data:`ORDER_LIMIT`,
 The coefficient-table cache directory resolves from ``--cache-dir``, then
 the STIRLAB_CACHE environment variable, then $XDG_CACHE_HOME/stirlab, then
 ~/.cache/stirlab.
+
+A command loads only the submodules it uses: ``stats`` loads
+:mod:`stirlab.stats` and ``verify`` the identity registry when they run, so
+``poly`` and ``grammar`` never load either.
 """
 from __future__ import annotations
 
@@ -24,12 +28,11 @@ import sys
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
-from . import identities, tables
-from .errors import ResourceLimitError
+from . import tables
+from .errors import ResourceLimitError, UnknownIdentityError
 from .grammar import GrammarSyntaxError, derive_n, parse_grammar, parse_poly
 from .objects import STREAMS
 from .polynomials import XYZ, Poly, format_terms, monomial_str
-from .stats import distribution
 
 _FORMATS = ("plain", "json", "csv")
 
@@ -80,6 +83,8 @@ def _cmd_enumerate(args: argparse.Namespace, out) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace, out) -> int:
+    from .stats import distribution
+
     stats = [s.strip() for s in args.stats.split(",") if s.strip()]
     counts = distribution(args.klass, args.n, stats, max_n=args.bound)
     if args.format == "json":
@@ -212,6 +217,8 @@ def _render_results(results, fmt: str, out) -> None:
 
 
 def _cmd_verify(args: argparse.Namespace, out) -> int:
+    from . import identities
+
     if args.all:
         results = identities.run_all(args.max_n)
     else:
@@ -305,7 +312,7 @@ def main(argv: Sequence[str] | None = None, out=None) -> int:
         if out is sys.stdout:  # the interpreter's last flush goes to devnull
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141  # 128 + SIGPIPE, as a shell reports a writer it killed
-    except (ResourceLimitError, identities.UnknownIdentityError,
+    except (ResourceLimitError, UnknownIdentityError,
             GrammarSyntaxError, ValueError, OSError) as exc:
         print(f"stirlab: error: {exc}", file=sys.stderr)
         return 2

@@ -7,3 +7,7 @@ class ResourceLimitError(RuntimeError):
 
 class IdentityViolationError(RuntimeError):
     """Two computation paths that must agree produced different values."""
+
+
+class UnknownIdentityError(ValueError):
+    """The requested identity name is not registered."""

@@ -36,7 +36,7 @@ from operator import itemgetter
 from typing import Callable, Sequence
 
 from . import actions, tables
-from .errors import IdentityViolationError, ResourceLimitError
+from .errors import IdentityViolationError, ResourceLimitError, UnknownIdentityError
 from .grammar import _powers, parse_poly, substitute
 from .objects import iter_objects
 from .polynomials import XYZ, Poly
@@ -105,10 +105,6 @@ def _run_routes(compare: tuple[Compare, ...], bound: int) -> str | None:
             if values[c.left] != values[c.right]:
                 return f"n={n}: {c.label}{values[c.left]} != {values[c.right]}"
     return None
-
-
-class UnknownIdentityError(ValueError):
-    """The requested identity name is not registered."""
 
 
 @dataclass(frozen=True)
@@ -525,13 +521,6 @@ _register(
 # the trivariate refinement
 
 
-def _stats_text(word) -> str:
-    """The Stirling statistics of a word, as the word-by-word witnesses
-    print them."""
-    fields = ", ".join(f"{s}={v}" for s, v in stirling_stat_record(word).items())
-    return f"StirlingStatRecord({fields})"
-
-
 @_register(
     "asc-plat-decomposition",
     "asc = lap + dasc and plat = lap + dp hold word by word",
@@ -542,7 +531,7 @@ def _asc_plat(bound: int) -> str | None:
         for word, record in stirling_scans(n).items():
             asc, _, plat, _, lap, _, dasc, dp = record
             if asc != lap + dasc or plat != lap + dp:
-                return f"n={n}, word {word}: {_stats_text(word)}"
+                return f"n={n}, word {word}: {stirling_stat_record(word)}"
     return None
 
 
@@ -622,7 +611,7 @@ def _fs_symmetry(bound: int) -> str | None:
             for k, word in enumerate(actions._walk(rep, q_n.__contains__)):
                 s = (k ^ k >> 1).bit_count()
                 if _lap_dasc_dp(q_n[word]) != (lap, d - s, s):
-                    a, b = _stats_text(rep), _stats_text(word)
+                    a, b = stirling_stat_record(rep), stirling_stat_record(word)
                     return f"n={n}, word {rep}: {s} of {d} toggles sent {a} to {b}"
                 if unwalked.pop(word, True):  # marked off already
                     return f"n={n}: the orbit of {rep} walks {word} twice"

@@ -315,21 +315,27 @@ def _p_step(
     # the five insertion cases for a new doubled letter (after the first of a
     # doubled pair, before it, at a double ascent, at a descent-plateau, and
     # at a neutral position).  Built push-forward: each term of row n-1
-    # sends its five weighted images into row n.
+    # sends its five weighted images into row n, images of weight 0 skipped.
     slots = 2 * n - 1
     row: dict[tuple[int, int, int], int] = {}
     get = row.get
     for (i, j, k), c in prev.items():
-        ic = i * c
-        for key, v in (
-            ((i, j + 1, k), ic),
-            ((i, j, k + 1), ic),
-            ((i + 1, j - 1, k), j * c),
-            ((i + 1, j, k - 1), k * c),
-            ((i + 1, j, k), (slots - 2 * i - j - k) * c),
-        ):
-            row[key] = get(key, 0) + v
-    return {key: v for key, v in row.items() if v}
+        if i:
+            ic = i * c
+            key = (i, j + 1, k)
+            row[key] = get(key, 0) + ic
+            key = (i, j, k + 1)
+            row[key] = get(key, 0) + ic
+        if j:
+            key = (i + 1, j - 1, k)
+            row[key] = get(key, 0) + j * c
+        if k:
+            key = (i + 1, j, k - 1)
+            row[key] = get(key, 0) + k * c
+        if w := (slots - 2 * i - j - k) * c:
+            key = (i + 1, j, k)
+            row[key] = get(key, 0) + w
+    return row
 
 
 @lru_cache(maxsize=None)
@@ -383,13 +389,16 @@ def _gamma_step(
     row: dict[tuple[int, int], int] = {}
     get = row.get
     for (i, j), c in prev.items():
-        for key, v in (
-            ((i, j + 1), i * c),
-            ((i + 1, j - 1), 2 * j * c),
-            ((i + 1, j), (slots - 2 * i - j) * c),
-        ):
-            row[key] = get(key, 0) + v
-    return {key: v for key, v in row.items() if v}
+        if i:
+            key = (i, j + 1)
+            row[key] = get(key, 0) + i * c
+        if j:
+            key = (i + 1, j - 1)
+            row[key] = get(key, 0) + 2 * j * c
+        if w := (slots - 2 * i - j) * c:
+            key = (i + 1, j)
+            row[key] = get(key, 0) + w
+    return row
 
 
 @lru_cache(maxsize=None)

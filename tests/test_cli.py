@@ -518,6 +518,34 @@ def test_python_dash_m_runs_the_cli():
     assert proc.stdout.startswith("pass  gamma-eulerian (max_n=5)")
 
 
+def test_poly_and_grammar_leave_the_verify_modules_unloaded(tmp_path):
+    # a fresh interpreter, so that no other test's imports count; verify
+    # then loads what it needs on its own
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    script = f"""if True:
+        import io, json, sys
+        from stirlab.cli import main
+        out = io.StringIO()
+        codes = [
+            main(["--cache-dir", {str(tmp_path)!r}, "poly", "--name", "A",
+                  "--n", "3"], out=out),
+            main(["grammar", "--rules", {str(GOLDEN / "grammar_refined.rules")!r},
+                  "--start", "z", "--order", "3"], out=out),
+        ]
+        loaded = [m for m in ("stirlab.identities", "stirlab.actions",
+                              "stirlab.stats") if m in sys.modules]
+        codes.append(main(["verify", "--identity", "t-recurrence"], out=out))
+        print(json.dumps({{"codes": codes, "loaded": loaded}}))
+    """
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == {
+        "codes": [0, 0, 0], "loaded": []}
+
+
 def test_a_closed_stdout_exits_141_quietly(tmp_path):
     # A_1000 in JSON is megabytes, far more than a pipe holds, so the
     # command is still writing when the reader closes the pipe

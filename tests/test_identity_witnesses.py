@@ -307,17 +307,18 @@ CASES = [
         # the witness prints the word's true record, not the corrupted one
         "asc-plat-decomposition", 5,
         lambda mp: _corrupt_scan(mp, (1, 1, 2, 2), "dasc"),
-        "n=2, word (1, 1, 2, 2): StirlingStatRecord(asc=2, des=1, plat=2, "
-        "ap=1, lap=2, fap=3, dasc=0, dp=0)",
+        "n=2, word (1, 1, 2, 2): {'asc': 2, 'des': 1, 'plat': 2, 'ap': 1, "
+        "'lap': 2, 'fap': 3, 'dasc': 0, 'dp': 0}",
     ),
     (
         # the walk from 1221 toggles 1 on, giving 2211, whose corrupted dp
         # is no longer 1
         "fs-symmetry", 5,
         lambda mp: _corrupt_scan(mp, (2, 2, 1, 1), "dp"),
-        "n=2, word (1, 2, 2, 1): 1 of 1 toggles sent StirlingStatRecord(asc=2, "
-        "des=2, plat=1, ap=1, lap=1, fap=2, dasc=1, dp=0) to StirlingStatRecord("
-        "asc=1, des=2, plat=2, ap=0, lap=1, fap=1, dasc=0, dp=1)",
+        "n=2, word (1, 2, 2, 1): 1 of 1 toggles sent {'asc': 2, 'des': 2, "
+        "'plat': 1, 'ap': 1, 'lap': 1, 'fap': 2, 'dasc': 1, 'dp': 0} to "
+        "{'asc': 1, 'des': 2, 'plat': 2, 'ap': 0, 'lap': 1, 'fap': 1, "
+        "'dasc': 0, 'dp': 1}",
     ),
     (
         # G_2 is pulled from G_1 = x, here 1 + x, whose 1 the recurrence sends
