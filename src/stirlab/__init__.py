@@ -19,8 +19,8 @@ from ._version import __version__
 # no submodule is exported by accident
 _EXPORTS = {
     "actions": (
-        "alpha", "alpha_inverse", "beta_move", "beta_set", "fs_action",
-        "fs_move", "fs_toggle_value", "index_sets", "orbit", "orbit_members",
+        "alpha", "alpha_inverse", "beta_set", "fs_action", "index_sets",
+        "orbit", "orbit_members",
     ),
     "errors": (
         "IdentityViolationError", "ResourceLimitError", "UnknownIdentityError",

@@ -14,14 +14,14 @@ both ends):
 The two moves are mutually inverse, and for each value v at most one index
 is movable (a value sits either on a double ascent, on a descent-plateau, on
 a left ascent-plateau, or nowhere movable).  The toggle is therefore carried
-by values: :func:`fs_toggle_value` is a total involution for each v, any two
-toggles commute, and :func:`fs_action` applies the toggles selected by a set
-of positions of the input word.  :func:`index_sets` maps "dasc", "dp" and
-"lap" to the frozenset of positions of each kind, so
-``len(index_sets(w)[s]) == stirling_stats(w)[s]``.  Orbits of the induced
-action partition Q_n; :func:`orbit` returns the unique descent-plateau-free
-representative, and :func:`orbit_members` walks its 2^dasc members in
-Gray-code order.
+by values, as in Foata and Strehl's action of Z_2^n: toggling v is a total
+involution (a value on no movable index is fixed), any two toggles commute,
+and :func:`fs_action` applies the toggles of a set of values.
+:func:`index_sets` maps "dasc", "dp" and "lap" to the frozenset of
+positions of each kind, so ``len(index_sets(w)[s]) == stirling_stats(w)[s]``.
+Orbits of the action partition Q_n; :func:`orbit` returns the unique
+descent-plateau-free representative, and :func:`orbit_members` walks its
+2^dasc members in Gray-code order.
 
 The beta move slides the first copy of a chosen value left regardless of its
 surroundings.  It is the same left slide as the descent-plateau toggle (one
@@ -34,8 +34,9 @@ words (no descent-plateau and lap + dasc = n, one per permutation) and
 permutations.
 
 Bad input raises ValueError naming it: a word that is not a Stirling
-permutation, given to any function here that takes one, a letter, value or
-position that is not an int, or a value that is not a letter of the word.
+permutation, given to any function here that takes one, a letter that is
+not an int, or a value of :func:`fs_action` or :func:`beta_set` that is not
+an int letter of the word.
 Every slide checks that its output is a Stirling permutation, so
 :class:`IdentityViolationError` means that the paper's closure proof failed
 there.  The public moves check with :func:`is_stirling`; the ``fs-symmetry``
@@ -60,28 +61,6 @@ def _word(sigma) -> Word:
     return word
 
 
-def _position(i: int, word: Sequence[int]) -> int:
-    """i; ValueError naming it and the word when it is not an int."""
-    if type(i) is not int:
-        raise ValueError(f"position {i!r} of {tuple(word)} is not an int")
-    return i
-
-
-def classify_index(word: Sequence[int], i: int) -> str | None:
-    """"dasc", "dp", "lap" or None for 1-based position i under 0-padding."""
-    m = len(word)
-    if not 1 <= _position(i, word) <= m:
-        raise ValueError(f"index {i} out of range for a word of length {m}")
-    v = word[i - 1]
-    left = word[i - 2] if i >= 2 else 0
-    right = word[i] if i < m else 0
-    if left < v < right:
-        return "dasc"
-    if v == right:
-        return "lap" if left < v else "dp"
-    return None
-
-
 def index_sets(sigma) -> dict[str, frozenset[int]]:
     """The double-ascent, descent-plateau and left ascent-plateau positions
     of a word (1-based), keyed by the statistic each one counts.
@@ -96,7 +75,7 @@ def _index_sets(word: Word) -> dict[str, frozenset[int]]:
     # index_sets of a word of int letters, unchecked for the gated moves
     dasc, dp, lap = [], [], []
     left = 0
-    # one pass with the classify_index rules, the virtual 0 at both ends
+    # one pass, the virtual 0 at both ends
     for i, (v, right) in enumerate(zip(word, (*word[1:], 0)), 1):
         if left < v < right:
             dasc.append(i)
@@ -132,61 +111,25 @@ def _slide_right(word: Word, first: int, other: int, check: Check) -> Word:
     return moved
 
 
-def fs_move(sigma, i: int) -> Word:
-    """The local move at position i; i must be a double ascent or a
-    descent-plateau, otherwise ValueError (the total variant is
-    :func:`fs_action`).
-
-    >>> "".join(map(str, fs_move((2,4,4,7,8,8,7,3,3,2,1,1,5,6,6,5), 1)))
-    '4478873322115665'
-    """
-    word = _stirling_word(sigma)
-    if classify_index(word, i) in ("dasc", "dp"):
-        # in Q_n both kinds of position hold the first copy of their value
-        return _toggle(word, word[i - 1], is_stirling)
-    raise ValueError(f"position {i} of {word} is neither a double ascent nor a descent-plateau")
-
-
-def movable_index(word: Sequence[int], v: int) -> int | None:
-    """The unique movable position carrying value v, or None.
-
-    A value is movable when its first copy sits on a double ascent or its
-    adjacent pair sits on a descent-plateau; at most one of these can occur.
-    """
-    first, second = _pair(word, v)
-    left = word[first - 1] if first else 0
-    if second == first + 1:
-        return first + 1 if left > v else None
-    # non-adjacent pair: the letter right after the first copy lies between
-    # the two copies, hence exceeds v, so only the left neighbor decides
-    return first + 1 if left < v else None
-
-
-def _pair(word: Sequence[int], v: int) -> tuple[int, int]:
-    """The 0-based indices of the two copies of v; ValueError, naming v and
-    the word, when v is not an int or there are not two."""
-    _check_letter(v, word)
-    try:
-        first = word.index(v)
-        return first, word.index(v, first + 1)
-    except ValueError:
-        raise _not_twice(v, word) from None
-
-
 def _not_twice(v, word: Sequence[int]) -> ValueError:
     return ValueError(f"{v!r} does not occur twice in {tuple(word)}")
 
 
-def _check_letter(v, word: Sequence[int]) -> None:
-    # a float or a bool equal to a letter would pass the index lookups
-    if type(v) is not int:
-        raise _not_twice(v, word)
+def _values(values: Iterable[int], word: Word) -> set[int]:
+    """values as a set; ValueError naming the first that is not an int
+    letter of the word, checked before the set is formed, where True and 1
+    are one value (and 1.0 would pass the membership test)."""
+    values = tuple(values)
+    for v in values:
+        if type(v) is not int or v not in word:
+            raise _not_twice(v, word)
+    return set(values)
 
 
 def _toggle(word: Word, v: int, check: Check) -> Word:
-    # the lookups of movable_index, inline for the orbit walks; an adjacent
-    # pair is a descent-plateau and slides left, a non-adjacent one a double
-    # ascent and slides right
+    # the two copies of v: an adjacent pair after a larger letter is a
+    # descent-plateau and slides left, a non-adjacent pair after a smaller
+    # one a double ascent and slides right; any other value is fixed
     try:
         first = word.index(v)
         second = word.index(v, first + 1)
@@ -198,28 +141,20 @@ def _toggle(word: Word, v: int, check: Check) -> Word:
     return _slide_right(word, first, second, check) if left < v else word
 
 
-def fs_toggle_value(sigma, v: int) -> Word:
-    """Toggle value v between double ascent and descent-plateau (a total
-    involution; immovable values are fixed)."""
-    word = _stirling_word(sigma)
-    _check_letter(v, word)
-    return _toggle(word, v, is_stirling)
+def fs_action(sigma, values: Iterable[int]) -> Word:
+    """Apply the commuting toggles of a set of values: a value on a double
+    ascent or a descent-plateau of the word toggles, any other value (on a
+    left ascent-plateau, or on no movable index) is fixed.  A value that is
+    not an int letter of the word raises ValueError.
 
-
-def fs_action(sigma, positions: Iterable[int]) -> Word:
-    """Apply the commuting toggles selected by a set of positions.
-
-    Positions are read against the input word: each position that is a
-    double ascent or descent-plateau selects its value for one toggle, any
-    other position, in range or not, acts as the identity.
+    >>> "".join(map(str, fs_action((2,4,4,7,8,8,7,3,3,2,1,1,5,6,6,5), {2})))
+    '4478873322115665'
 
     Each toggle's output is checked with :func:`is_stirling`; a rejected
     output raises IdentityViolationError.
     """
     word = _stirling_word(sigma)
-    sets = _index_sets(word)
-    movable = sets["dasc"] | sets["dp"]
-    for v in sorted({word[i - 1] for i in positions if _position(i, word) in movable}):
+    for v in sorted(_values(values, word)):
         word = _toggle(word, v, is_stirling)
     return word
 
@@ -237,7 +172,7 @@ def _representative(word: Word, check: Check) -> Word:
 def orbit(sigma) -> Word:
     """The orbit of a Stirling permutation, as its representative: toggling
     the descent-plateau values off yields the unique member with dp = 0,
-    whose free toggles are ``index_sets(rep)["dasc"]``.  Each toggle's
+    whose free toggles are the values at its double ascents.  Each toggle's
     output is checked as in :func:`fs_action`."""
     return _representative(_stirling_word(sigma), is_stirling)
 
@@ -281,17 +216,6 @@ def _walk(word: Word, check: Check) -> Iterator[Word]:
 # beta moves and the bijection with permutations
 
 
-def beta_move(sigma, x: int) -> Word:
-    """Slide the first copy of value x left, landing just after the
-    rightmost smaller entry to its left (the front when there is none).
-
-    >>> "".join(map(str, beta_move((3,4,4,3,5,7,8,8,7,6,6,5,2,2,1,1), 6)))
-    '3443567887652211'
-    """
-    word = _stirling_word(sigma)
-    return _slide_left(word, _pair(word, x)[0], x, is_stirling)
-
-
 def _beta_first(word: Word, x: int) -> int:
     """The beta kernel: the 0-based index of the first x when a larger
     letter comes just before it, so that the beta move of x slides it left;
@@ -323,13 +247,14 @@ def beta_set(sigma, values: Iterable[int]) -> Word:
 
     Each word a move changes is checked with :func:`is_stirling`; a move
     whose letter already follows a smaller one, or leads the word, changes
-    nothing and is skipped.
+    nothing and is skipped.  A value that is not an int letter of the word
+    raises ValueError.
+
+    >>> "".join(map(str, beta_set((3,4,4,3,5,7,8,8,7,6,6,5,2,2,1,1), {6})))
+    '3443567887652211'
     """
     word = _stirling_word(sigma)
-    values = tuple(values)
-    for x in values:  # before the set, where True and 1 are one value
-        _check_letter(x, word)
-    for x in sorted(set(values)):
+    for x in sorted(_values(values, word)):
         if first := _beta_first(word, x):
             word = _slide_left(word, first, x, is_stirling)
     return word

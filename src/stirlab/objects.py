@@ -175,7 +175,7 @@ def _cached_objects(klass: str, n: int) -> tuple:
 
 def iter_objects(klass: str, n: int):
     """Stream the raw objects of a class, memoizing only Q_n for n <= 7."""
-    if klass not in STREAMS:
+    if not isinstance(klass, str) or klass not in STREAMS:
         raise ValueError(f"unknown object class: {klass!r}")
     n = _order(n)  # before the memo, which takes True for the key 1
     if klass == "stirling" and n <= _STIRLING_CACHE_MAX:

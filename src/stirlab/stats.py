@@ -208,7 +208,7 @@ def distribution(klass: str, n: int, stats: Sequence[str], *,
     >>> distribution("stirling", 2, ["fap"])
     {(1,): 1, (2,): 1, (3,): 1}
     """
-    if klass not in STATS_BY_CLASS:
+    if not isinstance(klass, str) or klass not in STATS_BY_CLASS:
         raise ValueError(f"unknown object class: {klass!r}")
     names = STATS_BY_CLASS[klass]
     bad = [s for s in stats if s not in names]

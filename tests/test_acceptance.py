@@ -125,13 +125,11 @@ def test_criterion_6_group_action():
         for n in range(1, 6):
             for w in iter_objects("stirling", n):
                 for v in range(1, n + 1):
-                    assert actions.fs_toggle_value(
-                        actions.fs_toggle_value(w, v), v
-                    ) == w
+                    assert actions.fs_action(actions.fs_action(w, {v}), {v}) == w
                 for u, v in itertools.combinations(range(1, n + 1), 2):
-                    assert actions.fs_toggle_value(
-                        actions.fs_toggle_value(w, u), v
-                    ) == actions.fs_toggle_value(actions.fs_toggle_value(w, v), u)
+                    assert actions.fs_action(
+                        actions.fs_action(w, {u}), {v}
+                    ) == actions.fs_action(actions.fs_action(w, {v}), {u})
             # orbits partition Q_n with lap constant on each orbit
             all_words = set(iter_objects("stirling", n))
             reps = {actions.orbit(w) for w in all_words}
@@ -174,15 +172,16 @@ def test_criterion_8_worked_micro_examples():
         assert (r["ap"], r["lap"]) == (2, 3)
         r = stirling_stats(word("244332115665"))
         assert (r["dasc"], r["dp"]) == (2, 2)
+        # the moves at positions 1 and 4 toggle the values 2 and 7 there
         sigma = word("2447887332115665")
-        assert actions.fs_move(sigma, 1) == word("4478873322115665")
-        assert actions.fs_move(sigma, 4) == word("2448877332115665")
-        assert actions.fs_move(actions.fs_move(sigma, 1), 9) == sigma
-        assert actions.fs_move(actions.fs_move(sigma, 4), 6) == sigma
+        assert actions.fs_action(sigma, {2}) == word("4478873322115665")
+        assert actions.fs_action(sigma, {7}) == word("2448877332115665")
+        assert actions.fs_action(actions.fs_action(sigma, {2}), {2}) == sigma
+        assert actions.fs_action(actions.fs_action(sigma, {7}), {7}) == sigma
         beta_source = word("3443578876652211")
-        assert actions.beta_move(beta_source, 1) == word("1344357887665221")
-        assert actions.beta_move(beta_source, 2) == word("2344357887665211")
-        assert actions.beta_move(beta_source, 6) == word("3443567887652211")
+        assert actions.beta_set(beta_source, {1}) == word("1344357887665221")
+        assert actions.beta_set(beta_source, {2}) == word("2344357887665211")
+        assert actions.beta_set(beta_source, {6}) == word("3443567887652211")
         assert actions.alpha(word("344355661221")) == (4, 3, 5, 6, 2, 1)
         s = signed_stats((4, -3, 1, 5, 2))
         assert (s["fdes"], s["fasc"]) == (4, 5)

@@ -9,19 +9,15 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import stirlab
 from stirlab.actions import (
     alpha,
     alpha_inverse,
     alpha_inverse_trace,
-    beta_move,
     beta_set,
-    classify_index,
     descent_bottom_set,
     fs_action,
-    fs_move,
-    fs_toggle_value,
     index_sets,
-    movable_index,
     orbit,
     orbit_members,
 )
@@ -41,16 +37,57 @@ def gate_message(w) -> str:
     return rf"^not a Stirling permutation: {re.escape(str(tuple(w)))}$"
 
 
+# the per-position reference the one-pass index sets and the move kernels are
+# checked against: the kind of one position, and the movable position of one
+# value
+
+
+def classify_index(word, i: int) -> str | None:
+    """"dasc", "dp", "lap" or None for 1-based position i under 0-padding."""
+    m = len(word)
+    if not 1 <= i <= m:
+        raise ValueError(f"index {i} out of range for a word of length {m}")
+    v = word[i - 1]
+    left = word[i - 2] if i >= 2 else 0
+    right = word[i] if i < m else 0
+    if left < v < right:
+        return "dasc"
+    if v == right:
+        return "lap" if left < v else "dp"
+    return None
+
+
+def movable_index(word, v: int) -> int | None:
+    """The unique movable position carrying value v, or None.
+
+    A value is movable when its first copy sits on a double ascent or its
+    adjacent pair sits on a descent-plateau; at most one of these can occur.
+    """
+    first = word.index(v)
+    second = word.index(v, first + 1)
+    left = word[first - 1] if first else 0
+    if second == first + 1:
+        return first + 1 if left > v else None
+    # non-adjacent pair: the letter right after the first copy lies between
+    # the two copies, hence exceeds v, so only the left neighbor decides
+    return first + 1 if left < v else None
+
+
 GATED = [
     (stirling_stats, ()),
-    (fs_move, (1,)),
-    (fs_toggle_value, (2,)),
-    (fs_action, ([5],)),
+    (fs_action, ({2},)),
     (orbit, ()),
     (orbit_members, ()),
-    (beta_move, (1,)),
     (beta_set, ({1, 2},)),
 ]
+
+
+def test_every_public_move_meets_the_gate():
+    # a new public function of actions joins GATED, or is added here on
+    # purpose as one that takes no Stirling permutation
+    takes_any_word = {"alpha", "alpha_inverse", "index_sets"}
+    assert {fn.__name__ for fn, _ in GATED} == (
+        set(stirlab._EXPORTS["actions"]) - takes_any_word | {"stirling_stats"})
 
 
 # every function that takes a Stirling permutation passes it through the word
@@ -66,27 +103,23 @@ def test_a_word_outside_q_n_meets_the_gate(fn, rest, w):
 
 
 class TestFsMove:
-    def test_worked_examples(self):
-        sigma = word("2447887332115665")
-        assert fs_move(sigma, 1) == word("4478873322115665")
-        assert fs_move(sigma, 4) == word("2448877332115665")
-        assert fs_move(fs_move(sigma, 1), 9) == sigma
-        assert fs_move(fs_move(sigma, 4), 6) == sigma
+    """The toggle of one value, the local move at its movable position."""
 
-    def test_rejects_inactive_positions(self):
-        with pytest.raises(ValueError):
-            fs_move(word("1122"), 1)  # a left ascent-plateau, not movable
-        with pytest.raises(ValueError):
-            fs_move(word("1221"), 4)
-        with pytest.raises(ValueError):
-            fs_move(word("1122"), 9)  # out of range
+    def test_worked_examples(self):
+        # the moves at positions 1 and 4 of the paper's example, which carry
+        # the values 2 and 7, and back from positions 9 and 6
+        sigma = word("2447887332115665")
+        assert fs_action(sigma, {2}) == word("4478873322115665")
+        assert fs_action(sigma, {7}) == word("2448877332115665")
+        assert fs_action(fs_action(sigma, {2}), {2}) == sigma
+        assert fs_action(fs_action(sigma, {7}), {7}) == sigma
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_moves_preserve_validity(self, n):
         for w in iter_objects("stirling", n):
             sets = index_sets(w)
             for i in sets["dasc"] | sets["dp"]:
-                assert is_stirling(fs_move(w, i))
+                assert is_stirling(fs_action(w, {w[i - 1]}))
 
 
 class TestIndexSets:
@@ -109,25 +142,20 @@ class TestIndexSets:
             dasc, dp, lap = s.values()
             assert not (dasc & dp) and not (dasc & lap) and not (dp & lap)
 
-    def test_classify_out_of_range(self):
-        with pytest.raises(ValueError):
-            classify_index(word("11"), 0)
-
 
 class TestToggleAction:
     @pytest.mark.parametrize("n", range(1, 6))
     def test_value_toggles_are_involutions(self, n):
         for w in iter_objects("stirling", n):
             for v in range(1, n + 1):
-                assert fs_toggle_value(fs_toggle_value(w, v), v) == w
+                assert fs_action(fs_action(w, {v}), {v}) == w
 
     @pytest.mark.parametrize("n", range(1, 5))
     def test_value_toggles_commute(self, n):
         for w in iter_objects("stirling", n):
             for u, v in itertools.combinations(range(1, n + 1), 2):
-                assert fs_toggle_value(fs_toggle_value(w, u), v) == fs_toggle_value(
-                    fs_toggle_value(w, v), u
-                )
+                assert fs_action(fs_action(w, {u}), {v}) == fs_action(
+                    fs_action(w, {v}), {u}) == fs_action(w, {u, v})
 
     def test_at_most_one_movable_index_per_value(self):
         for w in iter_objects("stirling", 4):
@@ -139,16 +167,18 @@ class TestToggleAction:
                 assert (i in sets["dasc"] | sets["dp"]) if i else (
                     v not in active_values
                 )
+                # a value moves exactly when it has a movable position
+                assert (fs_action(w, {v}) != w) == (i is not None)
 
     def test_empty_selection_is_identity(self):
         assert fs_action(word("1221"), ()) == word("1221")
-        assert fs_action(word("1221"), {2}) == word("1221")  # inactive position
-        assert fs_action(word("1221"), {0, 5}) == word("1221")  # out of range
+        assert fs_action(word("1221"), {2}) == word("1221")  # a left ascent-plateau
+        assert fs_action(word("2211"), {2}) == word("2211")  # on no movable index
 
     def test_full_selection_swaps_dasc_and_dp(self):
         for w in iter_objects("stirling", 5):
             s = index_sets(w)
-            moved = fs_action(w, s["dasc"] | s["dp"])
+            moved = fs_action(w, {w[i - 1] for i in s["dasc"] | s["dp"]})
             a, b = stirling_stat_record(w), stirling_stat_record(moved)
             assert (b["lap"], b["dasc"], b["dp"]) == (a["lap"], a["dp"], a["dasc"])
 
@@ -236,21 +266,17 @@ class TestOrbits:
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_orbit_statistics(self, n):
-        # lap constant; dasc drops by the subset size while dp picks it up
-        for w in iter_objects("stirling", n):
-            rep = orbit(w)
+        # on every orbit: lap constant; dasc drops by the subset size while
+        # dp picks it up
+        for rep in {orbit(w) for w in iter_objects("stirling", n)}:
             rep_r = stirling_stat_record(rep)
             values = sorted(rep[i - 1] for i in index_sets(rep)["dasc"])
             for r in range(len(values) + 1):
                 for subset in itertools.combinations(values, r):
-                    m = rep
-                    for v in subset:
-                        m = fs_toggle_value(m, v)
-                    mr = stirling_stat_record(m)
+                    mr = stirling_stat_record(fs_action(rep, subset))
                     assert mr["lap"] == rep_r["lap"]
                     assert mr["dasc"] == rep_r["dasc"] - len(subset)
                     assert mr["dp"] == len(subset)
-            break  # one orbit per order keeps this quick; partition test covers the rest
 
 
 class TestOrbitWalk:
@@ -281,6 +307,18 @@ class TestOrbitWalk:
                 s = (k ^ k >> 1).bit_count()
                 mr = stirling_stat_record(m)
                 assert (mr["lap"], mr["dasc"], mr["dp"]) == (r["lap"], r["dasc"] - s, s)
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_the_walk_is_the_value_action_in_gray_code_order(self, n):
+        # the k-th member toggles on the free values of the set bits of
+        # k ^ (k >> 1), in one fs_action call from the representative
+        for w in stirling_scans(n):
+            if index_sets(w)["dp"]:
+                continue
+            values = sorted(w[i - 1] for i in index_sets(w)["dasc"])
+            for k, m in enumerate(orbit_members(w)):
+                gray = k ^ k >> 1
+                assert m == fs_action(w, {v for t, v in enumerate(values) if gray >> t & 1})
 
     def test_gray_code_order(self):
         # free values 1 and 2 of 123321, toggled on: {}, {1}, {1, 2}, {2}
@@ -358,9 +396,9 @@ class TestOrbitWalk:
 class TestBetaMoves:
     def test_worked_examples(self):
         sigma = word("3443578876652211")
-        assert beta_move(sigma, 1) == word("1344357887665221")
-        assert beta_move(sigma, 2) == word("2344357887665211")
-        assert beta_move(sigma, 6) == word("3443567887652211")
+        assert beta_set(sigma, {1}) == word("1344357887665221")
+        assert beta_set(sigma, {2}) == word("2344357887665211")
+        assert beta_set(sigma, {6}) == word("3443567887652211")
 
     def test_beta_set_empty(self):
         assert beta_set(word("2211"), ()) == word("2211")
@@ -369,8 +407,8 @@ class TestBetaMoves:
         # regression: on 331221 the first 2 is only movable once the 1 has
         # left, so the two orders differ and beta_set fixes increasing order
         w = word("331221")
-        assert beta_move(beta_move(w, 1), 2) == word("123321")
-        assert beta_move(beta_move(w, 2), 1) == word("133221")
+        assert beta_set(beta_set(w, {1}), {2}) == word("123321")
+        assert beta_set(beta_set(w, {2}), {1}) == word("133221")
         assert beta_set(w, (2, 1)) == beta_set(w, (1, 2)) == word("123321")
 
     def test_beta_set_checks_its_input(self):
@@ -379,34 +417,25 @@ class TestBetaMoves:
             beta_set(word("1212"), {1, 2})
 
     @pytest.mark.parametrize("move, args, message", [
-        (beta_move, ((1, 1), "a"), r"^'a' does not occur twice in \(1, 1\)$"),
         (beta_set, ((1, 1), ["a"]), r"^'a' does not occur twice in \(1, 1\)$"),
-        (fs_toggle_value, ((1, 1), 5), r"^5 does not occur twice in \(1, 1\)$"),
-        (movable_index, ((1, 1), 5), r"^5 does not occur twice in \(1, 1\)$"),
+        (beta_set, ((1, 1), [1, 5]), r"^5 does not occur twice in \(1, 1\)$"),
+        (fs_action, ((1, 1), [5]), r"^5 does not occur twice in \(1, 1\)$"),
+        (fs_action, ((1, 2, 2, 1), [0, 1]), r"^0 does not occur twice in \(1, 2, 2, 1\)$"),
         # not ints: a float or a bool equal to a letter, or a value that
         # cannot sort against the letters
         (beta_set, ((1, 1), [1, "a"]), r"^'a' does not occur twice in \(1, 1\)$"),
         (beta_set, ((2, 2, 1, 1), [1.0]), r"^1\.0 does not occur twice in \(2, 2, 1, 1\)$"),
         (beta_set, ((1, 1), [1, True]), r"^True does not occur twice in \(1, 1\)$"),
-        (beta_move, ((2, 2, 1, 1), 1.0), r"^1\.0 does not occur twice in \(2, 2, 1, 1\)$"),
-        (fs_toggle_value, ((1, 2, 2, 1), 2.0), r"^2\.0 does not occur twice in \(1, 2, 2, 1\)$"),
-        (movable_index, ((1, 2, 2, 1), True), r"^True does not occur twice in \(1, 2, 2, 1\)$"),
-        # a position that is not an int: a bool would toggle as 1, and a
-        # float would index the word
-        (fs_action, ((1, 2, 2, 1), [True]), r"^position True of \(1, 2, 2, 1\) is not an int$"),
-        (fs_action, ((1, 2, 2, 1), [1.0]), r"^position 1\.0 of \(1, 2, 2, 1\) is not an int$"),
-        (fs_move, ((1, 2, 2, 1), 1.0), r"^position 1\.0 of \(1, 2, 2, 1\) is not an int$"),
-        (classify_index, ((1, 2, 2, 1), 2.0),
-         r"^position 2\.0 of \(1, 2, 2, 1\) is not an int$"),
+        (fs_action, ((1, 2, 2, 1), [True]), r"^True does not occur twice in \(1, 2, 2, 1\)$"),
+        (fs_action, ((1, 2, 2, 1), [1.0]), r"^1\.0 does not occur twice in \(1, 2, 2, 1\)$"),
+        (fs_action, ((1, 2, 2, 1), [2, "a"]), r"^'a' does not occur twice in \(1, 2, 2, 1\)$"),
         # letters that are not ints: a string compares with no int, and
         # alpha would return its characters
         (index_sets, ("1221",), r"^not a word of int letters: \('1', '2', '2', '1'\)$"),
         (alpha, ("1221",), r"^not a word of int letters: \('1', '2', '2', '1'\)$"),
-    ], ids=["beta_move", "beta_set", "fs_toggle_value", "movable_index",
-            "beta_set-str", "beta_set-float", "beta_set-bool", "beta_move-float",
-            "fs_toggle_value-float", "movable_index-bool", "fs_action-bool",
-            "fs_action-float", "fs_move-float", "classify_index-float",
-            "index_sets-str", "alpha-str"])
+    ], ids=["beta_set", "beta_set-missing", "fs_action", "fs_action-zero",
+            "beta_set-str", "beta_set-float", "beta_set-bool", "fs_action-bool",
+            "fs_action-float", "fs_action-str", "index_sets-str", "alpha-str"])
     def test_a_value_missing_from_the_word_is_named(self, move, args, message):
         with pytest.raises(ValueError, match=message):
             move(*args)
@@ -418,7 +447,7 @@ class TestBetaMoves:
         for pi in iter_objects("permutation", n):
             w = tuple(v for v in pi for _ in range(2))
             for u, v in itertools.combinations(range(1, n + 1), 2):
-                assert beta_move(beta_move(w, u), v) == beta_move(beta_move(w, v), u)
+                assert beta_set(beta_set(w, {u}), {v}) == beta_set(beta_set(w, {v}), {u})
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_beta_normalizes(self, n):
@@ -510,7 +539,7 @@ class TestAssertsStay:
 
     def test_beta_move_checks_once_per_move(self, calls):
         w = word("3443557887662211")
-        moved = beta_move(w, 6)
+        moved = beta_set(w, {6})
         assert calls == [w, moved]
         beta_set(word("331221"), {1, 2, 3})
         assert len(calls) == 2 + 3  # the input, then the slides of 1 and 2
@@ -524,15 +553,15 @@ class TestAssertsStay:
 
     def test_fs_move_checks_once_per_move(self, calls):
         w = word("2447887332115665")
-        moved = fs_move(w, 1)
+        moved = fs_action(w, {2})
         assert calls == [w, moved]
         s = index_sets(w)
-        fs_action(w, s["dasc"] | s["dp"])
+        fs_action(w, range(1, 9))  # only the movable values move
         assert len(calls) == 2 + 1 + len(s["dasc"] | s["dp"])
 
     def test_gated_words_skip_the_letter_scan(self, monkeypatch):
         # the word gate already rejects every non-int letter, so fs_action
-        # and orbit read positions without index_sets' own letter scan
+        # and orbit read the word without index_sets' own letter scan
         scanned = []
         scan = actions_module._word
         monkeypatch.setattr(actions_module, "_word",
@@ -540,7 +569,7 @@ class TestAssertsStay:
         w = word("2447887332115665")
         fs_action(w, {1, 2, 3})
         orbit(w)
-        orbit(fs_move(w, 1))  # a descent-plateau to toggle off
+        orbit(fs_action(w, {2}))  # a descent-plateau to toggle off
         assert scanned == []
         index_sets(w)
         assert scanned == [w]
@@ -548,9 +577,9 @@ class TestAssertsStay:
     def test_a_failed_move_check_raises(self, monkeypatch):
         monkeypatch.setattr(actions_module, "is_stirling", lambda w: False)
         with pytest.raises(IdentityViolationError, match="left"):
-            beta_move(word("3443557887662211"), 6)
+            beta_set(word("3443557887662211"), {6})
         with pytest.raises(IdentityViolationError, match="right"):
-            fs_move(word("2447887332115665"), 1)
+            fs_action(word("2447887332115665"), {2})
 
     def test_orbit_checks_its_representative(self, monkeypatch):
         monkeypatch.setattr(actions_module, "_toggle", lambda w, v, check: w)
@@ -575,8 +604,8 @@ class TestAssertsStay:
             "    return False\n"
             "member = raises(list, a._walk((1, 2, 2, 1), frozenset().__contains__))\n"
             "a.is_stirling = lambda w: False\n"
-            "stack = raises(a.beta_move,\n"
-            "               (3, 4, 4, 3, 5, 5, 7, 8, 8, 7, 6, 6, 2, 2, 1, 1), 6)\n"
+            "stack = raises(a.beta_set,\n"
+            "               (3, 4, 4, 3, 5, 5, 7, 8, 8, 7, 6, 6, 2, 2, 1, 1), {6})\n"
             "raise SystemExit(3 if member and stack else 4)\n"
         )
         proc = subprocess.run(
@@ -663,6 +692,8 @@ def ref_fs_toggle_value(sigma, v: int):
 
 
 def ref_fs_action(sigma, positions):
+    # the toggles selected by a set of positions of the input word; any
+    # other position, in range or not, acts as the identity
     word = tuple(sigma)
     sets = index_sets(word)
     movable = sets["dasc"] | sets["dp"]
@@ -685,36 +716,34 @@ def ref_beta_move(sigma, x: int):
     return moved
 
 
-def _outcome(fn, *args):
-    try:
-        return fn(*args)
-    except ValueError as exc:
-        return ("ValueError", str(exc))
-
-
 class TestKernelsMatchTheSliceReference:
     @pytest.mark.parametrize("n", range(7))
     def test_every_word_value_and_position(self, n):
         for w in iter_objects("stirling", n):
             positions = range(0, 2 * n + 2)  # one out of range at each end
-            assert fs_action(w, positions) == ref_fs_action(w, positions)
+            assert fs_action(w, range(1, n + 1)) == ref_fs_action(w, positions)
             for v in range(1, n + 1):
-                assert beta_move(w, v) == ref_beta_move(w, v)
-                assert fs_toggle_value(w, v) == ref_fs_toggle_value(w, v)
-            for i in positions:
-                assert _outcome(fs_move, w, i) == _outcome(ref_fs_move, w, i)
-                assert fs_action(w, [i]) == ref_fs_action(w, [i])
+                assert beta_set(w, {v}) == ref_beta_move(w, v)
+                assert fs_action(w, {v}) == ref_fs_toggle_value(w, v)
+            for i in range(1, 2 * n + 1):
+                # the move at a movable position is the toggle of its value
+                if classify_index(w, i) in ("dasc", "dp"):
+                    assert fs_action(w, {w[i - 1]}) == ref_fs_move(w, i)
 
     def test_inputs_that_are_not_tuples(self):
         sigma = list(word("2447887332115665"))
         for v in range(1, 9):
-            assert beta_move(sigma, v) == ref_beta_move(sigma, v)
-            assert fs_toggle_value(sigma, v) == ref_fs_toggle_value(sigma, v)
-        assert fs_move(sigma, 1) == ref_fs_move(sigma, 1)
-        assert fs_action(sigma, {1, 4, 9}) == ref_fs_action(sigma, {1, 4, 9})
+            assert beta_set(sigma, [v]) == ref_beta_move(sigma, v)
+            assert fs_action(sigma, [v]) == ref_fs_toggle_value(sigma, v)
+        # position 9 holds the second 3, which no move starts from
+        assert fs_action(sigma, [2, 7]) == ref_fs_action(sigma, {1, 4, 9})
 
     @settings(max_examples=300, deadline=None)
     @given(st.sampled_from(list(iter_objects("stirling", 5))),
            st.sets(st.integers(-3, 14)))
     def test_arbitrary_position_sets(self, w, positions):
-        assert fs_action(w, positions) == ref_fs_action(w, positions)
+        # toggling the values read at any positions is the position
+        # reference at every position that carries one of them
+        values = {w[i - 1] for i in positions if 1 <= i <= len(w)}
+        carrying = {i for i, v in enumerate(w, 1) if v in values}
+        assert fs_action(w, values) == ref_fs_action(w, carrying)

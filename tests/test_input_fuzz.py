@@ -6,11 +6,11 @@ with generated malformed arguments: bools, floats, strings, None, nested
 tuples, negative ints, and words one swap away from a Stirling word, mixed
 with well-formed values so that the checks past the first one are reached
 too.  Each argument keeps its documented shape (a word is a sequence, a
-matching a sequence of blocks, a position or value set an iterable); what
-fills it is malformed.  Each move of ``actions`` that takes a word and a
-letter, position or set also gets a valid Stirling word with a malformed
-second argument, and a word one swap outside Q_n with a second argument it
-would take on a Stirling word of that length.
+matching a sequence of blocks, a value set an iterable); what fills it is
+malformed.  Each move of ``actions`` that takes a word and a value set also
+gets a valid Stirling word with a malformed second argument, and a word one
+swap outside Q_n with a second argument it would take on a Stirling word of
+that length.
 
 The pass rule: each call returns, or raises ValueError (subclasses count) or
 ResourceLimitError.  A stream that returns is drawn from for a few items.
@@ -54,7 +54,7 @@ junk = st.one_of(bad_scalar, nested)
 
 # an order: malformed, or an int no larger than 5
 order = st.one_of(junk, st.integers(-3, 5))
-# a letter, value, position or index: malformed, or a small int
+# a letter, value or index: malformed, or a small int
 letter = st.one_of(junk, st.integers(-2, 9))
 
 
@@ -105,10 +105,6 @@ def gated_word(old, second, bad):
     )
 
 
-def position(w):
-    return st.integers(1, len(w))
-
-
 def value(w):
     return st.integers(1, len(w) // 2)
 
@@ -147,11 +143,8 @@ ARGS = {
     # actions
     "alpha": st.tuples(word),
     "alpha_inverse": st.tuples(st.one_of(letters, word)),
-    "beta_move": gated_word(st.tuples(word, letter), value, junk),
     "beta_set": gated_word(st.tuples(word, letters), some(value), junk_letters),
-    "fs_action": gated_word(st.tuples(word, letters), some(position), junk_letters),
-    "fs_move": gated_word(st.tuples(word, letter), position, junk),
-    "fs_toggle_value": gated_word(st.tuples(word, letter), value, junk),
+    "fs_action": gated_word(st.tuples(word, letters), some(value), junk_letters),
     "index_sets": st.tuples(word),
     "orbit": st.tuples(word),
     "orbit_members": st.tuples(word),

@@ -195,6 +195,14 @@ def test_a_bool_order_never_reaches_the_memo():
         stirling_scans(True)
 
 
+@pytest.mark.parametrize("klass", ["widget", ["stirling"], {"stirling": 1}], ids=repr)
+def test_an_unknown_class_is_named(klass):
+    # a list or dict is unhashable: a dict lookup would raise TypeError
+    message = rf"^unknown object class: {re.escape(repr(klass))}$"
+    with pytest.raises(ValueError, match=message):
+        iter_objects(klass, 2)
+
+
 def test_permutation_counts():
     assert list(permutation_words(0)) == [()]
     assert sum(1 for _ in permutation_words(3)) == 6

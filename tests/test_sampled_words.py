@@ -1,0 +1,72 @@
+"""The paper's per-word theorems on sampled words past Q_7.
+
+The exhaustive tests stop at n = 7, where Q_n has 135135 words.  Here a
+Hypothesis strategy draws words of Q_n at n = 8, 12, 20 and 40 by pair
+insertion, and each word is checked against the Foata-Strehl action and the
+beta/alpha bijection through the checked public API.
+"""
+import itertools
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from stirlab.actions import alpha, alpha_inverse, beta_set, fs_action, index_sets, orbit
+from stirlab.stats import stirling_scans, stirling_stats
+
+
+def insert_pairs(gaps) -> tuple[int, ...]:
+    """The word of Q_n built by pair insertion: for v = 1..n, (v, v) goes
+    into gap gaps[v - 1] of the 2v - 1 gaps of the word so far, counted
+    from the right end, so all-zero gaps build (1, 1, 2, 2, ...)."""
+    word: list[int] = []
+    for g in gaps:
+        word[len(word) - g:len(word) - g] = (len(word) // 2 + 1,) * 2
+    return tuple(word)
+
+
+def stirling_word(n: int):
+    """A uniform word of Q_n: uniform gap draws, each word having exactly one
+    sequence of them.  It shrinks towards (1, 1, 2, 2, ...)."""
+    return st.tuples(*(st.integers(0, 2 * v - 2) for v in range(1, n + 1))).map(insert_pairs)
+
+
+ORDERS = [8, 12, 20, 40]
+SAMPLED = settings(max_examples=100, derandomize=True, deadline=None, database=None)
+
+
+def lap_dasc_dp(w) -> tuple[int, int, int]:
+    r = stirling_stats(w)
+    return r["lap"], r["dasc"], r["dp"]
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_each_word_has_one_sequence_of_gaps(n):
+    gaps = itertools.product(*(range(2 * v - 1) for v in range(1, n + 1)))
+    words = [insert_pairs(g) for g in gaps]
+    assert len(set(words)) == len(words) == len(stirling_scans(n))
+    assert set(words) == set(stirling_scans(n))
+    assert insert_pairs((0,) * n) == tuple(v for v in range(1, n + 1) for _ in range(2))
+
+
+@pytest.mark.parametrize("n", ORDERS)
+def test_per_word_theorems(n):
+    @SAMPLED
+    @given(stirling_word(n))
+    def check(w):
+        lap, dasc, dp = lap_dasc_dp(w)
+        # Foata-Strehl: toggling every movable value swaps dasc and dp and
+        # keeps lap, and toggling them again gives w back
+        s = index_sets(w)
+        movable = {w[i - 1] for i in s["dasc"] | s["dp"]}
+        moved = fs_action(w, movable)
+        assert lap_dasc_dp(moved) == (lap, dp, dasc)
+        assert fs_action(moved, movable) == w
+        # the orbit representative turns every descent-plateau into a
+        # double ascent
+        assert lap_dasc_dp(orbit(w)) == (lap, dasc + dp, 0)
+        # beta normalization keeps the alpha image, landing on its inverse
+        normal = beta_set(w, range(1, n + 1))
+        assert alpha(normal) == alpha(w)
+        assert normal == alpha_inverse(alpha(w))
+
+    check()

@@ -245,6 +245,10 @@ class TestDistribution:
             distribution("stirling", 2, ["nope"])
         with pytest.raises(ValueError):
             distribution("widget", 2, ["asc"])
+        for klass in (["stirling"], {"stirling": 1}):  # unhashable
+            with pytest.raises(ValueError,
+                               match=rf"^unknown object class: {re.escape(repr(klass))}$"):
+                distribution(klass, 2, ())
         for n in (True, 1.5, -1):
             with pytest.raises(ValueError, match=rf"^n must be a nonnegative int, got {n}$"):
                 distribution("stirling", n, ["asc"])
