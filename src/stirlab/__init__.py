@@ -43,9 +43,8 @@ _EXPORTS = {
     ),
     "tables": (
         "CoefficientTable", "TableCache", "a_poly", "b_poly", "c_poly",
-        "cn_nn_tables", "eulerian", "f_poly", "g_poly", "gamma_number",
-        "gamma_table", "gamma_weighted_sum", "m_poly", "n_poly",
-        "n_poly_closed", "p_poly", "p_table", "stirling2", "t_poly", "t_table",
+        "f_poly", "g_poly", "gamma_table", "m_poly", "n_poly", "n_poly_closed",
+        "p_poly", "p_table", "stirling2", "t_poly", "t_table",
     ),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -48,14 +48,14 @@ from __future__ import annotations
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import IdentityViolationError
-from .objects import _is_permutation, _stirling_word, is_stirling
+from .objects import _is_permutation, _stirling_word, _tuple, is_stirling
 
 Word = tuple[int, ...]
 
 
 def _word(sigma) -> Word:
     """sigma as a tuple; ValueError naming it when a letter is not an int."""
-    word = tuple(sigma)
+    word = _tuple(sigma, "a word of int letters")
     if any(type(v) is not int for v in word):
         raise ValueError(f"not a word of int letters: {word}")
     return word
@@ -119,7 +119,7 @@ def _values(values: Iterable[int], word: Word) -> set[int]:
     """values as a set; ValueError naming the first that is not an int
     letter of the word, checked before the set is formed, where True and 1
     are one value (and 1.0 would pass the membership test)."""
-    values = tuple(values)
+    values = _tuple(values, "an iterable of values")
     for v in values:
         if type(v) is not int or v not in word:
             raise _not_twice(v, word)
@@ -301,7 +301,7 @@ def alpha_inverse(pi) -> Word:
 def alpha_inverse_trace(pi) -> tuple[Word, frozenset[int], Word]:
     """(doubled word, beta value set, final word) of the inverse map; pi
     must be a permutation of [n], otherwise ValueError."""
-    values = tuple(pi)
+    values = _tuple(pi, "a permutation of [n]")
     if not _is_permutation(values):
         raise ValueError(f"not a permutation of [n]: {values}")
     doubled = tuple(v for v in values for _ in range(2))

@@ -53,12 +53,11 @@ Runner = Callable[[int], "str | None"]
 
 @dataclass(frozen=True)
 class Table:
-    """A route read off lists that ``build(bound)`` makes once per run: its
-    value at n is ``build(bound)[n]``, or ``build(bound)[part][n]``.  Tables
-    with the same ``build`` share one build per run."""
+    """A route read off the list that ``build(bound)`` makes once per run:
+    its value at n is ``build(bound)[n]``.  Tables with the same ``build``
+    share one build per run."""
 
     build: Callable[[int], Sequence]
-    part: int | None = None
 
 
 @dataclass(frozen=True)
@@ -94,8 +93,7 @@ def _run_routes(compare: tuple[Compare, ...], bound: int) -> str | None:
                     if isinstance(route, Table):
                         if route.build not in built:
                             built[route.build] = route.build(bound)
-                        table = built[route.build]
-                        values[route] = (table if route.part is None else table[route.part])[n]
+                        values[route] = built[route.build][n]
                     else:
                         values[route] = route(n)
                 except IdentityViolationError:
@@ -140,10 +138,7 @@ class IdentityCheck:
     compare: tuple[Compare, ...] = ()  # the declared routes, if any
 
     def run(self, bound: int | None = None) -> CheckResult:
-        if bound is None:
-            bound = self.default_bound
-        if bound < 0:
-            raise ValueError(f"bound must be nonnegative, got {bound}")
+        bound = self.default_bound if bound is None else _bound(bound)
         if bound > self.max_bound:
             raise ResourceLimitError(
                 f"identity {self.name!r} is limited to bound {self.max_bound}"
@@ -159,6 +154,15 @@ class IdentityCheck:
             witness = _raised(exc)
         millis = (time.perf_counter() - start) * 1000.0
         return CheckResult(self.name, bound, witness is None, witness, round(millis, 3))
+
+
+def _bound(bound: int) -> int:
+    """bound, when it is a nonnegative int (no bool); ValueError otherwise."""
+    if type(bound) is not int:
+        raise ValueError(f"bound must be an int, got {bound!r}")
+    if bound < 0:
+        raise ValueError(f"bound must be nonnegative, got {bound}")
+    return bound
 
 
 REGISTRY: dict[str, IdentityCheck] = {}
@@ -193,7 +197,7 @@ def run_all(bound: int | None = None) -> list[CheckResult]:
     results = []
     for name in sorted(REGISTRY):
         check = REGISTRY[name]
-        eff = check.default_bound if bound is None else min(bound, check.max_bound)
+        eff = check.default_bound if bound is None else min(_bound(bound), check.max_bound)
         results.append(check.run(eff))
     return results
 
@@ -224,12 +228,10 @@ def _convolve(f: Callable[[int], Poly], g: Callable[[int], Poly], n: int) -> Pol
     )
 
 
-def _square_times(seq: Sequence[Poly], factor: Sequence[Poly]) -> list[Poly]:
-    """The t^n/n! coefficients of S(t)^2 f(t) for n < len(seq), where S has
-    the coefficients ``seq`` and f the coefficients ``factor``."""
-    idx = range(len(seq))
-    square = [_convolve(seq.__getitem__, seq.__getitem__, n) for n in idx]
-    return [_convolve(square.__getitem__, factor.__getitem__, n) for n in idx]
+def _product(f: Sequence[Poly], g: Sequence[Poly]) -> list[Poly]:
+    """The t^n/n! coefficients of F(t) G(t) for n < len(f), where F has the
+    coefficients ``f`` and G the coefficients ``g``."""
+    return [_convolve(f.__getitem__, g.__getitem__, n) for n in range(len(f))]
 
 
 def _at_t0(p: Poly) -> Callable[[int], Poly]:
@@ -254,8 +256,7 @@ def _t_m_x2(bound: int) -> list[Poly]:
     """sum C(n,k) T_k(x) M_(n-k)(x^2) for n = 0..bound, the t^n/n!
     coefficients of T(x,t) M(x^2,t); M_0..M_bound from one derivation."""
     ts = [tables.t_poly(n) for n in range(bound + 1)]
-    ms = [_x_squared(m) for m in tables.m_polys(bound)]
-    return [_convolve(ts.__getitem__, ms.__getitem__, n) for n in range(bound + 1)]
+    return _product(ts, [_x_squared(m) for m in tables.m_polys(bound)])
 
 
 def _derivatives(seed: str, grammar: str) -> Table:
@@ -287,9 +288,12 @@ def _p_at(n: int, bindings: dict) -> Poly:
     return substitute(tables.p_poly(n), bindings)
 
 
-# C_n and N_n from their differential recurrences, one build per run
-_C = Table(lambda bound: tables.cn_nn_tables(bound), 0)
-_N = Table(_C.build, 1)
+# C_n and N_n from their differential recurrences, and N_0..N_bound
+_C, _N = (lambda n: tables.c_poly(n)), (lambda n: tables.n_poly(n))
+
+
+def _ns(bound: int) -> list[Poly]:
+    return [tables.n_poly(n) for n in range(bound + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -351,14 +355,16 @@ def _m_cleared(bound: int) -> list[Poly]:
     """M(x,t)^2 (x - e^(2t(x-1))) coefficient-wise: the factor is x - 1 at
     t^0 and -(2x-2)^j at t^j/j!, j >= 1."""
     factor = [_X - 1] + [-(2 * _X - 2) ** j for j in range(1, bound + 1)]
-    return _square_times(tables.m_polys(bound), factor)
+    ms = tables.m_polys(bound)
+    return _product(_product(ms, ms), factor)
 
 
 def _n_cleared(bound: int) -> list[Poly]:
     """N(x,t)^2 (1 - x e^(2t(1-x))) coefficient-wise: the factor is 1 - x at
     t^0 and -x(2-2x)^j at t^j/j!, j >= 1."""
     factor = [1 - _X] + [-_X * (2 - 2 * _X) ** j for j in range(1, bound + 1)]
-    return _square_times(tables.cn_nn_tables(bound)[1], factor)
+    ns = _ns(bound)
+    return _product(_product(ns, ns), factor)
 
 
 _register(
@@ -388,16 +394,6 @@ _register(
 )
 
 
-def _nn_aa_sums(bound: int) -> tuple[list[Poly], ...]:
-    """sum C(n,k) N_k N_(n-k) and sum C(n,k) N_k M_(n-k) for n = 0..bound."""
-    _, ns = tables.cn_nn_tables(bound)
-    ms = tables.m_polys(bound)
-    return tuple(
-        [_convolve(ns.__getitem__, other.__getitem__, n) for n in range(bound + 1)]
-        for other in (ns, ms)
-    )
-
-
 _register(
     "nn-aa-convolutions",
     "2^n x A_n = sum C(n,k) N_k N_(n-k) and B_n = sum C(n,k) N_k M_(n-k); "
@@ -407,13 +403,13 @@ _register(
         # the x factor on the left forces n >= 1
         Compare(
             lambda n: tables.a_poly(n) * _X * 2**n,
-            Table(_nn_aa_sums, 0),
+            Table(lambda bound: _product(_ns(bound), _ns(bound))),
             "2^n x A_n ",
             start=1,
         ),
         Compare(
             lambda n: _poly("signed", "desB")(n) if 1 <= n <= 6 else tables.b_poly(n),
-            Table(_nn_aa_sums, 1),
+            Table(lambda bound: _product(_ns(bound), tables.m_polys(bound))),
             "B_n ",
         ),
     ],
@@ -659,7 +655,7 @@ _register(
         _derivatives("w", "GAMMA_GRAMMAR"),
         lambda n: Poly(("u", "v", "w"), {
             (i, j, 2 * n + 1 - 2 * i - j): val
-            for (i, j), val in tables._gamma_row(n).items()
+            for (i, j, _), val in tables.g_poly(n).terms.items()
         }),
     )],
 )
@@ -719,9 +715,10 @@ _register(
 
 def _gamma_sums(n: int) -> Poly:
     """sum_i x^i sum_j 2^j gamma_(n,i,j), from the gamma table."""
-    return Poly.from_counts(
-        {i: tables.gamma_weighted_sum(n, i) for i in range(1, n + 1)}
-    )
+    sums: dict[int, int] = {}
+    for (i, j, _), c in tables.g_poly(n).terms.items():
+        sums[i] = sums.get(i, 0) + (c << j)
+    return Poly.from_counts(sums)
 
 
 _register(
@@ -742,13 +739,10 @@ _register(
     "gamma-eulerian",
     "gamma_(n, n-k, k) equals the Eulerian number <n, k>",
     8, 12,
-    compare=[Compare(
-        lambda n: Poly.from_counts(
-            {k: tables.gamma_number(n, n - k, k) for k in range(n + 1)}
-        ),
-        lambda n: Poly.from_counts({k: tables.eulerian(n, k) for k in range(n + 1)}),
-        start=1,
-    )],
+    # sum_k gamma_(n,n-k,k) x^k reads the terms of G_n with i + j = n
+    compare=[Compare(lambda n: Poly.from_counts(
+        {j: c for (i, j, _), c in tables.g_poly(n).terms.items() if i + j == n}
+    ), lambda n: tables.a_poly(n), start=1)],
 )
 
 

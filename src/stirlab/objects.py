@@ -18,13 +18,14 @@ in each of its 2n-1 gaps, scanned from the rightmost gap to the leftmost, so
 n <= 7, is memoized (the scan tables of ``stats`` key on its words).  The
 predicates here decide membership; :func:`_order`, the one order gate, raises
 ValueError unless n is a nonnegative int (a stream, at its first ``next``),
-and :func:`_stirling_word`, the one word gate, unless a word is in some Q_n.
+:func:`_stirling_word`, the one word gate, unless a word is in some Q_n, and
+:func:`_tuple` unless a word or value set is iterable.
 """
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Iterator, Sequence, Sized
 
 Word = tuple[int, ...]
 Block = tuple[int, int]
@@ -40,16 +41,24 @@ def _order(n: int) -> int:
     return n
 
 
+def _tuple(seq, what: str) -> tuple:
+    """seq as a tuple; ValueError "not <what>: <seq>" unless it is iterable."""
+    try:
+        return tuple(seq)
+    except TypeError:
+        raise ValueError(f"not {what}: {seq!r}") from None
+
+
 def is_stirling(word: Sequence[int]) -> bool:
     """True iff ``word`` is a Stirling permutation of some order n >= 0.
 
-    A malformed multiset (values not covering [n] exactly twice) returns
-    False rather than raising.
+    A malformed multiset (values not covering [n] exactly twice), or no
+    sequence at all, returns False rather than raising.
 
-    >>> is_stirling([1, 2, 2, 1]), is_stirling([1, 2, 1, 2])
-    (True, False)
+    >>> is_stirling([1, 2, 2, 1]), is_stirling([1, 2, 1, 2]), is_stirling(5)
+    (True, False, False)
     """
-    if len(word) % 2:
+    if not isinstance(word, Sized) or len(word) % 2:
         return False
     n = len(word) // 2
     seen = [False] * (n + 1)
@@ -78,7 +87,7 @@ def is_stirling(word: Sequence[int]) -> bool:
 def _stirling_word(sigma: Sequence[int]) -> Word:
     """sigma as a tuple, when it is a Stirling permutation; ValueError
     naming it otherwise."""
-    word = tuple(sigma)
+    word = _tuple(sigma, "a Stirling permutation")
     if not is_stirling(word):
         raise ValueError(f"not a Stirling permutation: {word}")
     return word

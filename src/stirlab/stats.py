@@ -42,6 +42,7 @@ from .objects import (
     _is_signed,
     _order,
     _stirling_word,
+    _tuple,
     iter_objects,
 )
 
@@ -119,7 +120,7 @@ def signed_stat_record(values: Sequence[int]) -> dict[str, int]:
 
 def signed_stats(pi: Sequence[int]) -> dict[str, int]:
     """Statistics of a signed permutation; invalid or empty input raises."""
-    values = tuple(pi)
+    values = _tuple(pi, "a signed permutation")
     if len(values) == 0:
         raise ValueError("signed statistics need n >= 1")
     if not _is_signed(values):
@@ -137,7 +138,7 @@ def perm_des(pi: Sequence[int]) -> int:
     >>> perm_des((4, 3, 5, 6, 2, 1))
     3
     """
-    values = tuple(pi)
+    values = _tuple(pi, "a permutation of [n]")
     if not _is_permutation(values):
         raise ValueError(f"not a permutation of [n]: {values}")
     return _permutation_scan(values)[0]
@@ -211,6 +212,7 @@ def distribution(klass: str, n: int, stats: Sequence[str], *,
     if not isinstance(klass, str) or klass not in STATS_BY_CLASS:
         raise ValueError(f"unknown object class: {klass!r}")
     names = STATS_BY_CLASS[klass]
+    stats = _tuple(stats, "a sequence of statistics")
     bad = [s for s in stats if s not in names]
     if bad:
         raise ValueError(f"unknown statistics for class {klass!r}: {bad}")

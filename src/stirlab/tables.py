@@ -17,9 +17,9 @@ Tables are exact integers, and so is every polynomial: a family in x is a
 Each function evaluates one formula; :mod:`stirlab.identities` compares them.
 Each triangle, C and N included, has a step function that makes row m from
 row m-1 and m; row n is the ``functools.reduce`` of its step over 1..n from
-row 0 = {origin: 1}, and a whole table draws rows 0..n from
-``itertools.accumulate``.  Each order passes ``objects._order`` (ValueError
-unless a nonnegative int), but a number function reads 0 at a negative int.
+row 0 = {origin: 1}, and a CoefficientTable draws rows 0..n from
+``itertools.accumulate``.  Every order passes ``objects._order``; a family is
+read off its polynomial, and :func:`stirling2` is the one number function.
 
 A small JSON disk cache (:class:`TableCache`) can memoize the three
 CoefficientTable builders :func:`t_table`, :func:`p_table` and
@@ -201,13 +201,6 @@ def _eulerian_row(n: int) -> dict[int, int]:
     return reduce(_eulerian_step, range(1, n + 1), {0: 1})
 
 
-def eulerian(n: int, k: int) -> int:
-    """Eulerian number: permutations of [n] with k descents (0 off-range)."""
-    if type(n) is int and n < 0:
-        return 0
-    return _eulerian_row(_order(n)).get(k, 0)
-
-
 def a_poly(n: int) -> Poly:
     """Eulerian polynomial A_n(x)."""
     return Poly.from_counts(_eulerian_row(_order(n)))
@@ -261,9 +254,7 @@ def _stirling2_row(n: int) -> dict[int, int]:
 
 
 def stirling2(n: int, k: int) -> int:
-    """Stirling number of the second kind S(n, k) (0 off-range)."""
-    if type(n) is int and n < 0:
-        return 0
+    """Stirling number of the second kind S(n, k) (0 off-range in k)."""
     return _stirling2_row(_order(n)).get(k, 0)
 
 
@@ -406,14 +397,6 @@ def _gamma_row(n: int) -> dict[tuple[int, int], int]:
     return reduce(_gamma_step, range(1, n + 1), {(0, 0): 1})
 
 
-def gamma_number(n: int, i: int, j: int) -> int:
-    """gamma_{n,i,j}: descent-plateau-free words with lap = i, dasc = j
-    (0 off-range)."""
-    if type(n) is int and n < 0:
-        return 0
-    return _gamma_row(_order(n)).get((i, j), 0)
-
-
 def g_poly(n: int) -> Poly:
     """G_n(x, y) = sum gamma_{n,i,j} x^i y^j (stored with z-exponent 0)."""
     n = _order(n)
@@ -456,16 +439,6 @@ def _n_step(prev: dict[int, int], m: int) -> dict[int, int]:
         if v:
             row[k] = v
     return row
-
-
-def cn_nn_tables(n_max: int) -> tuple[list[Poly], list[Poly]]:
-    """(C_0..C_n, N_0..N_n) through their differential recurrences."""
-    n_max = _order(n_max)
-    steps = range(1, n_max + 1)
-    return (
-        [Poly.from_counts(r) for r in accumulate(steps, _c_step, initial={0: 1})],
-        [Poly.from_counts(r) for r in accumulate(steps, _n_step, initial={0: 1})],
-    )
 
 
 def c_poly(n: int) -> Poly:
@@ -524,10 +497,3 @@ def n_poly_closed(n: int) -> Poly:
         )
     return Poly.from_counts({k: c >> n for k, c in scaled.items()})
 
-
-def gamma_weighted_sum(n: int, i: int) -> int:
-    """sum_j 2^j gamma_{n,i,j}, the x^i coefficient of N_n for 1 <= i <= n."""
-    n = _order(n)
-    if type(i) is not int or not 1 <= i <= n:
-        raise ValueError(f"need 1 <= i <= n, got i={i!r}, n={n}")
-    return sum(2**j * gamma_number(n, i, j) for j in range(n))

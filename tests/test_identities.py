@@ -18,6 +18,7 @@ from stirlab.identities import (
     run_all,
     run_identity,
 )
+from stirlab.polynomials import Poly
 
 EXPECTED_NAMES = {
     "gessel-stanley",
@@ -67,6 +68,15 @@ def test_bound_past_the_limit():
     check = REGISTRY["bona-equidistribution"]
     with pytest.raises(ResourceLimitError):
         run_identity("bona-equidistribution", check.max_bound + 1)
+
+
+@pytest.mark.parametrize("bound", [1.5, True, "3", -3])
+def test_a_bound_that_is_not_a_nonnegative_int_raises(bound):
+    # a float or a str bound used to reach the routes, failing every check
+    # with a TypeError witness, and True ran as 1
+    for run in (lambda: run_identity("gamma-eulerian", bound), lambda: run_all(bound)):
+        with pytest.raises(ValueError, match="^bound must be "):
+            run()
 
 
 def test_single_identity_result_shape():
@@ -173,9 +183,10 @@ def test_witness_on_forced_failure(monkeypatch):
     import stirlab.identities as ids
     import stirlab.tables as tb
 
-    original = tb.eulerian
+    original = tb.a_poly
     monkeypatch.setattr(
-        ids.tables, "eulerian", lambda n, k: original(n, k) + (n == 3 and k == 1)
+        ids.tables, "a_poly",
+        lambda n: original(n) + Poly.from_counts({1: int(n == 3)}),
     )
     r = run_identity("gamma-eulerian", 8)
     assert not r.passed

@@ -67,18 +67,6 @@ def _break_differential(monkeypatch, name, order, change=None):
     monkeypatch.setattr(tb, name, broken)
 
 
-def _break_cn_nn(monkeypatch, part, order):
-    """Add one to C_order (part 0) or N_order (part 1) of cn_nn_tables."""
-    original = tb.cn_nn_tables
-
-    def broken(bound):
-        lists = [list(seq) for seq in original(bound)]
-        lists[part][order] = _plus_one(lists[part][order])
-        return tuple(lists)
-
-    monkeypatch.setattr(tb, "cn_nn_tables", broken)
-
-
 def _plus_one(p):
     return p + Poly.one()
 
@@ -179,17 +167,17 @@ CASES = [
     ),
     (
         "cn-nn-recurrences", 5,
-        lambda mp: _break_cn_nn(mp, 0, 2),
+        lambda mp: _break_table(mp, "c_poly", 2, _plus_one),
         "n=2: C_n 1 + x + 2*x^2 != x + 2*x^2",
     ),
     (
         "cn-nn-recurrences", 5,
-        lambda mp: _break_cn_nn(mp, 1, 2),
+        lambda mp: _break_table(mp, "n_poly", 2, _plus_one),
         "n=2: N_n 1 + 2*x + x^2 != 2*x + x^2",
     ),
     (
         "p-specializations", 5,
-        lambda mp: _break_cn_nn(mp, 0, 2),
+        lambda mp: _break_table(mp, "c_poly", 2, _plus_one),
         "n=2: P(x,x,1) x + 2*x^2 != 1 + x + 2*x^2",
     ),
     (
@@ -202,7 +190,7 @@ CASES = [
     ),
     (
         "p-specializations", 5,
-        lambda mp: _break_cn_nn(mp, 1, 2),
+        lambda mp: _break_table(mp, "n_poly", 2, _plus_one),
         "n=2: P(x,1,1) 2*x + x^2 != 1 + 2*x + x^2",
     ),
     (
@@ -265,7 +253,7 @@ CASES = [
     ),
     (
         "egf-N-squared", 5,
-        lambda mp: _break_cn_nn(mp, 1, 2),
+        lambda mp: _break_table(mp, "n_poly", 2, _plus_one),
         "n=2: 2 - 2*x != 0",
     ),
     (
@@ -295,12 +283,14 @@ CASES = [
     ),
     (
         "gamma-weighted-sums", 5,
-        lambda mp: _break_cn_nn(mp, 1, 2),
+        lambda mp: _break_table(mp, "n_poly", 2, _plus_one),
         "n=2: 2*x + x^2 != 1 + 2*x + x^2",
     ),
     (
         "gamma-eulerian", 5,
-        lambda mp: _break_table(mp, "eulerian", 2, lambda v: v + 1),
+        lambda mp: _break_table(
+            mp, "a_poly", 2, lambda p: p + Poly.from_counts({0: 1, 1: 1, 2: 1})
+        ),
         "n=2: 1 + x != 2 + 2*x + x^2",
     ),
     (
@@ -368,8 +358,7 @@ def _plus_one_at(route, at):
         return lambda n: route(n) + 1 if n == at else route(n)
 
     def build(bound):
-        table = route.build(bound)
-        rows = list(table if route.part is None else table[route.part])
+        rows = list(route.build(bound))
         rows[at] += 1
         return rows
 

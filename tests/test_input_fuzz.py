@@ -5,9 +5,9 @@ Every callable of ``stirlab.__all__`` defined in ``objects``, ``stats``,
 with generated malformed arguments: bools, floats, strings, None, nested
 tuples, negative ints, and words one swap away from a Stirling word, mixed
 with well-formed values so that the checks past the first one are reached
-too.  Each argument keeps its documented shape (a word is a sequence, a
-matching a sequence of blocks, a value set an iterable); what fills it is
-malformed.  Each move of ``actions`` that takes a word and a value set also
+too.  A word, a matching or a value set is mostly drawn in its documented
+shape (a sequence, a sequence of blocks, an iterable) filled with malformed
+values, and sometimes as a scalar that is not iterable at all.  Each move of ``actions`` that takes a word and a value set also
 gets a valid Stirling word with a malformed second argument, and a word one
 swap outside Q_n with a second argument it would take on a Stirling word of
 that length.
@@ -52,6 +52,9 @@ nested = st.recursive(bad_scalar | st.integers(0, 4),
                       max_leaves=5)
 junk = st.one_of(bad_scalar, nested)
 
+# where a sequence or an iterable belongs: nothing to iterate over
+non_iterable = st.one_of(st.none(), st.booleans(), st.integers(-3, 9), st.floats())
+
 # an order: malformed, or an int no larger than 5
 order = st.one_of(junk, st.integers(-3, 5))
 # a letter, value or index: malformed, or a small int
@@ -76,8 +79,9 @@ word = st.one_of(
     near_stirling(),
     st.lists(letter, max_size=8).map(tuple),
     st.text(alphabet="0123456", max_size=6),
+    non_iterable,
 )
-letters = st.lists(letter, max_size=5).map(tuple)
+letters = st.one_of(st.lists(letter, max_size=5).map(tuple), non_iterable)
 
 
 @st.composite
@@ -113,16 +117,17 @@ def some(each):
     return lambda w: st.lists(each(w), min_size=1, max_size=3).map(tuple)
 
 
-junk_letters = st.lists(junk, min_size=1, max_size=3).map(tuple)
-# a matching: blocks of letters, or a flat tuple whose blocks are not sequences
+junk_letters = st.one_of(st.lists(junk, min_size=1, max_size=3).map(tuple), non_iterable)
+# a matching: blocks of letters, a flat tuple whose blocks are not sequences,
+# or no sequence at all
 blocks = st.one_of(st.lists(st.lists(letter, max_size=3).map(tuple), max_size=4).map(tuple),
                    letters)
 klass = st.one_of(st.sampled_from(sorted(STATS_BY_CLASS)), junk)
-stat_names = st.lists(
+stat_names = st.one_of(st.lists(
     st.one_of(st.sampled_from(sorted({s for ss in STATS_BY_CLASS.values() for s in ss})),
               st.text(max_size=4)),
     max_size=3,
-).map(tuple)
+).map(tuple), non_iterable)
 
 # the arguments of each fuzzed callable, as a strategy of argument tuples
 ARGS = {
@@ -150,12 +155,10 @@ ARGS = {
     "orbit_members": st.tuples(word),
     # tables
     **{name: st.tuples(order) for name in (
-        "a_poly", "b_poly", "c_poly", "cn_nn_tables", "f_poly", "g_poly",
-        "gamma_table", "m_poly", "n_poly", "n_poly_closed", "p_poly",
-        "p_table", "t_poly", "t_table")},
-    **{name: st.tuples(order, letter) for name in (
-        "eulerian", "stirling2", "gamma_weighted_sum")},
-    "gamma_number": st.tuples(order, letter, letter),
+        "a_poly", "b_poly", "c_poly", "f_poly", "g_poly", "gamma_table",
+        "m_poly", "n_poly", "n_poly_closed", "p_poly", "p_table", "t_poly",
+        "t_table")},
+    "stirling2": st.tuples(order, letter),
 }
 KWARGS = {"distribution": st.fixed_dictionaries(
     {"max_n": st.one_of(st.none(), st.integers(-1, 5), junk)})}

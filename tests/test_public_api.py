@@ -11,10 +11,10 @@ PUBLIC_NAMES = [
     "Grammar", "GrammarSyntaxError", "IdentityCheck", "IdentityViolationError",
     "Poly", "REGISTRY", "ResourceLimitError", "TableCache",
     "UnknownIdentityError", "a_poly", "alpha", "alpha_inverse",
-    "b_poly", "beta_set", "c_poly", "cn_nn_tables",
+    "b_poly", "beta_set", "c_poly",
     "coefficient_profile", "derive", "derive_n", "distribution",
-    "eulerian", "f_poly", "fs_action", "g_poly",
-    "gamma_number", "gamma_table", "gamma_weighted_sum",
+    "f_poly", "fs_action", "g_poly",
+    "gamma_table",
     "index_sets", "is_stirling", "m_poly", "matching_blocks", "matching_stats",
     "n_poly", "n_poly_closed", "orbit", "orbit_members", "p_poly",
     "p_table", "parse_grammar", "parse_poly", "perm_des", "permutation_words",

@@ -14,7 +14,10 @@ only the allow-list below, and whatever runs inside an allowed function:
 
 Any other shared function is logic the two sides of an identity have in
 common, so that the comparison no longer checks it; the failure names it.
+Every route reads a coefficient family of ``tables`` through its public
+polynomial functions; a read of a private ``tables`` name fails too.
 """
+import ast
 import importlib
 import pkgutil
 import sys
@@ -147,3 +150,16 @@ def test_a_shared_function_is_named():
     (line,) = shared_functions(planted)
     assert line.startswith("planted [G_n]: both sides reach ")
     assert "tables.g_poly" in line and "tables._gamma_row" in line
+
+
+def test_identities_read_no_private_tables_name():
+    tree = ast.parse(Path(identities.__file__).read_text())
+    private = sorted(
+        f"line {node.lineno}: tables.{node.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "tables"
+        and node.attr.startswith("_")
+    )
+    assert private == []

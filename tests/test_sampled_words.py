@@ -3,9 +3,12 @@
 The exhaustive tests stop at n = 7, where Q_n has 135135 words.  Here a
 Hypothesis strategy draws words of Q_n at n = 8, 12, 20 and 40 by pair
 insertion, and each word is checked against the Foata-Strehl action and the
-beta/alpha bijection through the checked public API.
+beta/alpha bijection through the checked public API.  The insertion rule
+behind the P_n recurrence is checked word by word on all of Q_n for n <= 5
+and on sampled words at n = 10, 20 and 40.
 """
 import itertools
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -70,3 +73,39 @@ def test_per_word_theorems(n):
         assert normal == alpha_inverse(alpha(w))
 
     check()
+
+
+def insertion_changes(w) -> Counter:
+    """The (lap, dasc, dp) changes that inserting (n+1, n+1) into each of
+    the 2n + 1 gaps of w makes, as a multiset."""
+    n = len(w) // 2
+    before = lap_dasc_dp(w)
+    return Counter(
+        tuple(a - b for a, b in zip(lap_dasc_dp(w[:g] + (n + 1, n + 1) + w[g:]), before))
+        for g in range(2 * n + 1)
+    )
+
+
+def check_insertion_rule(w):
+    # the five cases of P_(n+1)(i,j,k) = i P_n(i,j-1,k) + i P_n(i,j,k-1)
+    # + (j+1) P_n(i-1,j+1,k) + (k+1) P_n(i-1,j,k+1) + (2n+3-2i-j-k) P_n(i-1,j,k),
+    # as the index recurrence behind tables.p_poly reads them
+    lap, dasc, dp = lap_dasc_dp(w)
+    assert insertion_changes(w) == +Counter({
+        (0, 1, 0): lap,
+        (0, 0, 1): lap,
+        (1, -1, 0): dasc,
+        (1, 0, -1): dp,
+        (1, 0, 0): len(w) + 1 - 2 * lap - dasc - dp,
+    })
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_insertion_rule_on_every_word(n):
+    for w in stirling_scans(n):
+        check_insertion_rule(w)
+
+
+@pytest.mark.parametrize("n", [10, 20, 40])
+def test_insertion_rule_on_sampled_words(n):
+    SAMPLED(given(stirling_word(n))(check_insertion_rule))()

@@ -167,6 +167,23 @@ def test_validators_reject_bad_objects():
         perm_des((1, "a"))
 
 
+@pytest.mark.parametrize("check, message", [
+    (stirling_stats, r"^not a Stirling permutation: 5$"),
+    (signed_stats, r"^not a signed permutation: 5$"),
+    (perm_des, r"^not a permutation of \[n\]: 5$"),
+    (lambda obj: distribution("stirling", 2, obj), r"^not a sequence of statistics: 5$"),
+], ids=["stirling", "signed", "perm_des", "distribution"])
+def test_an_argument_that_is_not_iterable_is_named(check, message):
+    with pytest.raises(ValueError, match=message):
+        check(5)
+
+
+def test_distribution_reads_its_statistics_once():
+    # a generator of names used to be spent on the name check, leaving no
+    # statistic to count: {(): 3}
+    assert distribution("stirling", 2, (s for s in ["asc"])) == {(1,): 1, (2,): 2}
+
+
 # bool is a subclass of int, but True is not the letter 1
 @pytest.mark.parametrize("check, obj, message", [
     (stirling_stats, (True, True), r"^not a Stirling permutation: \(True, True\)$"),

@@ -28,14 +28,10 @@ from stirlab.tables import (
     a_poly,
     b_poly,
     c_poly,
-    cn_nn_tables,
-    eulerian,
     f_poly,
     g_poly,
     g_polys_differential,
-    gamma_number,
     gamma_table,
-    gamma_weighted_sum,
     m_poly,
     m_polys,
     n_poly,
@@ -70,9 +66,9 @@ def brute_partition_count(n: int, k: int) -> int:
 
 class TestEulerianFamilies:
     def test_initial_conditions(self):
-        assert eulerian(1, 0) == 1
-        assert eulerian(1, 1) == 0
-        assert all(eulerian(n, k) == 0 for n in range(1, 6) for k in range(n, n + 3))
+        assert a_poly(1) == Poly.one()
+        assert all(a_poly(n).coefficient(k) == 0
+                   for n in range(1, 6) for k in range(n, n + 3))
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_against_brute_force(self, n):
@@ -82,7 +78,7 @@ class TestEulerianFamilies:
                 for pi in itertools.permutations(range(1, n + 1))
                 if brute_descents(pi) == k
             )
-            assert eulerian(n, k) == count
+            assert a_poly(n).coefficient(k) == count
 
     def test_a_poly(self):
         assert a_poly(0) == Poly.one()
@@ -167,7 +163,7 @@ class TestRefinementTables:
             for i in range(n + 2):
                 for j in range(n + 2):
                     if i + j > n:
-                        assert gamma_number(n, i, j) == 0
+                        assert g_poly(n).coefficient(i, j, 0) == 0
 
     def test_gamma_differential_path(self):
         gs = g_polys_differential(8)
@@ -177,8 +173,7 @@ class TestRefinementTables:
 
 class TestAscentFamilies:
     def test_initial_conditions(self):
-        cs, ns = cn_nn_tables(0)
-        assert cs[0] == Poly.one() and ns[0] == Poly.one()
+        assert c_poly(0) == Poly.one() and n_poly(0) == Poly.one()
 
     def test_published_values(self):
         assert c_poly(3) == Poly.from_counts({1: 1, 2: 8, 3: 6})
@@ -228,11 +223,13 @@ class TestAscentFamilies:
             assert n_poly_closed(n) == n_poly(n)
 
     def test_gamma_weighted_sum(self):
-        assert gamma_weighted_sum(2, 1) == 2
-        assert gamma_weighted_sum(2, 2) == 1
-        for n in range(1, 8):
-            for i in range(1, n + 1):
-                assert gamma_weighted_sum(n, i) == n_poly(n).coefficient(i)
+        # sum_j 2^j gamma_(n,i,j) is the x^i coefficient of N_n
+        for n in range(8):
+            sums = {}
+            for (i, j, _), c in g_poly(n).terms.items():
+                sums[i] = sums.get(i, 0) + 2**j * c
+            assert Poly.from_counts(sums) == n_poly(n)
+        assert n_poly(2) == Poly.from_counts({1: 2, 2: 1})
 
 
 class TestCoefficientTablesAndCache:
@@ -262,12 +259,6 @@ class TestCoefficientTablesAndCache:
         # a corrupted file falls back to regeneration too
         path.write_text("{not json")
         assert t_table(3, cache).value(2, 2) == 1
-
-    def test_weighted_sum_preconditions(self):
-        with pytest.raises(ValueError):
-            gamma_weighted_sum(3, 5)
-        with pytest.raises(ValueError):
-            gamma_weighted_sum(3, 0)
 
     def test_mismatch_raises_identity_violation(self, monkeypatch):
         # weights that 2^n does not divide trip the closed form's guard
@@ -371,8 +362,8 @@ def _odd_df(n):
         (lambda n: sum(map(p_poly(n).coefficient, range(n, 0, -1), range(n), [0] * n)), 55,
          math.factorial),
         (lambda n: sum(c << i[1] for i, c in g_poly(n).terms.items()), 100, _odd_df),
-        (lambda n: sum(gamma_number(n, n - j, j) for j in range(n)), 100,
-         math.factorial),
+        (lambda n: sum(map(g_poly(n).coefficient, range(n, 0, -1), range(n), [0] * n)),
+         100, math.factorial),
     ],
     ids=["t_poly", "t_number", "p_poly", "p_number", "g_poly", "gamma_number"],
 )
@@ -631,8 +622,7 @@ def test_cache_load_holds_about_one_row_at_a_time(tmp_path, build, n):
 
 
 # Every public function of tables at the orders below, with its remaining
-# arguments: a number reads 0 at n = -1, and otherwise every function raises
-# the order gate's ValueError naming n.
+# arguments: each raises the order gate's ValueError naming n.
 BAD_ORDERS = (-1, True, 1.5, "3")
 
 
@@ -640,12 +630,8 @@ def gate_message(n) -> str:
     return rf"^n must be a nonnegative int, got {re.escape(repr(n))}$"
 
 
-NEGATIVE_N_NUMBERS = [
-    (eulerian, (0,)),
-    (stirling2, (0,)),
-    (gamma_number, (0, 0)),
-]
 NEGATIVE_N_RAISES = [
+    (stirling2, (0,)),
     (a_poly, ()),
     (b_poly, ()),
     (f_poly, ()),
@@ -657,8 +643,6 @@ NEGATIVE_N_RAISES = [
     (m_poly, ()),
     (m_polys, ()),
     (n_poly_closed, ()),
-    (gamma_weighted_sum, (1,)),
-    (cn_nn_tables, ()),
     (p_polys_differential, ()),
     (g_polys_differential, ()),
     (t_table, ()),
@@ -675,18 +659,8 @@ def test_negative_n_covers_every_public_function():
         and obj.__module__ == tables.__name__
         and not name.startswith("_")
     }
-    listed = {fn.__name__ for fn, _ in NEGATIVE_N_NUMBERS + NEGATIVE_N_RAISES}
+    listed = {fn.__name__ for fn, _ in NEGATIVE_N_RAISES}
     assert public == listed
-
-
-@pytest.mark.parametrize(
-    "fn, rest", NEGATIVE_N_NUMBERS, ids=[fn.__name__ for fn, _ in NEGATIVE_N_NUMBERS]
-)
-def test_negative_n_number_is_zero(fn, rest):
-    assert fn(-1, *rest) == 0
-    for n in BAD_ORDERS[1:]:  # an n that is not an int is an error
-        with pytest.raises(ValueError, match=gate_message(n)):
-            fn(n, *rest)
 
 
 @pytest.mark.parametrize(
