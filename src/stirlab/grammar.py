@@ -7,10 +7,10 @@ were never given a rule derive to 0.  Iterating D on a seed monomial produces
 the statistic distributions this package verifies.
 
 Polynomials are :class:`stirlab.polynomials.Poly` values.  A grammar holds
-its rules over its sorted alphabet, and with each letter the shifts its rule
-terms make: a term's exponent tuple less the letter's unit exponent.  One
-kernel derives every order: it packs each exponent tuple into one int, a
-bit field per letter, so that a shift is one int addition per output term.
+its rules alone, over the sorted letters they mention.  One kernel derives
+every order: it packs each exponent tuple into one int, a bit field per
+letter, so that a rule term moves a packed term by one int addition.  An
+argument of the wrong type raises ValueError.
 
 Rule files hold one rule per line (or several separated by semicolons)::
 
@@ -50,46 +50,35 @@ class AlphabetError(ValueError):
     """A polynomial mentions letters outside the grammar's alphabet."""
 
 
+def _arg(value, kind, what: str):
+    """``value``, when it is a ``kind`` and not a bool; otherwise
+    ValueError: the one gate of the grammar functions' arguments."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"not {what}: {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class Grammar:
-    """Substitution rules letter -> polynomial over a fixed alphabet.
+    """Substitution rules letter -> polynomial.
 
-    ``names`` is the sorted alphabet, and every rule is held over it.
-    ``shifts[i]`` holds a (shift, coefficient) pair for each term of the
-    rule for ``names[i]``, none without a rule; the shift is the term's
-    exponent tuple less the unit exponent of ``names[i]``.  It is derived
-    from ``rules``, so repr and equality leave it out.
+    ``names`` is the sorted alphabet: the rule heads and every letter of a
+    rule body.  Every rule is held over it; a letter without a rule derives
+    to 0.
     """
 
     rules: Mapping[str, Poly]
-    alphabet: frozenset[str] = field(init=False)  # rule heads and body letters
     names: tuple[str, ...] = field(init=False)
-    shifts: tuple[tuple[tuple[tuple[int, ...], int], ...], ...] = field(
-        init=False, repr=False, compare=False
-    )
 
     def __post_init__(self):
-        letters = set(self.rules)
-        for body in self.rules.values():
-            letters |= body.letters()
-        alphabet = frozenset(letters)
-        names = tuple(sorted(alphabet))
-        rules = {h: Poly(names, r.terms_over(names)) for h, r in self.rules.items()}
-        shifts = tuple(
-            tuple(
-                (tuple(k - (j == i) for j, k in enumerate(r)), c)
-                for r, c in rules.get(letter, Poly.zero()).terms.items()
-            )
-            for i, letter in enumerate(names)
-        )
-        object.__setattr__(self, "alphabet", alphabet)
+        rules = _arg(self.rules, Mapping, "a mapping of rules")
+        letters = {_arg(head, str, "a letter") for head in rules}
+        for body in rules.values():
+            letters |= _arg(body, Poly, "a polynomial").letters()
+        names = tuple(sorted(letters))
         object.__setattr__(self, "names", names)
-        object.__setattr__(self, "rules", rules)
-        object.__setattr__(self, "shifts", shifts)
-
-    def rule(self, letter: str) -> Poly:
-        """The derivative of a single letter (0 when no rule was given)."""
-        return self.rules.get(letter, Poly.zero())
+        object.__setattr__(self, "rules",
+                           {h: Poly(names, r.terms_over(names)) for h, r in rules.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -202,6 +191,7 @@ def parse_poly(text: str) -> Poly:
     >>> str(parse_poly("x*y^2 + 2*z - 1"))
     '-1 + 2*z + x*y^2'
     """
+    _arg(text, str, "a polynomial text")
     end_line = text.count("\n") + 1
     parser = _Parser(_tokenize(text), end_line)
     poly = parser.parse_expr()
@@ -214,11 +204,10 @@ def parse_poly(text: str) -> Poly:
 def parse_grammar(text: str) -> Grammar:
     """Parse a rule file into a Grammar.
 
-    >>> g = parse_grammar("x -> x*y*z; y -> y*z^2; z -> y^2*z")
-    >>> sorted(g.alphabet)
-    ['x', 'y', 'z']
+    >>> parse_grammar("x -> x*y*z; y -> y*z^2; z -> y^2*z").names
+    ('x', 'y', 'z')
     """
-    tokens = _tokenize(text)
+    tokens = _tokenize(_arg(text, str, "a rule file text"))
     end_line = text.count("\n") + 1
     parser = _Parser(tokens, end_line)
     rules: dict[str, Poly] = {}
@@ -253,12 +242,6 @@ def parse_grammar(text: str) -> Grammar:
 # the formal derivative and companions
 
 
-def _check_alphabet(p: Poly, g: Grammar) -> None:
-    missing = p.letters() - g.alphabet
-    if missing:
-        raise AlphabetError(f"letters outside the grammar's alphabet: {sorted(missing)}")
-
-
 def derive(p: Poly, g: Grammar) -> Poly:
     """One application of the formal derivative, Leibniz over each monomial:
     the first order of :func:`derive_n`, over the grammar's ``names``.
@@ -281,14 +264,17 @@ def _powers(p: Poly, g: Grammar, n: int, every: bool = False) -> list[Poly]:
     gets a bit field that holds p's degree plus n times the most a rule term
     adds, so packed terms add as exponent tuples do.  A negative exponent, in
     p or a rule, would borrow from the next field and raises ValueError."""
-    n = _order(n)
-    if p.names != g.names:
-        _check_alphabet(p, g)
+    p, g, n = _arg(p, Poly, "a polynomial"), _arg(g, Grammar, "a grammar"), _order(n)
+    if p.names != g.names and (missing := p.letters() - set(g.names)):
+        raise AlphabetError(f"letters outside the grammar's alphabet: {sorted(missing)}")
     terms = p.terms_over(g.names)
-    for e in [*terms, *(e for rule in g.rules.values() for e in rule.terms)]:
+    # (i, e, c): a term c * x^e of the rule for names[i]
+    rules = [(i, e, c) for i, letter in enumerate(g.names) if letter in g.rules
+             for e, c in g.rules[letter].terms.items()]
+    for e in [*terms, *(e for _, e, _ in rules)]:
         if min(e, default=0) < 0:
             raise ValueError(f"a negative exponent cannot be derived: {monomial_str(g.names, e)}")
-    growth = max((sum(d) for shifts in g.shifts for d, _ in shifts), default=0)
+    growth = max((sum(e) - 1 for _, e, _ in rules), default=0)
     width = (max(map(sum, terms), default=0) + n * max(growth, 0)).bit_length() or 1
     mask = (1 << width) - 1
     offsets = range(0, width * len(g.names), width)
@@ -300,8 +286,8 @@ def _powers(p: Poly, g: Grammar, n: int, every: bool = False) -> list[Poly]:
         return Poly(g.names, {tuple([e >> off & mask for off in offsets]): c
                               for e, c in packed.items()})
 
-    rule_terms = tuple((off, pack(d), dc)
-                       for off, shifts in zip(offsets, g.shifts) for d, dc in shifts)
+    # a rule term of names[i] takes one x_i off the term it derives
+    rule_terms = tuple((offsets[i], pack(e) - (1 << offsets[i]), c) for i, e, c in rules)
     packed = {pack(e): c for e, c in terms.items()}
     out = [unpack(packed)] if every else []
     for order in range(1, n + 1):
@@ -330,10 +316,13 @@ def _step(packed: dict[int, int], rule_terms, mask: int) -> dict[int, int]:
 
 
 def substitute(p: Poly, bindings: Mapping[str, Union[Poly, str, int]]) -> Poly:
-    """Simultaneous substitution of letters; unbound letters stay themselves."""
+    """Simultaneous substitution of letters; unbound letters stay themselves.
+    A letter of p is bound to a Poly, a letter or an int."""
+    _arg(p, Poly, "a polynomial")
+    _arg(bindings, Mapping, "a mapping of bindings")
     images = []
     for letter in p.names:
-        v = bindings.get(letter, letter)
+        v = _arg(bindings.get(letter, letter), (Poly, str, int), "a polynomial, letter or int")
         if isinstance(v, str):
             v = Poly.var(v)
         elif not isinstance(v, Poly):
@@ -362,6 +351,8 @@ def coefficient_profile(p: Poly, axes: Sequence[str]) -> dict[tuple[int, ...], i
     letters; a mixed residual signals an extraction mistake and raises
     ValueError.
     """
+    _arg(p, Poly, "a polynomial")
+    _arg(axes, Sequence, "a sequence of letters")
     axis_pos = [p.names.index(a) if a in p.names else None for a in axes]
     rest = [v for v in p.names if v not in axes]
     rest_pos = [p.names.index(v) for v in rest]

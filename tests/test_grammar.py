@@ -1,4 +1,5 @@
 """Grammar engine: parsing, the derivation laws, and worked derivatives."""
+import dataclasses
 import math
 import re
 
@@ -30,14 +31,14 @@ def gp(text: str) -> Poly:
 
 class TestParsing:
     def test_rule_files(self):
-        assert sorted(FLAG.alphabet) == ["x", "y", "z"]
         assert FLAG.names == ("x", "y", "z")
-        assert FLAG.rule("x") == gp("x*y*z")
-        assert FLAG.rule("y").names == FLAG.names
-        assert str(FLAG.rule("y")) == "y*z^2"
-        assert FLAG.rule("missing_letter") == Poly.zero()
-        assert UVW.rule("v") == gp("2*u*w")
-        assert sorted(REFINED.alphabet) == ["p", "q", "x", "y", "z"]
+        assert FLAG.rules["x"] == gp("x*y*z")
+        assert FLAG.rules["y"].names == FLAG.names
+        assert str(FLAG.rules["y"]) == "y*z^2"
+        assert UVW.rules["v"] == gp("2*u*w")
+        assert REFINED.names == ("p", "q", "x", "y", "z")
+        # a body letter without a rule is a name of the grammar all the same
+        assert parse_grammar("a -> b").names == ("a", "b")
 
     def test_multiline_and_comments(self):
         g = parse_grammar(
@@ -50,9 +51,8 @@ class TestParsing:
         )
         assert g.rules == FLAG.rules
 
-    def test_shifts_stay_out_of_repr_and_equality(self):
-        assert FLAG.shifts[0] == (((0, 1, 1), 1),)  # x -> x*y*z, less x
-        assert "shifts" not in repr(FLAG)
+    def test_a_grammar_is_its_rules(self):
+        assert [f.name for f in dataclasses.fields(Grammar)] == ["rules", "names"]
         assert parse_grammar("z -> y^2*z; y -> y*z^2; x -> x*y*z") == FLAG
 
     def test_signs_and_constants(self):
@@ -87,6 +87,33 @@ class TestParsing:
             parse_poly("x y")
 
 
+# each grammar function gates its arguments' types, as ValueError
+MALFORMED = [
+    (parse_poly, (5,), "not a polynomial text: 5"),
+    (parse_grammar, (None,), "not a rule file text: None"),
+    (Grammar, ([],), "not a mapping of rules: []"),
+    (Grammar, ({"x": 5},), "not a polynomial: 5"),
+    (Grammar, ({1: gp("x")},), "not a letter: 1"),
+    (derive, (5, FLAG), "not a polynomial: 5"),
+    (derive, (gp("x"), 5), "not a grammar: 5"),
+    (derive_n, (gp("x"), None, 2), "not a grammar: None"),
+    (substitute, (gp("x"), 5), "not a mapping of bindings: 5"),
+    (substitute, ("x", {}), "not a polynomial: 'x'"),
+    # a letter binds only to a Poly, a letter or an int that is not a bool
+    *((substitute, (gp("x*y"), {"y": v}), f"not a polynomial, letter or int: {v!r}")
+      for v in (1.5, True, None)),
+    (coefficient_profile, (gp("x*y"), 5), "not a sequence of letters: 5"),
+    (coefficient_profile, (None, ["y"]), "not a polynomial: None"),
+]
+
+
+@pytest.mark.parametrize("fn, args, message", MALFORMED,
+                         ids=[f"{fn.__name__}-{message}" for fn, _, message in MALFORMED])
+def test_a_malformed_argument_is_named(fn, args, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        fn(*args)
+
+
 class TestDerive:
     def test_product_seed(self):
         assert derive(gp("x*y"), FLAG) == gp("x*y*z^2 + x*y^2*z")
@@ -118,9 +145,8 @@ class TestDerive:
         # a polynomial over the grammar's own names needs no scan of its
         # letters; one over other names is scanned before the first step only
         checked = []
-        check = grammar._check_alphabet
-        monkeypatch.setattr(grammar, "_check_alphabet",
-                            lambda p, g: checked.append(p.names) or check(p, g))
+        letters = Poly.letters
+        monkeypatch.setattr(Poly, "letters", lambda p: checked.append(p.names) or letters(p))
         over_names = derive_n(gp("x"), FLAG, 1)
         assert over_names.names == FLAG.names
         assert checked and set(checked) == {("x",)}
@@ -190,7 +216,7 @@ def reference_derive(p: Poly, g: Grammar) -> Poly:
                 powers = (Poly.var(v) ** (m - (j == i))
                           for j, (v, m) in enumerate(zip(p.names, e)))
                 rest = math.prod(powers, start=Poly.one())
-                acc = acc + rest * g.rule(letter) * (c * k)
+                acc = acc + rest * g.rules.get(letter, Poly.zero()) * (c * k)
     return acc
 
 
@@ -207,7 +233,7 @@ class TestDeriveKernel:
     @settings(max_examples=150, deadline=None)
     @given(grammars, st.data())
     def test_matches_the_poly_reference(self, g, data):
-        p = data.draw(polys_over(sorted(g.alphabet))) if g.alphabet else gp("5")
+        p = data.draw(polys_over(g.names)) if g.names else gp("5")
         assert derive(p, g) == reference_derive(p, g)
 
     def test_reference_on_a_constant_and_a_missing_rule(self):
@@ -223,7 +249,7 @@ class TestDeriveKernel:
     @given(grammars, st.integers(0, 4), st.data())
     def test_derive_n_matches_the_iterated_reference(self, g, n, data):
         exponents = st.sampled_from([1, 2, 3, 4, 7, 8, 15, 16, 31])
-        p = data.draw(polys_over(sorted(g.alphabet), exponents)) if g.alphabet else gp("5")
+        p = data.draw(polys_over(g.names, exponents)) if g.names else gp("5")
         expected = p
         for _ in range(n):
             expected = reference_derive(expected, g)

@@ -332,6 +332,12 @@ CASES = [
         )),
         "n=2: D^n(z) 4*y^2*z^3 + y^4*z != 2*y^2*z^3 + y^4*z",
     ),
+    (
+        # the bistatistic pair, x^lap y^plat against x^lap y^asc
+        "bona-equidistribution", 5,
+        lambda mp: _bump_distribution(mp, "stirling", 2, ["lap", "plat"]),
+        "n=2: (lap, plat) 2*x*y + x*y^2 + x^2*y^2 != x*y + x*y^2 + x^2*y^2",
+    ),
 ]
 
 

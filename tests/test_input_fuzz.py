@@ -1,16 +1,18 @@
 """A property fuzz of the gated public API.
 
 Every callable of ``stirlab.__all__`` defined in ``objects``, ``stats``,
-``actions`` or ``tables``, and the order of ``grammar.derive_n``, is called
-with generated malformed arguments: bools, floats, strings, None, nested
-tuples, negative ints, and words one swap away from a Stirling word, mixed
-with well-formed values so that the checks past the first one are reached
-too.  A word, a matching or a value set is mostly drawn in its documented
-shape (a sequence, a sequence of blocks, an iterable) filled with malformed
-values, and sometimes as a scalar that is not iterable at all.  Each move of ``actions`` that takes a word and a value set also
-gets a valid Stirling word with a malformed second argument, and a word one
-swap outside Q_n with a second argument it would take on a Stirling word of
-that length.
+``actions``, ``tables`` or ``grammar`` is called with generated malformed
+arguments: bools, floats, strings, None, nested tuples, negative ints, and
+words one swap away from a Stirling word, mixed with well-formed values so
+that the checks past the first one are reached too.  A polynomial, a
+grammar, a binding or a rule text is drawn small and well formed over the
+letters x, y and z, or as junk.  A word, a matching or a value set is
+mostly drawn in its documented shape (a sequence, a sequence of blocks, an
+iterable) filled with malformed values, and sometimes as a scalar that is
+not iterable at all.  Each move of ``actions`` that takes a word and a
+value set also gets a valid Stirling word with a malformed second argument,
+and a word one swap outside Q_n with a second argument it would take on a
+Stirling word of that length.
 
 The pass rule: each call returns, or raises ValueError (subclasses count) or
 ResourceLimitError.  A stream that returns is drawn from for a few items.
@@ -20,10 +22,11 @@ An order is drawn no larger than 5 wherever nothing bounds the work:
 builds a million ever longer words.  Only ``distribution``, which checks its
 enumeration bound first, is fed huge orders.
 
-Left out: ``TableCache`` writes files, and ``CoefficientTable`` is a record
-that checks nothing (the three builders that make it are fuzzed).  ``Poly``,
-grammar parsing and ``identities`` live in other modules and have their own
-tests, the CLI's argv fuzz among them.
+Left out: ``TableCache`` writes files, ``CoefficientTable`` is a record
+that checks nothing (the three builders that make it are fuzzed), and
+``AlphabetError`` and ``GrammarSyntaxError`` are the errors the grammar
+functions raise.  ``Poly`` and ``identities`` live in other modules and have
+their own tests, the CLI's argv fuzz among them.
 """
 import itertools
 
@@ -36,8 +39,8 @@ from stirlab.errors import ResourceLimitError
 from stirlab.objects import stirling_words
 from stirlab.stats import STATS_BY_CLASS
 
-FUZZED_MODULES = {m.__name__ for m in (objects, stats, actions, tables)}
-LEFT_OUT = {"TableCache", "CoefficientTable"}
+FUZZED_MODULES = {m.__name__ for m in (objects, stats, actions, tables, grammar)}
+LEFT_OUT = {"TableCache", "CoefficientTable", "AlphabetError", "GrammarSyntaxError"}
 
 # malformed scalars: none of them is an int, or a usable one
 bad_scalar = st.one_of(
@@ -129,6 +132,22 @@ stat_names = st.one_of(st.lists(
     max_size=3,
 ).map(tuple), non_iterable)
 
+# a rule or expression text, a polynomial in x, y and z of degree at most 2
+# per letter, and grammars over those letters, each mixed with junk
+text = st.one_of(junk, st.text(alphabet="xyz0123^*+-> ;\n", max_size=12))
+poly = st.lists(st.sampled_from(["2", "x", "y^2", "x*z", "3*y*z"]), max_size=3).map(
+    lambda ts: grammar.parse_poly(" - ".join(ts) or "0"))
+some_poly = st.one_of(poly, junk)
+xyz = st.sampled_from("xyz")
+rules = st.dictionaries(st.one_of(xyz, junk), st.one_of(poly, junk), max_size=3)
+some_grammar = st.one_of(
+    st.dictionaries(xyz, poly, max_size=3).map(grammar.Grammar),
+    st.sampled_from([tables.FLAG_GRAMMAR, tables.GAMMA_GRAMMAR]),
+    junk,
+)
+bindings = st.one_of(st.dictionaries(
+    st.one_of(xyz, junk), st.one_of(poly, xyz, st.integers(-3, 3), junk), max_size=3), junk)
+
 # the arguments of each fuzzed callable, as a strategy of argument tuples
 ARGS = {
     # objects
@@ -159,6 +178,15 @@ ARGS = {
         "m_poly", "n_poly", "n_poly_closed", "p_poly", "p_table", "t_poly",
         "t_table")},
     "stirling2": st.tuples(order, letter),
+    # grammar
+    "parse_poly": st.tuples(text),
+    "parse_grammar": st.tuples(text),
+    "Grammar": st.tuples(st.one_of(rules, junk)),
+    "derive": st.tuples(some_poly, some_grammar),
+    "derive_n": st.tuples(some_poly, some_grammar, order),
+    "substitute": st.tuples(some_poly, bindings),
+    "coefficient_profile": st.tuples(some_poly, st.one_of(
+        st.lists(xyz, max_size=3).map(tuple), junk, non_iterable)),
 }
 KWARGS = {"distribution": st.fixed_dictionaries(
     {"max_n": st.one_of(st.none(), st.integers(-1, 5), junk)})}
@@ -189,9 +217,3 @@ def test_malformed_arguments(name):
         _call(fn, args, kwargs)
 
     run()
-
-
-@settings(derandomize=True, deadline=2000, max_examples=40, database=None)
-@given(order)
-def test_derive_n_order(n):
-    _call(grammar.derive_n, (grammar.parse_poly("y"), tables.FLAG_GRAMMAR, n))

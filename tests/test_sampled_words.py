@@ -3,9 +3,9 @@
 The exhaustive tests stop at n = 7, where Q_n has 135135 words.  Here a
 Hypothesis strategy draws words of Q_n at n = 8, 12, 20 and 40 by pair
 insertion, and each word is checked against the Foata-Strehl action and the
-beta/alpha bijection through the checked public API.  The insertion rule
-behind the P_n recurrence is checked word by word on all of Q_n for n <= 5
-and on sampled words at n = 10, 20 and 40.
+beta/alpha bijection through the checked public API.  The insertion rules
+behind the P_n and T_n recurrences are checked word by word on all of Q_n
+for n <= 5 and on sampled words at n = 10, 20 and 40.
 """
 import itertools
 from collections import Counter
@@ -75,13 +75,17 @@ def test_per_word_theorems(n):
     check()
 
 
-def insertion_changes(w) -> Counter:
-    """The (lap, dasc, dp) changes that inserting (n+1, n+1) into each of
-    the 2n + 1 gaps of w makes, as a multiset."""
+def fap(w) -> tuple[int]:
+    return (stirling_stats(w)["fap"],)
+
+
+def insertion_changes(w, stats=lap_dasc_dp) -> Counter:
+    """The changes of ``stats`` that inserting (n+1, n+1) into each of the
+    2n + 1 gaps of w makes, as a multiset."""
     n = len(w) // 2
-    before = lap_dasc_dp(w)
+    before = stats(w)
     return Counter(
-        tuple(a - b for a, b in zip(lap_dasc_dp(w[:g] + (n + 1, n + 1) + w[g:]), before))
+        tuple(a - b for a, b in zip(stats(w[:g] + (n + 1, n + 1) + w[g:]), before))
         for g in range(2 * n + 1)
     )
 
@@ -98,6 +102,11 @@ def check_insertion_rule(w):
         (1, 0, -1): dp,
         (1, 0, 0): len(w) + 1 - 2 * lap - dasc - dp,
     })
+    # the three cases of T(n+1, k) = k T(n, k) + T(n, k-1) + (2n-k+2) T(n, k-2),
+    # as tables.t_poly reads them: fap gaps keep fap, one gap adds 1, and
+    # the other 2n - fap gaps add 2
+    (k,) = fap(w)
+    assert insertion_changes(w, fap) == +Counter({(0,): k, (1,): 1, (2,): len(w) - k})
 
 
 @pytest.mark.parametrize("n", range(6))
