@@ -9,8 +9,10 @@ the statistic distributions this package verifies.
 Polynomials are :class:`stirlab.polynomials.Poly` values.  A grammar holds
 its rules alone, over the sorted letters they mention.  One kernel derives
 every order: it packs each exponent tuple into one int, a bit field per
-letter, so that a rule term moves a packed term by one int addition.  An
-argument of the wrong type raises ValueError.
+letter, so that a rule term moves a packed term by one int addition, and
+each order makes one pass over the terms per rule term.  An argument of the
+wrong type, or a letter outside the identifier syntax below, raises
+ValueError.
 
 Rule files hold one rule per line (or several separated by semicolons)::
 
@@ -58,6 +60,17 @@ def _arg(value, kind, what: str):
     return value
 
 
+_LETTER_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+
+
+def _letter(value):
+    """``value``, when it is a letter of the rule syntax; otherwise
+    ValueError, so that every polynomial text parses back."""
+    if not (isinstance(value, str) and _LETTER_RE.fullmatch(value)):
+        raise ValueError(f"not a letter: {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class Grammar:
     """Substitution rules letter -> polynomial.
@@ -72,9 +85,9 @@ class Grammar:
 
     def __post_init__(self):
         rules = _arg(self.rules, Mapping, "a mapping of rules")
-        letters = {_arg(head, str, "a letter") for head in rules}
+        letters = {_letter(head) for head in rules}
         for body in rules.values():
-            letters |= _arg(body, Poly, "a polynomial").letters()
+            letters |= set(map(_letter, _arg(body, Poly, "a polynomial").letters()))
         names = tuple(sorted(letters))
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "rules",
@@ -84,7 +97,7 @@ class Grammar:
 # ---------------------------------------------------------------------------
 # parsing
 
-_TOKEN_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*|\d+|->|[*^+\-;()]|\S")
+_TOKEN_RE = re.compile(rf"{_LETTER_RE.pattern}|\d+|->|[*^+\-;()]|\S")
 
 
 @dataclass(frozen=True)
@@ -301,15 +314,17 @@ def _powers(p: Poly, g: Grammar, n: int, every: bool = False) -> list[Poly]:
 
 
 def _step(packed: dict[int, int], rule_terms, mask: int) -> dict[int, int]:
-    """One order on packed terms: a term e, c * x_i^k * m with k > 0, and a
-    rule term (off_i, d, dc) of x_i give c * k * dc at e + d."""
+    """One order on packed terms, one pass over them per rule term: a rule
+    term (off_i, d, dc) of x_i and a term e, c * x_i^k * m with k > 0 give
+    c * (k * dc) at e + d, so the big coefficient c is multiplied once."""
     acc: dict[int, int] = {}
     get = acc.get
-    for e, c in packed.items():
-        for off, d, dc in rule_terms:
+    terms = packed.items()
+    for off, d, dc in rule_terms:
+        for e, c in terms:
             if k := e >> off & mask:
                 key = e + d
-                acc[key] = get(key, 0) + c * k * dc
+                acc[key] = get(key, 0) + c * (k * dc)
     if 0 in acc.values():  # cancelled terms, from negative coefficients
         acc = {e: c for e, c in acc.items() if c}
     return acc
@@ -319,7 +334,10 @@ def substitute(p: Poly, bindings: Mapping[str, Union[Poly, str, int]]) -> Poly:
     """Simultaneous substitution of letters; unbound letters stay themselves.
     A letter of p is bound to a Poly, a letter or an int."""
     _arg(p, Poly, "a polynomial")
-    _arg(bindings, Mapping, "a mapping of bindings")
+    for letter, v in _arg(bindings, Mapping, "a mapping of bindings").items():
+        _letter(letter)
+        if isinstance(v, str):
+            _letter(v)
     images = []
     for letter in p.names:
         v = _arg(bindings.get(letter, letter), (Poly, str, int), "a polynomial, letter or int")

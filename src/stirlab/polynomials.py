@@ -12,6 +12,7 @@ coefficient by coefficient.
 from __future__ import annotations
 
 import math
+from itertools import compress
 from operator import add
 from typing import Iterable, Mapping, Sequence
 
@@ -115,7 +116,7 @@ class Poly:
         """Terms in print order."""
         return sorted(
             self.terms.items(),
-            key=lambda t: (sum(t[0]), tuple(e or _ABSENT for e in t[0])),
+            key=lambda t: (sum(t[0]), [e or _ABSENT for e in t[0]]),
         )
 
     def terms_over(self, names: tuple[str, ...]) -> dict[tuple[int, ...], int]:
@@ -198,7 +199,7 @@ class Poly:
 
     def to_json(self) -> list:
         return [
-            {"monomial": {v: k for v, k in zip(self.names, e) if k}, "coeff": c}
+            {"monomial": dict(compress(zip(self.names, e), e)), "coeff": c}
             for e, c in self.sorted_terms()
         ]
 

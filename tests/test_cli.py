@@ -1,5 +1,6 @@
 """CLI behavior: formats, exit codes, cache handling, byte stability."""
 import contextlib
+import hashlib
 import inspect
 import io
 import json
@@ -13,6 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stirlab import tables
 from stirlab.cli import ORDER_LIMIT, POLY_LIMITS, main
 from stirlab.grammar import TERM_LIMIT
 from stirlab.identities import REGISTRY, IdentityCheck
@@ -442,6 +444,31 @@ def test_grammar_golden_bytes(rules, start, order, stem, fmt, suffix):
                         "--order", str(order))
     assert code == 0
     assert out == (GOLDEN / f"grammar_{stem}.{suffix}").read_text()
+
+
+# the grammar-deep benchmark commands: (rule-file name, grammar in
+# stirlab.tables, start, order), each output's digest keyed in
+# perfbench/digests.json as "grammar <name> <start> <order>"
+GRAMMAR_DEEP_RUNS = [
+    ("refined", "REFINED_GRAMMAR", "z", 20),
+    ("gamma", "GAMMA_GRAMMAR", "w", 50),
+    ("flag", "FLAG_GRAMMAR", "x*y", 100),
+]
+
+
+@pytest.mark.parametrize("name,attr,start,order", GRAMMAR_DEEP_RUNS)
+def test_grammar_deep_outputs_match_the_benchmark_digests(tmp_path, name, attr, start, order):
+    # the rule file as perfbench's set-up writes it, one rule per line
+    grammar = getattr(tables, attr)
+    rules = tmp_path / f"{name}.rules"
+    rules.write_text("".join(f"{letter} -> {grammar.rules[letter]}\n"
+                             for letter in sorted(grammar.rules)))
+    code, out = run_cli("grammar", "--rules", str(rules), "--start", start,
+                        "--order", str(order), "--format", "json")
+    digests = json.loads((Path(__file__).parents[1] / "perfbench" / "digests.json")
+                         .read_text())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digests[f"grammar {name} {start} {order}"]
 
 
 @pytest.mark.parametrize("name,value_at_1", [

@@ -2,8 +2,9 @@
 
 The exhaustive tests stop at n = 7, where Q_n has 135135 words.  Here a
 Hypothesis strategy draws words of Q_n at n = 8, 12, 20 and 40 by pair
-insertion, and each word is checked against the Foata-Strehl action and the
-beta/alpha bijection through the checked public API.  The insertion rules
+insertion, and each word is checked against the statistics' definitions,
+the Foata-Strehl action and the beta/alpha bijection through the checked
+public API.  The insertion rules
 behind the P_n and T_n recurrences are checked word by word on all of Q_n
 for n <= 5 and on sampled words at n = 10, 20 and 40.
 """
@@ -15,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from stirlab.actions import alpha, alpha_inverse, beta_set, fs_action, index_sets, orbit
 from stirlab.stats import stirling_scans, stirling_stats
+from test_stats import stirling_stats_by_definition
 
 
 def insert_pairs(gaps) -> tuple[int, ...]:
@@ -56,11 +58,21 @@ def test_per_word_theorems(n):
     @SAMPLED
     @given(stirling_word(n))
     def check(w):
+        # the one-pass scan against each statistic's own definition, and
+        # the decompositions asc = lap + dasc and plat = lap + dp
+        r = stirling_stats(w)
+        assert r == stirling_stats_by_definition(w)
+        assert r["asc"] == r["lap"] + r["dasc"] and r["plat"] == r["lap"] + r["dp"]
         lap, dasc, dp = lap_dasc_dp(w)
-        # Foata-Strehl: toggling every movable value swaps dasc and dp and
-        # keeps lap, and toggling them again gives w back
         s = index_sets(w)
         movable = {w[i - 1] for i in s["dasc"] | s["dp"]}
+        # a single toggle keeps lap and moves one unit between dasc and dp
+        for v in movable:
+            toggled_lap, toggled_dasc, toggled_dp = lap_dasc_dp(fs_action(w, {v}))
+            assert toggled_lap == lap
+            assert {toggled_dasc - dasc, toggled_dp - dp} == {1, -1}
+        # Foata-Strehl: toggling every movable value swaps dasc and dp and
+        # keeps lap, and toggling them again gives w back
         moved = fs_action(w, movable)
         assert lap_dasc_dp(moved) == (lap, dp, dasc)
         assert fs_action(moved, movable) == w
