@@ -32,7 +32,7 @@ from typing import Mapping, Sequence, Union
 
 from .errors import ResourceLimitError
 from .objects import _order
-from .polynomials import Poly, monomial_str
+from .polynomials import _LETTER_RE, Poly, _letter, monomial_str
 
 # the most terms derive_n lets a derivative reach: above D^100(z) under the
 # refined grammar (87,125 terms), the largest the package derives
@@ -60,17 +60,6 @@ def _arg(value, kind, what: str):
     return value
 
 
-_LETTER_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
-
-
-def _letter(value):
-    """``value``, when it is a letter of the rule syntax; otherwise
-    ValueError, so that every polynomial text parses back."""
-    if not (isinstance(value, str) and _LETTER_RE.fullmatch(value)):
-        raise ValueError(f"not a letter: {value!r}")
-    return value
-
-
 @dataclass(frozen=True)
 class Grammar:
     """Substitution rules letter -> polynomial.
@@ -87,7 +76,7 @@ class Grammar:
         rules = _arg(self.rules, Mapping, "a mapping of rules")
         letters = {_letter(head) for head in rules}
         for body in rules.values():
-            letters |= set(map(_letter, _arg(body, Poly, "a polynomial").letters()))
+            letters |= _arg(body, Poly, "a polynomial").letters()
         names = tuple(sorted(letters))
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "rules",
@@ -332,15 +321,16 @@ def _step(packed: dict[int, int], rule_terms, mask: int) -> dict[int, int]:
 
 def substitute(p: Poly, bindings: Mapping[str, Union[Poly, str, int]]) -> Poly:
     """Simultaneous substitution of letters; unbound letters stay themselves.
-    A letter of p is bound to a Poly, a letter or an int."""
+    A letter is bound to a Poly, a letter or an int; every binding is checked,
+    whether or not p holds its letter."""
     _arg(p, Poly, "a polynomial")
     for letter, v in _arg(bindings, Mapping, "a mapping of bindings").items():
         _letter(letter)
-        if isinstance(v, str):
+        if isinstance(_arg(v, (Poly, str, int), "a polynomial, letter or int"), str):
             _letter(v)
     images = []
     for letter in p.names:
-        v = _arg(bindings.get(letter, letter), (Poly, str, int), "a polynomial, letter or int")
+        v = bindings.get(letter, letter)
         if isinstance(v, str):
             v = Poly.var(v)
         elif not isinstance(v, Poly):

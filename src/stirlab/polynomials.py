@@ -12,12 +12,25 @@ coefficient by coefficient.
 from __future__ import annotations
 
 import math
+import re
 from itertools import compress
 from operator import add
 from typing import Iterable, Mapping, Sequence
 
 # the variables of a trivariate polynomial such as P_n(x, y, z)
 XYZ = ("x", "y", "z")
+
+# a variable name: an identifier of the polynomial and rule syntax of
+# :mod:`stirlab.grammar`, whose tokenizer reads it from here
+_LETTER_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+
+
+def _letter(value):
+    """``value``, when it is a variable name; otherwise ValueError, so that
+    every polynomial text parses back."""
+    if not (isinstance(value, str) and _LETTER_RE.fullmatch(value)):
+        raise ValueError(f"not a letter: {value!r}")
+    return value
 
 
 def monomial_str(names: Sequence[str], exps: Sequence[int]) -> str:
@@ -55,7 +68,8 @@ class Poly:
     """Sparse polynomial with integer coefficients over named commuting
     variables.
 
-    ``names`` is an ordered tuple of variable names and ``terms`` maps
+    ``names`` is an ordered tuple of variable names, each an identifier
+    ``[A-Za-z][A-Za-z0-9_]*`` (another raises ValueError), and ``terms`` maps
     exponent tuples over ``names`` to nonzero ``int`` coefficients.  A binary
     operation or ``==`` on polynomials over different ``names`` works over
     the sorted union of both, so x over ("x",) equals x over ("x", "y").
@@ -77,7 +91,7 @@ class Poly:
         names: Iterable[str] = (),
         terms: Mapping[tuple[int, ...], int] | Iterable = (),
     ):
-        self.names: tuple[str, ...] = tuple(names)
+        self.names: tuple[str, ...] = tuple(map(_letter, names))
         if not isinstance(terms, Mapping):
             acc: dict[tuple[int, ...], int] = {}
             for e, c in terms:

@@ -17,9 +17,14 @@ Tables are exact integers, and so is every polynomial: a family in x is a
 Each function evaluates one formula; :mod:`stirlab.identities` compares them.
 Each triangle, C and N included, has a step function that makes row m from
 row m-1 and m; row n is the ``functools.reduce`` of its step over 1..n from
-row 0 = {origin: 1}, and a CoefficientTable draws rows 0..n from
-``itertools.accumulate``.  Every order passes ``objects._order``; a family is
-read off its polynomial, and :func:`stirling2` is the one number function.
+row 0, and a CoefficientTable draws rows 0..n from ``itertools.accumulate``.
+A row is a dict of its nonzero terms, row 0 = {origin: 1}, except while P
+and gamma are stepped: their rows are dense nested lists, row[i][j][k] over
+i + j + k <= n from [[[1]]] and row[i][j] over i + j <= n from [[1]], which
+:func:`_p_terms` and :func:`_gamma_terms` read into dicts of nonzero terms in
+increasing key order for every caller.  Every order passes
+``objects._order``; a family is read off its polynomial, and
+:func:`stirling2` is the one number function.
 
 A small JSON disk cache (:class:`TableCache`) can memoize the three
 CoefficientTable builders :func:`t_table`, :func:`p_table` and
@@ -171,12 +176,16 @@ class TableCache:
             raise
 
 
-def _cached_build(family, arity, bound, cache, step, origin):
-    # row 0 is origin and row m is step(row m-1, m); built on a cache miss only
+def _cached_build(family, arity, bound, cache, step, origin, read=None):
+    # row 0 is origin and row m is step(row m-1, m), each read into its dict
+    # of nonzero terms where the step makes dense rows; built on a cache miss
+    # only
     bound = _order(bound)
     table = cache.load(family, bound, arity) if cache is not None else None
     if table is None:
         rows = accumulate(range(1, bound + 1), step, initial=origin)
+        if read is not None:
+            rows = map(read, rows)
         table = CoefficientTable(family, arity, bound, tuple(rows))
         if cache is not None:
             cache.store(table)
@@ -298,40 +307,53 @@ def t_table(n_max: int, cache: TableCache | None = None) -> CoefficientTable:
 # the trivariate refinement P_n(i, j, k)
 
 
-def _p_step(
-    prev: dict[tuple[int, int, int], int], n: int
-) -> dict[tuple[int, int, int], int]:
+def _p_step(prev: list[list[list[int]]], n: int) -> list[list[list[int]]]:
     # P_{n+1}(i,j,k) = i P_n(i,j-1,k) + i P_n(i,j,k-1) + (j+1) P_n(i-1,j+1,k)
     #                + (k+1) P_n(i-1,j,k+1) + (2n+3-2i-j-k) P_n(i-1,j,k),
     # the five insertion cases for a new doubled letter (after the first of a
     # doubled pair, before it, at a double ascent, at a descent-plateau, and
-    # at a neutral position).  Built push-forward: each term of row n-1
-    # sends its five weighted images into row n, images of weight 0 skipped.
+    # at a neutral position).  A row is dense, row[i][j][k] over
+    # i + j + k <= its order, and one order larger than prev: each nonzero
+    # term of prev sends its five weighted images into it by list indexing,
+    # the neutral weight read off n, the order of the row made.  Plane i = 0
+    # is nonzero in row 0 alone, and its images of weight i add nothing.
+    size = len(prev) + 1
+    row = [[[0] * (size - i - j) for j in range(size - i)] for i in range(size)]
     slots = 2 * n - 1
-    row: dict[tuple[int, int, int], int] = {}
-    get = row.get
-    for (i, j, k), c in prev.items():
-        if i:
-            ic = i * c
-            key = (i, j + 1, k)
-            row[key] = get(key, 0) + ic
-            key = (i, j, k + 1)
-            row[key] = get(key, 0) + ic
-        if j:
-            key = (i + 1, j - 1, k)
-            row[key] = get(key, 0) + j * c
-        if k:
-            key = (i + 1, j, k - 1)
-            row[key] = get(key, 0) + k * c
-        if w := (slots - 2 * i - j - k) * c:
-            key = (i + 1, j, k)
-            row[key] = get(key, 0) + w
+    for i, plane in enumerate(prev):
+        here, up = row[i], row[i + 1]
+        for j, line in enumerate(plane):
+            # the lines of (i, j, .), (i, j+1, .), (i+1, j, .) and, read only
+            # when j, (i+1, j-1, .)
+            same, right, neutral, left = here[j], here[j + 1], up[j], up[j - 1]
+            w = slots - 2 * i - j
+            for k, c in enumerate(line):
+                if c:
+                    ic = i * c
+                    right[k] += ic
+                    same[k + 1] += ic
+                    if j:
+                        left[k] += j * c
+                    if k:
+                        neutral[k - 1] += k * c
+                    neutral[k] += (w - k) * c
     return row
+
+
+def _p_terms(row: list[list[list[int]]]) -> dict[tuple[int, int, int], int]:
+    """The nonzero terms of a dense P row, in increasing key order."""
+    return {
+        (i, j, k): c
+        for i, plane in enumerate(row)
+        for j, line in enumerate(plane)
+        for k, c in enumerate(line)
+        if c
+    }
 
 
 @lru_cache(maxsize=None)
 def _p_row(n: int) -> dict[tuple[int, int, int], int]:
-    return reduce(_p_step, range(1, n + 1), {(0, 0, 0): 1})
+    return _p_terms(reduce(_p_step, range(1, n + 1), [[[1]]]))
 
 
 def p_poly(n: int) -> Poly:
@@ -363,38 +385,42 @@ def p_polys_differential(n_max: int) -> list[Poly]:
 
 
 def p_table(n_max: int, cache: TableCache | None = None) -> CoefficientTable:
-    return _cached_build("p", 4, n_max, cache, _p_step, {(0, 0, 0): 1})
+    return _cached_build("p", 4, n_max, cache, _p_step, [[[1]]], _p_terms)
 
 
 # ---------------------------------------------------------------------------
 # the gamma vector gamma_{n,i,j}
 
 
-def _gamma_step(
-    prev: dict[tuple[int, int], int], n: int
-) -> dict[tuple[int, int], int]:
+def _gamma_step(prev: list[list[int]], n: int) -> list[list[int]]:
     # gamma_{n+1,i,j} = i gamma_{n,i,j-1} + 2(j+1) gamma_{n,i-1,j+1}
-    #                 + (2n+3-2i-j) gamma_{n,i-1,j}, built push-forward
-    #                 like _p_step
+    #                 + (2n+3-2i-j) gamma_{n,i-1,j}; dense like _p_step,
+    #                 row[i][j] over i + j <= its order, each nonzero term of
+    #                 prev sending its three weighted images
+    size = len(prev) + 1
+    row = [[0] * (size - i) for i in range(size)]
     slots = 2 * n - 1
-    row: dict[tuple[int, int], int] = {}
-    get = row.get
-    for (i, j), c in prev.items():
-        if i:
-            key = (i, j + 1)
-            row[key] = get(key, 0) + i * c
-        if j:
-            key = (i + 1, j - 1)
-            row[key] = get(key, 0) + 2 * j * c
-        if w := (slots - 2 * i - j) * c:
-            key = (i + 1, j)
-            row[key] = get(key, 0) + w
+    for i, line in enumerate(prev):
+        # the lines of (i, .) and (i+1, .)
+        same, up = row[i], row[i + 1]
+        w = slots - 2 * i
+        for j, c in enumerate(line):
+            if c:
+                same[j + 1] += i * c
+                if j:
+                    up[j - 1] += 2 * j * c
+                up[j] += (w - j) * c
     return row
+
+
+def _gamma_terms(row: list[list[int]]) -> dict[tuple[int, int], int]:
+    """The nonzero terms of a dense gamma row, in increasing key order."""
+    return {(i, j): c for i, line in enumerate(row) for j, c in enumerate(line) if c}
 
 
 @lru_cache(maxsize=None)
 def _gamma_row(n: int) -> dict[tuple[int, int], int]:
-    return reduce(_gamma_step, range(1, n + 1), {(0, 0): 1})
+    return _gamma_terms(reduce(_gamma_step, range(1, n + 1), [[1]]))
 
 
 def g_poly(n: int) -> Poly:
@@ -411,7 +437,7 @@ def g_polys_differential(n_max: int) -> list[Poly]:
 
 
 def gamma_table(n_max: int, cache: TableCache | None = None) -> CoefficientTable:
-    return _cached_build("gamma", 3, n_max, cache, _gamma_step, {(0, 0): 1})
+    return _cached_build("gamma", 3, n_max, cache, _gamma_step, [[1]], _gamma_terms)
 
 
 # ---------------------------------------------------------------------------

@@ -102,6 +102,8 @@ MALFORMED = [
     # a letter binds only to a Poly, a letter or an int that is not a bool
     *((substitute, (gp("x*y"), {"y": v}), f"not a polynomial, letter or int: {v!r}")
       for v in (1.5, True, None)),
+    # a binding of a letter that p does not hold is checked all the same
+    (substitute, (gp("x"), {"q": 2.5}), "not a polynomial, letter or int: 2.5"),
     # a letter is an identifier of the rule syntax, so every text parses back
     (substitute, (gp("x*y"), {"y": "2"}), "not a letter: '2'"),
     (substitute, (gp("x*y"), {"y": ""}), "not a letter: ''"),
@@ -109,7 +111,10 @@ MALFORMED = [
     (substitute, (gp("x"), {7: "y"}), "not a letter: 7"),
     (Grammar, ({"": gp("x")},), "not a letter: ''"),
     (Grammar, ({"x-y": gp("x")},), "not a letter: 'x-y'"),
-    (Grammar, ({"x": Poly(("a b",), {(1,): 1})},), "not a letter: 'a b'"),
+    (Grammar, ({"a b": gp("x")},), "not a letter: 'a b'"),
+    # Poly owns the letter rule, so a rule body cannot hold a bad letter
+    (Poly, (("a b",), {(1,): 1}), "not a letter: 'a b'"),
+    (Poly, (("x", 1),), "not a letter: 1"),
     (coefficient_profile, (gp("x*y"), 5), "not a sequence of letters: 5"),
     (coefficient_profile, (None, ["y"]), "not a polynomial: None"),
 ]

@@ -312,14 +312,66 @@ def gather_gamma_rows(n_max):
     return rows
 
 
+# at the largest orders ``poly`` prints, through the table's one pass of the
+# steps and the memo of the last row
 def test_p_rows_match_gather_form():
-    for n, row in enumerate(gather_p_rows(12)):
-        assert _p_row(n) == row
+    rows = gather_p_rows(40)
+    assert p_table(40).rows == tuple(rows)
+    assert _p_row(40) == rows[40]
 
 
 def test_gamma_rows_match_gather_form():
-    for n, row in enumerate(gather_gamma_rows(20)):
-        assert _gamma_row(n) == row
+    rows = gather_gamma_rows(100)
+    assert gamma_table(100).rows == tuple(rows)
+    assert _gamma_row(100) == rows[100]
+
+
+def _dense(size, dims, terms):
+    """The dense simplex row over index sums below ``size`` holding ``terms``."""
+    def grid(depth, left):
+        if depth == 1:
+            return [0] * left
+        return [grid(depth - 1, left - i) for i in range(left)]
+
+    row = grid(dims, size)
+    for key, c in terms.items():
+        *outer, last = key
+        line = row
+        for i in outer:
+            line = line[i]
+        line[last] = c
+    return row
+
+
+# one term of a row of order 3 stepped to order n = 10^6: each image sits
+# where the recurrence puts it with its weight, the neutral weight reads n,
+# and the row made has the shape of order 4, one past the row given,
+# whatever n says
+BIG_N = 10**6
+
+
+def test_p_step_sends_one_term_to_its_five_images():
+    i, j, k, c = 1, 1, 1, 7
+    row = tables._p_step(_dense(4, 3, {(i, j, k): c}), BIG_N)
+    assert tables._p_terms(row) == {
+        (i, j + 1, k): i * c,
+        (i, j, k + 1): i * c,
+        (i + 1, j - 1, k): j * c,
+        (i + 1, j, k - 1): k * c,
+        (i + 1, j, k): (2 * BIG_N - 1 - 2 * i - j - k) * c,
+    }
+    assert row == _dense(5, 3, tables._p_terms(row))
+
+
+def test_gamma_step_sends_one_term_to_its_three_images():
+    i, j, c = 1, 2, 7
+    row = tables._gamma_step(_dense(4, 2, {(i, j): c}), BIG_N)
+    assert tables._gamma_terms(row) == {
+        (i, j + 1): i * c,
+        (i + 1, j - 1): 2 * j * c,
+        (i + 1, j): (2 * BIG_N - 1 - 2 * i - j) * c,
+    }
+    assert row == _dense(5, 2, tables._gamma_terms(row))
 
 
 @pytest.mark.parametrize(
