@@ -26,8 +26,8 @@ _EXPORTS = {
         "IdentityViolationError", "ResourceLimitError", "UnknownIdentityError",
     ),
     "grammar": (
-        "AlphabetError", "Grammar", "GrammarSyntaxError", "coefficient_profile",
-        "derive", "derive_n", "parse_grammar", "parse_poly", "substitute",
+        "AlphabetError", "Grammar", "GrammarSyntaxError", "derive", "derive_n",
+        "parse_grammar", "parse_poly",
     ),
     "identities": (
         "CheckResult", "IdentityCheck", "REGISTRY", "run_all", "run_identity",

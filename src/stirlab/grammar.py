@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Sequence
 
 from .errors import ResourceLimitError
 from .objects import _order
@@ -241,7 +241,7 @@ def parse_grammar(text: str) -> Grammar:
 
 
 # ---------------------------------------------------------------------------
-# the formal derivative and companions
+# the formal derivative
 
 
 def derive(p: Poly, g: Grammar) -> Poly:
@@ -317,63 +317,3 @@ def _step(packed: dict[int, int], rule_terms, mask: int) -> dict[int, int]:
     if 0 in acc.values():  # cancelled terms, from negative coefficients
         acc = {e: c for e, c in acc.items() if c}
     return acc
-
-
-def substitute(p: Poly, bindings: Mapping[str, Union[Poly, str, int]]) -> Poly:
-    """Simultaneous substitution of letters; unbound letters stay themselves.
-    A letter is bound to a Poly, a letter or an int; every binding is checked,
-    whether or not p holds its letter."""
-    _arg(p, Poly, "a polynomial")
-    for letter, v in _arg(bindings, Mapping, "a mapping of bindings").items():
-        _letter(letter)
-        if isinstance(_arg(v, (Poly, str, int), "a polynomial, letter or int"), str):
-            _letter(v)
-    images = []
-    for letter in p.names:
-        v = bindings.get(letter, letter)
-        if isinstance(v, str):
-            v = Poly.var(v)
-        elif not isinstance(v, Poly):
-            v = Poly((), {(): v})
-        images.append(v)
-    names = tuple(sorted(set().union(*(im.names for im in images))))
-    images = [Poly(names, im.terms_over(names)) for im in images]
-    powers: dict[tuple[int, int], Poly] = {}
-    acc: dict[tuple[int, ...], int] = {}
-    for e, c in p.terms.items():
-        term = Poly(names, {(0,) * len(names): c})
-        for i, k in enumerate(e):
-            if k:
-                if (i, k) not in powers:
-                    powers[i, k] = images[i] ** k
-                term = term * powers[i, k]
-        for f, v in term.terms.items():
-            acc[f] = acc.get(f, 0) + v
-    return Poly(names, acc)
-
-
-def coefficient_profile(p: Poly, axes: Sequence[str]) -> dict[tuple[int, ...], int]:
-    """Group terms by the exponents of ``axes``, summing coefficients.
-
-    Each group must carry a single residual monomial in the remaining
-    letters; a mixed residual signals an extraction mistake and raises
-    ValueError.
-    """
-    _arg(p, Poly, "a polynomial")
-    _arg(axes, Sequence, "a sequence of letters")
-    axis_pos = [p.names.index(a) if a in p.names else None for a in axes]
-    rest = [v for v in p.names if v not in axes]
-    rest_pos = [p.names.index(v) for v in rest]
-    groups: dict[tuple[int, ...], int] = {}
-    residuals: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for e, c in p.terms.items():
-        key = tuple(0 if i is None else e[i] for i in axis_pos)
-        residual = tuple(e[i] for i in rest_pos)
-        if residuals.setdefault(key, residual) != residual:
-            raise ValueError(
-                f"mixed residual monomials for axis exponents {key}: "
-                f"{monomial_str(rest, residuals[key]) or '1'} vs "
-                f"{monomial_str(rest, residual) or '1'}"
-            )
-        groups[key] = groups.get(key, 0) + c
-    return {k: v for k, v in groups.items() if v}

@@ -5,23 +5,24 @@ witness on failure.  Wherever two independent computation paths exist
 (exhaustive enumeration, grammar derivatives, recurrences, closed forms) the
 check compares them; single-path checks say so in their description.
 
-All but three checks declare their routes: each :class:`Compare` pairs two
+All but two checks declare their routes: each :class:`Compare` pairs two
 functions of n that must agree, and one shared loop runs them and reports
 the first mismatch as ``n=<n>: <label><left> != <right>``.  Every value
 compared is a ``Poly`` with integer coefficients, a family in x being one
-over ("x",); p(x^2) and p(-x) are maps of its terms.  A series identity
-compares the coefficient of t^n/n! on each side, built by the binomial
-convolution :func:`_convolve`.  The test suite fails when two compared
-routes reach a common package function outside a short allow-list
-(polynomial arithmetic, parsing, enumerators and scans), and when a pair
-does not fail at an order where one side is off by one.  A declared check
-whose bound is below every pair's start compares nothing: it reports a
-skip, which exits 0 but is not a pass.  ``fs-symmetry``, ``alpha-bijection``
-and ``asc-plat-decomposition`` walk the words of Q_n in hand-written runners.
-A route or runner that raises fails its check: an IdentityViolationError,
-a route's own guard, gives its message as the witness, any other Exception
-``n=<n>: <label>raised <Type>: <message>`` (without the order when a
-hand-written runner raised).
+over ("x",); p(x^2) and p(-x) are maps of its terms, and a specialisation
+of P_n, such as P_n(x,1,x) or P_n(xy,y,1), a map of its exponents
+(:func:`_p_read`).  A series identity compares the coefficient of t^n/n!
+on each side, built by the binomial convolution :func:`_convolve`.  The
+test suite fails when two compared routes reach a common package function
+outside a short allow-list (polynomial arithmetic, parsing, enumerators and
+scans), and when a pair does not fail at an order where one side is off by
+one.  A declared check whose bound is below every pair's start compares
+nothing: it reports a skip, which exits 0 but is not a pass.
+``fs-symmetry`` and ``alpha-bijection`` walk the words of Q_n in
+hand-written runners.  A route or runner that raises fails its check: an
+IdentityViolationError, a route's own guard, gives its message as the
+witness, any other Exception ``n=<n>: <label>raised <Type>: <message>``
+(without the order when a hand-written runner raised).
 
 Use :func:`run_identity` / :func:`run_all`; results serialize to JSON as
 ``{"name", "params", "pass", "witness"?, "millis", "skipped"?}``.
@@ -37,7 +38,7 @@ from typing import Callable, Sequence
 
 from . import actions, tables
 from .errors import IdentityViolationError, ResourceLimitError, UnknownIdentityError
-from .grammar import _powers, parse_poly, substitute
+from .grammar import _powers, parse_poly
 from .objects import iter_objects
 from .polynomials import XYZ, Poly
 from .stats import (
@@ -283,8 +284,12 @@ def _flag_brute(klass: str, stat: str, exps) -> Callable[[int], Poly]:
     return brute
 
 
-def _p_at(n: int, bindings: dict) -> Poly:
-    return substitute(tables.p_poly(n), bindings)
+def _p_read(names: tuple[str, ...], at) -> Callable[[int], Poly]:
+    """The route to a specialisation of P_n from its table: each term
+    x^i y^j z^k moves to the exponents ``at(i, j, k)`` over ``names``."""
+    return lambda n: Poly(names, (
+        (at(i, j, k), c) for (i, j, k), c in tables.p_poly(n).terms.items()
+    ))
 
 
 # C_n and N_n from their differential recurrences, and N_0..N_bound
@@ -522,18 +527,18 @@ _register(
 # the trivariate refinement
 
 
-@_register(
+_register(
     "asc-plat-decomposition",
-    "asc = lap + dasc and plat = lap + dp hold word by word",
+    "asc = lap + dasc and plat = lap + dp: the brute-force (lap, asc) and "
+    "(lap, plat) distributions are P_n(xy,y,1) and P_n(xy,1,y) from tables",
     6, 7,
+    compare=[
+        Compare(_poly("stirling", "lap", "asc"),
+                _p_read(XYZ[:2], lambda i, j, k: (i, i + j)), "(lap, asc) "),
+        Compare(_poly("stirling", "lap", "plat"),
+                _p_read(XYZ[:2], lambda i, j, k: (i, i + k)), "(lap, plat) "),
+    ],
 )
-def _asc_plat(bound: int) -> str | None:
-    for n in range(bound + 1):
-        for word, record in stirling_scans(n).items():
-            asc, _, plat, _, lap, _, dasc, dp = record
-            if asc != lap + dasc or plat != lap + dp:
-                return f"n={n}, word {word}: {stirling_stat_record(word)}"
-    return None
 
 
 _register(
@@ -569,9 +574,9 @@ _register(
     "P_n(x,x,1) = P_n(x,1,x) = C_n(x) and P_n(x,1,1) = N_n(x) from tables",
     7, 10,
     compare=[
-        Compare(lambda n: _p_at(n, {"y": "x", "z": 1}), _C, "P(x,x,1) "),
-        Compare(lambda n: _p_at(n, {"y": 1, "z": "x"}), _C, "P(x,1,x) "),
-        Compare(lambda n: _p_at(n, {"y": 1, "z": 1}), _N, "P(x,1,1) "),
+        Compare(_p_read(("x",), lambda i, j, k: (i + j,)), _C, "P(x,x,1) "),
+        Compare(_p_read(("x",), lambda i, j, k: (i + k,)), _C, "P(x,1,x) "),
+        Compare(_p_read(("x",), lambda i, j, k: (i,)), _N, "P(x,1,1) "),
     ],
 )
 

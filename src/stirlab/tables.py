@@ -48,9 +48,9 @@ from pathlib import Path
 
 from ._version import __version__
 from .errors import IdentityViolationError
-from .grammar import _powers, coefficient_profile, parse_grammar, parse_poly
+from .grammar import _powers, parse_grammar, parse_poly
 from .objects import _order
-from .polynomials import XYZ, Poly
+from .polynomials import XYZ, Poly, monomial_str
 
 # the grammar whose derivative drives the flag statistics; D^n(y) encodes the
 # ascent-plateau distribution, which is how m_poly avoids brute force
@@ -263,7 +263,10 @@ def _stirling2_row(n: int) -> dict[int, int]:
 
 
 def stirling2(n: int, k: int) -> int:
-    """Stirling number of the second kind S(n, k) (0 off-range in k)."""
+    """Stirling number of the second kind S(n, k) (0 off-range in k); a k
+    that is not an int, a bool among them, raises ValueError."""
+    if type(k) is not int:
+        raise ValueError(f"k must be an int, got {k!r}")
     return _stirling2_row(_order(n)).get(k, 0)
 
 
@@ -488,12 +491,18 @@ def m_poly(n: int) -> Poly:
 def m_polys(n_max: int) -> list[Poly]:
     """M_0..M_{n_max} through the grammar derivative, one derivation step per
     order: the n-th derivative of y under the flag grammar is
-    y * sum y^(2 ap) z^(2n - 2 ap).  A y exponent whose weight, the exponent
-    less one, is odd raises IdentityViolationError."""
+    y * sum y^(2 ap) z^(2n - 2 ap), each term read as y^e z^(2n+1-e).  A
+    term of another shape, or a y exponent whose weight, the exponent less
+    one, is odd, raises IdentityViolationError."""
     out = []
-    for d in _powers(parse_poly("y"), FLAG_GRAMMAR, n_max, every=True):
+    for n, d in enumerate(_powers(parse_poly("y"), FLAG_GRAMMAR, n_max, every=True)):
         counts: dict[int, int] = {}
-        for (e,), c in coefficient_profile(d, ["y"]).items():
+        for exps, c in d.terms.items():
+            mono = dict(zip(d.names, exps))
+            e = mono.get("y", 0)
+            if sum(exps) != 2 * n + 1 or mono.get("z", 0) != 2 * n + 1 - e:
+                raise IdentityViolationError(f"D^{n}(y) has a term off y^e z^({2 * n + 1}-e):"
+                                             f" {monomial_str(d.names, exps)}")
             if (e - 1) % 2:
                 raise IdentityViolationError(f"odd ascent-plateau weight exponent {e}")
             counts[(e - 1) // 2] = c

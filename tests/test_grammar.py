@@ -11,12 +11,10 @@ from stirlab.grammar import (
     AlphabetError,
     Grammar,
     GrammarSyntaxError,
-    coefficient_profile,
     derive,
     derive_n,
     parse_grammar,
     parse_poly,
-    substitute,
 )
 from stirlab.polynomials import Poly
 
@@ -97,26 +95,13 @@ MALFORMED = [
     (derive, (5, FLAG), "not a polynomial: 5"),
     (derive, (gp("x"), 5), "not a grammar: 5"),
     (derive_n, (gp("x"), None, 2), "not a grammar: None"),
-    (substitute, (gp("x"), 5), "not a mapping of bindings: 5"),
-    (substitute, ("x", {}), "not a polynomial: 'x'"),
-    # a letter binds only to a Poly, a letter or an int that is not a bool
-    *((substitute, (gp("x*y"), {"y": v}), f"not a polynomial, letter or int: {v!r}")
-      for v in (1.5, True, None)),
-    # a binding of a letter that p does not hold is checked all the same
-    (substitute, (gp("x"), {"q": 2.5}), "not a polynomial, letter or int: 2.5"),
     # a letter is an identifier of the rule syntax, so every text parses back
-    (substitute, (gp("x*y"), {"y": "2"}), "not a letter: '2'"),
-    (substitute, (gp("x*y"), {"y": ""}), "not a letter: ''"),
-    (substitute, (gp("x*y"), {"1y": gp("x")}), "not a letter: '1y'"),
-    (substitute, (gp("x"), {7: "y"}), "not a letter: 7"),
     (Grammar, ({"": gp("x")},), "not a letter: ''"),
     (Grammar, ({"x-y": gp("x")},), "not a letter: 'x-y'"),
     (Grammar, ({"a b": gp("x")},), "not a letter: 'a b'"),
     # Poly owns the letter rule, so a rule body cannot hold a bad letter
     (Poly, (("a b",), {(1,): 1}), "not a letter: 'a b'"),
     (Poly, (("x", 1),), "not a letter: 1"),
-    (coefficient_profile, (gp("x*y"), 5), "not a sequence of letters: 5"),
-    (coefficient_profile, (None, ["y"]), "not a polynomial: None"),
 ]
 
 
@@ -169,6 +154,19 @@ class TestDerive:
         checked.clear()
         derive_n(over_names, FLAG, 0)
         assert checked == []
+
+    def test_collapse_matches_uvw_grammar(self):
+        # under u = xy, v = p + q, w = z the collapsed derivative expands to
+        # the refined one, since the images satisfy the same rules
+        images = {"u": gp("x*y"), "v": gp("p + q"), "w": gp("z")}
+        for n in range(5):
+            collapsed = derive_n(gp("w"), UVW, n)
+            expanded = sum((
+                math.prod((images[v] ** k for v, k in zip(collapsed.names, e)),
+                          start=Poly.one()) * c
+                for e, c in collapsed.terms.items()
+            ), Poly.zero())
+            assert expanded == derive_n(gp("z"), REFINED, n)
 
     @pytest.mark.parametrize("n", [-1, True, 1.5, "3"], ids=repr)
     def test_the_order_is_a_nonnegative_int(self, n):
@@ -309,44 +307,3 @@ class TestDeriveKernel:
         monkeypatch.setattr(grammar, "_step", lambda *args: calls.append(args) or step(*args))
         derive_n(gp("x*y"), FLAG, n)
         assert len(calls) == n
-
-
-class TestSubstituteAndProfile:
-    def test_letter_renaming(self):
-        assert substitute(gp("x*y*q*z"), {"q": "y", "p": "z"}) == gp("x*y^2*z")
-
-    def test_polynomial_binding(self):
-        assert substitute(gp("u*v"), {"u": gp("x*y"), "v": gp("p + q")}) == gp(
-            "x*y*p + x*y*q"
-        )
-
-    def test_identity_binding(self):
-        p = gp("x*y^2 - 3*z")
-        assert substitute(p, {}) == p
-
-    def test_collapse_matches_uvw_grammar(self):
-        # under u = xy, v = p + q, w = z the collapsed derivative expands to
-        # the refined one, since the images satisfy the same rules
-        binding = {"u": gp("x*y"), "v": gp("p + q"), "w": gp("z")}
-        for n in range(5):
-            expanded = substitute(derive_n(gp("w"), UVW, n), binding)
-            assert expanded == derive_n(gp("z"), REFINED, n)
-
-    def test_profile_basic(self):
-        assert coefficient_profile(derive_n(gp("x*y"), FLAG, 1), ["y"]) == {
-            (1,): 1,
-            (2,): 1,
-        }
-        assert coefficient_profile(derive_n(gp("x"), FLAG, 2), ["y"]) == {
-            (1,): 1,
-            (2,): 1,
-            (3,): 1,
-        }
-        assert coefficient_profile(Poly.zero(), ["y"]) == {}
-
-    def test_profile_rejects_mixed_residuals(self):
-        with pytest.raises(ValueError):
-            coefficient_profile(gp("x*y + z*y"), ["y"])
-
-    def test_profile_merges_equal_residuals(self):
-        assert coefficient_profile(gp("2*x*y + 3*x*y"), ["y"]) == {(1,): 5}

@@ -5,9 +5,9 @@ brute-force distribution, at a single order with monkeypatch, and pins the
 exact witness the check reports: ``n=<n>: <label><left> != <right>`` from
 the shared compare loop.  The witnesses of the first seventeen declared
 checks keep the bytes of the hand-written loops they replaced; the rest were
-recorded from the shared loop itself.  Two cases corrupt one record of the
-scan table that the word-by-word checks read, and pin those checks' own
-witnesses.
+recorded from the shared loop itself.  One case corrupts one record of the
+scan table that the word-by-word checks read, and pins that check's own
+witness.
 
 The sweep adds one to the left route of every declared pair at every order
 it compares by default, and corrupts one scan record per order for the
@@ -294,11 +294,12 @@ CASES = [
         "n=2: 1 + x != 2 + 2*x + x^2",
     ),
     (
-        # the witness prints the word's true record, not the corrupted one
+        # x^lap y^asc against P_2(xy, y, 1); the check reads no dasc, so a
+        # corrupted dasc is left to p-recurrences, which compares P_n with
+        # the brute-force (lap, dasc, dp)
         "asc-plat-decomposition", 5,
-        lambda mp: _corrupt_scan(mp, (1, 1, 2, 2), "dasc"),
-        "n=2, word (1, 1, 2, 2): {'asc': 2, 'des': 1, 'plat': 2, 'ap': 1, "
-        "'lap': 2, 'fap': 3, 'dasc': 0, 'dp': 0}",
+        lambda mp: _bump_distribution(mp, "stirling", 2, ["lap", "asc"]),
+        "n=2: (lap, asc) 2*x*y + x*y^2 + x^2*y^2 != x*y + x*y^2 + x^2*y^2",
     ),
     (
         # the walk from 1221 toggles 1 on, giving 2211, whose corrupted dp
@@ -335,6 +336,12 @@ CASES = [
     (
         # the bistatistic pair, x^lap y^plat against x^lap y^asc
         "bona-equidistribution", 5,
+        lambda mp: _bump_distribution(mp, "stirling", 2, ["lap", "plat"]),
+        "n=2: (lap, plat) 2*x*y + x*y^2 + x^2*y^2 != x*y + x*y^2 + x^2*y^2",
+    ),
+    (
+        # x^lap y^plat against P_2(xy, 1, y)
+        "asc-plat-decomposition", 5,
         lambda mp: _bump_distribution(mp, "stirling", 2, ["lap", "plat"]),
         "n=2: (lap, plat) 2*x*y + x*y^2 + x^2*y^2 != x*y + x*y^2 + x^2*y^2",
     ),

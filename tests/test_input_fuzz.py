@@ -5,8 +5,8 @@ Every callable of ``stirlab.__all__`` defined in ``objects``, ``stats``,
 arguments: bools, floats, strings, None, nested tuples, negative ints, and
 words one swap away from a Stirling word, mixed with well-formed values so
 that the checks past the first one are reached too.  A polynomial, a
-grammar, a binding or a rule text is drawn small and well formed over the
-letters x, y and z, or as junk.  A word, a matching or a value set is
+grammar or a rule text is drawn small and well formed over the letters x,
+y and z, or as junk.  A word, a matching or a value set is
 mostly drawn in its documented shape (a sequence, a sequence of blocks, an
 iterable) filled with malformed values, and sometimes as a scalar that is
 not iterable at all.  Each move of ``actions`` that takes a word and a
@@ -145,8 +145,6 @@ some_grammar = st.one_of(
     st.sampled_from([tables.FLAG_GRAMMAR, tables.GAMMA_GRAMMAR]),
     junk,
 )
-bindings = st.one_of(st.dictionaries(
-    st.one_of(xyz, junk), st.one_of(poly, xyz, st.integers(-3, 3), junk), max_size=3), junk)
 
 # the arguments of each fuzzed callable, as a strategy of argument tuples
 ARGS = {
@@ -184,9 +182,6 @@ ARGS = {
     "Grammar": st.tuples(st.one_of(rules, junk)),
     "derive": st.tuples(some_poly, some_grammar),
     "derive_n": st.tuples(some_poly, some_grammar, order),
-    "substitute": st.tuples(some_poly, bindings),
-    "coefficient_profile": st.tuples(some_poly, st.one_of(
-        st.lists(xyz, max_size=3).map(tuple), junk, non_iterable)),
 }
 KWARGS = {"distribution": st.fixed_dictionaries(
     {"max_n": st.one_of(st.none(), st.integers(-1, 5), junk)})}

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stirlab.cli import _print_trivariate, _print_univariate
-from stirlab.grammar import parse_poly, substitute
+from stirlab.grammar import parse_poly
 from stirlab.identities import _convolve, _minus_x, _x_squared
 from stirlab.polynomials import XYZ, Poly
 
@@ -92,19 +92,8 @@ class TestTriPoly:
         assert p.partial("z") == Poly.zero()
         assert p.partial("w") == Poly.zero()
 
-    def test_swap_axes(self):
-        p = Poly(XYZ, {(1, 2, 0): 1, (1, 0, 2): 5})
-        swapped = substitute(p, {"y": "z", "z": "y"})
-        assert swapped == Poly(XYZ, {(1, 0, 2): 1, (1, 2, 0): 5})
-        assert swapped.names == XYZ
-
     def test_eval_collapses_to_qpoly(self):
-        # the order-2 refinement xy + xz + x^2 at (x, x, 1) and (x, 1, 1) is a
-        # polynomial in x alone, equal to one built over ("x",)
-        p = Poly(XYZ, {(1, 1, 0): 1, (1, 0, 1): 1, (2, 0, 0): 1})
-        assert substitute(p, {"y": "x", "z": 1}) == dense(0, 1, 2)
-        assert substitute(p, {"y": 1, "z": 1}) == dense(0, 2, 1)
-        assert str(substitute(p, {"y": 1, "z": 1})) == "2*x + x^2"
+        # a constant over no variables equals the one built over ("x",)
         assert Poly.one() == dense(1)
 
     def test_json_roundtrip(self):
@@ -311,17 +300,6 @@ def _ref_partial(a, letter):
     return out
 
 
-def _ref_substitute(a, images):
-    acc = []
-    for m, c in a.items():
-        term = {(): c}
-        for v, e in m:
-            for _ in range(e):
-                term = _ref_mul(term, images.get(v, {((v, 1),): 1}))
-        acc.append(term)
-    return _ref_sum(*acc)
-
-
 def _ref_sparse_str(a):
     """Text in the Poly print order: by degree, then by sparse monomial."""
     return _ref_str(sorted(a.items(), key=lambda t: (sum(e for _, e in t[0]), t[0])))
@@ -416,31 +394,6 @@ class TestPoly:
             assert str(got) == _ref_sparse_str(ref)
         assert (p == q) == (ra == rb)
         assert (p - q == Poly.zero()) == (ra == rb)
-
-    @settings(max_examples=100, deadline=None)
-    @given(
-        polys(max_terms=3, max_letters=3),
-        st.dictionaries(
-            st.sampled_from("pqxyz"),
-            st.one_of(st.sampled_from("pqxyz"), st.integers(-2, 2),
-                      polys(max_terms=2, max_letters=2)),
-            max_size=3,
-        ),
-    )
-    def test_substitute_matches_sparse_reference(self, pa, bindings):
-        p, ra = pa
-        images = {}
-        for v, image in bindings.items():
-            if isinstance(image, str):
-                images[v] = {((image, 1),): 1}
-            elif isinstance(image, int):
-                images[v] = {(): image} if image else {}
-            else:
-                images[v] = image[1]
-        plain = {v: image if isinstance(image, (str, int)) else image[0]
-                 for v, image in bindings.items()}
-        got = substitute(p, plain)
-        assert _sparse(got) == _ref_substitute(ra, images)
 
     @settings(max_examples=150, deadline=None)
     @given(polys())

@@ -12,14 +12,14 @@ PUBLIC_NAMES = [
     "Poly", "REGISTRY", "ResourceLimitError", "TableCache",
     "UnknownIdentityError", "a_poly", "alpha", "alpha_inverse",
     "b_poly", "beta_set", "c_poly",
-    "coefficient_profile", "derive", "derive_n", "distribution",
+    "derive", "derive_n", "distribution",
     "f_poly", "fs_action", "g_poly",
     "gamma_table",
     "index_sets", "is_stirling", "m_poly", "matching_blocks", "matching_stats",
     "n_poly", "n_poly_closed", "orbit", "orbit_members", "p_poly",
     "p_table", "parse_grammar", "parse_poly", "perm_des", "permutation_words",
     "run_all", "run_identity", "signed_stats", "signed_words",
-    "stirling2", "stirling_stats", "stirling_words", "substitute",
+    "stirling2", "stirling_stats", "stirling_words",
     "t_poly", "t_table",
 ]
 

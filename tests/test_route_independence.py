@@ -123,7 +123,7 @@ def shared_functions(check) -> list[str]:
 
 # the checks that walk the words of Q_n; a new hand-written check has to be
 # added here on purpose
-HAND_WRITTEN = {"alpha-bijection", "asc-plat-decomposition", "fs-symmetry"}
+HAND_WRITTEN = {"alpha-bijection", "fs-symmetry"}
 
 
 def test_most_identities_are_declared():

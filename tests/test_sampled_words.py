@@ -4,7 +4,8 @@ The exhaustive tests stop at n = 7, where Q_n has 135135 words.  Here a
 Hypothesis strategy draws words of Q_n at n = 8, 12, 20 and 40 by pair
 insertion, and each word is checked against the statistics' definitions,
 the Foata-Strehl action and the beta/alpha bijection through the checked
-public API.  The insertion rules
+public API, and the unchecked kernels that the identity loops call against
+that API.  The insertion rules
 behind the P_n and T_n recurrences are checked word by word on all of Q_n
 for n <= 5 and on sampled words at n = 10, 20 and 40.
 """
@@ -14,7 +15,9 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stirlab import actions
 from stirlab.actions import alpha, alpha_inverse, beta_set, fs_action, index_sets, orbit
+from stirlab.objects import is_stirling
 from stirlab.stats import stirling_scans, stirling_stats
 from test_stats import stirling_stats_by_definition
 
@@ -83,6 +86,28 @@ def test_per_word_theorems(n):
         normal = beta_set(w, range(1, n + 1))
         assert alpha(normal) == alpha(w)
         assert normal == alpha_inverse(alpha(w))
+
+    check()
+
+
+@pytest.mark.parametrize("n", ORDERS)
+def test_private_kernels_match_the_checked_api(n):
+    @SAMPLED
+    @given(stirling_word(n))
+    def check(w):
+        assert actions._index_sets(w) == index_sets(w)
+        assert actions._alpha(w) == alpha(w)
+        # the orbit walk that fs-symmetry reads: from the representative, its
+        # k-th step toggles v_t, t the lowest set bit of k, of the sorted
+        # double-ascent values v_0 < v_1 < ... of the representative
+        rep = orbit(w)
+        free = sorted(rep[i - 1] for i in index_sets(rep)["dasc"])
+        walk = actions._walk(rep, is_stirling)
+        previous = next(walk)
+        assert previous == rep
+        for k, word in enumerate(itertools.islice(walk, 64), 1):
+            assert word == fs_action(previous, {free[(k & -k).bit_length() - 1]})
+            previous = word
 
     check()
 

@@ -16,6 +16,7 @@ from stirlab.stats import (
     _stirling_scan,
     DEFAULT_BOUNDS,
     STATS_BY_CLASS,
+    STIRLING_STATS,
     distribution,
     matching_stat_record,
     matching_stats,
@@ -65,9 +66,10 @@ class TestStirlingStats:
     @pytest.mark.parametrize("n", range(8))
     def test_structural_laws(self, n):
         # asc = lap + dasc, plat = lap + dp, fap = ap + lap,
-        # lap = ap + [plateau start], asc + des + plat = 2n + 1 (n >= 1)
-        for w in iter_objects("stirling", min(n, 6)):
-            r = stirling_stat_record(w)
+        # lap = ap + [plateau start], asc + des + plat = 2n + 1 (n >= 1),
+        # on every record of the scan table of Q_n
+        for w, record in stirling_scans(n).items():
+            r = dict(zip(STIRLING_STATS, record))
             assert r["asc"] == r["lap"] + r["dasc"]
             assert r["plat"] == r["lap"] + r["dp"]
             assert r["fap"] == r["ap"] + r["lap"]

@@ -105,6 +105,15 @@ class TestStirling2:
     def test_small_value(self):
         assert stirling2(4, 2) == 7
 
+    @pytest.mark.parametrize("k", [1.0, True, 1.5, "1", None], ids=repr)
+    def test_k_is_an_int(self, k):
+        # 1.0 and True would read S(3, 1) = 1, and 1.5 would read 0
+        with pytest.raises(ValueError, match=rf"^k must be an int, got {re.escape(repr(k))}$"):
+            stirling2(3, k)
+
+    def test_an_int_k_off_range_reads_zero(self):
+        assert stirling2(3, -1) == stirling2(3, 0) == stirling2(3, 4) == 0
+
     @pytest.mark.parametrize("n", range(6))
     def test_against_partition_oracle(self, n):
         for k in range(n + 2):
@@ -215,6 +224,18 @@ class TestAscentFamilies:
         for call in (lambda: m_polys(1), lambda: m_poly(3)):
             with pytest.raises(IdentityViolationError, match="exponent 2"):
                 call()
+
+    @pytest.mark.parametrize("rules, term", [
+        # D(y) = x*y*z holds an x
+        ("x -> x*y*z; y -> x*y*z; z -> y^2*z", "x*y*z"),
+        # D(y) = y*z + y*z^2: the first term is of degree 2, not 3
+        ("x -> x*y*z; y -> y*z + y*z^2; z -> y^2*z", "y*z"),
+    ], ids=["an-x", "degree-2"])
+    def test_m_polys_guards_the_term_shape(self, monkeypatch, rules, term):
+        monkeypatch.setattr(tables, "FLAG_GRAMMAR", parse_grammar(rules))
+        message = rf"^D\^1\(y\) has a term off y\^e z\^\(3-e\): {re.escape(term)}$"
+        with pytest.raises(IdentityViolationError, match=message):
+            m_polys(1)
 
     def test_n_closed_form(self):
         assert n_poly_closed(1) == Poly.from_counts({1: 1})
