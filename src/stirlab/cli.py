@@ -86,6 +86,8 @@ def _cmd_stats(args: argparse.Namespace, out) -> int:
     from .stats import distribution
 
     stats = [s.strip() for s in args.stats.split(",") if s.strip()]
+    if not stats:
+        raise ValueError(f"--stats {args.stats!r} names no statistic")
     counts = distribution(args.klass, args.n, stats, max_n=args.bound)
     if args.format == "json":
         entries = [{"value": list(v), "count": c} for v, c in counts.items()]
@@ -175,6 +177,8 @@ def _print_trivariate(row: Mapping[tuple[int, int, int], int], fmt: str, out) ->
 
 
 def _cmd_grammar(args: argparse.Namespace, out) -> int:
+    if args.order < 0:
+        raise ValueError(f"order must be nonnegative, got {args.order}")
     if args.order > ORDER_LIMIT:
         raise ResourceLimitError(
             f"order {args.order} exceeds the grammar limit {ORDER_LIMIT}"

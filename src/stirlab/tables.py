@@ -18,18 +18,18 @@ Each function evaluates one formula; :mod:`stirlab.identities` compares them.
 Each triangle, C and N included, has a step function that makes row m from
 row m-1 and m; row n is the ``functools.reduce`` of its step over 1..n from
 row 0, and a CoefficientTable draws rows 0..n from ``itertools.accumulate``.
-A row is a dict of its nonzero terms, row 0 = {origin: 1}, except while P
-and gamma are stepped: their rows are dense nested lists, row[i][j][k] over
-i + j + k <= n from [[[1]]] and row[i][j] over i + j <= n from [[1]], which
-:func:`_p_terms` and :func:`_gamma_terms` read into dicts of nonzero terms in
-increasing key order for every caller.  Every order passes
-``objects._order``; a family is read off its polynomial, and
-:func:`stirling2` is the one number function.
+A row is stepped as a dense list indexed by k from row 0 = [1], each entry
+summed from zero-padded shifts of the row before; P and gamma are dense
+nested lists, row[i][j][k] over i + j + k <= n from [[[1]]] and row[i][j]
+over i + j <= n from [[1]].  Each family has its own reader, which turns its
+dense row into the dict of nonzero terms in increasing key order that every
+caller sees.  Every order passes ``objects._order``; a family is read off
+its polynomial, and :func:`stirling2` is the one number function.
 
 A small JSON disk cache (:class:`TableCache`) can memoize the three
 CoefficientTable builders :func:`t_table`, :func:`p_table` and
 :func:`gamma_table`, keyed by family and bound.  A table is its tuple of
-rows as the step function makes them.  A cache file is a header line, then
+rows as its reader makes them.  A cache file is a header line, then
 one line per row, written and read one row at a time; a file whose header,
 row count, row schema or row total (:func:`_read_row`) is off is a miss, and
 the rebuilt table replaces it.
@@ -176,17 +176,14 @@ class TableCache:
             raise
 
 
-def _cached_build(family, arity, bound, cache, step, origin, read=None):
-    # row 0 is origin and row m is step(row m-1, m), each read into its dict
-    # of nonzero terms where the step makes dense rows; built on a cache miss
-    # only
+def _cached_build(family, arity, bound, cache, step, origin, read):
+    # row 0 is origin and row m is step(row m-1, m), each dense row read into
+    # its dict of nonzero terms; built on a cache miss only
     bound = _order(bound)
     table = cache.load(family, bound, arity) if cache is not None else None
     if table is None:
         rows = accumulate(range(1, bound + 1), step, initial=origin)
-        if read is not None:
-            rows = map(read, rows)
-        table = CoefficientTable(family, arity, bound, tuple(rows))
+        table = CoefficientTable(family, arity, bound, tuple(map(read, rows)))
         if cache is not None:
             cache.store(table)
     return table
@@ -196,18 +193,15 @@ def _cached_build(family, arity, bound, cache, step, origin, read=None):
 # Eulerian numbers, type-B Eulerian numbers, Stirling numbers
 
 
-def _eulerian_step(prev: dict[int, int], m: int) -> dict[int, int]:
-    row: dict[int, int] = {}
-    for k in range(m):
-        v = (k + 1) * prev.get(k, 0) + (m - k) * prev.get(k - 1, 0)
-        if v:
-            row[k] = v
-    return row
+def _eulerian_step(prev: list[int], m: int) -> list[int]:
+    # A_m[k] = (k+1) A_{m-1}[k] + (m-k) A_{m-1}[k-1], over k <= m; the last
+    # entry, k = m, is 0
+    return [(k + 1) * a + (m - k) * b for k, (a, b) in enumerate(zip([*prev, 0], [0, *prev]))]
 
 
 @lru_cache(maxsize=None)
 def _eulerian_row(n: int) -> dict[int, int]:
-    return reduce(_eulerian_step, range(1, n + 1), {0: 1})
+    return {k: c for k, c in enumerate(reduce(_eulerian_step, range(1, n + 1), [1])) if c}
 
 
 def a_poly(n: int) -> Poly:
@@ -215,20 +209,17 @@ def a_poly(n: int) -> Poly:
     return Poly.from_counts(_eulerian_row(_order(n)))
 
 
-def _b_eulerian_step(prev: dict[int, int], m: int) -> dict[int, int]:
+def _b_eulerian_step(prev: list[int], m: int) -> list[int]:
     # standard type-B recurrence: each descent slot doubles with the sign of
-    # the inserted maximal letter
-    row: dict[int, int] = {}
-    for k in range(m + 1):
-        v = (2 * k + 1) * prev.get(k, 0) + (2 * (m - k) + 1) * prev.get(k - 1, 0)
-        if v:
-            row[k] = v
-    return row
+    # the inserted maximal letter,
+    # B_m[k] = (2k+1) B_{m-1}[k] + (2(m-k)+1) B_{m-1}[k-1], over k <= m
+    return [(2 * k + 1) * a + (2 * (m - k) + 1) * b
+            for k, (a, b) in enumerate(zip([*prev, 0], [0, *prev]))]
 
 
 @lru_cache(maxsize=None)
 def _b_eulerian_row(n: int) -> dict[int, int]:
-    return reduce(_b_eulerian_step, range(1, n + 1), {0: 1})
+    return {k: c for k, c in enumerate(reduce(_b_eulerian_step, range(1, n + 1), [1])) if c}
 
 
 def b_poly(n: int) -> Poly:
@@ -248,18 +239,14 @@ def f_poly(n: int) -> Poly:
     return Poly.from_counts(row)
 
 
-def _stirling2_step(prev: dict[int, int], m: int) -> dict[int, int]:
-    row: dict[int, int] = {}
-    for k in range(1, m + 1):
-        v = k * prev.get(k, 0) + prev.get(k - 1, 0)
-        if v:
-            row[k] = v
-    return row
+def _stirling2_step(prev: list[int], m: int) -> list[int]:
+    # S(m, k) = k S(m-1, k) + S(m-1, k-1), over k <= m; S(m, 0) = 0 past m = 0
+    return [k * a + b for k, (a, b) in enumerate(zip([*prev, 0], [0, *prev]))]
 
 
 @lru_cache(maxsize=None)
 def _stirling2_row(n: int) -> dict[int, int]:
-    return reduce(_stirling2_step, range(1, n + 1), {0: 1})
+    return {k: c for k, c in enumerate(reduce(_stirling2_step, range(1, n + 1), [1])) if c}
 
 
 def stirling2(n: int, k: int) -> int:
@@ -274,26 +261,24 @@ def stirling2(n: int, k: int) -> int:
 # flag ascent-plateau numbers T(n, k)
 
 
-def _t_step(prev: dict[int, int], n: int) -> dict[int, int]:
-    # T(n+1, k) = k T(n, k) + T(n, k-1) + (2n - k + 2) T(n, k-2); T(0, 0) = 1.
-    # The three terms are insertion of a new doubled letter at an existing
-    # flag ascent-plateau, at the front of an ascent start, and at any of the
+def _t_step(prev: list[int], n: int) -> list[int]:
+    # T(n, k) = k T(n-1, k) + T(n-1, k-1) + (2n - k) T(n-1, k-2) over
+    # k <= 2n, n the order of the row made; T(0, 0) = 1.  The three terms
+    # are insertion of a new doubled letter at an existing flag
+    # ascent-plateau, at the front of an ascent start, and at any of the
     # remaining positions.
-    row: dict[int, int] = {}
-    for k in range(2 * n + 1):
-        v = (
-            k * prev.get(k, 0)
-            + prev.get(k - 1, 0)
-            + (2 * (n - 1) - k + 2) * prev.get(k - 2, 0)
-        )
-        if v:
-            row[k] = v
-    return row
+    return [k * a + b + (2 * n - k) * c
+            for k, (a, b, c) in enumerate(zip([*prev, 0, 0], [0, *prev, 0], [0, 0, *prev]))]
+
+
+def _t_terms(row: list[int]) -> dict[int, int]:
+    """The nonzero terms of a dense T row, in increasing k."""
+    return {k: c for k, c in enumerate(row) if c}
 
 
 @lru_cache(maxsize=None)
 def _t_row(n: int) -> dict[int, int]:
-    return reduce(_t_step, range(1, n + 1), {0: 1})
+    return _t_terms(reduce(_t_step, range(1, n + 1), [1]))
 
 
 def t_poly(n: int) -> Poly:
@@ -303,7 +288,7 @@ def t_poly(n: int) -> Poly:
 
 
 def t_table(n_max: int, cache: TableCache | None = None) -> CoefficientTable:
-    return _cached_build("t", 2, n_max, cache, _t_step, {0: 1})
+    return _cached_build("t", 2, n_max, cache, _t_step, [1], _t_terms)
 
 
 # ---------------------------------------------------------------------------
@@ -447,39 +432,30 @@ def gamma_table(n_max: int, cache: TableCache | None = None) -> CoefficientTable
 # ascent and left ascent-plateau polynomial sequences
 
 
-def _c_step(prev: dict[int, int], m: int) -> dict[int, int]:
+def _c_step(prev: list[int], m: int) -> list[int]:
     # C_{n+1} = (2n+1) x C_n + x(1-x) C_n' turns into coefficients as
     # C_{n+1}[k] = k C_n[k] + (2n+2-k) C_n[k-1], since x C_n' contributes
     # k C_n[k] and -x^2 C_n' contributes -(k-1) C_n[k-1]; here m = n+1
-    row: dict[int, int] = {}
-    for k in range(m + 1):
-        v = k * prev.get(k, 0) + (2 * m - k) * prev.get(k - 1, 0)
-        if v:
-            row[k] = v
-    return row
+    return [k * a + (2 * m - k) * b for k, (a, b) in enumerate(zip([*prev, 0], [0, *prev]))]
 
 
-def _n_step(prev: dict[int, int], m: int) -> dict[int, int]:
+def _n_step(prev: list[int], m: int) -> list[int]:
     # the same with the doubled x(1-x) N_n':
     # N_{n+1}[k] = 2k N_n[k] + (2n+3-2k) N_n[k-1]; here m = n+1
-    row: dict[int, int] = {}
-    for k in range(m + 1):
-        v = 2 * k * prev.get(k, 0) + (2 * m + 1 - 2 * k) * prev.get(k - 1, 0)
-        if v:
-            row[k] = v
-    return row
+    return [2 * k * a + (2 * m + 1 - 2 * k) * b
+            for k, (a, b) in enumerate(zip([*prev, 0], [0, *prev]))]
 
 
 def c_poly(n: int) -> Poly:
     """C_n(x): the ascent distribution over Q_n."""
     n = _order(n)
-    return Poly.from_counts(reduce(_c_step, range(1, n + 1), {0: 1}))
+    return Poly.from_counts(dict(enumerate(reduce(_c_step, range(1, n + 1), [1]))))
 
 
 def n_poly(n: int) -> Poly:
     """N_n(x): the left ascent-plateau distribution over Q_n."""
     n = _order(n)
-    return Poly.from_counts(reduce(_n_step, range(1, n + 1), {0: 1}))
+    return Poly.from_counts(dict(enumerate(reduce(_n_step, range(1, n + 1), [1]))))
 
 
 def m_poly(n: int) -> Poly:

@@ -113,6 +113,14 @@ class TestStats:
         assert run_cli("stats", "--class", "stirling", "--n", "2",
                        "--stats", "bogus")[0] == 2
 
+    @pytest.mark.parametrize("names", [",", "", " , "])
+    def test_no_statistic_exits_2(self, capsys, names):
+        assert run_cli("stats", "--class", "stirling", "--n", "2",
+                       "--stats", names) == (2, "")
+        assert capsys.readouterr().err == (
+            f"stirlab: error: --stats {names!r} names no statistic\n"
+        )
+
 
 class TestPoly:
     def test_t2(self, tmp_path):
@@ -220,6 +228,13 @@ class TestGrammar:
             f"stirlab: error: order {ORDER_LIMIT + 1} exceeds the grammar limit"
             f" {ORDER_LIMIT}\n"
         )
+
+    def test_negative_order_exits_2(self, tmp_path, capsys):
+        rules = tmp_path / "flag.rules"
+        rules.write_text("x -> x*y*z\ny -> y*z^2\nz -> y^2*z\n")
+        assert run_cli("grammar", "--rules", str(rules), "--start", "x",
+                       "--order", "-1") == (2, "")
+        assert capsys.readouterr().err == "stirlab: error: order must be nonnegative, got -1\n"
 
     def test_wide_grammar_stops_at_the_term_limit(self, tmp_path, capsys):
         # eight letters whose rules each add a product: D^n(a) has 108,289

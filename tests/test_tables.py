@@ -395,6 +395,34 @@ def test_gamma_step_sends_one_term_to_its_three_images():
     assert row == _dense(5, 2, tables._gamma_terms(row))
 
 
+# the 1-D steps written out on one term c at index k of the row before, as
+# the number of entries the row made gains and each image index -> weight
+# over c at order n; T(n, k) = k T(n-1, k) + T(n-1, k-1) + (2n-k) T(n-1, k-2)
+ONE_TERM_IMAGES = {
+    "_eulerian_step": (1, lambda n, k: {k: k + 1, k + 1: n - k - 1}),
+    "_b_eulerian_step": (1, lambda n, k: {k: 2 * k + 1, k + 1: 2 * (n - k - 1) + 1}),
+    "_stirling2_step": (1, lambda n, k: {k: k, k + 1: 1}),
+    "_t_step": (2, lambda n, k: {k: k, k + 1: 1, k + 2: 2 * n - k - 2}),
+    "_c_step": (1, lambda n, k: {k: k, k + 1: 2 * n - k - 1}),
+    "_n_step": (1, lambda n, k: {k: 2 * k, k + 1: 2 * n + 1 - 2 * (k + 1)}),
+}
+
+
+@pytest.mark.parametrize("k", [0, 5, 13])
+@pytest.mark.parametrize("name", sorted(ONE_TERM_IMAGES))
+def test_1d_step_sends_one_term_to_its_images(name, k):
+    # a dense row of 16 entries stepped to order n = 10^6 is sized from the
+    # row given, whatever n says
+    grow, images = ONE_TERM_IMAGES[name]
+    c = 7
+    prev = [0] * 16
+    prev[k] = c
+    expected = [0] * (16 + grow)
+    for index, weight in images(BIG_N, k).items():
+        expected[index] = weight * c
+    assert getattr(tables, name)(prev, BIG_N) == expected
+
+
 @pytest.mark.parametrize(
     "builder,check",
     [
