@@ -20,15 +20,19 @@ Rule files hold one rule per line (or several separated by semicolons)::
     x -> x*y*z
     y -> y*z^2; z -> y^2*z
 
-Polynomial syntax: integer coefficients, ``*`` for products, ``^`` for
-powers, ``+``/``-``, identifiers matching [A-Za-z][A-Za-z0-9_]*, comments
-from ``#`` to end of line.
+A rule body runs to the next ``;`` or the end of its head's line.  The
+polynomial syntax is flat: a signed sum of ``*`` products of integers and
+letters, each letter with an optional ``^`` exponent, and no parentheses.
+Integers are ASCII digits, letters ASCII identifiers [A-Za-z][A-Za-z0-9_]*,
+and ``#`` comments run to the end of the line.  Any other character, a
+non-ASCII digit or letter too, is an error: every GrammarSyntaxError names
+the line and column of its fault.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .errors import ResourceLimitError
 from .objects import _order
@@ -86,105 +90,69 @@ class Grammar:
 # ---------------------------------------------------------------------------
 # parsing
 
-_TOKEN_RE = re.compile(rf"{_LETTER_RE.pattern}|\d+|->|[*^+\-;()]|\S")
+# an identifier, ASCII digits, an operator, or else one bad character
+_TOKEN_RE = re.compile(rf"{_LETTER_RE.pattern}|[0-9]+|->|[*^+\-;]|(\S)")
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # ident | int | op
-    text: str
-    line: int
-    col: int
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.split("#", 1)[0]
-        for m in _TOKEN_RE.finditer(line):
-            t = m.group()
-            col = m.start() + 1
-            if t[0].isalpha():
-                kind = "ident"
-            elif t[0].isdigit():
-                kind = "int"
-            elif t in ("->", "*", "^", "+", "-", ";"):
-                kind = "op"
-            else:
-                raise GrammarSyntaxError(f"unexpected character {t!r}", lineno, col)
-            tokens.append(_Token(kind, t, lineno, col))
+def _tokenize(text: str) -> list[tuple[str, int, int]]:
+    """The (text, line, column) tokens of ``text``, comments dropped."""
+    tokens = []
+    for line, body in enumerate(text.splitlines(), start=1):
+        for m in _TOKEN_RE.finditer(body.split("#", 1)[0]):
+            if m[1]:
+                raise GrammarSyntaxError(f"unexpected character {m[1]!r}", line, m.start() + 1)
+            tokens.append((m[0], line, m.start() + 1))
     return tokens
 
 
-class _Parser:
-    def __init__(self, tokens: Sequence[_Token], end_line: int):
-        self.tokens = tokens
-        self.pos = 0
-        self.end_line = end_line
+def _read_poly(tokens: list[tuple[str, int, int]], end_line: int) -> Poly:
+    """The polynomial a whole token list spells, ``[sign] monomial {(+|-)
+    monomial}`` with a monomial a ``*`` product of integers and letters, each
+    letter with an optional ``^`` exponent.  Each monomial adds its
+    coefficient into one term dict, keyed by its nonzero exponents.  Input
+    that ends early is reported after the last token, or at the start of
+    ``end_line`` when there is none."""
+    last, line, col = tokens[-1] if tokens else ("", end_line, 1)
+    tokens = [*tokens, ("", line, col + len(last))]  # "" marks the end
 
-    def peek(self) -> _Token | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+    def fault(text: str, message: str, line: int, col: int) -> GrammarSyntaxError:
+        return GrammarSyntaxError(message if text else "unexpected end of input", line, col)
 
-    def take(self) -> _Token:
-        tok = self.peek()
-        if tok is None:
-            if self.tokens:
-                last = self.tokens[-1]
-                raise GrammarSyntaxError(
-                    "unexpected end of input", last.line, last.col + len(last.text)
-                )
-            raise GrammarSyntaxError("unexpected end of input", self.end_line, 1)
-        self.pos += 1
-        return tok
-
-    def expect(self, text: str) -> _Token:
-        tok = self.take()
-        if tok.text != text:
-            raise GrammarSyntaxError(f"expected {text!r}, found {tok.text!r}",
-                                     tok.line, tok.col)
-        return tok
-
-    def parse_expr(self) -> Poly:
-        sign = 1
-        tok = self.peek()
-        if tok is not None and tok.text in ("+", "-"):
-            self.take()
-            sign = -1 if tok.text == "-" else 1
-        acc = self.parse_term() * sign
-        while True:
-            tok = self.peek()
-            if tok is None or tok.text not in ("+", "-"):
-                return acc
-            self.take()
-            term = self.parse_term()
-            acc = acc + term if tok.text == "+" else acc - term
-
-    def parse_term(self) -> Poly:
-        acc = self.parse_atom()
-        while True:
-            tok = self.peek()
-            if tok is None or tok.text != "*":
-                return acc
-            self.take()
-            acc = acc * self.parse_atom()
-
-    def parse_atom(self) -> Poly:
-        tok = self.take()
-        if tok.kind == "int":
-            return Poly((), {(): int(tok.text)})
-        if tok.kind == "ident":
-            exp = 1
-            nxt = self.peek()
-            if nxt is not None and nxt.text == "^":
-                self.take()
-                etok = self.take()
-                if etok.kind != "int":
-                    raise GrammarSyntaxError("exponent must be a nonnegative integer",
-                                             etok.line, etok.col)
-                exp = int(etok.text)
-            return Poly((tok.text,), {(exp,): 1})
-        raise GrammarSyntaxError(f"expected a letter or integer, found {tok.text!r}",
-                                 tok.line, tok.col)
+    terms: dict[tuple[tuple[str, int], ...], int] = {}
+    letters: set[str] = set()
+    op, i = "+", 0
+    if tokens[0][0] in ("+", "-"):  # a leading sign
+        op, i = tokens[0][0], 1
+    while op:  # a monomial after each sign, to the end of the input
+        if op not in ("+", "-"):
+            raise GrammarSyntaxError(f"trailing input {op!r}", line, col)
+        coeff, exps = -1 if op == "-" else 1, {}
+        while True:  # a factor, then '*' and the next or the monomial's end
+            text, line, col = tokens[i]
+            if text.isdigit():
+                coeff *= int(text)
+            elif text[:1].isalpha():
+                exp = "1"
+                if tokens[i + 1][0] == "^":
+                    i += 2
+                    exp, line, col = tokens[i]
+                    if not exp.isdigit():
+                        raise fault(exp, "exponent must be a nonnegative integer", line, col)
+                letters.add(text)
+                exps[text] = exps.get(text, 0) + int(exp)
+            else:
+                raise fault(text, f"expected a letter or integer, found {text!r}", line, col)
+            i += 1
+            if tokens[i][0] != "*":
+                break
+            i += 1
+        key = tuple(sorted((v, e) for v, e in exps.items() if e))
+        terms[key] = terms.get(key, 0) + coeff
+        op, line, col = tokens[i]
+        i += 1
+    names = sorted(letters)
+    return Poly(names, {tuple([dict(key).get(v, 0) for v in names]): c
+                        for key, c in terms.items()})
 
 
 def parse_poly(text: str) -> Poly:
@@ -194,13 +162,7 @@ def parse_poly(text: str) -> Poly:
     '-1 + 2*z + x*y^2'
     """
     _arg(text, str, "a polynomial text")
-    end_line = text.count("\n") + 1
-    parser = _Parser(_tokenize(text), end_line)
-    poly = parser.parse_expr()
-    tok = parser.peek()
-    if tok is not None:
-        raise GrammarSyntaxError(f"trailing input {tok.text!r}", tok.line, tok.col)
-    return poly
+    return _read_poly(_tokenize(text), text.count("\n") + 1)
 
 
 def parse_grammar(text: str) -> Grammar:
@@ -210,33 +172,30 @@ def parse_grammar(text: str) -> Grammar:
     ('x', 'y', 'z')
     """
     tokens = _tokenize(_arg(text, str, "a rule file text"))
-    end_line = text.count("\n") + 1
-    parser = _Parser(tokens, end_line)
     rules: dict[str, Poly] = {}
-    while parser.peek() is not None:
-        if parser.peek().text == ";":  # empty statement
-            parser.take()
+    i = 0
+    while i < len(tokens):
+        head, line, col = tokens[i]
+        if head == ";":  # empty statement
+            i += 1
             continue
-        head = parser.take()
-        if head.kind != "ident":
-            raise GrammarSyntaxError(f"expected a letter, found {head.text!r}",
-                                     head.line, head.col)
-        if head.text in rules:
-            raise GrammarSyntaxError(f"duplicate rule for {head.text!r}",
-                                     head.line, head.col)
-        parser.expect("->")
-        # a rule body extends to the next ';' or end of line
-        body_tokens: list[_Token] = []
-        while parser.peek() is not None and parser.peek().text != ";" \
-                and parser.peek().line == head.line:
-            body_tokens.append(parser.take())
-        if not body_tokens:
-            raise GrammarSyntaxError("empty rule body", head.line, head.col)
-        sub = _Parser(body_tokens, body_tokens[-1].line)
-        rules[head.text] = sub.parse_expr()
-        rest = sub.peek()
-        if rest is not None:
-            raise GrammarSyntaxError(f"trailing input {rest.text!r}", rest.line, rest.col)
+        if not head[0].isalpha():
+            raise GrammarSyntaxError(f"expected a letter, found {head!r}", line, col)
+        if head in rules:
+            raise GrammarSyntaxError(f"duplicate rule for {head!r}", line, col)
+        if i + 1 == len(tokens):
+            raise GrammarSyntaxError("unexpected end of input", line, col + len(head))
+        arrow, arrow_line, arrow_col = tokens[i + 1]
+        if arrow != "->":
+            raise GrammarSyntaxError(f"expected '->', found {arrow!r}", arrow_line, arrow_col)
+        # a rule body runs to the next ';' or the end of the head's line
+        i = end = i + 2
+        while end < len(tokens) and tokens[end][0] != ";" and tokens[end][1] == line:
+            end += 1
+        if end == i:
+            raise GrammarSyntaxError("empty rule body", line, col)
+        rules[head] = _read_poly(tokens[i:end], line)
+        i = end
     return Grammar(rules)
 
 

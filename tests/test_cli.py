@@ -210,6 +210,15 @@ class TestGrammar:
         assert run_cli("grammar", "--rules", str(rules), "--start", "x",
                        "--order", "1")[0] == 2
 
+    def test_a_start_outside_ascii_exits_2(self, tmp_path, capsys):
+        # an Arabic-Indic three is a digit to str.isdigit, not to the syntax
+        rules = tmp_path / "flag.rules"
+        rules.write_text("x -> x*y*z\ny -> y*z^2\nz -> y^2*z\n")
+        assert run_cli("grammar", "--rules", str(rules), "--start", "\u0663*x",
+                       "--order", "1") == (2, "")
+        assert capsys.readouterr().err == (
+            "stirlab: error: line 1, column 1: unexpected character '\u0663'\n")
+
     def test_missing_file_exits_2(self):
         assert run_cli("grammar", "--rules", "/nonexistent", "--start", "x",
                        "--order", "1")[0] == 2
@@ -607,6 +616,7 @@ def test_a_closed_stdout_exits_141_quietly(tmp_path):
     finally:
         proc.kill()
         proc.wait()
+        proc.stderr.close()
     assert err == b""
 
 

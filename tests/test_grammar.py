@@ -27,6 +27,40 @@ def gp(text: str) -> Poly:
     return parse_poly(text)
 
 
+# malformed texts with the exact message, line and column of their error
+SYNTAX_ERRORS = [
+    # input that ends early: after the last token, or at the start of the
+    # last line when there is no token
+    (parse_poly, "", "unexpected end of input", 1, 1),
+    (parse_poly, "  # a comment alone\n", "unexpected end of input", 2, 1),
+    (parse_poly, "x +", "unexpected end of input", 1, 4),
+    (parse_poly, "2 *\n\n", "unexpected end of input", 1, 4),
+    (parse_poly, "x +\n  y -", "unexpected end of input", 2, 6),
+    (parse_poly, "x^", "unexpected end of input", 1, 3),
+    (parse_grammar, "x", "unexpected end of input", 1, 2),
+    (parse_grammar, "x -> y;\n\n# c\ny -> x^2 *", "unexpected end of input", 4, 11),
+    # a body is cut at the end of its head's line
+    (parse_grammar, "x -> y +", "unexpected end of input", 1, 9),
+    (parse_grammar, "x -> y +\nz", "unexpected end of input", 1, 9),
+    (parse_grammar, "x -> ", "empty rule body", 1, 1),
+    (parse_grammar, "x\n-> y", "empty rule body", 1, 1),
+    (parse_poly, "x^y", "exponent must be a nonnegative integer", 1, 3),
+    (parse_poly, "x^-1", "exponent must be a nonnegative integer", 1, 3),
+    (parse_grammar, "x -> y ^ q", "exponent must be a nonnegative integer", 1, 10),
+    (parse_poly, "x + * y", "expected a letter or integer, found '*'", 1, 5),
+    (parse_poly, "x y", "trailing input 'y'", 1, 3),
+    (parse_poly, "2^3", "trailing input '^'", 1, 2),
+    (parse_poly, "x; y", "trailing input ';'", 1, 2),
+    (parse_grammar, "x -> y z -> w", "trailing input 'z'", 1, 8),
+    (parse_grammar, "x y -> z", "expected '->', found 'y'", 1, 3),
+    (parse_grammar, "-> y", "expected a letter, found '->'", 1, 1),
+    (parse_grammar, "x -> y; 2 -> x", "expected a letter, found '2'", 1, 9),
+    (parse_grammar, "x -> y\nx -> z", "duplicate rule for 'x'", 2, 1),
+    (parse_grammar, "x -> $", "unexpected character '$'", 1, 6),
+    (parse_poly, "(x + y)", "unexpected character '('", 1, 1),
+]
+
+
 class TestParsing:
     def test_rule_files(self):
         assert FLAG.names == ("x", "y", "z")
@@ -63,26 +97,53 @@ class TestParsing:
             p = gp(text)
             assert parse_poly(str(p)) == p
 
-    @pytest.mark.parametrize(
-        "bad,line,col",
-        [
-            ("x -> ", 1, 1),  # empty body, reported at the rule head
-            ("x -> y +", 1, 9),  # input ends right after the '+'
-            ("-> y", 1, 1),
-            ("x -> y ^ q", 1, 10),
-            ("x -> y\nx -> z", 2, 1),  # duplicate rule
-            ("x -> $", 1, 6),
-        ],
-    )
-    def test_syntax_errors_carry_position(self, bad, line, col):
+    @pytest.mark.parametrize("parse,bad,message,line,col", SYNTAX_ERRORS,
+                             ids=[f"{bad}-{line}-{col}" for _, bad, _, line, col in SYNTAX_ERRORS])
+    def test_syntax_errors_carry_position(self, parse, bad, message, line, col):
         with pytest.raises(GrammarSyntaxError) as exc:
-            parse_grammar(bad)
-        assert exc.value.line == line
-        assert exc.value.column == col
+            parse(bad)
+        assert str(exc.value) == f"line {line}, column {col}: {message}"
+        assert (exc.value.line, exc.value.column) == (line, col)
 
-    def test_expression_trailing_garbage(self):
-        with pytest.raises(GrammarSyntaxError):
-            parse_poly("x y")
+    @pytest.mark.parametrize("bad,col", [("٣*x", 1), ("١", 1), ("²", 1), ("x^²", 3), ("é", 1)])
+    def test_a_character_outside_ascii_is_unexpected(self, bad, col):
+        # str.isdigit and str.isalpha hold for these; the syntax is ASCII
+        message = f"unexpected character {bad[col - 1]!r}"
+        for parse, text, line, column in ((parse_poly, bad, 1, col),
+                                          (parse_grammar, f"x -> y\ny -> {bad}", 2, col + 5)):
+            with pytest.raises(GrammarSyntaxError) as exc:
+                parse(text)
+            assert str(exc.value) == f"line {line}, column {column}: {message}"
+            assert (exc.value.line, exc.value.column) == (line, column)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from((1, -1)), st.lists(st.integers(0, 5), max_size=2),
+                              st.lists(st.tuples(st.sampled_from(("x", "y", "ab", "q1")),
+                                                 st.integers(0, 3)), max_size=4),
+                              st.booleans()), min_size=1, max_size=5),
+           st.sampled_from(("", "+", "-")), st.data())
+    def test_a_rendered_term_list_parses_to_its_poly(self, terms, lead, data):
+        # each term is a sign, integer factors and letter powers, written in a
+        # drawn order and spacing, a letter to the first power as x or x^1;
+        # a term may come back negated, so that the two cancel
+        spaces = st.sampled_from(("", " ", "  ", "\t"))
+        terms = [(-1 if lead == "-" else 1, *terms[0][1:])] + terms[1:]
+        terms += [(-sign, ints, powers, False) for sign, ints, powers, cancel in terms if cancel]
+        names = sorted({v for _, _, powers, _ in terms for v, _ in powers})
+        expected = Poly(names, [
+            (tuple(sum(e for w, e in powers if w == v) for v in names), sign * math.prod(ints))
+            for sign, ints, powers, _ in terms])
+        text = lead
+        for index, (sign, ints, powers, _) in enumerate(terms):
+            factors = [str(c) for c in ints] + [
+                v if e == 1 and data.draw(st.booleans()) else f"{v}^{e}" for v, e in powers]
+            factors = data.draw(st.permutations(factors or ["1"]))
+            if index:
+                text += data.draw(spaces) + ("-" if sign < 0 else "+") + data.draw(spaces)
+            text += "".join(f + data.draw(spaces) + "*" + data.draw(spaces) for f in factors[:-1])
+            text += factors[-1]
+        p = parse_poly(text)
+        assert (p.names, p.terms) == (expected.names, expected.terms)
 
 
 # each grammar function gates its arguments' types, as ValueError

@@ -5,6 +5,7 @@ import io
 import itertools
 import json
 import math
+import random
 import re
 import sys
 import tracemalloc
@@ -13,7 +14,7 @@ import pytest
 
 from stirlab import __version__, tables
 from stirlab.errors import IdentityViolationError
-from stirlab.grammar import parse_grammar
+from stirlab.grammar import derive, parse_grammar
 from stirlab.objects import iter_objects
 from stirlab.polynomials import XYZ, Poly
 from stirlab.stats import signed_stat_record, stirling_stat_record
@@ -421,6 +422,43 @@ def test_1d_step_sends_one_term_to_its_images(name, k):
     for index, weight in images(BIG_N, k).items():
         expected[index] = weight * c
     assert getattr(tables, name)(prev, BIG_N) == expected
+
+
+# the induction step of the paper's grammar theorems on single terms: a term
+# t of the row of order n - 1, encoded as a monomial, derives once to the
+# images that the row step sends t to at order n, each encoded at order n;
+# D and the steps are linear, so single terms cover whole rows.  Per family:
+# the grammar, its row step, the nonzero terms of a dense row keyed by index
+# tuples, the largest index of each coordinate drawn, and the exponents of
+# term t at order n over the grammar's sorted names
+GRAMMAR_STEPS = {
+    # (i, j, k) of P_n as p^k q^j x^i y^i z^(2n+1-2i-j-k)
+    "P": (tables.REFINED_GRAMMAR, tables._p_step, tables._p_terms, (20, 5, 5),
+          lambda t, n: (t[2], t[1], t[0], t[0], 2 * n + 1 - 2 * t[0] - t[1] - t[2])),
+    # (i, j) of the gamma row as u^i v^j w^(2n+1-2i-j)
+    "gamma": (tables.GAMMA_GRAMMAR, tables._gamma_step, tables._gamma_terms, (20, 8),
+              lambda t, n: (t[0], t[1], 2 * n + 1 - 2 * t[0] - t[1])),
+    # f of T_n as x y^f z^(2n-f)
+    "T": (tables.FLAG_GRAMMAR, tables._t_step,
+          lambda row: {(f,): c for f, c in tables._t_terms(row).items()}, (40,),
+          lambda t, n: (1, t[0], 2 * n - t[0])),
+}
+
+
+@pytest.mark.parametrize("family", sorted(GRAMMAR_STEPS))
+def test_one_derivative_is_one_row_step_on_single_terms(family):
+    g, step, terms, highest, exponents = GRAMMAR_STEPS[family]
+    rng = random.Random(12)
+    for _ in range(500):
+        t = tuple(rng.randint(0, m) for m in highest)
+        # the order of the row made: the least that holds t, one at or next
+        # to a power of two, or any up to 10^6
+        least = sum(t) + 1
+        n = max(least, rng.choice([least, 2 ** rng.randint(1, 20) + rng.randint(-1, 1),
+                                   rng.randint(1, 10**6)]))
+        row = step(_dense(least, len(t), {t: 1}), n)
+        images = Poly(g.names, {exponents(s, n): c for s, c in terms(row).items()})
+        assert derive(Poly(g.names, {exponents(t, n - 1): 1}), g) == images, (t, n)
 
 
 @pytest.mark.parametrize(
