@@ -95,7 +95,10 @@ def _slide_left(word: Word, first: int, v: int, check: Check) -> Word:
     k = first
     while k and word[k - 1] >= v:
         k -= 1
-    moved = word[:k] + (v,) + word[k:first] + word[first + 1:]
+    letters = list(word)
+    del letters[first]
+    letters.insert(k, v)
+    moved = tuple(letters)
     if not check(moved):
         raise IdentityViolationError(f"sliding {v} left in {word} gave {moved}")
     return moved
@@ -105,7 +108,9 @@ def _slide_right(word: Word, first: int, other: int, check: Check) -> Word:
     """Move the letter at 0-based index first to just after the other copy
     of its value, at 0-based index other; ``check`` must accept the
     result."""
-    moved = word[:first] + word[first + 1:other + 1] + (word[first],) + word[other + 1:]
+    letters = list(word)
+    letters.insert(other, letters.pop(first))
+    moved = tuple(letters)
     if not check(moved):
         raise IdentityViolationError(f"sliding {word[first]} right in {word} gave {moved}")
     return moved

@@ -95,9 +95,10 @@ _TOKEN_RE = re.compile(rf"{_LETTER_RE.pattern}|[0-9]+|->|[*^+\-;]|(\S)")
 
 
 def _tokenize(text: str) -> list[tuple[str, int, int]]:
-    """The (text, line, column) tokens of ``text``, comments dropped."""
+    """The (text, line, column) tokens of ``text``, comments dropped; only
+    a newline ends a line, as in ``parse_poly``'s end-of-input line."""
     tokens = []
-    for line, body in enumerate(text.splitlines(), start=1):
+    for line, body in enumerate(text.split("\n"), start=1):
         for m in _TOKEN_RE.finditer(body.split("#", 1)[0]):
             if m[1]:
                 raise GrammarSyntaxError(f"unexpected character {m[1]!r}", line, m.start() + 1)

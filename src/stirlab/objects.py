@@ -144,21 +144,30 @@ def signed_words(n: int) -> Iterator[Word]:
 def matching_blocks(n: int) -> Iterator[tuple[Block, ...]]:
     """All perfect matchings of [2n], built from order n-1 (the only one
     held): 1 is paired with each b in increasing order, then come the
-    matchings of [2n-2] relabelled onto [2..2n] minus b, in their order."""
+    matchings of [2n-2] relabelled onto [2..2n] minus b, in their order.
+    A held level below n is a list of tuples of int codes, the block
+    (i, j) coded as i * w + j with w = 2n + 1; block tuples are built only
+    at order n."""
     n = _order(n)
+    w = 2 * n + 1
     level = [()]
     for m in range(1, n):
-        level = list(_next_matchings(level, m))
-    yield from _next_matchings(level, n) if n else level
+        level = list(_next_matchings(level, m, w, lambda i, j: i * w + j))
+    yield from _next_matchings(level, n, w, lambda i, j: (i, j)) if n else level
 
 
-def _next_matchings(prev: list, m: int) -> Iterator[tuple[Block, ...]]:
+def _next_matchings(prev: list, m: int, w: int, block) -> Iterator[tuple]:
+    # prev holds the coded matchings of [2m-2]; relabel maps each code to
+    # block(label[i], label[j]), one shared entry per block
     for b in range(2, 2 * m + 1):
         label = [0, *(x for x in range(2, 2 * m + 1) if x != b)]
-        pairs = {(i, j): (label[i], label[j]) for j in range(2, 2 * m - 1) for i in range(1, j)}
-        head = ((1, b),)
+        relabel = [None] * ((2 * m - 2) * w)
+        for j in range(2, 2 * m - 1):
+            for i in range(1, j):
+                relabel[i * w + j] = block(label[i], label[j])
+        head, get = block(1, b), relabel.__getitem__
         for tail in prev:
-            yield head + tuple(map(pairs.__getitem__, tail))
+            yield (head, *map(get, tail))
 
 
 def permutation_words(n: int) -> Iterator[Word]:

@@ -116,6 +116,22 @@ class TestParsing:
             assert str(exc.value) == f"line {line}, column {column}: {message}"
             assert (exc.value.line, exc.value.column) == (line, column)
 
+    @pytest.mark.parametrize("sep", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                                     "\u2028", "\u2029"], ids=repr)
+    def test_only_a_newline_ends_a_line(self, sep):
+        # str.splitlines breaks at each of these; an editor shows one line,
+        # and the reader takes each for whitespace within it
+        for parse, text, message, col in (
+                (parse_grammar, f"x -> y{sep}z -> w", "trailing input 'z'", 8),
+                (parse_poly, f"x{sep}+", "unexpected end of input", 4)):
+            with pytest.raises(GrammarSyntaxError) as exc:
+                parse(text)
+            assert str(exc.value) == f"line 1, column {col}: {message}"
+
+    def test_a_crlf_rule_text_reads_as_its_lf_form(self):
+        text = "x -> x*y*z   # the root\ny -> y*z^2\n\nz -> y^2*z\n"
+        assert parse_grammar(text.replace("\n", "\r\n")) == parse_grammar(text) == FLAG
+
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.tuples(st.sampled_from((1, -1)), st.lists(st.integers(0, 5), max_size=2),
                               st.lists(st.tuples(st.sampled_from(("x", "y", "ab", "q1")),

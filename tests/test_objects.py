@@ -165,7 +165,7 @@ def ref_matching_blocks(n):
     yield from rec(tuple(range(1, 2 * n + 1)))
 
 
-@pytest.mark.parametrize("n", range(7))
+@pytest.mark.parametrize("n", range(8))  # 7: matching-M and matching-N at max_bound
 def test_matching_order_matches_the_recursive_reference(n):
     assert list(matching_blocks(n)) == list(ref_matching_blocks(n))
 

@@ -7,7 +7,9 @@ the Foata-Strehl action and the beta/alpha bijection through the checked
 public API, and the unchecked kernels that the identity loops call against
 that API.  The insertion rules
 behind the P_n and T_n recurrences are checked word by word on all of Q_n
-for n <= 5 and on sampled words at n = 10, 20 and 40.
+for n <= 5 and on sampled words at n = 10, 20 and 40, and the two slide
+kernels against the slice-built words they replaced, on all of Q_n for
+n <= 5 and on the sampled words.
 """
 import itertools
 from collections import Counter
@@ -155,3 +157,47 @@ def test_insertion_rule_on_every_word(n):
 @pytest.mark.parametrize("n", [10, 20, 40])
 def test_insertion_rule_on_sampled_words(n):
     SAMPLED(given(stirling_word(n))(check_insertion_rule))()
+
+
+def slid_left(w, first, v):
+    # the slice-built word the left slide kernel made before it moved the
+    # letter by one list edit, kept as its reference
+    k = first
+    while k and w[k - 1] >= v:
+        k -= 1
+    return w[:k] + (v,) + w[k:first] + w[first + 1:]
+
+
+def slid_right(w, first, other):
+    # the same for the right slide kernel
+    return w[:first] + w[first + 1:other + 1] + (w[first],) + w[other + 1:]
+
+
+def check_slides(w):
+    # every movable value of w: a first copy after a larger letter (a beta
+    # move, descent-plateaus included) slides left, and the first copy of
+    # a double ascent slides right to just after its second copy
+    for v in set(w):
+        first = w.index(v)
+        second = w.index(v, first + 1)
+        left = w[first - 1] if first else 0
+        if left > v:
+            moved = actions._slide_left(w, first, v, is_stirling)
+            reference = slid_left(w, first, v)
+        elif second > first + 1:
+            moved = actions._slide_right(w, first, second, is_stirling)
+            reference = slid_right(w, first, second)
+        else:
+            continue
+        assert moved == reference
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_slides_match_the_slice_built_reference_on_every_word(n):
+    for w in stirling_scans(n):
+        check_slides(w)
+
+
+@pytest.mark.parametrize("n", ORDERS)
+def test_slides_match_the_slice_built_reference_on_sampled_words(n):
+    SAMPLED(given(stirling_word(n))(check_slides))()
