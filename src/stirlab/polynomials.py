@@ -68,14 +68,14 @@ class Poly:
     """Sparse polynomial with integer coefficients over named commuting
     variables.
 
-    ``names`` is an ordered tuple of variable names, each an identifier
-    ``[A-Za-z][A-Za-z0-9_]*`` (another raises ValueError), and ``terms`` maps
-    exponent tuples over ``names`` to nonzero ``int`` coefficients.  A binary
-    operation or ``==`` on polynomials over different ``names`` works over
-    the sorted union of both, so x over ("x",) equals x over ("x", "y").
-    Terms print by degree, then by their exponents in ``names`` order with an
-    absent variable sorting last, and ``str`` round-trips through
-    :func:`stirlab.grammar.parse_poly`.
+    ``names`` is an ordered tuple of distinct variable names, each an
+    identifier ``[A-Za-z][A-Za-z0-9_]*`` (another, or a repeated name, raises
+    ValueError), and ``terms`` maps exponent tuples over ``names`` to nonzero
+    ``int`` coefficients.  A binary operation or ``==`` on polynomials over
+    different ``names`` works over the sorted union of both, so x over ("x",)
+    equals x over ("x", "y").  Terms print by degree, then by their exponents
+    in ``names`` order with an absent variable sorting last, and ``str``
+    round-trips through :func:`stirlab.grammar.parse_poly`.
 
     >>> x, y = Poly.var("x"), Poly.var("y")
     >>> str((x + y) ** 2 - 1)
@@ -92,6 +92,9 @@ class Poly:
         terms: Mapping[tuple[int, ...], int] | Iterable = (),
     ):
         self.names: tuple[str, ...] = tuple(map(_letter, names))
+        if len(set(self.names)) < len(self.names):
+            repeated = next(v for i, v in enumerate(self.names) if v in self.names[:i])
+            raise ValueError(f"repeated letter: {repeated!r}")
         if not isinstance(terms, Mapping):
             acc: dict[tuple[int, ...], int] = {}
             for e, c in terms:

@@ -12,9 +12,11 @@ from stirlab import actions, cli, tables
 from stirlab.grammar import derive_n, parse_poly
 from stirlab.identities import REGISTRY, run_identity
 from stirlab.objects import iter_objects
-from stirlab.polynomials import XYZ, Poly
+from stirlab.polynomials import Poly
 from stirlab.stats import distribution, signed_stats, stirling_stats
 from stirlab.tables import FLAG_GRAMMAR, GAMMA_GRAMMAR, REFINED_GRAMMAR
+
+from reference import word, xyz
 
 
 @contextmanager
@@ -37,15 +39,9 @@ def gp(text: str) -> Poly:
     return parse_poly(text)
 
 
-def word(s: str) -> tuple[int, ...]:
-    return tuple(int(c) for c in s)
-
-
 def test_criterion_1_golden_polynomials():
     with budget("1: golden polynomials", 1.0):
-        def x(i, j, k, c=1):
-            return Poly(XYZ, {(i, j, k): c})
-
+        x = xyz
         assert tables.p_poly(1) == x(1, 0, 0)
         assert tables.p_poly(2) == x(1, 1, 0) + x(1, 0, 1) + x(2, 0, 0)
         assert tables.p_poly(3) == (

@@ -7,7 +7,6 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 import stirlab
 from stirlab.actions import (
@@ -28,49 +27,12 @@ from stirlab.errors import IdentityViolationError
 from stirlab.objects import is_stirling, iter_objects
 from stirlab.stats import stirling_scans, stirling_stat_record, stirling_stats
 
-
-def word(s: str) -> tuple[int, ...]:
-    return tuple(int(c) for c in s)
+import reference as ref
+from reference import word
 
 
 def gate_message(w) -> str:
     return rf"^not a Stirling permutation: {re.escape(str(tuple(w)))}$"
-
-
-# the per-position reference the one-pass index sets and the move kernels are
-# checked against: the kind of one position, and the movable position of one
-# value
-
-
-def classify_index(word, i: int) -> str | None:
-    """"dasc", "dp", "lap" or None for 1-based position i under 0-padding."""
-    m = len(word)
-    if not 1 <= i <= m:
-        raise ValueError(f"index {i} out of range for a word of length {m}")
-    v = word[i - 1]
-    left = word[i - 2] if i >= 2 else 0
-    right = word[i] if i < m else 0
-    if left < v < right:
-        return "dasc"
-    if v == right:
-        return "lap" if left < v else "dp"
-    return None
-
-
-def movable_index(word, v: int) -> int | None:
-    """The unique movable position carrying value v, or None.
-
-    A value is movable when its first copy sits on a double ascent or its
-    adjacent pair sits on a descent-plateau; at most one of these can occur.
-    """
-    first = word.index(v)
-    second = word.index(v, first + 1)
-    left = word[first - 1] if first else 0
-    if second == first + 1:
-        return first + 1 if left > v else None
-    # non-adjacent pair: the letter right after the first copy lies between
-    # the two copies, hence exceeds v, so only the left neighbor decides
-    return first + 1 if left < v else None
 
 
 GATED = [
@@ -162,13 +124,15 @@ class TestToggleAction:
             sets = index_sets(w)
             active_values = [w[i - 1] for i in sets["dasc"] | sets["dp"]]
             assert len(active_values) == len(set(active_values))
+            by_definition = ref.index_sets(w)
+            movable = by_definition["dasc"] | by_definition["dp"]
             for v in range(1, 5):
-                i = movable_index(w, v)
-                assert (i in sets["dasc"] | sets["dp"]) if i else (
-                    v not in active_values
-                )
+                # v is movable when its first copy, at i, is on a double
+                # ascent or a descent-plateau
+                i = w.index(v) + 1
+                assert (i in sets["dasc"] | sets["dp"]) if i in movable else v not in active_values
                 # a value moves exactly when it has a movable position
-                assert (fs_action(w, {v}) != w) == (i is not None)
+                assert (fs_action(w, {v}) != w) == (i in movable)
 
     def test_empty_selection_is_identity(self):
         assert fs_action(word("1221"), ()) == word("1221")
@@ -199,11 +163,9 @@ class TestOrbits:
 
     @pytest.mark.parametrize("n", range(7))
     def test_orbit_sizes_sum_to_the_class_size(self, n):
-        import math
-
         reps = {orbit(w) for w in iter_objects("stirling", n)}
         total = sum(2 ** len(index_sets(rep)["dasc"]) for rep in reps)
-        assert total == math.prod(range(1, 2 * n, 2))
+        assert total == ref.odd_double_factorial(n)
 
     @pytest.mark.parametrize("w", [word("2121"), word("1212"), word("12"), (1.0, 1.0)])
     def test_orbit_checks_its_input(self, w):
@@ -503,26 +465,6 @@ class TestAlpha:
             assert r["dp"] == 0 and r["lap"] + r["dasc"] == n
 
 
-def index_sets_by_position(w) -> dict[str, frozenset[int]]:
-    kinds = [classify_index(w, i) for i in range(1, len(w) + 1)]
-    return {
-        name: frozenset(i for i, k in enumerate(kinds, 1) if k == name)
-        for name in ("dasc", "dp", "lap")
-    }
-
-
-class TestOnePassIndexSets:
-    def test_all_small_words(self):
-        for n in range(6):
-            for w in iter_objects("stirling", n):
-                assert index_sets(w) == index_sets_by_position(w)
-
-    @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.integers(-1, 5), max_size=10))
-    def test_arbitrary_int_lists(self, w):
-        assert index_sets(w) == index_sets_by_position(tuple(w))
-
-
 class TestAssertsStay:
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -656,94 +598,10 @@ class TestMembershipCheck:
         assert list(_walk(w, q_3.__contains__)) == walk
 
 
-# ---------------------------------------------------------------------------
-# the slice-based move kernels the one-slide kernels replaced, kept verbatim
-# (renamed) as the reference
-
-
-def ref_fs_move(sigma, i: int):
-    word = tuple(sigma)
-    kind = classify_index(word, i)
-    v = word[i - 1]
-    if kind == "dasc":
-        other = word.index(v, i)  # 0-based position of the second copy
-        rest = word[: i - 1] + word[i:]
-        moved = rest[:other] + (v,) + rest[other:]
-    elif kind == "dp":
-        k = 0
-        for j in range(i - 1, 0, -1):
-            if word[j - 1] < v:
-                k = j
-                break
-        rest = word[: i - 1] + word[i:]
-        moved = rest[:k] + (v,) + rest[k:]
-    else:
-        raise ValueError(
-            f"position {i} of {word} is neither a double ascent nor a descent-plateau"
-        )
-    assert is_stirling(moved)
-    return moved
-
-
-def ref_fs_toggle_value(sigma, v: int):
-    word = tuple(sigma)
-    i = movable_index(word, v)
-    return word if i is None else ref_fs_move(word, i)
-
-
-def ref_fs_action(sigma, positions):
-    # the toggles selected by a set of positions of the input word; any
-    # other position, in range or not, acts as the identity
-    word = tuple(sigma)
-    sets = index_sets(word)
-    movable = sets["dasc"] | sets["dp"]
-    for v in sorted({word[i - 1] for i in positions if i in movable}):
-        word = ref_fs_toggle_value(word, v)
-    return word
-
-
-def ref_beta_move(sigma, x: int):
-    word = tuple(sigma)
-    first = word.index(x)
-    k = 0
-    for j in range(first, 0, -1):
-        if word[j - 1] < x:
-            k = j
-            break
-    rest = word[:first] + word[first + 1:]
-    moved = rest[:k] + (x,) + rest[k:]
-    assert is_stirling(moved)
-    return moved
-
-
 class TestKernelsMatchTheSliceReference:
-    @pytest.mark.parametrize("n", range(7))
-    def test_every_word_value_and_position(self, n):
-        for w in iter_objects("stirling", n):
-            positions = range(0, 2 * n + 2)  # one out of range at each end
-            assert fs_action(w, range(1, n + 1)) == ref_fs_action(w, positions)
-            for v in range(1, n + 1):
-                assert beta_set(w, {v}) == ref_beta_move(w, v)
-                assert fs_action(w, {v}) == ref_fs_toggle_value(w, v)
-            for i in range(1, 2 * n + 1):
-                # the move at a movable position is the toggle of its value
-                if classify_index(w, i) in ("dasc", "dp"):
-                    assert fs_action(w, {w[i - 1]}) == ref_fs_move(w, i)
-
     def test_inputs_that_are_not_tuples(self):
         sigma = list(word("2447887332115665"))
         for v in range(1, 9):
-            assert beta_set(sigma, [v]) == ref_beta_move(sigma, v)
-            assert fs_action(sigma, [v]) == ref_fs_toggle_value(sigma, v)
-        # position 9 holds the second 3, which no move starts from
-        assert fs_action(sigma, [2, 7]) == ref_fs_action(sigma, {1, 4, 9})
-
-    @settings(max_examples=300, deadline=None)
-    @given(st.sampled_from(list(iter_objects("stirling", 5))),
-           st.sets(st.integers(-3, 14)))
-    def test_arbitrary_position_sets(self, w, positions):
-        # toggling the values read at any positions is the position
-        # reference at every position that carries one of them
-        values = {w[i - 1] for i in positions if 1 <= i <= len(w)}
-        carrying = {i for i, v in enumerate(w, 1) if v in values}
-        assert fs_action(w, values) == ref_fs_action(w, carrying)
+            assert beta_set(sigma, [v]) == ref.slid_left(tuple(sigma), sigma.index(v), v)
+            assert fs_action(sigma, [v]) == ref.toggled(tuple(sigma), v)
+        assert fs_action(sigma, [2, 7]) == ref.fs_action(tuple(sigma), {2, 7})

@@ -2,7 +2,6 @@
 import hashlib
 import inspect
 import io
-import itertools
 import json
 import math
 import random
@@ -15,9 +14,7 @@ import pytest
 from stirlab import __version__, tables
 from stirlab.errors import IdentityViolationError
 from stirlab.grammar import derive, parse_grammar
-from stirlab.objects import iter_objects
-from stirlab.polynomials import XYZ, Poly
-from stirlab.stats import signed_stat_record, stirling_stat_record
+from stirlab.polynomials import Poly
 from stirlab.tables import (
     TableCache,
     _b_eulerian_row,
@@ -45,24 +42,8 @@ from stirlab.tables import (
     t_table,
 )
 
-
-def brute_descents(values) -> int:
-    return sum(values[i] > values[i + 1] for i in range(len(values) - 1))
-
-
-def brute_partition_count(n: int, k: int) -> int:
-    # enumerate set partitions of [n] directly as the Stirling oracle
-    def rec(elems):
-        if not elems:
-            yield []
-            return
-        first, rest = elems[0], elems[1:]
-        for partition in rec(rest):
-            for i in range(len(partition)):
-                yield partition[:i] + [partition[i] + [first]] + partition[i + 1:]
-            yield partition + [[first]]
-
-    return sum(1 for p in rec(list(range(n))) if len(p) == k)
+import reference as ref
+from reference import odd_double_factorial, xyz
 
 
 class TestEulerianFamilies:
@@ -73,13 +54,7 @@ class TestEulerianFamilies:
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_against_brute_force(self, n):
-        for k in range(n):
-            count = sum(
-                1
-                for pi in itertools.permutations(range(1, n + 1))
-                if brute_descents(pi) == k
-            )
-            assert a_poly(n).coefficient(k) == count
+        assert a_poly(n) == Poly.from_counts(ref.counts(ref.des, ref.permutations(n)))
 
     def test_a_poly(self):
         assert a_poly(0) == Poly.one()
@@ -87,11 +62,8 @@ class TestEulerianFamilies:
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_type_b_against_brute_force(self, n):
-        for k in range(n + 1):
-            count = sum(
-                1 for w in iter_objects("signed", n) if signed_stat_record(w)["desB"] == k
-            )
-            assert b_poly(n).coefficient(k) == count
+        counts = ref.counts(lambda v: ref.signed_stats(v)["desB"], ref.signed_words(n))
+        assert b_poly(n) == Poly.from_counts(counts)
 
     def test_f_poly(self):
         assert f_poly(0) == Poly.one()
@@ -117,8 +89,9 @@ class TestStirling2:
 
     @pytest.mark.parametrize("n", range(6))
     def test_against_partition_oracle(self, n):
+        by_blocks = ref.counts(len, ref.set_partitions(n))
         for k in range(n + 2):
-            assert stirling2(n, k) == brute_partition_count(n, k)
+            assert stirling2(n, k) == by_blocks.get(k, 0)
 
 
 class TestFlagAscentPlateauNumbers:
@@ -129,20 +102,12 @@ class TestFlagAscentPlateauNumbers:
 
     @pytest.mark.parametrize("n", range(6))
     def test_against_brute_force(self, n):
-        counts = {}
-        for w in iter_objects("stirling", n):
-            f = stirling_stat_record(w)["fap"]
-            counts[f] = counts.get(f, 0) + 1
-        assert t_poly(n) == Poly.from_counts(counts)
-
-
-def _xyz(i, j, k, c=1):
-    return Poly(XYZ, {(i, j, k): c})
+        assert t_poly(n) == Poly.from_counts(ref.stat_counts("fap", n))
 
 
 class TestRefinementTables:
     def test_published_p_polys(self):
-        x = _xyz
+        x = xyz
         assert p_poly(1) == x(1, 0, 0)
         assert p_poly(2) == x(1, 1, 0) + x(1, 0, 1) + x(2, 0, 0)
         expected3 = (
@@ -162,7 +127,7 @@ class TestRefinementTables:
             assert diff[n] == p_poly(n)
 
     def test_published_gamma_polys(self):
-        x = _xyz
+        x = xyz
         assert g_poly(0) == Poly.one()
         assert g_poly(1) == x(1, 0, 0)
         assert g_poly(2) == x(1, 1, 0) + x(2, 0, 0)
@@ -192,21 +157,12 @@ class TestAscentFamilies:
 
     @pytest.mark.parametrize("n", range(6))
     def test_against_brute_force(self, n):
-        asc_counts, lap_counts = {}, {}
-        for w in iter_objects("stirling", n):
-            r = stirling_stat_record(w)
-            asc_counts[r["asc"]] = asc_counts.get(r["asc"], 0) + 1
-            lap_counts[r["lap"]] = lap_counts.get(r["lap"], 0) + 1
-        assert c_poly(n) == Poly.from_counts(asc_counts)
-        assert n_poly(n) == Poly.from_counts(lap_counts)
+        assert c_poly(n) == Poly.from_counts(ref.stat_counts("asc", n))
+        assert n_poly(n) == Poly.from_counts(ref.stat_counts("lap", n))
 
     @pytest.mark.parametrize("n", range(6))
     def test_m_poly_against_brute_force(self, n):
-        counts = {}
-        for w in iter_objects("stirling", n):
-            a = stirling_stat_record(w)["ap"]
-            counts[a] = counts.get(a, 0) + 1
-        assert m_poly(n) == Poly.from_counts(counts)
+        assert m_poly(n) == Poly.from_counts(ref.stat_counts("ap", n))
 
     def test_m_poly_small(self):
         assert m_poly(0) == Poly.one()
@@ -291,139 +247,6 @@ class TestCoefficientTablesAndCache:
             tb.n_poly_closed(3)
 
 
-# ---------------------------------------------------------------------------
-# the row builders against the gather form of their recurrences
-
-
-def gather_p_rows(n_max):
-    rows = [{(0, 0, 0): 1}]
-    for n in range(1, n_max + 1):
-        prev, m = rows[-1], n - 1
-        row = {}
-        for i in range(1, n + 1):
-            for j in range(n):
-                for k in range(n):
-                    v = (
-                        i * prev.get((i, j - 1, k), 0)
-                        + i * prev.get((i, j, k - 1), 0)
-                        + (j + 1) * prev.get((i - 1, j + 1, k), 0)
-                        + (k + 1) * prev.get((i - 1, j, k + 1), 0)
-                        + (2 * m + 3 - 2 * i - j - k) * prev.get((i - 1, j, k), 0)
-                    )
-                    if v:
-                        row[(i, j, k)] = v
-        rows.append(row)
-    return rows
-
-
-def gather_gamma_rows(n_max):
-    rows = [{(0, 0): 1}]
-    for n in range(1, n_max + 1):
-        prev, m = rows[-1], n - 1
-        row = {}
-        for i in range(1, n + 1):
-            for j in range(n):
-                v = (
-                    i * prev.get((i, j - 1), 0)
-                    + 2 * (j + 1) * prev.get((i - 1, j + 1), 0)
-                    + (2 * m + 3 - 2 * i - j) * prev.get((i - 1, j), 0)
-                )
-                if v:
-                    row[(i, j)] = v
-        rows.append(row)
-    return rows
-
-
-# at the largest orders ``poly`` prints, through the table's one pass of the
-# steps and the memo of the last row
-def test_p_rows_match_gather_form():
-    rows = gather_p_rows(40)
-    assert p_table(40).rows == tuple(rows)
-    assert _p_row(40) == rows[40]
-
-
-def test_gamma_rows_match_gather_form():
-    rows = gather_gamma_rows(100)
-    assert gamma_table(100).rows == tuple(rows)
-    assert _gamma_row(100) == rows[100]
-
-
-def _dense(size, dims, terms):
-    """The dense simplex row over index sums below ``size`` holding ``terms``."""
-    def grid(depth, left):
-        if depth == 1:
-            return [0] * left
-        return [grid(depth - 1, left - i) for i in range(left)]
-
-    row = grid(dims, size)
-    for key, c in terms.items():
-        *outer, last = key
-        line = row
-        for i in outer:
-            line = line[i]
-        line[last] = c
-    return row
-
-
-# one term of a row of order 3 stepped to order n = 10^6: each image sits
-# where the recurrence puts it with its weight, the neutral weight reads n,
-# and the row made has the shape of order 4, one past the row given,
-# whatever n says
-BIG_N = 10**6
-
-
-def test_p_step_sends_one_term_to_its_five_images():
-    i, j, k, c = 1, 1, 1, 7
-    row = tables._p_step(_dense(4, 3, {(i, j, k): c}), BIG_N)
-    assert tables._p_terms(row) == {
-        (i, j + 1, k): i * c,
-        (i, j, k + 1): i * c,
-        (i + 1, j - 1, k): j * c,
-        (i + 1, j, k - 1): k * c,
-        (i + 1, j, k): (2 * BIG_N - 1 - 2 * i - j - k) * c,
-    }
-    assert row == _dense(5, 3, tables._p_terms(row))
-
-
-def test_gamma_step_sends_one_term_to_its_three_images():
-    i, j, c = 1, 2, 7
-    row = tables._gamma_step(_dense(4, 2, {(i, j): c}), BIG_N)
-    assert tables._gamma_terms(row) == {
-        (i, j + 1): i * c,
-        (i + 1, j - 1): 2 * j * c,
-        (i + 1, j): (2 * BIG_N - 1 - 2 * i - j) * c,
-    }
-    assert row == _dense(5, 2, tables._gamma_terms(row))
-
-
-# the 1-D steps written out on one term c at index k of the row before, as
-# the number of entries the row made gains and each image index -> weight
-# over c at order n; T(n, k) = k T(n-1, k) + T(n-1, k-1) + (2n-k) T(n-1, k-2)
-ONE_TERM_IMAGES = {
-    "_eulerian_step": (1, lambda n, k: {k: k + 1, k + 1: n - k - 1}),
-    "_b_eulerian_step": (1, lambda n, k: {k: 2 * k + 1, k + 1: 2 * (n - k - 1) + 1}),
-    "_stirling2_step": (1, lambda n, k: {k: k, k + 1: 1}),
-    "_t_step": (2, lambda n, k: {k: k, k + 1: 1, k + 2: 2 * n - k - 2}),
-    "_c_step": (1, lambda n, k: {k: k, k + 1: 2 * n - k - 1}),
-    "_n_step": (1, lambda n, k: {k: 2 * k, k + 1: 2 * n + 1 - 2 * (k + 1)}),
-}
-
-
-@pytest.mark.parametrize("k", [0, 5, 13])
-@pytest.mark.parametrize("name", sorted(ONE_TERM_IMAGES))
-def test_1d_step_sends_one_term_to_its_images(name, k):
-    # a dense row of 16 entries stepped to order n = 10^6 is sized from the
-    # row given, whatever n says
-    grow, images = ONE_TERM_IMAGES[name]
-    c = 7
-    prev = [0] * 16
-    prev[k] = c
-    expected = [0] * (16 + grow)
-    for index, weight in images(BIG_N, k).items():
-        expected[index] = weight * c
-    assert getattr(tables, name)(prev, BIG_N) == expected
-
-
 # the induction step of the paper's grammar theorems on single terms: a term
 # t of the row of order n - 1, encoded as a monomial, derives once to the
 # images that the row step sends t to at order n, each encoded at order n;
@@ -456,7 +279,7 @@ def test_one_derivative_is_one_row_step_on_single_terms(family):
         least = sum(t) + 1
         n = max(least, rng.choice([least, 2 ** rng.randint(1, 20) + rng.randint(-1, 1),
                                    rng.randint(1, 10**6)]))
-        row = step(_dense(least, len(t), {t: 1}), n)
+        row = step(ref.dense(least, len(t), {t: 1}), n)
         images = Poly(g.names, {exponents(s, n): c for s, c in terms(row).items()})
         assert derive(Poly(g.names, {exponents(t, n - 1): 1}), g) == images, (t, n)
 
@@ -486,21 +309,17 @@ def test_classical_rows_do_not_recurse_per_n(builder, check):
     assert check(row, n)
 
 
-def _odd_df(n):
-    return math.prod(range(1, 2 * n, 2))
-
-
 # n! normalized words (dp = 0, lap + dasc = n), counted by dasc as the
 # Eulerian numbers, sit in P_n at (n - j, j, 0) and in gamma_n at (n - j, j)
 @pytest.mark.parametrize(
     "value,n,expected",
     [
-        (lambda n: sum(t_poly(n).terms.values()), 300, _odd_df),
-        (lambda n: sum(map(t_poly(n).coefficient, range(2 * n + 1))), 300, _odd_df),
-        (lambda n: sum(p_poly(n).terms.values()), 55, _odd_df),
+        (lambda n: sum(t_poly(n).terms.values()), 300, odd_double_factorial),
+        (lambda n: sum(map(t_poly(n).coefficient, range(2 * n + 1))), 300, odd_double_factorial),
+        (lambda n: sum(p_poly(n).terms.values()), 55, odd_double_factorial),
         (lambda n: sum(map(p_poly(n).coefficient, range(n, 0, -1), range(n), [0] * n)), 55,
          math.factorial),
-        (lambda n: sum(c << i[1] for i, c in g_poly(n).terms.items()), 100, _odd_df),
+        (lambda n: sum(c << i[1] for i, c in g_poly(n).terms.items()), 100, odd_double_factorial),
         (lambda n: sum(map(g_poly(n).coefficient, range(n, 0, -1), range(n), [0] * n)),
          100, math.factorial),
     ],
