@@ -259,6 +259,14 @@ def dense(size, dims, terms):
     return row
 
 
+def terms(row, *index):
+    """The nonzero entries of a dense row keyed by index tuples, as dense
+    takes them."""
+    if isinstance(row, int):
+        return {index: row} if row else {}
+    return {key: c for i, line in enumerate(row) for key, c in terms(line, *index, i).items()}
+
+
 def _at(row, *index):
     for i in index:
         if not 0 <= i < len(row):

@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import stirlab
 from stirlab.actions import (
@@ -605,3 +606,33 @@ class TestKernelsMatchTheSliceReference:
             assert beta_set(sigma, [v]) == ref.slid_left(tuple(sigma), sigma.index(v), v)
             assert fs_action(sigma, [v]) == ref.toggled(tuple(sigma), v)
         assert fs_action(sigma, [2, 7]) == ref.fs_action(tuple(sigma), {2, 7})
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_every_word_value_and_position(self, n):
+        # the public moves on every word of Q_n against the slice-built
+        # references: each beta move, each toggle, and all toggles at once
+        for w in ref.stirling_words(n):
+            assert fs_action(w, range(1, n + 1)) == ref.fs_action(w, range(1, n + 1))
+            for v in range(1, n + 1):
+                assert beta_set(w, {v}) == ref.slid_left(w, w.index(v), v)
+                assert fs_action(w, {v}) == ref.toggled(w, v)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(ref.stirling_words(5)), st.sets(st.integers(-3, 14)))
+    def test_arbitrary_position_sets(self, w, positions):
+        # the toggles of the values read at any positions, out of range
+        # ones reading nothing
+        values = {w[i - 1] for i in positions if 1 <= i <= len(w)}
+        assert fs_action(w, values) == ref.fs_action(w, values)
+
+
+class TestOnePassIndexSets:
+    def test_all_small_words(self):
+        for n in range(6):
+            for w in iter_objects("stirling", n):
+                assert index_sets(w) == ref.index_sets(w)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(-1, 5), max_size=10))
+    def test_arbitrary_int_lists(self, w):
+        assert index_sets(w) == ref.index_sets(w)

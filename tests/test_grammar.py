@@ -305,13 +305,40 @@ class TestDerivationLaws:
         assert lhs == rhs
 
 
+# rules for some of four letters, so that a body may mention a letter that
+# has no rule; a body may hold several terms, a constant and negative
+# coefficients
+LETTERS = ("a", "b", "c", "d")
+grammars = st.dictionaries(
+    st.sampled_from(LETTERS), polys_over(LETTERS), max_size=len(LETTERS)
+).map(Grammar)
+
+
 class TestDeriveKernel:
+    @settings(max_examples=150, deadline=None)
+    @given(grammars, st.data())
+    def test_matches_the_poly_reference(self, g, data):
+        p = data.draw(polys_over(g.names)) if g.names else gp("5")
+        assert derive(p, g) == ref.derive(p, g)
+
     def test_reference_on_a_constant_and_a_missing_rule(self):
         g = parse_grammar("a -> 3 - 2*a*b + c^2; b -> -1")  # c has no rule
         p = gp("a^2*c - 4*b*c + 7")
         assert derive(p, g) == ref.derive(p, g) == gp(
             "6*a*c - 4*a^2*b*c + 2*a*c^3 + 4*c"
         )
+
+    # exponents at and next to powers of two, where the packed kernel's
+    # bit width per letter is full or one short
+    @settings(max_examples=80, deadline=None)
+    @given(grammars, st.integers(0, 4), st.data())
+    def test_derive_n_matches_the_iterated_reference(self, g, n, data):
+        exponents = st.sampled_from([1, 2, 3, 4, 7, 8, 15, 16, 31])
+        p = data.draw(polys_over(g.names, exponents)) if g.names else gp("5")
+        expected = p
+        for _ in range(n):
+            expected = ref.derive(expected, g)
+        assert derive_n(p, g, n) == expected
 
     def test_an_exponent_may_fill_its_field(self):
         # a^7 reaches a^15 at order 8, the largest value the 4 bits of a

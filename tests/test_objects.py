@@ -1,7 +1,9 @@
 """Enumerator tests: counts against independent oracles, validity, order."""
+import itertools
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stirlab import objects
 from stirlab.objects import (
@@ -37,6 +39,23 @@ def test_is_stirling_cases(word, expected):
     assert brute_is_stirling(word) is expected
 
 
+def test_is_stirling_matches_oracle_on_all_multiset_words():
+    for n in range(4):
+        for word in set(itertools.permutations(2 * [*range(1, n + 1)])):
+            assert is_stirling(word) == brute_is_stirling(word)
+
+
+# arbitrary int lists: odd lengths, 0, negatives, out-of-range values, True
+_letters = st.one_of(st.integers(-2, 6), st.just(True))
+_multiset_words = st.integers(0, 5).flatmap(lambda n: st.permutations(2 * [*range(1, n + 1)]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.lists(_letters, max_size=11), _multiset_words))
+def test_is_stirling_matches_oracle_on_arbitrary_lists(word):
+    assert is_stirling(word) == brute_is_stirling(word)
+
+
 def test_stirling_counts_match_double_factorial():
     for n in range(7):
         assert sum(1 for _ in stirling_words(n)) == odd_double_factorial(n)
@@ -58,6 +77,11 @@ def test_stirling_enumeration_order():
     q3 = list(stirling_words(3))
     assert q3[0] == (1, 1, 2, 2, 3, 3)
     assert q3[5] == (1, 2, 2, 1, 3, 3)
+
+
+def test_stirling_words_follow_pair_insertion():
+    for n in range(7):
+        assert tuple(stirling_words(n)) == ref.stirling_words(n)
 
 
 def test_a_deep_order_starts_at_once():
@@ -85,6 +109,11 @@ def test_matching_counts_and_order():
     for blocks in matching_blocks(3):
         flat = sorted(e for b in blocks for e in b)
         assert flat == list(range(1, 7))
+
+
+@pytest.mark.parametrize("n", range(8))  # 7: matching-M and matching-N at max_bound
+def test_matching_order_matches_the_recursive_reference(n):
+    assert list(matching_blocks(n)) == list(ref.matchings(n))
 
 
 @pytest.mark.parametrize("n", [-1, True, 1.5, "3"], ids=repr)

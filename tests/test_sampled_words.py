@@ -4,17 +4,21 @@ The exhaustive tests stop at n = 7, where Q_n has 135135 words.  Here a
 Hypothesis strategy draws words of Q_n at n = 8, 12, 20 and 40 by pair
 insertion, and each word is checked against the statistics' definitions,
 the Foata-Strehl action and the beta/alpha bijection through the checked
-public API.  The insertion rules behind the P_n and T_n recurrences are
+public API, and the unchecked kernels that the identity loops call against
+that API.  The insertion rules behind the P_n and T_n recurrences are
 checked word by word on all of Q_n for n <= 5 and on sampled words at
-n = 10, 20 and 40.  The unchecked kernels that the identity loops call are
-checked on seeded samples of the same orders in ``test_kernels.py``.
+n = 10, 20 and 40, and the two slide kernels against the slice-built words
+of ``reference.py``, on all of Q_n for n <= 5 and on the sampled words.
 """
+import itertools
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stirlab import actions
 from stirlab.actions import alpha, alpha_inverse, beta_set, fs_action, index_sets, orbit
+from stirlab.objects import is_stirling
 from stirlab.stats import stirling_scans, stirling_stats
 
 import reference as ref
@@ -71,6 +75,28 @@ def test_per_word_theorems(n):
     check()
 
 
+@pytest.mark.parametrize("n", ORDERS)
+def test_private_kernels_match_the_checked_api(n):
+    @SAMPLED
+    @given(stirling_word(n))
+    def check(w):
+        assert actions._index_sets(w) == index_sets(w)
+        assert actions._alpha(w) == alpha(w)
+        # the orbit walk that fs-symmetry reads: from the representative, its
+        # k-th step toggles v_t, t the lowest set bit of k, of the sorted
+        # double-ascent values v_0 < v_1 < ... of the representative
+        rep = orbit(w)
+        free = sorted(rep[i - 1] for i in index_sets(rep)["dasc"])
+        walk = actions._walk(rep, is_stirling)
+        previous = next(walk)
+        assert previous == rep
+        for k, word in enumerate(itertools.islice(walk, 64), 1):
+            assert word == fs_action(previous, {free[(k & -k).bit_length() - 1]})
+            previous = word
+
+    check()
+
+
 def fap(w) -> tuple[int]:
     return (stirling_stats(w)["fap"],)
 
@@ -114,3 +140,29 @@ def test_insertion_rule_on_every_word(n):
 @pytest.mark.parametrize("n", [10, 20, 40])
 def test_insertion_rule_on_sampled_words(n):
     SAMPLED(given(stirling_word(n))(check_insertion_rule))()
+
+
+def check_slides(w):
+    # every movable value of w: a first copy after a larger letter (a beta
+    # move, descent-plateaus included) slides left, and the first copy of
+    # a double ascent slides right to just after its second copy
+    for v in set(w):
+        first = w.index(v)
+        second = w.index(v, first + 1)
+        left = w[first - 1] if first else 0
+        if left > v:
+            assert actions._slide_left(w, first, v, is_stirling) == ref.slid_left(w, first, v)
+        elif second > first + 1:
+            moved = actions._slide_right(w, first, second, is_stirling)
+            assert moved == ref.slid_right(w, first, second)
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_slides_match_the_slice_built_reference_on_every_word(n):
+    for w in stirling_scans(n):
+        check_slides(w)
+
+
+@pytest.mark.parametrize("n", ORDERS)
+def test_slides_match_the_slice_built_reference_on_sampled_words(n):
+    SAMPLED(given(stirling_word(n))(check_slides))()

@@ -27,6 +27,7 @@ from stirlab.stats import (
     stirling_stats,
 )
 
+import reference as ref
 from reference import word
 
 
@@ -287,6 +288,12 @@ def test_stats_are_keyed_by_the_class_names_in_order(klass):
         for obj in iter_objects(klass, n):
             for fn in _ENTRY_POINTS[klass]:
                 assert tuple(fn(obj)) == names
+
+
+def test_stirling_scan_matches_definitions():
+    for n in range(7):
+        for w in iter_objects("stirling", n):
+            assert stirling_stat_record(w) == ref.stirling_stats(w)
 
 
 def test_scan_table_is_the_naive_scan():

@@ -2,6 +2,7 @@
 import hashlib
 import inspect
 import io
+import itertools
 import json
 import math
 import random
@@ -245,6 +246,53 @@ class TestCoefficientTablesAndCache:
         monkeypatch.setattr(tb, "_closed_weight", lambda n, k: 1)
         with pytest.raises(IdentityViolationError, match="N_3 is not integral"):
             tb.n_poly_closed(3)
+
+
+# the row tables against the gather form of their recurrences, at the
+# largest orders ``poly`` prints, through the table's one pass of the steps
+# and the memo of the last row
+def gather_rows(step, origin, n_max):
+    return tuple(map(ref.terms, itertools.accumulate(range(1, n_max + 1), step, initial=origin)))
+
+
+def test_p_rows_match_gather_form():
+    rows = gather_rows(ref.p_step, [[[1]]], 40)
+    assert p_table(40).rows == rows
+    assert _p_row(40) == rows[40]
+
+
+def test_gamma_rows_match_gather_form():
+    rows = gather_rows(ref.gamma_step, [[1]], 100)
+    assert gamma_table(100).rows == rows
+    assert _gamma_row(100) == rows[100]
+
+
+# one term of a row stepped to order n = 10^6: each image sits where the
+# gather form puts it with its weight, the neutral weight reads n, and the
+# row made is sized from the row given, whatever n says
+BIG_N = 10**6
+
+
+def test_p_step_sends_one_term_to_its_five_images():
+    row = ref.dense(4, 3, {(1, 1, 1): 7})
+    images = tables._p_step(row, BIG_N)
+    assert images == ref.p_step(row, BIG_N)
+    assert len(ref.terms(images)) == 5
+
+
+def test_gamma_step_sends_one_term_to_its_three_images():
+    row = ref.dense(4, 2, {(1, 2): 7})
+    images = tables._gamma_step(row, BIG_N)
+    assert images == ref.gamma_step(row, BIG_N)
+    assert len(ref.terms(images)) == 3
+
+
+@pytest.mark.parametrize("k", [0, 5, 13])
+@pytest.mark.parametrize("name", ["_b_eulerian_step", "_c_step", "_eulerian_step", "_n_step",
+                                  "_stirling2_step", "_t_step"])
+def test_1d_step_sends_one_term_to_its_images(name, k):
+    row = ref.dense(16, 1, {(k,): 7})
+    assert getattr(tables, name)(row, BIG_N) == getattr(ref, name[1:])(row, BIG_N)
 
 
 # the induction step of the paper's grammar theorems on single terms: a term
