@@ -373,12 +373,6 @@ def gamma_counts(n: int) -> dict:
 # polynomials as sparse dicts
 
 
-def sparse(p):
-    """A Poly as its sparse reference."""
-    return {tuple((v, k) for v, k in sorted(zip(p.names, e)) if k): c
-            for e, c in p.terms.items()}
-
-
 def poly(names, terms):
     """The sparse reference of (exponent tuple over names, coefficient) terms."""
     acc = {}
@@ -386,6 +380,11 @@ def poly(names, terms):
         m = tuple((v, k) for v, k in sorted(zip(names, e)) if k)
         acc[m] = acc.get(m, 0) + c
     return {m: c for m, c in acc.items() if c}
+
+
+def sparse(p):
+    """A Poly as its sparse reference."""
+    return poly(p.names, p.terms.items())
 
 
 def add(*polys):

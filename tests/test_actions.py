@@ -628,7 +628,7 @@ class TestKernelsMatchTheSliceReference:
 
 class TestOnePassIndexSets:
     def test_all_small_words(self):
-        for n in range(6):
+        for n in range(7):
             for w in iter_objects("stirling", n):
                 assert index_sets(w) == ref.index_sets(w)
 

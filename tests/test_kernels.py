@@ -1,15 +1,16 @@
 """Every private kernel of the package against its slow reference.
 
-``KERNELS`` maps each kernel, as ``module.name``, to the kernel's call, the
-call of its reference in ``reference.py``, and a function returning the
-domain both run on: Q_n for n <= 5 or 6 and seeded pair-insertion samples at
-n = 8, 12, 20 and 40, B_n, matchings and S_n to n = 5, 6 and 7, and for the
-row steps single terms at orders up to 10^6 and whole rows.  A private
-function with no reference of its own is in ``EXEMPT`` with its reason.
+``KERNELS`` maps a kernel, as ``module.name``, to the kernel's call, the call
+of its reference in ``reference.py``, and a function returning the domain
+both run on: Q_n for n <= 5 or 6 and seeded pair-insertion samples at n = 8,
+12, 20 and 40, B_n, matchings and S_n to n = 5, 6 and 7, and orders to 5 for
+the rows.  A kernel that a test of another file already compares with its
+reference is listed in ``COVERED`` under that test's id instead, so each
+comparison runs once, and a private function with no reference of its own is
+in ``EXEMPT`` with its reason.
 """
 import ast
 import collections
-import itertools
 import random
 from functools import partial, reduce
 from pathlib import Path
@@ -18,10 +19,9 @@ import pytest
 
 import reference as ref
 from stirlab import actions, grammar, objects, polynomials, stats, tables
-from stirlab.grammar import Grammar, parse_grammar, parse_poly
 from stirlab.objects import is_stirling
 from stirlab.polynomials import Poly
-from stirlab.stats import MATCHING_STATS, SIGNED_STATS, STATS_BY_CLASS, STIRLING_STATS
+from stirlab.stats import MATCHING_STATS, SIGNED_STATS, STATS_BY_CLASS
 
 
 # the kernel's call, the reference's call, and () -> the domain's argument tuples
@@ -43,104 +43,13 @@ def word_values(n_max, low=1):
     return [(w, v) for (w,) in words(n_max) for v in range(low, len(w) // 2 + 1)]
 
 
-def letter_lists():
-    """(letters,) for each ordering of {1,1,...,n,n}, n <= 3, then for seeded
-    shuffles of those of n <= 5 and arbitrary lists: odd lengths, 0,
-    negatives, out-of-range values and True among the letters."""
-    out = [(w,) for n in range(4) for w in set(itertools.permutations(2 * [*range(1, n + 1)]))]
-    rng = random.Random(3)
-    for _ in range(400):
-        letters = 2 * [*range(1, rng.randint(0, 5) + 1)]
-        rng.shuffle(letters)
-        arbitrary = [rng.choice([*range(-2, 7), True]) for _ in range(rng.randint(0, 11))]
-        out += [(letters,), (arbitrary,)]
-    return out
-
-
-def value_sets():
-    """(w, values) for every word of Q_4 and set of its values, then for every
-    word of Q_5 and a seeded random set of its values."""
-    rng = random.Random(4)
-    return [(w, set(values)) for w in ref.stirling_words(4)
-            for k in range(5) for values in itertools.combinations(range(1, 5), k)] + [
-        (w, set(rng.sample(range(1, 6), rng.randint(0, 5)))) for w in ref.stirling_words(5)]
-
-
-def slides(n_max, right):
-    """(w, first, v) for each first copy of a value v after a larger letter,
-    or with right, (w, first, second) for each first copy on a double ascent."""
-    for w, v in word_values(n_max):
-        first = w.index(v)
-        second = w.index(v, first + 1)
-        left = w[first - 1] if first else 0
-        if not right and left > v:
-            yield w, first, v
-        elif right and left < v and second > first + 1:
-            yield w, first, second
-
-
 def objects_of(klass, n_max):
     """(obj,) for every object of the class at orders up to n_max."""
     return [(obj,) for n in range(klass == "signed", n_max + 1) for obj in ref.STREAMS[klass](n)]
 
 
-def step_domain(step, dims, size, points, n_max, origin):
-    """The rows of the given size holding one term 7 at each point, stepped
-    at order size and at 10^6, where the neutral weights read n and the row
-    made is sized from the row given; then the rows that the kernel makes
-    from origin, each stepped at the next order up to n_max."""
-    for point in points:
-        for n in (size, 10**6):
-            yield ref.dense(size, dims, {point: 7}), n
-    row = origin
-    for n in range(1, n_max + 1):
-        yield row, n
-        row = step(row, n)
-
-
 # P_n's coefficients count the words of Q_n by (lap, dasc, dp)
 refined_counts = partial(ref.full_counts, "stirling", names=("lap", "dasc", "dp"))
-
-
-# the package grammars from their seeds, and a grammar with several rule
-# terms, a constant, negative coefficients and a letter with no rule, at
-# exponents at and next to powers of two, where the packed kernel's bit field
-# per letter is full or one short
-GRAMMARS = [
-    (tables.FLAG_GRAMMAR, ["x", "y", "z", "x*y", "x^7*z^8 - 3*y"]),
-    (tables.REFINED_GRAMMAR, ["z", "x*y*z", "p^2 - q"]),
-    (tables.GAMMA_GRAMMAR, ["w", "u*v*w", "2*u - v^15"]),
-    (parse_grammar("a -> 3 - 2*a*b + c^2; b -> -1"), ["a^2*c - 4*b*c + 7", "a^16*b^31"]),
-]
-
-
-def random_poly(rng, letters, exponents):
-    """A sum of up to four terms over letters, constants included, with
-    coefficients from -4 to 4."""
-    p = Poly.zero()
-    for _ in range(rng.randint(0, 4)):
-        m = {rng.choice(letters): rng.choice(exponents) for _ in range(rng.randint(0, 3))}
-        p = p + Poly(sorted(m), {tuple(m[v] for v in sorted(m)): rng.randint(-4, 4)})
-    return p
-
-
-def derivatives(orders, exponents):
-    """(p, g, n) for each seed of GRAMMARS at the largest order, then for
-    seeded random grammars, rules for some of the letters abcd with bodies
-    of exponents 1..3, and a polynomial p over their names."""
-    out = [(parse_poly(seed), g, orders[-1]) for g, seeds in GRAMMARS for seed in seeds]
-    rng = random.Random(5)
-    for _ in range(150):
-        g = Grammar({h: random_poly(rng, "abcd", (1, 2, 3))
-                     for h in rng.sample("abcd", rng.randint(0, 4))})
-        p = random_poly(rng, g.names, exponents) if g.names else Poly.one() * 5
-        out.append((p, g, rng.choice(orders)))
-    return out
-
-
-def iterated(p, g, n):
-    """D^0(p)..D^n(p) by the reference derivative."""
-    return list(itertools.accumulate(range(n), lambda q, _: ref.derive(q, g), initial=p))
 
 
 def poly_cases():
@@ -177,37 +86,14 @@ def keyed(names, scan):
 
 
 KERNELS = {
-    # the index sets on words and on 300 seeded lists of up to 10 ints from
-    # -1 to 5, as index_sets takes any word of ints; the moves and the walk
-    "actions._index_sets": Pair(actions._index_sets, ref.index_sets, lambda: words(6) + [
-        (tuple(random.Random(i).choices(range(-1, 6), k=i % 11)),) for i in range(300)]),
-    "actions._slide_left": Pair(lambda w, i, v: actions._slide_left(w, i, v, is_stirling),
-                                ref.slid_left, partial(slides, 6, right=False)),
-    "actions._slide_right": Pair(lambda w, i, j: actions._slide_right(w, i, j, is_stirling),
-                                 ref.slid_right, partial(slides, 6, right=True)),
-    "actions._toggle": Pair(lambda w, v: actions._toggle(w, v, is_stirling), ref.toggled,
-                            partial(word_values, 6)),
-    "actions.fs_action": Pair(actions.fs_action, ref.fs_action, value_sets),
+    # the beta moves and the orbit representative, whose references no
+    # other test reads
     "actions._beta_first": Pair(actions._beta_first, ref.beta_first, partial(word_values, 6)),
     "actions._beta_fixes": Pair(actions._beta_fixes, ref.beta_fixes, partial(word_values, 5, 0)),
     "actions._free_values": Pair(actions._free_values, ref.free_values, partial(words, 6)),
     "actions._representative": Pair(lambda w: actions._representative(w, is_stirling),
                                     ref.representative, partial(words, 6)),
-    # whole orbits on Q_5, the first 65 members on the sampled words
-    "actions._walk": Pair(lambda w: list(itertools.islice(actions._walk(w, is_stirling), 65)),
-                          lambda w: list(itertools.islice(ref.orbit_walk(w), 65)),
-                          partial(words, 5)),
-    "actions._alpha": Pair(actions._alpha, ref.alpha, partial(words, 6)),
-    # the membership test and the streams; 7 is the max_bound of matching-M
-    # and matching-N
-    "objects.is_stirling": Pair(is_stirling, ref.is_stirling, letter_lists),
-    "objects.stirling_words": Pair(lambda n: tuple(objects.stirling_words(n)),
-                                   ref.stirling_words, partial(upto, 6)),
-    "objects._next_matchings": Pair(lambda n: list(objects.matching_blocks(n)),
-                                    lambda n: list(ref.matchings(n)), partial(upto, 7)),
-    # the statistic scans and their counts
-    "stats._stirling_scan": Pair(keyed(STIRLING_STATS, stats._stirling_scan),
-                                 ref.stirling_stats, partial(words, 6)),
+    # the statistic scans of B_n, the matchings and S_n, and their counts
     "stats._fdes": Pair(stats._fdes, lambda v: ref.signed_stats(v)["fdes"],
                         partial(objects_of, "signed", 5)),
     "stats._signed_record": Pair(
@@ -222,55 +108,61 @@ KERNELS = {
     "stats._full_counts": Pair(
         stats._full_counts, lambda klass, n: ref.full_counts(klass, n, STATS_BY_CLASS[klass]),
         lambda: [(klass, n) for klass in STATS_BY_CLASS for n in range(klass == "signed", 6)]),
-    # the formal derivative
-    "grammar._step": Pair(grammar.derive, ref.derive,
-                          lambda: [(p, g) for p, g, _ in derivatives([1], (1, 2, 3))]),
-    "grammar._powers": Pair(lambda p, g, n: grammar._powers(p, g, n, every=True), iterated,
-                            partial(derivatives, range(5), (1, 2, 3, 4, 7, 8, 15, 16, 31))),
-    # each family's rows against the brute-force counts they are theorems
-    # about, and the rows of the differential recurrence and the closed form
-    "tables._eulerian_row": Pair(tables._eulerian_row,
-                                 lambda n: ref.counts(ref.des, ref.permutations(n)),
-                                 partial(upto, 6)),
-    "tables._b_eulerian_row": Pair(tables._b_eulerian_row, lambda n: ref.counts(
-        lambda v: ref.signed_stats(v)["desB"], ref.signed_words(n)), partial(upto, 5, 1)),
-    "tables._stirling2_row": Pair(tables._stirling2_row,
-                                  lambda n: ref.counts(len, ref.set_partitions(n)),
-                                  partial(upto, 6)),
-    "tables._t_row": Pair(tables._t_row, partial(ref.stat_counts, "fap"), partial(upto, 6)),
-    "tables._p_row": Pair(tables._p_row, refined_counts, partial(upto, 6)),
-    "tables._gamma_row": Pair(tables._gamma_row, ref.gamma_counts, partial(upto, 6)),
+    # P and gamma against the brute-force counts they are theorems about
+    "tables._p_row": Pair(tables._p_row, refined_counts, partial(upto, 5)),
+    "tables._gamma_row": Pair(tables._gamma_row, ref.gamma_counts, partial(upto, 5)),
+    # reached through p_polys_differential and g_polys_differential
     "tables._differential": Pair(
         lambda n: (tables.p_polys_differential(n)[n].terms,
                    tables.g_polys_differential(n)[n].terms),
         lambda n: (refined_counts(n), {(*key, 0): c for key, c in ref.gamma_counts(n).items()}),
-        partial(upto, 6)),
+        partial(upto, 5)),
+    # reached through n_poly_closed
     "tables._closed_weight": Pair(lambda n: tables.n_poly_closed(n).terms,
                                   partial(ref.full_counts, "stirling", names=["lap"]),
-                                  partial(upto, 6)),
+                                  partial(upto, 5)),
     "tables._odd_double_factorial": Pair(tables._odd_double_factorial,
                                          ref.odd_double_factorial, partial(upto, 99)),
-    # Poly arithmetic and text, over the names that _aligned aligns
+    # reached through Poly's + - * ** == partial and str, which align names
     "polynomials._aligned": Pair(poly_ops, poly_ops_reference, poly_cases),
 }
 
-# the row steps, on single terms past index 12 and 20 too, and on whole rows
-# to the largest orders poly prints P and G at
-ONE_TERMS = [(0,), (5,), (13,), (21,), (47,)]
-for name, slow, domain in [
-    ("_eulerian_step", ref.eulerian_step, (1, 48, ONE_TERMS, 60, [1])),
-    ("_b_eulerian_step", ref.b_eulerian_step, (1, 48, ONE_TERMS, 60, [1])),
-    ("_stirling2_step", ref.stirling2_step, (1, 48, ONE_TERMS, 60, [1])),
-    ("_t_step", ref.t_step, (1, 48, ONE_TERMS, 60, [1])),
-    ("_c_step", ref.c_step, (1, 48, ONE_TERMS, 60, [1])),
-    ("_n_step", ref.n_step, (1, 48, ONE_TERMS, 60, [1])),
-    ("_p_step", ref.p_step,
-     (3, 24, [(1, 1, 1), (0, 0, 0), (13, 2, 3), (20, 0, 3), (5, 18, 0)], 40, [[[1]]])),
-    ("_gamma_step", ref.gamma_step,
-     (2, 48, [(1, 2), (0, 0), (13, 1), (14, 33), (30, 0)], 100, [[1]])),
-]:
-    step = getattr(tables, name)
-    KERNELS[f"tables.{name}"] = Pair(step, slow, partial(step_domain, step, *domain))
+# the tests of other files that compare kernels with their references, by
+# test id, and the kernels each compares; the table does not run them again
+COVERED = {
+    # the index sets on Q_n, n <= 6, and on int lists; the index sets, alpha
+    # and the orbit walk on the sampled words
+    "test_actions.py::TestOnePassIndexSets::test_all_small_words": ["actions._index_sets"],
+    "test_sampled_words.py::test_private_kernels_match_the_checked_api":
+        ["actions._index_sets", "actions._alpha", "actions._walk"],
+    # the slides on Q_n, n <= 5, and through beta_set and fs_action on Q_n,
+    # n <= 6, with the toggle
+    "test_sampled_words.py::test_slides_match_the_slice_built_reference_on_every_word":
+        ["actions._slide_left", "actions._slide_right"],
+    "test_actions.py::TestKernelsMatchTheSliceReference::test_every_word_value_and_position":
+        ["actions._slide_left", "actions._slide_right", "actions._toggle"],
+    # through matching_blocks
+    "test_objects.py::test_matching_order_matches_the_recursive_reference":
+        ["objects._next_matchings"],
+    # the Stirling scan on Q_n, n <= 6, and on the sampled words
+    "test_stats.py::test_stirling_scan_matches_definitions": ["stats._stirling_scan"],
+    "test_sampled_words.py::test_per_word_theorems": ["stats._stirling_scan"],
+    # through derive and derive_n
+    "test_grammar.py::TestDeriveKernel::test_matches_the_poly_reference": ["grammar._step"],
+    "test_grammar.py::TestDeriveKernel::test_derive_n_matches_the_iterated_reference":
+        ["grammar._powers"],
+    # through a_poly, b_poly, stirling2 and t_poly
+    "test_tables.py::TestEulerianFamilies::test_against_brute_force": ["tables._eulerian_row"],
+    "test_tables.py::TestEulerianFamilies::test_type_b_against_brute_force":
+        ["tables._b_eulerian_row"],
+    "test_tables.py::TestStirling2::test_against_partition_oracle": ["tables._stirling2_row"],
+    "test_tables.py::TestFlagAscentPlateauNumbers::test_against_brute_force": ["tables._t_row"],
+    "test_tables.py::test_1d_step_sends_one_term_to_its_images":
+        [f"tables.{step}" for step in ("_eulerian_step", "_b_eulerian_step", "_stirling2_step",
+                                       "_t_step", "_c_step", "_n_step")],
+    "test_tables.py::test_p_rows_match_gather_form": ["tables._p_step"],
+    "test_tables.py::test_gamma_rows_match_gather_form": ["tables._gamma_step"],
+}
 
 GATE = "gate: raises ValueError on an argument of the wrong kind"
 EXEMPT = {
@@ -280,10 +172,11 @@ EXEMPT = {
                     "predicate of a gate of stats or actions"),
     **dict.fromkeys(["tables._header", "tables._read_row", "tables._cached_build"],
                     "cache I/O: the cache tests of test_tables.py pin the files"),
-    **{f"tables._{f}_terms": f"reader of a dense row, under the tables._{f}_row pair"
+    **{f"tables._{f}_terms": f"reader of a dense row, under the tables._{f}_row check"
        for f in ("t", "p", "gamma")},
     "actions._not_twice": "error helper: the ValueError for a missing value",
-    "objects._cached_objects": "memo of the Stirling stream, paired as objects.stirling_words",
+    "objects._cached_objects": "memo of the Stirling stream, which "
+                               "test_objects.py compares with pair insertion",
     "grammar._tokenize": "the rule-text lexer: test_grammar.py pins its tokens' lines and columns",
     "grammar._read_poly": "the polynomial reader: test_grammar.py parses rendered term lists",
     "polynomials._as_poly": "coercion of an int operand to a constant Poly",
@@ -309,12 +202,23 @@ def private_functions() -> set[str]:
             and not node.name.endswith("__")}
 
 
+def defines(test_id) -> bool:
+    """Whether the file of a test id defines the test it names."""
+    file, *path = test_id.split("::")
+    body = ast.parse((Path(__file__).parent / file).read_text()).body
+    for name in path:
+        body = next((node.body for node in body if getattr(node, "name", None) == name), None)
+        if body is None:
+            return False
+    return True
+
+
 def test_every_private_function_has_a_reference_or_a_reason():
     private = private_functions()
-    assert sorted(private - set(KERNELS) - set(EXEMPT)) == []
-    # nothing listed twice, and no entry for a function that is gone
-    assert set(KERNELS) & set(EXEMPT) == set()
-    assert sorted(set(EXEMPT) - private) == []
-    for name in KERNELS:
-        module, attr = name.split(".")
-        assert callable(getattr(MODULES[module], attr)), name
+    listed = [*KERNELS, *{name for names in COVERED.values() for name in names}, *EXEMPT]
+    assert sorted(private - set(listed)) == []
+    # nothing in two of the lists, no entry for a function that is gone,
+    # and no test named that is gone
+    assert len(listed) == len(set(listed))
+    assert sorted(set(listed) - private) == []
+    assert [test_id for test_id in COVERED if not defines(test_id)] == []

@@ -287,12 +287,14 @@ def test_gamma_step_sends_one_term_to_its_three_images():
     assert len(ref.terms(images)) == 3
 
 
-@pytest.mark.parametrize("k", [0, 5, 13])
+# k past 12 and 20 too; a row of 48 terms stepped at its own order and at 10^6
+@pytest.mark.parametrize("k", [0, 5, 13, 21, 47])
 @pytest.mark.parametrize("name", ["_b_eulerian_step", "_c_step", "_eulerian_step", "_n_step",
                                   "_stirling2_step", "_t_step"])
 def test_1d_step_sends_one_term_to_its_images(name, k):
-    row = ref.dense(16, 1, {(k,): 7})
-    assert getattr(tables, name)(row, BIG_N) == getattr(ref, name[1:])(row, BIG_N)
+    row = ref.dense(48, 1, {(k,): 7})
+    for n in (48, BIG_N):
+        assert getattr(tables, name)(row, n) == getattr(ref, name[1:])(row, n)
 
 
 # the induction step of the paper's grammar theorems on single terms: a term
