@@ -2,7 +2,7 @@
 
 ``KERNELS`` maps a kernel, as ``module.name``, to the kernel's call, the call
 of its reference in ``reference.py``, and a function returning the domain
-both run on: Q_n for n <= 5 or 6 and seeded pair-insertion samples at n = 8,
+both run on: Q_n for n <= 5 and seeded pair-insertion samples at n = 8,
 12, 20 and 40, B_n, matchings and S_n to n = 5, 6 and 7, and orders to 5 for
 the rows.  A kernel that a test of another file already compares with its
 reference is listed in ``COVERED`` under that test's id instead, so each
@@ -88,11 +88,11 @@ def keyed(names, scan):
 KERNELS = {
     # the beta moves and the orbit representative, whose references no
     # other test reads
-    "actions._beta_first": Pair(actions._beta_first, ref.beta_first, partial(word_values, 6)),
+    "actions._beta_first": Pair(actions._beta_first, ref.beta_first, partial(word_values, 5)),
     "actions._beta_fixes": Pair(actions._beta_fixes, ref.beta_fixes, partial(word_values, 5, 0)),
-    "actions._free_values": Pair(actions._free_values, ref.free_values, partial(words, 6)),
+    "actions._free_values": Pair(actions._free_values, ref.free_values, partial(words, 5)),
     "actions._representative": Pair(lambda w: actions._representative(w, is_stirling),
-                                    ref.representative, partial(words, 6)),
+                                    ref.representative, partial(words, 5)),
     # the statistic scans of B_n, the matchings and S_n, and their counts
     "stats._fdes": Pair(stats._fdes, lambda v: ref.signed_stats(v)["fdes"],
                         partial(objects_of, "signed", 5)),
