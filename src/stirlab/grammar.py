@@ -36,7 +36,7 @@ from typing import Mapping
 
 from .errors import ResourceLimitError
 from .objects import _order
-from .polynomials import _LETTER_RE, Poly, _letter, monomial_str
+from .polynomials import _LETTER_RE, Poly, _letter
 
 # the most terms derive_n lets a derivative reach: above D^100(z) under the
 # refined grammar (87,125 terms), the largest the package derives
@@ -224,8 +224,7 @@ def derive_n(p: Poly, g: Grammar, n: int) -> Poly:
 def _powers(p: Poly, g: Grammar, n: int, every: bool = False) -> list[Poly]:
     """[D^n(p)], or D^0(p)..D^n(p) when ``every``, packing p once: each letter
     gets a bit field that holds p's degree plus n times the most a rule term
-    adds, so packed terms add as exponent tuples do.  A negative exponent, in
-    p or a rule, would borrow from the next field and raises ValueError."""
+    adds, so packed terms add as exponent tuples do."""
     p, g, n = _arg(p, Poly, "a polynomial"), _arg(g, Grammar, "a grammar"), _order(n)
     if p.names != g.names and (missing := p.letters() - set(g.names)):
         raise AlphabetError(f"letters outside the grammar's alphabet: {sorted(missing)}")
@@ -233,9 +232,6 @@ def _powers(p: Poly, g: Grammar, n: int, every: bool = False) -> list[Poly]:
     # (i, e, c): a term c * x^e of the rule for names[i]
     rules = [(i, e, c) for i, letter in enumerate(g.names) if letter in g.rules
              for e, c in g.rules[letter].terms.items()]
-    for e in [*terms, *(e for _, e, _ in rules)]:
-        if min(e, default=0) < 0:
-            raise ValueError(f"a negative exponent cannot be derived: {monomial_str(g.names, e)}")
     growth = max((sum(e) - 1 for _, e, _ in rules), default=0)
     width = (max(map(sum, terms), default=0) + n * max(growth, 0)).bit_length() or 1
     mask = (1 << width) - 1

@@ -15,11 +15,12 @@ Streams are deterministic, pure and restartable.  The Stirling stream is
 generated by pair insertion: each word of order n-1 receives the pair (n, n)
 in each of its 2n-1 gaps, scanned from the rightmost gap to the leftmost, so
 ``stirling_words(2)`` yields 1122, 1221, 2211 in that order.  Only Q_n,
-n <= 7, is memoized (the scan tables of ``stats`` key on its words).  The
-predicates here decide membership; :func:`_order`, the one order gate, raises
-ValueError unless n is a nonnegative int (a stream, at its first ``next``),
-:func:`_stirling_word`, the one word gate, unless a word is in some Q_n, and
-:func:`_tuple` unless a word or value set is iterable.
+n <= 7, is memoized (the scan tables of ``stats`` key on its words).  Every
+memo of the package is made by :func:`_memo` and emptied by
+:func:`clear_memos`.  The predicates decide membership; :func:`_order`, the
+one order gate, raises ValueError unless n is a nonnegative int (a stream,
+at its first ``next``), :func:`_stirling_word`, the one word gate, unless a
+word is in some Q_n, and :func:`_tuple` unless a word or value set is iterable.
 """
 from __future__ import annotations
 
@@ -32,6 +33,18 @@ Block = tuple[int, int]
 
 # the largest memoized Q_n (~135k words at 7); no other class is memoized
 _STIRLING_CACHE_MAX = 7
+_MEMOS: list = []  # every memo of the package: unbounded, keyed by value and type
+
+
+def _memo(fn):
+    _MEMOS.append(memo := lru_cache(maxsize=None, typed=True)(fn))
+    return memo
+
+
+def clear_memos() -> None:
+    """Empty every memo of the package, so that the next call is cold."""
+    for memo in _MEMOS:
+        memo.cache_clear()
 
 
 def _order(n: int) -> int:
@@ -186,7 +199,7 @@ STREAMS = {
 }
 
 
-@lru_cache(maxsize=None)
+@_memo
 def _cached_objects(klass: str, n: int) -> tuple:
     return tuple(STREAMS[klass](n))
 
@@ -195,7 +208,7 @@ def iter_objects(klass: str, n: int):
     """Stream the raw objects of a class, memoizing only Q_n for n <= 7."""
     if not isinstance(klass, str) or klass not in STREAMS:
         raise ValueError(f"unknown object class: {klass!r}")
-    n = _order(n)  # before the memo, which takes True for the key 1
+    n = _order(n)
     if klass == "stirling" and n <= _STIRLING_CACHE_MAX:
         return iter(_cached_objects(klass, n))
     return STREAMS[klass](n)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import re
-from itertools import compress
+from itertools import chain, compress
 from operator import add
 from typing import Iterable, Mapping, Sequence
 
@@ -69,13 +69,13 @@ class Poly:
     variables.
 
     ``names`` is an ordered tuple of distinct variable names, each an
-    identifier ``[A-Za-z][A-Za-z0-9_]*`` (another, or a repeated name, raises
-    ValueError), and ``terms`` maps exponent tuples over ``names`` to nonzero
-    ``int`` coefficients.  A binary operation or ``==`` on polynomials over
-    different ``names`` works over the sorted union of both, so x over ("x",)
-    equals x over ("x", "y").  Terms print by degree, then by their exponents
-    in ``names`` order with an absent variable sorting last, and ``str``
-    round-trips through :func:`stirlab.grammar.parse_poly`.
+    identifier ``[A-Za-z][A-Za-z0-9_]*``, and ``terms`` maps tuples of one
+    nonnegative ``int`` exponent per name to nonzero ``int`` coefficients;
+    anything else raises ValueError.  A binary operation or ``==`` on
+    polynomials over different ``names`` works over the sorted union of both,
+    so x over ("x",) equals x over ("x", "y").  Terms print by degree, then by
+    their exponents in ``names`` order with an absent variable sorting last,
+    and ``str`` round-trips through :func:`stirlab.grammar.parse_poly`.
 
     >>> x, y = Poly.var("x"), Poly.var("y")
     >>> str((x + y) ** 2 - 1)
@@ -100,6 +100,10 @@ class Poly:
             for e, c in terms:
                 acc[e] = acc.get(e, 0) + c
             terms = acc
+        k, exps = len(self.names), [*chain.from_iterable(terms)]  # set passes, not a loop
+        if (set(map(len, terms)) - {k} or set(map(type, chain(exps, terms.values()))) - {int}
+                or min(exps, default=0) < 0):
+            raise ValueError(f"not terms over {self.names}: {terms}")
         # a mapping's keys are distinct: adopt its values, dropping zeros
         self.terms: dict[tuple[int, ...], int] = {e: c for e, c in terms.items() if c}
 
@@ -242,7 +246,7 @@ class TriPoly(Poly):
 
 
 def _as_poly(v: Poly | int) -> Poly:
-    return v if isinstance(v, Poly) else Poly((), {(): v})
+    return v if isinstance(v, Poly) else Poly((), {(): +v})  # +True is the int 1
 
 
 def _aligned(

@@ -22,15 +22,14 @@ names of ``STATS_BY_CLASS``, in that order, after checking their input
 (ValueError on a bad one), as :func:`perm_des` does; the ``*_stat_record``
 functions return the same dict and trust it.
 
-The naive Stirling scan runs once per word: the memoized per-order table
-:func:`stirling_scans` feeds both the distributions and the identity loops.
+The naive Stirling scan runs once per word: :func:`stirling_scans`, an
+``objects._memo`` table per order, feeds the distributions and identities.
 B_n is counted by fdes = 2 desA + [pi(1) < 0] alone, which fixes the other
 signed statistics, and each count is expanded to a record per fdes value.
 """
 from __future__ import annotations
 
 from collections import Counter
-from functools import lru_cache
 from operator import gt
 from typing import Mapping, Sequence
 
@@ -40,6 +39,7 @@ from .objects import (
     _is_matching,
     _is_permutation,
     _is_signed,
+    _memo,
     _order,
     _stirling_word,
     _tuple,
@@ -176,7 +176,7 @@ _SCANS = {
 }
 
 
-@lru_cache(maxsize=None, typed=True)  # True is not the key 1: it meets the gate
+@_memo  # True is not the key 1: it reaches the gate of iter_objects
 def stirling_scans(n: int) -> dict[tuple[int, ...], tuple[int, ...]]:
     """Each word of Q_n, in enumeration order, mapped to its _stirling_scan
     record; equal records are one shared tuple."""
@@ -185,7 +185,7 @@ def stirling_scans(n: int) -> dict[tuple[int, ...], tuple[int, ...]]:
             for w in iter_objects("stirling", n)}
 
 
-@lru_cache(maxsize=None)
+@_memo
 def _full_counts(klass: str, n: int) -> Mapping[tuple[int, ...], int]:
     """Joint counts of the full statistic record over a whole class."""
     # a scan table of an unmemoized Q_n would hold all its words; the other

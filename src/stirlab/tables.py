@@ -41,7 +41,7 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import reduce
 from itertools import accumulate, chain
 from operator import itemgetter, lshift
 from pathlib import Path
@@ -49,7 +49,7 @@ from pathlib import Path
 from ._version import __version__
 from .errors import IdentityViolationError
 from .grammar import _powers, parse_grammar, parse_poly
-from .objects import _order
+from .objects import _memo, _order
 from .polynomials import XYZ, Poly, monomial_str
 
 # the grammar whose derivative drives the flag statistics; D^n(y) encodes the
@@ -199,7 +199,7 @@ def _eulerian_step(prev: list[int], m: int) -> list[int]:
     return [(k + 1) * a + (m - k) * b for k, (a, b) in enumerate(zip([*prev, 0], [0, *prev]))]
 
 
-@lru_cache(maxsize=None)
+@_memo
 def _eulerian_row(n: int) -> dict[int, int]:
     return {k: c for k, c in enumerate(reduce(_eulerian_step, range(1, n + 1), [1])) if c}
 
@@ -217,7 +217,7 @@ def _b_eulerian_step(prev: list[int], m: int) -> list[int]:
             for k, (a, b) in enumerate(zip([*prev, 0], [0, *prev]))]
 
 
-@lru_cache(maxsize=None)
+@_memo
 def _b_eulerian_row(n: int) -> dict[int, int]:
     return {k: c for k, c in enumerate(reduce(_b_eulerian_step, range(1, n + 1), [1])) if c}
 
@@ -244,7 +244,7 @@ def _stirling2_step(prev: list[int], m: int) -> list[int]:
     return [k * a + b for k, (a, b) in enumerate(zip([*prev, 0], [0, *prev]))]
 
 
-@lru_cache(maxsize=None)
+@_memo
 def _stirling2_row(n: int) -> dict[int, int]:
     return {k: c for k, c in enumerate(reduce(_stirling2_step, range(1, n + 1), [1])) if c}
 
@@ -276,7 +276,7 @@ def _t_terms(row: list[int]) -> dict[int, int]:
     return {k: c for k, c in enumerate(row) if c}
 
 
-@lru_cache(maxsize=None)
+@_memo
 def _t_row(n: int) -> dict[int, int]:
     return _t_terms(reduce(_t_step, range(1, n + 1), [1]))
 
@@ -339,7 +339,7 @@ def _p_terms(row: list[list[list[int]]]) -> dict[tuple[int, int, int], int]:
     }
 
 
-@lru_cache(maxsize=None)
+@_memo
 def _p_row(n: int) -> dict[tuple[int, int, int], int]:
     return _p_terms(reduce(_p_step, range(1, n + 1), [[[1]]]))
 
@@ -406,7 +406,7 @@ def _gamma_terms(row: list[list[int]]) -> dict[tuple[int, int], int]:
     return {(i, j): c for i, line in enumerate(row) for j, c in enumerate(line) if c}
 
 
-@lru_cache(maxsize=None)
+@_memo
 def _gamma_row(n: int) -> dict[tuple[int, int], int]:
     return _gamma_terms(reduce(_gamma_step, range(1, n + 1), [[1]]))
 

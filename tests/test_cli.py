@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stirlab import tables
+from stirlab import objects, tables
 from stirlab.cli import ORDER_LIMIT, POLY_LIMITS, main
 from stirlab.grammar import TERM_LIMIT
 from stirlab.identities import REGISTRY, IdentityCheck
@@ -595,6 +595,23 @@ def test_poly_and_grammar_leave_the_verify_modules_unloaded(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == {
         "codes": [0, 0, 0], "loaded": []}
+
+
+def test_clear_memos_empties_every_memo_and_changes_no_number(tmp_path):
+    def runs(cache):  # verify to n = 5, millis dropped, and P_8 from an empty table cache
+        verify = json.loads(run_cli("--format", "json", "verify", "--all", "--max-n", "5")[1])
+        return ([{**r, "millis": 0} for r in verify],
+                run_cli("--cache-dir", str(tmp_path / cache), "poly", "--name", "P", "--n", "8"))
+
+    runs("first")  # fills the memos
+    warm = runs("warm")
+    # every memo of the package as perfbench's worker finds them: all warm
+    memos = {obj for name, module in list(sys.modules.items()) if name.split(".")[0] == "stirlab"
+             for obj in vars(module).values() if callable(getattr(obj, "cache_clear", None))}
+    assert len(memos) >= 9 and all(memo.cache_info().currsize for memo in memos)
+    objects.clear_memos()
+    assert [memo for memo in memos if memo.cache_info().currsize] == []
+    assert runs("cold") == warm
 
 
 def test_a_closed_stdout_exits_141_quietly(tmp_path):

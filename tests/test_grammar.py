@@ -351,17 +351,14 @@ class TestDeriveKernel:
         assert derive_n(p, g, 8) == expected
         assert expected.coefficient(15, 0) == math.prod(range(7, 15))
 
-    @pytest.mark.parametrize("n", [0, 1, 3])
-    def test_a_negative_exponent_is_named(self, n):
-        # packed, x^-1 would borrow from the bits of y
-        p = Poly(("x", "y"), {(-1, 2): 1, (1, 1): 1})
-        with pytest.raises(ValueError, match=r"^a negative exponent cannot be derived: x\^-1\*y\^2$"):
-            derive_n(p, FLAG, n)
+    def test_a_negative_exponent_is_named(self):
+        # packed, x^-1 would borrow from the bits of y: no Poly holds one
+        with pytest.raises(ValueError, match=r"^not terms over \('x', 'y'\): \{\(1, 1\): 1, \(-1, 2\): 1\}$"):
+            Poly(("x", "y"), {(1, 1): 1, (-1, 2): 1})
 
     def test_a_negative_exponent_in_a_rule_is_named(self):
-        g = Grammar({"x": Poly(("x", "y"), {(2, -1): 3})})
-        with pytest.raises(ValueError, match=r"^a negative exponent cannot be derived: x\^2\*y\^-1$"):
-            derive_n(gp("x"), g, 1)
+        with pytest.raises(ValueError, match=r"^not terms over \('x', 'y'\): \{\(2, -1\): 3\}$"):
+            Grammar({"x": Poly(("x", "y"), [((2, -1), 3)])})
 
     def test_cancelled_terms_leave_each_step(self, monkeypatch):
         # D(x) = y - z and D^2(x) = 1 - 1: a zero term counts toward no

@@ -352,11 +352,7 @@ def test_alpha_bijection_fails_on_a_changed_alpha_image(monkeypatch):
 
 
 def test_the_scan_runs_once_per_word():
-    for name, module in list(sys.modules.items()):
-        if name.startswith("stirlab"):
-            for obj in list(vars(module).values()):
-                if callable(getattr(obj, "cache_clear", None)):
-                    obj.cache_clear()
+    objects.clear_memos()
     # count calls of the scan's code object, whatever name the caller holds
     scan = stats._stirling_scan.__code__
     scanned = 0

@@ -177,6 +177,7 @@ EXEMPT = {
     "actions._not_twice": "error helper: the ValueError for a missing value",
     "objects._cached_objects": "memo of the Stirling stream, which "
                                "test_objects.py compares with pair insertion",
+    "objects._memo": "the memo decorator, which test_no_asserts.py and test_cli.py check",
     "grammar._tokenize": "the rule-text lexer: test_grammar.py pins its tokens' lines and columns",
     "grammar._read_poly": "the polynomial reader: test_grammar.py parses rendered term lists",
     "polynomials._as_poly": "coercion of an int operand to a constant Poly",

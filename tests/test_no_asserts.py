@@ -11,7 +11,8 @@ summed times a power of two and divided exactly at the end.
 No module keeps a private function or class that nothing calls: every
 undecorated module-level ``def _name`` or ``class _Name`` must be read as a
 name, an attribute or an import somewhere in the package.  A helper left
-behind when its last caller goes is dead code.
+behind when its last caller goes is dead code.  Every memo is made by
+``objects._memo``, so that ``objects.clear_memos`` empties it.
 """
 import ast
 from pathlib import Path
@@ -77,4 +78,15 @@ def test_every_private_helper_is_referenced():
             ):
                 found.append(f"{path.relative_to(PACKAGE_DIR)}:{node.lineno} "
                              f"{node.name}")
+    assert found == []
+
+
+def test_every_memo_is_made_by_objects_memo():
+    # functools' memo decorators: objects.py imports one, and _memo calls it
+    memo = next(node for path, node in _nodes() if getattr(node, "name", None) == "_memo")
+    found = [f"{path}:{node.lineno}" for path, node in _nodes()
+             if ("lru_cache" in (names := _referenced(node))
+                 or "cache" in names and "functools" in ast.unparse(node))
+             and not (str(path) == "objects.py" and (isinstance(node, ast.ImportFrom)
+                                                     or memo.lineno < node.lineno <= memo.end_lineno))]
     assert found == []

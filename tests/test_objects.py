@@ -127,10 +127,9 @@ def test_a_bad_order_raises_on_first_next(make, n):
 
 
 def test_a_bool_order_never_reaches_the_memo():
-    # lru_cache takes True for the key 1, so a True let through memoized the
-    # word (True, True) as Q_1, and the scan table of Q_1 keyed on it
-    objects._cached_objects.cache_clear()
-    stirling_scans.cache_clear()
+    # a memo keyed by value alone takes True for the key 1: a True let through
+    # memoized the word (True, True) as Q_1, and the scan table of Q_1 on it
+    objects.clear_memos()
     with pytest.raises(ValueError, match=r"^n must be a nonnegative int, got True$"):
         iter_objects("stirling", True)
     scans = stirling_scans(1)

@@ -29,7 +29,7 @@ class TestPolyInX:
         assert dense(1, 2, 0, 0) == dense(1, 2)
         assert dense(1, 2, 0, 0).terms == {(0,): 1, (1,): 2}
         assert dense() == dense(0) == Poly.zero()
-        assert dense(0, 1) == Poly.var("x") and dense(3) == 3
+        assert dense(0, 1) == Poly.var("x") and dense(3) == 3 == dense(2) + True == dense(4) - True
 
     @settings(max_examples=60, deadline=None)
     @given(xpolys, xpolys, xpolys)
@@ -182,3 +182,9 @@ class TestPoly:
         assert (x * xy).names == ("x", "y")
         assert str(x * xy + 1) == "1 + x^2*y"
         assert x != xy and x == Poly(XYZ, {(1, 0, 0): 1})
+
+    @pytest.mark.parametrize("names,terms", [(("x",), {(1, 2): 1}), (("x", "y"), {(1,): 1}),
+                                             (("x",), {(1,): 1.5}), (("x",), {(1,): True})])
+    def test_a_malformed_term_is_refused(self, names, terms):
+        with pytest.raises(ValueError, match=r"^not terms over \("):
+            Poly(names, terms)

@@ -1,9 +1,10 @@
 """Independence audit of the declared identity routes.
 
 Every route of a declared identity runs alone, at n <= 3 and with every
-package memo cleared first, under ``sys.setprofile``; the audit collects the
-stirlab functions it reaches.  The two routes one ``Compare`` pairs may share
-only the allow-list below, and whatever runs inside an allowed function:
+package memo cleared first by ``objects.clear_memos``, under
+``sys.setprofile``; the audit collects the stirlab functions it reaches.
+The two routes one ``Compare`` pairs may share only the allow-list below,
+and whatever runs inside an allowed function:
 
 - ``polynomials``: the arithmetic of ``Poly``;
 - ``grammar.parse_poly``;
@@ -18,8 +19,6 @@ Every route reads a coefficient family of ``tables`` through its public
 polynomial functions; a read of a private ``tables`` name fails too.
 """
 import ast
-import importlib
-import pkgutil
 import sys
 import types
 from pathlib import Path
@@ -27,16 +26,11 @@ from pathlib import Path
 import pytest
 
 import stirlab
-from stirlab import grammar, identities
+from stirlab import grammar, identities, objects
 from stirlab.identities import REGISTRY, Compare
 
 AUDIT_BOUND = 3
 PACKAGE = str(Path(stirlab.__file__).resolve().parent)
-MODULES = [
-    importlib.import_module(f"stirlab.{m.name}")
-    for m in pkgutil.iter_modules(stirlab.__path__)
-    if m.name != "__main__"
-]
 
 
 def _codes(fn) -> set:
@@ -75,18 +69,11 @@ def _describe(code) -> str:
     return f"{_name(code)} (line {code.co_firstlineno})"
 
 
-def _clear_memos() -> None:
-    for module in MODULES:
-        for obj in list(vars(module).values()):
-            if callable(getattr(obj, "cache_clear", None)):
-                obj.cache_clear()
-
-
 def reach(route, start: int) -> set:
     """The code objects of the package functions a route calls at
     n = start..3 with every memo cold, leaving out what runs inside an
     allowed function."""
-    _clear_memos()
+    objects.clear_memos()
     reached = set()
     inside: list[bool] = []  # per open frame: within an allowed function
 

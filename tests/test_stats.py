@@ -313,8 +313,8 @@ def test_scan_table_is_the_naive_scan():
 def test_signed_counts_by_fdes_equal_the_record_scan():
     # B_n is counted by fdes alone and expanded per value; the expansion must
     # give the counts of the four-field scan of every word
+    objects.clear_memos()
     for n in range(1, 7):
-        _full_counts.cache_clear()
         counts = _full_counts("signed", n)
         assert counts == Counter(map(_signed_scan, signed_words(n)))
         assert all(type(v) is int for record in counts for v in record)
@@ -323,21 +323,19 @@ def test_signed_counts_by_fdes_equal_the_record_scan():
 def test_matchings_of_order_7_are_not_memoized():
     # only the memoized _full_counts reads them, so the 135,135 block tuples
     # need not stay resident
-    objects._cached_objects.cache_clear()
-    _full_counts.cache_clear()
+    objects.clear_memos()
     assert sum(distribution("matching", 7, ["el"]).values()) == 135135
     assert objects._cached_objects.cache_info().currsize == 0
 
 
 def test_signed_and_permutation_orders_are_not_memoized():
     # B_6 is read only by the memoized _full_counts and S_6 once by the
-    # alpha walk, so neither stays resident; the Q_n reads hit warm tables
+    # alpha walk, so neither enters the memo; the Q_n reads hit warm tables
     from stirlab.identities import REGISTRY
 
+    objects.clear_memos()
     for n in range(7):
-        stirling_scans(n)
-    objects._cached_objects.cache_clear()
-    _full_counts.cache_clear()
+        stirling_scans(n)  # Q_0..Q_6 enter the memo
     assert sum(distribution("signed", 6, ["desB"]).values()) == 46080
     assert REGISTRY["alpha-bijection"].runner(6) is None
-    assert objects._cached_objects.cache_info().currsize == 0
+    assert objects._cached_objects.cache_info().currsize == 7

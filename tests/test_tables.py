@@ -12,7 +12,7 @@ import tracemalloc
 
 import pytest
 
-from stirlab import __version__, tables
+from stirlab import __version__, objects, tables
 from stirlab.errors import IdentityViolationError
 from stirlab.grammar import derive, parse_grammar
 from stirlab.polynomials import Poly
@@ -348,7 +348,7 @@ def test_one_derivative_is_one_row_step_on_single_terms(family):
 def test_classical_rows_do_not_recurse_per_n(builder, check):
     # with the recursion limit a few dozen frames above the caller, a
     # builder that recursed once per n would raise RecursionError here
-    builder.cache_clear()
+    objects.clear_memos()
     n = 1000
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack(0)) + 50)
@@ -378,8 +378,7 @@ def test_classical_rows_do_not_recurse_per_n(builder, check):
 def test_flag_rows_do_not_recurse_per_n(value, n, expected):
     # with the recursion limit a few dozen frames above the caller, a
     # builder that recursed once per n would raise RecursionError here
-    for row in (_t_row, _p_row, _gamma_row):
-        row.cache_clear()
+    objects.clear_memos()
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack(0)) + 40)
     try:
