@@ -351,10 +351,12 @@ class TestDeriveKernel:
         assert derive_n(p, g, 8) == expected
         assert expected.coefficient(15, 0) == math.prod(range(7, 15))
 
-    def test_a_negative_exponent_is_named(self):
-        # packed, x^-1 would borrow from the bits of y: no Poly holds one
+    @pytest.mark.parametrize("n", [0, 1, 3])
+    def test_a_negative_exponent_is_named(self, n):
+        # packed, x^-1 would borrow from the bits of y: no Poly holds one,
+        # so it is named before any order is derived
         with pytest.raises(ValueError, match=r"^not terms over \('x', 'y'\): \{\(1, 1\): 1, \(-1, 2\): 1\}$"):
-            Poly(("x", "y"), {(1, 1): 1, (-1, 2): 1})
+            derive_n(Poly(("x", "y"), {(1, 1): 1, (-1, 2): 1}), FLAG, n)
 
     def test_a_negative_exponent_in_a_rule_is_named(self):
         with pytest.raises(ValueError, match=r"^not terms over \('x', 'y'\): \{\(2, -1\): 3\}$"):
