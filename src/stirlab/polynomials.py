@@ -71,11 +71,13 @@ class Poly:
     ``names`` is an ordered tuple of distinct variable names, each an
     identifier ``[A-Za-z][A-Za-z0-9_]*``, and ``terms`` maps tuples of one
     nonnegative ``int`` exponent per name to nonzero ``int`` coefficients;
-    anything else raises ValueError.  A binary operation or ``==`` on
-    polynomials over different ``names`` works over the sorted union of both,
-    so x over ("x",) equals x over ("x", "y").  Terms print by degree, then by
-    their exponents in ``names`` order with an absent variable sorting last,
-    and ``str`` round-trips through :func:`stirlab.grammar.parse_poly`.
+    anything else raises ValueError.  An ``int`` operand is a constant, and
+    any operand but an int or a Poly is unsupported.  A binary operation or
+    ``==`` on polynomials over different ``names`` works over the sorted union
+    of both, so x over ("x",) equals x over ("x", "y").  Terms print by
+    degree, then by their exponents in ``names`` order with an absent
+    variable sorting last, and ``str`` round-trips through
+    :func:`stirlab.grammar.parse_poly`.
 
     >>> x, y = Poly.var("x"), Poly.var("y")
     >>> str((x + y) ** 2 - 1)
@@ -100,9 +102,10 @@ class Poly:
             for e, c in terms:
                 acc[e] = acc.get(e, 0) + c
             terms = acc
-        k, exps = len(self.names), [*chain.from_iterable(terms)]  # set passes, not a loop
-        if (set(map(len, terms)) - {k} or set(map(type, chain(exps, terms.values()))) - {int}
-                or min(exps, default=0) < 0):
+        # set passes, not a loop; exps is made once every key is a tuple
+        if (set(map(type, terms)) - {tuple} or set(map(len, terms)) - {len(self.names)}
+                or set(map(type, chain(exps := [*chain.from_iterable(terms)], terms.values())))
+                - {int} or min(exps, default=0) < 0):
             raise ValueError(f"not terms over {self.names}: {terms}")
         # a mapping's keys are distinct: adopt its values, dropping zeros
         self.terms: dict[tuple[int, ...], int] = {e: c for e, c in terms.items() if c}
@@ -155,15 +158,15 @@ class Poly:
         return bool(self.terms)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, int):
-            other = _as_poly(other)
-        if not isinstance(other, Poly):
+        if (other := _as_poly(other)) is NotImplemented:
             return NotImplemented
         _, a, b = _aligned(self, other)
         return a == b
 
     def __add__(self, other: Poly | int) -> Poly:
-        names, a, b = _aligned(self, _as_poly(other))
+        if (other := _as_poly(other)) is NotImplemented:
+            return NotImplemented
+        names, a, b = _aligned(self, other)
         acc = dict(a)
         for e, c in b.items():
             acc[e] = acc.get(e, 0) + c
@@ -175,10 +178,10 @@ class Poly:
         return Poly(self.names, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: Poly | int) -> Poly:
-        return self + (-_as_poly(other))
+        return self + -other if isinstance(other, (Poly, int)) else NotImplemented
 
     def __rsub__(self, other: int) -> Poly:
-        return _as_poly(other) - self
+        return _as_poly(other) - self if isinstance(other, int) else NotImplemented
 
     def __mul__(self, other: Poly | int) -> Poly:
         if isinstance(other, int):
@@ -245,8 +248,11 @@ class TriPoly(Poly):
     __slots__ = ()
 
 
-def _as_poly(v: Poly | int) -> Poly:
-    return v if isinstance(v, Poly) else Poly((), {(): +v})  # +True is the int 1
+def _as_poly(v: object) -> Poly:
+    """v itself, an int (True among them) as a constant, or NotImplemented."""
+    if isinstance(v, Poly):
+        return v
+    return Poly((), {(): +v}) if isinstance(v, int) else NotImplemented  # +True is the int 1
 
 
 def _aligned(

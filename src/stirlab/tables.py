@@ -21,18 +21,20 @@ row 0, and a CoefficientTable draws rows 0..n from ``itertools.accumulate``.
 A row is stepped as a dense list indexed by k from row 0 = [1], each entry
 summed from zero-padded shifts of the row before; P and gamma are dense
 nested lists, row[i][j][k] over i + j + k <= n from [[[1]]] and row[i][j]
-over i + j <= n from [[1]].  Each family has its own reader, which turns its
-dense row into the dict of nonzero terms in increasing key order that every
-caller sees.  Every order passes ``objects._order``; a family is read off
-its polynomial, and :func:`stirling2` is the one number function.
+over i + j <= n from [[1]].  Each family's own reader turns its dense row
+into the dict of nonzero terms in increasing key order that every caller
+sees; the P and gamma readers zip each dense line with a line of their
+family's key grid, so the rows of a table share one tuple per key.  Every
+order passes ``objects._order``; a family is read off its polynomial, and
+:func:`stirling2` is the one number function.
 
 A small JSON disk cache (:class:`TableCache`) can memoize the three
 CoefficientTable builders :func:`t_table`, :func:`p_table` and
 :func:`gamma_table`, keyed by family and bound.  A table is its tuple of
-rows as its reader makes them.  A cache file is a header line, then
-one line per row, written and read one row at a time; a file whose header,
-row count, row schema or row total (:func:`_read_row`) is off is a miss, and
-the rebuilt table replaces it.
+rows as its reader makes them.  A cache file is a header line, then one
+line per row, written and read one row at a time, a load sharing key
+tuples across its rows; a file whose header, row count, row schema or row
+total (:func:`_read_row`) is off is a miss, and the rebuilt table replaces it.
 """
 from __future__ import annotations
 
@@ -41,7 +43,7 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 from itertools import accumulate, chain
 from operator import itemgetter, lshift
 from pathlib import Path
@@ -64,9 +66,6 @@ REFINED_GRAMMAR = parse_grammar(
 # the collapsed three-letter grammar; D^n(w) encodes the gamma vector
 GAMMA_GRAMMAR = parse_grammar("u -> u*v*w; v -> 2*u*w; w -> u*w")
 
-# compact JSON, as the cache writes it
-_SEPARATORS = (",", ":")
-
 
 @dataclass(frozen=True)
 class CoefficientTable:
@@ -79,7 +78,9 @@ class CoefficientTable:
     rows: tuple[dict, ...]
 
     def value(self, n: int, *idx: int) -> int:
-        """Entry at row n and an index; anything outside the support is 0."""
+        """Entry at row n and arity - 1 indices, else ValueError; 0 off the support."""
+        if len(idx) != self.arity - 1:
+            raise ValueError(f"{self.family} takes {self.arity - 1} indices, got {len(idx)}")
         if not 0 <= n <= self.bound:
             return 0
         return self.rows[n].get(idx if len(idx) > 1 else idx[0], 0)
@@ -93,15 +94,16 @@ def _odd_double_factorial(n: int) -> int:
 def _header(family: str, bound: int) -> bytes:
     """The first line of a cache file."""
     obj = {"family": family, "bound": bound, "version": __version__}
-    return json.dumps(obj, separators=_SEPARATORS).encode() + b"\n"
+    return json.dumps(obj, separators=(",", ":")).encode() + b"\n"
 
 
-def _read_row(line: bytes, n: int, family: str, arity: int) -> dict | None:
+def _read_row(line: bytes, n: int, family: str, arity: int, keys: dict) -> dict | None:
     """Row n from its cache line, or None unless the line is a list of
     ``[*index, value]`` lists, each of arity - 1 int indices in 0..2n and a
     positive int, and the row adds up to (2n-1)!!: for T and P the plain
     sum, for gamma the sum of 2^j gamma_{n,i,j}, which is P_n(1, 1, 1).
-    The row is summed as read, so a repeated index fails."""
+    The row is summed as read, so a repeated index fails.  A tuple index
+    is taken from ``keys``, one dict per load, so the rows share them."""
     entries = json.loads(line)
     if (
         type(entries) is not list
@@ -118,7 +120,9 @@ def _read_row(line: bytes, n: int, family: str, arity: int) -> dict | None:
         or max(map(max, index)) > 2 * n
     ):
         return None
-    row = dict(zip(index[0] if arity == 2 else zip(*index), values))
+    if arity > 2:
+        index = [map(keys.setdefault, tuples := [*zip(*index)], tuples)]
+    row = dict(zip(index[0], values))
     if family == "gamma":
         total = sum(map(lshift, row.values(), map(itemgetter(1), row)))
     else:
@@ -140,13 +144,13 @@ class TableCache:
         """The cached table, read and checked one row at a time, or None when
         there is no file, or the file is unreadable, has another header or
         another number of rows, or has a row off the schema or its total."""
-        rows = []
+        rows, keys = [], {}
         try:
             with self._path(family, bound).open("rb") as f:
                 if f.readline() != _header(family, bound):
                     return None
                 for n, line in enumerate(f):
-                    if n > bound or (row := _read_row(line, n, family, arity)) is None:
+                    if n > bound or (row := _read_row(line, n, family, arity, keys)) is None:
                         return None
                     rows.append(row)
         except (OSError, ValueError, RecursionError):
@@ -166,22 +170,25 @@ class TableCache:
         try:
             with os.fdopen(fd, "wb") as f:
                 f.write(_header(table.family, table.bound))
+                entry = "[%s]" % ",".join(["%d"] * table.arity)
                 for row in table.rows:
-                    entries = [[*k, v] if type(k) is tuple else [k, v]
-                               for k, v in sorted(row.items())]
-                    f.write(json.dumps(entries, separators=_SEPARATORS).encode() + b"\n")
+                    # a row's items are in key order already, as its reader made them
+                    terms = row.items() if table.arity == 2 else ((*k, v) for k, v in row.items())
+                    f.write(("[%s]\n" % ",".join([entry % t for t in terms])).encode())
             os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)
             raise
 
 
-def _cached_build(family, arity, bound, cache, step, origin, read):
+def _cached_build(family, arity, bound, cache, step, origin, read, keys=None):
     # row 0 is origin and row m is step(row m-1, m), each dense row read into
-    # its dict of nonzero terms; built on a cache miss only
+    # its dict of nonzero terms, keyed from the family's grid keys(bound) if
+    # any, so that the rows share key tuples; built on a cache miss only
     bound = _order(bound)
     table = cache.load(family, bound, arity) if cache is not None else None
     if table is None:
+        read = partial(read, keys=keys(bound)) if keys else read
         rows = accumulate(range(1, bound + 1), step, initial=origin)
         table = CoefficientTable(family, arity, bound, tuple(map(read, rows)))
         if cache is not None:
@@ -328,20 +335,21 @@ def _p_step(prev: list[list[list[int]]], n: int) -> list[list[list[int]]]:
     return row
 
 
-def _p_terms(row: list[list[list[int]]]) -> dict[tuple[int, int, int], int]:
-    """The nonzero terms of a dense P row, in increasing key order."""
-    return {
-        (i, j, k): c
-        for i, plane in enumerate(row)
-        for j, line in enumerate(plane)
-        for k, c in enumerate(line)
-        if c
-    }
+def _p_keys(n: int) -> list[list[list[tuple[int, int, int]]]]:
+    """The key grid of P rows to order n: keys[i][j][k] = (i, j, k)."""
+    return [[[(i, j, k) for k in range(n + 1 - i - j)] for j in range(n + 1 - i)]
+            for i in range(n + 1)]
+
+
+def _p_terms(row: list[list[list[int]]], keys) -> dict[tuple[int, int, int], int]:
+    """A dense P row's nonzero terms in key order, keyed from a :func:`_p_keys` grid."""
+    return {e: c for plane, key_plane in zip(row, keys)
+            for line, key_line in zip(plane, key_plane) for e, c in zip(key_line, line) if c}
 
 
 @_memo
 def _p_row(n: int) -> dict[tuple[int, int, int], int]:
-    return _p_terms(reduce(_p_step, range(1, n + 1), [[[1]]]))
+    return _p_terms(reduce(_p_step, range(1, n + 1), [[[1]]]), _p_keys(n))
 
 
 def p_poly(n: int) -> Poly:
@@ -373,7 +381,7 @@ def p_polys_differential(n_max: int) -> list[Poly]:
 
 
 def p_table(n_max: int, cache: TableCache | None = None) -> CoefficientTable:
-    return _cached_build("p", 4, n_max, cache, _p_step, [[[1]]], _p_terms)
+    return _cached_build("p", 4, n_max, cache, _p_step, [[[1]]], _p_terms, _p_keys)
 
 
 # ---------------------------------------------------------------------------
@@ -401,14 +409,19 @@ def _gamma_step(prev: list[list[int]], n: int) -> list[list[int]]:
     return row
 
 
-def _gamma_terms(row: list[list[int]]) -> dict[tuple[int, int], int]:
-    """The nonzero terms of a dense gamma row, in increasing key order."""
-    return {(i, j): c for i, line in enumerate(row) for j, c in enumerate(line) if c}
+def _gamma_keys(n: int) -> list[list[tuple[int, int]]]:
+    """The key grid of gamma rows to order n: keys[i][j] = (i, j)."""
+    return [[(i, j) for j in range(n + 1 - i)] for i in range(n + 1)]
+
+
+def _gamma_terms(row: list[list[int]], keys) -> dict[tuple[int, int], int]:
+    """A dense gamma row's nonzero terms in key order, keyed from a :func:`_gamma_keys` grid."""
+    return {e: c for line, key_line in zip(row, keys) for e, c in zip(key_line, line) if c}
 
 
 @_memo
 def _gamma_row(n: int) -> dict[tuple[int, int], int]:
-    return _gamma_terms(reduce(_gamma_step, range(1, n + 1), [[1]]))
+    return _gamma_terms(reduce(_gamma_step, range(1, n + 1), [[1]]), _gamma_keys(n))
 
 
 def g_poly(n: int) -> Poly:
@@ -425,7 +438,7 @@ def g_polys_differential(n_max: int) -> list[Poly]:
 
 
 def gamma_table(n_max: int, cache: TableCache | None = None) -> CoefficientTable:
-    return _cached_build("gamma", 3, n_max, cache, _gamma_step, [[1]], _gamma_terms)
+    return _cached_build("gamma", 3, n_max, cache, _gamma_step, [[1]], _gamma_terms, _gamma_keys)
 
 
 # ---------------------------------------------------------------------------

@@ -184,7 +184,15 @@ class TestPoly:
         assert x != xy and x == Poly(XYZ, {(1, 0, 0): 1})
 
     @pytest.mark.parametrize("names,terms", [(("x",), {(1, 2): 1}), (("x", "y"), {(1,): 1}),
-                                             (("x",), {(1,): 1.5}), (("x",), {(1,): True})])
+                                             (("x",), {(1,): 1.5}), (("x",), {(1,): True}),
+                                             (("x",), {1: 1})])
     def test_a_malformed_term_is_refused(self, names, terms):
         with pytest.raises(ValueError, match=r"^not terms over \("):
             Poly(names, terms)
+
+    @pytest.mark.parametrize("op,symbol", [(lambda x: x + 1.5, "+"), (lambda x: x + "a", "+"),
+                                           (lambda x: x - 1.5, "-"), (lambda x: 1.5 - x, "-")],
+                             ids=["poly+float", "poly+str", "poly-float", "float-poly"])
+    def test_an_operand_neither_int_nor_poly_is_unsupported(self, op, symbol):
+        with pytest.raises(TypeError, match=rf"^unsupported operand type\(s\) for \{symbol}: "):
+            op(Poly.var("x"))

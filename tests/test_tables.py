@@ -221,6 +221,14 @@ class TestCoefficientTablesAndCache:
         p = p_table(3)
         assert p.value(3, 2, 1, 0) == 4
 
+    @pytest.mark.parametrize("build,idx", [(t_table, ()), (t_table, (1, 1)), (gamma_table, (1,)),
+                                           (p_table, (2,)), (p_table, (1, 1, 1, 1))])
+    def test_value_takes_arity_less_one_indices(self, build, idx):
+        table = build(3)
+        with pytest.raises(ValueError, match=rf"^{table.family} takes {table.arity - 1} indices, "
+                                             rf"got {len(idx)}$"):
+            table.value(2, *idx)
+
     def test_disk_cache(self, tmp_path):
         cache = TableCache(tmp_path)
         t1 = t_table(4, cache)
@@ -306,10 +314,12 @@ def test_1d_step_sends_one_term_to_its_images(name, k):
 # term t at order n over the grammar's sorted names
 GRAMMAR_STEPS = {
     # (i, j, k) of P_n as p^k q^j x^i y^i z^(2n+1-2i-j-k)
-    "P": (tables.REFINED_GRAMMAR, tables._p_step, tables._p_terms, (20, 5, 5),
+    "P": (tables.REFINED_GRAMMAR, tables._p_step,
+          lambda row: tables._p_terms(row, tables._p_keys(len(row) - 1)), (20, 5, 5),
           lambda t, n: (t[2], t[1], t[0], t[0], 2 * n + 1 - 2 * t[0] - t[1] - t[2])),
     # (i, j) of the gamma row as u^i v^j w^(2n+1-2i-j)
-    "gamma": (tables.GAMMA_GRAMMAR, tables._gamma_step, tables._gamma_terms, (20, 8),
+    "gamma": (tables.GAMMA_GRAMMAR, tables._gamma_step,
+              lambda row: tables._gamma_terms(row, tables._gamma_keys(len(row) - 1)), (20, 8),
               lambda t, n: (t[0], t[1], 2 * n + 1 - 2 * t[0] - t[1])),
     # f of T_n as x y^f z^(2n-f)
     "T": (tables.FLAG_GRAMMAR, tables._t_step,
@@ -606,6 +616,32 @@ def test_cache_store_holds_about_one_row_at_a_time(tmp_path, build, n):
     finally:
         tracemalloc.stop()
     assert peak < 5 * cache._path(table.family, n).stat().st_size
+
+
+@pytest.mark.parametrize("build,n", [(gamma_table, 100), (p_table, 40)], ids=["gamma-100", "p-40"])
+@pytest.mark.parametrize("side", ["built", "loaded"])
+def test_a_tables_rows_share_their_key_tuples(tmp_path, build, n, side):
+    # equal keys across the rows are one tuple, so the table holds little
+    # beyond its row dicts and values; a tuple per entry would hold 4.0
+    # (p-40) and 4.7 MiB (gamma-100) more, and the bound allows half of that
+    cache = TableCache(tmp_path)
+    cache.store(build(n))
+    tracemalloc.start()
+    try:
+        table = build(n, cache if side == "loaded" else None)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    first = {}
+    assert all(first.setdefault(e, e) is e for row in table.rows for e in row)
+    # the key order the readers make and the cache files pin
+    assert all(list(row) == sorted(row) for row in table.rows)
+    entries = sum(map(len, table.rows))
+    tuple_size = sys.getsizeof(next(iter(first)))
+    # CPython allocates no int up to 256
+    rows = sum(map(sys.getsizeof, table.rows)) + sum(
+        sys.getsizeof(c) for row in table.rows for c in row.values() if c > 256)
+    assert held < rows + len(first) * tuple_size + entries * tuple_size / 2
 
 
 @pytest.mark.parametrize("build,n", [(gamma_table, 100), (p_table, 40), (t_table, 60)],
