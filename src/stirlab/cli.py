@@ -5,8 +5,10 @@ distributions), ``poly`` (named polynomial families), ``grammar`` (formal
 derivatives from a rule file), ``verify`` (the identity registry).
 
 Output is byte-stable for fixed flags: enumeration order and polynomial term
-order are deterministic.  Exit codes: 0 success / all identities pass, 1 an
-identity failed, 2 usage or resource errors, 141 stdout closed early.
+order are deterministic.  Each command returns its exit status and its lines
+(``enumerate`` lazily), and :func:`main` alone writes them, 4096 lines a
+write.  Exit codes: 0 success / all identities pass, 1 an identity failed,
+2 usage or resource errors, 141 stdout closed early, wherever that happens.
 ``poly --n`` has a limit per family, ``grammar --order`` one limit and each
 derivative one on its terms (:data:`POLY_LIMITS`, :data:`ORDER_LIMIT`,
 :data:`stirlab.grammar.TERM_LIMIT`); past any of them a command exits 2.
@@ -25,8 +27,9 @@ import argparse
 import json
 import os
 import sys
+from itertools import islice
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from . import tables
 from .errors import ResourceLimitError, UnknownIdentityError
@@ -35,6 +38,8 @@ from .objects import STREAMS
 from .polynomials import XYZ, Poly, format_terms, monomial_str
 
 _FORMATS = ("plain", "json", "csv")
+# lines per write to the output stream
+_CHUNK = 4096
 
 # the largest n each poly family accepts, each about a second or less on a
 # 2-core machine, and the largest grammar order
@@ -57,7 +62,7 @@ def default_cache_dir() -> Path:
 # enumerate
 
 
-def _cmd_enumerate(args: argparse.Namespace, out) -> int:
+def _cmd_enumerate(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     if args.n > args.bound:
         raise ResourceLimitError(
             f"n={args.n} exceeds the enumeration bound {args.bound}"
@@ -65,24 +70,19 @@ def _cmd_enumerate(args: argparse.Namespace, out) -> int:
         )
     stream = STREAMS[args.klass](args.n)
     if args.format == "json":
-        for obj in stream:
-            print(json.dumps(obj), file=out)
-    elif args.klass == "matching":
+        return 0, map(json.dumps, stream)
+    if args.klass == "matching":
         pair = "{%d,%d}" if args.format == "plain" else "%d:%d"
-        for obj in stream:
-            print(",".join(pair % b for b in obj), file=out)
-    else:
-        sep = "," if args.format == "csv" else "" if args.n <= 9 else " "
-        for obj in stream:
-            print(sep.join(map(str, obj)), file=out)
-    return 0
+        return 0, (",".join(pair % b for b in obj) for obj in stream)
+    sep = "," if args.format == "csv" else "" if args.n <= 9 else " "
+    return 0, (sep.join(map(str, obj)) for obj in stream)
 
 
 # ---------------------------------------------------------------------------
 # stats
 
 
-def _cmd_stats(args: argparse.Namespace, out) -> int:
+def _cmd_stats(args: argparse.Namespace) -> tuple[int, list[str]]:
     from .stats import distribution
 
     stats = [s.strip() for s in args.stats.split(",") if s.strip()]
@@ -91,14 +91,11 @@ def _cmd_stats(args: argparse.Namespace, out) -> int:
     counts = distribution(args.klass, args.n, stats, max_n=args.bound)
     if args.format == "json":
         entries = [{"value": list(v), "count": c} for v, c in counts.items()]
-        print(json.dumps({"class": args.klass, "n": args.n, "stats": stats,
-                          "entries": entries}), file=out)
-        return 0
+        return 0, [json.dumps({"class": args.klass, "n": args.n, "stats": stats,
+                               "entries": entries})]
     sep = "," if args.format == "csv" else "\t"
-    print(sep.join([*stats, "count"]), file=out)
-    for value, count in counts.items():
-        print(sep.join(map(str, (*value, count))), file=out)
-    return 0
+    return 0, [sep.join([*stats, "count"]),
+               *(sep.join(map(str, (*value, count))) for value, count in counts.items())]
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +123,7 @@ def _poly_families(args: argparse.Namespace) -> dict[str, Callable[[int], Poly |
     }
 
 
-def _cmd_poly(args: argparse.Namespace, out) -> int:
+def _cmd_poly(args: argparse.Namespace) -> tuple[int, list[str]]:
     if args.n < 0:
         raise ValueError(f"n must be nonnegative, got {args.n}")
     limit = POLY_LIMITS[args.name]
@@ -136,47 +133,38 @@ def _cmd_poly(args: argparse.Namespace, out) -> int:
         )
     poly = _poly_families(args)[args.name](args.n)
     if isinstance(poly, Poly):
-        _print_univariate(poly, args.format, out)
-    else:
-        _print_trivariate(poly, args.format, out)
-    return 0
+        return 0, _print_univariate(poly, args.format)
+    return 0, _print_trivariate(poly, args.format)
 
 
-def _print_univariate(poly: Poly, fmt: str, out) -> None:
-    """Print a polynomial in x: JSON lists every coefficient from x^0 to the
-    degree, zeros included; CSV lists the nonzero ones by exponent."""
+def _print_univariate(poly: Poly, fmt: str) -> list[str]:
+    """The lines of a polynomial in x: JSON lists every coefficient from x^0
+    to the degree, zeros included; CSV lists the nonzero ones by exponent."""
     if fmt == "plain":
-        print(poly, file=out)
-        return
+        return [str(poly)]
     terms = poly.terms_over(("x",))
     if fmt == "json":
         (top,) = max(terms, default=(-1,))
         coeffs = [str(terms.get((k,), 0)) for k in range(top + 1)]
-        print(json.dumps({"var": "x", "coeffs": coeffs}), file=out)
-    else:  # csv
-        print("k,coeff", file=out)
-        for (k,), c in sorted(terms.items()):
-            print(f"{k},{c}", file=out)
+        return [json.dumps({"var": "x", "coeffs": coeffs})]
+    return ["k,coeff", *(f"{k},{c}" for (k,), c in sorted(terms.items()))]
 
 
-def _print_trivariate(row: Mapping[tuple[int, int, int], int], fmt: str, out) -> None:
-    """Print a P or G row by degree, then by exponent triple."""
+def _print_trivariate(row: Mapping[tuple[int, int, int], int], fmt: str) -> list[str]:
+    """The lines of a P or G row, by degree, then by exponent triple."""
     terms = sorted(row.items(), key=lambda t: (sum(t[0]), t[0]))
     if fmt == "plain":
-        print(format_terms((monomial_str(XYZ, e), c) for e, c in terms), file=out)
-    elif fmt == "json":
-        print(json.dumps([{"e": list(e), "c": str(c)} for e, c in terms]), file=out)
-    else:  # csv
-        print("i,j,k,coeff", file=out)
-        for (i, j, k), c in terms:
-            print(f"{i},{j},{k},{c}", file=out)
+        return [format_terms((monomial_str(XYZ, e), c) for e, c in terms)]
+    if fmt == "json":
+        return [json.dumps([{"e": list(e), "c": str(c)} for e, c in terms])]
+    return ["i,j,k,coeff", *(f"{i},{j},{k},{c}" for (i, j, k), c in terms)]
 
 
 # ---------------------------------------------------------------------------
 # grammar
 
 
-def _cmd_grammar(args: argparse.Namespace, out) -> int:
+def _cmd_grammar(args: argparse.Namespace) -> tuple[int, list[str]]:
     if args.order < 0:
         raise ValueError(f"order must be nonnegative, got {args.order}")
     if args.order > ORDER_LIMIT:
@@ -187,48 +175,44 @@ def _cmd_grammar(args: argparse.Namespace, out) -> int:
     start = parse_poly(args.start)
     result = derive_n(start, grammar, args.order)
     if args.format == "plain":
-        print(result, file=out)
-    elif args.format == "json":
-        print(json.dumps(result.to_json()), file=out)
-    else:  # csv
-        print("monomial,coeff", file=out)
-        for e, c in result.sorted_terms():
-            print(f"{monomial_str(result.names, e) or '1'},{c}", file=out)
-    return 0
+        return 0, [str(result)]
+    if args.format == "json":
+        return 0, [json.dumps(result.to_json())]
+    return 0, ["monomial,coeff", *(f"{monomial_str(result.names, e) or '1'},{c}"
+                                   for e, c in result.sorted_terms())]
 
 
 # ---------------------------------------------------------------------------
 # verify
 
 
-def _render_results(results, fmt: str, out) -> None:
+def _render_results(results, fmt: str) -> list[str]:
     if fmt == "json":
-        print(json.dumps([r.to_json() for r in results]), file=out)
-        return
+        return [json.dumps([r.to_json() for r in results])]
     if fmt == "csv":
-        print("name,max_n,pass,millis,witness", file=out)
+        lines = ["name,max_n,pass,millis,witness"]
         for r in results:
             witness = (r.witness or "").replace(",", ";")
             status = "skip" if r.skipped else str(r.passed).lower()
-            print(f"{r.name},{r.bound},{status},{r.millis},{witness}", file=out)
-        return
+            lines.append(f"{r.name},{r.bound},{status},{r.millis},{witness}")
+        return lines
+    lines = []
     for r in results:
         status = "skip" if r.skipped else "pass" if r.passed else "FAIL"
-        line = f"{status}  {r.name} (max_n={r.bound}) [{r.millis:.0f} ms]"
+        lines.append(f"{status}  {r.name} (max_n={r.bound}) [{r.millis:.0f} ms]")
         if r.witness:
-            line += f"\n      witness: {r.witness}"
-        print(line, file=out)
+            lines.append(f"      witness: {r.witness}")
+    return lines
 
 
-def _cmd_verify(args: argparse.Namespace, out) -> int:
+def _cmd_verify(args: argparse.Namespace) -> tuple[int, list[str]]:
     from . import identities
 
     if args.all:
         results = identities.run_all(args.max_n)
     else:
         results = [identities.run_identity(args.identity, args.max_n)]
-    _render_results(results, args.format, out)
-    return 0 if all(r.passed for r in results) else 1
+    return 0 if all(r.passed for r in results) else 1, _render_results(results, args.format)
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +295,15 @@ def main(argv: Sequence[str] | None = None, out=None) -> int:
     digit_limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        return args.func(args, out)
+        code, lines = args.func(args)
+        lines = iter(lines)
+        while chunk := list(islice(lines, _CHUNK)):
+            out.write("\n".join(chunk))
+            # the newline goes on its own: a write the reader cuts short
+            # returns quietly, and only the next write or the flush raises
+            out.write("\n")
+        out.flush()
+        return code
     except BrokenPipeError:
         if out is sys.stdout:  # the interpreter's last flush goes to devnull
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

@@ -32,9 +32,10 @@ A small JSON disk cache (:class:`TableCache`) can memoize the three
 CoefficientTable builders :func:`t_table`, :func:`p_table` and
 :func:`gamma_table`, keyed by family and bound.  A table is its tuple of
 rows as its reader makes them.  A cache file is a header line, then one
-line per row, written and read one row at a time, a load sharing key
-tuples across its rows; a file whose header, row count, row schema or row
-total (:func:`_read_row`) is off is a miss, and the rebuilt table replaces it.
+line per row, written and read one row at a time, a load keying its rows
+off the family's grid as a build does; a file whose header, row count, row
+schema, row total or an index off the grid (:func:`_read_row`) is off is a
+miss, and the rebuilt table replaces it.
 """
 from __future__ import annotations
 
@@ -45,7 +46,7 @@ import tempfile
 from dataclasses import dataclass
 from functools import partial, reduce
 from itertools import accumulate, chain
-from operator import itemgetter, lshift
+from operator import getitem, itemgetter, lshift
 from pathlib import Path
 
 from ._version import __version__
@@ -97,13 +98,14 @@ def _header(family: str, bound: int) -> bytes:
     return json.dumps(obj, separators=(",", ":")).encode() + b"\n"
 
 
-def _read_row(line: bytes, n: int, family: str, arity: int, keys: dict) -> dict | None:
+def _read_row(line: bytes, n: int, family: str, arity: int, grid) -> dict | None:
     """Row n from its cache line, or None unless the line is a list of
     ``[*index, value]`` lists, each of arity - 1 int indices in 0..2n and a
     positive int, and the row adds up to (2n-1)!!: for T and P the plain
     sum, for gamma the sum of 2^j gamma_{n,i,j}, which is P_n(1, 1, 1).
     The row is summed as read, so a repeated index fails.  A tuple index
-    is taken from ``keys``, one dict per load, so the rows share them."""
+    is looked up in ``grid``, the family's key grid, so the rows share
+    their keys; an index off the grid raises IndexError."""
     entries = json.loads(line)
     if (
         type(entries) is not list
@@ -116,13 +118,17 @@ def _read_row(line: bytes, n: int, family: str, arity: int, keys: dict) -> dict 
     if (
         set(map(type, flat)) != {int}
         or min(values) <= 0
+        # checked before the grid is read, where a negative index wraps
         or min(map(min, index)) < 0
         or max(map(max, index)) > 2 * n
     ):
         return None
-    if arity > 2:
-        index = [map(keys.setdefault, tuples := [*zip(*index)], tuples)]
-    row = dict(zip(index[0], values))
+    keys = index[0]
+    if grid is not None:
+        keys = map(grid.__getitem__, keys)
+        for axis in index[1:]:
+            keys = map(getitem, keys, axis)
+    row = dict(zip(keys, values))
     if family == "gamma":
         total = sum(map(lshift, row.values(), map(itemgetter(1), row)))
     else:
@@ -143,17 +149,19 @@ class TableCache:
     def load(self, family: str, bound: int, arity: int) -> CoefficientTable | None:
         """The cached table, read and checked one row at a time, or None when
         there is no file, or the file is unreadable, has another header or
-        another number of rows, or has a row off the schema or its total."""
-        rows, keys = [], {}
+        another number of rows, or has a row off the schema, its total or
+        the family's key grid."""
+        rows = []
         try:
             with self._path(family, bound).open("rb") as f:
                 if f.readline() != _header(family, bound):
                     return None
+                grid = _KEY_GRIDS[family](bound) if family in _KEY_GRIDS else None
                 for n, line in enumerate(f):
-                    if n > bound or (row := _read_row(line, n, family, arity, keys)) is None:
+                    if n > bound or (row := _read_row(line, n, family, arity, grid)) is None:
                         return None
                     rows.append(row)
-        except (OSError, ValueError, RecursionError):
+        except (OSError, ValueError, IndexError, RecursionError):
             return None
         if len(rows) != bound + 1:
             return None
@@ -181,14 +189,14 @@ class TableCache:
             raise
 
 
-def _cached_build(family, arity, bound, cache, step, origin, read, keys=None):
+def _cached_build(family, arity, bound, cache, step, origin, read):
     # row 0 is origin and row m is step(row m-1, m), each dense row read into
-    # its dict of nonzero terms, keyed from the family's grid keys(bound) if
-    # any, so that the rows share key tuples; built on a cache miss only
+    # its dict of nonzero terms, keyed from the family's grid if it has one,
+    # so that the rows share key tuples; built on a cache miss only
     bound = _order(bound)
     table = cache.load(family, bound, arity) if cache is not None else None
     if table is None:
-        read = partial(read, keys=keys(bound)) if keys else read
+        read = partial(read, keys=_KEY_GRIDS[family](bound)) if family in _KEY_GRIDS else read
         rows = accumulate(range(1, bound + 1), step, initial=origin)
         table = CoefficientTable(family, arity, bound, tuple(map(read, rows)))
         if cache is not None:
@@ -381,7 +389,7 @@ def p_polys_differential(n_max: int) -> list[Poly]:
 
 
 def p_table(n_max: int, cache: TableCache | None = None) -> CoefficientTable:
-    return _cached_build("p", 4, n_max, cache, _p_step, [[[1]]], _p_terms, _p_keys)
+    return _cached_build("p", 4, n_max, cache, _p_step, [[[1]]], _p_terms)
 
 
 # ---------------------------------------------------------------------------
@@ -419,6 +427,10 @@ def _gamma_terms(row: list[list[int]], keys) -> dict[tuple[int, int], int]:
     return {e: c for line, key_line in zip(row, keys) for e, c in zip(key_line, line) if c}
 
 
+# the key grid of each family with tuple keys; T's keys are ints
+_KEY_GRIDS = {"p": _p_keys, "gamma": _gamma_keys}
+
+
 @_memo
 def _gamma_row(n: int) -> dict[tuple[int, int], int]:
     return _gamma_terms(reduce(_gamma_step, range(1, n + 1), [[1]]), _gamma_keys(n))
@@ -438,7 +450,7 @@ def g_polys_differential(n_max: int) -> list[Poly]:
 
 
 def gamma_table(n_max: int, cache: TableCache | None = None) -> CoefficientTable:
-    return _cached_build("gamma", 3, n_max, cache, _gamma_step, [[1]], _gamma_terms, _gamma_keys)
+    return _cached_build("gamma", 3, n_max, cache, _gamma_step, [[1]], _gamma_terms)
 
 
 # ---------------------------------------------------------------------------

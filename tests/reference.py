@@ -347,6 +347,18 @@ SCANS = {"stirling": stirling_stats, "signed": signed_stats, "matching": matchin
          "permutation": lambda pi: {"des": des(pi)}}
 
 
+def enumerate_line(klass: str, n: int, obj, fmt: str) -> str:
+    """One line of ``stirlab enumerate``, as docs/stirlab.1 describes it:
+    plain letters concatenated up to n = 9 and space-separated beyond, a
+    matching's pairs as "{1,2},{3,4}"; CSV letters joined by commas, a
+    matching's pairs as "1:2,3:4"; JSON an array, a matching's of pairs."""
+    if fmt == "json":
+        return json.dumps([list(b) for b in obj] if klass == "matching" else list(obj))
+    if klass == "matching":
+        return ",".join(f"{a}:{b}" if fmt == "csv" else f"{{{a},{b}}}" for a, b in obj)
+    return ("," if fmt == "csv" else " " if n > 9 else "").join(str(v) for v in obj)
+
+
 def counts(stat, objects) -> dict:
     """The number of objects at each value of stat."""
     return dict(Counter(map(stat, objects)))

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference as ref
 from stirlab import objects, tables
 from stirlab.cli import ORDER_LIMIT, POLY_LIMITS, main
 from stirlab.grammar import TERM_LIMIT
@@ -66,7 +67,7 @@ class TestEnumerate:
 
     def test_plain_letters_are_spaced_beyond_n_9(self):
         class FirstLine(io.StringIO):
-            # stops the stream once its first line is written
+            # stops the stream once its first block of lines is written
             class Done(Exception):
                 pass
 
@@ -79,7 +80,7 @@ class TestEnumerate:
         with pytest.raises(FirstLine.Done):
             main(["--bound", "10", "enumerate", "--class", "permutation", "--n", "10"],
                  out=out)
-        assert out.getvalue() == "1 2 3 4 5 6 7 8 9 10\n"
+        assert out.getvalue().split("\n", 1)[0] == "1 2 3 4 5 6 7 8 9 10"
 
 
 class TestStats:
@@ -431,6 +432,17 @@ def test_enumerate_golden_bytes(klass, n, fmt, suffix):
     assert out == (GOLDEN / f"enumerate_{klass}_{n}.{suffix}").read_text()
 
 
+@pytest.mark.parametrize("klass,n", [("stirling", 6), ("matching", 6), ("signed", 6),
+                                     ("permutation", 7)])
+@pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
+def test_enumerate_blocks_join_to_the_per_object_lines(klass, n, fmt):
+    # each order's output runs past the first block of 4096 lines
+    lines = [ref.enumerate_line(klass, n, obj, fmt) for obj in ref.STREAMS[klass](n)]
+    assert len(lines) > 4096
+    assert run_cli("--format", fmt, "--bound", str(n), "enumerate", "--class", klass,
+                   "--n", str(n)) == (0, "".join(line + "\n" for line in lines))
+
+
 POLY_GOLDEN_RUNS = [("A", 12), ("B", 12), ("C", 12), ("N", 12), ("F", 12),
                     ("M", 8), ("T", 8), ("P", 6), ("G", 10)]
 
@@ -634,6 +646,29 @@ def test_a_closed_stdout_exits_141_quietly(tmp_path):
         proc.kill()
         proc.wait()
         proc.stderr.close()
+    assert err == b""
+
+
+def test_a_pipe_closed_mid_block_exits_141_quietly():
+    # the first block of 4096 matchings of order 7 is about 190 kB, more
+    # than a pipe holds, so the reader closes while a block is being written
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "stirlab", "enumerate", "--class", "matching", "--n", "7"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    try:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 141
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
+    assert first == b"{1,2},{3,4},{5,6},{7,8},{9,10},{11,12},{13,14}\n"
     assert err == b""
 
 

@@ -1,5 +1,4 @@
 """Exact polynomial arithmetic and the binomial convolution of series."""
-import io
 import json
 
 import pytest
@@ -59,9 +58,8 @@ class TestPolyInX:
     def test_str_and_json_roundtrip(self):
         p = dense(-1, 0, 3)
         assert str(p) == "-1 + 3*x^2"
-        out = io.StringIO()
-        _print_univariate(p, "json", out)
-        obj = json.loads(out.getvalue())
+        (line,) = _print_univariate(p, "json")
+        obj = json.loads(line)
         assert obj == {"var": "x", "coeffs": ["-1", "0", "3"]}
         assert dense(*map(int, obj["coeffs"])) == p
         assert str(Poly.zero()) == "0"
@@ -145,9 +143,7 @@ class TestExactCoefficients:
         assert p.terms_over(("x",)) == {(e,): c for e, c in enumerate(cs) if c}
         assert str(p) + "\n" == ref.x_lines(cs, "plain")
         for fmt in ("plain", "json", "csv"):
-            out = io.StringIO()
-            _print_univariate(p, fmt, out)
-            assert out.getvalue() == ref.x_lines(cs, fmt)
+            assert "\n".join(_print_univariate(p, fmt)) + "\n" == ref.x_lines(cs, fmt)
 
     @settings(max_examples=150, deadline=None)
     @given(tri_term_lists)
@@ -157,9 +153,7 @@ class TestExactCoefficients:
         assert p.terms == terms
         assert str(p) == ref.sparse_str(ra)
         for fmt in ("plain", "json", "csv"):
-            out = io.StringIO()
-            _print_trivariate(p.terms, fmt, out)
-            assert out.getvalue() == ref.tri_lines(terms, fmt)
+            assert "\n".join(_print_trivariate(p.terms, fmt)) + "\n" == ref.tri_lines(terms, fmt)
 
     def test_zero_defaults_are_ints(self):
         assert type(dense(1).coefficient(5)) is int

@@ -543,6 +543,30 @@ def test_tampered_t_file_is_regenerated_by_the_cli(tmp_path):
     assert "999" not in path.read_text()
 
 
+@pytest.mark.parametrize("name,family,old,new,term",
+                         [("P", "p", [4, 0, 0, 1], [4, 4, 4, 1], "x^4*y^4*z^4"),
+                          ("G", "gamma", [4, 0, 1], [5, 0, 1], "x^5")],
+                         ids=["p", "gamma"])
+def test_a_row_index_off_the_key_grid_is_regenerated_by_the_cli(tmp_path, name, family, old, new,
+                                                                  term):
+    # the moved entry keeps its index in 0..2n and its row's total, so only
+    # the key grid of the table, i + j (+ k) <= 4, tells it is off
+    from stirlab.cli import main
+
+    def poly_4():
+        out = io.StringIO()
+        code = main(["--cache-dir", str(tmp_path), "poly", "--name", name, "--n", "4"], out=out)
+        return code, out.getvalue()
+
+    good = poly_4()
+    (path,) = tmp_path.iterdir()
+    written = path.read_text()
+    _edit_lines(path, _edit_row(4, lambda row: row.__setitem__(row.index(old), new)))
+    assert TableCache(tmp_path).load(family, 4, len(old)) is None
+    assert poly_4() == good and term not in good[1]
+    assert path.read_text() == written
+
+
 def test_cache_store_replaces_the_file_atomically(tmp_path, monkeypatch):
     import stirlab.tables as tb
 
