@@ -34,11 +34,14 @@ CoefficientTable builders :func:`t_table`, :func:`p_table` and
 rows as its reader makes them.  A cache file is a header line, then one
 line per row, written and read one row at a time, a load keying its rows
 off the family's grid as a build does; a file whose header, row count, row
-schema, row total or an index off the grid (:func:`_read_row`) is off is a
-miss, and the rebuilt table replaces it.
+schema, row total or an index past the row's order (:func:`_read_row`) is
+off is a miss, and the rebuilt table replaces it.  Every load reads and
+hashes the whole file; a cache gives the last table it parsed again only
+for identical bytes.
 """
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -46,7 +49,7 @@ import tempfile
 from dataclasses import dataclass
 from functools import partial, reduce
 from itertools import accumulate, chain
-from operator import getitem, itemgetter, lshift
+from operator import add, getitem, itemgetter, lshift
 from pathlib import Path
 
 from ._version import __version__
@@ -100,12 +103,13 @@ def _header(family: str, bound: int) -> bytes:
 
 def _read_row(line: bytes, n: int, family: str, arity: int, grid) -> dict | None:
     """Row n from its cache line, or None unless the line is a list of
-    ``[*index, value]`` lists, each of arity - 1 int indices in 0..2n and a
-    positive int, and the row adds up to (2n-1)!!: for T and P the plain
-    sum, for gamma the sum of 2^j gamma_{n,i,j}, which is P_n(1, 1, 1).
-    The row is summed as read, so a repeated index fails.  A tuple index
-    is looked up in ``grid``, the family's key grid, so the rows share
-    their keys; an index off the grid raises IndexError."""
+    ``[*index, value]`` lists, each of arity - 1 nonnegative int indices
+    and a positive int, and the row adds up to (2n-1)!!: for T and P the
+    plain sum, for gamma the sum of 2^j gamma_{n,i,j}, which is
+    P_n(1, 1, 1).  A T index k is at most 2n, and a P or gamma index adds
+    up to at most n, the row's order.  The row is summed as read, so a
+    repeated index fails.  A tuple index is looked up in ``grid``, the
+    family's key grid to the table's bound, so the rows share their keys."""
     entries = json.loads(line)
     if (
         type(entries) is not list
@@ -120,7 +124,7 @@ def _read_row(line: bytes, n: int, family: str, arity: int, grid) -> dict | None
         or min(values) <= 0
         # checked before the grid is read, where a negative index wraps
         or min(map(min, index)) < 0
-        or max(map(max, index)) > 2 * n
+        or max(reduce(partial(map, add), index)) > (2 * n if grid is None else n)
     ):
         return None
     keys = index[0]
@@ -142,18 +146,29 @@ class TableCache:
 
     def __init__(self, directory: str | Path):
         self.directory = Path(directory)
+        # the key and table of the last load that parsed a file
+        self._last = ((), None)
 
     def _path(self, family: str, bound: int) -> Path:
         return self.directory / f"{family}-{bound}.json"
 
     def load(self, family: str, bound: int, arity: int) -> CoefficientTable | None:
-        """The cached table, read and checked one row at a time, or None when
-        there is no file, or the file is unreadable, has another header or
-        another number of rows, or has a row off the schema, its total or
-        the family's key grid."""
+        """The cached table, or None when there is no file, or the file is
+        unreadable, has another header or another number of rows, or has a
+        row off the schema, its total or its order (:func:`_read_row`).
+        Every load reads the whole file and hashes it; bytes identical to
+        those of the last table this cache parsed give that table again,
+        and any other bytes are read again and checked one row at a time."""
         rows = []
         try:
             with self._path(family, bound).open("rb") as f:
+                digest = hashlib.blake2b()
+                for chunk in iter(partial(f.read, 1 << 16), b""):
+                    digest.update(chunk)
+                key = (family, bound, arity, digest.digest())
+                if self._last[0] == key:
+                    return self._last[1]
+                f.seek(0)
                 if f.readline() != _header(family, bound):
                     return None
                 grid = _KEY_GRIDS[family](bound) if family in _KEY_GRIDS else None
@@ -161,11 +176,12 @@ class TableCache:
                     if n > bound or (row := _read_row(line, n, family, arity, grid)) is None:
                         return None
                     rows.append(row)
-        except (OSError, ValueError, IndexError, RecursionError):
+        except (OSError, ValueError, RecursionError):
             return None
         if len(rows) != bound + 1:
             return None
-        return CoefficientTable(family, arity, bound, tuple(rows))
+        self._last = (key, CoefficientTable(family, arity, bound, tuple(rows)))
+        return self._last[1]
 
     def store(self, table: CoefficientTable) -> None:
         """Write the table a row at a time through a temporary file in the

@@ -5,6 +5,7 @@ import io
 import itertools
 import json
 import math
+import os
 import random
 import re
 import sys
@@ -550,7 +551,8 @@ def test_tampered_t_file_is_regenerated_by_the_cli(tmp_path):
 def test_a_row_index_off_the_key_grid_is_regenerated_by_the_cli(tmp_path, name, family, old, new,
                                                                   term):
     # the moved entry keeps its index in 0..2n and its row's total, so only
-    # the key grid of the table, i + j (+ k) <= 4, tells it is off
+    # the bound of an index's sum by the row's order, i + j (+ k) <= 4,
+    # tells it is off
     from stirlab.cli import main
 
     def poly_4():
@@ -565,6 +567,52 @@ def test_a_row_index_off_the_key_grid_is_regenerated_by_the_cli(tmp_path, name, 
     assert TableCache(tmp_path).load(family, 4, len(old)) is None
     assert poly_4() == good and term not in good[1]
     assert path.read_text() == written
+
+
+@pytest.mark.parametrize("build,old,new,term",
+                         [(p_table, [1, 0, 1, 1], [0, 0, 4, 1], (1, 0, 1)),
+                          (gamma_table, [2, 0, 1], [4, 0, 1], (2, 0))],
+                         ids=["p", "gamma"])
+def test_a_row_index_past_its_order_is_a_miss(tmp_path, build, old, new, term):
+    # row 2's moved entry keeps its row's total and stays on the key grid of
+    # the table's bound 4, but its indices add up to 4, past the row's order
+    cache = TableCache(tmp_path)
+    good = build(4, cache)
+    (path,) = tmp_path.iterdir()
+    _edit_lines(path, _edit_row(2, lambda row: row.__setitem__(row.index(old), new)))
+    assert cache.load(good.family, 4, good.arity) is None
+    assert build(4, cache).rows[2][term] == 1
+    assert cache.load(good.family, 4, good.arity).rows == good.rows
+
+
+def _swap_t3_values(path):
+    # T(3, 2) = 3 and T(3, 3) = 7 trade places: the same size and row total
+    data = path.read_bytes()
+    swapped = data.replace(b"[[1,1],[2,3],[3,7],", b"[[1,1],[2,7],[3,3],")
+    assert len(swapped) == len(data) and swapped != data
+    path.write_bytes(swapped)
+
+
+@pytest.mark.parametrize("edit,expect", [
+    (lambda path: None, lambda first, again: again is first),
+    (_swap_t3_values, lambda first, again: again.rows[3] == {1: 1, 2: 7, 3: 3, 4: 3, 5: 1}
+                                           and first.rows[3][2] == 3),
+    (lambda path: path.unlink(), lambda first, again: again is None),
+], ids=["unchanged", "values-swapped", "deleted"])
+def test_a_reload_reuses_the_table_of_identical_bytes_only(tmp_path, edit, expect):
+    # a cache keeps the last table it parsed and gives it again only for a
+    # file of the same bytes, however the file's size and mtime look
+    cache = TableCache(tmp_path)
+    cache.store(t_table(4))
+    path = tmp_path / "t-4.json"
+    first = cache.load("t", 4, 2)
+    assert first.rows == t_table(4).rows
+    stat = path.stat()
+    edit(path)
+    if path.exists():
+        os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        assert path.stat().st_size == stat.st_size
+    assert expect(first, cache.load("t", 4, 2))
 
 
 def test_cache_store_replaces_the_file_atomically(tmp_path, monkeypatch):
