@@ -114,12 +114,12 @@ def _poly_families(args: argparse.Namespace) -> dict[str, Callable[[int], Poly |
         "N": tables.n_poly,
         "C": tables.c_poly,
         "T": lambda n: Poly.from_counts(
-            {k: tables.t_table(n, cache).value(n, k) for k in range(2 * n + 1)}
+            {k: tables.t_table(n, cache).row.get(k, 0) for k in range(2 * n + 1)}
         ),
         "G": lambda n: {
-            (i, j, 0): v for (i, j), v in tables.gamma_table(n, cache).rows[n].items()
+            (i, j, 0): v for (i, j), v in tables.gamma_table(n, cache).row.items()
         },
-        "P": lambda n: tables.p_table(n, cache).rows[n],
+        "P": lambda n: tables.p_table(n, cache).row,
     }
 
 

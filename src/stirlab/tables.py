@@ -17,27 +17,26 @@ Tables are exact integers, and so is every polynomial: a family in x is a
 Each function evaluates one formula; :mod:`stirlab.identities` compares them.
 Each triangle, C and N included, has a step function that makes row m from
 row m-1 and m; row n is the ``functools.reduce`` of its step over 1..n from
-row 0, and a CoefficientTable draws rows 0..n from ``itertools.accumulate``.
-A row is stepped as a dense list indexed by k from row 0 = [1], each entry
-summed from zero-padded shifts of the row before; P and gamma are dense
-nested lists, row[i][j][k] over i + j + k <= n from [[[1]]] and row[i][j]
-over i + j <= n from [[1]].  Each family's own reader turns its dense row
-into the dict of nonzero terms in increasing key order that every caller
-sees; the P and gamma readers zip each dense line with a line of their
-family's key grid, so the rows of a table share one tuple per key.  Every
-order passes ``objects._order``; a family is read off its polynomial, and
-:func:`stirling2` is the one number function.
+row 0.  A row is stepped as a dense list indexed by k from row 0 = [1], each
+entry summed from zero-padded shifts of the row before; P and gamma are
+dense nested lists, row[i][j][k] over i + j + k <= n from [[[1]]] and
+row[i][j] over i + j <= n from [[1]].  Each family's own reader turns its
+dense row into the dict of nonzero terms in increasing key order that every
+caller sees; the P and gamma readers zip each dense line with a line of
+their family's key grid.  Every order passes ``objects._order``; a family
+is read off its polynomial, and :func:`stirling2` is the one number
+function.
 
 A small JSON disk cache (:class:`TableCache`) can memoize the three
 CoefficientTable builders :func:`t_table`, :func:`p_table` and
-:func:`gamma_table`, keyed by family and bound.  A table is its tuple of
-rows as its reader makes them.  A cache file is a header line, then one
-line per row, written and read one row at a time, a load keying its rows
-off the family's grid as a build does; a file whose header, row count, row
-schema, row total or an index past the row's order (:func:`_read_row`) is
-off is a miss, and the rebuilt table replaces it.  Every load reads and
-hashes the whole file; a cache gives the last table it parsed again only
-for identical bytes.
+:func:`gamma_table`, keyed by family and n.  A table is row n of its
+family, the memo's row on a miss.  A cache file is a header line, then
+that row's line; the header holds the BLAKE2b digest of the row line.  A
+load hashes the row line once and compares the header byte for byte with
+the one it expects, so a file of another family, order, version or row
+bytes is a miss, as is a row off the schema, its total or its order
+(:func:`_read_row`); the rebuilt table replaces the file.  A cache gives
+the last table it parsed again for the same header.
 """
 from __future__ import annotations
 
@@ -48,8 +47,8 @@ import os
 import tempfile
 from dataclasses import dataclass
 from functools import partial, reduce
-from itertools import accumulate, chain
-from operator import add, getitem, itemgetter, lshift
+from itertools import chain
+from operator import add, itemgetter, lshift
 from pathlib import Path
 
 from ._version import __version__
@@ -73,21 +72,14 @@ GAMMA_GRAMMAR = parse_grammar("u -> u*v*w; v -> 2*u*w; w -> u*w")
 
 @dataclass(frozen=True)
 class CoefficientTable:
-    """An integer coefficient family generated to a bound: row n maps an
-    index (k for T, (i, j, k) for P, (i, j) for gamma) to its value."""
+    """Row ``bound`` of an integer coefficient family: a dict from an index
+    (k for T, (i, j, k) for P, (i, j) for gamma) to its nonzero value, in
+    increasing index order."""
 
     family: str
     arity: int
     bound: int
-    rows: tuple[dict, ...]
-
-    def value(self, n: int, *idx: int) -> int:
-        """Entry at row n and arity - 1 indices, else ValueError; 0 off the support."""
-        if len(idx) != self.arity - 1:
-            raise ValueError(f"{self.family} takes {self.arity - 1} indices, got {len(idx)}")
-        if not 0 <= n <= self.bound:
-            return 0
-        return self.rows[n].get(idx if len(idx) > 1 else idx[0], 0)
+    row: dict
 
 
 def _odd_double_factorial(n: int) -> int:
@@ -95,21 +87,21 @@ def _odd_double_factorial(n: int) -> int:
     return math.prod(range(1, 2 * n, 2))
 
 
-def _header(family: str, bound: int) -> bytes:
-    """The first line of a cache file."""
-    obj = {"family": family, "bound": bound, "version": __version__}
+def _header(family: str, bound: int, digest: str) -> bytes:
+    """The first line of a cache file; ``digest`` is the BLAKE2b hex digest
+    of the row line after it."""
+    obj = {"family": family, "bound": bound, "version": __version__, "blake2b": digest}
     return json.dumps(obj, separators=(",", ":")).encode() + b"\n"
 
 
-def _read_row(line: bytes, n: int, family: str, arity: int, grid) -> dict | None:
+def _read_row(line: bytes, n: int, family: str, arity: int) -> dict | None:
     """Row n from its cache line, or None unless the line is a list of
     ``[*index, value]`` lists, each of arity - 1 nonnegative int indices
     and a positive int, and the row adds up to (2n-1)!!: for T and P the
     plain sum, for gamma the sum of 2^j gamma_{n,i,j}, which is
     P_n(1, 1, 1).  A T index k is at most 2n, and a P or gamma index adds
     up to at most n, the row's order.  The row is summed as read, so a
-    repeated index fails.  A tuple index is looked up in ``grid``, the
-    family's key grid to the table's bound, so the rows share their keys."""
+    repeated index fails."""
     entries = json.loads(line)
     if (
         type(entries) is not list
@@ -122,17 +114,11 @@ def _read_row(line: bytes, n: int, family: str, arity: int, grid) -> dict | None
     if (
         set(map(type, flat)) != {int}
         or min(values) <= 0
-        # checked before the grid is read, where a negative index wraps
         or min(map(min, index)) < 0
-        or max(reduce(partial(map, add), index)) > (2 * n if grid is None else n)
+        or max(reduce(partial(map, add), index)) > (n if len(index) > 1 else 2 * n)
     ):
         return None
-    keys = index[0]
-    if grid is not None:
-        keys = map(grid.__getitem__, keys)
-        for axis in index[1:]:
-            keys = map(getitem, keys, axis)
-    row = dict(zip(keys, values))
+    row = dict(zip(zip(*index) if len(index) > 1 else index[0], values))
     if family == "gamma":
         total = sum(map(lshift, row.values(), map(itemgetter(1), row)))
     else:
@@ -142,11 +128,11 @@ def _read_row(line: bytes, n: int, family: str, arity: int, grid) -> dict | None
 
 class TableCache:
     """Disk cache of coefficient tables, one JSON-lines file per (family,
-    bound): a header line, then one line per row."""
+    bound): a header line, then the row line."""
 
     def __init__(self, directory: str | Path):
         self.directory = Path(directory)
-        # the key and table of the last load that parsed a file
+        # the header and arity of the last load that parsed a file, and its table
         self._last = ((), None)
 
     def _path(self, family: str, bound: int) -> Path:
@@ -154,67 +140,53 @@ class TableCache:
 
     def load(self, family: str, bound: int, arity: int) -> CoefficientTable | None:
         """The cached table, or None when there is no file, or the file is
-        unreadable, has another header or another number of rows, or has a
-        row off the schema, its total or its order (:func:`_read_row`).
-        Every load reads the whole file and hashes it; bytes identical to
-        those of the last table this cache parsed give that table again,
-        and any other bytes are read again and checked one row at a time."""
-        rows = []
+        unreadable, its header is not the one expected with its row line's
+        digest (so another family, bound, version or row byte is a miss), or
+        its row is off the schema, its total or its order (:func:`_read_row`).
+        A load hashes the row line once; the header and arity of the last
+        file this cache parsed give that table again."""
         try:
             with self._path(family, bound).open("rb") as f:
-                digest = hashlib.blake2b()
-                for chunk in iter(partial(f.read, 1 << 16), b""):
-                    digest.update(chunk)
-                key = (family, bound, arity, digest.digest())
-                if self._last[0] == key:
-                    return self._last[1]
-                f.seek(0)
-                if f.readline() != _header(family, bound):
+                header, line = f.readline(), f.read()
+            if header != _header(family, bound, hashlib.blake2b(line).hexdigest()):
+                return None
+            if self._last[0] != (header, arity):
+                row = _read_row(line, bound, family, arity)
+                if row is None:
                     return None
-                grid = _KEY_GRIDS[family](bound) if family in _KEY_GRIDS else None
-                for n, line in enumerate(f):
-                    if n > bound or (row := _read_row(line, n, family, arity, grid)) is None:
-                        return None
-                    rows.append(row)
+                self._last = ((header, arity), CoefficientTable(family, arity, bound, row))
         except (OSError, ValueError, RecursionError):
             return None
-        if len(rows) != bound + 1:
-            return None
-        self._last = (key, CoefficientTable(family, arity, bound, tuple(rows)))
         return self._last[1]
 
     def store(self, table: CoefficientTable) -> None:
-        """Write the table a row at a time through a temporary file in the
+        """Write the header and the row line through a temporary file in the
         same directory and rename it into place, so that a reader never sees
-        half a file.  No fsync: a file torn by a crash fails the checks in
+        half a file.  No fsync: a file torn by a crash fails the digest in
         :meth:`load`."""
+        # the row's items are in key order already, as its reader made them
+        terms = table.row.items() if table.arity == 2 else ((*k, v) for k, v in table.row.items())
+        entry = "[%s]" % ",".join(["%d"] * table.arity)
+        line = ("[%s]\n" % ",".join([entry % t for t in terms])).encode()
         self.directory.mkdir(parents=True, exist_ok=True)
         path = self._path(table.family, table.bound)
         fd, tmp = tempfile.mkstemp(dir=self.directory, prefix=path.name, suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as f:
-                f.write(_header(table.family, table.bound))
-                entry = "[%s]" % ",".join(["%d"] * table.arity)
-                for row in table.rows:
-                    # a row's items are in key order already, as its reader made them
-                    terms = row.items() if table.arity == 2 else ((*k, v) for k, v in row.items())
-                    f.write(("[%s]\n" % ",".join([entry % t for t in terms])).encode())
+                f.write(_header(table.family, table.bound, hashlib.blake2b(line).hexdigest()))
+                f.write(line)
             os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)
             raise
 
 
-def _cached_build(family, arity, bound, cache, step, origin, read):
-    # row 0 is origin and row m is step(row m-1, m), each dense row read into
-    # its dict of nonzero terms, keyed from the family's grid if it has one,
-    # so that the rows share key tuples; built on a cache miss only
-    bound = _order(bound)
-    table = cache.load(family, bound, arity) if cache is not None else None
+def _cached_build(family, arity, n, cache, row):
+    # row n off the family's memo, built on a cache miss only
+    n = _order(n)
+    table = cache.load(family, n, arity) if cache is not None else None
     if table is None:
-        read = partial(read, keys=_KEY_GRIDS[family](bound)) if family in _KEY_GRIDS else read
-        rows = accumulate(range(1, bound + 1), step, initial=origin)
-        table = CoefficientTable(family, arity, bound, tuple(map(read, rows)))
+        table = CoefficientTable(family, arity, n, row(n))
         if cache is not None:
             cache.store(table)
     return table
@@ -318,8 +290,8 @@ def t_poly(n: int) -> Poly:
     return Poly.from_counts(_t_row(n))
 
 
-def t_table(n_max: int, cache: TableCache | None = None) -> CoefficientTable:
-    return _cached_build("t", 2, n_max, cache, _t_step, [1], _t_terms)
+def t_table(n: int, cache: TableCache | None = None) -> CoefficientTable:
+    return _cached_build("t", 2, n, cache, _t_row)
 
 
 # ---------------------------------------------------------------------------
@@ -404,8 +376,8 @@ def p_polys_differential(n_max: int) -> list[Poly]:
     return _differential(n_max, x, {"x": xy + xz - 2 * x2, "y": x - xy, "z": x - xz})
 
 
-def p_table(n_max: int, cache: TableCache | None = None) -> CoefficientTable:
-    return _cached_build("p", 4, n_max, cache, _p_step, [[[1]]], _p_terms)
+def p_table(n: int, cache: TableCache | None = None) -> CoefficientTable:
+    return _cached_build("p", 4, n, cache, _p_row)
 
 
 # ---------------------------------------------------------------------------
@@ -443,10 +415,6 @@ def _gamma_terms(row: list[list[int]], keys) -> dict[tuple[int, int], int]:
     return {e: c for line, key_line in zip(row, keys) for e, c in zip(key_line, line) if c}
 
 
-# the key grid of each family with tuple keys; T's keys are ints
-_KEY_GRIDS = {"p": _p_keys, "gamma": _gamma_keys}
-
-
 @_memo
 def _gamma_row(n: int) -> dict[tuple[int, int], int]:
     return _gamma_terms(reduce(_gamma_step, range(1, n + 1), [[1]]), _gamma_keys(n))
@@ -465,8 +433,8 @@ def g_polys_differential(n_max: int) -> list[Poly]:
     return _differential(n_max, x, {"x": xy - 2 * x2, "y": 2 * x - xy})
 
 
-def gamma_table(n_max: int, cache: TableCache | None = None) -> CoefficientTable:
-    return _cached_build("gamma", 3, n_max, cache, _gamma_step, [[1]], _gamma_terms)
+def gamma_table(n: int, cache: TableCache | None = None) -> CoefficientTable:
+    return _cached_build("gamma", 3, n, cache, _gamma_row)
 
 
 # ---------------------------------------------------------------------------

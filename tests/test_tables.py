@@ -14,6 +14,7 @@ import tracemalloc
 import pytest
 
 from stirlab import __version__, objects, tables
+from stirlab.cli import main
 from stirlab.errors import IdentityViolationError
 from stirlab.grammar import derive, parse_grammar
 from stirlab.polynomials import Poly
@@ -214,28 +215,16 @@ class TestAscentFamilies:
 
 class TestCoefficientTablesAndCache:
     def test_table_contents(self):
-        t = t_table(3)
-        assert t.value(2, 1) == 1 and t.value(2, 3) == 1
-        assert t.value(9, 9) == 0
-        g = gamma_table(3)
-        assert g.value(3, 2, 1) == 4
-        p = p_table(3)
-        assert p.value(3, 2, 1, 0) == 4
-
-    @pytest.mark.parametrize("build,idx", [(t_table, ()), (t_table, (1, 1)), (gamma_table, (1,)),
-                                           (p_table, (2,)), (p_table, (1, 1, 1, 1))])
-    def test_value_takes_arity_less_one_indices(self, build, idx):
-        table = build(3)
-        with pytest.raises(ValueError, match=rf"^{table.family} takes {table.arity - 1} indices, "
-                                             rf"got {len(idx)}$"):
-            table.value(2, *idx)
+        assert t_table(2).row == {1: 1, 2: 1, 3: 1}
+        assert gamma_table(3).row[2, 1] == 4
+        assert p_table(3).row[2, 1, 0] == 4
 
     def test_disk_cache(self, tmp_path):
         cache = TableCache(tmp_path)
         t1 = t_table(4, cache)
         assert (tmp_path / "t-4.json").exists()
         t2 = t_table(4, cache)
-        assert t1.rows == t2.rows
+        assert t1.row == t2.row
 
     def test_cache_version_invalidation(self, tmp_path):
         cache = TableCache(tmp_path)
@@ -246,33 +235,34 @@ class TestCoefficientTablesAndCache:
         assert cache.load("t", 3, 2) is None
         # a corrupted file falls back to regeneration too
         path.write_text("{not json")
-        assert t_table(3, cache).value(2, 2) == 1
+        assert t_table(3, cache).row[3] == 7
 
     def test_mismatch_raises_identity_violation(self, monkeypatch):
         # weights that 2^n does not divide trip the closed form's guard
-        import stirlab.tables as tb
-
-        monkeypatch.setattr(tb, "_closed_weight", lambda n, k: 1)
+        monkeypatch.setattr(tables, "_closed_weight", lambda n, k: 1)
         with pytest.raises(IdentityViolationError, match="N_3 is not integral"):
-            tb.n_poly_closed(3)
+            n_poly_closed(3)
 
 
-# the row tables against the gather form of their recurrences, at the
-# largest orders ``poly`` prints, through the table's one pass of the steps
-# and the memo of the last row
+# the row steps against the gather form of their recurrences, at the largest
+# orders ``poly`` prints, each row read by its family's reader, and the memo
+# of the last row
 def gather_rows(step, origin, n_max):
-    return tuple(map(ref.terms, itertools.accumulate(range(1, n_max + 1), step, initial=origin)))
+    return list(map(ref.terms, itertools.accumulate(range(1, n_max + 1), step, initial=origin)))
 
 
 def test_p_rows_match_gather_form():
     rows = gather_rows(ref.p_step, [[[1]]], 40)
-    assert p_table(40).rows == rows
+    stepped = itertools.accumulate(range(1, 41), tables._p_step, initial=[[[1]]])
+    assert [tables._p_terms(row, tables._p_keys(n)) for n, row in enumerate(stepped)] == rows
     assert _p_row(40) == rows[40]
 
 
 def test_gamma_rows_match_gather_form():
     rows = gather_rows(ref.gamma_step, [[1]], 100)
-    assert gamma_table(100).rows == rows
+    stepped = itertools.accumulate(range(1, 101), tables._gamma_step, initial=[[1]])
+    assert [tables._gamma_terms(row, tables._gamma_keys(n))
+            for n, row in enumerate(stepped)] == rows
     assert _gamma_row(100) == rows[100]
 
 
@@ -403,8 +393,10 @@ def test_flag_rows_do_not_recurse_per_n(value, n, expected):
     "build,row", [(t_table, _t_row), (p_table, _p_row), (gamma_table, _gamma_row)],
     ids=["t", "p", "gamma"],
 )
-def test_flag_tables_match_their_rows(build, row):
-    assert build(12).rows == tuple(row(n) for n in range(13))
+def test_flag_tables_match_their_rows(tmp_path, build, row):
+    # a build is the memo's row n, and a load of the file it wrote equals it
+    assert build(12, TableCache(tmp_path)).row is row(12)
+    assert build(12, TableCache(tmp_path)).row == row(12)
 
 
 # ---------------------------------------------------------------------------
@@ -417,23 +409,34 @@ def _edit_lines(path, edit):
     path.write_text("".join(line + "\n" for line in lines))
 
 
-def _edit_row(n, edit):
-    # row n is line n + 1, after the header
+def _signed(edit):
+    # the edit, then the header's digest made that of the new row bytes, so
+    # that only the checks of _read_row can tell the file is off
     def on_lines(lines):
-        row = json.loads(lines[n + 1])
-        edit(row)
-        lines[n + 1] = json.dumps(row)
+        edit(lines)
+        digest = hashlib.blake2b("".join(line + "\n" for line in lines[1:]).encode()).hexdigest()
+        lines[0] = re.sub(r'"blake2b":"\w*"', f'"blake2b":"{digest}"', lines[0])
 
     return on_lines
+
+
+def _edit_row(edit):
+    # the row is line 1, after the header
+    def on_lines(lines):
+        row = json.loads(lines[1])
+        edit(row)
+        lines[1] = json.dumps(row)
+
+    return _signed(on_lines)
 
 
 def _set_entry(path, idx, value):
     def edit(row):
         for e in row:
-            if e[:-1] == idx[1:]:
+            if e[:-1] == idx:
                 e[-1] = value
 
-    _edit_lines(path, _edit_row(idx[0], edit))
+    _edit_lines(path, _edit_row(edit))
 
 
 def _whole_document(lines):
@@ -444,9 +447,15 @@ def _whole_document(lines):
     lines[:] = [json.dumps({**header, "entries": entries}, separators=(",", ":"))]
 
 
+def _row_lines(lines):
+    # the layout before the digest: a header, then one line per row 0..3
+    lines[:] = ['{"family":"t","bound":3,"version":"0.1.0"}',
+                *(json.dumps([*map(list, _t_row(m).items())]).replace(" ", "") for m in range(4))]
+
+
 def _replace_entry(old, new):
-    # in row 2 of t-3.json, [[1, 1], [2, 1], [3, 1]]
-    return _edit_row(2, lambda row: row.__setitem__(row.index(old), new))
+    # in t-3.json, [[1, 1], [2, 3], [3, 7], [4, 3], [5, 1]]
+    return _edit_row(lambda row: row.__setitem__(row.index(old), new))
 
 
 def _set_header(**fields):
@@ -456,20 +465,23 @@ def _set_header(**fields):
     return edit
 
 
-# Each edit changes the header, one row line or the line count of t-3.json.
-# The float, bool, index-past-2n and zero-value edits keep every row total,
-# so only the schema check catches them.  The last two repeat an index in
-# row 2: a loader that summed the entry list instead of the row as read
-# would accept them, and return T(2, 3) = 0 or lose T(2, 3).
+# Each edit changes the header, the row line or the line count of t-3.json.
+# An edit of the row line or the line count re-signs the header, so that
+# the checks of _read_row, not the digest, catch it; the blank line and the
+# two earlier layouts are not signed.  The float, bool, index-past-2n and
+# zero-value edits keep the row total, so only the schema check catches
+# them.  The last two repeat an index: a loader that summed the entry list
+# instead of the row as read would accept them, and return T(3, 5) = 0 or
+# lose T(3, 5).
 @pytest.mark.parametrize(
     "edit",
     [
         _whole_document,
-        lambda lines: lines.__delitem__(slice(1, None)),
-        lambda lines: lines.__setitem__(3, '{"idx": [1], "val": 1}'),
-        _edit_row(2, lambda row: row.append([1])),
-        _edit_row(2, lambda row: row.append([3, 0, 1])),
-        _edit_row(2, lambda row: row.append("3,1")),
+        _signed(lambda lines: lines.__setitem__(1, "[]")),
+        _signed(lambda lines: lines.__setitem__(1, '{"idx": [1], "val": 1}')),
+        _edit_row(lambda row: row.append([1])),
+        _edit_row(lambda row: row.append([3, 0, 1])),
+        _edit_row(lambda row: row.append("3,1")),
         _replace_entry([1, 1], [1, "1"]),
         _replace_entry([1, 1], [[1], 1]),
         _replace_entry([1, 1], [-1, 1]),
@@ -477,22 +489,23 @@ def _set_header(**fields):
         _set_header(family="p"),
         _set_header(version="0.0.0"),
         lambda lines: lines.__setitem__(0, lines[0].replace(",", ", ")),
-        lambda lines: lines.__setitem__(3, "[[1, 1], [2, 1]"),
+        _signed(lambda lines: lines.__setitem__(1, "[[1, 1], [2, 3]")),
         _replace_entry([1, 1], [1, 1.0]),
         _replace_entry([1, 1], [1, True]),
-        _replace_entry([3, 1], [5, 1]),
-        _edit_row(2, lambda row: row.append([4, 0])),
-        lambda lines: lines.pop(),
-        lambda lines: lines.append(lines[-1]),
+        _replace_entry([5, 1], [7, 1]),
+        _edit_row(lambda row: row.append([6, 0])),
+        _signed(lambda lines: lines.pop()),
+        _signed(lambda lines: lines.append(lines[1])),
+        _row_lines,
         lambda lines: lines.append(""),
-        _edit_row(2, lambda row: row.append([3, 0])),
-        _replace_entry([3, 1], [1, 1]),
+        _edit_row(lambda row: row.append([5, 0])),
+        _replace_entry([5, 1], [1, 1]),
     ],
     ids=["parent-format", "no-entries", "entries-not-a-list", "short-entry",
          "long-entry", "non-list-entry", "non-integer-value", "list-index",
          "negative-index", "other-bound", "other-family", "other-version",
          "header-spacing", "unreadable-row", "float-value", "bool-value",
-         "index-past-2n", "zero-value", "row-missing", "row-too-many",
+         "index-past-2n", "zero-value", "row-missing", "row-too-many", "parent-rows",
          "blank-line-too-many", "repeated-index", "repeated-index-same-sum"],
 )
 def test_cache_schema_mismatch_is_a_miss(tmp_path, edit):
@@ -504,43 +517,35 @@ def test_cache_schema_mismatch_is_a_miss(tmp_path, edit):
     assert path.read_text() != written
     assert cache.load("t", 3, 2) is None
     # the next build regenerates the file in the current format
-    assert t_table(3, cache).value(2, 3) == 1
+    assert t_table(3, cache).row[5] == 1
     assert path.read_text() == written
-    assert cache.load("t", 3, 2).rows == t_table(3).rows
+    assert cache.load("t", 3, 2).row == _t_row(3)
 
 
-@pytest.mark.parametrize(
-    "build,name,idx",
-    [
-        (t_table, "t", [2, 1]),
-        (p_table, "p", [3, 2, 1, 0]),
-        (gamma_table, "gamma", [3, 2, 1]),
-    ],
-    ids=["t", "p", "gamma"],
-)
+@pytest.mark.parametrize("build,name,idx",
+                         [(t_table, "t", [1]), (p_table, "p", [2, 1, 0]),
+                          (gamma_table, "gamma", [2, 1])], ids=["t", "p", "gamma"])
 def test_cache_row_total_mismatch_is_a_miss(tmp_path, build, name, idx):
     cache = TableCache(tmp_path)
     good = build(4, cache)
     _set_entry(tmp_path / f"{name}-4.json", idx, 999)
     assert cache.load(name, 4, good.arity) is None
-    assert build(4, cache).rows == good.rows
-    assert cache.load(name, 4, good.arity).rows == good.rows
+    assert build(4, cache).row == good.row
+    assert cache.load(name, 4, good.arity).row == good.row
+
+
+def _poly(cache_dir, name, n):
+    out = io.StringIO()
+    code = main(["--cache-dir", str(cache_dir), "poly", "--name", name, "--n", str(n)], out=out)
+    return code, out.getvalue()
 
 
 def test_tampered_t_file_is_regenerated_by_the_cli(tmp_path):
-    from stirlab.cli import main
-
-    def poly_t2():
-        out = io.StringIO()
-        code = main(["--cache-dir", str(tmp_path), "poly", "--name", "T", "--n", "2"],
-                    out=out)
-        return code, out.getvalue()
-
-    assert poly_t2() == (0, "x + x^2 + x^3\n")
+    assert _poly(tmp_path, "T", 2) == (0, "x + x^2 + x^3\n")
     path = tmp_path / "t-2.json"
-    _set_entry(path, [2, 1], 999)
+    _set_entry(path, [1], 999)
     assert "999" in path.read_text()
-    assert poly_t2() == (0, "x + x^2 + x^3\n")
+    assert _poly(tmp_path, "T", 2) == (0, "x + x^2 + x^3\n")
     assert "999" not in path.read_text()
 
 
@@ -550,22 +555,15 @@ def test_tampered_t_file_is_regenerated_by_the_cli(tmp_path):
                          ids=["p", "gamma"])
 def test_a_row_index_off_the_key_grid_is_regenerated_by_the_cli(tmp_path, name, family, old, new,
                                                                   term):
-    # the moved entry keeps its index in 0..2n and its row's total, so only
-    # the bound of an index's sum by the row's order, i + j (+ k) <= 4,
-    # tells it is off
-    from stirlab.cli import main
-
-    def poly_4():
-        out = io.StringIO()
-        code = main(["--cache-dir", str(tmp_path), "poly", "--name", name, "--n", "4"], out=out)
-        return code, out.getvalue()
-
-    good = poly_4()
+    # the moved entry keeps its index in 0..2n and its row's total, and the
+    # header is re-signed, so only the bound of an index's sum by the row's
+    # order, i + j (+ k) <= 4, tells it is off
+    good = _poly(tmp_path, name, 4)
     (path,) = tmp_path.iterdir()
     written = path.read_text()
-    _edit_lines(path, _edit_row(4, lambda row: row.__setitem__(row.index(old), new)))
+    _edit_lines(path, _edit_row(lambda row: row.__setitem__(row.index(old), new)))
     assert TableCache(tmp_path).load(family, 4, len(old)) is None
-    assert poly_4() == good and term not in good[1]
+    assert _poly(tmp_path, name, 4) == good and term not in good[1]
     assert path.read_text() == written
 
 
@@ -574,15 +572,15 @@ def test_a_row_index_off_the_key_grid_is_regenerated_by_the_cli(tmp_path, name, 
                           (gamma_table, [2, 0, 1], [4, 0, 1], (2, 0))],
                          ids=["p", "gamma"])
 def test_a_row_index_past_its_order_is_a_miss(tmp_path, build, old, new, term):
-    # row 2's moved entry keeps its row's total and stays on the key grid of
-    # the table's bound 4, but its indices add up to 4, past the row's order
+    # row 2's moved entry keeps its row's total, and the header is
+    # re-signed, but its indices add up to 4, past the row's order
     cache = TableCache(tmp_path)
-    good = build(4, cache)
+    good = build(2, cache)
     (path,) = tmp_path.iterdir()
-    _edit_lines(path, _edit_row(2, lambda row: row.__setitem__(row.index(old), new)))
-    assert cache.load(good.family, 4, good.arity) is None
-    assert build(4, cache).rows[2][term] == 1
-    assert cache.load(good.family, 4, good.arity).rows == good.rows
+    _edit_lines(path, _edit_row(lambda row: row.__setitem__(row.index(old), new)))
+    assert cache.load(good.family, 2, good.arity) is None
+    assert build(2, cache).row[term] == 1
+    assert cache.load(good.family, 2, good.arity).row == good.row
 
 
 def _swap_t3_values(path):
@@ -595,29 +593,33 @@ def _swap_t3_values(path):
 
 @pytest.mark.parametrize("edit,expect", [
     (lambda path: None, lambda first, again: again is first),
-    (_swap_t3_values, lambda first, again: again.rows[3] == {1: 1, 2: 7, 3: 3, 4: 3, 5: 1}
-                                           and first.rows[3][2] == 3),
+    (_swap_t3_values, lambda first, again: again is None),
     (lambda path: path.unlink(), lambda first, again: again is None),
 ], ids=["unchanged", "values-swapped", "deleted"])
 def test_a_reload_reuses_the_table_of_identical_bytes_only(tmp_path, edit, expect):
     # a cache keeps the last table it parsed and gives it again only for a
-    # file of the same bytes, however the file's size and mtime look
+    # file of the same digest, however the file's size and mtime look; a
+    # swap keeps every check of the row but its digest, and is a miss
     cache = TableCache(tmp_path)
-    cache.store(t_table(4))
-    path = tmp_path / "t-4.json"
-    first = cache.load("t", 4, 2)
-    assert first.rows == t_table(4).rows
+    cache.store(t_table(3))
+    path = tmp_path / "t-3.json"
+    written = path.read_bytes()
+    first = cache.load("t", 3, 2)
+    assert first.row == _t_row(3)
     stat = path.stat()
     edit(path)
     if path.exists():
         os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
         assert path.stat().st_size == stat.st_size
-    assert expect(first, cache.load("t", 4, 2))
+    assert expect(first, cache.load("t", 3, 2))
+    # the next build rewrites a file it missed, and another file is read
+    assert t_table(3, cache).row == _t_row(3)
+    assert path.read_bytes() == written
+    cache.store(t_table(2))
+    assert cache.load("t", 2, 2).row == _t_row(2)
 
 
 def test_cache_store_replaces_the_file_atomically(tmp_path, monkeypatch):
-    import stirlab.tables as tb
-
     cache = TableCache(tmp_path)
     t_table(3, cache)
     before = (tmp_path / "t-3.json").read_text()
@@ -625,7 +627,7 @@ def test_cache_store_replaces_the_file_atomically(tmp_path, monkeypatch):
     def fail(src, dst):
         raise OSError("disk full")
 
-    monkeypatch.setattr(tb.os, "replace", fail)
+    monkeypatch.setattr(tables.os, "replace", fail)
     with pytest.raises(OSError):
         cache.store(t_table(3))
     # the old file is whole and no temporary file is left behind
@@ -633,19 +635,22 @@ def test_cache_store_replaces_the_file_atomically(tmp_path, monkeypatch):
     assert [p.name for p in tmp_path.iterdir()] == ["t-3.json"]
 
 
+def _cache_file(family, n, line):
+    # a header holding the BLAKE2b digest of the row line, then that line
+    digest = hashlib.blake2b(line.encode()).hexdigest()
+    return f'{{"family":"{family}","bound":{n},"version":"0.1.0","blake2b":"{digest}"}}\n{line}'
+
+
 # the cache file of each table at n = 0, 1 (its text) and 20 (its size and
-# SHA-256): a header line, then one compact line per row
+# SHA-256): a header line, then the compact line of row n
 CACHE_FILES = {
-    ("t", 0): '{"family":"t","bound":0,"version":"0.1.0"}\n[[0,1]]\n',
-    ("t", 1): '{"family":"t","bound":1,"version":"0.1.0"}\n[[0,1]]\n[[1,1]]\n',
-    ("t", 20): (6578, "3ee642420fafe6249e2f542bfd89d3b7c78581bd0c7fd8b51bb2e411eb71eae4"),
-    ("p", 0): '{"family":"p","bound":0,"version":"0.1.0"}\n[[0,0,0,1]]\n',
-    ("p", 1): '{"family":"p","bound":1,"version":"0.1.0"}\n[[0,0,0,1]]\n[[1,0,0,1]]\n',
-    ("p", 20): (108458, "4df79aa9a1cb9a3022c185d18ef699fe183048f24122f721e776ed47be54dbd6"),
-    ("gamma", 0): '{"family":"gamma","bound":0,"version":"0.1.0"}\n[[0,0,1]]\n',
-    ("gamma", 1): '{"family":"gamma","bound":1,"version":"0.1.0"}\n[[0,0,1]]\n'
-                  '[[1,0,1]]\n',
-    ("gamma", 20): (15850, "c0806390794c5d52a68d48ce96076f9e0d35960a502b97b6b0ee8b01acb02971"),
+    ("t", 0): _cache_file("t", 0, "[[0,1]]\n"), ("t", 1): _cache_file("t", 1, "[[1,1]]\n"),
+    ("t", 20): (1099, "8bf8c2318b074a5cff5579f6852c5c8fa9f9c0a663f3c4032dd4ecc9ce702fe7"),
+    ("p", 0): _cache_file("p", 0, "[[0,0,0,1]]\n"), ("p", 1): _cache_file("p", 1, "[[1,0,0,1]]\n"),
+    ("p", 20): (22777, "73fac0928469faabd899c4bf6aaa3b4c117e90addc32c66c7d1bc87b7e1da0fa"),
+    ("gamma", 0): _cache_file("gamma", 0, "[[0,0,1]]\n"),
+    ("gamma", 1): _cache_file("gamma", 1, "[[1,0,1]]\n"),
+    ("gamma", 20): (2952, "bc7b1f17c37dbd64e1f2344d45837fd422cbf1c07c0eb85b06d152771ff7168c"),
 }
 
 
@@ -656,29 +661,26 @@ CACHE_FILES = {
 def test_cache_file_is_the_compact_json_of_the_table(tmp_path, build, row, n):
     table = build(n)
     TableCache(tmp_path).store(table)
-    path = tmp_path / f"{table.family}-{n}.json"
-    data = path.read_bytes()
+    data = (tmp_path / f"{table.family}-{n}.json").read_bytes()
     pinned = CACHE_FILES[table.family, n]
     if isinstance(pinned, str):
         assert data.decode() == pinned
     else:
         assert (len(data), hashlib.sha256(data).hexdigest()) == pinned
-    header, *lines = data.decode().splitlines()
-    assert json.loads(header) == {"family": table.family, "bound": n,
-                                  "version": __version__}
-    assert len(lines) == n + 1
-    for m, line in enumerate(lines):
-        assert line == json.dumps(
-            [[*(k if isinstance(k, tuple) else (k,)), v] for k, v in sorted(row(m).items())],
-            separators=(",", ":"),
-        )
+    header, line = data.split(b"\n", 1)
+    assert json.loads(header) == {"family": table.family, "bound": n, "version": __version__,
+                                  "blake2b": hashlib.blake2b(line).hexdigest()}
+    assert line.decode() == json.dumps(
+        [[*(k if isinstance(k, tuple) else (k,)), v] for k, v in sorted(row(n).items())],
+        separators=(",", ":"),
+    ) + "\n"
 
 
 @pytest.mark.parametrize("build,n", [(gamma_table, 40), (p_table, 25), (t_table, 40)],
                          ids=["gamma-40", "p-25", "t-40"])
 def test_cache_store_holds_about_one_row_at_a_time(tmp_path, build, n):
-    # building the whole document, its text and its bytes before writing
-    # peaked at 12-15 times the file; row by row it stays under 5
+    # the row's entry strings, its line and the line's bytes, all of the
+    # file but its header, peak at 3.0 to 3.6 times the file
     table = build(n)
     cache = TableCache(tmp_path)
     tracemalloc.start()
@@ -693,47 +695,43 @@ def test_cache_store_holds_about_one_row_at_a_time(tmp_path, build, n):
 @pytest.mark.parametrize("build,n", [(gamma_table, 100), (p_table, 40)], ids=["gamma-100", "p-40"])
 @pytest.mark.parametrize("side", ["built", "loaded"])
 def test_a_tables_rows_share_their_key_tuples(tmp_path, build, n, side):
-    # equal keys across the rows are one tuple, so the table holds little
-    # beyond its row dicts and values; a tuple per entry would hold 4.0
-    # (p-40) and 4.7 MiB (gamma-100) more, and the bound allows half of that
+    # row n, built from cold memos or loaded, holds little beyond its dict,
+    # one key tuple per entry and its values: the bound allows half a tuple
+    # per entry more
     cache = TableCache(tmp_path)
     cache.store(build(n))
+    objects.clear_memos()
     tracemalloc.start()
     try:
-        table = build(n, cache if side == "loaded" else None)
+        row = build(n, cache if side == "loaded" else None).row
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    first = {}
-    assert all(first.setdefault(e, e) is e for row in table.rows for e in row)
     # the key order the readers make and the cache files pin
-    assert all(list(row) == sorted(row) for row in table.rows)
-    entries = sum(map(len, table.rows))
-    tuple_size = sys.getsizeof(next(iter(first)))
+    assert list(row) == sorted(row)
+    tuple_size = sys.getsizeof(next(iter(row)))
     # CPython allocates no int up to 256
-    rows = sum(map(sys.getsizeof, table.rows)) + sum(
-        sys.getsizeof(c) for row in table.rows for c in row.values() if c > 256)
-    assert held < rows + len(first) * tuple_size + entries * tuple_size / 2
+    size = sys.getsizeof(row) + sum(sys.getsizeof(c) for c in row.values() if c > 256)
+    assert held < size + len(row) * tuple_size + len(row) * tuple_size / 2
 
 
 @pytest.mark.parametrize("build,n", [(gamma_table, 100), (p_table, 40), (t_table, 60)],
                          ids=["gamma-100", "p-40", "t-60"])
 def test_cache_load_holds_about_one_row_at_a_time(tmp_path, build, n):
-    # beyond the table it returns, load holds one row's line and entry
-    # lists at a time; parsing the whole document first took 2.4 to 5.3
-    # times the file
+    # beyond the table it returns, load holds the row line's bytes and its
+    # entry lists: 2.3, 4.1 and 2.1 times the line
     table = build(n)
     cache = TableCache(tmp_path)
     cache.store(table)
-    size = cache._path(table.family, n).stat().st_size
+    line = cache._path(table.family, n).read_bytes().split(b"\n", 1)[1]
     tracemalloc.start()
     try:
         loaded = cache.load(table.family, n, table.arity)
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert loaded.rows == table.rows
-    assert peak - held < size
+    assert loaded.row == table.row
+    assert peak - held < 5 * len(line)
 
 
 # Every public function of tables at the orders below, with its remaining
