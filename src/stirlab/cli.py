@@ -151,13 +151,17 @@ def _print_univariate(poly: Poly, fmt: str) -> list[str]:
 
 
 def _print_trivariate(row: Mapping[tuple[int, int, int], int], fmt: str) -> list[str]:
-    """The lines of a P or G row, by degree, then by exponent triple."""
-    terms = sorted(row.items(), key=lambda t: (sum(t[0]), t[0]))
+    """The lines of a P or G row, by degree, then by exponent triple.  JSON
+    formats each term into the bytes ``json.dumps`` writes for
+    ``{"e": [i, j, k], "c": "<c>"}`` with its default separators, with no
+    dict or list made per term."""
+    keys = sorted(row, key=lambda e: (sum(e), e))
     if fmt == "plain":
-        return [format_terms((monomial_str(XYZ, e), c) for e, c in terms)]
+        return [format_terms((monomial_str(XYZ, e), row[e]) for e in keys)]
     if fmt == "json":
-        return [json.dumps([{"e": list(e), "c": str(c)} for e, c in terms])]
-    return ["i,j,k,coeff", *(f"{i},{j},{k},{c}" for (i, j, k), c in terms)]
+        term = '{"e": [%d, %d, %d], "c": "%d"}'
+        return ["[%s]" % ", ".join([term % (*e, row[e]) for e in keys])]
+    return ["i,j,k,coeff", *(f"{i},{j},{k},{row[i, j, k]}" for i, j, k in keys)]
 
 
 # ---------------------------------------------------------------------------

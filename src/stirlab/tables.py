@@ -22,10 +22,9 @@ entry summed from zero-padded shifts of the row before; P and gamma are
 dense nested lists, row[i][j][k] over i + j + k <= n from [[[1]]] and
 row[i][j] over i + j <= n from [[1]].  Each family's own reader turns its
 dense row into the dict of nonzero terms in increasing key order that every
-caller sees; the P and gamma readers zip each dense line with a line of
-their family's key grid.  Every order passes ``objects._order``; a family
-is read off its polynomial, and :func:`stirling2` is the one number
-function.
+caller sees, with a key made for each nonzero entry only.  Every order
+passes ``objects._order``; a family is read off its polynomial, and
+:func:`stirling2` is the one number function.
 
 A small JSON disk cache (:class:`TableCache`) can memoize the three
 CoefficientTable builders :func:`t_table`, :func:`p_table` and
@@ -331,21 +330,15 @@ def _p_step(prev: list[list[list[int]]], n: int) -> list[list[list[int]]]:
     return row
 
 
-def _p_keys(n: int) -> list[list[list[tuple[int, int, int]]]]:
-    """The key grid of P rows to order n: keys[i][j][k] = (i, j, k)."""
-    return [[[(i, j, k) for k in range(n + 1 - i - j)] for j in range(n + 1 - i)]
-            for i in range(n + 1)]
-
-
-def _p_terms(row: list[list[list[int]]], keys) -> dict[tuple[int, int, int], int]:
-    """A dense P row's nonzero terms in key order, keyed from a :func:`_p_keys` grid."""
-    return {e: c for plane, key_plane in zip(row, keys)
-            for line, key_line in zip(plane, key_plane) for e, c in zip(key_line, line) if c}
+def _p_terms(row: list[list[list[int]]]) -> dict[tuple[int, int, int], int]:
+    """A dense P row's nonzero terms in key order."""
+    return {(i, j, k): c for i, plane in enumerate(row) for j, line in enumerate(plane)
+            for k, c in enumerate(line) if c}
 
 
 @_memo
 def _p_row(n: int) -> dict[tuple[int, int, int], int]:
-    return _p_terms(reduce(_p_step, range(1, n + 1), [[[1]]]), _p_keys(n))
+    return _p_terms(reduce(_p_step, range(1, n + 1), [[[1]]]))
 
 
 def p_poly(n: int) -> Poly:
@@ -405,19 +398,14 @@ def _gamma_step(prev: list[list[int]], n: int) -> list[list[int]]:
     return row
 
 
-def _gamma_keys(n: int) -> list[list[tuple[int, int]]]:
-    """The key grid of gamma rows to order n: keys[i][j] = (i, j)."""
-    return [[(i, j) for j in range(n + 1 - i)] for i in range(n + 1)]
-
-
-def _gamma_terms(row: list[list[int]], keys) -> dict[tuple[int, int], int]:
-    """A dense gamma row's nonzero terms in key order, keyed from a :func:`_gamma_keys` grid."""
-    return {e: c for line, key_line in zip(row, keys) for e, c in zip(key_line, line) if c}
+def _gamma_terms(row: list[list[int]]) -> dict[tuple[int, int], int]:
+    """A dense gamma row's nonzero terms in key order."""
+    return {(i, j): c for i, line in enumerate(row) for j, c in enumerate(line) if c}
 
 
 @_memo
 def _gamma_row(n: int) -> dict[tuple[int, int], int]:
-    return _gamma_terms(reduce(_gamma_step, range(1, n + 1), [[1]]), _gamma_keys(n))
+    return _gamma_terms(reduce(_gamma_step, range(1, n + 1), [[1]]))
 
 
 def g_poly(n: int) -> Poly:

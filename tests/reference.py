@@ -259,12 +259,6 @@ def dense(size, dims, terms):
     return row
 
 
-def simplex(n, dims):
-    """The index tuples of dims nonnegative ints adding up to at most n, in
-    increasing order: the indices of a dense row of order n."""
-    return sorted(e for e in itertools.product(range(n + 1), repeat=dims) if sum(e) <= n)
-
-
 def terms(row, *index):
     """The nonzero entries of a dense row keyed by index tuples, as dense
     takes them."""

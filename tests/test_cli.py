@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 import reference as ref
 from stirlab import objects, tables
-from stirlab.cli import ORDER_LIMIT, POLY_LIMITS, main
+from stirlab.cli import ORDER_LIMIT, POLY_LIMITS, _print_trivariate, main
 from stirlab.grammar import TERM_LIMIT
 from stirlab.identities import REGISTRY, IdentityCheck
 
@@ -458,6 +459,36 @@ def test_poly_golden_bytes(tmp_path, name, n, fmt, suffix):
     # a second run reads the table cache and prints the same bytes
     assert run_cli("--format", fmt, "--cache-dir", str(tmp_path), "poly",
                    "--name", name, "--n", str(n)) == (code, out)
+
+
+# P and G at their limits, past the golden files and the small rows the
+# Hypothesis test of test_polynomials.py draws
+LARGEST_TRIVARIATE_ROWS = {
+    "P": lambda: tables._p_row(POLY_LIMITS["P"]),
+    "G": lambda: {(i, j, 0): c for (i, j), c in tables._gamma_row(POLY_LIMITS["G"]).items()},
+}
+
+
+@pytest.mark.parametrize("name", sorted(LARGEST_TRIVARIATE_ROWS))
+def test_the_largest_p_and_g_json_lines_match_the_reference(name):
+    row = LARGEST_TRIVARIATE_ROWS[name]()
+    (line,) = _print_trivariate(row, "json")
+    assert line + "\n" == ref.tri_lines(row, "json")
+
+
+@pytest.mark.parametrize("name", sorted(LARGEST_TRIVARIATE_ROWS))
+def test_the_largest_p_and_g_json_lines_peak_below_5_times_their_length(name):
+    # the sorted keys, the term strings and the joined line: 3.1 (P) and
+    # 2.4 (G) times the line; a dict and a list made per term for
+    # json.dumps peaked at 13 and 7 times
+    row = LARGEST_TRIVARIATE_ROWS[name]()
+    tracemalloc.start()
+    try:
+        (line,) = _print_trivariate(row, "json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * len(line)
 
 
 # rule file, start, order, golden file stem; the unsorted rules list their

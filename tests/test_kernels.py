@@ -80,13 +80,6 @@ def poly_ops_reference(names_p, terms_p, names_q, terms_q, letter, k):
     return [(r, ref.sparse_str(r)) for r in results], a == b, a == b
 
 
-def cells(grid, *index):
-    """(position, entry) of every cell of a nested-list grid, in list order."""
-    if not isinstance(grid, list):
-        return [(index, grid)]
-    return [cell for i, sub in enumerate(grid) for cell in cells(sub, *index, i)]
-
-
 def keyed(names, scan):
     """scan's record as a dict keyed by names."""
     return lambda obj: dict(zip(names, scan(obj)))
@@ -118,13 +111,6 @@ KERNELS = {
     # P and gamma against the brute-force counts they are theorems about
     "tables._p_row": Pair(tables._p_row, refined_counts, partial(upto, 5)),
     "tables._gamma_row": Pair(tables._gamma_row, ref.gamma_counts, partial(upto, 5)),
-    # the key grids: grid[i][j][k] is (i, j, k), over the simplex of the
-    # order in increasing key order, the order the readers and the cache
-    # files keep
-    "tables._p_keys": Pair(lambda n: cells(tables._p_keys(n)),
-                           lambda n: [(e, e) for e in ref.simplex(n, 3)], partial(upto, 8)),
-    "tables._gamma_keys": Pair(lambda n: cells(tables._gamma_keys(n)),
-                               lambda n: [(e, e) for e in ref.simplex(n, 2)], partial(upto, 8)),
     # reached through p_polys_differential and g_polys_differential
     "tables._differential": Pair(
         lambda n: (tables.p_polys_differential(n)[n].terms,

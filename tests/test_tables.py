@@ -254,15 +254,14 @@ def gather_rows(step, origin, n_max):
 def test_p_rows_match_gather_form():
     rows = gather_rows(ref.p_step, [[[1]]], 40)
     stepped = itertools.accumulate(range(1, 41), tables._p_step, initial=[[[1]]])
-    assert [tables._p_terms(row, tables._p_keys(n)) for n, row in enumerate(stepped)] == rows
+    assert [tables._p_terms(row) for row in stepped] == rows
     assert _p_row(40) == rows[40]
 
 
 def test_gamma_rows_match_gather_form():
     rows = gather_rows(ref.gamma_step, [[1]], 100)
     stepped = itertools.accumulate(range(1, 101), tables._gamma_step, initial=[[1]])
-    assert [tables._gamma_terms(row, tables._gamma_keys(n))
-            for n, row in enumerate(stepped)] == rows
+    assert [tables._gamma_terms(row) for row in stepped] == rows
     assert _gamma_row(100) == rows[100]
 
 
@@ -305,12 +304,10 @@ def test_1d_step_sends_one_term_to_its_images(name, k):
 # term t at order n over the grammar's sorted names
 GRAMMAR_STEPS = {
     # (i, j, k) of P_n as p^k q^j x^i y^i z^(2n+1-2i-j-k)
-    "P": (tables.REFINED_GRAMMAR, tables._p_step,
-          lambda row: tables._p_terms(row, tables._p_keys(len(row) - 1)), (20, 5, 5),
+    "P": (tables.REFINED_GRAMMAR, tables._p_step, tables._p_terms, (20, 5, 5),
           lambda t, n: (t[2], t[1], t[0], t[0], 2 * n + 1 - 2 * t[0] - t[1] - t[2])),
     # (i, j) of the gamma row as u^i v^j w^(2n+1-2i-j)
-    "gamma": (tables.GAMMA_GRAMMAR, tables._gamma_step,
-              lambda row: tables._gamma_terms(row, tables._gamma_keys(len(row) - 1)), (20, 8),
+    "gamma": (tables.GAMMA_GRAMMAR, tables._gamma_step, tables._gamma_terms, (20, 8),
               lambda t, n: (t[0], t[1], 2 * n + 1 - 2 * t[0] - t[1])),
     # f of T_n as x y^f z^(2n-f)
     "T": (tables.FLAG_GRAMMAR, tables._t_step,
@@ -549,36 +546,24 @@ def test_tampered_t_file_is_regenerated_by_the_cli(tmp_path):
     assert "999" not in path.read_text()
 
 
-@pytest.mark.parametrize("name,family,old,new,term",
-                         [("P", "p", [4, 0, 0, 1], [4, 4, 4, 1], "x^4*y^4*z^4"),
-                          ("G", "gamma", [4, 0, 1], [5, 0, 1], "x^5")],
+@pytest.mark.parametrize("name,build,old,new,term,monomial",
+                         [("P", p_table, [1, 0, 1, 1], [0, 0, 4, 1], (1, 0, 1), "z^4"),
+                          ("G", gamma_table, [2, 0, 1], [4, 0, 1], (2, 0), "x^4")],
                          ids=["p", "gamma"])
-def test_a_row_index_off_the_key_grid_is_regenerated_by_the_cli(tmp_path, name, family, old, new,
-                                                                  term):
-    # the moved entry keeps its index in 0..2n and its row's total, and the
-    # header is re-signed, so only the bound of an index's sum by the row's
-    # order, i + j (+ k) <= 4, tells it is off
-    good = _poly(tmp_path, name, 4)
-    (path,) = tmp_path.iterdir()
-    written = path.read_text()
-    _edit_lines(path, _edit_row(lambda row: row.__setitem__(row.index(old), new)))
-    assert TableCache(tmp_path).load(family, 4, len(old)) is None
-    assert _poly(tmp_path, name, 4) == good and term not in good[1]
-    assert path.read_text() == written
-
-
-@pytest.mark.parametrize("build,old,new,term",
-                         [(p_table, [1, 0, 1, 1], [0, 0, 4, 1], (1, 0, 1)),
-                          (gamma_table, [2, 0, 1], [4, 0, 1], (2, 0))],
-                         ids=["p", "gamma"])
-def test_a_row_index_past_its_order_is_a_miss(tmp_path, build, old, new, term):
-    # row 2's moved entry keeps its row's total, and the header is
-    # re-signed, but its indices add up to 4, past the row's order
+def test_a_row_index_past_its_order_is_a_miss(tmp_path, name, build, old, new, term, monomial):
+    # row 2's moved entry keeps its index in 0..2n and its row's total, and
+    # the header is re-signed, but its indices add up to 4, past the row's
+    # order: a load misses, and the CLI prints the rebuilt row and writes
+    # the file again
     cache = TableCache(tmp_path)
     good = build(2, cache)
     (path,) = tmp_path.iterdir()
+    written = path.read_text()
+    printed = _poly(tmp_path, name, 2)
     _edit_lines(path, _edit_row(lambda row: row.__setitem__(row.index(old), new)))
     assert cache.load(good.family, 2, good.arity) is None
+    assert _poly(tmp_path, name, 2) == printed and monomial not in printed[1]
+    assert path.read_text() == written
     assert build(2, cache).row[term] == 1
     assert cache.load(good.family, 2, good.arity).row == good.row
 
@@ -694,7 +679,7 @@ def test_cache_store_holds_about_one_row_at_a_time(tmp_path, build, n):
 
 @pytest.mark.parametrize("build,n", [(gamma_table, 100), (p_table, 40)], ids=["gamma-100", "p-40"])
 @pytest.mark.parametrize("side", ["built", "loaded"])
-def test_a_tables_rows_share_their_key_tuples(tmp_path, build, n, side):
+def test_a_tables_row_holds_one_key_tuple_per_entry(tmp_path, build, n, side):
     # row n, built from cold memos or loaded, holds little beyond its dict,
     # one key tuple per entry and its values: the bound allows half a tuple
     # per entry more
