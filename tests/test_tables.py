@@ -546,24 +546,36 @@ def test_tampered_t_file_is_regenerated_by_the_cli(tmp_path):
     assert "999" not in path.read_text()
 
 
-@pytest.mark.parametrize("name,build,old,new,term,monomial",
-                         [("P", p_table, [1, 0, 1, 1], [0, 0, 4, 1], (1, 0, 1), "z^4"),
-                          ("G", gamma_table, [2, 0, 1], [4, 0, 1], (2, 0), "x^4")],
+@pytest.mark.parametrize("name,family,old,new,term",
+                         [("P", "p", [4, 0, 0, 1], [4, 4, 4, 1], "x^4*y^4*z^4"),
+                          ("G", "gamma", [4, 0, 1], [5, 0, 1], "x^5")],
                          ids=["p", "gamma"])
-def test_a_row_index_past_its_order_is_a_miss(tmp_path, name, build, old, new, term, monomial):
-    # row 2's moved entry keeps its index in 0..2n and its row's total, and
-    # the header is re-signed, but its indices add up to 4, past the row's
-    # order: a load misses, and the CLI prints the rebuilt row and writes
-    # the file again
+def test_a_row_index_off_the_key_grid_is_regenerated_by_the_cli(tmp_path, name, family, old, new,
+                                                                  term):
+    # the moved entry keeps its index in 0..2n and its row's total, and the
+    # header is re-signed, so only the bound of an index's sum by the row's
+    # order, i + j (+ k) <= 4, tells it is off
+    good = _poly(tmp_path, name, 4)
+    (path,) = tmp_path.iterdir()
+    written = path.read_text()
+    _edit_lines(path, _edit_row(lambda row: row.__setitem__(row.index(old), new)))
+    assert TableCache(tmp_path).load(family, 4, len(old)) is None
+    assert _poly(tmp_path, name, 4) == good and term not in good[1]
+    assert path.read_text() == written
+
+
+@pytest.mark.parametrize("build,old,new,term",
+                         [(p_table, [1, 0, 1, 1], [0, 0, 4, 1], (1, 0, 1)),
+                          (gamma_table, [2, 0, 1], [4, 0, 1], (2, 0))],
+                         ids=["p", "gamma"])
+def test_a_row_index_past_its_order_is_a_miss(tmp_path, build, old, new, term):
+    # row 2's moved entry keeps its row's total, and the header is
+    # re-signed, but its indices add up to 4, past the row's order
     cache = TableCache(tmp_path)
     good = build(2, cache)
     (path,) = tmp_path.iterdir()
-    written = path.read_text()
-    printed = _poly(tmp_path, name, 2)
     _edit_lines(path, _edit_row(lambda row: row.__setitem__(row.index(old), new)))
     assert cache.load(good.family, 2, good.arity) is None
-    assert _poly(tmp_path, name, 2) == printed and monomial not in printed[1]
-    assert path.read_text() == written
     assert build(2, cache).row[term] == 1
     assert cache.load(good.family, 2, good.arity).row == good.row
 
