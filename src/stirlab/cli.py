@@ -104,7 +104,7 @@ def _cmd_stats(args: argparse.Namespace) -> tuple[int, list[str]]:
 
 def _poly_families(args: argparse.Namespace) -> dict[str, Callable[[int], Poly | dict]]:
     """Each family's polynomial at n: a Poly in x, or for P and G the table's
-    row n as a dict from (i, j, k) exponents of x, y, z to coefficients."""
+    row n as a dict from (i, j, k) exponents of x, y, z, G's (i, j), to coefficients."""
     cache = tables.TableCache(args.cache_dir or default_cache_dir())
     return {
         "A": tables.a_poly,
@@ -116,9 +116,7 @@ def _poly_families(args: argparse.Namespace) -> dict[str, Callable[[int], Poly |
         "T": lambda n: Poly.from_counts(
             {k: tables.t_table(n, cache).row.get(k, 0) for k in range(2 * n + 1)}
         ),
-        "G": lambda n: {
-            (i, j, 0): v for (i, j), v in tables.gamma_table(n, cache).row.items()
-        },
+        "G": lambda n: tables.gamma_table(n, cache).row,
         "P": lambda n: tables.p_table(n, cache).row,
     }
 
@@ -150,18 +148,20 @@ def _print_univariate(poly: Poly, fmt: str) -> list[str]:
     return ["k,coeff", *(f"{k},{c}" for (k,), c in sorted(terms.items()))]
 
 
-def _print_trivariate(row: Mapping[tuple[int, int, int], int], fmt: str) -> list[str]:
-    """The lines of a P or G row, by degree, then by exponent triple.  JSON
-    formats each term into the bytes ``json.dumps`` writes for
-    ``{"e": [i, j, k], "c": "<c>"}`` with its default separators, with no
-    dict or list made per term."""
+def _print_trivariate(row: Mapping[tuple[int, ...], int], fmt: str) -> list[str]:
+    """The lines of a P or G row, by degree, then by exponent triple; a key
+    (i, j) prints as (i, j, 0).  JSON formats each term into the bytes
+    ``json.dumps`` writes for ``{"e": [i, j, k], "c": "<c>"}`` with its
+    default separators, with no dict or list made per term."""
     keys = sorted(row, key=lambda e: (sum(e), e))
     if fmt == "plain":
         return [format_terms((monomial_str(XYZ, e), row[e]) for e in keys)]
+    k = "0" if keys and len(keys[0]) == 2 else "%d"
     if fmt == "json":
-        term = '{"e": [%d, %d, %d], "c": "%d"}'
+        term = '{"e": [%d, %d, ' + k + '], "c": "%d"}'
         return ["[%s]" % ", ".join([term % (*e, row[e]) for e in keys])]
-    return ["i,j,k,coeff", *(f"{i},{j},{k},{row[i, j, k]}" for i, j, k in keys)]
+    line = "%d,%d," + k + ",%d"
+    return ["i,j,k,coeff", *(line % (*e, row[e]) for e in keys)]
 
 
 # ---------------------------------------------------------------------------

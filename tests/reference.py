@@ -101,6 +101,25 @@ def matchings(n: int):
     return rec(tuple(range(1, 2 * n + 1)))
 
 
+SAMPLED_OBJECT_ORDERS = range(8, 13)
+
+
+@functools.lru_cache(maxsize=None)
+def sampled_objects(klass: str, n: int) -> tuple:
+    """100 objects of order n of the class "signed", "matching" or
+    "permutation", seeded by the class and n: a uniform permutation of [n],
+    under uniform signs for B_n, or a uniform shuffle of [2n] paired two by
+    two, so a matching's blocks and each block's entries come in any order."""
+    rng = random.Random(f"{klass} {n}")
+    if klass == "matching":
+        shuffles = (rng.sample(range(1, 2 * n + 1), 2 * n) for _ in range(100))
+        return tuple(tuple(zip(e[::2], e[1::2])) for e in shuffles)
+    perms = (rng.sample(range(1, n + 1), n) for _ in range(100))
+    if klass == "signed":
+        return tuple(tuple(rng.choice((1, -1)) * v for v in perm) for perm in perms)
+    return tuple(map(tuple, perms))
+
+
 def set_partitions(n: int):
     """Every set partition of [n], as a list of blocks."""
     partitions = [[]]

@@ -3,15 +3,17 @@
 ``KERNELS`` maps a kernel, as ``module.name``, to the kernel's call, the call
 of its reference in ``reference.py``, and a function returning the domain
 both run on: Q_n for n <= 5 and seeded pair-insertion samples at n = 8,
-12, 20 and 40, B_n, matchings and S_n to n = 5, 6 and 7, and orders to 5 for
-the rows.  A kernel that a test of another file already compares with its
-reference is listed in ``COVERED`` under that test's id instead, so each
-comparison runs once, and a private function with no reference of its own is
-in ``EXEMPT`` with its reason.
+12, 20 and 40, B_n, matchings and S_n to n = 5, 6 and 7 and seeded samples
+of each at n = 8..12, and orders to 5 for the rows.  Results are compared
+value and type, so True is not 1.  A kernel that a test of another file
+already compares with its reference is listed in ``COVERED`` under that
+test's id instead, so each comparison runs once, and a private function with
+no reference of its own is in ``EXEMPT`` with its reason.
 """
 import ast
 import collections
 import random
+from collections.abc import Mapping
 from functools import partial, reduce
 from pathlib import Path
 
@@ -46,6 +48,18 @@ def word_values(n_max, low=1):
 def objects_of(klass, n_max):
     """(obj,) for every object of the class at orders up to n_max."""
     return [(obj,) for n in range(klass == "signed", n_max + 1) for obj in ref.STREAMS[klass](n)]
+
+
+def sampled_objects(klass):
+    """(obj,) for each sampled object of the class at n = 8..12."""
+    return [(obj,) for n in ref.SAMPLED_OBJECT_ORDERS for obj in ref.sampled_objects(klass, n)]
+
+
+def matchings_both_ways(n_max):
+    """(m,) for every matching of order <= n_max as the stream yields it, each
+    block a < b, and with each block's entries and the blocks reversed."""
+    return [(m,) for (blocks,) in objects_of("matching", n_max)
+            for m in (blocks, tuple(b[::-1] for b in reversed(blocks)))]
 
 
 # P_n's coefficients count the words of Q_n by (lap, dasc, dp)
@@ -95,16 +109,18 @@ KERNELS = {
                                     ref.representative, partial(words, 5)),
     # the statistic scans of B_n, the matchings and S_n, and their counts
     "stats._fdes": Pair(stats._fdes, lambda v: ref.signed_stats(v)["fdes"],
-                        partial(objects_of, "signed", 5)),
+                        lambda: objects_of("signed", 5) + sampled_objects("signed")),
     "stats._signed_record": Pair(
         keyed(SIGNED_STATS, lambda v: stats._signed_record(len(v), ref.signed_stats(v)["fdes"])),
         ref.signed_stats, partial(objects_of, "signed", 5)),
     "stats._signed_scan": Pair(keyed(SIGNED_STATS, stats._signed_scan), ref.signed_stats,
                                partial(objects_of, "signed", 5)),
-    "stats._matching_scan": Pair(keyed(MATCHING_STATS, stats._matching_scan),
-                                 ref.matching_stats, partial(objects_of, "matching", 6)),
-    "stats._permutation_scan": Pair(stats._permutation_scan, lambda pi: (ref.des(pi),),
-                                    partial(objects_of, "permutation", 7)),
+    "stats._matching_scan": Pair(
+        keyed(MATCHING_STATS, stats._matching_scan), ref.matching_stats,
+        lambda: matchings_both_ways(6) + sampled_objects("matching")),
+    "stats._permutation_scan": Pair(
+        stats._permutation_scan, lambda pi: (ref.des(pi),),
+        lambda: objects_of("permutation", 7) + sampled_objects("permutation")),
     "stats._full_counts": Pair(
         stats._full_counts, lambda klass, n: ref.full_counts(klass, n, STATS_BY_CLASS[klass]),
         lambda: [(klass, n) for klass in STATS_BY_CLASS for n in range(klass == "signed", 6)]),
@@ -187,11 +203,23 @@ MODULES = {m.__name__.rsplit(".", 1)[1]: m for m in (actions, objects, stats, gr
                                                       tables, polynomials)}
 
 
+def typed(value):
+    """value with each scalar in it paired with its exact type, so that True
+    and 1 differ: a mapping's keys and values, a list's or a tuple's items."""
+    if isinstance(value, Mapping):
+        return {typed(k): typed(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [typed(v) for v in value]
+    if isinstance(value, tuple):
+        return tuple(typed(v) for v in value)
+    return type(value), value
+
+
 @pytest.mark.parametrize("name", sorted(KERNELS))
 def test_kernel_matches_its_reference(name):
     fast, slow, domain = KERNELS[name]
     for args in domain():
-        assert fast(*args) == slow(*args), args
+        assert typed(fast(*args)) == typed(slow(*args)), args
 
 
 def private_functions() -> set[str]:
