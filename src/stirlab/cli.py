@@ -34,7 +34,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 from . import tables
 from .errors import ResourceLimitError, UnknownIdentityError
 from .grammar import GrammarSyntaxError, derive_n, parse_grammar, parse_poly
-from .objects import STREAMS
+from .objects import DEFAULT_BOUNDS, STREAMS
 from .polynomials import XYZ, Poly, format_terms, monomial_str
 
 _FORMATS = ("plain", "json", "csv")
@@ -63,10 +63,10 @@ def default_cache_dir() -> Path:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
-    if args.n > args.bound:
+    bound = DEFAULT_BOUNDS[args.klass] if args.bound is None else args.bound
+    if args.n > bound:
         raise ResourceLimitError(
-            f"n={args.n} exceeds the enumeration bound {args.bound}"
-            " (raise it with --bound)"
+            f"n={args.n} exceeds the enumeration bound {bound} (raise it with --bound)"
         )
     stream = STREAMS[args.klass](args.n)
     if args.format == "json":
@@ -233,8 +233,9 @@ def _add_common(parser: argparse.ArgumentParser, suppress: bool) -> None:
     parser.add_argument("--cache-dir", default=default(None),
                         help="coefficient-table cache (default: $STIRLAB_CACHE, "
                         "$XDG_CACHE_HOME/stirlab or ~/.cache/stirlab)")
-    parser.add_argument("--bound", type=int, default=default(8),
-                        help="enumeration bound on n (default 8)")
+    parser.add_argument("--bound", type=int, default=default(None),
+                        help="enumeration bound on n (default: the class's, 7 for "
+                        "signed, 9 for permutation, 8 otherwise)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -197,6 +197,9 @@ STREAMS = {
     "matching": matching_blocks,
     "permutation": permutation_words,
 }
+# the largest n each class enumerates unless the caller raises the limit:
+# distribution's max_n and the CLI's --bound
+DEFAULT_BOUNDS = {"stirling": 8, "signed": 7, "matching": 8, "permutation": 9}
 
 
 @_memo

@@ -35,6 +35,7 @@ from typing import Mapping, Sequence
 
 from .errors import ResourceLimitError
 from .objects import (
+    DEFAULT_BOUNDS,
     _STIRLING_CACHE_MAX,
     _is_matching,
     _is_permutation,
@@ -57,11 +58,6 @@ STATS_BY_CLASS = {
     "matching": MATCHING_STATS,
     "permutation": PERMUTATION_STATS,
 }
-
-# default enumeration bounds for distribution(); beyond these the caller must
-# raise the limit explicitly
-DEFAULT_BOUNDS = {"stirling": 8, "signed": 7, "matching": 8, "permutation": 9}
-
 
 def _stirling_scan(word: Sequence[int]) -> tuple[int, ...]:
     """The eight Stirling statistics of a word assumed valid, in the order of
@@ -182,10 +178,10 @@ def matching_stats(blocks) -> dict[str, int]:
     return matching_stat_record(bs)
 
 
-# one tuple-returning scan per class, fields in STATS_BY_CLASS order
+# the tuple-returning scan of each class but B_n, which is counted by fdes;
+# fields in STATS_BY_CLASS order
 _SCANS = {
     "stirling": _stirling_scan,
-    "signed": _signed_scan,
     "matching": _matching_scan,
     "permutation": _permutation_scan,
 }
@@ -207,7 +203,7 @@ def _full_counts(klass: str, n: int) -> Mapping[tuple[int, ...], int]:
     # classes are streamed, and this memo keeps only their counts
     if klass == "stirling" and n <= _STIRLING_CACHE_MAX:
         return Counter(stirling_scans(n).values())
-    if klass == "signed" and n >= 1:
+    if klass == "signed":
         by_fdes = Counter(map(_fdes, iter_objects(klass, n)))
         return Counter({_signed_record(n, f): c for f, c in by_fdes.items()})
     return Counter(map(_SCANS[klass], iter_objects(klass, n)))

@@ -13,7 +13,6 @@ import stirlab
 from stirlab.actions import (
     alpha,
     alpha_inverse,
-    alpha_inverse_trace,
     beta_set,
     descent_bottom_set,
     fs_action,
@@ -113,7 +112,7 @@ class TestToggleAction:
             for v in range(1, n + 1):
                 assert fs_action(fs_action(w, {v}), {v}) == w
 
-    @pytest.mark.parametrize("n", range(1, 5))
+    @pytest.mark.parametrize("n", range(1, 6))
     def test_value_toggles_commute(self, n):
         for w in iter_objects("stirling", n):
             for u, v in itertools.combinations(range(1, n + 1), 2):
@@ -195,14 +194,6 @@ class TestOrbits:
         looked_up.clear()
         assert list(_walk(word("123321"), counting)) == walk
         assert looked_up == walk[1:]
-
-    def test_within_is_gone(self):
-        # a membership check cannot tell 1.0 from 1, so the public moves
-        # take no set to check by
-        with pytest.raises(TypeError, match="within"):
-            fs_action(word("1221"), [1], within=stirling_scans(2))
-        with pytest.raises(TypeError, match="within"):
-            orbit_members(word("1221"), within=stirling_scans(2))
 
     def test_orbit_members_accepts_a_word(self):
         assert set(orbit_members(word("2211"))) == {word("1221"), word("2211")}
@@ -432,23 +423,6 @@ class TestAlpha:
     def test_doubled_identity(self):
         assert alpha(word("1122")) == (1, 2)
 
-    def test_inverse_published_rows(self):
-        assert alpha_inverse((1, 2, 3)) == word("112233")
-        assert alpha_inverse((1, 3, 2)) == word("112332")
-        assert alpha_inverse((3, 1, 2)) == word("133122")
-
-    def test_trace_of_published_rows(self):
-        assert alpha_inverse_trace((2, 3, 1)) == (
-            word("223311"),
-            frozenset({1}),
-            word("122331"),
-        )
-        assert alpha_inverse_trace((3, 2, 1)) == (
-            word("332211"),
-            frozenset({1, 2}),
-            word("123321"),
-        )
-
     @pytest.mark.parametrize("pi", [(1, 1), (2, 3), (0, 1), (1, 3, 2, 5), (1.0,)])
     def test_inverse_rejects_what_is_not_a_permutation(self, pi):
         with pytest.raises(ValueError, match=r"^not a permutation of \[n\]: "):
@@ -567,15 +541,6 @@ class TestMembershipCheck:
         q_n = frozenset(iter_objects("stirling", n))
         for w in iter_objects("stirling", n):
             assert list(_walk(w, q_n.__contains__)) == list(orbit_members(w))
-
-    def test_an_output_outside_within_raises(self):
-        q_2 = frozenset(iter_objects("stirling", 2))
-        with pytest.raises(IdentityViolationError,
-                           match=r"^sliding 1 left in \(2, 2, 1, 1\) gave \(1, 2, 2, 1\)$"):
-            list(_walk(word("2211"), (q_2 - {word("1221")}).__contains__))
-        with pytest.raises(IdentityViolationError,
-                           match=r"^sliding 1 right in \(1, 2, 2, 1\) gave \(2, 2, 1, 1\)$"):
-            list(_walk(word("1221"), (q_2 - {word("2211")}).__contains__))
 
     @pytest.mark.parametrize("n", range(6))
     def test_a_scan_table_checks_by_its_keys(self, n):

@@ -111,6 +111,14 @@ class TestStats:
         assert obj["n"] == 3 and obj["stats"] == ["lap", "dasc", "dp"]
         assert sum(e["count"] for e in obj["entries"]) == 15
 
+    def test_the_default_bound_is_the_classs_own(self, capsys):
+        # B_n stops at 7, as distribution's does, for stats and enumerate
+        assert run_cli("stats", "--class", "signed", "--n", "8", "--stats", "fdes") == (2, "")
+        assert run_cli("enumerate", "--class", "signed", "--n", "8") == (2, "")
+        assert capsys.readouterr().err == (
+            "stirlab: error: n=8 exceeds the enumeration bound 7 for class 'signed'\n"
+            "stirlab: error: n=8 exceeds the enumeration bound 7 (raise it with --bound)\n")
+
     def test_unknown_stat_exits_2(self):
         assert run_cli("stats", "--class", "stirling", "--n", "2",
                        "--stats", "bogus")[0] == 2
@@ -288,7 +296,9 @@ class TestVerify:
         assert err == "stirlab: error: bound must be nonnegative, got -3\n"
 
     def test_all_small_bound(self):
-        code, out = run_cli("verify", "--all", "--max-n", "3")
+        start = time.perf_counter()
+        code, out = run_cli("verify", "--all", "--max-n", "5")
+        assert time.perf_counter() - start < 120
         assert code == 0
         assert len(out.splitlines()) == len(REGISTRY)
 

@@ -243,19 +243,6 @@ class TestDerive:
         derive_n(over_names, FLAG, 0)
         assert checked == []
 
-    def test_collapse_matches_uvw_grammar(self):
-        # under u = xy, v = p + q, w = z the collapsed derivative expands to
-        # the refined one, since the images satisfy the same rules
-        images = {"u": gp("x*y"), "v": gp("p + q"), "w": gp("z")}
-        for n in range(5):
-            collapsed = derive_n(gp("w"), UVW, n)
-            expanded = sum((
-                math.prod((images[v] ** k for v, k in zip(collapsed.names, e)),
-                          start=Poly.one()) * c
-                for e, c in collapsed.terms.items()
-            ), Poly.zero())
-            assert expanded == derive_n(gp("z"), REFINED, n)
-
     @pytest.mark.parametrize("n", [-1, True, 1.5, "3"], ids=repr)
     def test_the_order_is_a_nonnegative_int(self, n):
         # True would derive once, as 1 does; the others named no input

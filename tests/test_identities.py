@@ -108,6 +108,53 @@ def test_run_all_small_bound_passes_and_is_stable():
     ]
 
 
+@pytest.fixture(scope="module")
+def default_run():
+    # the run of `stirlab verify --all`, shared by the budget tests below
+    return {r.name: r for r in run_all()}
+
+
+def _passes_within(results, names, seconds):
+    # each acceptance budget bounds the summed millis of its identities
+    bad = [n for n in names if not results[n].passed or results[n].skipped]
+    assert [(n, results[n].witness) for n in bad] == []
+    assert all(results[n].bound == REGISTRY[n].default_bound for n in names)
+    assert sum(results[n].millis for n in names) < 1000 * seconds, names
+
+
+def test_the_grammars_match_enumeration_within_their_budget(default_run):
+    # gamma-grammar (derivative = table) and gamma-expansion (table = brute
+    # force) take the collapsed grammar to brute-force gamma together
+    names = ("grammar-prop-all", "flag-ap-grammar", "p-grammar", "gamma-grammar", "gamma-expansion")
+    _passes_within(default_run, names, 10)
+
+
+def test_the_convolutions_pass_within_their_budget(default_run):
+    names = ("flag-convolution", "flag-dual", "nn-aa-convolutions", "flag-adin", "t-self-inverse")
+    _passes_within(default_run, names, 30)
+
+
+def test_the_egf_cleared_forms_pass_within_their_budget(default_run):
+    _passes_within(default_run, ("egf-M-squared", "egf-N-squared", "t-egf-product"), 5)
+
+
+def test_the_gamma_identities_pass_within_their_budget(default_run):
+    names = ("gamma-eulerian", "gamma-vanishing", "gamma-expansion", "g-recurrence",
+             "gamma-weighted-sums")
+    _passes_within(default_run, names, 60)
+
+
+def test_gessel_stanley_passes_within_its_budget(default_run):
+    _passes_within(default_run, ("gessel-stanley",), 1)
+
+
+def test_run_all_at_the_default_bounds_passes_within_the_budgets(default_run):
+    assert sorted(default_run) == sorted(REGISTRY)
+    _passes_within(default_run, ("fs-symmetry",), 60)
+    _passes_within(default_run, ("alpha-bijection",), 10)
+    _passes_within(default_run, tuple(default_run), 300)
+
+
 def test_run_all_caps_at_each_identity_limit(monkeypatch):
     import stirlab.identities as ids
 

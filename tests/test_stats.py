@@ -7,13 +7,11 @@ import pytest
 from stirlab import objects
 from stirlab.actions import alpha_inverse
 from stirlab.errors import ResourceLimitError
-from stirlab.objects import iter_objects, signed_words, stirling_words
-from stirlab.polynomials import XYZ, Poly
+from stirlab.objects import DEFAULT_BOUNDS, iter_objects, signed_words, stirling_words
 from stirlab.stats import (
     _full_counts,
     _signed_scan,
     _stirling_scan,
-    DEFAULT_BOUNDS,
     STATS_BY_CLASS,
     STIRLING_STATS,
     distribution,
@@ -198,25 +196,6 @@ def test_a_bool_is_not_a_letter(check, obj, message):
 
 
 class TestDistribution:
-    def test_fap_order_2(self):
-        assert distribution("stirling", 2, ["fap"]) == {(1,): 1, (2,): 1, (3,): 1}
-
-    def test_joint_equals_refinement_polynomial(self):
-        # the (lap, dasc, dp) distribution at order 3 carries the published
-        # coefficients: x(y^2+z^2) + 4x^2(y+z) + 2xyz + 2x^2 + x^3
-        tri = Poly(XYZ, distribution("stirling", 3, ["lap", "dasc", "dp"]))
-        assert tri.coefficient(1, 2, 0) == 1
-        assert tri.coefficient(1, 0, 2) == 1
-        assert tri.coefficient(2, 1, 0) == 4
-        assert tri.coefficient(2, 0, 1) == 4
-        assert tri.coefficient(1, 1, 1) == 2
-        assert tri.coefficient(2, 0, 0) == 2
-        assert tri.coefficient(3, 0, 0) == 1
-        assert sum(tri.terms.values()) == 15
-
-    def test_signed_fdes_order_1(self):
-        assert distribution("signed", 1, ["fdes"]) == {(0,): 1, (1,): 1}
-
     def test_totals_match_cardinalities(self):
         assert sum(distribution("stirling", 4, ["asc"]).values()) == 105
         assert sum(distribution("signed", 3, ["fdes"]).values()) == 48
