@@ -34,14 +34,14 @@ words (no descent-plateau and lap + dasc = n, one per permutation) and
 permutations.
 
 Bad input raises ValueError naming it: a word that is not a Stirling
-permutation, given to any function here that takes one, a letter that is
-not an int, or a value of :func:`fs_action` or :func:`beta_set` that is not
-an int letter of the word.
+permutation, given to any function of words here but :func:`index_sets`, a
+letter that is not an int, which :func:`alpha` names first, or a value of
+:func:`fs_action` or :func:`beta_set` that is not an int letter of the word.
 Every slide checks that its output is a Stirling permutation, so
 :class:`IdentityViolationError` means that the paper's closure proof failed
-there.  The public moves check with :func:`is_stirling`; the ``fs-symmetry``
-loop walks each orbit with a private walk that checks by membership in the
-scan table of Q_n it reads anyway, at a tenth of the cost.
+there.  The public moves check with :func:`is_stirling`.  The ``fs-symmetry``
+orbit walk and the ``alpha-bijection`` inverse check by membership in the
+scan table of Q_n they read anyway, at a tenth of the cost.
 """
 from __future__ import annotations
 
@@ -186,11 +186,13 @@ def _free_values(word: Word) -> list[int] | None:
     """The double-ascent values in increasing order, in one pass; None when
     the word has a descent-plateau."""
     values = []
-    for left, v, right in zip((0, *word), word, (*word[1:], 0)):
+    left = 0
+    for v, right in zip(word, (*word[1:], 0)):
         if left < v < right:
             values.append(v)
         elif left > v == right:
             return None
+        left = v
     values.sort()
     return values
 
@@ -266,24 +268,24 @@ def beta_set(sigma, values: Iterable[int]) -> Word:
 
 
 def alpha(sigma) -> Word:
-    """Delete the first copy of every value; the second copies, in order,
-    form a permutation of [n].
+    """Delete the first copy of every value of a Stirling permutation; the
+    second copies, in order, form a permutation of [n].
 
     >>> alpha((3, 4, 4, 3, 5, 5, 6, 6, 1, 2, 2, 1))
     (4, 3, 5, 6, 2, 1)
     """
-    return _alpha(_word(sigma))
+    return _alpha(_stirling_word(_word(sigma)))
 
 
 def _alpha(word: Word) -> Word:
-    # alpha of a word of int letters, unchecked for the identity loops
-    seen: set[int] = set()
+    # alpha of a word of Q_n, unchecked; seen[v] is set at the first copy of v
+    seen = [False] * (len(word) // 2 + 1)
     out = []
     for v in word:
-        if v in seen:
+        if seen[v]:
             out.append(v)
         else:
-            seen.add(v)
+            seen[v] = True
     return tuple(out)
 
 
@@ -309,6 +311,17 @@ def alpha_inverse_trace(pi) -> tuple[Word, frozenset[int], Word]:
     values = _tuple(pi, "a permutation of [n]")
     if not _is_permutation(values):
         raise ValueError(f"not a permutation of [n]: {values}")
-    doubled = tuple(v for v in values for _ in range(2))
-    s = descent_bottom_set(values)
-    return doubled, s, beta_set(doubled, s)
+    return _alpha_inverse(values, is_stirling)
+
+
+def _alpha_inverse(pi: Word, check: Check) -> tuple[Word, frozenset[int], Word]:
+    """The inverse's trace on a permutation pi of [n], in beta moves; ``check``
+    must accept the doubled word and each slide."""
+    word = doubled = tuple(v for v in pi for _ in range(2))
+    if not check(doubled):
+        raise IdentityViolationError(f"doubling {pi} gave {doubled}")
+    s = descent_bottom_set(pi)
+    for x in sorted(s):
+        if first := _beta_first(word, x):
+            word = _slide_left(word, first, x, check)
+    return doubled, s, word

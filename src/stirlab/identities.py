@@ -604,7 +604,7 @@ _register(
 def _fs_symmetry(bound: int) -> str | None:
     for n in range(bound + 1):
         q_n = stirling_scans(n)  # each toggle's output must lie in Q_n
-        unwalked = dict.fromkeys(q_n)  # the table's own keys, dropped as walked
+        unwalked = dict(q_n)  # the table's own keys and records, dropped as walked
         for rep, record in q_n.items():
             lap, d, dp = _lap_dasc_dp(record)
             if dp:
@@ -612,10 +612,11 @@ def _fs_symmetry(bound: int) -> str | None:
             # walk the orbit: its k-th member has the s toggles of k ^ (k >> 1) on
             for k, word in enumerate(actions._walk(rep, q_n.__contains__)):
                 s = (k ^ k >> 1).bit_count()
-                if _lap_dasc_dp(q_n[word]) != (lap, d - s, s):
+                popped = unwalked.pop(word, None)  # its record, None if walked already
+                if _lap_dasc_dp(q_n[word] if popped is None else popped) != (lap, d - s, s):
                     a, b = stirling_stat_record(rep), stirling_stat_record(word)
                     return f"n={n}, word {rep}: {s} of {d} toggles sent {a} to {b}"
-                if unwalked.pop(word, True):  # marked off already
+                if popped is None:
                     return f"n={n}: the orbit of {rep} walks {word} twice"
             if k + 1 != 2 ** d:
                 return f"n={n}: the orbit of {rep} has {k + 1} members, not 2^{d}"
@@ -805,7 +806,7 @@ def _beta_stages(n: int, q_n: dict, normal: dict) -> str | None:
 )
 def _alpha_bijection(bound: int) -> str | None:
     for n in range(bound + 1):
-        q_n = stirling_scans(n)
+        q_n = stirling_scans(n)  # each step of alpha's inverse must lie in Q_n
         # each normalized word's alpha image, computed once and read below
         normal: dict[tuple, tuple] = {}
         for word, record in q_n.items():
@@ -823,7 +824,7 @@ def _alpha_bijection(bound: int) -> str | None:
         if len(set(normal.values())) != math.factorial(n):
             return f"n={n}: alpha is not injective on the normalized words"
         for pi in iter_objects("permutation", n):
-            word = actions.alpha_inverse(pi)
+            word = actions._alpha_inverse(pi, q_n.__contains__)[2]
             if normal.get(word) != pi:
                 return f"n={n}: alpha_inverse({pi}) = {word} is wrong"
     if bound >= 3:

@@ -25,8 +25,9 @@ word is in some Q_n, and :func:`_tuple` unless a word or value set is iterable.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sized
 from functools import lru_cache
-from typing import Iterator, Sequence, Sized
+from typing import Iterator, Sequence
 
 Word = tuple[int, ...]
 Block = tuple[int, int]

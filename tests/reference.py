@@ -261,6 +261,22 @@ def alpha(w):
     return tuple(v for i, v in enumerate(w) if v in w[:i])
 
 
+@functools.lru_cache(maxsize=None)
+def normalized(n: int) -> dict:
+    """Each normalized word of Q_n (dp = 0 and lap + dasc = n) keyed by its
+    alpha image."""
+    return {alpha(w): w for w in stirling_words(n)
+            if (r := lap_dasc_dp(w))[2] == 0 and r[0] + r[1] == n}
+
+
+def alpha_inverse_trace(pi):
+    """(doubled word, descent-bottom values, normalized word) of the inverse
+    of alpha at a permutation pi: the normalized word is the one that alpha
+    maps to pi, found among all of Q_n."""
+    bottoms = frozenset(b for a, b in zip(pi, pi[1:]) if a > b)
+    return tuple(v for v in pi for _ in range(2)), bottoms, normalized(len(pi))[tuple(pi)]
+
+
 # ---------------------------------------------------------------------------
 # the recurrences in gather form: each entry of row n summed from the row
 # before, read as 0 off it; row n has len(prev) + 1 entries per axis (T: + 2)

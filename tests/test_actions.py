@@ -46,10 +46,12 @@ GATED = [
 
 def test_every_public_move_meets_the_gate():
     # a new public function of actions joins GATED, or is added here on
-    # purpose as one that takes no Stirling permutation
-    takes_any_word = {"alpha", "alpha_inverse", "index_sets"}
+    # purpose: alpha checks its letters before the gate (its own test
+    # below), and the others take no Stirling permutation
+    letters_first = {"alpha"}
+    takes_any_word = {"alpha_inverse", "index_sets"}
     assert {fn.__name__ for fn, _ in GATED} == (
-        set(stirlab._EXPORTS["actions"]) - takes_any_word | {"stirling_stats"})
+        set(stirlab._EXPORTS["actions"]) - letters_first - takes_any_word | {"stirling_stats"})
 
 
 # every function that takes a Stirling permutation passes it through the word
@@ -422,6 +424,14 @@ class TestAlpha:
 
     def test_doubled_identity(self):
         assert alpha(word("1122")) == (1, 2)
+
+    @pytest.mark.parametrize("w", [word("1212"), word("2112"), word("112222"), (1, 2, 2, 9)],
+                             ids=["crossing", "slides-out", "three-copies", "out-of-range"])
+    def test_alpha_meets_the_gate_after_its_letters(self, w):
+        # int letters reach the word gate; others keep the letter message,
+        # pinned with the other moves' messages in TestBetaMoves
+        with pytest.raises(ValueError, match=gate_message(w)):
+            alpha(w)
 
     @pytest.mark.parametrize("pi", [(1, 1), (2, 3), (0, 1), (1, 3, 2, 5), (1.0,)])
     def test_inverse_rejects_what_is_not_a_permutation(self, pi):

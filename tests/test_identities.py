@@ -246,9 +246,11 @@ def test_witness_on_forced_failure(monkeypatch):
 @pytest.mark.parametrize("name, checks, by_is_stirling", [
     # the stage pass slides each word of Q_n that is not normalized once
     # (916 = sum of (2n-1)!! - n! over n <= 5), checked by membership in its
-    # stage; the alpha_inverse loop and order-3 table make 289 slides and
-    # check 160 inputs with is_stirling
-    ("alpha-bijection", 916 + 289, 449),
+    # stage; the inverse loop and the order-3 table make 289 slides.  The
+    # loop checks its doubled words and slides by membership in Q_n, and
+    # the table's six rows check their 6 doubled words and 6 slides with
+    # is_stirling: 12 = 6 + 6
+    ("alpha-bijection", 916 + 289, 12),
     ("fs-symmetry", 672, 0),
 ])
 def test_every_slide_is_checked_once(monkeypatch, name, checks, by_is_stirling):
@@ -384,6 +386,20 @@ def test_alpha_bijection_fails_on_an_unnormalized_beta_image(monkeypatch):
     r = run_identity("alpha-bijection", 3)
     assert not r.passed
     assert r.witness == "n=2: beta normalization of (2, 2, 1, 1) gave (2, 2, 1, 1)"
+
+
+def test_a_bad_slide_in_the_inverse_loop_fails_alpha_bijection(monkeypatch):
+    # the stage pass keeps the true slide, while the alpha inverse slides
+    # the next larger value, never landing in Q_n; with is_stirling passing
+    # every word, the inverse loop's membership check must catch it
+    slide = actions._slide_left
+    monkeypatch.setattr(ids, "actions", _actions_with())
+    monkeypatch.setattr(actions, "_slide_left",
+                        lambda word, first, v, check: slide(word, first, v + 1, check))
+    monkeypatch.setattr(actions, "is_stirling", lambda w: True)
+    r = run_identity("alpha-bijection", 4)
+    assert not r.passed
+    assert r.witness == "sliding 2 left in (2, 2, 1, 1) gave (2, 2, 2, 1)"
 
 
 def test_alpha_bijection_fails_on_a_changed_alpha_image(monkeypatch):

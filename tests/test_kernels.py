@@ -14,7 +14,7 @@ import ast
 import collections
 import random
 from collections.abc import Mapping
-from functools import partial, reduce
+from functools import lru_cache, partial, reduce
 from pathlib import Path
 
 import pytest
@@ -94,6 +94,12 @@ def poly_ops_reference(names_p, terms_p, names_q, terms_q, letter, k):
     return [(r, ref.sparse_str(r)) for r in results], a == b, a == b
 
 
+@lru_cache(maxsize=None)
+def in_q_n(n):
+    """Membership in Q_n, as the identity loops check it."""
+    return frozenset(ref.stirling_words(n)).__contains__
+
+
 def keyed(names, scan):
     """scan's record as a dict keyed by names."""
     return lambda obj: dict(zip(names, scan(obj)))
@@ -107,6 +113,11 @@ KERNELS = {
     "actions._free_values": Pair(actions._free_values, ref.free_values, partial(words, 5)),
     "actions._representative": Pair(lambda w: actions._representative(w, is_stirling),
                                     ref.representative, partial(words, 5)),
+    # the inverse of alpha, checked by is_stirling as alpha_inverse_trace
+    # does and by membership in Q_n as the alpha-bijection loop does
+    "actions._alpha_inverse": Pair(
+        lambda pi: [actions._alpha_inverse(pi, check) for check in (is_stirling, in_q_n(len(pi)))],
+        lambda pi: [ref.alpha_inverse_trace(pi)] * 2, partial(objects_of, "permutation", 6)),
     # the statistic scans of B_n, the matchings and S_n, and their counts
     "stats._fdes": Pair(stats._fdes, lambda v: ref.signed_stats(v)["fdes"],
                         lambda: objects_of("signed", 5) + sampled_objects("signed")),
